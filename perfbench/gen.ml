@@ -1,7 +1,7 @@
-(* Seeded inputs: the preloaded dataset and one endless operation stream
-   per client connection.  The same seed always yields the same preload
-   and the same streams, so the traced in-process replay sees exactly the
-   operations the closed-loop run sent over the wire. *)
+(* Inputs: the preloaded dataset and one endless seeded operation stream
+   per client connection.  The same seed always yields the same streams,
+   so the traced in-process replay sees exactly the operations the
+   closed-loop run sent over the wire. *)
 
 module Rng = Siri_core.Rng
 module Kv = Siri_core.Kv
@@ -30,8 +30,14 @@ let pad rng prefix =
    produced it. *)
 let preload_value rng i = pad rng (Printf.sprintf "p%06d-" i)
 
-let preload seed =
-  let rng = Rng.create (seed * 7 + 1) in
+(* The dataset is the same for every seed.  POS-Tree node boundaries
+   depend on the entries' bytes, so each dataset has its own tree shape,
+   and one drawn per seed moved a read workload's median latency by up to
+   40% from seed to seed; the seed varies the operation streams only. *)
+let dataset_seed = 15
+
+let preload () =
+  let rng = Rng.create dataset_seed in
   List.init preload_keys (fun i -> (preload_key i, preload_value rng i))
 
 let index_of_value v =
@@ -72,30 +78,39 @@ type workload =
   | Lookup_cold
       (** the cold read path: a reopened pack with an empty hot tier and no
           node cache, 10% absent keys for the negative-lookup walk *)
-  | Prove_under_write
-      (** the memory-resident control for [Lookup_cold], and the only
-          multiproof and scan load, with readers beside a writer *)
+  | Prove_scan
+      (** the memory-resident control for [Lookup_cold] (snapshot backend,
+          so the pack is never read), and the only multiproof and scan
+          load.  Read-only: siri_serve's store table is not safe against
+          a commit that resizes it while a session thread reads, which
+          refuses a read as "missing node" about once in 10^5 reads, so a
+          writer beside these readers would make the failure count vary
+          from run to run. *)
 
 let workload_of_string = function
   | "ingest" -> Some Ingest
   | "lookup-cold" -> Some Lookup_cold
-  | "prove-under-write" -> Some Prove_under_write
+  | "prove-scan" -> Some Prove_scan
   | _ -> None
 
 let workload_name = function
   | Ingest -> "ingest"
   | Lookup_cold -> "lookup-cold"
-  | Prove_under_write -> "prove-under-write"
+  | Prove_scan -> "prove-scan"
 
 let backend = function
   | Ingest | Lookup_cold -> `Pack
-  | Prove_under_write -> `Snapshot
+  | Prove_scan -> `Snapshot
 
 (* The operation whose latency the headline metrics report. *)
 let primary = function
   | Ingest -> "commit"
   | Lookup_cold -> "get"
-  | Prove_under_write -> "prove"
+  | Prove_scan -> "prove"
+
+(* Only [Ingest] writes; every value the read workloads see is exactly
+   its preload value. *)
+let writes w = w = Ingest
 
 let connections = 2
 
@@ -129,11 +144,13 @@ let stream w ~seed ~conn =
   fun () ->
     let n = !seq in
     incr seq;
-    match (w, conn) with
-    | Ingest, _ | Prove_under_write, 0 -> commit_op rng ~seed ~conn ~seq:n
-    | Lookup_cold, _ -> get_op rng
-    | Prove_under_write, _ ->
-        if n mod 2 = 0 then
+    match w with
+    | Ingest -> commit_op rng ~seed ~conn ~seq:n
+    | Lookup_cold -> get_op rng
+    | Prove_scan ->
+        (* the connections start out of phase: one proves while the
+           other scans *)
+        if (n + conn) mod 2 = 0 then
           Prove (min (zipf_index rng) (preload_keys - prove_keys))
         else Scan (Rng.int rng (preload_keys - scan_window + 1))
 

@@ -47,6 +47,19 @@ let vm_hwm_kb pid =
           | None -> acc)
         0 (String.split_on_char '\n' s)
 
+(* Clock ticks (1/100 s) the hypervisor has taken from this machine's
+   CPUs so far: the steal field of /proc/stat's "cpu" line; 0 where the
+   kernel does not report it. *)
+let steal_ticks () =
+  match In_channel.with_open_text "/proc/stat" In_channel.input_line with
+  | exception Sys_error _ -> 0
+  | None -> 0
+  | Some line -> (
+      match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+      | "cpu" :: _ :: _ :: _ :: _ :: _ :: _ :: _ :: steal :: _ ->
+          Option.value ~default:0 (int_of_string_opt steal)
+      | _ -> 0)
+
 (* Filesystem type of the mount holding [path] (longest mount-point prefix
    in /proc/mounts). *)
 let fs_type path =

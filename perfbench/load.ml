@@ -2,7 +2,9 @@
    each on its own thread, each sending its next request only after the
    previous reply arrived.  Every answer is checked, outside the timed
    interval; multiproofs, the costly check, are verified after the run so
-   the client does not compete with the server for the CPUs meanwhile. *)
+   the client does not compete with the server for the CPUs meanwhile.
+   Every [Probe.slice_s] the connections park between operations while
+   the host-speed probe runs. *)
 
 module Client = Siri_server.Client
 module Generic = Siri_core.Generic
@@ -12,7 +14,7 @@ let branch = "master"
 
 type measured = {
   lat : Stat.t;  (** latency, s *)
-  done_at : Stat.t;  (** completion instant *)
+  slice : Stat.t;  (** the probe slice the operation ran in *)
 }
 
 type conn = {
@@ -28,10 +30,13 @@ type conn = {
 
 type result = {
   conns : conn list;
-  t_measure : float;  (** start of the measured window *)
   wrong : string list;  (** wrong answers, capped *)
   errors : string list;  (** refusals and transport failures, capped *)
   mark : (int * int) option;  (** server VmHWM KiB, dir bytes at the mark *)
+  probes : float array;
+      (** probe seconds at each slice boundary: slice [k] of the window lies
+          between probes [k] and [k + 1] *)
+  steal : int array;  (** [Host.steal_ticks] at each slice boundary *)
 }
 
 let of_kind r kind f =
@@ -49,22 +54,79 @@ let measured r =
 
 let acked r = total (fun c -> List.length c.acks) r
 
-(* [kind] operations completed in each one-second slice of the window. *)
-let slice_counts r ~kind ~seconds =
-  let slices = max 1 (truncate seconds) in
-  let counts = Array.make slices 0 in
-  Array.iter
-    (fun t ->
-      let k = truncate (t -. r.t_measure) in
-      if k >= 0 && k < slices then counts.(k) <- counts.(k) + 1)
-    (Stat.to_array (of_kind r kind (fun m -> m.done_at)));
-  Array.to_list counts
+(* Ticks stolen by the hypervisor during each slice. *)
+let stolen r = Array.init (Array.length r.steal - 1) (fun k -> r.steal.(k + 1) - r.steal.(k))
 
-(* Completed [kind] operations per second: the median over the window's
-   one-second slices, so a burst of interference from outside the
-   benchmark moves one slice, not the figure. *)
-let rate r ~kind ~seconds =
-  Stat.median_of (List.map float_of_int (slice_counts r ~kind ~seconds))
+(* The slices the normalised latencies are taken over: those with no more
+   stolen time than the median slice, so every slice when the hypervisor
+   took nothing, and never fewer than half.  A stolen tick stalls whatever
+   operation is running for up to 10 ms, which the probe, a median of
+   short runs, does not see: left in, a burst of steal multiplied the
+   prove p99 by eight while its p50 moved 10%. *)
+let clean r =
+  let s = stolen r in
+  let limit = Stat.median_of (Array.to_list (Array.map float_of_int s)) in
+  Array.map (fun x -> float_of_int x <= limit) s
+
+(* [kind] latencies in probe units, over the clean slices: each latency
+   divided by the mean of the two probes bracketing the slice it ran in. *)
+let normalised r kind =
+  let out = Stat.create () in
+  let keep = clean r in
+  List.iter
+    (fun c ->
+      match Hashtbl.find_opt c.by_kind kind with
+      | None -> ()
+      | Some m ->
+          Array.iter2
+            (fun lat k ->
+              let k = truncate k in
+              if keep.(k) then
+                Stat.add out (2.0 *. lat /. (r.probes.(k) +. r.probes.(k + 1))))
+            (Stat.to_array m.lat) (Stat.to_array m.slice))
+    r.conns;
+  out
+
+(* Parks the connections between operations while the probe runs. *)
+type gate = {
+  mu : Mutex.t;
+  cond : Condition.t;
+  mutable paused : bool;
+  mutable parked : int;
+  mutable active : int;  (** connections still in their loop *)
+}
+
+(* True when the connection had to park. *)
+let pass g =
+  Mutex.lock g.mu;
+  let parked = g.paused in
+  if parked then begin
+    g.parked <- g.parked + 1;
+    Condition.broadcast g.cond;
+    while g.paused do Condition.wait g.cond g.mu done;
+    g.parked <- g.parked - 1
+  end;
+  Mutex.unlock g.mu;
+  parked
+
+let leave g =
+  Mutex.lock g.mu;
+  g.active <- g.active - 1;
+  Condition.broadcast g.cond;
+  Mutex.unlock g.mu
+
+(* Returns once every active connection is parked. *)
+let pause g =
+  Mutex.lock g.mu;
+  g.paused <- true;
+  while g.parked < g.active do Condition.wait g.cond g.mu done;
+  Mutex.unlock g.mu
+
+let resume g =
+  Mutex.lock g.mu;
+  g.paused <- false;
+  Condition.broadcast g.cond;
+  Mutex.unlock g.mu
 
 let verifier =
   lazy
@@ -73,8 +135,8 @@ let verifier =
        (Siri_pos.Pos_tree.empty store (Siri_pos.Pos_tree.config ())))
 
 (* The checks.  A value read under preloaded index [i] must be its
-   preload value or one written for [i]; only [lookup-cold] has no writer,
-   so there it must be exactly the preload value. *)
+   preload value or one written for [i]; in a workload with no writer
+   ([exact]) it must be exactly the preload value. *)
 let check_value ~exact preload i v =
   if exact then v = preload.(i) else Gen.value_matches_key i v
 
@@ -85,7 +147,7 @@ let check_get ~exact preload n v =
 
 let index_of_key k = int_of_string (String.sub k 3 8) / 2
 
-let check_proof preload start root blob =
+let check_proof ~exact preload start root blob =
   match Multiproof.decode blob with
   | Error _ -> Error "multiproof does not decode"
   | Ok mp ->
@@ -99,13 +161,13 @@ let check_proof preload start root blob =
                k = k'
                &&
                match c with
-               | Some v -> check_value ~exact:false preload (index_of_key k) v
+               | Some v -> check_value ~exact preload (index_of_key k) v
                | None -> false)
              keys mp.Multiproof.claims
       then Ok ()
       else Error "multiproof claims do not match the requested keys"
 
-let check_scan preload start entries =
+let check_scan ~exact preload start entries =
   let lo, hi = Gen.scan_bounds start in
   let rec sorted = function
     | (a, _) :: ((b, _) :: _ as rest) -> a < b && sorted rest
@@ -116,7 +178,7 @@ let check_scan preload start entries =
   && List.for_all
        (fun (k, v) ->
          k >= lo && k < hi
-         && check_value ~exact:false preload (index_of_key k) v)
+         && check_value ~exact preload (index_of_key k) v)
        entries
 
 (* [run] drives [Gen.connections] closed loops for [warmup + seconds].
@@ -125,8 +187,8 @@ let check_scan preload start entries =
    server's VmHWM and the directory size are sampled once, so both are
    taken at a fixed amount of work whatever the server's speed. *)
 let run ~w ~seed ~sock ~preload ~warmup ~seconds ~server_pid ~dir ~mark_at =
-  let exact = w = Gen.Lookup_cold in
-  let writes = w <> Gen.Lookup_cold in
+  let writes = Gen.writes w in
+  let exact = not writes in
   let mu = Mutex.create () in
   let wrong = ref [] and errors = ref [] in
   let note l msg =
@@ -141,28 +203,41 @@ let run ~w ~seed ~sock ~preload ~warmup ~seconds ~server_pid ~dir ~mark_at =
   in
   let t_measure = Host.now () +. warmup in
   let t_end = t_measure +. seconds in
+  let gate =
+    { mu = Mutex.create (); cond = Condition.create (); paused = false;
+      parked = 0; active = Gen.connections }
+  in
+  (* -1 during the warm-up; the controller below advances it while every
+     connection is parked, so an operation runs inside one slice *)
+  let slice = Atomic.make (-1) in
   let drive i c =
     match Client.connect ~addr:(`Unix sock) () with
     | Error e -> note wrong ("connect: " ^ Client.error_to_string e)
     | Ok client ->
         let next = Gen.stream w ~seed ~conn:i in
+        (* The probe evicts the server's working set from the caches, so
+           the first operation after a pause, and the other connection's
+           one queued behind it, run cold: leaving them out keeps the
+           pauses out of the tail. *)
+        let resumed = ref false in
         let timed kind f =
           c.attempted <- c.attempted + 1;
+          let k = if !resumed then -1 else Atomic.get slice in
           let t0 = Host.now () in
           let r = f () in
           let t1 = Host.now () in
           (match r with
-          | Ok _ when t0 >= t_measure ->
+          | Ok _ when k >= 0 ->
               let m =
                 match Hashtbl.find_opt c.by_kind kind with
                 | Some m -> m
                 | None ->
-                    let m = { lat = Stat.create (); done_at = Stat.create () } in
+                    let m = { lat = Stat.create (); slice = Stat.create () } in
                     Hashtbl.add c.by_kind kind m;
                     m
               in
               Stat.add m.lat (t1 -. t0);
-              Stat.add m.done_at t1
+              Stat.add m.slice (float_of_int k)
           | Ok _ -> ()
           | Error e ->
               c.failed <- c.failed + 1;
@@ -170,6 +245,7 @@ let run ~w ~seed ~sock ~preload ~warmup ~seconds ~server_pid ~dir ~mark_at =
           r
         in
         while Host.now () < t_end do
+          resumed := pass gate;
           let op = next () in
           let kind = Gen.op_kind op in
           match op with
@@ -198,18 +274,21 @@ let run ~w ~seed ~sock ~preload ~warmup ~seconds ~server_pid ~dir ~mark_at =
               | Ok (root, blob) ->
                   c.proof_bytes <- c.proof_bytes + String.length blob;
                   c.proof_keys <- c.proof_keys + Gen.prove_keys;
-                  c.proofs <- (start, root, blob) :: c.proofs
+                  c.proofs <- (start, root, blob) :: c.proofs;
+                  if not writes then tick ()
               | Error _ -> ())
           | Gen.Scan start -> (
               let lo, hi = Gen.scan_bounds start in
               match timed kind (fun () -> Client.scan ~lo ~hi client ~branch) with
               | Ok entries ->
-                  if not (check_scan preload start entries) then
-                    note wrong (Printf.sprintf "scan @%d: wrong window" start)
+                  if not (check_scan ~exact preload start entries) then
+                    note wrong (Printf.sprintf "scan @%d: wrong window" start);
+                  if not writes then tick ()
               | Error _ -> ())
         done;
         Client.close client
   in
+  let drive i c = Fun.protect ~finally:(fun () -> leave gate) (fun () -> drive i c) in
   let conns =
     List.init Gen.connections (fun _ ->
         { by_kind = Hashtbl.create 4; attempted = 0;
@@ -218,19 +297,44 @@ let run ~w ~seed ~sock ~preload ~warmup ~seconds ~server_pid ~dir ~mark_at =
   let threads =
     List.mapi (fun i c -> Thread.create (fun () -> drive i c) ()) conns
   in
+  let probes = ref [] and steal = ref [] in
+  let probe () =
+    pause gate;
+    steal := Host.steal_ticks () :: !steal;
+    probes := Probe.measure () :: !probes;
+    Atomic.incr slice;
+    resume gate
+  in
+  let sleep_until t =
+    let d = t -. Host.now () in
+    if d > 0.0 then Thread.delay d
+  in
+  sleep_until t_measure;
+  probe ();
+  let rec slices next =
+    if next < t_end then begin
+      sleep_until next;
+      probe ();
+      slices (next +. Probe.slice_s)
+    end
+  in
+  slices (Host.now () +. Probe.slice_s);
   List.iter Thread.join threads;
+  (* closes the last slice; every connection has left by now *)
+  probe ();
   List.iter
     (fun c ->
       List.iter
         (fun (start, root, blob) ->
-          match check_proof preload start root blob with
+          match check_proof ~exact preload start root blob with
           | Ok () -> ()
           | Error msg -> note wrong (Printf.sprintf "prove @%d: %s" start msg))
         c.proofs;
       c.proofs <- [])
     conns;
-  { conns; t_measure; wrong = List.rev !wrong; errors = List.rev !errors;
-    mark = !mark }
+  { conns; wrong = List.rev !wrong; errors = List.rev !errors;
+    mark = !mark; probes = Array.of_list (List.rev !probes);
+    steal = Array.of_list (List.rev !steal) }
 
 (* The value(s) each written key must hold now: those put at the highest
    acked version.  Two batches folded into one group commit share a

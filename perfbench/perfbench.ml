@@ -6,12 +6,13 @@
    One run preloads 100k keys into a fresh durable directory, spawns the
    real siri_serve on it (several times: the median spawn-to-READY is the
    set-up time), drives it from two closed-loop connections for
-   [--seconds] after a warm-up, and checks every answer.  With [--trace 1]
-   it then replays the same operation stream in-process with per-layer
-   timers and prints per-layer metrics instead of end-to-end ones.  The
-   last line of stdout is the result object; everything above it is the
-   human-readable report (host, config, every metric with its unit and
-   sample count). *)
+   [--seconds] after a warm-up, and checks every answer.  The gated
+   latencies are in host-probe units (see Probe); the raw milliseconds are
+   in the report.  With [--trace 1] it then replays the same operation
+   stream in-process with per-layer timers and prints per-layer metrics
+   instead of end-to-end ones.  The last line of stdout is the result
+   object; everything above it is the human-readable report (host, config,
+   every metric with its unit and sample count). *)
 
 module Durable = Siri_wal.Durable
 module Engine = Siri_forkbase.Engine
@@ -25,9 +26,12 @@ let warmup_s = 1.0
 (* rss_mb and disk_mb are sampled at a fixed amount of work, not at the
    end of the run: the hot tier keeps every node written, so an
    end-of-run sample would grow with throughput and punish a faster
-   server. *)
+   server.  The work clock counts acked commits when the workload writes,
+   completed reads otherwise. *)
 let mark_commits = 200
-let mark_gets = 2000
+let mark_reads = 2000
+
+let mark_at w = if Gen.writes w then mark_commits else mark_reads
 let final_sample = 256
 
 (* Conservation: per op kind, layer self times plus the unattributed time
@@ -248,9 +252,9 @@ let run ~w ~seed ~seconds ~trace ~serve_exe ~work ~nproc =
     cfg.Server.group_max cfg.Server.max_queue cfg.Server.session_max;
   say
     "load: %d closed-loop connections, warm-up %.1f s, preload %d keys (key%%08d, \
-     even), %d-byte values, streams seeded from %d"
-    Gen.connections warmup_s Gen.preload_keys Gen.value_len seed;
-  let entries = Gen.preload seed in
+     even), %d-byte values from dataset seed %d, streams seeded from %d"
+    Gen.connections warmup_s Gen.preload_keys Gen.value_len Gen.dataset_seed seed;
+  let entries = Gen.preload () in
   let values = Array.of_list (List.map snd entries) in
   let t0 = Host.now () in
   preload ~backend ~dir:db entries;
@@ -286,7 +290,7 @@ let run ~w ~seed ~seconds ~trace ~serve_exe ~work ~nproc =
   let r =
     Load.run ~w ~seed ~sock ~preload:values ~warmup:warmup_s ~seconds
       ~server_pid:server.Serve.pid ~dir:db
-      ~mark_at:(if w = Gen.Lookup_cold then mark_gets else mark_commits)
+      ~mark_at:(mark_at w)
   in
   let bytes_after = Host.tree_bytes db in
   (* The host's speed drifts; a second reading brackets the window. *)
@@ -328,27 +332,36 @@ let run ~w ~seed ~seconds ~trace ~serve_exe ~work ~nproc =
         say "note: the fixed-work mark was not reached; sizes taken at the end";
         (hwm_end, bytes_after)
   in
+  let norm = Load.normalised r (Gen.primary w) in
   let e2e =
     [ m "setup_s" "s" setup_s;
-      m "op_per_s" "1/s" (Load.rate r ~kind:(Gen.primary w) ~seconds);
-      m "op_p50_ms" "ms" (1e3 *. Stat.median primary);
-      m "op_p99_ms" "ms" (1e3 *. Stat.quantile primary 0.99);
+      m "op_p50_norm" "probe" (Stat.median norm);
+      m "op_p99_norm" "probe" (Stat.quantile norm 0.99);
       m "rss_mb" "MB" (float_of_int hwm_kb /. 1024.);
       m "disk_mb" "MB" (float_of_int mark_bytes /. 1048576.) ]
   in
+  let probes = Stat.create () in
+  Array.iter (Stat.add probes) r.Load.probes;
+  say "host probe: %d readings, median %.3f ms, quartiles %.3f / %.3f ms, \
+       range %.3f .. %.3f ms"
+    (Stat.count probes)
+    (1e3 *. Stat.median probes) (1e3 *. Stat.quantile probes 0.25)
+    (1e3 *. Stat.quantile probes 0.75) (1e3 *. Stat.quantile probes 0.0)
+    (1e3 *. Stat.quantile probes 1.0);
+  (let s = Load.stolen r in
+   say "host steal: %d ticks of 10 ms over %d slices; %d slices clean"
+     (Array.fold_left ( + ) 0 s) (Array.length s)
+     (Array.fold_left (fun n c -> if c then n + 1 else n) 0 (Load.clean r)));
   say "end to end (op = %s; %d attempted, %d failed, %d measured in %g s):"
     (Gen.primary w) attempted failed measured seconds;
   List.iter2
     (fun x n -> print_metric ~n x)
     e2e
-    [ List.length readies; Stat.count primary; Stat.count primary;
-      Stat.count primary; 1; 1 ];
-  say "  (rss_mb and disk_mb sampled once, at %d %s)"
-    (if w = Gen.Lookup_cold then mark_gets else mark_commits)
-    (if w = Gen.Lookup_cold then "completed gets" else "acked commits");
-  say "  %ss completed per second of the window: %s" (Gen.primary w)
-    (String.concat " "
-       (List.map string_of_int (Load.slice_counts r ~kind:(Gen.primary w) ~seconds)));
+    [ List.length readies; Stat.count norm; Stat.count norm; 1; 1 ];
+  say "  (op_*_norm: %s latency over the host probe time around it, in \
+       the clean slices; rss_mb and disk_mb sampled once, at %d %s)"
+    (Gen.primary w) (mark_at w)
+    (if Gen.writes w then "acked commits" else "completed reads");
   latency_report r ~seconds;
   print_metric ~n:attempted (m "fail_ratio" "ratio" (ratio failed attempted));
   if acked > 0 then
@@ -389,7 +402,7 @@ let () =
   let workload = ref "" and seed = ref 1 and seconds = ref 10.0 in
   let trace = ref 0 and serve_exe = ref "" and work = ref "" and nproc = ref 0 in
   Arg.parse
-    [ ("--workload", Arg.Set_string workload, "ingest | lookup-cold | prove-under-write");
+    [ ("--workload", Arg.Set_string workload, "ingest | lookup-cold | prove-scan");
       ("--seed", Arg.Set_int seed, "input seed");
       ("--seconds", Arg.Set_float seconds, "measured seconds");
       ("--trace", Arg.Set_int trace, "0 end-to-end metrics, 1 per-layer metrics");

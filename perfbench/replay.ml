@@ -151,21 +151,21 @@ let check ~exact preload op replies =
   | Gen.Get n, [ Proto.Value v ] ->
       if Load.check_get ~exact preload n v then Ok () else Error "wrong get"
   | Gen.Prove start, [ Proto.Proof { root; proof } ] ->
-      Load.check_proof preload start root proof
+      Load.check_proof ~exact preload start root proof
   | Gen.Scan start, chunks ->
       let entries =
         List.concat_map
           (function Proto.Entries { entries; _ } -> entries | _ -> [])
           chunks
       in
-      if Load.check_scan preload start entries then Ok () else Error "wrong scan"
+      if Load.check_scan ~exact preload start entries then Ok () else Error "wrong scan"
   | _ -> Error "unexpected reply"
 
 (* Replay for [seconds]; returns the accumulators per op kind and the
    wrong answers seen. *)
 let run ~w ~seed ~dir ~preload ~seconds =
   let st = open_stack ~backend:(Gen.backend w) ~dir in
-  let exact = w = Gen.Lookup_cold in
+  let exact = not (Gen.writes w) in
   let accs = Hashtbl.create 4 in
   let acc_of kind =
     match Hashtbl.find_opt accs kind with

@@ -9,7 +9,7 @@ driver in a scratch directory under .perfbench_run/, and passes its output
 through: a human-readable report, then one JSON result object as the last
 line.  Exits non-zero, without a result, when the checkout cannot be built
 or the run fails; exits 1 after printing {"correct": false, ...} when an
-answer was wrong.  Workloads: ingest, lookup-cold, prove-under-write.
+answer was wrong.  Workloads: ingest, lookup-cold, prove-scan.
 """
 
 import argparse
@@ -51,7 +51,7 @@ def stop_group(pgid):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True,
-                    choices=["ingest", "lookup-cold", "prove-under-write"])
+                    choices=["ingest", "lookup-cold", "prove-scan"])
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
