@@ -6,6 +6,11 @@
 #                  pipeline end to end: `siri-cli stats` must print
 #                  per-structure counters and latency quantiles for all
 #                  four indexes on a sample workload.
+#   make test    — the full test battery twice, with the pool width forced
+#                  to 1 and to 4 via SIRI_DOMAINS, so a pass does not depend
+#                  on how many cores the host has (the crash harnesses, for
+#                  one, must work beside live pool domains).  `--force`
+#                  reruns every suite: dune does not track SIRI_DOMAINS.
 #   make crash   — run the WAL crash simulator on its own: every-byte-offset
 #                  truncation plus seeded bit-flip storms against the commit
 #                  journal, for all four index structures.  The seed is
@@ -71,7 +76,8 @@ build:
 	$(DUNE) build
 
 test:
-	$(DUNE) runtest
+	SIRI_DOMAINS=1 $(DUNE) runtest --force
+	SIRI_DOMAINS=4 $(DUNE) runtest --force
 
 quick:
 	ALCOTEST_QUICK_TESTS=1 $(DUNE) runtest --force

@@ -3,8 +3,8 @@
 
    What the snapshot amortizes into one O(data) [Store.load], the pack
    splits: reopen is O(index) — decode the offset index, stat the
-   segments — and every cold read is one positional, checksum-verified
-   segment read.  The table reports both reopen latencies, the pack's
+   segments — and every cold read is one positional segment read that
+   hashes the node bytes once (the content hash) plus a short head digest.  The table reports both reopen latencies, the pack's
    worst case (index deleted, rebuilt by scanning every segment — the
    bound crash recovery pays), cold read throughput, and the bytes each
    layout keeps on disk. *)
@@ -150,6 +150,7 @@ let run () =
   Metrics.write ~id:"pack"
     (Json.obj
        [ ("experiment", Json.str "pack");
+         ("host_domains", Json.int (Domain.recommended_domain_count ()));
          ("read_sample", Json.int read_sample);
          ( "rows",
            Json.arr

@@ -1,5 +1,7 @@
-(** Checksummed length-prefixed framing, shared by every append-only file
-    in the system (the WAL commit journal and the pack-file segments).
+(** Checksummed length-prefixed framing, shared by the WAL commit journal
+    and the wire, multiproof and shard-proof codecs.  (Pack segments use
+    their own record layout, {!Siri_pack.Segment}, whose node bytes are
+    bound by their content hash rather than re-hashed under a frame.)
 
     A frame is [len(4, big-endian) | digest(32) | payload], where the digest
     is SHA-256 over the length bytes followed by the payload — so neither a

@@ -193,9 +193,9 @@ let flip_blob ~seed ~rate blob =
 (* --- segment I/O gates -------------------------------------------------------- *)
 
 (* Raw-read fault injection for file-backed storage (pack segments): the
-   gate sits between the pread and the checksum verification, so an
-   injected bit flip or short read must be caught by the frame digest and
-   surface as [`Tampered], while transients exercise the retry path. *)
+   gate sits between the pread and the record verification, so an
+   injected bit flip or short read must be caught by the head digest or
+   the content hash and surface as [`Tampered], while transients exercise the retry path. *)
 
 type io_gate = {
   io_plan : plan;

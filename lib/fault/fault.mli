@@ -135,9 +135,9 @@ val flip_blob : seed:int -> rate:float -> string -> string * int list
     rather than store nodes: [transient] raises {!Store.Transient} (to be
     absorbed by {!with_retry}), [bit_flip] flips one seeded-random bit in
     the returned bytes, [truncate] halves them.  The gate sits {e between}
-    the [pread] and the checksum verification, so injected damage must be
-    caught by the frame digest and surface as [`Tampered] — never as a
-    wrong read. *)
+    the [pread] and the record verification, so injected damage must be
+    caught by the head digest or the content hash and surface as
+    [`Tampered] — never as a wrong read. *)
 
 type io_gate
 

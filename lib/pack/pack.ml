@@ -1,6 +1,5 @@
 module Hash = Siri_crypto.Hash
 module Wire = Siri_codec.Wire
-module Frame = Siri_codec.Frame
 module Store = Siri_store.Store
 module Fault = Siri_fault.Fault
 module Telemetry = Siri_telemetry.Telemetry
@@ -12,6 +11,11 @@ type t = {
   retry_backoff_s : float;
   sink : Telemetry.sink;
   index : Pack_index.entry Hash.Table.t;
+  index_lock : Mutex.t;
+      (* Session threads look records up while the single writer appends,
+         and an insert that resizes [index] moves every binding.  Reader
+         lookups and writer mutations take this lock; the writer's own
+         folds need not, as nothing else mutates the table. *)
   lens : (int, int) Hashtbl.t;  (* live segment id -> valid length *)
   fds : (int, Unix.file_descr) Hashtbl.t;  (* read descriptors, lazy *)
   read_mutex : Mutex.t;
@@ -158,11 +162,12 @@ let flush_buffered t =
     t.os_dirty <- true
   end
 
-(* Decode and verify one indexed record: the frame digest authenticates
-   the bytes on disk, and re-hashing the payload re-checks content
-   addressing end to end.  Every failure mode — short read, flipped bit,
-   truncated frame — lands in [Store.Tampered], never a wrong read. *)
-let read_entry t ?(use_gate = true) h (e : Pack_index.entry) =
+(* Read and verify one indexed record, returning the raw record and its
+   decoded fields.  [Segment.step] checks the head digest and then the
+   content hash on the slice as read, so every failure mode — short read,
+   flipped bit, truncated record — lands in [Store.Tampered], never a
+   wrong read. *)
+let read_record t ?(use_gate = true) h (e : Pack_index.entry) =
   if e.seg = t.active then flush_buffered t;
   let blob = pread t e.seg ~off:e.off ~len:e.len in
   let blob =
@@ -170,19 +175,23 @@ let read_entry t ?(use_gate = true) h (e : Pack_index.entry) =
     | Some g when use_gate -> Fault.gate_read g h blob
     | _ -> blob
   in
-  match Frame.step blob ~pos:0 with
-  | Frame.Frame { payload_off; payload_len; next }
-    when next = String.length blob -> (
-      match Segment.decode_record blob ~off:payload_off ~len:payload_len with
-      | h', bytes, children
-        when Hash.equal h' h && Hash.equal (Hash.of_string bytes) h ->
-          (bytes, children)
-      | _ -> raise (Store.Tampered h)
-      | exception Wire.Reader.Truncated -> raise (Store.Tampered h))
+  match Segment.step blob ~pos:0 with
+  | Segment.Record r when r.next = String.length blob && Hash.equal r.hash h ->
+      (blob, r)
   | _ -> raise (Store.Tampered h)
 
+let read_entry t h e =
+  let blob, (r : Segment.record) = read_record t h e in
+  (String.sub blob r.bytes_off r.bytes_len, r.children)
+
+let find_entry t h =
+  Mutex.lock t.index_lock;
+  let e = Hash.Table.find_opt t.index h in
+  Mutex.unlock t.index_lock;
+  e
+
 let get t h =
-  match Hash.Table.find_opt t.index h with
+  match find_entry t h with
   | None -> None
   | Some e -> (
       match
@@ -197,7 +206,7 @@ let get t h =
       | Error (`Missing _) -> raise (Store.Missing h)
       | Error (`Tampered _ | `Malformed _) -> raise (Store.Tampered h))
 
-let mem t h = Hash.Table.mem t.index h
+let mem t h = Option.is_some (find_entry t h)
 
 let sorted_entries t =
   List.sort
@@ -223,7 +232,7 @@ let iter t f =
 let scrub t =
   List.filter_map
     (fun (h, e) ->
-      match read_entry t ~use_gate:false h e with
+      match read_record t ~use_gate:false h e with
       | _ -> None
       | exception Store.Tampered _ -> Some h
       | exception _ -> Some h)
@@ -272,15 +281,16 @@ let append t nodes =
   List.iter
     (fun (h, bytes, children) ->
       if not (Hash.Table.mem t.index h) then begin
-        let frame = Segment.encode_record h bytes children in
-        let flen = String.length frame in
+        let record = Segment.encode_record h bytes children in
+        let flen = String.length record in
         if t.active_len + flen > t.segment_target && t.active_len > magic_len
         then roll t;
-        output_string t.chan frame;
-        Hash.Table.replace t.index h
-          { Pack_index.seg = t.active; off = t.active_len; len = flen };
+        output_string t.chan record;
+        Mutex.protect t.index_lock (fun () ->
+            Hash.Table.replace t.index h
+              { Pack_index.seg = t.active; off = t.active_len; len = flen });
         t.active_len <- t.active_len + flen;
-        t.bytes <- t.bytes + (flen - Frame.header_len);
+        t.bytes <- t.bytes + (flen - Segment.header_len);
         t.dirty <- true;
         t.index_dirty <- true;
         Telemetry.incr t.sink "pack.append"
@@ -338,26 +348,20 @@ let adopt_tail dir id ~covered ~index ~clamped ~adopted =
      appended after the last index sync. *)
   let tail = read_from (seg_path dir id) ~off:covered in
   let rec go pos =
-    match Frame.step tail ~pos with
-    | Frame.End -> Ok (covered + pos)
-    | Frame.Torn n ->
+    match Segment.step tail ~pos with
+    | Segment.End -> Ok (covered + pos)
+    | Segment.Torn n ->
         clamp_segment dir id ~keep:(covered + pos);
         clamped := !clamped + n;
         Ok (covered + pos)
-    | Frame.Corrupt -> Error (scan_failure id (covered + pos))
-    | Frame.Frame { payload_off; payload_len; next } ->
-        if payload_len < Hash.size then Error (scan_failure id (covered + pos))
-        else begin
-          let h =
-            Hash.of_raw (String.sub tail payload_off Hash.size)
-          in
-          if not (Hash.Table.mem index h) then begin
-            Hash.Table.replace index h
-              { Pack_index.seg = id; off = covered + pos; len = next - pos };
-            incr adopted
-          end;
-          go next
-        end
+    | Segment.Corrupt -> Error (scan_failure id (covered + pos))
+    | Segment.Record { hash = h; next; _ } ->
+        if not (Hash.Table.mem index h) then begin
+          Hash.Table.replace index h
+            { Pack_index.seg = id; off = covered + pos; len = next - pos };
+          incr adopted
+        end;
+        go next
   in
   go 0
 
@@ -390,6 +394,22 @@ let load_index dir live =
       in
       if ok_entries then Some idx else None
 
+(* A live segment must exist and carry this build's magic.  The magic is
+   checked here, up front, so a segment in a retired format is refused by
+   name even when a valid index would skip scanning it. *)
+let live_segment_problem dir id =
+  let path = seg_path dir id in
+  let problem msg = Some (Segment.filename id ^ ": " ^ msg) in
+  if not (Sys.file_exists path) then problem "missing live segment"
+  else
+    let prefix =
+      In_channel.with_open_bin path (fun ic ->
+          Option.value ~default:"" (In_channel.really_input_string ic magic_len))
+    in
+    match Segment.check_magic prefix with
+    | Ok () -> None
+    | Error msg -> problem msg
+
 let open_ ?(segment_target = 8 * 1024 * 1024) ?(retry_attempts = 3)
     ?(retry_backoff_s = 0.) ?(sink = Telemetry.null) dir =
   mkdir_p dir;
@@ -412,11 +432,8 @@ let open_ ?(segment_target = 8 * 1024 * 1024) ?(retry_attempts = 3)
               incr swept
           | _ -> ())
         (Sys.readdir dir);
-      match
-        List.find_opt (fun id -> not (Sys.file_exists (seg_path dir id))) ids
-      with
-      | Some id ->
-          Error (`Tampered (Segment.filename id ^ ": missing live segment"))
+      match List.find_map (live_segment_problem dir) ids with
+      | Some msg -> Error (`Tampered msg)
       | None -> (
           let index = Hash.Table.create 1024 in
           let lens = Hashtbl.create 8 in
@@ -502,7 +519,7 @@ let open_ ?(segment_target = 8 * 1024 * 1024) ?(retry_attempts = 3)
               let bytes =
                 Hash.Table.fold
                   (fun _ (e : Pack_index.entry) acc ->
-                    acc + e.len - Frame.header_len)
+                    acc + e.len - Segment.header_len)
                   index 0
               in
               Telemetry.incr sink ~by:!adopted "pack.open.adopted";
@@ -515,6 +532,7 @@ let open_ ?(segment_target = 8 * 1024 * 1024) ?(retry_attempts = 3)
                   retry_backoff_s;
                   sink;
                   index;
+                  index_lock = Mutex.create ();
                   lens;
                   fds = Hashtbl.create 8;
                   read_mutex = Mutex.create ();
@@ -543,7 +561,7 @@ let close t =
   Hashtbl.reset t.fds
 
 let dir t = t.dir
-let count t = Hash.Table.length t.index
+let count t = Mutex.protect t.index_lock (fun () -> Hash.Table.length t.index)
 let stored_bytes t = t.bytes
 let segment_ids t = live_ids t
 let set_read_gate t gate = t.gate <- gate
@@ -602,16 +620,16 @@ let compact ?(on_step = ignore) t ~live =
     List.iter
       (fun (h, (e : Pack_index.entry)) ->
         (* Re-verify before carrying: compaction must not launder a
-           corrupt record into a fresh segment.  The frame bytes are
-           content-stable, so the verified slice is reused verbatim. *)
-        ignore (read_entry t ~use_gate:false h e : string * Hash.t list);
-        let frame = pread t e.seg ~off:e.off ~len:e.len in
+           corrupt record into a fresh segment.  Records are
+           position-independent, so the verified bytes are copied
+           verbatim. *)
+        let record, _ = read_record t ~use_gate:false h e in
         if Buffer.length cur + e.len > t.segment_target
            && Buffer.length cur > magic_len
         then write_segment ();
         Hash.Table.replace new_index h
           { Pack_index.seg = !cur_id; off = Buffer.length cur; len = e.len };
-        Buffer.add_string cur frame)
+        Buffer.add_string cur record)
       kept;
     write_segment ();
     Store.fsync_dir t.dir;
@@ -631,8 +649,9 @@ let compact ?(on_step = ignore) t ~live =
       (fun id -> try Sys.remove (seg_path t.dir id) with Sys_error _ -> ())
       old_ids;
     on_step "cleanup";
-    Hash.Table.reset t.index;
-    Hash.Table.iter (fun h e -> Hash.Table.replace t.index h e) new_index;
+    Mutex.protect t.index_lock (fun () ->
+        Hash.Table.reset t.index;
+        Hash.Table.iter (fun h e -> Hash.Table.replace t.index h e) new_index);
     Hashtbl.reset t.lens;
     List.iter (fun (id, len) -> Hashtbl.replace t.lens id len) new_lens;
     let active = List.fold_left (fun acc (id, _) -> max acc id) 0 new_lens in
@@ -644,7 +663,7 @@ let compact ?(on_step = ignore) t ~live =
     t.index_dirty <- false;
     t.bytes <-
       Hash.Table.fold
-        (fun _ (e : Pack_index.entry) acc -> acc + e.len - Frame.header_len)
+        (fun _ (e : Pack_index.entry) acc -> acc + e.len - Segment.header_len)
         t.index 0;
     Telemetry.incr t.sink "pack.compact";
     Telemetry.incr t.sink ~by:(List.length dropped) "pack.compact.dropped";

@@ -7,7 +7,7 @@
 
     - {b segments} are append-only; a crashed append leaves a torn tail
       that reopen clamps (same prefix semantics as the WAL journal).
-      A mid-segment checksum mismatch is [`Tampered] — refused, never
+      A mid-segment verification failure is [`Tampered] — refused, never
       misread.
     - {b index} is advisory: missing, corrupt, or stale-beyond-the-file
       copies are discarded and rebuilt by scanning the segments; the
@@ -52,8 +52,9 @@ val open_ :
     Transient read faults are retried [retry_attempts] times (default 3)
     with exponential [retry_backoff_s] (default 0 — tests inject their
     own clock).  [`Tampered] is unrecoverable damage: a corrupt manifest,
-    a manifest naming a missing segment, or a mid-segment checksum
-    mismatch; the message names the file and offset. *)
+    a manifest naming a missing segment, a segment with a foreign magic
+    (a retired format such as "SIRIPACKSEG1" is named), or a mid-segment
+    verification failure; the message names the file and offset. *)
 
 val close : t -> unit
 (** {!flush} [~sync:true], {!sync_index}, release descriptors. *)
@@ -61,7 +62,8 @@ val close : t -> unit
 val dir : t -> string
 val count : t -> int
 val stored_bytes : t -> int
-(** Payload bytes live in the index (frame headers excluded). *)
+(** Record bytes live in the index, less each record's length and head
+    digest. *)
 
 val segment_ids : t -> int list
 (** Live segment ids, ascending; the last one is the active segment. *)
@@ -79,9 +81,10 @@ val sync_index : t -> unit
 
 val get : t -> Hash.t -> (string * Hash.t list) option
 (** Verified positional read.  [None] when absent.  Raises
-    {!Store.Tampered} when the frame or node digest fails — injected
-    damage can never surface as a wrong read — and {!Store.Transient}
-    when injected transients outlast the retry budget. *)
+    {!Store.Tampered} when the head digest or the content hash fails —
+    injected damage can never surface as a wrong read — and
+    {!Store.Transient} when injected transients outlast the retry
+    budget.  Safe to call from several threads beside one appender. *)
 
 val mem : t -> Hash.t -> bool
 

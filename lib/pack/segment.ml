@@ -1,8 +1,13 @@
 module Hash = Siri_crypto.Hash
 module Wire = Siri_codec.Wire
-module Frame = Siri_codec.Frame
 
-let magic = "SIRIPACKSEG1"
+let magic = "SIRIPACKSEG2"
+
+(* The previous layout: one WAL frame per record, its digest over the
+   node bytes too.  Refused by name — there is no second reader. *)
+let retired_magic = "SIRIPACKSEG1"
+
+let header_len = 4 + Hash.size
 
 let filename id = Printf.sprintf "seg-%06d.pack" id
 
@@ -18,32 +23,112 @@ let id_of_filename name =
     else None
   else None
 
-let encode_record h bytes children =
-  let w = Wire.Writer.create ~capacity:(String.length bytes + 96) () in
-  Wire.Writer.hash w h;
-  Wire.Writer.str w bytes;
-  Wire.Writer.varint w (List.length children);
-  List.iter (Wire.Writer.hash w) children;
-  Frame.encode (Wire.Writer.contents w)
+let check_magic prefix =
+  let mlen = String.length magic in
+  if String.length prefix < mlen then Ok ()
+  else
+    let found = String.sub prefix 0 mlen in
+    if found = magic then Ok ()
+    else if found = retired_magic then
+      Error
+        (Printf.sprintf "unsupported segment format %s (this build reads %s)"
+           found magic)
+    else Error "bad segment magic"
 
-let decode_record blob ~off ~len =
-  let r = Wire.Reader.of_substring blob ~off ~len in
-  let h = Wire.Reader.hash r in
-  let bytes = Wire.Reader.str r in
-  let n = Wire.Reader.varint r in
-  let children = List.init n (fun _ -> Wire.Reader.hash r) in
-  (h, bytes, children)
+(* The head digest covers the length and the head only; the node bytes
+   are already bound by [h], which the caller computed when it stored the
+   node — so an append hashes a few dozen bytes, never the node itself. *)
+let encode_record h bytes children =
+  let n = List.length children in
+  let w = Wire.Writer.create ~capacity:(Hash.size * (n + 1) + 8) () in
+  Wire.Writer.hash w h;
+  Wire.Writer.varint w n;
+  List.iter (Wire.Writer.hash w) children;
+  let head = Wire.Writer.contents w in
+  let lw = Wire.Writer.create ~capacity:4 () in
+  Wire.Writer.u32 lw (String.length head + String.length bytes);
+  let len = Wire.Writer.contents lw in
+  let digest = Hash.to_raw (Hash.of_concat len head) in
+  String.concat "" [ len; digest; head; bytes ]
+
+type record = {
+  hash : Hash.t;
+  children : Hash.t list;
+  bytes_off : int;
+  bytes_len : int;
+  next : int;
+}
+
+type step = Record of record | End | Torn of int | Corrupt
+
+let step blob ~pos =
+  let total = String.length blob in
+  let remaining = total - pos in
+  if remaining = 0 then End
+  else if remaining < header_len then Torn remaining
+  else begin
+    let len = Wire.Reader.u32 (Wire.Reader.of_substring blob ~off:pos ~len:4) in
+    if remaining - header_len < len then
+      (* Torn mid-record — or a length flip on the final record, which is
+         indistinguishable from a torn write and clamped the same way. *)
+      Torn remaining
+    else begin
+      let body = pos + header_len in
+      let stop = body + len in
+      (* Locate the end of the head.  Nothing here is trusted yet: a bad
+         varint or a child count overrunning the record is corruption. *)
+      let head_end =
+        match
+          let r =
+            Wire.Reader.of_substring blob ~off:(body + Hash.size)
+              ~len:(len - Hash.size)
+          in
+          let n = Wire.Reader.varint r in
+          (n, Wire.Reader.pos r)
+        with
+        | exception (Wire.Reader.Truncated | Invalid_argument _) -> None
+        | n, vlen ->
+            let after = body + Hash.size + vlen in
+            if n > (stop - after) / Hash.size then None
+            else Some (n, after, after + (n * Hash.size))
+      in
+      match head_end with
+      | None -> Corrupt
+      | Some (n, children_off, head_end) ->
+          let digest = Hash.of_raw (String.sub blob (pos + 4) Hash.size) in
+          if
+            not
+              (Hash.equal digest
+                 (Hash.of_concat_sub (String.sub blob pos 4) blob ~off:body
+                    ~len:(head_end - body)))
+          then Corrupt
+          else begin
+            let hash = Hash.of_raw (String.sub blob body Hash.size) in
+            let bytes_len = stop - head_end in
+            if
+              not
+                (Hash.equal hash
+                   (Hash.of_substring blob ~off:head_end ~len:bytes_len))
+            then Corrupt
+            else
+              let children =
+                List.init n (fun i ->
+                    Hash.of_raw
+                      (String.sub blob
+                         (children_off + (i * Hash.size))
+                         Hash.size))
+              in
+              Record
+                { hash; children; bytes_off = head_end; bytes_len; next = stop }
+          end
+    end
+  end
 
 type scanned = {
   records : (Hash.t * int * int) list;
   length : int;
   clamped : int;
 }
-
-(* The hash field is the first 32 bytes of the payload — index rebuilds
-   need only it, so records are not fully decoded here. *)
-let record_hash blob ~payload_off =
-  Hash.of_raw (String.sub blob payload_off Hash.size)
 
 let scan blob =
   let blen = String.length blob in
@@ -59,18 +144,13 @@ let scan blob =
   else begin
     let records = ref [] in
     let rec go pos =
-      match Frame.step blob ~pos with
-      | Frame.End -> Ok { records = List.rev !records; length = pos; clamped = 0 }
-      | Frame.Torn n ->
-          Ok { records = List.rev !records; length = pos; clamped = n }
-      | Frame.Corrupt -> Error (`Tampered pos)
-      | Frame.Frame { payload_off; payload_len; next } ->
-          if payload_len < Hash.size then Error (`Tampered pos)
-          else begin
-            records :=
-              (record_hash blob ~payload_off, pos, next - pos) :: !records;
-            go next
-          end
+      match step blob ~pos with
+      | End -> Ok { records = List.rev !records; length = pos; clamped = 0 }
+      | Torn n -> Ok { records = List.rev !records; length = pos; clamped = n }
+      | Corrupt -> Error (`Tampered pos)
+      | Record { hash; next; _ } ->
+          records := (hash, pos, next - pos) :: !records;
+          go next
     in
     go mlen
   end

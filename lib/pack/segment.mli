@@ -1,21 +1,38 @@
-(** Pack segment files: append-only logs of checksummed node records.
+(** Pack segment files: append-only logs of verified node records.
 
-    A segment is [magic | frame*] where each frame
-    ({!Siri_codec.Frame}) wraps one node record
+    A segment is [magic | record*] where each record is
 
-    {v hash(32) | varint |bytes| | bytes | varint n | child-hash(32) * n v}
+    {v len(u32 BE) | digest(32) | hash(32) | varint n | child-hash(32) * n | bytes v}
 
-    The frame digest covers the whole record, so a mid-file bit flip is
-    detected before any field is trusted; the node hash inside the record
-    lets readers re-verify content addressing end to end.  Like the WAL
-    journal, a segment has prefix semantics: a crashed append leaves a
-    torn tail that scanners clamp, while a checksum mismatch {e before}
-    the tail is refused as tampering — a wrong read is impossible. *)
+    [len] counts everything after the digest.  Two digests cover a record,
+    and each byte is hashed exactly once:
+
+    - {b the bytes are bound by the hash} — [hash = SHA-256(bytes)] is the
+      node's content address, the same name the store keys it by;
+    - {b the head is bound by the digest} —
+      [digest = SHA-256(len ‖ hash ‖ varint n ‖ children)].
+
+    A writer already knows the node hash, so an append hashes only the
+    head.  A reader ({!step}) checks the length, then the head digest,
+    then the content hash, so a flipped bit anywhere in a record is caught
+    before any field is trusted.  Like the WAL journal, a segment has
+    prefix semantics: a crashed append leaves a torn tail that scanners
+    clamp, while a mismatch on a complete record is refused as tampering —
+    a wrong read is impossible. *)
 
 module Hash = Siri_crypto.Hash
 
 val magic : string
-(** First bytes of every segment file. *)
+(** First bytes of every segment file ("SIRIPACKSEG2"). *)
+
+val check_magic : string -> (unit, string) result
+(** Classify the first bytes of a segment file.  A prefix shorter than
+    {!magic} is [Ok] (a torn creation, clamped by {!scan}); a retired
+    format such as "SIRIPACKSEG1" is an error naming that format; any
+    other magic is an error. *)
+
+val header_len : int
+(** Bytes before the head: 4 length bytes + the 32-byte head digest. *)
 
 val filename : int -> string
 (** [filename id] is the basename of segment [id] ("seg-<id>.pack"). *)
@@ -24,21 +41,43 @@ val id_of_filename : string -> int option
 (** Inverse of {!filename}; [None] for anything else. *)
 
 val encode_record : Hash.t -> string -> Hash.t list -> string
-(** The framed record for one node — the bytes appended to a segment. *)
+(** [encode_record h bytes children] is the record appended to a segment.
+    [h] must be [SHA-256(bytes)] — the caller's already-computed node
+    hash; only the head is hashed here. *)
 
-val decode_record : string -> off:int -> len:int -> Hash.t * string * Hash.t list
-(** Decode the {e payload} slice of a verified frame (not including the
-    frame header).  Raises [Siri_codec.Wire.Reader.Truncated] on
-    malformed bytes — unreachable for a frame whose digest verified. *)
+type record = {
+  hash : Hash.t;
+  children : Hash.t list;
+  bytes_off : int;
+  bytes_len : int;  (** the node bytes are this slice of the blob *)
+  next : int;  (** offset of the following record *)
+}
+
+type step =
+  | Record of record
+      (** A record whose head digest and content hash both verified. *)
+  | End  (** The offset is exactly the end of the blob. *)
+  | Torn of int
+      (** The remaining bytes are shorter than the declared record — a
+          torn append; carries how many trailing bytes to clamp. *)
+  | Corrupt
+      (** A complete record failing either digest, or with a malformed
+          head — bit rot or tampering, never a torn write. *)
+
+val step : string -> pos:int -> step
+(** Verify the record of [blob] starting at [pos] (within
+    [0, length blob]).  Both digests are computed over slices in place,
+    before anything is copied. *)
 
 type scanned = {
   records : (Hash.t * int * int) list;
-      (** (node hash, frame offset, frame length) in file order *)
+      (** (node hash, record offset, record length) in file order *)
   length : int;  (** valid prefix length — clamp the file to this *)
   clamped : int;  (** torn trailing bytes past [length] *)
 }
 
 val scan : string -> (scanned, [ `Tampered of int ]) result
-(** Classify a whole segment blob.  A torn tail (including a torn or
-    missing magic) is clamped into [clamped]; a checksum mismatch on a
-    complete frame, or a wrong magic, is [`Tampered offset]. *)
+(** Classify a whole segment blob with {!step}.  A torn tail (including a
+    torn or missing magic) is clamped into [clamped]; a verification
+    failure on a complete record, or a wrong magic, is
+    [`Tampered offset]. *)

@@ -38,13 +38,16 @@ type stats = {
   gets : int;
 }
 
-(* Stat counters are [Atomic]s: the node table itself is only ever touched
-   by the coordinating domain (workers in the parallel commit pipeline
-   stage pure bytes and never reach the store), but the counters are cheap
-   to make unconditionally race-free, which keeps [stats] trustworthy even
-   if a future caller meters from several domains. *)
+(* The node table is guarded by [lock]: the wire server reads it from
+   session threads while the writer inserts, and an insert that resizes
+   the table moves every binding — an unguarded read in that window can
+   miss a node that is present.  Critical sections are single table
+   operations (or one pass that never calls out of the store); cold reads
+   and write-through stay outside, since the backend serializes its own
+   I/O.  Stat counters are [Atomic]s, race-free without the lock. *)
 type t = {
   tbl : node Hash.Table.t;
+  lock : Mutex.t;
   puts : int Atomic.t;
   put_bytes : int Atomic.t;
   stored_bytes : int Atomic.t;
@@ -66,6 +69,7 @@ type t = {
 
 let create ?cache_bytes ?proof_cache_bytes () =
   { tbl = Hash.Table.create 4096;
+    lock = Mutex.create ();
     puts = Atomic.make 0;
     put_bytes = Atomic.make 0;
     stored_bytes = Atomic.make 0;
@@ -80,6 +84,26 @@ let create ?cache_bytes ?proof_cache_bytes () =
     backend = None }
 
 let add_counter c by = ignore (Atomic.fetch_and_add c by : int)
+
+let locked t f = Mutex.protect t.lock f
+
+(* The hot-path lookup locks by hand: it cannot raise, and this keeps it
+   free of the closure [Mutex.protect] would allocate. *)
+let find_node t h =
+  Mutex.lock t.lock;
+  let n = Hash.Table.find_opt t.tbl h in
+  Mutex.unlock t.lock;
+  n
+
+(* Install [node] under [h] unless a node is already there; true if it
+   was installed. *)
+let add_if_absent t h node =
+  locked t (fun () ->
+      if Hash.Table.mem t.tbl h then false
+      else begin
+        Hash.Table.add t.tbl h node;
+        true
+      end)
 
 let set_get_observer t obs = t.get_observer <- obs
 let set_put_observer t obs = t.put_observer <- obs
@@ -116,7 +140,7 @@ let drop_hot t =
   | None -> invalid_arg "Store.drop_hot: no backend attached"
   | Some b ->
       b.backend_flush ~sync:false;
-      Hash.Table.reset t.tbl;
+      locked t (fun () -> Hash.Table.reset t.tbl);
       Atomic.set t.stored_bytes 0
 
 (* --- read-path sidecars ----------------------------------------------------
@@ -136,9 +160,8 @@ let put t ?(children = []) bytes =
   let len = String.length bytes in
   add_counter t.puts 1;
   add_counter t.put_bytes len;
-  let fresh = not (Hash.Table.mem t.tbl h) in
+  let fresh = add_if_absent t h { bytes; children } in
   if fresh then begin
-    Hash.Table.add t.tbl h { bytes; children };
     add_counter t.stored_bytes len;
     write_through t [ (h, bytes, children) ]
   end;
@@ -181,21 +204,25 @@ let put_staged t staged =
   let count = ref 0 and total = ref 0 in
   let fresh_count = ref 0 and fresh_bytes = ref 0 in
   let fresh_nodes = ref [] in
-  List.iter
-    (fun s ->
-      let len = String.length s.node_bytes in
-      incr count;
-      total := !total + len;
-      if not (Hash.Table.mem t.tbl s.digest) then begin
-        Hash.Table.add t.tbl s.digest
-          { bytes = s.node_bytes; children = s.node_children };
-        incr fresh_count;
-        fresh_bytes := !fresh_bytes + len;
-        if t.backend <> None then
-          fresh_nodes := (s.digest, s.node_bytes, s.node_children) :: !fresh_nodes
-      end;
-      match t.put_observer with Some f -> f s.digest len | None -> ())
-    staged;
+  locked t (fun () ->
+      List.iter
+        (fun s ->
+          let len = String.length s.node_bytes in
+          incr count;
+          total := !total + len;
+          if not (Hash.Table.mem t.tbl s.digest) then begin
+            Hash.Table.add t.tbl s.digest
+              { bytes = s.node_bytes; children = s.node_children };
+            incr fresh_count;
+            fresh_bytes := !fresh_bytes + len;
+            if t.backend <> None then
+              fresh_nodes :=
+                (s.digest, s.node_bytes, s.node_children) :: !fresh_nodes
+          end)
+        staged);
+  (match t.put_observer with
+  | Some f -> List.iter (fun s -> f s.digest (String.length s.node_bytes)) staged
+  | None -> ());
   write_through t (List.rev !fresh_nodes);
   add_counter t.puts !count;
   add_counter t.put_bytes !total;
@@ -229,7 +256,7 @@ let cold_read t h =
 let get t h =
   add_counter t.gets 1;
   let bytes =
-    match Hash.Table.find_opt t.tbl h with
+    match find_node t h with
     | Some node -> node.bytes
     | None -> fst (cold_read t h)
   in
@@ -249,25 +276,29 @@ let get t h =
 let find t h = match get t h with s -> Some s | exception Not_found -> None
 
 let mem t h =
-  Hash.Table.mem t.tbl h
+  Option.is_some (find_node t h)
   || match t.backend with Some b -> b.backend_mem h | None -> false
 
 let children t h =
-  match Hash.Table.find_opt t.tbl h with
+  match find_node t h with
   | Some node -> node.children
   | None -> snd (cold_read t h)
 
 let size_of t h =
-  match Hash.Table.find_opt t.tbl h with
+  match find_node t h with
   | Some node -> String.length node.bytes
   | None -> String.length (fst (cold_read t h))
 
+(* Snapshot under the lock, call [f] outside it: [f] may use the store. *)
 let iter_nodes t f =
-  Hash.Table.iter (fun _ node -> f node.bytes node.children) t.tbl
+  let nodes =
+    locked t (fun () -> Hash.Table.fold (fun _ node acc -> node :: acc) t.tbl [])
+  in
+  List.iter (fun node -> f node.bytes node.children) (List.rev nodes)
 
 let stats t =
   { puts = Atomic.get t.puts;
-    unique_nodes = Hash.Table.length t.tbl;
+    unique_nodes = locked t (fun () -> Hash.Table.length t.tbl);
     stored_bytes = Atomic.get t.stored_bytes;
     put_bytes = Atomic.get t.put_bytes;
     gets = Atomic.get t.gets }
@@ -280,7 +311,7 @@ let reset_counters t =
 let reachable_many t roots =
   let visited = ref Hash.Set.empty in
   let children_opt h =
-    match Hash.Table.find_opt t.tbl h with
+    match find_node t h with
     | Some node -> Some node.children
     | None -> (
         match t.backend with
@@ -303,7 +334,7 @@ let reachable t root = reachable_many t [ root ]
 let bytes_of_set t set =
   Hash.Set.fold
     (fun h acc ->
-      match Hash.Table.find_opt t.tbl h with
+      match find_node t h with
       | Some n -> acc + String.length n.bytes
       | None -> (
           match t.backend with
@@ -317,17 +348,21 @@ let bytes_of_set t set =
 let gc t ~roots =
   let live = reachable_many t roots in
   let dead =
-    Hash.Table.fold
-      (fun h _ acc -> if Hash.Set.mem h live then acc else h :: acc)
-      t.tbl []
+    locked t (fun () ->
+        let dead =
+          Hash.Table.fold
+            (fun h _ acc -> if Hash.Set.mem h live then acc else h :: acc)
+            t.tbl []
+        in
+        List.iter
+          (fun h ->
+            let n = Hash.Table.find t.tbl h in
+            add_counter t.stored_bytes (-String.length n.bytes);
+            Hash.Table.remove t.tbl h)
+          dead;
+        dead)
   in
-  List.iter
-    (fun h ->
-      let n = Hash.Table.find t.tbl h in
-      add_counter t.stored_bytes (-String.length n.bytes);
-      Hash.Table.remove t.tbl h;
-      Node_cache.remove t.cache h)
-    dead;
+  Node_cache.remove_many t.cache dead;
   (* The backend compacts against the same live set; nodes it drops may be
      absent from the hot table (after [drop_hot]) but could still sit in the
      decoded-node cache, so each dropped hash is invalidated there too. *)
@@ -423,10 +458,8 @@ let write_file_atomic ?(sync = true) path writer =
    needs this so that a node whose recorded digest no longer matches its
    bytes keeps its original identity (and can then be found by [scrub]). *)
 let add_raw t h bytes children =
-  if not (Hash.Table.mem t.tbl h) then begin
-    Hash.Table.add t.tbl h { bytes; children };
+  if add_if_absent t h { bytes; children } then
     add_counter t.stored_bytes (String.length bytes)
-  end
 
 let save ?sync t path =
   write_file_atomic ?sync path (fun oc ->
@@ -441,6 +474,7 @@ let save ?sync t path =
         in
         go n
       in
+      locked t @@ fun () ->
       write_varint (Hash.Table.length t.tbl);
       Hash.Table.iter
         (fun h node ->
@@ -514,8 +548,11 @@ let load_checked ?verify path =
    key while keeping the key — the one way a cached decoding could go
    stale — so each drops the cache entry for the touched hash. *)
 
+let find_exn t h =
+  match find_node t h with Some n -> n | None -> raise Not_found
+
 let corrupt t h =
-  let n = Hash.Table.find t.tbl h in
+  let n = find_exn t h in
   Node_cache.remove t.cache h;
   Proof_cache.clear t.proof_cache;
   if String.length n.bytes = 0 then n.bytes <- "\001"
@@ -526,7 +563,7 @@ let corrupt t h =
   end
 
 let corrupt_at t h ~pos =
-  let n = Hash.Table.find t.tbl h in
+  let n = find_exn t h in
   Node_cache.remove t.cache h;
   Proof_cache.clear t.proof_cache;
   if String.length n.bytes = 0 then n.bytes <- "\001"
@@ -538,7 +575,7 @@ let corrupt_at t h ~pos =
   end
 
 let truncate_node t h ~keep =
-  let n = Hash.Table.find t.tbl h in
+  let n = find_exn t h in
   Node_cache.remove t.cache h;
   Proof_cache.clear t.proof_cache;
   let keep = max 0 (min keep (String.length n.bytes)) in
@@ -546,13 +583,17 @@ let truncate_node t h ~keep =
   n.bytes <- String.sub n.bytes 0 keep
 
 let remove_node t h =
-  match Hash.Table.find_opt t.tbl h with
+  match
+    locked t (fun () ->
+        let n = Hash.Table.find_opt t.tbl h in
+        Hash.Table.remove t.tbl h;
+        n)
+  with
   | None -> false
   | Some n ->
       Node_cache.remove t.cache h;
       Proof_cache.clear t.proof_cache;
       add_counter t.stored_bytes (-String.length n.bytes);
-      Hash.Table.remove t.tbl h;
       true
 
 let get_verified t h =
@@ -579,19 +620,20 @@ let scrub ?roots t =
   let scanned = ref 0 in
   let corrupt = ref [] in
   let dangling = ref [] in
-  Hash.Table.iter
-    (fun h node ->
-      incr scanned;
-      if not (Hash.equal (Hash.of_string node.bytes) h) then
-        corrupt := h :: !corrupt;
-      List.iter
-        (fun c ->
-          if (not (Hash.is_null c)) && not (Hash.Table.mem t.tbl c) then
-            dangling := (h, c) :: !dangling)
-        node.children)
-    t.tbl;
-  (* The cold tier is audited by its own scan (frame checksums plus node
-     re-hash); its findings merge into the same report.  Records present in
+  locked t (fun () ->
+      Hash.Table.iter
+        (fun h node ->
+          incr scanned;
+          if not (Hash.equal (Hash.of_string node.bytes) h) then
+            corrupt := h :: !corrupt;
+          List.iter
+            (fun c ->
+              if (not (Hash.is_null c)) && not (Hash.Table.mem t.tbl c) then
+                dangling := (h, c) :: !dangling)
+            node.children)
+        t.tbl);
+  (* The cold tier is audited by its own scan (head digests plus content
+     hashes); its findings merge into the same report.  Records present in
      both tiers are deduplicated by the sort below. *)
   (match t.backend with
   | None -> ()
@@ -606,9 +648,10 @@ let scrub ?roots t =
     | None -> []
     | Some roots ->
         let live = reachable_many t roots in
-        Hash.Table.fold
-          (fun h _ acc -> if Hash.Set.mem h live then acc else h :: acc)
-          t.tbl []
+        locked t (fun () ->
+            Hash.Table.fold
+              (fun h _ acc -> if Hash.Set.mem h live then acc else h :: acc)
+              t.tbl [])
         |> List.sort Hash.compare
   in
   { scanned = !scanned;
@@ -641,8 +684,8 @@ let repair t ~replica =
   let grafted = ref 0 in
   iter_nodes replica (fun bytes children ->
       let h = Hash.of_string bytes in
-      if not (Hash.Table.mem t.tbl h) then begin
-        add_raw t h bytes children;
+      if add_if_absent t h { bytes; children } then begin
+        add_counter t.stored_bytes (String.length bytes);
         incr grafted
       end);
   !grafted

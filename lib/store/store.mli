@@ -31,6 +31,10 @@ exception Tampered of Hash.t
 (** A stored payload no longer hashes to its key. *)
 
 type t
+(** A store is safe to read from several threads while one writer
+    inserts: the node table is guarded by a mutex, held for single table
+    operations only.  Cold reads through an attached {!backend} run
+    outside it. *)
 
 type stats = {
   puts : int;          (** logical writes (including duplicates) *)

@@ -160,7 +160,20 @@ let test_scrub_exit_codes () =
   let oc = open_out_bin junk in
   output_string oc "not a store file";
   close_out oc;
-  check_exit "malformed store file" 2 [ "scrub"; junk ]
+  check_exit "malformed store file" 2 [ "scrub"; junk ];
+  (* a pack segment in the retired SIRIPACKSEG1 format -> 2 *)
+  let pdir = Filename.concat dir "pack" in
+  (match Siri_pack.Pack.open_ pdir with
+  | Ok (p, _) ->
+      Siri_pack.Pack.append p [ (Hash.of_string "x", "x", []) ];
+      Siri_pack.Pack.close p
+  | Error _ -> Alcotest.fail "pack open");
+  check_exit "intact pack" 0 [ "scrub"; "--backend"; "pack"; pdir ];
+  let seg = Filename.concat pdir (Siri_pack.Segment.filename 0) in
+  let fd = Unix.openfile seg [ Unix.O_WRONLY ] 0 in
+  ignore (Unix.write_substring fd "SIRIPACKSEG1" 0 12 : int);
+  Unix.close fd;
+  check_exit "retired pack format" 2 [ "scrub"; "--backend"; "pack"; pdir ]
 
 let test_verify_proof_exit_codes () =
   with_dir "vproof" @@ fun dir ->

@@ -297,6 +297,141 @@ let test_flip_storms () =
     Pack.close p
   done
 
+(* --- record format ------------------------------------------------------------- *)
+
+(* One leaf, one single-child node and one three-child node: every head
+   shape a record can take, in a segment small enough to flip bit by bit. *)
+let format_records () =
+  let leaf = node 1 in
+  let mk bytes children = (Hash.of_string bytes, bytes, children) in
+  let (h1, _, _) = leaf in
+  let one = mk "inner-node-one" [ h1 ] in
+  let (h2, _, _) = one in
+  [ leaf; one; mk "inner-node-three" [ h1; h2; Hash.null ] ]
+
+let check_exact_reads p written =
+  List.iter
+    (fun (h, bytes, children) ->
+      match Pack.get p h with
+      | Some (b, c) ->
+          Alcotest.(check string) "bytes read back verbatim" bytes b;
+          Alcotest.(check (list string))
+            "children read back verbatim"
+            (List.map Hash.to_hex children)
+            (List.map Hash.to_hex c)
+      | None -> ()
+      | exception Store.Tampered _ -> ())
+    written
+
+(* Flip every bit of a 3-record segment in turn, with a still-valid
+   index.  Each open is refused or each read is byte-identical (or
+   [`Tampered]); and [Segment.scan] never accepts a record covering the
+   flipped bit. *)
+let test_every_bit_flip () =
+  with_dir "flip-every-bit" @@ fun dir ->
+  let written = format_records () in
+  let p, _ = open_exn dir in
+  Pack.append p written;
+  Pack.close p;
+  let pristine_seg = read_file (seg_path dir 0) in
+  let pristine_idx = read_file (index_path dir) in
+  for bit = 0 to (8 * String.length pristine_seg) - 1 do
+    let pos = bit / 8 in
+    let b = Bytes.of_string pristine_seg in
+    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl (bit mod 8))));
+    let damaged = Bytes.to_string b in
+    (match Segment.scan damaged with
+    | Error (`Tampered _) -> ()
+    | Ok s ->
+        List.iter
+          (fun (_, off, len) ->
+            if pos >= off && pos < off + len then
+              Alcotest.failf "scan accepted the record at %d with bit %d flipped"
+                off bit)
+          s.Segment.records);
+    write_file (seg_path dir 0) damaged;
+    write_file (index_path dir) pristine_idx;
+    match Pack.open_ dir with
+    | Error (`Tampered _) -> ()
+    | Ok (p, _) ->
+        check_exact_reads p written;
+        Pack.close p
+  done
+
+(* The head digest and the content hash split the work: a read hashes the
+   node bytes once plus the head, an append hashes the head only. *)
+let test_hash_once () =
+  with_dir "hash-once" @@ fun dir ->
+  let p, _ = open_exn dir in
+  let hashed = ref 0 and calls = ref 0 in
+  let observe f =
+    hashed := 0;
+    calls := 0;
+    Hash.set_digest_observer
+      (Some
+         (fun n ->
+           hashed := !hashed + n;
+           incr calls));
+    Fun.protect ~finally:(fun () -> Hash.set_digest_observer None) f
+  in
+  List.iter
+    (fun c ->
+      let bytes = Printf.sprintf "hash-once-%d:%s" c (String.make 1000 'x') in
+      let h = Hash.of_string bytes in
+      let children =
+        List.init c (fun i -> Hash.of_string (Printf.sprintf "child-%d" i))
+      in
+      let varint = if c < 128 then 1 else 2 in
+      let head = 4 + Hash.size + varint + (c * Hash.size) in
+      observe (fun () -> Pack.append p [ (h, bytes, children) ]);
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "append with %d children hashes the head only" c)
+        (1, head) (!calls, !hashed);
+      Pack.flush p;
+      observe (fun () ->
+          match Pack.get p h with
+          | Some (b, _) -> Alcotest.(check string) "read back" bytes b
+          | None -> Alcotest.fail "appended node is absent");
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "get with %d children hashes bytes + head" c)
+        (2, String.length bytes + head)
+        (!calls, !hashed))
+    [ 0; 3; 130 ];
+  Pack.close p
+
+(* A segment in the retired SIRIPACKSEG1 layout — one frame per record,
+   the digest over the whole payload — as the previous format wrote it. *)
+let seg1_segment written =
+  let record (h, bytes, children) =
+    let w = Siri_codec.Wire.Writer.create () in
+    Siri_codec.Wire.Writer.hash w h;
+    Siri_codec.Wire.Writer.str w bytes;
+    Siri_codec.Wire.Writer.varint w (List.length children);
+    List.iter (Siri_codec.Wire.Writer.hash w) children;
+    Siri_codec.Frame.encode (Siri_codec.Wire.Writer.contents w)
+  in
+  String.concat "" ("SIRIPACKSEG1" :: List.map record written)
+
+let test_retired_format_refused () =
+  with_dir "seg1" @@ fun dir ->
+  let written = format_records () in
+  let p, _ = open_exn dir in
+  Pack.append p written;
+  Pack.close p;
+  write_file (seg_path dir 0) (seg1_segment written);
+  let expect_refused what =
+    match Pack.open_ dir with
+    | Ok _ -> Alcotest.failf "%s: a SIRIPACKSEG1 segment was opened" what
+    | Error (`Tampered msg) ->
+        Alcotest.(check bool)
+          (what ^ ": the error names the format: " ^ msg)
+          true
+          (Astring.String.is_infix ~affix:"SIRIPACKSEG1" msg)
+  in
+  expect_refused "with an index";
+  Sys.remove (index_path dir);
+  expect_refused "without an index"
+
 (* --- rebuilt index is byte-identical (qcheck) -------------------------------- *)
 
 let qcheck_rebuild_identity =
@@ -573,6 +708,40 @@ let test_store_gc_compacts_backend () =
 
 (* --- durable engine on the pack backend ----------------------------------------- *)
 
+(* Two threads re-read a fixed record set while a third appends 100k
+   records, resizing the offset index several times: a lookup that lands
+   inside a resize must still find its record. *)
+let test_readers_beside_appender () =
+  with_dir "readers-appender" @@ fun dir ->
+  let p, _ = open_exn dir in
+  let fixed = nodes 200 in
+  Pack.append p fixed;
+  Pack.flush p;
+  let writing = Atomic.make true in
+  let missing = Atomic.make 0 and reads = Atomic.make 0 in
+  let reader () =
+    while Atomic.get writing do
+      List.iter
+        (fun (h, _, _) ->
+          Atomic.incr reads;
+          if Pack.get p h = None then Atomic.incr missing)
+        fixed
+    done
+  in
+  let appender () =
+    for i = 1 to 100_000 do
+      let bytes = Printf.sprintf "appended-%d" i in
+      Pack.append p [ (Hash.of_string bytes, bytes, []) ]
+    done;
+    Atomic.set writing false
+  in
+  List.iter Thread.join
+    (List.map (fun f -> Thread.create f ()) [ reader; reader; appender ]);
+  Alcotest.(check bool) "readers overlapped the appender" true
+    (Atomic.get reads > 0);
+  Alcotest.(check int) "no missing records" 0 (Atomic.get missing);
+  Pack.close p
+
 let mk_mpt () = Siri_mpt.Mpt.generic (Siri_mpt.Mpt.empty (Store.create ()))
 
 let state engine =
@@ -706,6 +875,13 @@ let () =
             test_midsegment_flip_tampered;
           Alcotest.test_case "seeded flip storms: zero wrong reads" `Quick
             test_flip_storms ] );
+      ( "record format",
+        [ Alcotest.test_case "every bit flip: verbatim or `Tampered" `Quick
+            test_every_bit_flip;
+          Alcotest.test_case "node bytes hashed once per read, never on append"
+            `Quick test_hash_once;
+          Alcotest.test_case "SIRIPACKSEG1 refused by name" `Quick
+            test_retired_format_refused ] );
       ("index properties", [ qcheck qcheck_rebuild_identity ]);
       ( "compaction",
         [ Alcotest.test_case "drop + rewrite + swap" `Quick
@@ -723,7 +899,9 @@ let () =
         [ Alcotest.test_case "write-through + drop_hot cold reads" `Quick
             test_store_write_through_and_drop_hot;
           Alcotest.test_case "gc compacts the pack and stays coherent" `Quick
-            test_store_gc_compacts_backend ] );
+            test_store_gc_compacts_backend;
+          Alcotest.test_case "readers beside a 100k-record appender" `Quick
+            test_readers_beside_appender ] );
       ( "durable engine",
         [ Alcotest.test_case "commit/replay/reopen equality" `Quick
             test_durable_pack_reopen;

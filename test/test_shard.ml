@@ -497,58 +497,58 @@ let crash_rounds () =
   | Some n -> max 1 n
   | None -> 6
 
+let acked_path dir =
+  Filename.concat (Filename.dirname dir) (Filename.basename dir ^ ".acked")
+
+(* The crash child ({!Crash_child}): commit forever with fsync on,
+   recording each ack durably before issuing the next commit. *)
+let crash_child ~dir ~spec =
+  Crash_child.announce ();
+  let t = open_exn ~sync:true ~spec ~dir () in
+  let fd =
+    Unix.openfile (acked_path dir)
+      [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ]
+      0o644
+  in
+  let seq = ref 0 in
+  while true do
+    incr seq;
+    ignore (Sharded.commit t ~branch:"master" ~message:"kill" (spread_ops !seq));
+    let line = Printf.sprintf "%d\n" !seq in
+    ignore (Unix.write_substring fd line 0 (String.length line));
+    Unix.fsync fd
+  done
+
 let test_sigkill_storm () =
   let shards = 4 in
   let rounds = crash_rounds () in
   let rng = Rng.create 20260806 in
   for round = 1 to rounds do
     with_dir (Printf.sprintf "kill-%d" round) @@ fun dir ->
-    let acked_path = Filename.concat (Filename.dirname dir) (Filename.basename dir ^ ".acked") in
-    (match Unix.fork () with
-    | 0 ->
-        (* child: commit forever with fsync on, recording each ack
-           durably before issuing the next commit *)
-        let t = open_exn ~sync:true ~spec:(spec_of shards) ~dir () in
-        let fd =
-          Unix.openfile acked_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ]
-            0o644
-        in
-        let seq = ref 0 in
-        (try
-           while true do
-             incr seq;
-             ignore
-               (Sharded.commit t ~branch:"master" ~message:"kill"
-                  (spread_ops !seq));
-             let line = Printf.sprintf "%d\n" !seq in
-             ignore (Unix.write_substring fd line 0 (String.length line));
-             Unix.fsync fd
-           done
-         with _ -> ());
-        Unix._exit 0
-    | pid ->
-        (* parent: let some commits land, then kill at a seeded point *)
-        Unix.sleepf (0.02 +. (Rng.float rng *. 0.15));
-        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-        ignore (Unix.waitpid [] pid);
-        let acked =
-          if Sys.file_exists acked_path then
-            read_file acked_path |> String.split_on_char '\n'
-            |> List.filter_map int_of_string_opt
-            |> List.fold_left max 0
-          else 0
-        in
-        Sys.remove acked_path;
-        (* recovery: open must succeed (never a composite mismatch), land
-           on a prefix that covers every acked commit, and expose
-           all-or-nothing state per commit *)
-        let t = open_exn ~spec:(spec_of shards) ~dir () in
-        let s = Sharded.last_seq t in
-        if s < acked then
-          Alcotest.failf "round %d: ACKED COMMIT LOST (acked %d, recovered %d)"
-            round acked s;
-        Sharded.close t;
-        ignore (check_prefix ~shards dir (s + 1)))
+    let acked_path = acked_path dir in
+    let pid = Crash_child.spawn [ dir; Partition.to_string (spec_of shards) ] in
+    (* parent: let some commits land, then kill at a seeded point *)
+    Unix.sleepf (0.02 +. (Rng.float rng *. 0.15));
+    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+    ignore (Unix.waitpid [] pid);
+    let acked =
+      if Sys.file_exists acked_path then
+        read_file acked_path |> String.split_on_char '\n'
+        |> List.filter_map int_of_string_opt
+        |> List.fold_left max 0
+      else 0
+    in
+    if Sys.file_exists acked_path then Sys.remove acked_path;
+    (* recovery: open must succeed (never a composite mismatch), land
+       on a prefix that covers every acked commit, and expose
+       all-or-nothing state per commit *)
+    let t = open_exn ~spec:(spec_of shards) ~dir () in
+    let s = Sharded.last_seq t in
+    if s < acked then
+      Alcotest.failf "round %d: ACKED COMMIT LOST (acked %d, recovered %d)"
+        round acked s;
+    Sharded.close t;
+    ignore (check_prefix ~shards dir (s + 1))
   done
 
 (* --- sharded server end to end ----------------------------------------------- *)
@@ -603,6 +603,10 @@ let test_server_sharded () =
           Client.close c)
 
 let () =
+  match Sys.argv with
+  | [| _; flag; dir; spec |] when flag = Crash_child.flag ->
+      crash_child ~dir ~spec:(Result.get_ok (Partition.of_string spec))
+  | _ ->
   let qcheck = QCheck_alcotest.to_alcotest in
   Alcotest.run "shard"
     [ ( "partition",

@@ -209,6 +209,46 @@ let qcheck_content_addressing =
       let ha = Store.put s a and hb = Store.put s b in
       Hash.equal ha hb = (a = b))
 
+(* --- concurrent readers beside a writer ----------------------------------- *)
+
+(* Two threads re-read every node of a fixed version while a third inserts
+   100k fresh nodes, resizing the node table several times.  A read that
+   lands inside a resize must still find its node. *)
+let test_readers_beside_writer () =
+  let s = Store.create () in
+  let v =
+    Siri_core.Generic.of_entries
+      (Siri_pos.Pos_tree.generic
+         (Siri_pos.Pos_tree.empty s (Siri_pos.Pos_tree.config ())))
+      (List.init 2000 (fun i ->
+           (Printf.sprintf "key-%05d" i, Printf.sprintf "value-%d" i)))
+  in
+  let version = Hash.Set.elements (Store.reachable s v.Siri_core.Generic.root) in
+  let writing = Atomic.make true in
+  let missing = Atomic.make 0 and reads = Atomic.make 0 in
+  let reader () =
+    while Atomic.get writing do
+      List.iter
+        (fun h ->
+          Atomic.incr reads;
+          if Store.find s h = None then Atomic.incr missing)
+        version
+    done
+  in
+  let writer () =
+    for i = 1 to 100_000 do
+      ignore (Store.put s (Printf.sprintf "filler-node-%d" i) : Hash.t)
+    done;
+    Atomic.set writing false
+  in
+  let threads = List.map (fun f -> Thread.create f ()) [ reader; reader; writer ] in
+  List.iter Thread.join threads;
+  Alcotest.(check bool) "readers overlapped the writer" true (Atomic.get reads > 0);
+  Alcotest.(check int) "no missing nodes" 0 (Atomic.get missing);
+  Alcotest.(check int) "every insert landed"
+    (100_000 + List.length version)
+    (Store.stats s).Store.unique_nodes
+
 let () =
   Alcotest.run "store"
     [ ( "basics",
@@ -234,4 +274,7 @@ let () =
         [ Alcotest.test_case "scrub finds damage" `Quick test_scrub_finds_damage;
           Alcotest.test_case "repair from replica" `Quick test_repair_from_replica;
           Alcotest.test_case "repair rejects corrupt replica" `Quick
-            test_repair_rejects_corrupt_replica ] ) ]
+            test_repair_rejects_corrupt_replica ] );
+      ( "concurrency",
+        [ Alcotest.test_case "readers beside a 100k-node writer" `Quick
+            test_readers_beside_writer ] ) ]
