@@ -1,6 +1,6 @@
 # Tier-1 gate: everything a change must pass before it lands.
 #
-#   make check   — build, run the full test battery (under the pinned
+#   make check   — build, lint, run the full test battery (under the pinned
 #                  QCHECK_SEED from test/dune, so failures reproduce
 #                  identically everywhere), then smoke-run the telemetry
 #                  pipeline end to end: `siri-cli stats` must print
@@ -53,6 +53,11 @@
 #                  acked swap preserved and the dataset intact, plus the
 #                  scan-vs-sorted-assoc differential across every ordered
 #                  index kind and the single-shard routing fanout pin.
+#   make lint    — fail on any `Unix.fork ()` call in lib/, bin/, test/ or
+#                  bench/.  OCaml 5 refuses fork once a domain has been
+#                  spawned, and the pool spawns domains at will, so crash
+#                  harnesses re-spawn their own binary instead
+#                  (test/crash_child.ml).
 #   make bench-sidecars — fail loudly if any committed BENCH_*.json metrics
 #                  sidecar is missing or empty (regenerate with
 #                  `dune exec bench/main.exe -- <id>`).
@@ -68,7 +73,7 @@ SIDECARS = BENCH_proof.json BENCH_pack.json BENCH_parallel.json \
            BENCH_readpath.json BENCH_server.json BENCH_shard.json \
            BENCH_scan.json
 
-.PHONY: all build test quick smoke crash par read pack proof serve shard scan bench-sidecars check bench clean
+.PHONY: all build test quick smoke crash par read pack proof serve shard scan lint bench-sidecars check bench clean
 
 all: build
 
@@ -112,6 +117,13 @@ shard: build
 scan: build
 	SIRI_SCAN_ROUNDS=25 QCHECK_SEED=$(QCHECK_SEED) $(DUNE) exec test/test_scan.exe
 
+lint:
+	@if grep -rnE --include='*.ml' --include='*.mli' 'Unix\.fork *\(\)' lib bin test bench; then \
+	  echo "lint: Unix.fork () is not allowed (re-spawn the binary instead, see test/crash_child.ml)"; \
+	  exit 1; \
+	fi; \
+	echo "lint: OK"
+
 bench-sidecars:
 	@missing=0; for f in $(SIDECARS); do \
 	  if [ ! -s $$f ]; then \
@@ -122,7 +134,7 @@ bench-sidecars:
 	if [ $$missing -ne 0 ]; then exit 1; fi; \
 	echo "bench-sidecars: OK"
 
-check: build test smoke crash par read pack proof serve shard scan bench-sidecars
+check: build lint test smoke crash par read pack proof serve shard scan bench-sidecars
 	@echo "check: OK"
 
 bench:

@@ -151,6 +151,7 @@ let run () =
     (Json.obj
        [ ("experiment", Json.str "pack");
          ("host_domains", Json.int (Domain.recommended_domain_count ()));
+         ("sha256_kernel", Json.str Siri_crypto.Sha256.kernel);
          ("read_sample", Json.int read_sample);
          ( "rows",
            Json.arr

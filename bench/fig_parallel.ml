@@ -9,7 +9,8 @@
    rebuild also writes each dirty node exactly once.
 
    Honesty note: the sidecar records [host_domains]
-   (= Domain.recommended_domain_count ()).  On a single-core host every
+   (= Domain.recommended_domain_count ()) and [sha256_kernel], the
+   compression kernel behind every node hash.  On a single-core host every
    width collapses to the calling domain plus idle workers, so speedups
    hover around 1x there; the determinism columns are meaningful
    regardless. *)
@@ -160,4 +161,5 @@ let run () =
          ("title", Json.str "domain sweep: parallel commit pipeline");
          ("records", Json.int n);
          ("host_domains", Json.int (Domain.recommended_domain_count ()));
+         ("sha256_kernel", Json.str Siri_crypto.Sha256.kernel);
          ("rows", Json.arr (bulk @ batch)) ])

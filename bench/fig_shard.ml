@@ -10,7 +10,8 @@
    scheduling and must never leak into the authenticated state.
 
    Honesty note: the sidecar records [host_domains]
-   (= Domain.recommended_domain_count ()).  On a single-core host every
+   (= Domain.recommended_domain_count ()) and [sha256_kernel], the
+   compression kernel behind every node hash.  On a single-core host every
    shard's commit work lands on the calling domain and the speedup
    column hovers around 1x; the determinism and throughput-per-shard
    columns are meaningful regardless. *)
@@ -188,4 +189,5 @@ let run () =
          ("batches", Json.int batches);
          ("batch", Json.int batch);
          ("host_domains", Json.int host);
+         ("sha256_kernel", Json.str Siri_crypto.Sha256.kernel);
          ("rows", Json.arr (List.rev !json_rows)) ])

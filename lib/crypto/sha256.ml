@@ -1,179 +1,115 @@
-(* SHA-256, FIPS 180-4.  Straightforward 32-bit implementation on Int32 with
-   a 64-byte streaming buffer.  Hot path is [process_block]; everything is
-   written with explicit Int32 operations so the compiler can unbox. *)
+(* SHA-256, FIPS 180-4.  OCaml keeps the 64-byte streaming buffer and the
+   padding; whole blocks go to the C compression kernel in
+   [sha256_stubs.c], which runs the x86-64 SHA extensions when the CPU has
+   them and portable C rounds otherwise.  The chaining state is 32 bytes
+   holding H0..H7 big-endian — the digest layout — so [finalize] is a
+   copy. *)
 
-let k =
-  [| 0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl;
-     0x59f111f1l; 0x923f82a4l; 0xab1c5ed5l; 0xd807aa98l; 0x12835b01l;
-     0x243185bel; 0x550c7dc3l; 0x72be5d74l; 0x80deb1fel; 0x9bdc06a7l;
-     0xc19bf174l; 0xe49b69c1l; 0xefbe4786l; 0x0fc19dc6l; 0x240ca1ccl;
-     0x2de92c6fl; 0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal; 0x983e5152l;
-     0xa831c66dl; 0xb00327c8l; 0xbf597fc7l; 0xc6e00bf3l; 0xd5a79147l;
-     0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl;
-     0x53380d13l; 0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l;
-     0xa2bfe8a1l; 0xa81a664bl; 0xc24b8b70l; 0xc76c51a3l; 0xd192e819l;
-     0xd6990624l; 0xf40e3585l; 0x106aa070l; 0x19a4c116l; 0x1e376c08l;
-     0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al; 0x5b9cca4fl;
-     0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l;
-     0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l |]
+(* [blocks st b off n] compresses the [n] 64-byte blocks at [off] in [b]
+   into the state [st].  Neither stub allocates or raises; callers check
+   bounds. *)
+external blocks : bytes -> bytes -> int -> int -> unit = "siri_sha256_blocks"
+  [@@noalloc]
+
+external portable_blocks : bytes -> bytes -> int -> int -> unit
+  = "siri_sha256_blocks_portable"
+  [@@noalloc]
+
+external select_kernel : unit -> bool = "siri_sha256_select"
+
+let kernel = if select_kernel () then "sha-ni" else "portable"
 
 type ctx = {
-  h : int32 array;            (* 8 chaining words *)
+  h : Bytes.t;                (* 32-byte chaining state *)
   buf : Bytes.t;              (* 64-byte block buffer *)
-  w : int32 array;            (* 64-word message schedule, reused *)
   pad : Bytes.t;              (* 72-byte finalization pad, reused *)
   mutable buf_len : int;
   mutable total : int64;      (* total bytes absorbed *)
 }
 
 let iv =
-  [| 0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al; 0x510e527fl;
-     0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l |]
+  "\x6a\x09\xe6\x67\xbb\x67\xae\x85\x3c\x6e\xf3\x72\xa5\x4f\xf5\x3a\
+   \x51\x0e\x52\x7f\x9b\x05\x68\x8c\x1f\x83\xd9\xab\x5b\xe0\xcd\x19"
 
 let init () =
-  { h = Array.copy iv;
+  { h = Bytes.of_string iv;
     buf = Bytes.create 64;
-    w = Array.make 64 0l;
     pad = Bytes.create 72;
     buf_len = 0;
     total = 0L }
 
 let reset ctx =
-  Array.blit iv 0 ctx.h 0 8;
+  Bytes.blit_string iv 0 ctx.h 0 32;
   ctx.buf_len <- 0;
   ctx.total <- 0L
 
-let ( &&& ) = Int32.logand
-let ( ||| ) = Int32.logor
-let ( ^^^ ) = Int32.logxor
-let ( +%% ) = Int32.add
-
-let rotr x n = Int32.shift_right_logical x n ||| Int32.shift_left x (32 - n)
-
-(* Process the 64 bytes at [off] in [b]. *)
-let process_block ctx b off =
-  let w = ctx.w in
-  for i = 0 to 15 do
-    let j = off + (i * 4) in
-    let b0 = Int32.of_int (Char.code (Bytes.unsafe_get b j)) in
-    let b1 = Int32.of_int (Char.code (Bytes.unsafe_get b (j + 1))) in
-    let b2 = Int32.of_int (Char.code (Bytes.unsafe_get b (j + 2))) in
-    let b3 = Int32.of_int (Char.code (Bytes.unsafe_get b (j + 3))) in
-    w.(i) <-
-      Int32.shift_left b0 24 ||| Int32.shift_left b1 16
-      ||| Int32.shift_left b2 8 ||| b3
-  done;
-  for i = 16 to 63 do
-    let w15 = w.(i - 15) and w2 = w.(i - 2) in
-    let s0 = rotr w15 7 ^^^ rotr w15 18 ^^^ Int32.shift_right_logical w15 3 in
-    let s1 = rotr w2 17 ^^^ rotr w2 19 ^^^ Int32.shift_right_logical w2 10 in
-    w.(i) <- w.(i - 16) +%% s0 +%% w.(i - 7) +%% s1
-  done;
-  let h = ctx.h in
-  let a = ref h.(0) and b' = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-  for i = 0 to 63 do
-    let s1 = rotr !e 6 ^^^ rotr !e 11 ^^^ rotr !e 25 in
-    let ch = (!e &&& !f) ^^^ (Int32.lognot !e &&& !g) in
-    let t1 = !hh +%% s1 +%% ch +%% k.(i) +%% w.(i) in
-    let s0 = rotr !a 2 ^^^ rotr !a 13 ^^^ rotr !a 22 in
-    let maj = (!a &&& !b') ^^^ (!a &&& !c) ^^^ (!b' &&& !c) in
-    let t2 = s0 +%% maj in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := !d +%% t1;
-    d := !c;
-    c := !b';
-    b' := !a;
-    a := t1 +%% t2
-  done;
-  h.(0) <- h.(0) +%% !a;
-  h.(1) <- h.(1) +%% !b';
-  h.(2) <- h.(2) +%% !c;
-  h.(3) <- h.(3) +%% !d;
-  h.(4) <- h.(4) +%% !e;
-  h.(5) <- h.(5) +%% !f;
-  h.(6) <- h.(6) +%% !g;
-  h.(7) <- h.(7) +%% !hh
+(* Absorb [len] bytes at [off] in [b] through [kernel]: top up a partial
+   buffer, hand every whole block to the kernel in one call, keep the
+   remainder.  Does not count into [total]. *)
+let absorb kernel ctx b off len =
+  let pos = ref off and remaining = ref len in
+  if ctx.buf_len > 0 then begin
+    let take = min len (64 - ctx.buf_len) in
+    Bytes.blit b off ctx.buf ctx.buf_len take;
+    ctx.buf_len <- ctx.buf_len + take;
+    pos := off + take;
+    remaining := len - take;
+    if ctx.buf_len = 64 then begin
+      kernel ctx.h ctx.buf 0 1;
+      ctx.buf_len <- 0
+    end
+  end;
+  let whole = !remaining / 64 in
+  if whole > 0 then begin
+    kernel ctx.h b !pos whole;
+    pos := !pos + (whole * 64);
+    remaining := !remaining - (whole * 64)
+  end;
+  if !remaining > 0 then begin
+    Bytes.blit b !pos ctx.buf 0 !remaining;
+    ctx.buf_len <- !remaining
+  end
 
 let feed_bytes ctx ?(off = 0) ?len b =
   let len = match len with Some l -> l | None -> Bytes.length b - off in
   if off < 0 || len < 0 || off + len > Bytes.length b then
     invalid_arg "Sha256.feed_bytes";
   ctx.total <- Int64.add ctx.total (Int64.of_int len);
-  let pos = ref off and remaining = ref len in
-  (* Top up a partially filled buffer first. *)
-  if ctx.buf_len > 0 then begin
-    let take = min !remaining (64 - ctx.buf_len) in
-    Bytes.blit b !pos ctx.buf ctx.buf_len take;
-    ctx.buf_len <- ctx.buf_len + take;
-    pos := !pos + take;
-    remaining := !remaining - take;
-    if ctx.buf_len = 64 then begin
-      process_block ctx ctx.buf 0;
-      ctx.buf_len <- 0
-    end
-  end;
-  while !remaining >= 64 do
-    process_block ctx b !pos;
-    pos := !pos + 64;
-    remaining := !remaining - 64
-  done;
-  if !remaining > 0 then begin
-    Bytes.blit b !pos ctx.buf 0 !remaining;
-    ctx.buf_len <- !remaining
-  end
+  absorb blocks ctx b off len
 
 let feed_string ctx ?(off = 0) ?len s =
   let len = match len with Some l -> l | None -> String.length s - off in
   feed_bytes ctx ~off ~len (Bytes.unsafe_of_string s)
 
-let finalize ctx =
-  let bit_len = Int64.mul ctx.total 8L in
-  (* Append 0x80, pad with zeros to 56 mod 64, then the 64-bit length. *)
+(* Append 0x80, pad with zeros to 56 mod 64, then the 64-bit bit length. *)
+let finish kernel ctx =
   let pad_len =
     let r = (ctx.buf_len + 1 + 8) mod 64 in
     if r = 0 then 1 else 1 + (64 - r)
   in
   (* pad_len + 8 <= 72, so the preallocated pad always fits. *)
   let tail = ctx.pad in
-  Bytes.fill tail 0 (pad_len + 8) '\000';
+  Bytes.fill tail 0 pad_len '\000';
   Bytes.set tail 0 '\x80';
-  for i = 0 to 7 do
-    let shift = (7 - i) * 8 in
-    Bytes.set tail (pad_len + i)
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bit_len shift) 0xFFL)))
-  done;
-  (* Bypass the total counter: feed_bytes would keep counting. *)
-  let saved = ctx.total in
-  feed_bytes ctx tail ~len:(pad_len + 8);
-  ctx.total <- saved;
+  Bytes.set_int64_be tail pad_len (Int64.mul ctx.total 8L);
+  absorb kernel ctx tail 0 (pad_len + 8);
   assert (ctx.buf_len = 0);
-  let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (i * 4)
-      (Char.chr (Int32.to_int (Int32.shift_right_logical v 24) land 0xFF));
-    Bytes.set out ((i * 4) + 1)
-      (Char.chr (Int32.to_int (Int32.shift_right_logical v 16) land 0xFF));
-    Bytes.set out ((i * 4) + 2)
-      (Char.chr (Int32.to_int (Int32.shift_right_logical v 8) land 0xFF));
-    Bytes.set out ((i * 4) + 3) (Char.chr (Int32.to_int v land 0xFF))
-  done;
-  Bytes.unsafe_to_string out
+  Bytes.sub_string ctx.h 0 32
+
+let finalize ctx = finish blocks ctx
 
 (* One-shot digests reuse a per-domain scratch context: no allocation of
-   the chaining state, schedule or pad on the hot path, and no sharing
+   the chaining state, block buffer or pad on the hot path, and no sharing
    between domains, so workers in a pool can hash concurrently.
 
    The context is held in a checkout slot, not used in place: systhreads
-   within one domain share DLS state and can be preempted mid-digest (the
-   compression loop allocates), so two threads hashing concurrently on a
-   bare shared context interleave resets and feeds — a digest of neither
-   input.  [Atomic.exchange] hands the context to exactly one thread; a
-   thread that finds the slot empty pays one fresh allocation instead of
-   sharing.  The single-threaded hot path stays allocation-free. *)
+   within one domain share DLS state and can be preempted mid-digest (at
+   any allocation or poll point between feeds), so two threads hashing
+   concurrently on a bare shared context interleave resets and feeds — a
+   digest of neither input.  [Atomic.exchange] hands the context to
+   exactly one thread; a thread that finds the slot empty pays one fresh
+   allocation instead of sharing.  The single-threaded hot path stays
+   allocation-free. *)
 let scratch : ctx option Atomic.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Atomic.make (Some (init ())))
 
@@ -214,6 +150,14 @@ let digest_concat_sub a b ~off ~len =
       feed_string ctx a;
       feed_string ctx b ~off ~len;
       finalize ctx)
+
+module For_testing = struct
+  let portable_digest s =
+    let ctx = init () in
+    ctx.total <- Int64.of_int (String.length s);
+    absorb portable_blocks ctx (Bytes.unsafe_of_string s) 0 (String.length s);
+    finish portable_blocks ctx
+end
 
 let hex_alphabet = "0123456789abcdef"
 

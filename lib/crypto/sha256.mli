@@ -1,8 +1,16 @@
-(** Pure-OCaml SHA-256 (FIPS 180-4).
+(** SHA-256 (FIPS 180-4).
 
-    Implemented from scratch because no cryptographic package is available in
-    the build environment.  Verified against the NIST short-message test
-    vectors in the test suite. *)
+    Streaming, padding and the scratch contexts are OCaml; block
+    compression is a C kernel ([sha256_stubs.c], built by dune, no package
+    needed).  The kernel is picked once at module initialisation from
+    CPUID: the x86-64 SHA extensions when the CPU has them (plus SSSE3 and
+    SSE4.1), portable C rounds otherwise.  Nothing selects it but the CPU.
+    Verified against the NIST test vectors, and the two kernels against
+    each other, in the test suite. *)
+
+val kernel : string
+(** The compression kernel in use: ["sha-ni"] or ["portable"].  Benchmark
+    sidecars record it beside the host's domain count. *)
 
 type ctx
 (** Streaming hash context (mutable). *)
@@ -21,8 +29,8 @@ val finalize : ctx -> string
     {!reset} before any further use. *)
 
 val reset : ctx -> unit
-(** Return the context to its initial state, reusing its internal block,
-    schedule and pad buffers — the allocation-free way to start a new
+(** Return the context to its initial state, reusing its internal state,
+    block and pad buffers — the allocation-free way to start a new
     digest. *)
 
 val digest_string : string -> string
@@ -49,3 +57,11 @@ val digest_concat_sub : string -> string -> off:int -> len:int -> string
 
 val to_hex : string -> string
 (** Lowercase hex rendering of a raw digest (or any string). *)
+
+(**/**)
+
+module For_testing : sig
+  val portable_digest : string -> string
+  (** One-shot digest through the portable C rounds whatever the CPU — the
+      reference the dispatched kernel is checked against. *)
+end

@@ -114,6 +114,69 @@ let qcheck_hex_roundtrip =
   QCheck.Test.make ~name:"hex roundtrip" ~count:200 QCheck.string (fun s ->
       Hex.decode (Hex.encode s) = s)
 
+(* Kernel differential: the dispatched compression kernel (SHA-NI on hosts
+   that have it) against the portable C rounds, and both against NIST where
+   vectors exist.  On a host without SHA-NI both sides run the portable
+   kernel and only the NIST checks bite. *)
+let portable = Sha256.For_testing.portable_digest
+
+let agree msg s expected =
+  Alcotest.(check string) msg (Sha256.to_hex expected) (Sha256.to_hex (portable s))
+
+let test_kernel_nist () =
+  List.iter
+    (fun (input, hex) ->
+      Alcotest.(check string) ("portable " ^ input) hex
+        (Sha256.to_hex (portable input));
+      agree input input (Sha256.digest_string input))
+    nist_vectors;
+  let a = String.make 1_000_000 'a' in
+  Alcotest.(check string) "portable 10^6 x a"
+    "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+    (Sha256.to_hex (portable a));
+  agree "10^6 x a" a (Sha256.digest_string a)
+
+let kernel_data = String.init 1200 (fun i -> Char.chr ((i * 167 + i / 7) land 0xFF))
+
+let test_kernel_lengths () =
+  for n = 0 to 1100 do
+    let s = String.sub kernel_data 0 n in
+    agree (Printf.sprintf "len %d" n) s (Sha256.digest_string s)
+  done
+
+let test_kernel_unaligned () =
+  List.iter
+    (fun len ->
+      for off = 0 to 7 do
+        let s = String.sub kernel_data off len in
+        let msg = Printf.sprintf "off %d len %d" off len in
+        agree msg s (Sha256.digest_substring kernel_data ~off ~len);
+        agree ("concat " ^ msg) ("head" ^ s)
+          (Sha256.digest_concat_sub "head" kernel_data ~off ~len)
+      done)
+    [ 0; 1; 55; 56; 63; 64; 65; 128; 200; 1000 ]
+
+let test_kernel_streamed () =
+  let s = String.sub kernel_data 0 300 in
+  let around = List.concat_map (fun b -> List.init 9 (fun d -> b - 4 + d)) [ 64; 128; 192 ] in
+  let expected = portable s in
+  List.iter
+    (fun c1 ->
+      List.iter
+        (fun c2 ->
+          if c1 <= c2 then begin
+            let ctx = Sha256.init () in
+            Sha256.feed_string ctx ~off:0 ~len:c1 s;
+            Sha256.feed_string ctx ~off:c1 ~len:(c2 - c1) s;
+            Sha256.feed_string ctx ~off:c2 ~len:(String.length s - c2) s;
+            Alcotest.(check string)
+              (Printf.sprintf "split %d/%d" c1 c2)
+              (Sha256.to_hex expected)
+              (Sha256.to_hex (Sha256.finalize ctx))
+          end)
+        (0 :: around))
+    (0 :: around)
+
 (* Concurrent one-shot digests from systhreads sharing one domain: the
    scratch context must never be shared mid-digest.  (Regression: a
    domain-local context used in place let a preempted thread's reset and
@@ -147,6 +210,11 @@ let () =
           Alcotest.test_case "threaded one-shot digests" `Quick
             test_threaded_digests;
           QCheck_alcotest.to_alcotest qcheck_streaming ] );
+      ( "kernel",
+        [ Alcotest.test_case "NIST vectors" `Quick test_kernel_nist;
+          Alcotest.test_case "lengths 0-1100" `Quick test_kernel_lengths;
+          Alcotest.test_case "unaligned offsets" `Quick test_kernel_unaligned;
+          Alcotest.test_case "streamed splits" `Quick test_kernel_streamed ] );
       ( "hash",
         [ Alcotest.test_case "basics" `Quick test_hash_basics;
           Alcotest.test_case "of_raw validation" `Quick test_hash_of_raw_rejects;
