@@ -57,7 +57,12 @@
 #                  bench/.  OCaml 5 refuses fork once a domain has been
 #                  spawned, and the pool spawns domains at will, so crash
 #                  harnesses re-spawn their own binary instead
-#                  (test/crash_child.ml).
+#                  (test/crash_child.ml).  Also fail when an index library
+#                  (lib/mpt, mbt, pos, mvbt, prolly) defines a read that
+#                  Generic.make derives — lookup, path_length, get_many,
+#                  range, proofs, to_list, cardinal: each kind keeps one
+#                  point walk and one scan, so a second copy of a read path
+#                  cannot creep back in.
 #   make bench-sidecars — fail loudly if any committed BENCH_*.json metrics
 #                  sidecar is missing or empty (regenerate with
 #                  `dune exec bench/main.exe -- <id>`).
@@ -117,9 +122,17 @@ shard: build
 scan: build
 	SIRI_SCAN_ROUNDS=25 QCHECK_SEED=$(QCHECK_SEED) $(DUNE) exec test/test_scan.exe
 
+DERIVED_READS = lookup_count|lookup|path_length|get_many|in_range|range|prove|verify_proof|prove_many|verify_many|to_list|cardinal
+INDEX_LIBS = lib/mpt lib/mbt lib/pos lib/mvbt lib/prolly
+
 lint:
 	@if grep -rnE --include='*.ml' --include='*.mli' 'Unix\.fork *\(\)' lib bin test bench; then \
 	  echo "lint: Unix.fork () is not allowed (re-spawn the binary instead, see test/crash_child.ml)"; \
+	  exit 1; \
+	fi; \
+	if grep -rnE --include='*.ml' --include='*.mli' \
+	    '^[[:space:]]*(let|let rec|and|val)[[:space:]]+($(DERIVED_READS))\b' $(INDEX_LIBS); then \
+	  echo "lint: index libraries must not define derived reads (Generic.make builds them from the kind's walk and scan)"; \
 	  exit 1; \
 	fi; \
 	echo "lint: OK"

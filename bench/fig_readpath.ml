@@ -247,6 +247,7 @@ let run () =
   Metrics.write ~id:"readpath"
     (Json.obj
        [ ("experiment", Json.str "readpath");
+         ("host_domains", Json.int (Domain.recommended_domain_count ()));
          ("records", Json.int n);
          ("lookups", Json.int (List.length keys));
          ( "hot_cold",

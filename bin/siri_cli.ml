@@ -1316,7 +1316,7 @@ let durable_dispatch ~checkpoint kind backend shards partition dir =
         (Some (Partition.make partition ~shards:n))
         dir
   | None ->
-      if Sys.file_exists (Filename.concat dir "SHARDS") then
+      if is_sharded_dir dir then
         sharded_durable_run ~checkpoint kind backend None dir
       else durable_run ~checkpoint kind backend dir
 

@@ -44,18 +44,22 @@ let () =
     (Hash.short (header_hash head));
   Printf.printf "tx tries   : %d blocks, %d total transactions\n"
     (List.length chain)
-    (List.fold_left (fun acc t -> acc + Mpt.cardinal t) 0 tries);
+    (List.fold_left (fun acc t -> acc + (Mpt.generic t).Generic.cardinal ()) 0 tries);
 
   (* A light client holds only the headers.  To check that a transaction is
      in block 7 it asks a full node for a proof against that tx_root. *)
   let block7 = List.nth blocks 7 in
   let trie7 = List.nth tries (List.length tries - 1 - 7) in
   let some_tx = List.nth block7.Ethereum.txs 42 in
-  let proof = Mpt.prove trie7 some_tx.Ethereum.hash_hex in
+  let prove trie key = (Mpt.generic trie).Generic.prove key in
+  (* The light client's check needs no store: only the root and the
+     index kind's decoder. *)
+  let verify ~root proof = (Mpt.generic (Mpt.empty store)).Generic.verify ~root proof in
+  let proof = prove trie7 some_tx.Ethereum.hash_hex in
   let trusted_root = (List.nth (List.rev chain) 7).tx_root in
   Printf.printf "inclusion  : tx %s... in block 7: %b (proof %d bytes)\n"
     (String.sub some_tx.Ethereum.hash_hex 0 12)
-    (Mpt.verify_proof ~root:trusted_root proof)
+    (verify ~root:trusted_root proof)
     (Proof.size_bytes proof);
 
   (* A malicious full node rewrites a stored trie node (say, to redirect a
@@ -65,8 +69,8 @@ let () =
   Store.corrupt store victim_node;
   let accepted =
     (* The corrupted node may not even decode; either way the client rejects. *)
-    match Mpt.prove trie7 some_tx.Ethereum.hash_hex with
-    | forged -> Mpt.verify_proof ~root:trusted_root forged
+    match prove trie7 some_tx.Ethereum.hash_hex with
+    | forged -> verify ~root:trusted_root forged
     | exception _ -> false
   in
   Printf.printf "tampering  : forged proof accepted: %b (expected false)\n"
@@ -81,7 +85,7 @@ let () =
   let trie8 = List.nth tries (List.length tries - 1 - 8) in
   let root8 = (List.nth (List.rev chain) 8).tx_root in
   let ghost = String.make 64 '0' in
-  let absent = Mpt.prove trie8 ghost in
+  let absent = prove trie8 ghost in
   Printf.printf "absence    : claims %s, verifies: %b\n"
     (match absent.Proof.value with None -> "absent" | Some _ -> "present")
-    (Mpt.verify_proof ~root:root8 absent)
+    (verify ~root:root8 absent)

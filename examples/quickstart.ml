@@ -3,7 +3,8 @@
    Run with:  dune exec examples/quickstart.exe
 
    Covers: building an index, immutable versions, lookups, diff, merge,
-   Merkle proofs, and the deduplication metrics. *)
+   Merkle proofs, and the deduplication metrics.  Writes go through the
+   index's own module; reads go through its uniform [Generic.t] view. *)
 
 open Siri_core
 module Store = Siri_store.Store
@@ -22,20 +23,22 @@ let () =
         (Printf.sprintf "user%05d" i, Printf.sprintf "balance=%d" (i * 7)))
   in
   let v1 = Pos.of_entries store cfg entries in
+  let g1 = Pos.generic v1 in
   Printf.printf "v1 root    : %s (%d records, height %d)\n"
-    (Hash.short (Pos.root v1)) (Pos.cardinal v1) (Pos.height v1);
+    (Hash.short (Pos.root v1)) (g1.Generic.cardinal ()) (Pos.height v1);
 
   (* 3. Point reads. *)
   Printf.printf "lookup     : user00042 -> %s\n"
-    (Option.value ~default:"<absent>" (Pos.lookup v1 "user00042"));
+    (Option.value ~default:"<absent>" (Generic.get g1 "user00042"));
 
   (* 4. Updates produce a NEW version; v1 is untouched. *)
   let v2 = Pos.insert v1 "user00042" "balance=1000000" in
+  let g2 = Pos.generic v2 in
   Printf.printf "v2 root    : %s\n" (Hash.short (Pos.root v2));
   Printf.printf "v1 still   : user00042 -> %s\n"
-    (Option.get (Pos.lookup v1 "user00042"));
+    (Option.get (Generic.get g1 "user00042"));
   Printf.printf "v2 now     : user00042 -> %s\n"
-    (Option.get (Pos.lookup v2 "user00042"));
+    (Option.get (Generic.get g2 "user00042"));
 
   (* 5. Diff is proportional to the change, not to the data size. *)
   let diffs = Pos.diff v1 v2 in
@@ -50,23 +53,24 @@ let () =
     (Dedup.node_sharing_ratio store [ Pos.root v1; Pos.root v2 ]);
 
   (* 7. Merkle proofs: convince a party who only knows the root digest. *)
-  let proof = Pos.prove v2 "user00042" in
+  let proof = g2.Generic.prove "user00042" in
   Printf.printf "proof      : %d nodes, %d bytes, verifies: %b\n"
     (List.length proof.Proof.nodes)
     (Proof.size_bytes proof)
-    (Pos.verify_proof ~root:(Pos.root v2) proof);
+    (g2.Generic.verify ~root:(Pos.root v2) proof);
   Printf.printf "tampered   : verifies: %b\n"
-    (Pos.verify_proof ~root:(Pos.root v2) (Proof.tamper proof));
+    (g2.Generic.verify ~root:(Pos.root v2) (Proof.tamper proof));
 
   (* 8. Merge two divergent versions (three-way-free record union). *)
   let va = Pos.insert v1 "only-in-a" "1" in
   let vb = Pos.insert v1 "only-in-b" "2" in
   (match Pos.merge va vb ~policy:Kv.Fail_on_conflict with
   | Ok merged ->
+      let gm = Pos.generic merged in
       Printf.printf "merge      : %d records (both sides present: %b)\n"
-        (Pos.cardinal merged)
-        (Pos.lookup merged "only-in-a" = Some "1"
-        && Pos.lookup merged "only-in-b" = Some "2")
+        (gm.Generic.cardinal ())
+        (Generic.get gm "only-in-a" = Some "1"
+        && Generic.get gm "only-in-b" = Some "2")
   | Error conflicts ->
       Printf.printf "merge      : %d conflicts!\n" (List.length conflicts));
 

@@ -38,14 +38,14 @@ let () =
   done;
   let day5_root = Pos.root !log in
   Printf.printf "log        : %d events over 5 days, root %s\n"
-    (Pos.cardinal !log) (Hash.short day5_root);
+    ((Pos.generic !log).Generic.cardinal ()) (Hash.short day5_root);
 
   (* Persist and "restart". *)
   Store.save store store_path;
   let store' = Store.load store_path in
   let log' = Pos.of_root store' cfg day5_root in
   Printf.printf "restart    : reloaded %s (%d events intact)\n"
-    (Filename.basename store_path) (Pos.cardinal log');
+    (Filename.basename store_path) ((Pos.generic log').Generic.cardinal ());
 
   (* The auditor asks for day 3.  The operator answers with a range proof;
      the auditor verifies against the digest published at day 5. *)

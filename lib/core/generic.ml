@@ -28,6 +28,164 @@ type t = {
   scan : lo:Kv.key option -> hi:Kv.key option -> (Kv.key * Kv.value) Seq.t;
 }
 
+(* --- the one constructor ------------------------------------------------------
+
+   Each kind contributes one batched point walk and, when it has a key
+   order, one scan; every other read is derived here.  The walk is run with
+   three node fetches: the cache-aware [get] for lookups, a recording fetch
+   for proving and a replaying fetch for verifying, so the proof a verifier
+   checks is by construction the path a lookup reads. *)
+
+type 'node walk =
+  fetch:(Hash.t -> 'node) ->
+  Hash.t ->
+  Kv.key array ->
+  (Kv.key -> Kv.value -> unit) ->
+  unit
+
+type order =
+  | Ordered of
+      (lo:Kv.key option -> hi:Kv.key option -> (Kv.key * Kv.value) Seq.t)
+  | Unordered of ((Kv.key -> Kv.value -> unit) -> unit)
+
+let make ~name ~store ~root ~decode ~get ~(walk : _ walk) ~order ~batch
+    ~bulk_load ~diff ~merge ~reopen =
+  let probe op f = Telemetry.probe (Store.sink store) op f in
+  let p_lookup = name ^ ".lookup"
+  and p_get_many = name ^ ".get_many"
+  and p_batch = name ^ ".batch"
+  and p_bulk = name ^ ".bulk_load"
+  and p_diff = name ^ ".diff"
+  and p_prove = name ^ ".prove"
+  and p_prove_many = name ^ ".prove_many" in
+  let empty = Hash.is_null root in
+  let lookup k =
+    let hit = ref None in
+    if not empty then walk ~fetch:get root [| k |] (fun _ v -> hit := Some v);
+    !hit
+  in
+  let path_length k =
+    let visited = ref 0 in
+    if not empty then
+      walk
+        ~fetch:(fun h ->
+          incr visited;
+          get h)
+        root [| k |] (fun _ _ -> ());
+    !visited
+  in
+  let get_many keys =
+    if keys = [] then []
+    else begin
+      let found = Hashtbl.create (List.length keys) in
+      if not empty then
+        walk ~fetch:get root
+          (Array.of_list (List.sort_uniq String.compare keys))
+          (Hashtbl.replace found);
+      List.map (fun k -> (k, Hashtbl.find_opt found k)) keys
+    end
+  in
+  let prove_many keys =
+    let keys = List.sort_uniq String.compare keys in
+    if keys = [] || empty then
+      { Multiproof.claims = List.map (fun k -> (k, None)) keys; nodes = [] }
+    else begin
+      let fetch_bytes, recorded = Multiproof.recorder ~get:(Store.get store) in
+      let found = Hashtbl.create (List.length keys) in
+      walk
+        ~fetch:(fun h -> decode (fetch_bytes h))
+        root (Array.of_list keys) (Hashtbl.replace found);
+      { Multiproof.claims = List.map (fun k -> (k, Hashtbl.find_opt found k)) keys;
+        nodes = recorded () }
+    end
+  in
+  (* Store-independent: replays the proving walk over the supplied nodes,
+     each re-hashed against the reference the walk asks for; any refusal
+     (wrong hash, exhausted list, undecodable bytes) is an exception. *)
+  let verify_many ~root (mp : Multiproof.t) =
+    if not (Multiproof.well_formed mp) then false
+    else if Hash.is_null root then
+      mp.nodes = [] && List.for_all (fun (_, v) -> v = None) mp.claims
+    else if mp.claims = [] then mp.nodes = []
+    else begin
+      let fetch_bytes, finished = Multiproof.consumer mp.nodes in
+      let found = Hashtbl.create (List.length mp.claims) in
+      match
+        walk
+          ~fetch:(fun h -> decode (fetch_bytes h))
+          root
+          (Array.of_list (Multiproof.keys mp))
+          (Hashtbl.replace found)
+      with
+      | () ->
+          finished ()
+          && List.for_all
+               (fun (k, claimed) -> Hashtbl.find_opt found k = claimed)
+               mp.claims
+      | exception _ -> false
+    end
+  in
+  let prove key =
+    let mp = prove_many [ key ] in
+    { Proof.key; value = snd (List.hd mp.claims); nodes = mp.nodes }
+  in
+  let verify ~root (p : Proof.t) =
+    verify_many ~root { Multiproof.claims = [ (p.key, p.value) ]; nodes = p.nodes }
+  in
+  let scan, range, to_list, cardinal =
+    match order with
+    | Ordered scan ->
+        (* An inclusive [hi] is the half-open bound just above it. *)
+        let range ~lo ~hi =
+          List.of_seq (scan ~lo ~hi:(Option.map (fun h -> h ^ "\000") hi))
+        in
+        ( scan,
+          range,
+          (fun () -> List.of_seq (scan ~lo:None ~hi:None)),
+          fun () -> Seq.length (scan ~lo:None ~hi:None) )
+    | Unordered iter ->
+        let to_list () =
+          let acc = ref [] in
+          iter (fun k v -> acc := (k, v) :: !acc);
+          List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
+        in
+        (* No key order to prune by: a range is a filtered full read, and a
+           streaming scan is refused. *)
+        let range ~lo ~hi =
+          List.filter
+            (fun (k, _) ->
+              (match lo with None -> true | Some l -> String.compare k l >= 0)
+              && match hi with None -> true | Some h -> String.compare k h <= 0)
+            (to_list ())
+        in
+        ( (fun ~lo:_ ~hi:_ -> raise (Unsupported name)),
+          range,
+          to_list,
+          fun () ->
+            let n = ref 0 in
+            iter (fun _ _ -> incr n);
+            !n )
+  in
+  { name;
+    store;
+    root;
+    lookup = (fun k -> probe p_lookup (fun () -> lookup k));
+    get_many = (fun ks -> probe p_get_many (fun () -> get_many ks));
+    path_length;
+    batch = (fun ops -> probe p_batch (fun () -> batch ops));
+    bulk_load = (fun entries -> probe p_bulk (fun () -> bulk_load entries));
+    to_list;
+    cardinal;
+    diff = (fun other -> probe p_diff (fun () -> diff other));
+    merge;
+    prove = (fun k -> probe p_prove (fun () -> prove k));
+    verify;
+    prove_many = (fun ks -> probe p_prove_many (fun () -> prove_many ks));
+    verify_many;
+    reopen;
+    range;
+    scan }
+
 let insert t k v = t.batch [ Kv.Put (k, v) ]
 let remove t k = t.batch [ Kv.Del k ]
 let of_entries t entries = t.batch (List.map (fun (k, v) -> Kv.Put (k, v)) entries)

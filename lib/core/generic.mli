@@ -2,9 +2,14 @@
 
     The four structures (MPT, MBT, POS-Tree, MVMB+-Tree) have different
     configurations and node layouts, so each library exposes its own typed
-    API plus a [generic] constructor producing this record.  Benchmarks,
-    the Forkbase engine, and the SIRI property checkers work exclusively
-    against this interface.
+    write API plus a [generic] constructor producing this record.
+    Benchmarks, the Forkbase engine, and the SIRI property checkers work
+    exclusively against this interface.
+
+    Reads are built once, here: a kind supplies one batched point walk
+    and, if it has a key order, one scan, and {!make} derives lookup, path
+    length, batched get, single and batched proofs with their verifiers,
+    ranges, [to_list] and [cardinal] from them.
 
     Instances are immutable: every write returns a fresh handle whose [root]
     identifies the new version; old handles stay valid (copy-on-write node
@@ -81,6 +86,63 @@ type t = {
           (the shard router depends on this).  MBT raises
           {!Unsupported}. *)
 }
+
+(** {2 Building an instance} *)
+
+type 'node walk =
+  fetch:(Hash.t -> 'node) ->
+  Hash.t ->
+  Kv.key array ->
+  (Kv.key -> Kv.value -> unit) ->
+  unit
+(** A kind's batched point walk: [walk ~fetch root keys on_hit] descends
+    once from a non-null [root] for the sorted, distinct [keys], obtaining
+    every node through [fetch] and calling [on_hit k v] for each key found.
+    A node shared by several keys must be fetched once, and the fetch order
+    must depend only on the nodes and the keys: proving records that order
+    and verifying replays it. *)
+
+type order =
+  | Ordered of
+      (lo:Kv.key option -> hi:Kv.key option -> (Kv.key * Kv.value) Seq.t)
+      (** the kind's streaming scan over [[lo, hi)] (the {!field-scan}
+          contract) *)
+  | Unordered of ((Kv.key -> Kv.value -> unit) -> unit)
+      (** no key order: visit every record, in any order *)
+
+val make :
+  name:string ->
+  store:Siri_store.Store.t ->
+  root:Hash.t ->
+  decode:(string -> 'node) ->
+  get:(Hash.t -> 'node) ->
+  walk:'node walk ->
+  order:order ->
+  batch:(Kv.op list -> t) ->
+  bulk_load:((Kv.key * Kv.value) list -> t) ->
+  diff:(Hash.t -> Kv.diff_entry list) ->
+  merge:(Kv.merge_policy -> Hash.t -> (t, Kv.conflict list) result) ->
+  reopen:(Hash.t -> t) ->
+  t
+(** The instance for one version.  [get] is the kind's decoded-node-cache
+    read and [decode] its codec; the write closures are taken as they are.
+    Derived reads:
+    - [lookup] and [path_length] walk one key, through [get] (counting
+      fetches for the path length);
+    - [get_many] walks the sorted distinct keys once;
+    - [prove_many] walks with a {!Multiproof.recorder} over raw store
+      reads, and [verify_many] replays the walk over a
+      {!Multiproof.consumer}, so it needs no store;
+    - [prove]/[verify] are a one-claim [prove_many]/[verify_many];
+    - with [Ordered scan], [range] is [scan] up to just past the inclusive
+      [hi] and [to_list]/[cardinal] drain it; with [Unordered iter], they
+      collect and sort, [range] filters, and [scan] raises
+      {!Unsupported}.
+
+    Against {!Hash.null} every kind accepts exactly the node-less,
+    all-absent proofs.  [lookup], [get_many], [batch], [bulk_load],
+    [diff], [prove] and [prove_many] report as [<name>.<op>] probes on the
+    store's telemetry sink. *)
 
 val insert : t -> Kv.key -> Kv.value -> t
 val remove : t -> Kv.key -> t

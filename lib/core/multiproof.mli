@@ -8,10 +8,11 @@
     path, so a multiproof over [k] keys is far smaller than [k] single
     {!Proof.t}s (the witness-compression experiment in BENCH_proof.json).
 
-    Verification is index-specific ([verify_many] on each index library):
-    the verifier replays the same batched traversal, consuming [nodes] in
-    order and re-hashing each one against the hash the traversal asked
-    for, then compares what the replay found with every claim.  Absence
+    Verification ([verify_many], built by {!Generic.make} from the
+    index's batched walk and node decoder) replays the same batched
+    traversal, consuming [nodes] in order and re-hashing each one against
+    the hash the traversal asked for, then compares what the replay found
+    with every claim.  Absence
     claims are covered by the same discipline — the node where the lookup
     path diverges (or the bucket that omits the key) is part of the node
     set, so [None] answers are as tamper-evident as hits: unlike the
@@ -52,8 +53,8 @@ val well_formed : t -> bool
 
 (** {2 Traversal adapters}
 
-    [prove_many] and [verify_many] on each index are the same batched
-    walk as its [get_many], differing only in how nodes are fetched. *)
+    [prove_many] and [verify_many] are the same batched walk as
+    [get_many], differing only in how nodes are fetched. *)
 
 val recorder :
   get:(Hash.t -> string) -> (Hash.t -> string) * (unit -> string list)

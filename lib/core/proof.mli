@@ -4,9 +4,10 @@
     path, root first.  A verifier who trusts only the root digest re-hashes
     each node, checks that it is the child referenced by its parent, replays
     the traversal on the decoded nodes, and compares the claimed value —
-    the "proof of data" of Section 2.3.  Decoding and replay are
-    index-specific, so each index provides its own [verify]; this module
-    holds the shared shape and helpers. *)
+    the "proof of data" of Section 2.3.  A single proof is the one-key
+    case of a {!Multiproof}: {!Generic.make} builds [prove] and [verify]
+    from the index's batched walk; this module holds the shape and
+    helpers. *)
 
 type t = {
   key : Kv.key;

@@ -4,6 +4,10 @@ module Hash = Siri_crypto.Hash
 module Fault = Siri_fault.Fault
 module Telemetry = Siri_telemetry.Telemetry
 
+(* The client node cache: a hash set with LRU recency — the cost-budget
+   LRU with unit values at cost 1, so the budget counts nodes. *)
+module Lru = Siri_readpath.Lru_cache.Make (Hash)
+
 type network = { rtt_s : float; bandwidth_bps : float }
 
 (* The link parameters live in [Siri_core.Netparams] so the simulation and
@@ -17,7 +21,7 @@ let http_overhead = of_link Siri_core.Netparams.http_overhead
 
 type t = {
   net : network;
-  cache : Lru.t option;
+  cache : unit Lru.t option;
   failure_rate : float;
   backoff_s : float;
   rng : Rng.t;
@@ -55,6 +59,18 @@ let fetch t size =
   | Ok () | Error _ -> ());
   t.sim <- t.sim +. transfer t size
 
+(* Refresh a cached node or admit a new one; [true] on a hit.  Admission
+   may evict, and evictions are reported as [cache.evict]. *)
+let touch t cache h =
+  match Lru.find cache h with
+  | Some () -> true
+  | None ->
+      let before = Lru.evictions cache in
+      Lru.insert cache h ~cost:1 ();
+      let evicted = Lru.evictions cache - before in
+      if evicted > 0 then Telemetry.incr t.sink ~by:evicted "cache.evict";
+      false
+
 let on_get t h size =
   let hit () =
     t.hits <- t.hits + 1;
@@ -66,14 +82,14 @@ let on_get t h size =
     fetch t size
   in
   match t.cache with
-  | Some cache -> if Lru.touch cache h then hit () else miss ()
+  | Some cache -> if touch t cache h then hit () else miss ()
   | None -> miss ()
 
 let on_put t h size =
   (* Writes stream to the server; batching amortises the round trip, so we
      charge bandwidth only.  A freshly written node is hot at the client. *)
   t.sim <- t.sim +. (Float.of_int size /. t.net.bandwidth_bps);
-  match t.cache with Some cache -> ignore (Lru.touch cache h) | None -> ()
+  match t.cache with Some cache -> ignore (touch t cache h) | None -> ()
 
 let attach store ?(cache_nodes = 0) ?(failure_rate = 0.) ?(backoff_s = 0.001)
     ?(seed = 1) ?(sink = Telemetry.null) net =
@@ -85,12 +101,7 @@ let attach store ?(cache_nodes = 0) ?(failure_rate = 0.) ?(backoff_s = 0.001)
   let t =
     { net;
       cache =
-        (if cache_nodes > 0 then begin
-           let c = Lru.create ~capacity:cache_nodes in
-           Lru.set_sink c sink;
-           Some c
-         end
-         else None);
+        (if cache_nodes > 0 then Some (Lru.create ~budget:cache_nodes) else None);
       failure_rate;
       backoff_s = (if backoff_s < 0. then 0. else backoff_s);
       rng = Rng.create seed;

@@ -139,7 +139,7 @@ let bucket_index cfg key = bucket_of_hash cfg (Hash.of_string key)
 (* Hashes along the path root→bucket for bucket index [b]; returns the
    decoded bucket and the list of (internal node, child slot) pairs visited,
    root first. *)
-let walk t b =
+let descend t b =
   let d = depth t in
   let rec go h level acc =
     match get t.store h with
@@ -160,7 +160,7 @@ let walk t b =
 
 type bucket = (Kv.key * Kv.value) array
 
-let load_bucket t key = fst (walk t (bucket_index t.cfg key))
+let load_bucket t key = fst (descend t (bucket_index t.cfg key))
 
 let scan_bucket entries key =
   let rec bsearch lo hi =
@@ -177,74 +177,36 @@ let scan_bucket entries key =
 
 let bucket_size = Array.length
 
-let lookup t key = scan_bucket (load_bucket t key) key
-let path_length t _key = depth t + 1
-
-(* Batched point lookups: keys are grouped by target bucket and the group
-   set descends the tree once, partitioned by child slot at every
-   internal node — each shared internal node (always including the root)
-   is fetched and decoded once for the whole batch instead of once per
-   key. *)
-(* Distinct keys grouped by target bucket, groups in ascending bucket
-   order — the canonical shape shared by [get_many], [prove_many] and
-   [verify_many], so proving and verifying partition identically. *)
-let groups_of_keys cfg keys =
-  let by_bucket = Hashtbl.create 16 in
-  List.iter
-    (fun k ->
-      let b = bucket_index cfg k in
-      match Hashtbl.find_opt by_bucket b with
-      | Some ks ->
-          if not (List.mem k ks) then Hashtbl.replace by_bucket b (k :: ks)
-      | None -> Hashtbl.add by_bucket b [ k ])
-    keys;
-  Hashtbl.fold (fun b ks acc -> (b, List.rev ks) :: acc) by_bucket []
-  |> List.sort compare
-
-(* The walk itself, parameterized by node fetch so the same traversal
-   serves lookups (cache-aware [get]), proving ([Multiproof.recorder]) and
-   verifying ([Multiproof.consumer]).  [groups] are the buckets living
-   under node [h] at [level]. *)
-let walk_groups cfg ~fetch root depth groups found =
-    let rec go h level groups =
-      match fetch h with
-      | Bucket entries ->
-          List.iter
-            (fun (_, ks) ->
-              List.iter
-                (fun k ->
-                  match scan_bucket entries k with
-                  | Some v -> Hashtbl.replace found k v
-                  | None -> ())
-                ks)
-            groups
-      | Internal children ->
-          let slot_of b =
-            let rec div v k = if k = 0 then v else div (v / cfg.fanout) (k - 1) in
-            div b (level - 1) mod cfg.fanout
-          in
-          let by_slot = Array.make (Array.length children) [] in
-          List.iter
-            (fun (b, ks) ->
-              let s = slot_of b in
-              by_slot.(s) <- (b, ks) :: by_slot.(s))
-            groups;
-          Array.iteri
-            (fun s gs ->
-              if gs <> [] then go children.(s) (level - 1) (List.rev gs))
-            by_slot
-    in
-    go root depth groups
-
-let get_many t keys =
-  if keys = [] then []
-  else begin
-    let found = Hashtbl.create (List.length keys) in
-    walk_groups t.cfg ~fetch:(get t.store) t.root (depth t)
-      (groups_of_keys t.cfg keys)
-      found;
-    List.map (fun k -> (k, Hashtbl.find_opt found k)) keys
-  end
+(* The batched point walk: the keys, tagged with their buckets and sorted
+   by bucket, descend the tree once.  Below any node the buckets share
+   their higher base-[fanout] digits, so the keys under each child slot
+   form a contiguous run: each shared internal node (always including the
+   root) is fetched once for the whole batch, and buckets are visited in
+   ascending order. *)
+let walk cfg depth ~fetch root keys on_hit =
+  let items = Array.map (fun k -> (bucket_index cfg k, k)) keys in
+  Array.stable_sort (fun (a, _) (b, _) -> Int.compare a b) items;
+  (* [span] = fanout^(level-1): the buckets under one child slot. *)
+  let slot span i = fst items.(i) / span mod cfg.fanout in
+  let rec go h span lo hi =
+    match fetch h with
+    | Bucket entries ->
+        for i = lo to hi - 1 do
+          let k = snd items.(i) in
+          match scan_bucket entries k with Some v -> on_hit k v | None -> ()
+        done
+    | Internal children ->
+        let i = ref lo in
+        while !i < hi do
+          let s = slot span !i in
+          let j = ref (!i + 1) in
+          while !j < hi && slot span !j = s do incr j done;
+          go children.(s) (span / cfg.fanout) !i !j;
+          i := !j
+        done
+  in
+  let rec pow k = if k <= 0 then 1 else cfg.fanout * pow (k - 1) in
+  go root (pow (depth - 1)) 0 (Array.length items)
 
 (* --- updates ------------------------------------------------------------ *)
 
@@ -254,7 +216,7 @@ let apply_ops entries ops =
 
 (* Rewrite the path to bucket [b] so that the bucket holds [entries']. *)
 let rewrite_path t b entries' =
-  let _, path = walk t b in
+  let _, path = descend t b in
   let new_leaf = put_bucket t.store entries' in
   let rec rebuild path child =
     match path with
@@ -285,7 +247,7 @@ let batch_seq t ops =
   group_by_bucket t.cfg ops
   |> List.fold_left
        (fun t (b, ops) ->
-         let entries, _ = walk t b in
+         let entries, _ = descend t b in
          rewrite_path t b (apply_ops entries ops))
        t
 
@@ -506,16 +468,6 @@ let iter t f =
   in
   go t.root
 
-let to_list t =
-  let acc = ref [] in
-  iter t (fun k v -> acc := (k, v) :: !acc);
-  List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
-
-let cardinal t =
-  let n = ref 0 in
-  iter t (fun _ _ -> incr n);
-  !n
-
 (* --- diff ----------------------------------------------------------------- *)
 
 let diff t1 t2 =
@@ -563,149 +515,18 @@ let merge t1 t2 ~policy =
   | [] -> Ok (batch t1 ops)
   | cs -> Error (List.rev cs)
 
-(* --- proofs ---------------------------------------------------------------- *)
-
-let prove t key =
-  let b = bucket_index t.cfg key in
-  let d = depth t in
-  let rec go h level acc =
-    let bytes = Store.get t.store h in
-    let acc = bytes :: acc in
-    match decode bytes with
-    | Bucket entries -> (scan_bucket entries key, acc)
-    | Internal children ->
-        let idx_below =
-          let rec div v k = if k = 0 then v else div (v / t.cfg.fanout) (k - 1) in
-          div b (level - 1)
-        in
-        go children.(idx_below mod t.cfg.fanout) (level - 1) acc
-  in
-  let value, rev_nodes = go t.root d [] in
-  { Proof.key; value; nodes = List.rev rev_nodes }
-
-let verify_proof cfg ~root (proof : Proof.t) =
-  let b = bucket_index cfg (proof.key : string) in
-  let counts = level_counts cfg in
-  let d = Array.length counts - 1 in
-  let rec go expected level nodes =
-    match nodes with
-    | [] -> false
-    | bytes :: rest ->
-        Hash.equal (Hash.of_string bytes) expected
-        &&
-        (match decode bytes with
-        | exception _ -> false
-        | Bucket entries ->
-            level = 0 && rest = [] && scan_bucket entries proof.key = proof.value
-        | Internal children ->
-            level > 0
-            &&
-            let idx_below =
-              let rec div v k = if k = 0 then v else div (v / cfg.fanout) (k - 1) in
-              div b (level - 1)
-            in
-            let slot = idx_below mod cfg.fanout in
-            slot < Array.length children && go children.(slot) (level - 1) rest)
-  in
-  go root d proof.nodes
-
-(* --- multiproofs ------------------------------------------------------------ *)
-
-(* See the note in Mpt: the batched [walk_groups] with recording/replaying
-   fetches.  The MBT root is never null (an empty tree is a full frame of
-   empty buckets), so absence claims always carry the whole root→bucket
-   path — the bucket that omits the key is the witness. *)
-
-let prove_many t keys =
-  let keys = List.sort_uniq String.compare keys in
-  if keys = [] then { Multiproof.claims = []; nodes = [] }
-  else begin
-    let fetch_bytes, recorded = Multiproof.recorder ~get:(Store.get t.store) in
-    let found = Hashtbl.create (List.length keys) in
-    walk_groups t.cfg
-      ~fetch:(fun h -> decode (fetch_bytes h))
-      t.root (depth t)
-      (groups_of_keys t.cfg keys)
-      found;
-    { Multiproof.claims = List.map (fun k -> (k, Hashtbl.find_opt found k)) keys;
-      nodes = recorded () }
-  end
-
-let verify_many cfg ~root (mp : Multiproof.t) =
-  if not (Multiproof.well_formed mp) then false
-  else if mp.claims = [] then mp.nodes = []
-  else begin
-    let fetch_bytes, finished = Multiproof.consumer mp.nodes in
-    let fetch h =
-      match decode (fetch_bytes h) with
-      | node -> node
-      | exception Multiproof.Rejected -> raise Multiproof.Rejected
-      | exception _ -> raise Multiproof.Rejected
-    in
-    let keys = Multiproof.keys mp in
-    let found = Hashtbl.create (List.length keys) in
-    let depth = Array.length (level_counts cfg) - 1 in
-    match
-      walk_groups cfg ~fetch root depth (groups_of_keys cfg keys) found
-    with
-    | () ->
-        finished ()
-        && List.for_all
-             (fun (k, claimed) -> Hashtbl.find_opt found k = claimed)
-             mp.claims
-    | exception _ -> false
-  end
-
 (* --- generic ----------------------------------------------------------------- *)
 
-(* Telemetry probes: see the note in Mpt.generic — observation only, no
-   effect on hashing. *)
-let probe t name f = Telemetry.probe (Store.sink t.store) name f
-
+(* MBT hashes keys into buckets: there is no key order to prune or stream
+   by, so the instance is [Unordered] — ranges are filtered full reads and
+   streaming scans are refused (the paper's Section 5 verdict, typed). *)
 let rec generic ?pool t =
-  { Generic.name = "mbt";
-    store = t.store;
-    root = t.root;
-    lookup = (fun k -> probe t "mbt.lookup" (fun () -> lookup t k));
-    get_many = (fun ks -> probe t "mbt.get_many" (fun () -> get_many t ks));
-    path_length = path_length t;
-    batch =
-      (fun ops -> generic ?pool (probe t "mbt.batch" (fun () -> batch ?pool t ops)));
-    bulk_load =
-      (fun entries ->
-        generic ?pool
-          (probe t "mbt.bulk_load" (fun () -> of_entries ?pool t.store t.cfg entries)));
-    to_list = (fun () -> to_list t);
-    cardinal = (fun () -> cardinal t);
-    diff =
-      (fun other ->
-        probe t "mbt.diff" (fun () -> diff t (of_root t.store t.cfg other)));
-    merge =
-      (fun policy other ->
-        match merge t (of_root t.store t.cfg other) ~policy with
-        | Ok m -> Ok (generic ?pool m)
-        | Error cs -> Error cs);
-    prove = (fun k -> probe t "mbt.prove" (fun () -> prove t k));
-    verify = (fun ~root proof -> verify_proof t.cfg ~root proof);
-    prove_many = (fun ks -> probe t "mbt.prove_many" (fun () -> prove_many t ks));
-    verify_many = (fun ~root mp -> verify_many t.cfg ~root mp);
-    reopen = (fun r -> generic ?pool (of_root t.store t.cfg r));
-    range =
-      (fun ~lo ~hi ->
-        (* MBT hashes keys into buckets: no key order to prune by, so a
-           range is a filtered full scan. *)
-        List.filter
-          (fun (k, _) ->
-            (match lo with None -> true | Some l -> String.compare k l >= 0)
-            && match hi with None -> true | Some h -> String.compare k h <= 0)
-          (to_list t));
-    scan =
-      (fun ~lo ~hi ->
-        (* The paper's Section 5 verdict made typed: a hash-bucketed
-           structure cannot stream in key order without materializing and
-           sorting everything, which is exactly what a streaming scan
-           promises not to do.  Callers wanting the O(N) answer anyway
-           still have [range]. *)
-        ignore lo;
-        ignore hi;
-        raise (Generic.Unsupported "mbt")) }
+  let view = generic ?pool in
+  Generic.make ~name:"mbt" ~store:t.store ~root:t.root ~decode
+    ~get:(get t.store) ~walk:(walk t.cfg (depth t)) ~order:(Unordered (iter t))
+    ~batch:(fun ops -> view (batch ?pool t ops))
+    ~bulk_load:(fun entries -> view (of_entries ?pool t.store t.cfg entries))
+    ~diff:(fun other -> diff t (of_root t.store t.cfg other))
+    ~merge:(fun policy other ->
+      Result.map view (merge t (of_root t.store t.cfg other) ~policy))
+    ~reopen:(fun r -> view (of_root t.store t.cfg r))

@@ -9,7 +9,12 @@
 
     The structure is trivially structurally invariant (a record's position
     depends only on its key), but buckets grow linearly with N/B, which is
-    what makes its update cost O(log_m B + N/B). *)
+    what makes its update cost O(log_m B + N/B).
+
+    Reads go through {!generic}: one bucket-grouped point walk, from which
+    {!Siri_core.Generic.make} derives lookups and proofs.  Having no key
+    order, the instance lists and ranges by sorting {!iter}'s records and
+    refuses streaming scans. *)
 
 open Siri_crypto
 open Siri_core
@@ -33,17 +38,6 @@ val conf : t -> config
 
 val bucket_index : config -> Kv.key -> int
 (** hash(key) mod B — which bucket a key lives in. *)
-
-val lookup : t -> Kv.key -> Kv.value option
-
-val get_many : t -> Kv.key list -> (Kv.key * Kv.value option) list
-(** Batched point lookups in one walk: keys are grouped by bucket and the
-    group set descends level by level, so shared internal nodes (always
-    including the root) are decoded once per batch.  One result pair per
-    input key, in input order; equivalent to
-    [List.map (fun k -> (k, lookup t k))]. *)
-
-val path_length : t -> Kv.key -> int
 
 (** Lookup split into its two phases so that benchmarks can time them
     separately (Figure 13): *)
@@ -76,32 +70,14 @@ val of_entries : ?pool:Siri_parallel.Pool.t -> Store.t -> config -> (Kv.key * Kv
     the pool; the root, put sequence and metering totals are identical to
     the sequential build. *)
 
-val to_list : t -> (Kv.key * Kv.value) list
-(** Sorted by key (buckets are collected and then sorted — MBT has no global
-    key order). *)
-
-val cardinal : t -> int
 val iter : t -> (Kv.key -> Kv.value -> unit) -> unit
+(** Every record, bucket by bucket — in no key order. *)
 
 val diff : t -> t -> Kv.diff_entry list
 (** Positional diff: corresponding subtrees are compared by hash and pruned
     when equal.  Both instances must share the same [config]. *)
 
 val merge : t -> t -> policy:Kv.merge_policy -> (t, Kv.conflict list) result
-
-val prove : t -> Kv.key -> Proof.t
-val verify_proof : config -> root:Hash.t -> Proof.t -> bool
-
-val prove_many : t -> Kv.key list -> Multiproof.t
-(** Batched proof over a key set in one bucket-group walk (see
-    {!Siri_mpt.Mpt.prove_many} for the shared discipline).  The MBT root is
-    never null, so absence claims always carry the root→bucket path — the
-    bucket that omits the key is the witness. *)
-
-val verify_many : config -> root:Hash.t -> Multiproof.t -> bool
-(** Store-independent replay of the proving walk over the supplied
-    deduplicated nodes; needs the [config] to recompute bucket indices
-    and tree depth. *)
 
 val generic : ?pool:Siri_parallel.Pool.t -> t -> Generic.t
 (** Package as a uniform SIRI instance.  With [pool], [batch] and

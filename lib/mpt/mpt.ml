@@ -103,112 +103,60 @@ let get store h =
         Node_cache.insert cache h ~bytes:(String.length bytes) (Cached node);
         node
 
-(* --- lookup ------------------------------------------------------------ *)
+(* --- the point walk ------------------------------------------------------ *)
 
-(* Returns the value and the number of nodes visited. *)
-let lookup_count store root key =
-  (* The key's nibbles are converted once and walked by offset — the
-     traversal allocates nothing per node, so on a warm decoded-node
-     cache a lookup is pure pointer chasing. *)
-  let nibs = Nibbles.of_key key in
-  let total = Nibbles.length nibs in
-  let rec go h off visited =
-    if Hash.is_null h then (None, visited)
-    else
-      match get store h with
+(* One walk for the whole batch: at every internal node the still-alive
+   slice of the sorted keys is partitioned by next nibble (string order
+   equals nibble order, so each partition is a contiguous sub-slice), and
+   each node on a shared prefix is fetched once for all keys below it.
+   The keys' nibble paths are converted once and matched by offset, so the
+   descent allocates nothing per node. *)
+(* Whether [path] continues with the extension path [p] at offset [depth]. *)
+let extends p path depth =
+  let np = Nibbles.length p in
+  Nibbles.length path - depth >= np && Nibbles.common_prefix_at p path ~off:depth = np
+
+let walk ~fetch root keys on_hit =
+  let paths = Array.map Nibbles.of_key keys in
+  (* Keys lo..hi-1 agree on their first [depth] nibbles, already consumed
+     on the way to [h]. *)
+  let rec go h lo hi depth =
+    if not (Hash.is_null h) then
+      match fetch h with
       | Leaf (p, v) ->
-          if Nibbles.equal_at p nibs ~off then (Some v, visited + 1)
-          else (None, visited + 1)
+          for i = lo to hi - 1 do
+            if Nibbles.equal_at p paths.(i) ~off:depth then on_hit keys.(i) v
+          done
       | Ext (p, child) ->
-          let np = Nibbles.length p in
-          if
-            total - off >= np
-            && Nibbles.common_prefix_at p nibs ~off = np
-          then go child (off + np) (visited + 1)
-          else (None, visited + 1)
-      | Branch (children, value) ->
-          if off = total then (value, visited + 1)
-          else go children.(Nibbles.get nibs off) (off + 1) (visited + 1)
+          let i = ref lo in
+          while !i < hi && not (extends p paths.(!i) depth) do incr i done;
+          let j = ref (min hi (!i + 1)) in
+          while !j < hi && extends p paths.(!j) depth do incr j done;
+          if !j > !i then go child !i !j (depth + Nibbles.length p)
+      | Branch (children, bvalue) ->
+          let i = ref lo in
+          while !i < hi do
+            let path = paths.(!i) in
+            if Nibbles.length path = depth then begin
+              (match bvalue with Some v -> on_hit keys.(!i) v | None -> ());
+              incr i
+            end
+            else begin
+              let nib = Nibbles.get path depth in
+              let j = ref (!i + 1) in
+              while
+                !j < hi
+                && Nibbles.length paths.(!j) > depth
+                && Nibbles.get paths.(!j) depth = nib
+              do
+                incr j
+              done;
+              go children.(nib) !i !j (depth + 1);
+              i := !j
+            end
+          done
   in
-  go root 0 0
-
-let lookup t key = fst (lookup_count t.store t.root key)
-let path_length t key = snd (lookup_count t.store t.root key)
-
-(* --- batched lookup ----------------------------------------------------- *)
-
-(* One walk for the whole batch: the distinct keys are sorted, and at
-   every internal node the still-alive slice is partitioned by next
-   nibble (string order equals nibble order, so each partition is a
-   contiguous sub-slice).  Each node on a shared prefix is fetched and
-   decoded once for all keys below it, instead of once per key. *)
-(* The walk itself, parameterized by node fetch so the same traversal
-   serves lookups (cache-aware [get]), proving ([Multiproof.recorder]) and
-   verifying ([Multiproof.consumer]): arr holds the sorted distinct keys
-   with their nibble paths, and [found] collects the hits. *)
-let walk_many ~fetch root arr found =
-    (* Keys arr[lo..hi-1] agree on their first [depth] nibbles, already
-       consumed on the way to [h]. *)
-    let rec go h lo hi depth =
-      if not (Hash.is_null h) then
-        match fetch h with
-        | Leaf (p, v) ->
-            for i = lo to hi - 1 do
-              let k, path = arr.(i) in
-              if Nibbles.equal p (Nibbles.drop path depth) then
-                Hashtbl.replace found k v
-            done
-        | Ext (p, child) ->
-            let np = Nibbles.length p in
-            let matches i =
-              let _, path = arr.(i) in
-              Nibbles.length path - depth >= np
-              && Nibbles.common_prefix p (Nibbles.drop path depth) = np
-            in
-            let i = ref lo in
-            while !i < hi && not (matches !i) do incr i done;
-            let j = ref !i in
-            while !j < hi && matches !j do incr j done;
-            if !j > !i then go child !i !j (depth + np)
-        | Branch (children, bvalue) ->
-            let i = ref lo in
-            while !i < hi do
-              let k, path = arr.(!i) in
-              if Nibbles.length path = depth then begin
-                (match bvalue with
-                | Some v -> Hashtbl.replace found k v
-                | None -> ());
-                incr i
-              end
-              else begin
-                let nib = Nibbles.get path depth in
-                let j = ref (!i + 1) in
-                while
-                  !j < hi
-                  && Nibbles.length (snd arr.(!j)) > depth
-                  && Nibbles.get (snd arr.(!j)) depth = nib
-                do
-                  incr j
-                done;
-                go children.(nib) !i !j (depth + 1);
-                i := !j
-              end
-            done
-    in
-    go root 0 (Array.length arr) 0
-
-let key_paths keys =
-  Array.of_list (List.map (fun k -> (k, Nibbles.of_key k)) keys)
-
-let get_many t keys =
-  if keys = [] then []
-  else begin
-    let found = Hashtbl.create (List.length keys) in
-    walk_many ~fetch:(get t.store) t.root
-      (key_paths (List.sort_uniq String.compare keys))
-      found;
-    List.map (fun k -> (k, Hashtbl.find_opt found k)) keys
-  end
+  go root 0 (Array.length keys) 0
 
 (* --- insert ------------------------------------------------------------ *)
 
@@ -472,137 +420,18 @@ let insert_many ?pool t entries =
   if is_empty t then of_sorted ?pool t.store entries
   else batch t (List.map (fun (k, v) -> Kv.Put (k, v)) entries)
 
-(* --- traversal ---------------------------------------------------------- *)
-
-let iter_prefixed store root f =
-  let buf = Buffer.create 32 in
-  let push nibs =
-    Buffer.add_string buf
-      (String.init (Nibbles.length nibs) (fun i ->
-           Char.chr (Nibbles.get nibs i)))
-  in
-  let pop n =
-    Buffer.truncate buf (Buffer.length buf - n)
-  in
-  let key_of_buf () =
-    Nibbles.to_key (Nibbles.of_nibble_string (Buffer.contents buf))
-  in
-  let rec go h =
-    if not (Hash.is_null h) then
-      match get store h with
-      | Leaf (p, v) ->
-          push p;
-          f (key_of_buf ()) v;
-          pop (Nibbles.length p)
-      | Ext (p, child) ->
-          push p;
-          go child;
-          pop (Nibbles.length p)
-      | Branch (children, bvalue) ->
-          (match bvalue with Some v -> f (key_of_buf ()) v | None -> ());
-          Array.iteri
-            (fun i c ->
-              if not (Hash.is_null c) then begin
-                push (Nibbles.cons i Nibbles.empty);
-                go c;
-                pop 1
-              end)
-            children
-  in
-  go root
-
-let iter t f = iter_prefixed t.store t.root f
-
-let to_list t =
-  let acc = ref [] in
-  iter t (fun k v -> acc := (k, v) :: !acc);
-  List.rev !acc
-
-let cardinal t =
-  let n = ref 0 in
-  iter t (fun _ _ -> incr n);
-  !n
-
-(* --- range queries --------------------------------------------------------- *)
-
-let in_range ~lo ~hi k =
-  (match lo with None -> true | Some l -> String.compare k l >= 0)
-  && match hi with None -> true | Some h -> String.compare k h <= 0
-
-(* All keys in a subtree extend the accumulated nibble prefix, so the
-   subtree is prunable when the prefix already falls outside the bounds:
-   strictly below lo's nibbles, strictly above hi's, or a strict extension
-   of hi (longer keys with an equal prefix sort after hi). *)
-let range t ~lo ~hi =
-  let lo_n = Option.map Nibbles.of_key lo in
-  let hi_n = Option.map Nibbles.of_key hi in
-  let buf = Buffer.create 32 in
-  let acc = ref [] in
-  let cmp_prefix bound =
-    let lp = Buffer.length buf and lb = Nibbles.length bound in
-    let l = min lp lb in
-    let rec go i =
-      if i = l then 0
-      else
-        let c = compare (Char.code (Buffer.nth buf i)) (Nibbles.get bound i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
-  in
-  let prune () =
-    (match lo_n with Some b -> cmp_prefix b < 0 | None -> false)
-    || (match hi_n with
-       | Some b ->
-           let c = cmp_prefix b in
-           c > 0 || (c = 0 && Buffer.length buf > Nibbles.length b)
-       | None -> false)
-  in
-  let push nibs =
-    Buffer.add_string buf
-      (String.init (Nibbles.length nibs) (fun i -> Char.chr (Nibbles.get nibs i)))
-  in
-  let pop n = Buffer.truncate buf (Buffer.length buf - n) in
-  let emit v =
-    let key = Nibbles.to_key (Nibbles.of_nibble_string (Buffer.contents buf)) in
-    if in_range ~lo ~hi key then acc := (key, v) :: !acc
-  in
-  let rec go h =
-    if not (Hash.is_null h) && not (prune ()) then
-      match get t.store h with
-      | Leaf (p, v) ->
-          push p;
-          if not (prune ()) then emit v;
-          pop (Nibbles.length p)
-      | Ext (p, child) ->
-          push p;
-          go child;
-          pop (Nibbles.length p)
-      | Branch (children, bvalue) ->
-          (match bvalue with Some v -> emit v | None -> ());
-          Array.iteri
-            (fun i c ->
-              if not (Hash.is_null c) then begin
-                Buffer.add_char buf (Char.chr i);
-                go c;
-                pop 1
-              end)
-            children
-  in
-  go t.root;
-  List.rev !acc
-
 (* --- streaming scan --------------------------------------------------------
 
-   Lazy key-ordered DFS over the half-open interval [lo, hi).  Same
-   pruning rules as [range] — a subtree is skipped when its accumulated
-   nibble prefix already falls outside the bounds — but driven by an
-   explicit frame stack captured in a [Seq.t], so nodes are fetched only
-   as the consumer demands entries.  Nibble strings compare like the keys
-   they encode (big-endian nibble order), so DFS order is key order; a
-   branch value's key equals the prefix itself and is emitted before any
-   child.  The hi bound prunes at [>=] (vs [range]'s strict [>]): keys
-   equal to hi are excluded by half-openness, so the subtree rooted at
-   hi's own nibbles holds nothing we want. *)
+   Lazy key-ordered DFS over the half-open interval [lo, hi).  All keys
+   in a subtree extend its accumulated nibble prefix, so the subtree is
+   skipped when that prefix already falls outside the bounds: strictly
+   below lo's nibbles, above hi's, or equal to or extending hi's (keys
+   equal to hi are excluded by half-openness, longer ones sort after it).
+   An explicit frame stack captured in a [Seq.t] fetches nodes only as the
+   consumer demands entries.  Nibble strings compare like the keys they
+   encode (big-endian nibble order), so DFS order is key order; a branch
+   value's key equals the prefix itself and is emitted before any
+   child. *)
 let scan t ~lo ~hi =
   let lo_n = Option.map Nibbles.of_key lo in
   let hi_n = Option.map Nibbles.of_key hi in
@@ -801,146 +630,15 @@ let merge t1 t2 ~policy =
   in
   match !conflicts with [] -> Ok merged | cs -> Error (List.rev cs)
 
-(* --- proofs ------------------------------------------------------------- *)
-
-let prove t key =
-  let rec go h path acc =
-    if Hash.is_null h then (None, acc)
-    else
-      let bytes = Store.get t.store h in
-      let acc = bytes :: acc in
-      match decode bytes with
-      | Leaf (p, v) ->
-          if Nibbles.equal p path then (Some v, acc) else (None, acc)
-      | Ext (p, child) ->
-          let np = Nibbles.length p in
-          if Nibbles.length path >= np && Nibbles.common_prefix p path = np
-          then go child (Nibbles.drop path np) acc
-          else (None, acc)
-      | Branch (children, bvalue) ->
-          if Nibbles.is_empty path then (bvalue, acc)
-          else go children.(Nibbles.get path 0) (Nibbles.drop path 1) acc
-  in
-  let value, rev_nodes = go t.root (Nibbles.of_key key) [] in
-  { Proof.key; value; nodes = List.rev rev_nodes }
-
-let verify_proof ~root (proof : Proof.t) =
-  (* Replay the traversal over the supplied node bytes, checking the hash
-     chain; the claimed value (or absence) must be what the replay finds. *)
-  let rec go expected path nodes =
-    match nodes with
-    | [] ->
-        (* Ran out of nodes: only valid if the traversal reached a null
-           slot, which proves absence. *)
-        if Hash.is_null expected then Ok None else Error ()
-    | bytes :: rest ->
-        if not (Hash.equal (Hash.of_string bytes) expected) then Error ()
-        else begin
-          match decode bytes with
-          | exception _ -> Error ()
-          | Leaf (p, v) ->
-              if rest <> [] then Error ()
-              else if Nibbles.equal p path then Ok (Some v)
-              else Ok None
-          | Ext (p, child) ->
-              let np = Nibbles.length p in
-              if Nibbles.length path >= np && Nibbles.common_prefix p path = np
-              then go child (Nibbles.drop path np) rest
-              else if rest = [] then Ok None
-              else Error ()
-          | Branch (children, bvalue) ->
-              if Nibbles.is_empty path then
-                if rest = [] then Ok bvalue else Error ()
-              else
-                go children.(Nibbles.get path 0) (Nibbles.drop path 1) rest
-        end
-  in
-  if Hash.is_null root then proof.nodes = [] && proof.value = None
-  else
-    match go root (Nibbles.of_key proof.key) proof.nodes with
-    | Ok v -> v = proof.value
-    | Error () -> false
-
-(* --- multiproofs ---------------------------------------------------------- *)
-
-(* A multiproof is the batched [walk_many] with recording/replaying node
-   fetches: proving reads raw bytes through a deduplicating recorder, so
-   the node set is exactly the union of the single-proof paths with every
-   shared prefix node carried once; verifying replays the identical walk,
-   consuming the node list in first-visit order with the hash of each
-   node checked against the hash the traversal requested. *)
-
-let prove_many t keys =
-  let keys = List.sort_uniq String.compare keys in
-  if keys = [] || Hash.is_null t.root then
-    { Multiproof.claims = List.map (fun k -> (k, None)) keys; nodes = [] }
-  else begin
-    let fetch_bytes, recorded = Multiproof.recorder ~get:(Store.get t.store) in
-    let found = Hashtbl.create (List.length keys) in
-    walk_many ~fetch:(fun h -> decode (fetch_bytes h)) t.root (key_paths keys)
-      found;
-    { Multiproof.claims = List.map (fun k -> (k, Hashtbl.find_opt found k)) keys;
-      nodes = recorded () }
-  end
-
-let verify_many ~root (mp : Multiproof.t) =
-  if not (Multiproof.well_formed mp) then false
-  else if Hash.is_null root then
-    mp.nodes = [] && List.for_all (fun (_, v) -> v = None) mp.claims
-  else if mp.claims = [] then mp.nodes = []
-  else begin
-    let fetch_bytes, finished = Multiproof.consumer mp.nodes in
-    let fetch h =
-      match decode (fetch_bytes h) with
-      | node -> node
-      | exception Multiproof.Rejected -> raise Multiproof.Rejected
-      | exception _ -> raise Multiproof.Rejected
-    in
-    let found = Hashtbl.create (List.length mp.claims) in
-    match walk_many ~fetch root (key_paths (Multiproof.keys mp)) found with
-    | () ->
-        finished ()
-        && List.for_all
-             (fun (k, claimed) -> Hashtbl.find_opt found k = claimed)
-             mp.claims
-    | exception _ -> false
-  end
-
 (* --- generic packaging --------------------------------------------------- *)
 
-(* Per-operation telemetry probes report to whatever sink is attached to
-   the backing store at call time ([Telemetry.null] = zero-cost no-op).
-   Probes time and trace; they never touch serialization, so root hashes
-   are identical with telemetry enabled or disabled. *)
-let probe t name f = Telemetry.probe (Store.sink t.store) name f
-
 let rec generic ?pool t =
-  { Generic.name = "mpt";
-    store = t.store;
-    root = t.root;
-    lookup = (fun k -> probe t "mpt.lookup" (fun () -> lookup t k));
-    get_many = (fun ks -> probe t "mpt.get_many" (fun () -> get_many t ks));
-    path_length = path_length t;
-    batch =
-      (fun ops -> generic ?pool (probe t "mpt.batch" (fun () -> batch t ops)));
-    bulk_load =
-      (fun entries ->
-        generic ?pool
-          (probe t "mpt.bulk_load" (fun () -> of_sorted ?pool t.store entries)));
-    to_list = (fun () -> to_list t);
-    cardinal = (fun () -> cardinal t);
-    diff =
-      (fun other_root ->
-        probe t "mpt.diff" (fun () -> diff t (of_root t.store other_root)));
-    merge =
-      (fun policy other_root ->
-        match merge t (of_root t.store other_root) ~policy with
-        | Ok m -> Ok (generic ?pool m)
-        | Error cs -> Error cs);
-    prove = (fun k -> probe t "mpt.prove" (fun () -> prove t k));
-    verify = (fun ~root proof -> verify_proof ~root proof);
-    prove_many = (fun ks -> probe t "mpt.prove_many" (fun () -> prove_many t ks));
-    verify_many = (fun ~root mp -> verify_many ~root mp);
-    reopen = (fun r -> generic ?pool (of_root t.store r));
-    range = (fun ~lo ~hi -> range t ~lo ~hi);
-    scan = (fun ~lo ~hi -> scan t ~lo ~hi) }
+  let view = generic ?pool in
+  Generic.make ~name:"mpt" ~store:t.store ~root:t.root ~decode
+    ~get:(get t.store) ~walk ~order:(Ordered (scan t))
+    ~batch:(fun ops -> view (batch t ops))
+    ~bulk_load:(fun entries -> view (of_sorted ?pool t.store entries))
+    ~diff:(fun other -> diff t (of_root t.store other))
+    ~merge:(fun policy other ->
+      Result.map view (merge t (of_root t.store other) ~policy))
+    ~reopen:(fun r -> view (of_root t.store r))

@@ -5,7 +5,12 @@
     (compacted shared path + one child), {e leaf} (compacted remaining path +
     value); the null node is represented by {!Siri_crypto.Hash.null}.  The
     shape depends only on the stored key set (structurally invariant), and
-    node-level copy-on-write shares all untouched nodes between versions. *)
+    node-level copy-on-write shares all untouched nodes between versions.
+
+    This module owns the codec, the write paths and the two read
+    traversals — a batched nibble walk and an ordered scan; {!generic}
+    derives every read, proof and range from them
+    ({!Siri_core.Generic.make}). *)
 
 open Siri_crypto
 open Siri_core
@@ -19,17 +24,6 @@ val of_root : Store.t -> Hash.t -> t
 val root : t -> Hash.t
 val store : t -> Store.t
 val is_empty : t -> bool
-
-val lookup : t -> Kv.key -> Kv.value option
-
-val get_many : t -> Kv.key list -> (Kv.key * Kv.value option) list
-(** Batched point lookups in one walk: distinct keys are sorted and
-    partitioned by nibble at each branch, so sibling keys share every
-    decoded prefix node.  One result pair per input key, in input order;
-    equivalent to [List.map (fun k -> (k, lookup t k))]. *)
-
-val path_length : t -> Kv.key -> int
-(** Nodes traversed by [lookup] — the tree-height metric of Figure 9. *)
 
 val insert : t -> Kv.key -> Kv.value -> t
 val remove : t -> Kv.key -> t
@@ -50,47 +44,11 @@ val of_sorted : ?pool:Siri_parallel.Pool.t -> Store.t -> (Kv.key * Kv.value) lis
 val insert_many : ?pool:Siri_parallel.Pool.t -> t -> (Kv.key * Kv.value) list -> t
 (** {!of_sorted} when the trie is empty, sequential {!batch} otherwise. *)
 
-val to_list : t -> (Kv.key * Kv.value) list
-(** Records sorted by key (byte order — nibble order coincides with it). *)
-
-val cardinal : t -> int
-val iter : t -> (Kv.key -> Kv.value -> unit) -> unit
-
-val range : t -> lo:Kv.key option -> hi:Kv.key option -> (Kv.key * Kv.value) list
-(** Records with lo <= key <= hi (inclusive; [None] = unbounded), in key
-    order; subtrees whose nibble prefix falls outside the bounds are
-    pruned. *)
-
-val scan :
-  t -> lo:Kv.key option -> hi:Kv.key option -> (Kv.key * Kv.value) Seq.t
-(** Streaming nibble-path DFS over the half-open interval [lo, hi):
-    entries in key order, nodes fetched lazily as the consumer demands
-    them, out-of-range subtrees pruned before they are read. *)
-
 val diff : t -> t -> Kv.diff_entry list
 (** Hash-pruned structural diff: identical subtrees are skipped without
     being decoded. *)
 
 val merge : t -> t -> policy:Kv.merge_policy -> (t, Kv.conflict list) result
-
-val prove : t -> Kv.key -> Proof.t
-val verify_proof : root:Hash.t -> Proof.t -> bool
-(** Checks the proof's node chain against the trusted root and replays the
-    traversal; accepts both membership and absence proofs. *)
-
-val prove_many : t -> Kv.key list -> Multiproof.t
-(** Batched proof for a key set, built by the [get_many] single walk with
-    recording fetches: the node set is the union of the single-proof
-    paths, each distinct node once, in first-visit order (root first).
-    Keys are sorted and deduplicated; absent keys get [None] claims whose
-    witnessing divergence nodes ride along. *)
-
-val verify_many : root:Hash.t -> Multiproof.t -> bool
-(** Replays the proving walk over the supplied nodes, consuming them in
-    first-visit order with every node re-hashed against the hash the
-    traversal requested; accepts iff the replay terminates with all nodes
-    consumed and every claim equal to what the replay found.  On
-    [Hash.null] roots: accepts exactly node-less all-absence proofs. *)
 
 val generic : ?pool:Siri_parallel.Pool.t -> t -> Generic.t
 (** Package as a uniform SIRI instance.  With [pool], the instance's

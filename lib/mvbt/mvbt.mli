@@ -10,7 +10,11 @@
     trees and fewer pages deduplicate across independently-built instances.
     Deletions do not rebalance (a node may underflow and an empty node is
     simply dropped), which keeps the baseline faithful to a plain
-    copy-on-write B+-tree. *)
+    copy-on-write B+-tree.
+
+    Its nodes have the POS-Tree's shape, so its reads are the same
+    split-key walk and scan ({!Siri_core.Split_key}); {!generic} derives
+    every read from them. *)
 
 open Siri_crypto
 open Siri_core
@@ -31,15 +35,6 @@ val store : t -> Store.t
 val conf : t -> config
 val height : t -> int
 
-val lookup : t -> Kv.key -> Kv.value option
-
-val get_many : t -> Kv.key list -> (Kv.key * Kv.value option) list
-(** Batched point lookups in one walk: distinct keys are sorted and
-    partitioned at each internal node's split keys, so sibling keys share
-    every decoded prefix node.  One result pair per input key, in input
-    order; equivalent to [List.map (fun k -> (k, lookup t k))]. *)
-
-val path_length : t -> Kv.key -> int
 val insert : t -> Kv.key -> Kv.value -> t
 val remove : t -> Kv.key -> t
 val batch : t -> Kv.op list -> t
@@ -58,33 +53,11 @@ val of_sorted : ?pool:Siri_parallel.Pool.t -> Store.t -> config -> (Kv.key * Kv.
 val insert_many : ?pool:Siri_parallel.Pool.t -> t -> (Kv.key * Kv.value) list -> t
 (** {!of_sorted} when the tree is empty, sequential {!batch} otherwise. *)
 
-val to_list : t -> (Kv.key * Kv.value) list
-val cardinal : t -> int
-val iter : t -> (Kv.key -> Kv.value -> unit) -> unit
-val range : t -> lo:Kv.key option -> hi:Kv.key option -> (Kv.key * Kv.value) list
-(** Inclusive range scan in key order, pruning by split keys. *)
-
-val scan :
-  t -> lo:Kv.key option -> hi:Kv.key option -> (Kv.key * Kv.value) Seq.t
-(** Streaming version-visible leaf walk over the half-open interval
-    [lo, hi): entries in key order, lazily, pruned by split keys. *)
-
 val stats : t -> Tree_stats.t
 val prove_range : t -> lo:Kv.key option -> hi:Kv.key option -> Range_proof.t
 val verify_range_proof : root:Hash.t -> Range_proof.t -> bool
 val diff : t -> t -> Kv.diff_entry list
 val merge : t -> t -> policy:Kv.merge_policy -> (t, Kv.conflict list) result
-val prove : t -> Kv.key -> Proof.t
-val verify_proof : root:Hash.t -> Proof.t -> bool
-
-val prove_many : t -> Kv.key list -> Multiproof.t
-(** Batched proof over a key set in one walk (see {!Siri_mpt.Mpt.prove_many}
-    for the shared discipline). *)
-
-val verify_many : root:Hash.t -> Multiproof.t -> bool
-(** Store-independent replay of the proving walk over the supplied
-    deduplicated nodes. *)
-
 val generic : ?pool:Siri_parallel.Pool.t -> t -> Generic.t
 (** Package as a uniform instance.  With [pool], the instance's
     [bulk_load] runs through the parallel {!of_sorted} pipeline. *)

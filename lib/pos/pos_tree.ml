@@ -72,9 +72,9 @@ let next_salt () = Printf.sprintf "v%d" (Atomic.fetch_and_add salt_counter 1 + 1
 let tag_leaf = 0
 let tag_internal = 1
 
-type node =
+type node = Split_key.node =
   | Leaf of (Kv.key * Kv.value) array
-  | Internal of int * (Kv.key * Hash.t) array  (* height >= 1, split keys *)
+  | Internal of int * (Kv.key * Hash.t) array
 
 type Siri_readpath.Node_cache.repr += Cached of node
 
@@ -493,117 +493,12 @@ let insert_many ?pool t entries =
 
 (* --- queries ----------------------------------------------------------------- *)
 
-(* First index in [refs] whose split key is >= key, or none. *)
-let child_for refs key =
-  let n = Array.length refs in
-  let rec bsearch lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if String.compare (fst refs.(mid)) key < 0 then bsearch (mid + 1) hi
-      else bsearch lo mid
-  in
-  let i = bsearch 0 n in
-  if i = n then None else Some i
-
-let find_entry entries key =
-  let n = Array.length entries in
-  let rec bsearch lo hi =
-    if lo >= hi then None
-    else
-      let mid = (lo + hi) / 2 in
-      let k, v = entries.(mid) in
-      match String.compare key k with
-      | 0 -> Some v
-      | c when c < 0 -> bsearch lo mid
-      | _ -> bsearch (mid + 1) hi
-  in
-  bsearch 0 n
-
-let lookup_count t key =
-  let rec go h visited =
-    match get t.store h with
-    | Leaf entries -> (find_entry entries key, visited + 1)
-    | Internal (_, refs) -> (
-        match child_for refs key with
-        | None -> (None, visited + 1)
-        | Some i -> go (snd refs.(i)) (visited + 1))
-  in
-  if Hash.is_null t.root then (None, 0) else go t.root 0
-
-let lookup t key = fst (lookup_count t key)
-let path_length t key = snd (lookup_count t key)
-
-(* Batched point lookups: distinct sorted keys walk the tree once.  At an
-   internal node the still-alive slice is split at the child separators
-   (keys <= a split key descend into that child), so every shared prefix
-   node is fetched and decoded once for the whole batch. *)
-(* The walk itself, parameterized by node fetch so the same traversal
-   serves lookups (cache-aware [get]), proving ([Multiproof.recorder]) and
-   verifying ([Multiproof.consumer]). *)
-let walk_many ~fetch root arr found =
-    let rec go h lo hi =
-      match fetch h with
-      | Leaf entries ->
-          for i = lo to hi - 1 do
-            match find_entry entries arr.(i) with
-            | Some v -> Hashtbl.replace found arr.(i) v
-            | None -> ()
-          done
-      | Internal (_, refs) ->
-          let i = ref lo in
-          while !i < hi do
-            match child_for refs arr.(!i) with
-            | None ->
-                (* Beyond the last split key; so is every later key: this
-                   node witnesses their absence. *)
-                i := hi
-            | Some c ->
-                let split = fst refs.(c) in
-                let j = ref (!i + 1) in
-                while !j < hi && String.compare arr.(!j) split <= 0 do
-                  incr j
-                done;
-                go (snd refs.(c)) !i !j;
-                i := !j
-          done
-    in
-    go root 0 (Array.length arr)
-
-let get_many t keys =
-  if keys = [] then []
-  else begin
-    let found = Hashtbl.create (List.length keys) in
-    let arr = Array.of_list (List.sort_uniq String.compare keys) in
-    if not (Hash.is_null t.root) then
-      walk_many ~fetch:(get t.store) t.root arr found;
-    List.map (fun k -> (k, Hashtbl.find_opt found k)) keys
-  end
-
 let height t =
   if Hash.is_null t.root then 0
   else
     match get t.store t.root with
     | Leaf _ -> 1
     | Internal (lvl, _) -> lvl + 1
-
-let iter t f =
-  let rec go h =
-    match get t.store h with
-    | Leaf entries -> Array.iter (fun (k, v) -> f k v) entries
-    | Internal (_, refs) -> Array.iter (fun (_, c) -> go c) refs
-  in
-  if not (Hash.is_null t.root) then go t.root
-
-let to_list t =
-  let acc = ref [] in
-  iter t (fun k v -> acc := (k, v) :: !acc);
-  List.rev !acc
-
-let cardinal t =
-  let n = ref 0 in
-  iter t (fun _ _ -> incr n);
-  !n
 
 let leaf_sizes t =
   let acc = ref [] in
@@ -615,91 +510,9 @@ let leaf_sizes t =
   if not (Hash.is_null t.root) then go t.root;
   List.rev !acc
 
-(* --- range queries ---------------------------------------------------------- *)
-
-let in_range ~lo ~hi k =
-  (match lo with None -> true | Some l -> String.compare k l >= 0)
-  && match hi with None -> true | Some h -> String.compare k h <= 0
-
-let range t ~lo ~hi =
-  let acc = ref [] in
-  let rec walk h =
-    match get t.store h with
-    | Leaf entries ->
-        Array.iter
-          (fun (k, v) -> if in_range ~lo ~hi k then acc := (k, v) :: !acc)
-          entries
-    | Internal (_, refs) ->
-        (* Child i covers (split_{i-1}, split_i]. *)
-        let prev = ref None in
-        Array.iter
-          (fun (split, child) ->
-            let hit =
-              (match lo with None -> true | Some l -> String.compare split l >= 0)
-              && (match (hi, !prev) with
-                 | None, _ | _, None -> true
-                 | Some h, Some p -> String.compare p h < 0)
-            in
-            if hit then walk child;
-            prev := Some split)
-          refs
-  in
-  if not (Hash.is_null t.root) then walk t.root;
-  List.rev !acc
-
-(* --- streaming scan --------------------------------------------------------
-
-   Lazy split-key descent over the half-open interval [lo, hi): the same
-   child-hit predicate as [range] (child i covers (split_{i-1}, split_i])
-   selects which subtrees can intersect the interval, but children are
-   expanded only as the consumer demands entries.  Keys arrive in global
-   order, so the first key >= hi terminates the whole stream — frames
-   still on the stack cover strictly larger keys and are never fetched. *)
-let scan t ~lo ~hi =
-  let below_lo k =
-    match lo with None -> false | Some l -> String.compare k l < 0
-  in
-  let at_or_above_hi k =
-    match hi with None -> false | Some h -> String.compare k h >= 0
-  in
-  let rec step stack () =
-    match stack with
-    | [] -> Seq.Nil
-    | `Leaf (entries, i) :: rest ->
-        if i >= Array.length entries then step rest ()
-        else
-          let k, v = entries.(i) in
-          if at_or_above_hi k then Seq.Nil
-          else if below_lo k then step (`Leaf (entries, i + 1) :: rest) ()
-          else Seq.Cons ((k, v), step (`Leaf (entries, i + 1) :: rest))
-    | `Node h :: rest -> (
-        match get t.store h with
-        | Leaf entries -> step (`Leaf (entries, 0) :: rest) ()
-        | Internal (_, refs) ->
-            let frames = ref rest in
-            for i = Array.length refs - 1 downto 0 do
-              let split, child = refs.(i) in
-              let prev = if i = 0 then None else Some (fst refs.(i - 1)) in
-              let hit =
-                (match lo with
-                | None -> true
-                | Some l -> String.compare split l >= 0)
-                && match (hi, prev) with
-                   | None, _ | _, None -> true
-                   | Some h, Some p -> String.compare p h < 0
-              in
-              if hit then frames := `Node child :: !frames
-            done;
-            step !frames ())
-  in
-  if Hash.is_null t.root then Seq.empty else step [ `Node t.root ]
-
 (* --- diff / merge --------------------------------------------------------------- *)
 
-let td_decode_bytes bytes =
-  match decode bytes with
-  | Leaf entries -> Tree_diff.Entries (Array.to_list entries)
-  | Internal (lvl, refs) -> Tree_diff.Children (lvl, Array.to_list refs)
+let td_decode_bytes bytes = Split_key.tree_diff_node (decode bytes)
 
 let td_decode store h = td_decode_bytes (Store.get store h)
 
@@ -727,93 +540,6 @@ let merge t1 t2 ~policy =
   | [] -> Ok (batch t1 ops)
   | cs -> Error (List.rev cs)
 
-(* --- proofs ----------------------------------------------------------------------- *)
-
-let prove t key =
-  let rec go h acc =
-    let bytes = Store.get t.store h in
-    let acc = bytes :: acc in
-    match decode bytes with
-    | Leaf entries -> (find_entry entries key, acc)
-    | Internal (_, refs) -> (
-        match child_for refs key with
-        | None -> (None, acc)
-        | Some i -> go (snd refs.(i)) acc)
-  in
-  if Hash.is_null t.root then { Proof.key; value = None; nodes = [] }
-  else begin
-    let value, rev_nodes = go t.root [] in
-    { Proof.key; value; nodes = List.rev rev_nodes }
-  end
-
-let verify_proof ~root (proof : Proof.t) =
-  let rec go expected nodes =
-    match nodes with
-    | [] -> Error ()
-    | bytes :: rest ->
-        if not (Hash.equal (Hash.of_string bytes) expected) then Error ()
-        else begin
-          match decode bytes with
-          | exception _ -> Error ()
-          | Leaf entries ->
-              if rest = [] then Ok (find_entry entries proof.key) else Error ()
-          | Internal (_, refs) -> (
-              match child_for refs proof.key with
-              | None -> if rest = [] then Ok None else Error ()
-              | Some i -> go (snd refs.(i)) rest)
-        end
-  in
-  if Hash.is_null root then proof.nodes = [] && proof.value = None
-  else
-    match go root proof.nodes with
-    | Ok v -> v = proof.value
-    | Error () -> false
-
-(* --- multiproofs ----------------------------------------------------------- *)
-
-(* See the note in Mpt: the batched [walk_many] with recording/replaying
-   fetches — prove and verify traverse identically, so the verifier can
-   consume the deduplicated node list in first-visit order. *)
-
-let prove_many t keys =
-  let keys = List.sort_uniq String.compare keys in
-  if keys = [] || Hash.is_null t.root then
-    { Multiproof.claims = List.map (fun k -> (k, None)) keys; nodes = [] }
-  else begin
-    let fetch_bytes, recorded = Multiproof.recorder ~get:(Store.get t.store) in
-    let found = Hashtbl.create (List.length keys) in
-    walk_many
-      ~fetch:(fun h -> decode (fetch_bytes h))
-      t.root (Array.of_list keys) found;
-    { Multiproof.claims = List.map (fun k -> (k, Hashtbl.find_opt found k)) keys;
-      nodes = recorded () }
-  end
-
-let verify_many ~root (mp : Multiproof.t) =
-  if not (Multiproof.well_formed mp) then false
-  else if Hash.is_null root then
-    mp.nodes = [] && List.for_all (fun (_, v) -> v = None) mp.claims
-  else if mp.claims = [] then mp.nodes = []
-  else begin
-    let fetch_bytes, finished = Multiproof.consumer mp.nodes in
-    let fetch h =
-      match decode (fetch_bytes h) with
-      | node -> node
-      | exception Multiproof.Rejected -> raise Multiproof.Rejected
-      | exception _ -> raise Multiproof.Rejected
-    in
-    let found = Hashtbl.create (List.length mp.claims) in
-    match
-      walk_many ~fetch root (Array.of_list (Multiproof.keys mp)) found
-    with
-    | () ->
-        finished ()
-        && List.for_all
-             (fun (k, claimed) -> Hashtbl.find_opt found k = claimed)
-             mp.claims
-    | exception _ -> false
-  end
-
 let stats t =
   Tree_stats.collect ~get:(Store.get t.store) ~decode:td_decode_bytes ~root:t.root
 
@@ -829,46 +555,18 @@ let verify_range_proof ~root proof =
 
 (* --- generic ------------------------------------------------------------------------ *)
 
-(* Telemetry probes: see the note in Mpt.generic — observation only, no
-   effect on hashing.  The probe prefix follows the instance name, so a
-   Prolly-configured tree reports as [prolly.<op>]. *)
-let probe t name f = Telemetry.probe (Store.sink t.store) name f
-
+(* The probe prefix follows the instance name, so a Prolly-configured tree
+   reports as [prolly.<op>]. *)
 let rec generic_named ?pool name t =
-  let p_lookup = name ^ ".lookup"
-  and p_get_many = name ^ ".get_many"
-  and p_batch = name ^ ".batch"
-  and p_bulk = name ^ ".bulk_load"
-  and p_diff = name ^ ".diff"
-  and p_prove = name ^ ".prove"
-  and p_prove_many = name ^ ".prove_many" in
-  { Generic.name;
-    store = t.store;
-    root = t.root;
-    lookup = (fun k -> probe t p_lookup (fun () -> lookup t k));
-    get_many = (fun ks -> probe t p_get_many (fun () -> get_many t ks));
-    path_length = path_length t;
-    batch =
-      (fun ops ->
-        generic_named ?pool name (probe t p_batch (fun () -> batch t ops)));
-    bulk_load =
-      (fun entries ->
-        generic_named ?pool name
-          (probe t p_bulk (fun () -> of_sorted ?pool t.store t.cfg entries)));
-    to_list = (fun () -> to_list t);
-    cardinal = (fun () -> cardinal t);
-    diff = (fun other -> probe t p_diff (fun () -> diff t { t with root = other }));
-    merge =
-      (fun policy other ->
-        match merge t { t with root = other } ~policy with
-        | Ok m -> Ok (generic_named ?pool name m)
-        | Error cs -> Error cs);
-    prove = (fun k -> probe t p_prove (fun () -> prove t k));
-    verify = (fun ~root proof -> verify_proof ~root proof);
-    prove_many = (fun ks -> probe t p_prove_many (fun () -> prove_many t ks));
-    verify_many = (fun ~root mp -> verify_many ~root mp);
-    reopen = (fun r -> generic_named ?pool name { t with root = r });
-    range = (fun ~lo ~hi -> range t ~lo ~hi);
-    scan = (fun ~lo ~hi -> scan t ~lo ~hi) }
+  let view = generic_named ?pool name in
+  Generic.make ~name ~store:t.store ~root:t.root ~decode ~get:(get t.store)
+    ~walk:Split_key.walk
+    ~order:(Ordered (Split_key.scan ~fetch:(get t.store) t.root))
+    ~batch:(fun ops -> view (batch t ops))
+    ~bulk_load:(fun entries -> view (of_sorted ?pool t.store t.cfg entries))
+    ~diff:(fun other -> diff t { t with root = other })
+    ~merge:(fun policy other ->
+      Result.map view (merge t { t with root = other } ~policy))
+    ~reopen:(fun r -> view { t with root = r })
 
 let generic ?pool t = generic_named ?pool "pos-tree" t

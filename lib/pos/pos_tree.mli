@@ -21,7 +21,13 @@
     The ablation switches of Section 5.5 are exposed as configurations:
     {!config_non_structurally_invariant} (history-dependent local splits)
     and {!config_non_recursively_identical} (fresh salt per version, so no
-    node is ever byte-identical across versions). *)
+    node is ever byte-identical across versions).
+
+    This module owns the codec and the write paths.  Reads go through
+    {!generic}: the point walk and the ordered scan are the split-key
+    traversals of {!Siri_core.Split_key}, shared with the MVMB+-Tree, and
+    {!Siri_core.Generic.make} derives lookups, proofs and ranges from
+    them. *)
 
 open Siri_crypto
 open Siri_core
@@ -82,16 +88,6 @@ val conf : t -> config
 val height : t -> int
 (** Number of levels (0 for an empty tree, 1 for a single leaf). *)
 
-val lookup : t -> Kv.key -> Kv.value option
-
-val get_many : t -> Kv.key list -> (Kv.key * Kv.value option) list
-(** Batched point lookups in one walk: distinct keys are sorted and
-    partitioned at each internal node's split keys, so sibling keys share
-    every decoded prefix node.  One result pair per input key, in input
-    order; equivalent to [List.map (fun k -> (k, lookup t k))]. *)
-
-val path_length : t -> Kv.key -> int
-
 val insert : t -> Kv.key -> Kv.value -> t
 val remove : t -> Kv.key -> t
 
@@ -114,21 +110,6 @@ val of_sorted : ?pool:Siri_parallel.Pool.t -> Store.t -> config -> (Kv.key * Kv.
 val insert_many : ?pool:Siri_parallel.Pool.t -> t -> (Kv.key * Kv.value) list -> t
 (** {!of_sorted} when the tree is empty, streaming {!batch} otherwise. *)
 
-val to_list : t -> (Kv.key * Kv.value) list
-val cardinal : t -> int
-val iter : t -> (Kv.key -> Kv.value -> unit) -> unit
-
-val range : t -> lo:Kv.key option -> hi:Kv.key option -> (Kv.key * Kv.value) list
-(** Records with lo <= key <= hi (inclusive; [None] = unbounded), in key
-    order; subtrees outside the interval are pruned by split key. *)
-
-val scan :
-  t -> lo:Kv.key option -> hi:Kv.key option -> (Kv.key * Kv.value) Seq.t
-(** Streaming split-key descent over the half-open interval [lo, hi):
-    entries in key order, children expanded lazily on demand; the first
-    key at or past [hi] ends the stream without fetching further
-    nodes. *)
-
 val prove_range :
   t -> lo:Kv.key option -> hi:Kv.key option -> Range_proof.t
 (** Authenticated range scan (see {!Siri_core.Range_proof}). *)
@@ -139,19 +120,6 @@ val diff : t -> t -> Kv.diff_entry list
 (** Hash-pruned ordered diff (via {!Siri_core.Tree_diff}). *)
 
 val merge : t -> t -> policy:Kv.merge_policy -> (t, Kv.conflict list) result
-val prove : t -> Kv.key -> Proof.t
-val verify_proof : root:Hash.t -> Proof.t -> bool
-
-val prove_many : t -> Kv.key list -> Multiproof.t
-(** Batched proof over a key set in one walk (see {!Siri_mpt.Mpt.prove_many}
-    for the shared discipline): deduplicated nodes in first-visit order,
-    absence claims witnessed by the node where the search exits. *)
-
-val verify_many : root:Hash.t -> Multiproof.t -> bool
-(** Store-independent replay of the proving walk; accepts iff all nodes
-    are consumed in order, each hashing to the reference the traversal
-    requested, and every claim matches what the replay finds. *)
-
 val generic : ?pool:Siri_parallel.Pool.t -> t -> Generic.t
 (** With [pool], the instance's [bulk_load] runs through the parallel
     {!of_sorted} pipeline. *)

@@ -14,6 +14,4 @@ let of_entries store entries = Pos_tree.of_entries store default_config entries
 let of_sorted ?pool store entries =
   Pos_tree.of_sorted ?pool store default_config entries
 
-let prove_many = Pos_tree.prove_many
-let verify_many = Pos_tree.verify_many
 let generic ?pool t = Pos_tree.generic_named ?pool "prolly" t

@@ -9,7 +9,8 @@
     unaffected.
 
     This module instantiates {!Siri_pos.Pos_tree} with the Noms boundary
-    rule and Noms' defaults (4 KB nodes, 67-byte window). *)
+    rule and Noms' defaults (4 KB nodes, 67-byte window); reads, proofs
+    and ranges are the POS-Tree's, through {!generic}. *)
 
 open Siri_core
 module Store = Siri_store.Store
@@ -28,13 +29,6 @@ val of_entries : Store.t -> (Kv.key * Kv.value) list -> t
 val of_sorted : ?pool:Siri_parallel.Pool.t -> Store.t -> (Kv.key * Kv.value) list -> t
 (** Parallel bulk build (see {!Siri_pos.Pos_tree.of_sorted}); the root is
     byte-identical to {!of_entries} for any domain count. *)
-
-val prove_many : t -> Kv.key list -> Multiproof.t
-(** Batched proof over a key set in one walk — identical to
-    {!Siri_pos.Pos_tree.prove_many}; the Noms boundary rule only changes
-    how the tree was built, not how it is walked. *)
-
-val verify_many : root:Siri_crypto.Hash.t -> Multiproof.t -> bool
 
 val generic : ?pool:Siri_parallel.Pool.t -> t -> Generic.t
 (** Named ["prolly"] in benchmark output. *)

@@ -1,8 +1,8 @@
-(* Hash table + intrusive recency ring, generalized from
-   Siri_forkbase.Lru: entries carry a value and a cost, and the capacity
-   is a cost budget instead of an entry count.  Eviction pops from the
-   ring tail until the budget is respected, so every operation stays
-   O(1) amortized regardless of how lopsided the entry costs are.
+(* Hash table + intrusive recency ring: entries carry a value and a cost,
+   and the capacity is a cost budget (an entry count when every cost is
+   1).  Eviction pops from the ring tail until the budget is respected,
+   so every operation stays O(1) amortized regardless of how lopsided the
+   entry costs are.
 
    The ring is circular through a sentinel, so linking and unlinking are
    plain pointer writes: no [option] boxes are allocated on the hit path,
@@ -34,10 +34,9 @@ module Make (K : Hashtbl.HashedType) = struct
 
   let create ~budget =
     if budget < 0 then invalid_arg "Lru_cache.create: budget must be non-negative";
-    (* Entry count is unknowable from a byte budget; start small and let
+    (* Entry count is unknowable from a cost budget; start small and let
        the table grow geometrically — no churn, since Hashtbl only ever
-       doubles (the 2*capacity pre-sizing mistake of the hash-LRU does
-       not apply here). *)
+       doubles. *)
     { budget; tbl = Tbl.create 64; sentinel = None; held_cost = 0; evicted = 0 }
 
   let budget t = t.budget

@@ -1,7 +1,7 @@
-(** A polymorphic fixed-budget LRU cache: the intrusive-list recency
-    discipline of [Siri_forkbase.Lru] generalized to carry values and to
-    meter capacity in approximate {e cost units} (bytes, for the decoded
-    node cache) rather than entry counts.
+(** A polymorphic fixed-budget LRU cache with an intrusive recency list,
+    metering capacity in approximate {e cost units}: bytes for the decoded
+    node cache, entries for the simulated client cache of
+    [Siri_forkbase.Remote] (unit values at cost 1).
 
     All operations are O(1) except {!clear} and {!resize}.  The cache is
     not domain-safe: like the store's node table, it belongs to the

@@ -218,7 +218,7 @@ let test_remote_flaky_link () =
     let store = Store.create () in
     let t = Pos.of_entries store (Pos.config ~leaf_target:256 ()) entries in
     let remote = Remote.attach store ~failure_rate ~seed:5 Remote.gigabit_lan in
-    List.iter (fun (k, _) -> ignore (Pos.lookup t k)) entries;
+    List.iter (fun (k, _) -> ignore ((Pos.generic t).Generic.lookup k)) entries;
     let sim = Remote.simulated_seconds remote in
     let retries = Remote.retries remote in
     Remote.detach store remote;

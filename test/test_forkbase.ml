@@ -1,10 +1,10 @@
-(* Forkbase-like engine: branches, commits, history, checkout, merge; the
-   LRU cache; and the remote-deployment simulation. *)
+(* Forkbase-like engine: branches, commits, history, checkout, merge; and
+   the remote-deployment simulation (its node cache is covered by
+   test_lru). *)
 
 open Siri_core
 module Store = Siri_store.Store
 module Engine = Siri_forkbase.Engine
-module Lru = Siri_forkbase.Lru
 module Remote = Siri_forkbase.Remote
 module Pos = Siri_pos.Pos_tree
 module Hash = Siri_crypto.Hash
@@ -13,49 +13,6 @@ let fresh_engine () =
   let store = Store.create () in
   let cfg = Pos.config ~leaf_target:256 () in
   Engine.create ~empty_index:(Pos.generic (Pos.empty store cfg))
-
-(* --- lru ---------------------------------------------------------------------- *)
-
-let h i = Hash.of_string (string_of_int i)
-
-let test_lru_hits_and_misses () =
-  let c = Lru.create ~capacity:2 in
-  Alcotest.(check bool) "first touch misses" false (Lru.touch c (h 1));
-  Alcotest.(check bool) "second touch hits" true (Lru.touch c (h 1));
-  ignore (Lru.touch c (h 2));
-  (* Recency is now [2; 1]: inserting a third entry evicts 1. *)
-  ignore (Lru.touch c (h 3));
-  Alcotest.(check bool) "h1 evicted" false (Lru.mem c (h 1));
-  Alcotest.(check bool) "h2 kept" true (Lru.mem c (h 2));
-  Alcotest.(check bool) "h3 kept" true (Lru.mem c (h 3));
-  Alcotest.(check int) "size" 2 (Lru.size c)
-
-let test_lru_eviction_order () =
-  let c = Lru.create ~capacity:3 in
-  List.iter (fun i -> ignore (Lru.touch c (h i))) [ 1; 2; 3 ];
-  ignore (Lru.touch c (h 1));
-  (* refresh 1: order now 1,3,2 *)
-  ignore (Lru.touch c (h 4));
-  (* evicts 2 *)
-  Alcotest.(check bool) "2 evicted" false (Lru.mem c (h 2));
-  List.iter (fun i -> Alcotest.(check bool) "kept" true (Lru.mem c (h i))) [ 1; 3; 4 ]
-
-let test_lru_clear () =
-  let c = Lru.create ~capacity:4 in
-  List.iter (fun i -> ignore (Lru.touch c (h i))) [ 1; 2; 3 ];
-  Lru.clear c;
-  Alcotest.(check int) "empty" 0 (Lru.size c);
-  Alcotest.(check bool) "gone" false (Lru.mem c (h 1));
-  (* Reusable after clear. *)
-  ignore (Lru.touch c (h 9));
-  Alcotest.(check bool) "works after clear" true (Lru.mem c (h 9))
-
-let test_lru_churn () =
-  let c = Lru.create ~capacity:10 in
-  for i = 1 to 1000 do
-    ignore (Lru.touch c (h (i mod 25)))
-  done;
-  Alcotest.(check int) "bounded" 10 (Lru.size c)
 
 (* --- engine -------------------------------------------------------------------- *)
 
@@ -167,12 +124,12 @@ let test_remote_accounting () =
       (List.init 300 (fun i -> (Printf.sprintf "k%05d" i, String.make 50 'v'))) in
   let remote = Remote.attach store ~cache_nodes:10_000 Remote.gigabit_lan in
   (* First read: misses, pays network. *)
-  ignore (Pos.lookup t "k00042");
+  ignore ((Pos.generic t).Generic.lookup "k00042");
   let misses1 = Remote.misses remote in
   let sim1 = Remote.simulated_seconds remote in
   Alcotest.(check bool) "paid misses" true (misses1 > 0 && sim1 > 0.0);
   (* Same read again: all nodes cached. *)
-  ignore (Pos.lookup t "k00042");
+  ignore ((Pos.generic t).Generic.lookup "k00042");
   Alcotest.(check int) "no new misses" misses1 (Remote.misses remote);
   Alcotest.(check bool) "hits recorded" true (Remote.hits remote > 0);
   Remote.detach store remote
@@ -183,9 +140,9 @@ let test_remote_no_cache () =
   let t = Pos.of_entries store cfg
       (List.init 300 (fun i -> (Printf.sprintf "k%05d" i, String.make 50 'v'))) in
   let remote = Remote.attach store Remote.http_overhead in
-  ignore (Pos.lookup t "k00042");
+  ignore ((Pos.generic t).Generic.lookup "k00042");
   let m1 = Remote.misses remote in
-  ignore (Pos.lookup t "k00042");
+  ignore ((Pos.generic t).Generic.lookup "k00042");
   Alcotest.(check int) "every read misses" (2 * m1) (Remote.misses remote);
   Alcotest.(check int) "no hits" 0 (Remote.hits remote);
   Remote.detach store remote
@@ -202,12 +159,7 @@ let test_remote_reset () =
 
 let () =
   Alcotest.run "forkbase"
-    [ ( "lru",
-        [ Alcotest.test_case "hits/misses" `Quick test_lru_hits_and_misses;
-          Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;
-          Alcotest.test_case "clear" `Quick test_lru_clear;
-          Alcotest.test_case "churn stays bounded" `Quick test_lru_churn ] );
-      ( "engine",
+    [ ( "engine",
         [ Alcotest.test_case "commit/get" `Quick test_commit_and_get;
           Alcotest.test_case "history & checkout" `Quick test_history_and_checkout;
           Alcotest.test_case "fork isolation" `Quick test_fork_and_isolation;

@@ -13,6 +13,9 @@ module Mbt = Siri_mbt.Mbt
 module Pos = Siri_pos.Pos_tree
 module Mvbt = Siri_mvbt.Mvbt
 module Prolly = Siri_prolly.Prolly
+module Generic = Siri_core.Generic
+module Proof = Siri_core.Proof
+module Multiproof = Siri_core.Multiproof
 
 let entries =
   List.init 100 (fun i -> (Printf.sprintf "key-%03d" i, Printf.sprintf "value-%d" (i * i)))
@@ -107,6 +110,98 @@ let test_empty_roots () =
   Alcotest.(check bool) "mbt empty is a concrete tree" false
     (Hash.is_null (Mbt.root (Mbt.empty store (Mbt.config ~capacity:16 ~fanout:4 ()))))
 
+(* --- read-path pins ------------------------------------------------------
+
+   The same dataset read back through each kind's uniform view: the bytes
+   of single proofs, the Figure-9 path lengths and one inclusive range are
+   frozen, so a change to any read traversal shows up here even when the
+   roots above still match. *)
+
+let probes =
+  [ "key-000"; "key-042"; "key-099"; "key-05"; "key-100"; "a"; "zzz" ]
+
+let read_views () =
+  let s () = Store.create () in
+  [ ("mpt", Mpt.generic (Mpt.of_entries (s ()) entries));
+    ("mbt",
+      Mbt.generic (Mbt.of_entries (s ()) (Mbt.config ~capacity:16 ~fanout:4 ()) entries));
+    ("pos",
+      Pos.generic
+        (Pos.of_entries (s ()) (Pos.config ~leaf_target:256 ~internal_bits:3 ()) entries));
+    ("mvbt",
+      Mvbt.generic
+        (Mvbt.of_entries (s ())
+           (Mvbt.config ~leaf_capacity:4 ~internal_capacity:5 ())
+           entries));
+    ("prolly",
+      Prolly.generic (Pos.of_entries (s ()) (Prolly.config ~node_target:256 ()) entries)) ]
+
+(* SHA-256 over every probe's single-proof node bytes, in probe order. *)
+let proof_digests =
+  [ ("mpt", "ccefdece71e12b1ebca4e21706797d6076abd3030951b881b5612036eebc8544");
+    ("mbt", "7f26d8986db151240c0077396bc1f90f85ab9998188cebf1c8e0dc276a59063a");
+    ("pos", "43628cb7c43ba41834a2b6d3bf38134a6c6fd7d76ad81c846585bfe938a3986a");
+    ("mvbt", "541e1f9cbfd34be1f0cb52506adc3b1b8c7e46b2483498ec0610bed3ca930bd4");
+    ("prolly", "43628cb7c43ba41834a2b6d3bf38134a6c6fd7d76ad81c846585bfe938a3986a") ]
+
+let path_lengths =
+  [ ("mpt", [ 5; 5; 5; 3; 1; 1; 1 ]);
+    ("mbt", [ 3; 3; 3; 3; 3; 3; 3 ]);
+    ("pos", [ 2; 2; 2; 2; 1; 2; 1 ]);
+    ("mvbt", [ 4; 4; 4; 4; 1; 4; 1 ]);
+    ("prolly", [ 2; 2; 2; 2; 1; 2; 1 ]) ]
+
+let test_proof_bytes () =
+  List.iter
+    (fun (name, g) ->
+      let bytes =
+        String.concat ""
+          (List.concat_map (fun k -> (g.Generic.prove k).Proof.nodes) probes)
+      in
+      Alcotest.(check string)
+        (name ^ " single-proof bytes frozen")
+        (List.assoc name proof_digests)
+        (Hash.to_hex (Hash.of_string bytes)))
+    (read_views ())
+
+let test_path_lengths () =
+  List.iter
+    (fun (name, g) ->
+      let got = List.map g.Generic.path_length probes in
+      Alcotest.(check (list int))
+        (name ^ " path lengths frozen")
+        (List.assoc name path_lengths) got)
+    (read_views ())
+
+let test_inclusive_range () =
+  (* Both endpoints are stored keys, so an inclusive range holds 11. *)
+  let expected =
+    List.filter (fun (k, _) -> k >= "key-010" && k <= "key-020") entries
+  in
+  Alcotest.(check int) "model size" 11 (List.length expected);
+  List.iter
+    (fun (name, g) ->
+      Alcotest.(check (list (pair string string)))
+        (name ^ " inclusive range frozen") expected
+        (g.Generic.range ~lo:(Some "key-010") ~hi:(Some "key-020")))
+    (read_views ())
+
+let test_null_root_verdict () =
+  (* Every kind answers a node-less, all-absent claim against the empty
+     root the same way: accepted, single and batched alike. *)
+  List.iter
+    (fun (name, g) ->
+      let claim = ("key-042", None) in
+      Alcotest.(check bool)
+        (name ^ " verify against null root") true
+        (g.Generic.verify ~root:Hash.null
+           { Proof.key = fst claim; value = snd claim; nodes = [] });
+      Alcotest.(check bool)
+        (name ^ " verify_many against null root") true
+        (g.Generic.verify_many ~root:Hash.null
+           { Multiproof.claims = [ claim ]; nodes = [] }))
+    (read_views ())
+
 let () =
   Alcotest.run "golden"
     [ ( "roots",
@@ -116,4 +211,9 @@ let () =
           Alcotest.test_case "mvbt" `Quick test_mvbt;
           Alcotest.test_case "prolly" `Quick test_prolly;
           Alcotest.test_case "empty roots" `Quick test_empty_roots;
-          Alcotest.test_case "instrumented roots" `Quick test_instrumented_roots ] ) ]
+          Alcotest.test_case "instrumented roots" `Quick test_instrumented_roots ] );
+      ( "reads",
+        [ Alcotest.test_case "single-proof bytes" `Quick test_proof_bytes;
+          Alcotest.test_case "path lengths" `Quick test_path_lengths;
+          Alcotest.test_case "inclusive range" `Quick test_inclusive_range;
+          Alcotest.test_case "null-root verdict" `Quick test_null_root_verdict ] ) ]

@@ -122,9 +122,10 @@ let test_tamper_evidence_end_to_end () =
   let trusted_root = Mpt.root t in
   (* The attacker flips a byte in some internal node on the victim's path. *)
   let victim = "acct00123" in
-  let proof_before = Mpt.prove t victim in
+  let g = Mpt.generic t in
+  let proof_before = g.Generic.prove victim in
   Alcotest.(check bool) "clean proof ok" true
-    (Mpt.verify_proof ~root:trusted_root proof_before);
+    (g.Generic.verify ~root:trusted_root proof_before);
   let path_node =
     (* second node of the proof, i.e. a non-root node *)
     Hash.of_string (List.nth proof_before.Proof.nodes 1)
@@ -133,9 +134,9 @@ let test_tamper_evidence_end_to_end () =
   (match Store.get_verified store path_node with
   | Ok _ -> Alcotest.fail "corruption must be detectable"
   | Error (`Tampered _) -> ());
-  let proof_after = Mpt.prove t victim in
+  let proof_after = g.Generic.prove victim in
   Alcotest.(check bool) "tampered proof rejected" false
-    (Mpt.verify_proof ~root:trusted_root proof_after)
+    (g.Generic.verify ~root:trusted_root proof_after)
 
 let test_dedup_ranking_on_collaboration () =
   (* 4 groups with 60% overlap: every SIRI index must show substantial
@@ -203,9 +204,12 @@ let test_proofs_transferable () =
   let cfg = Pos.config ~leaf_target:512 () in
   let t = Pos.of_entries store cfg entries in
   let root = Pos.root t in
-  let proof = Pos.prove t "doc0042" in
-  (* "Send" root+proof elsewhere: verify without the store. *)
-  Alcotest.(check bool) "verifies statelessly" true (Pos.verify_proof ~root proof)
+  let proof = (Pos.generic t).Generic.prove "doc0042" in
+  (* "Send" root+proof elsewhere: verify against an unrelated, empty
+     store — only the root digest is needed. *)
+  let elsewhere = Pos.generic (Pos.empty (Store.create ()) cfg) in
+  Alcotest.(check bool) "verifies statelessly" true
+    (elsewhere.Generic.verify ~root proof)
 
 let () =
   Alcotest.run "integration"

@@ -44,7 +44,9 @@ let test_fixed_shape () =
     Mbt.of_entries store cfg
       (List.init 2000 (fun i -> (Printf.sprintf "k%05d" i, "v")))
   in
-  Alcotest.(check int) "same depth" (Mbt.path_length small "a") (Mbt.path_length big "a");
+  Alcotest.(check int) "same depth"
+    ((Mbt.generic small).Generic.path_length "a")
+    ((Mbt.generic big).Generic.path_length "a");
   (* Number of nodes is bounded by the fixed structure, not by N. *)
   let nodes t = Hash.Set.cardinal (Store.reachable store (Mbt.root t)) in
   Alcotest.(check bool) "node count bounded" true (nodes big <= nodes small + 45)
@@ -135,8 +137,8 @@ let test_capacity_one () =
   let store = Store.create () in
   let c1 = Mbt.config ~capacity:1 ~fanout:2 () in
   let t = Mbt.of_entries store c1 [ ("a", "1"); ("b", "2") ] in
-  Alcotest.(check int) "path length 1" 1 (Mbt.path_length t "a");
-  Alcotest.(check (option string)) "lookup" (Some "2") (Mbt.lookup t "b")
+  Alcotest.(check int) "path length 1" 1 ((Mbt.generic t).Generic.path_length "a");
+  Alcotest.(check (option string)) "lookup" (Some "2") ((Mbt.generic t).Generic.lookup "b")
 
 let () =
   Alcotest.run "mbt"

@@ -116,7 +116,7 @@ let test_key_order_is_byte_order () =
 let test_proof_size_grows_with_depth () =
   let store = Store.create () in
   let t = Mpt.of_entries store (List.init 2000 (fun i -> (Printf.sprintf "%08d" i, "v"))) in
-  let p = Mpt.prove t "00000042" in
+  let p = (Mpt.generic t).Generic.prove "00000042" in
   Alcotest.(check bool) "multi node proof" true (List.length p.Proof.nodes >= 2)
 
 let () =

@@ -26,7 +26,9 @@ let test_figure2_order_dependence () =
   let asc = Mvbt.of_entries store cfg entries in
   let desc = Mvbt.of_entries store cfg (List.rev entries) in
   Alcotest.(check (list (pair string string)))
-    "same records" (Mvbt.to_list asc) (Mvbt.to_list desc);
+    "same records"
+    ((Mvbt.generic asc).Generic.to_list ())
+    ((Mvbt.generic desc).Generic.to_list ());
   Alcotest.(check bool) "different roots" false
     (Hash.equal (Mvbt.root asc) (Mvbt.root desc))
 
@@ -63,7 +65,9 @@ let test_sequential_vs_random_profile () =
   let entries = entries_n 300 in
   let random = Mvbt.of_entries store cfg (Rng.shuffle rng entries) in
   List.iter
-    (fun (k, v) -> Alcotest.(check (option string)) k (Some v) (Mvbt.lookup random k))
+    (fun (k, v) ->
+      Alcotest.(check (option string)) k (Some v)
+        ((Mvbt.generic random).Generic.lookup k))
     entries
 
 let test_delete_collapses_root () =
@@ -72,7 +76,7 @@ let test_delete_collapses_root () =
   let t =
     List.fold_left (fun t (k, _) -> Mvbt.remove t k) t (List.tl (entries_n 200))
   in
-  Alcotest.(check int) "one record left" 1 (Mvbt.cardinal t);
+  Alcotest.(check int) "one record left" 1 ((Mvbt.generic t).Generic.cardinal ());
   Alcotest.(check int) "root collapsed to leaf" 1 (Mvbt.height t)
 
 let test_version_sharing () =

@@ -237,10 +237,10 @@ let test_bulk_matches_sequential_builders () =
   Alcotest.(check int)
     "mvbt content preserved"
     (List.length (List.sort_uniq compare entries))
-    (Mvbt.cardinal bulk);
+    ((Mvbt.generic bulk).Generic.cardinal ());
   Alcotest.(check bool)
     "mvbt sorted content" true
-    (Mvbt.to_list bulk = List.sort compare entries)
+    ((Mvbt.generic bulk).Generic.to_list () = List.sort compare entries)
 
 let test_mbt_parallel_equals_sequential () =
   let entries = dataset 1_500 in

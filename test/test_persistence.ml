@@ -5,6 +5,7 @@ module Store = Siri_store.Store
 module Pos = Siri_pos.Pos_tree
 module Mpt = Siri_mpt.Mpt
 module Hash = Siri_crypto.Hash
+module Generic = Siri_core.Generic
 
 let tmp name = Filename.concat (Filename.get_temp_dir_name ()) ("siri-test-" ^ name)
 
@@ -28,9 +29,11 @@ let test_roundtrip () =
         (Store.stats store').Store.unique_nodes;
       (* Reopen the index from the loaded store: every record answers. *)
       let t' = Pos.of_root store' (Pos.config ~leaf_target:256 ()) root in
-      Alcotest.(check int) "cardinal" 300 (Pos.cardinal t');
+      Alcotest.(check int) "cardinal" 300 ((Pos.generic t').Generic.cardinal ());
       List.iter
-        (fun (k, v) -> Alcotest.(check (option string)) k (Some v) (Pos.lookup t' k))
+        (fun (k, v) ->
+          Alcotest.(check (option string)) k (Some v)
+            ((Pos.generic t').Generic.lookup k))
         entries;
       (* Children metadata survives: reachability works. *)
       Alcotest.(check int) "reachable set equal"
@@ -47,9 +50,9 @@ let test_roundtrip_multiple_indexes () =
       let p' = Pos.of_root store' (Pos.config ()) (Pos.root p) in
       let m' = Mpt.of_root store' (Mpt.root m) in
       Alcotest.(check (list (pair string string)))
-        "pos records" entries (Pos.to_list p');
+        "pos records" entries ((Pos.generic p').Generic.to_list ());
       Alcotest.(check (list (pair string string)))
-        "mpt records" entries (Mpt.to_list m'))
+        "mpt records" entries ((Mpt.generic m').Generic.to_list ()))
 
 let test_empty_store () =
   with_file "empty" (fun path ->

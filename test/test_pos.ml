@@ -141,7 +141,9 @@ let test_non_si_is_order_dependent () =
       (Rng.shuffle rng entries)
   in
   Alcotest.(check (list (pair string string)))
-    "same records" (Pos.to_list bulk) (Pos.to_list one_by_one);
+    "same records"
+    ((Pos.generic bulk).Generic.to_list ())
+    ((Pos.generic one_by_one).Generic.to_list ());
   Alcotest.(check bool) "different shapes" false
     (Hash.equal (Pos.root bulk) (Pos.root one_by_one))
 
@@ -179,7 +181,8 @@ let test_non_ri_zero_sharing () =
   Alcotest.(check (float 1e-9)) "dedup ratio zero" 0.0
     (Dedup.dedup_ratio store [ Pos.root t1; Pos.root t2 ]);
   (* Data is still correct, only sharing is destroyed. *)
-  Alcotest.(check (option string)) "lookup ok" (Some "poke") (Pos.lookup t2 "key000100")
+  Alcotest.(check (option string)) "lookup ok" (Some "poke")
+    ((Pos.generic t2).Generic.lookup "key000100")
 
 let test_ri_enabled_high_sharing () =
   let store = Store.create () in

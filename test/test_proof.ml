@@ -52,7 +52,7 @@ let probe_keys probe entries =
 
 let qcheck_oracle =
   QCheck.Test.make ~count:60
-    ~name:"verify_many <=> single-proof oracle, values = get_many"
+    ~name:"verify_many and single proofs agree with the sorted-assoc model"
     (QCheck.make
        ~print:(fun (entries, probe) ->
          Printf.sprintf "entries=%d probe=%s" (List.length entries)
@@ -63,27 +63,29 @@ let qcheck_oracle =
        QCheck.Gen.(pair entries_gen probe_gen))
     (fun (entries, probe) ->
       let keys = probe_keys probe entries in
+      let ops = List.map (fun (k, v) -> Kv.Put (k, v)) entries in
+      (* The sorted-assoc model of the loaded records (last put wins). *)
+      let model = Kv.apply_sorted [] (Kv.sort_ops ops) in
+      let expected = List.map (fun k -> (k, List.assoc_opt k model)) in
+      let distinct = List.sort_uniq String.compare keys in
       List.for_all
         (fun empty ->
-          let inst =
-            empty.Generic.batch
-              (List.map (fun (k, v) -> Kv.Put (k, v)) entries)
-          in
+          let inst = empty.Generic.batch ops in
           let root = inst.Generic.root in
           let mp = Generic.prove_many inst keys in
           (* 1. the batched verifier accepts the honest proof *)
           Generic.verify_many inst ~root mp
-          (* 2. claims are exactly what get_many answers *)
-          && mp.Multiproof.claims
-             = Generic.get_many inst (List.sort_uniq String.compare keys)
-          (* 3. every claim agrees with a single proof that itself
-                verifies — the multiproof never claims anything the
-                one-key oracle would not *)
+          (* 2. claims are exactly what the model holds, and get_many
+                answers the same *)
+          && mp.Multiproof.claims = expected distinct
+          && Generic.get_many inst distinct = expected distinct
+          (* 3. every key's single proof verifies and claims the model's
+                value *)
           && List.for_all
-               (fun (k, claimed) ->
+               (fun (k, v) ->
                  let p = inst.Generic.prove k in
-                 inst.Generic.verify ~root p && p.Proof.value = claimed)
-               mp.Multiproof.claims)
+                 inst.Generic.verify ~root p && p.Proof.value = v)
+               (expected distinct))
         (makers ()))
 
 (* --- adversarial storm ------------------------------------------------------ *)

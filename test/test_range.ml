@@ -84,13 +84,13 @@ let test_mpt_prefix_boundaries () =
   Alcotest.(check (list (pair string string)))
     "['ab','abd']"
     [ ("ab", "2"); ("abc", "3"); ("abd", "4") ]
-    (Mpt.range t ~lo:(Some "ab") ~hi:(Some "abd"));
+    ((Mpt.generic t).Generic.range ~lo:(Some "ab") ~hi:(Some "abd"));
   Alcotest.(check (list (pair string string)))
     "up to 'ab' inclusive" [ ("a", "1"); ("ab", "2") ]
-    (Mpt.range t ~lo:None ~hi:(Some "ab"));
+    ((Mpt.generic t).Generic.range ~lo:None ~hi:(Some "ab"));
   Alcotest.(check (list (pair string string)))
     "('abc', ...]" [ ("abd", "4"); ("b", "5") ]
-    (Mpt.range t ~lo:(Some "abca") ~hi:None)
+    ((Mpt.generic t).Generic.range ~lo:(Some "abca") ~hi:None)
 
 (* --- range proofs ----------------------------------------------------------------- *)
 

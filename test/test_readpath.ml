@@ -75,38 +75,47 @@ let qcheck_cache_thrashing =
         (makers ~cache_bytes:0 ())
         (makers ~cache_bytes:512 ()))
 
-(* --- get_many == map lookup ------------------------------------------------ *)
+(* --- get_many and lookup against a Map model ------------------------------- *)
+
+module Smap = Map.Make (String)
+
+let model_of ops =
+  List.fold_left
+    (fun m -> function
+      | Kv.Put (k, v) -> Smap.add k v m
+      | Kv.Del k -> Smap.remove k m)
+    Smap.empty ops
 
 let qcheck_get_many =
   QCheck.Test.make
-    ~name:"get_many agrees with one-at-a-time lookup, every kind" ~count:50
+    ~name:"get_many and lookup agree with the Map model, every kind" ~count:50
     (QCheck.make QCheck.Gen.(pair op_gen keys_gen))
     (fun (ops, queries) ->
+      let model = model_of ops in
+      let expected = List.map (fun k -> (k, Smap.find_opt k model)) queries in
       List.for_all
         (fun inst ->
           let t = inst.Generic.batch ops in
-          t.Generic.get_many queries
-          = List.map (fun k -> (k, t.Generic.lookup k)) queries)
+          t.Generic.get_many queries = expected
+          && List.map (fun k -> (k, t.Generic.lookup k)) queries = expected)
         (makers ~cache_bytes:Node_cache.default_budget ()))
 
 let qcheck_get_many_filtered =
   QCheck.Test.make
-    ~name:"filtered Generic.get/get_many agree with raw lookups" ~count:50
+    ~name:"filtered Generic.get/get_many agree with the sorted-assoc model" ~count:50
     (QCheck.make QCheck.Gen.(pair keys_gen keys_gen))
     (fun (put_keys, queries) ->
       let entries =
         List.map (fun k -> (k, "v" ^ k)) (List.sort_uniq compare put_keys)
       in
+      let expected = List.map (fun k -> (k, List.assoc_opt k entries)) queries in
       List.for_all
         (fun inst ->
           (* load_sorted registers the root's Bloom filter, so these go
              through the negative-lookup short-circuit. *)
           let t = Generic.load_sorted inst entries in
-          Generic.get_many t queries
-          = List.map (fun k -> (k, t.Generic.lookup k)) queries
-          && List.for_all
-               (fun k -> Generic.get t k = t.Generic.lookup k)
-               queries)
+          Generic.get_many t queries = expected
+          && List.map (fun k -> (k, Generic.get t k)) queries = expected)
         (makers ~cache_bytes:0 ()))
 
 (* --- Bloom filter ---------------------------------------------------------- *)
@@ -260,13 +269,14 @@ let test_tamper_invalidates_cache () =
       (List.init 50 Fun.id)
   in
   (* Warm the cache on the root. *)
-  Alcotest.(check (option string)) "present" (Some "v") (Mpt.lookup t "key-007");
+  Alcotest.(check (option string)) "present" (Some "v")
+    ((Mpt.generic t).Generic.lookup "key-007");
   Alcotest.(check bool) "root cached" true
     (Node_cache.hits (Store.cache store) >= 0);
   ignore (Store.remove_node store (Mpt.root t));
   (* The removed node must not be served from the cache. *)
   Alcotest.check_raises "read-through sees the removal" Not_found (fun () ->
-      ignore (Mpt.lookup t "key-007"))
+      ignore ((Mpt.generic t).Generic.lookup "key-007"))
 
 (* --- engine reads ----------------------------------------------------------- *)
 
