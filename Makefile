@@ -62,7 +62,12 @@
 #                  Generic.make derives — lookup, path_length, get_many,
 #                  range, proofs, to_list, cardinal: each kind keeps one
 #                  point walk and one scan, so a second copy of a read path
-#                  cannot creep back in.
+#                  cannot creep back in.  Likewise for the write side:
+#                  an index library must not define merge or insert_many
+#                  (Generic.make derives merge from diff and batch), extend
+#                  Node_cache.repr (Store.Decoded is the one cached read), or
+#                  call note_staged / put_staged (Store.put_parallel is the
+#                  one install step).
 #   make bench-sidecars — fail loudly if any committed BENCH_*.json metrics
 #                  sidecar is missing or empty (regenerate with
 #                  `dune exec bench/main.exe -- <id>`).
@@ -133,6 +138,19 @@ lint:
 	if grep -rnE --include='*.ml' --include='*.mli' \
 	    '^[[:space:]]*(let|let rec|and|val)[[:space:]]+($(DERIVED_READS))\b' $(INDEX_LIBS); then \
 	  echo "lint: index libraries must not define derived reads (Generic.make builds them from the kind's walk and scan)"; \
+	  exit 1; \
+	fi; \
+	if grep -rnE --include='*.ml' --include='*.mli' \
+	    '^[[:space:]]*(let|let rec|and|val)[[:space:]]+(merge|insert_many)\b' $(INDEX_LIBS); then \
+	  echo "lint: index libraries must not define merge or insert_many (Generic.make derives merge from diff and batch)"; \
+	  exit 1; \
+	fi; \
+	if grep -rnE --include='*.ml' --include='*.mli' 'repr[[:space:]]*\+=' $(INDEX_LIBS); then \
+	  echo "lint: index libraries must not extend Node_cache.repr (read through Store.Decoded)"; \
+	  exit 1; \
+	fi; \
+	if grep -rnE --include='*.ml' --include='*.mli' '\b(note_staged|put_staged)\b' $(INDEX_LIBS); then \
+	  echo "lint: index libraries must not install staged nodes directly (use Store.put_parallel)"; \
 	  exit 1; \
 	fi; \
 	echo "lint: OK"

@@ -41,7 +41,7 @@ let () =
     (Option.get (Generic.get g2 "user00042"));
 
   (* 5. Diff is proportional to the change, not to the data size. *)
-  let diffs = Pos.diff v1 v2 in
+  let diffs = g1.Generic.diff (Pos.root v2) in
   Printf.printf "diff v1 v2 : %d record(s) differ\n" (List.length diffs);
   List.iter
     (fun d -> Format.printf "             %a@." Kv.pp_diff_entry d)
@@ -64,9 +64,8 @@ let () =
   (* 8. Merge two divergent versions (three-way-free record union). *)
   let va = Pos.insert v1 "only-in-a" "1" in
   let vb = Pos.insert v1 "only-in-b" "2" in
-  (match Pos.merge va vb ~policy:Kv.Fail_on_conflict with
-  | Ok merged ->
-      let gm = Pos.generic merged in
+  (match (Pos.generic va).Generic.merge Kv.Fail_on_conflict (Pos.root vb) with
+  | Ok gm ->
       Printf.printf "merge      : %d records (both sides present: %b)\n"
         (gm.Generic.cardinal ())
         (Generic.get gm "only-in-a" = Some "1"

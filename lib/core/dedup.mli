@@ -18,7 +18,6 @@ val sum_bytes : Store.t -> Hash.t list -> int
 (** byte(P₁) + … + byte(P_k). *)
 
 val union_nodes : Store.t -> Hash.t list -> int
-val sum_nodes : Store.t -> Hash.t list -> int
 
 val dedup_ratio : Store.t -> Hash.t list -> float
 (** η of the instance set; 0 when no pages are shared, → 1 when almost all

@@ -49,7 +49,7 @@ type order =
   | Unordered of ((Kv.key -> Kv.value -> unit) -> unit)
 
 let make ~name ~store ~root ~decode ~get ~(walk : _ walk) ~order ~batch
-    ~bulk_load ~diff ~merge ~reopen =
+    ~bulk_load ~diff ~reopen =
   let probe op f = Telemetry.probe (Store.sink store) op f in
   let p_lookup = name ^ ".lookup"
   and p_get_many = name ^ ".get_many"
@@ -131,6 +131,27 @@ let make ~name ~store ~root ~decode ~get ~(walk : _ walk) ~order ~batch
   in
   let verify ~root (p : Proof.t) =
     verify_many ~root { Multiproof.claims = [ (p.key, p.value) ]; nodes = p.nodes }
+  in
+  (* The union of Section 4.1.4: every record the other version adds or
+     changes becomes a put, applied in diff order by one batch.  Records
+     only this version holds stay as they are. *)
+  let merge policy other =
+    let conflicts = ref [] in
+    let ops =
+      List.filter_map
+        (fun { Kv.key; left; right } ->
+          match (left, right) with
+          | _, None -> None
+          | None, Some rv -> Some (Kv.Put (key, rv))
+          | Some lv, Some rv -> (
+              match Kv.merge_values policy key lv rv with
+              | Ok v -> if String.equal v lv then None else Some (Kv.Put (key, v))
+              | Error c ->
+                  conflicts := c :: !conflicts;
+                  None))
+        (diff other)
+    in
+    match !conflicts with [] -> Ok (batch ops) | cs -> Error (List.rev cs)
   in
   let scan, range, to_list, cardinal =
     match order with

@@ -9,7 +9,8 @@
     Reads are built once, here: a kind supplies one batched point walk
     and, if it has a key order, one scan, and {!make} derives lookup, path
     length, batched get, single and batched proofs with their verifiers,
-    ranges, [to_list] and [cardinal] from them.
+    ranges, [to_list] and [cardinal] from them.  On the write side a kind
+    supplies [batch], [bulk_load] and [diff]; {!make} derives [merge].
 
     Instances are immutable: every write returns a fresh handle whose [root]
     identifies the new version; old handles stay valid (copy-on-write node
@@ -40,11 +41,12 @@ type t = {
   batch : Kv.op list -> t;  (** apply a write batch, yielding a new version *)
   bulk_load : (Kv.key * Kv.value) list -> t;
       (** build a fresh version containing exactly the given entries
-          (current contents are ignored; duplicate keys resolve as in
-          [batch]) through the index's bulk pipeline — the entry point the
-          parallel commit path uses.  For history-independent structures
-          the resulting root equals the [batch]-built one; the MVMB+-Tree
-          documents its canonical bulk shape separately. *)
+          (current contents are ignored) through the index's bulk
+          pipeline — the entry point the parallel commit path uses.  A key
+          given more than once keeps its last value, as in [batch], so the
+          contents always equal {!of_entries}'s.  For history-independent
+          structures the resulting root equals the [batch]-built one; the
+          MVMB+-Tree documents its canonical bulk shape separately. *)
   to_list : unit -> (Kv.key * Kv.value) list;  (** sorted by key *)
   cardinal : unit -> int;
   diff : Hash.t -> Kv.diff_entry list;
@@ -52,7 +54,13 @@ type t = {
           identified by its root *)
   merge :
     Kv.merge_policy -> Hash.t -> (t, Kv.conflict list) result;
-      (** union of the records of both versions (Section 4.1.4) *)
+      (** union of the records of both versions (Section 4.1.4), derived
+          by {!make} from [diff] and [batch]: a record only the other
+          version holds is added, one both hold with different values is
+          resolved by the policy, and the resulting puts are applied by
+          one [batch] in diff order.  A record only this version holds is
+          kept.  [Error] lists the conflicts in key order and writes
+          nothing. *)
   prove : Kv.key -> Proof.t;
   verify : root:Hash.t -> Proof.t -> bool;
       (** store-independent proof check against a trusted root digest *)
@@ -121,12 +129,12 @@ val make :
   batch:(Kv.op list -> t) ->
   bulk_load:((Kv.key * Kv.value) list -> t) ->
   diff:(Hash.t -> Kv.diff_entry list) ->
-  merge:(Kv.merge_policy -> Hash.t -> (t, Kv.conflict list) result) ->
   reopen:(Hash.t -> t) ->
   t
 (** The instance for one version.  [get] is the kind's decoded-node-cache
-    read and [decode] its codec; the write closures are taken as they are.
-    Derived reads:
+    read ({!Siri_store.Store.Decoded}) and [decode] its codec; [batch],
+    [bulk_load] and [diff] are taken as they are, and [merge] is derived
+    from the unprobed [diff] and [batch].  Derived reads:
     - [lookup] and [path_length] walk one key, through [get] (counting
       fetches for the path length);
     - [get_many] walks the sorted distinct keys once;

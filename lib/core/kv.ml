@@ -46,6 +46,9 @@ let apply_sorted entries ops =
   in
   go entries ops []
 
+let sort_entries entries =
+  apply_sorted [] (sort_ops (List.map (fun (k, v) -> Put (k, v)) entries))
+
 type diff_entry = { key : key; left : value option; right : value option }
 
 let pp_diff_entry fmt { key; left; right } =

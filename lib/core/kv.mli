@@ -17,6 +17,10 @@ val apply_sorted : (key * value) list -> op list -> (key * value) list
 (** Merge a sorted entry list with a sorted op batch; both inputs and the
     output are strictly sorted by key. *)
 
+val sort_entries : (key * value) list -> (key * value) list
+(** Strictly sorted by key; a key given more than once keeps its last
+    value — the contents a batch of puts leaves in an empty index. *)
+
 type diff_entry = {
   key : key;
   left : value option;  (** value in the first instance, if present *)

@@ -15,6 +15,3 @@ let gigabit_lan = { rtt_s = 0.0002; bandwidth_bps = 125_000_000.0 }
 
 (* The Noms HTTP setup: 1 ms per request, same bandwidth. *)
 let http_overhead = { rtt_s = 0.001; bandwidth_bps = 125_000_000.0 }
-
-let transfer_s link bytes =
-  link.rtt_s +. (Float.of_int bytes /. link.bandwidth_bps)

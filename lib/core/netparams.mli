@@ -15,7 +15,3 @@ val gigabit_lan : link
 
 val http_overhead : link
 (** The Noms HTTP setup: 1 ms per request, same bandwidth. *)
-
-val transfer_s : link -> int -> float
-(** [transfer_s link bytes] — one request's network time: RTT plus
-    payload transfer at link bandwidth. *)

@@ -1,4 +1,5 @@
 open Siri_crypto
+module Store = Siri_store.Store
 
 type node =
   | Leaf of (Kv.key * Kv.value) array
@@ -94,6 +95,52 @@ let scan ~fetch root ~lo ~hi =
   in
   if Hash.is_null root then Seq.empty else step [ `Node root ]
 
-let tree_diff_node = function
+(* One pool step per level: each segment of the level's items becomes one
+   node, staged on the workers and installed in segment order, and its ref
+   carries the segment's last key up to the next level. *)
+let bulk_build ~pool store ~cut_leaves ~cut_refs ~encode_leaf ~encode_internal
+    entries =
+  let level items segs stage =
+    let refs =
+      Store.put_parallel store ~map:(Siri_parallel.Pool.map pool)
+        (fun (lo, hi) ->
+          let slice = Array.sub items lo (hi - lo) in
+          let s = stage slice in
+          ((fst slice.(hi - lo - 1), s.Store.digest), [ s ]))
+        segs
+    in
+    let n = Array.length segs in
+    Store.count_parallel store ~tasks:n ~nodes:n;
+    refs
+  in
+  let rec up height refs =
+    if Array.length refs = 1 then snd refs.(0)
+    else
+      up (height + 1)
+        (level refs (cut_refs refs) (fun slice ->
+             Store.stage_quiet
+               ~children:(Array.to_list (Array.map snd slice))
+               (encode_internal height slice)))
+  in
+  up 1
+    (level entries (cut_leaves entries) (fun slice ->
+         Store.stage_quiet (encode_leaf slice)))
+
+(* The shape Tree_diff, Tree_stats and Range_proof work on, straight from
+   a kind's node bytes. *)
+let td_decode ~decode bytes =
+  match decode bytes with
   | Leaf entries -> Tree_diff.Entries (Array.to_list entries)
   | Internal (lvl, refs) -> Tree_diff.Children (lvl, Array.to_list refs)
+
+let diff ~decode store left right =
+  Tree_diff.diff ~decode:(fun h -> td_decode ~decode (Store.get store h)) ~left ~right
+
+let stats ~decode store root =
+  Tree_stats.collect ~get:(Store.get store) ~decode:(td_decode ~decode) ~root
+
+let prove_range ~decode store root ~lo ~hi =
+  Range_proof.prove ~get:(Store.get store) ~decode:(td_decode ~decode) ~root ~lo ~hi
+
+let verify_range_proof ~decode ~root proof =
+  Range_proof.verify ~decode:(td_decode ~decode) ~root proof

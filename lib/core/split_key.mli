@@ -1,5 +1,5 @@
-(** The read side shared by the split-key search trees (POS-Tree, Prolly
-    Tree, MVMB+-Tree).
+(** The read side and the diff-shaped helpers shared by the split-key
+    search trees (POS-Tree, Prolly Tree, MVMB+-Tree).
 
     Both trees store sorted records in leaves and (split-key, child-hash)
     pairs in internal nodes, where child [i] covers the keys in
@@ -46,5 +46,48 @@ val scan :
     are fetched, children are expanded only on demand, and the first key
     at or past [hi] ends the stream. *)
 
-val tree_diff_node : node -> Tree_diff.node
-(** The shape {!Tree_diff}, {!Tree_stats} and {!Range_proof} work on. *)
+(** {2 Bulk build} *)
+
+val bulk_build :
+  pool:Siri_parallel.Pool.t ->
+  Siri_store.Store.t ->
+  cut_leaves:((Kv.key * Kv.value) array -> (int * int) array) ->
+  cut_refs:((Kv.key * Hash.t) array -> (int * int) array) ->
+  encode_leaf:((Kv.key * Kv.value) array -> string) ->
+  encode_internal:(int -> (Kv.key * Hash.t) array -> string) ->
+  (Kv.key * Kv.value) array ->
+  Hash.t
+(** Build a tree bottom-up over sorted, distinct, non-empty [entries] and
+    return its root.  Each level is cut into [[lo, hi)] segments
+    ([cut_leaves] for the records, [cut_refs] for the (last key, child)
+    refs of the level below); every segment becomes one node, encoded at
+    its height ([encode_internal 1] for the level above the leaves) and
+    hashed on [pool], then installed in segment order
+    ({!Siri_store.Store.put_parallel}) and metered as one parallel map.
+    A level of one ref is the root.
+    The cuts depend only on the items, so the root does not depend on the
+    pool's width. *)
+
+(** {2 Whole-tree operations}
+
+    Both trees also share everything that works on their generic
+    {!Tree_diff} shape; [decode] is the kind's codec, read raw from the
+    store (not through the decoded-node cache). *)
+
+val diff :
+  decode:(string -> node) -> Siri_store.Store.t -> Hash.t -> Hash.t ->
+  Kv.diff_entry list
+(** [diff ~decode store left right]: the hash-pruned ordered diff of two
+    versions ({!Tree_diff}). *)
+
+val stats : decode:(string -> node) -> Siri_store.Store.t -> Hash.t -> Tree_stats.t
+(** Per-level node counts, sizes and fanouts of the version at the root. *)
+
+val prove_range :
+  decode:(string -> node) -> Siri_store.Store.t -> Hash.t ->
+  lo:Kv.key option -> hi:Kv.key option -> Range_proof.t
+(** Authenticated range scan of the version at the root ({!Range_proof}). *)
+
+val verify_range_proof :
+  decode:(string -> node) -> root:Hash.t -> Range_proof.t -> bool
+(** Store-independent check of a {!prove_range} answer. *)

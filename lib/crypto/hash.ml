@@ -31,10 +31,6 @@ let of_concat_sub a b ~off ~len =
   note_digest (String.length a + len);
   Sha256.digest_concat_sub a b ~off ~len
 
-let of_bytes b =
-  note_digest (Bytes.length b);
-  Sha256.digest_bytes b
-
 let of_raw s =
   if String.length s <> size then
     invalid_arg

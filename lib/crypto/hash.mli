@@ -13,9 +13,6 @@ val size : int
 val of_string : string -> t
 (** Hash of arbitrary data: [of_string s] = SHA-256(s). *)
 
-val of_bytes : bytes -> t
-(** Same as {!of_string} for byte buffers. *)
-
 val of_substring : string -> off:int -> len:int -> t
 (** [of_substring s ~off ~len] = [of_string (String.sub s off len)]
     without copying the slice first. *)
@@ -36,7 +33,7 @@ val of_string_quiet : string -> t
 
 val set_digest_observer : (int -> unit) option -> unit
 (** Install a callback invoked with the input length in bytes on every
-    digest computation ({!of_string} / {!of_bytes}).  At most one observer
+    digest computation ({!of_string} and its variants).  At most one observer
     is active at a time; [None] detaches.  The slot is an [Atomic], so
     installing from one domain while others hash is well-defined.  This
     is the metering point the telemetry layer uses to count hash

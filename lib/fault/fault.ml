@@ -87,7 +87,6 @@ let get_checked store h =
   | r -> r
 
 let children_checked store h = protect_h h (fun () -> Store.children store h)
-let size_checked store h = protect_h h (fun () -> Store.size_of store h)
 
 (* --- fault plans ------------------------------------------------------------- *)
 

@@ -81,7 +81,6 @@ val get_checked : Store.t -> Hash.t -> (string, error) result
     to its key, [`Missing]/[`Transient] on (injected or real) absence. *)
 
 val children_checked : Store.t -> Hash.t -> (Hash.t list, error) result
-val size_checked : Store.t -> Hash.t -> (int, error) result
 
 (** {1 Fault plans} *)
 

@@ -489,9 +489,6 @@ let checkout_checked ?attempts t id =
 let history_checked ?attempts t name =
   Fault.retrying ?attempts (fun () -> history t name)
 
-let commit_checked ?attempts t ~branch ~message ops =
-  Fault.retrying ?attempts (fun () -> commit t ~branch ~message ops)
-
 let dedup_ratio t =
   let roots =
     Hashtbl.fold (fun _ c acc -> c.index_root :: acc) t.heads []

@@ -190,10 +190,6 @@ val history_checked :
   ?attempts:int -> t -> string ->
   (commit list, Siri_fault.Fault.error) result
 
-val commit_checked :
-  ?attempts:int -> t -> branch:string -> message:string -> Kv.op list ->
-  (commit, Siri_fault.Fault.error) result
-
 (** {2 History management} *)
 
 val verify_history : t -> string -> (int, [ `Tampered of Hash.t ]) result

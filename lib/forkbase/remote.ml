@@ -130,4 +130,3 @@ let reset t =
   t.misses <- 0;
   t.retries <- 0
 
-let clear_cache t = match t.cache with Some c -> Lru.clear c | None -> ()

@@ -19,11 +19,6 @@ type network = {
   bandwidth_bps : float;  (** payload bytes per second *)
 }
 
-val of_link : Siri_core.Netparams.link -> network
-(** Import a shared {!Siri_core.Netparams} link — the simulation and the
-    real server bench read the same constants, so the two Section 5.6
-    deployment paths cannot silently diverge. *)
-
 val gigabit_lan : network
 (** {!Siri_core.Netparams.gigabit_lan}: 0.2 ms RTT, 1 Gb/s — the paper's
     testbed network. *)
@@ -75,5 +70,3 @@ val retries : t -> int
 
 val reset : t -> unit
 (** Zero the counters and simulated time (the cache keeps its contents). *)
-
-val clear_cache : t -> unit

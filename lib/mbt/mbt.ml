@@ -2,7 +2,6 @@ open Siri_crypto
 open Siri_core
 module Store = Siri_store.Store
 module Wire = Siri_codec.Wire
-module Telemetry = Siri_telemetry.Telemetry
 
 type config = { capacity : int; fanout : int }
 
@@ -73,24 +72,15 @@ let decode bytes =
   else
     Internal (Array.init (Wire.Reader.varint r) (fun _ -> Wire.Reader.hash r))
 
-type Siri_readpath.Node_cache.repr += Cached of node
+(* Decoded arrays are never mutated ([rewrite_path] copies child arrays
+   before updating), so a shared decoding is safe. *)
+module Nodes = Store.Decoded (struct
+  type nonrec node = node
 
-(* Read through the store's decoded-node cache.  Decoded arrays are never
-   mutated ([rewrite_path] copies child arrays before updating), so a
-   shared decoding is safe. *)
-let get store h =
-  let cache = Store.cache store in
-  if not (Siri_readpath.Node_cache.enabled cache) then
-    decode (Store.get store h)
-  else
-    match Siri_readpath.Node_cache.find cache h with
-    | Some (Cached node) -> node
-    | _ ->
-        let bytes = Store.get store h in
-        let node = decode bytes in
-        Siri_readpath.Node_cache.insert cache h ~bytes:(String.length bytes)
-          (Cached node);
-        node
+  let decode = decode
+end)
+
+let get = Nodes.get
 
 let put_bucket store entries = Store.put store (encode_bucket entries)
 
@@ -99,28 +89,44 @@ let put_internal store hashes =
 
 (* --- construction ------------------------------------------------------- *)
 
-(* Build the internal levels over the given level-0 hashes. *)
-let build_up store cfg leaf_hashes =
+(* The bulk build and the level-wise batch encode and hash their nodes on
+   a pool ([Pool.sequential] when none is given) and install them in index
+   order, so the root, the put sequence and the metering totals do not
+   depend on the pool's width.  Each meters as one parallel map. *)
+
+module Pool = Siri_parallel.Pool
+
+let one s = (s.Store.digest, [ s ])
+
+(* One internal node per children array. *)
+let put_internals pool store children =
+  Store.put_parallel store ~map:(Pool.map pool)
+    (fun cs -> one (Store.stage_quiet ~children:(Array.to_list cs) (encode_internal cs)))
+    children
+
+(* Build the internal levels over the given level-0 hashes, one level of
+   children arrays at a time through [put_level]. *)
+let build_up put_level cfg leaf_hashes =
   let rec loop hashes =
     let n = Array.length hashes in
     if n = 1 then hashes.(0)
-    else begin
-      let parents = (n + cfg.fanout - 1) / cfg.fanout in
-      let next =
-        Array.init parents (fun i ->
-            let lo = i * cfg.fanout in
-            let hi = min (lo + cfg.fanout) n in
-            put_internal store (Array.sub hashes lo (hi - lo)))
-      in
-      loop next
-    end
+    else
+      loop
+        (put_level
+           (Array.init ((n + cfg.fanout - 1) / cfg.fanout) (fun i ->
+                let lo = i * cfg.fanout in
+                Array.sub hashes lo (min cfg.fanout (n - lo)))))
   in
   loop leaf_hashes
 
+(* Built by plain puts, so an empty tree opens no parallel span. *)
 let empty store cfg =
   let empty_bucket = put_bucket store [||] in
   let leaves = Array.make cfg.capacity empty_bucket in
-  { store; cfg; root = build_up store cfg leaves; counts = level_counts cfg }
+  { store;
+    cfg;
+    root = build_up (Array.map (put_internal store)) cfg leaves;
+    counts = level_counts cfg }
 
 let of_root store cfg root = { store; cfg; root; counts = level_counts cfg }
 
@@ -251,44 +257,6 @@ let batch_seq t ops =
          rewrite_path t b (apply_ops entries ops))
        t
 
-(* --- parallel commit pipeline -------------------------------------------- *)
-
-module Pool = Siri_parallel.Pool
-
-let note_and_put store staged =
-  let l = Array.to_list staged in
-  Store.note_staged l;
-  Store.put_staged store l
-
-(* Internal levels over the level-0 hashes, encoding+hashing each level's
-   parents on the pool and installing them in index order — same nodes,
-   same order, same root as the sequential [build_up]. *)
-let build_up_pool pool store cfg leaf_hashes =
-  let sink = Store.sink store in
-  let rec loop hashes =
-    let n = Array.length hashes in
-    if n = 1 then hashes.(0)
-    else begin
-      let parents = (n + cfg.fanout - 1) / cfg.fanout in
-      let slices =
-        Array.init parents (fun i ->
-            let lo = i * cfg.fanout in
-            Array.sub hashes lo (min cfg.fanout (n - lo)))
-      in
-      let staged =
-        Telemetry.with_span sink "commit.parallel" (fun () ->
-            Pool.map pool
-              (fun slice ->
-                Store.stage_quiet ~children:(Array.to_list slice)
-                  (encode_internal slice))
-              slices)
-      in
-      note_and_put store staged;
-      loop (Array.map (fun s -> s.Store.digest) staged)
-    end
-  in
-  loop leaf_hashes
-
 (* Level-wise incremental commit: instead of rewriting the root→bucket
    path once per dirty bucket (re-hashing shared ancestors up to
    [fanout] times), rebuild each affected node exactly once per level,
@@ -301,7 +269,6 @@ let batch_pool pool t ops =
   | groups ->
       let fanout = t.cfg.fanout in
       let d = depth t in
-      let sink = Store.sink t.store in
       let ancestor b l =
         let r = ref b in
         for _ = 1 to l do
@@ -345,18 +312,15 @@ let batch_pool pool t ops =
             | Internal _ -> assert false)
           (Array.of_list groups)
       in
-      let staged_leaves =
-        Telemetry.with_span sink "commit.parallel" (fun () ->
-            Pool.map pool
-              (fun (_, entries, bops) ->
-                Store.stage_quiet (encode_bucket (apply_ops entries bops)))
-              leaf_inputs)
+      let new_leaves =
+        Store.put_parallel t.store ~map:(Pool.map pool)
+          (fun (_, entries, bops) ->
+            one (Store.stage_quiet (encode_bucket (apply_ops entries bops))))
+          leaf_inputs
       in
-      note_and_put t.store staged_leaves;
       let current = ref (Hashtbl.create 16) in
       Array.iteri
-        (fun i (b, _, _) ->
-          Hashtbl.replace !current b staged_leaves.(i).Store.digest)
+        (fun i (b, _, _) -> Hashtbl.replace !current b new_leaves.(i))
         leaf_inputs;
       for l = 1 to d do
         let parents = affected.(l) in
@@ -370,27 +334,13 @@ let batch_pool pool t ops =
               cs)
             parents
         in
-        let staged =
-          Telemetry.with_span sink "commit.parallel" (fun () ->
-              Pool.map pool
-                (fun cs ->
-                  Store.stage_quiet ~children:(Array.to_list cs)
-                    (encode_internal cs))
-                inputs)
-        in
-        note_and_put t.store staged;
+        let hashes = put_internals pool t.store inputs in
         let next = Hashtbl.create 16 in
-        Array.iteri (fun i j -> Hashtbl.replace next j staged.(i).Store.digest) parents;
+        Array.iteri (fun i j -> Hashtbl.replace next j hashes.(i)) parents;
         current := next
       done;
-      if Telemetry.enabled sink then begin
-        Telemetry.incr sink "parallel.maps";
-        Telemetry.incr sink ~by:(Array.length leaf_inputs) "parallel.tasks";
-        let nodes =
-          Array.fold_left (fun acc a -> acc + Array.length a) 0 affected
-        in
-        Telemetry.incr sink ~by:nodes "parallel.nodes"
-      end;
+      Store.count_parallel t.store ~tasks:(Array.length leaf_inputs)
+        ~nodes:(Array.fold_left (fun acc a -> acc + Array.length a) 0 affected);
       { t with root = Hashtbl.find !current 0 }
 
 let batch ?pool t ops =
@@ -399,64 +349,36 @@ let batch ?pool t ops =
 let insert t key value = batch t [ Kv.Put (key, value) ]
 let remove t key = batch t [ Kv.Del key ]
 
-let sorted_bucket lst =
-  Array.of_list
-    (Kv.apply_sorted [] (Kv.sort_ops (List.map (fun (k, v) -> Kv.Put (k, v)) lst)))
+let sorted_bucket lst = Array.of_list (Kv.sort_entries lst)
 
-let of_entries_seq store cfg entries =
-  (* Bulk build: fill all buckets, then hash bottom-up once. *)
-  let buckets = Array.make cfg.capacity [] in
-  List.iter
-    (fun (k, v) ->
-      let b = bucket_index cfg k in
-      buckets.(b) <- (k, v) :: buckets.(b))
-    entries;
-  let leaves = Array.map (fun lst -> put_bucket store (sorted_bucket lst)) buckets in
-  { store; cfg; root = build_up store cfg leaves; counts = level_counts cfg }
-
-(* Parallel bulk build.  Three pool phases — key digesting for bucket
-   assignment, bucket encoding, internal levels — each staged quietly and
-   installed in the same order as the sequential build, so the root, the
-   put sequence and the metering totals are all byte-identical to
-   [of_entries_seq]. *)
-let of_entries_pool pool store cfg entries =
-  let sink = Store.sink store in
-  let entries_arr = Array.of_list entries in
+(* Bulk build in three pool steps: key digests for the bucket assignment,
+   one bucket node per bucket, then the internal levels. *)
+let of_entries ?(pool = Pool.sequential) store cfg entries =
+  let entries = Array.of_list entries in
   let assignment =
-    Telemetry.with_span sink "commit.parallel" (fun () ->
-        Pool.map pool
-          (fun (k, _) -> bucket_of_hash cfg (Hash.of_string_quiet k))
-          entries_arr)
+    Store.put_parallel store ~map:(Pool.map pool)
+      (fun (k, _) -> (bucket_of_hash cfg (Hash.of_string_quiet k), []))
+      entries
   in
-  Array.iter (fun (k, _) -> Hash.note_digest (String.length k)) entries_arr;
+  Array.iter (fun (k, _) -> Hash.note_digest (String.length k)) entries;
+  (* Filled back to front, so each bucket lists its records in input order
+     and a key given twice keeps its last value, as in [batch]. *)
   let buckets = Array.make cfg.capacity [] in
-  Array.iteri
-    (fun i kv -> buckets.(assignment.(i)) <- kv :: buckets.(assignment.(i)))
-    entries_arr;
-  let staged_leaves =
-    Telemetry.with_span sink "commit.parallel" (fun () ->
-        Pool.map pool
-          (fun lst -> Store.stage_quiet (encode_bucket (sorted_bucket lst)))
-          buckets)
+  for i = Array.length entries - 1 downto 0 do
+    buckets.(assignment.(i)) <- entries.(i) :: buckets.(assignment.(i))
+  done;
+  let leaves =
+    Store.put_parallel store ~map:(Pool.map pool)
+      (fun lst -> one (Store.stage_quiet (encode_bucket (sorted_bucket lst))))
+      buckets
   in
-  note_and_put store staged_leaves;
-  if Telemetry.enabled sink then begin
-    Telemetry.incr sink "parallel.maps";
-    Telemetry.incr sink
-      ~by:(Array.length entries_arr + Array.length staged_leaves)
-      "parallel.tasks";
-    Telemetry.incr sink ~by:(Array.length staged_leaves) "parallel.nodes"
-  end;
-  let leaves = Array.map (fun s -> s.Store.digest) staged_leaves in
+  Store.count_parallel store
+    ~tasks:(Array.length entries + cfg.capacity)
+    ~nodes:cfg.capacity;
   { store;
     cfg;
-    root = build_up_pool pool store cfg leaves;
+    root = build_up (put_internals pool store) cfg leaves;
     counts = level_counts cfg }
-
-let of_entries ?pool store cfg entries =
-  match pool with
-  | None -> of_entries_seq store cfg entries
-  | Some pool -> of_entries_pool pool store cfg entries
 
 (* --- traversal ----------------------------------------------------------- *)
 
@@ -494,27 +416,6 @@ let diff t1 t2 =
       String.compare a.key b.key)
     (go t1.root t2.root [])
 
-let merge t1 t2 ~policy =
-  let diffs = diff t1 t2 in
-  let conflicts = ref [] in
-  let ops =
-    List.filter_map
-      (fun { Kv.key; left; right } ->
-        match (left, right) with
-        | _, None -> None
-        | None, Some rv -> Some (Kv.Put (key, rv))
-        | Some lv, Some rv -> (
-            match Kv.merge_values policy key lv rv with
-            | Ok v -> if String.equal v lv then None else Some (Kv.Put (key, v))
-            | Error c ->
-                conflicts := c :: !conflicts;
-                None))
-      diffs
-  in
-  match !conflicts with
-  | [] -> Ok (batch t1 ops)
-  | cs -> Error (List.rev cs)
-
 (* --- generic ----------------------------------------------------------------- *)
 
 (* MBT hashes keys into buckets: there is no key order to prune or stream
@@ -527,6 +428,4 @@ let rec generic ?pool t =
     ~batch:(fun ops -> view (batch ?pool t ops))
     ~bulk_load:(fun entries -> view (of_entries ?pool t.store t.cfg entries))
     ~diff:(fun other -> diff t (of_root t.store t.cfg other))
-    ~merge:(fun policy other ->
-      Result.map view (merge t (of_root t.store t.cfg other) ~policy))
     ~reopen:(fun r -> view (of_root t.store t.cfg r))

@@ -12,9 +12,13 @@
     what makes its update cost O(log_m B + N/B).
 
     Reads go through {!generic}: one bucket-grouped point walk, from which
-    {!Siri_core.Generic.make} derives lookups and proofs.  Having no key
-    order, the instance lists and ranges by sorting {!iter}'s records and
-    refuses streaming scans. *)
+    {!Siri_core.Generic.make} derives lookups and proofs, and the diff,
+    from which it derives the merge.  Having no key order, the instance
+    lists and ranges by sorting {!iter}'s records and refuses streaming
+    scans.  The bulk build encodes and hashes on a pool
+    ({!Siri_parallel.Pool.sequential} when none is given), as does
+    {!batch} when given one, and install through
+    {!Siri_store.Store.put_parallel}. *)
 
 open Siri_crypto
 open Siri_core
@@ -65,10 +69,11 @@ val batch : ?pool:Siri_parallel.Pool.t -> t -> Kv.op list -> t
     is identical for any domain count. *)
 
 val of_entries : ?pool:Siri_parallel.Pool.t -> Store.t -> config -> (Kv.key * Kv.value) list -> t
-(** Bulk build: fill all buckets, then hash bottom-up once.  With [pool],
-    key digesting, bucket encoding and the internal levels fan out over
-    the pool; the root, put sequence and metering totals are identical to
-    the sequential build. *)
+(** Bulk build: fill all buckets, then hash bottom-up once.  Key
+    digesting, bucket encoding and the internal levels fan out over [pool]
+    (default: sequential); the root, put sequence and metering totals do
+    not depend on its width.  A key given more than once keeps its last
+    value, as in {!batch}. *)
 
 val iter : t -> (Kv.key -> Kv.value -> unit) -> unit
 (** Every record, bucket by bucket — in no key order. *)
@@ -76,8 +81,6 @@ val iter : t -> (Kv.key -> Kv.value -> unit) -> unit
 val diff : t -> t -> Kv.diff_entry list
 (** Positional diff: corresponding subtrees are compared by hash and pruned
     when equal.  Both instances must share the same [config]. *)
-
-val merge : t -> t -> policy:Kv.merge_policy -> (t, Kv.conflict list) result
 
 val generic : ?pool:Siri_parallel.Pool.t -> t -> Generic.t
 (** Package as a uniform SIRI instance.  With [pool], [batch] and

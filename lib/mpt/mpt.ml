@@ -3,8 +3,6 @@ open Siri_core
 module Store = Siri_store.Store
 module Nibbles = Siri_codec.Nibbles
 module Wire = Siri_codec.Wire
-module Telemetry = Siri_telemetry.Telemetry
-module Node_cache = Siri_readpath.Node_cache
 
 type t = { store : Store.t; root : Hash.t }
 
@@ -12,8 +10,6 @@ type node =
   | Leaf of Nibbles.t * Kv.value
   | Ext of Nibbles.t * Hash.t
   | Branch of Hash.t array * Kv.value option
-
-type Node_cache.repr += Cached of node
 
 let empty store = { store; root = Hash.null }
 let of_root store root = { store; root }
@@ -87,21 +83,16 @@ let node_children = function
 let put store node =
   Store.put store ~children:(node_children node) (encode node)
 
-(* Read through the store's decoded-node cache.  Cached nodes are never
-   mutated: every write path copies a Branch's child array before
-   updating it, and Leaf/Ext payloads are immutable strings, so handing
-   out the same decoded node repeatedly is safe. *)
-let get store h =
-  let cache = Store.cache store in
-  if not (Node_cache.enabled cache) then decode (Store.get store h)
-  else
-    match Node_cache.find cache h with
-    | Some (Cached node) -> node
-    | _ ->
-        let bytes = Store.get store h in
-        let node = decode bytes in
-        Node_cache.insert cache h ~bytes:(String.length bytes) (Cached node);
-        node
+(* Cached nodes are never mutated: every write path copies a Branch's
+   child array before updating it, and Leaf/Ext payloads are immutable
+   strings, so handing out the same decoded node repeatedly is safe. *)
+module Nodes = Store.Decoded (struct
+  type nonrec node = node
+
+  let decode = decode
+end)
+
+let get = Nodes.get
 
 (* --- the point walk ------------------------------------------------------ *)
 
@@ -354,15 +345,11 @@ let rec build_slice acc paths lo hi depth =
     if lcp = 0 then b else stage (Ext (Nibbles.sub (fst paths.(lo)) depth lcp, b))
   end
 
-let of_sorted ?pool store entries =
-  let entries =
-    Kv.apply_sorted [] (Kv.sort_ops (List.map (fun (k, v) -> Kv.Put (k, v)) entries))
-  in
-  match entries with
+let of_sorted ?(pool = Pool.sequential) store entries =
+  match Kv.sort_entries entries with
   | [] -> empty store
   | [ (k, v) ] -> { store; root = put store (Leaf (Nibbles.of_key k, v)) }
-  | _ ->
-      let pool = match pool with Some p -> p | None -> Pool.sequential in
+  | entries ->
       let paths =
         Array.of_list (List.map (fun (k, v) -> (Nibbles.of_key k, v)) entries)
       in
@@ -385,40 +372,24 @@ let of_sorted ?pool store entries =
         i := !j
       done;
       let groups = Array.of_list (List.rev !groups) in
-      let sink = Store.sink store in
-      let results =
-        Telemetry.with_span sink "commit.parallel" (fun () ->
-            Pool.map pool
-              (fun (nib, lo, hi) ->
-                let acc = ref [] in
-                let h = build_slice acc paths lo hi (lcp + 1) in
-                (nib, h, List.rev !acc))
-              groups)
+      let subtries =
+        Store.put_parallel store ~map:(Pool.map pool)
+          (fun (nib, lo, hi) ->
+            let acc = ref [] in
+            let h = build_slice acc paths lo hi (lcp + 1) in
+            ((nib, h, List.length !acc), List.rev !acc))
+          groups
       in
       let children = Array.make 16 Hash.null in
-      let staged_nodes = ref 0 in
-      Array.iter
-        (fun (nib, h, staged) ->
-          Store.note_staged staged;
-          Store.put_staged store staged;
-          staged_nodes := !staged_nodes + List.length staged;
-          children.(nib) <- h)
-        results;
-      if Telemetry.enabled sink then begin
-        Telemetry.incr sink "parallel.maps";
-        Telemetry.incr sink ~by:(Array.length groups) "parallel.tasks";
-        Telemetry.incr sink ~by:!staged_nodes "parallel.nodes"
-      end;
+      Array.iter (fun (nib, h, _) -> children.(nib) <- h) subtries;
+      Store.count_parallel store ~tasks:(Array.length groups)
+        ~nodes:(Array.fold_left (fun acc (_, _, n) -> acc + n) 0 subtries);
       let b = put store (Branch (children, !bvalue)) in
       let root =
         if lcp = 0 then b
         else put store (Ext (Nibbles.sub (fst paths.(0)) 0 lcp, b))
       in
       { store; root }
-
-let insert_many ?pool t entries =
-  if is_empty t then of_sorted ?pool t.store entries
-  else batch t (List.map (fun (k, v) -> Kv.Put (k, v)) entries)
 
 (* --- streaming scan --------------------------------------------------------
 
@@ -609,27 +580,6 @@ let diff t1 t2 =
   let wrap h = if Hash.is_null h then None else Some (VHash h) in
   List.rev (go (wrap t1.root) (wrap t2.root) [])
 
-(* --- merge -------------------------------------------------------------- *)
-
-let merge t1 t2 ~policy =
-  let diffs = diff t1 t2 in
-  let conflicts = ref [] in
-  let merged =
-    List.fold_left
-      (fun acc { Kv.key; left; right } ->
-        match (left, right) with
-        | _, None -> acc (* left-only records are already in t1 *)
-        | None, Some rv -> insert acc key rv
-        | Some lv, Some rv -> (
-            match Kv.merge_values policy key lv rv with
-            | Ok v -> if String.equal v lv then acc else insert acc key v
-            | Error c ->
-                conflicts := c :: !conflicts;
-                acc))
-      t1 diffs
-  in
-  match !conflicts with [] -> Ok merged | cs -> Error (List.rev cs)
-
 (* --- generic packaging --------------------------------------------------- *)
 
 let rec generic ?pool t =
@@ -639,6 +589,4 @@ let rec generic ?pool t =
     ~batch:(fun ops -> view (batch t ops))
     ~bulk_load:(fun entries -> view (of_sorted ?pool t.store entries))
     ~diff:(fun other -> diff t (of_root t.store other))
-    ~merge:(fun policy other ->
-      Result.map view (merge t (of_root t.store other) ~policy))
     ~reopen:(fun r -> view (of_root t.store r))

@@ -7,10 +7,11 @@
     shape depends only on the stored key set (structurally invariant), and
     node-level copy-on-write shares all untouched nodes between versions.
 
-    This module owns the codec, the write paths and the two read
+    This module owns the codec, the write paths, the diff and the two read
     traversals — a batched nibble walk and an ordered scan; {!generic}
-    derives every read, proof and range from them
-    ({!Siri_core.Generic.make}). *)
+    derives every read, proof, range and the merge from them
+    ({!Siri_core.Generic.make}).  The cached node read is
+    {!Siri_store.Store.Decoded}. *)
 
 open Siri_crypto
 open Siri_core
@@ -41,14 +42,9 @@ val of_sorted : ?pool:Siri_parallel.Pool.t -> Store.t -> (Kv.key * Kv.value) lis
     independent subtries.  Root hashes and store/telemetry accounting are
     identical for any domain count.  Duplicate keys: last wins. *)
 
-val insert_many : ?pool:Siri_parallel.Pool.t -> t -> (Kv.key * Kv.value) list -> t
-(** {!of_sorted} when the trie is empty, sequential {!batch} otherwise. *)
-
 val diff : t -> t -> Kv.diff_entry list
 (** Hash-pruned structural diff: identical subtrees are skipped without
     being decoded. *)
-
-val merge : t -> t -> policy:Kv.merge_policy -> (t, Kv.conflict list) result
 
 val generic : ?pool:Siri_parallel.Pool.t -> t -> Generic.t
 (** Package as a uniform SIRI instance.  With [pool], the instance's

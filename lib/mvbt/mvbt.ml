@@ -2,7 +2,6 @@ open Siri_crypto
 open Siri_core
 module Store = Siri_store.Store
 module Wire = Siri_codec.Wire
-module Telemetry = Siri_telemetry.Telemetry
 
 type config = { leaf_capacity : int; internal_capacity : int }
 
@@ -76,24 +75,15 @@ let put store node =
   in
   Store.put store ~children (encode node)
 
-type Siri_readpath.Node_cache.repr += Cached of node
+(* Decoded arrays are never mutated ([entry_insert]/[array_replace] copy
+   before writing), so a shared decoding is safe. *)
+module Nodes = Store.Decoded (struct
+  type nonrec node = node
 
-(* Read through the store's decoded-node cache.  Decoded arrays are never
-   mutated ([entry_insert]/[array_replace] copy before writing), so a
-   shared decoding is safe. *)
-let get store h =
-  let cache = Store.cache store in
-  if not (Siri_readpath.Node_cache.enabled cache) then
-    decode (Store.get store h)
-  else
-    match Siri_readpath.Node_cache.find cache h with
-    | Some (Cached node) -> node
-    | _ ->
-        let bytes = Store.get store h in
-        let node = decode bytes in
-        Siri_readpath.Node_cache.insert cache h ~bytes:(String.length bytes)
-          (Cached node);
-        node
+  let decode = decode
+end)
+
+let get = Nodes.get
 
 let max_key = function
   | Leaf entries -> fst entries.(Array.length entries - 1)
@@ -268,111 +258,36 @@ let of_entries store cfg entries =
 
 module Pool = Siri_parallel.Pool
 
-(* Split [n] items into ceil(n/cap) parts whose sizes differ by at most
-   one.  This is the canonical bulk shape: it depends only on [n] and
-   [cap], never on how work is distributed over domains. *)
-let balanced_segments n cap =
+(* Cut the [n] items into ceil(n/cap) [lo, hi) segments whose sizes
+   differ by at most one.  This is the canonical bulk shape: it depends
+   only on [n] and [cap], never on how work is distributed over domains. *)
+let balanced_segments cap items =
+  let n = Array.length items in
   let parts = (n + cap - 1) / cap in
   let base = n / parts and extra = n mod parts in
   Array.init parts (fun i ->
-      ((i * base) + min i extra, base + if i < extra then 1 else 0))
+      let lo = (i * base) + min i extra in
+      (lo, lo + base + if i < extra then 1 else 0))
 
-let of_sorted ?pool store cfg entries =
-  let entries =
-    Kv.apply_sorted []
-      (Kv.sort_ops (List.map (fun (k, v) -> Kv.Put (k, v)) entries))
-  in
-  match entries with
+let of_sorted ?(pool = Pool.sequential) store cfg entries =
+  match Kv.sort_entries entries with
   | [] -> empty store cfg
-  | _ ->
-      let pool = match pool with Some p -> p | None -> Pool.sequential in
-      let sink = Store.sink store in
-      (* Same worker/coordinator split as the SIRI indexes: quiet
-         encode+hash on the pool, observer replay + batched install in
-         segment order on the coordinator. *)
-      let par_stage segs stage_of =
-        let staged =
-          Telemetry.with_span sink "commit.parallel" (fun () ->
-              Pool.map pool stage_of segs)
-        in
-        let as_list = Array.to_list (Array.map snd staged) in
-        Store.note_staged as_list;
-        Store.put_staged store as_list;
-        if Telemetry.enabled sink then begin
-          Telemetry.incr sink "parallel.maps";
-          Telemetry.incr sink ~by:(Array.length segs) "parallel.tasks";
-          Telemetry.incr sink ~by:(Array.length segs) "parallel.nodes"
-        end;
-        Array.map (fun (k, s) -> (k, s.Store.digest)) staged
-      in
-      let arr = Array.of_list entries in
-      let leaves =
-        par_stage (balanced_segments (Array.length arr) cfg.leaf_capacity)
-          (fun (lo, len) ->
-            let node = Leaf (Array.sub arr lo len) in
-            (max_key node, Store.stage_quiet (encode node)))
-      in
-      let rec build lvl refs =
-        if Array.length refs = 1 then snd refs.(0)
-        else
-          let nodes =
-            par_stage
-              (balanced_segments (Array.length refs) cfg.internal_capacity)
-              (fun (lo, len) ->
-                let slice = Array.sub refs lo len in
-                let node = Internal (lvl, slice) in
-                ( max_key node,
-                  Store.stage_quiet
-                    ~children:(Array.to_list (Array.map snd slice))
-                    (encode node) ))
-          in
-          build (lvl + 1) nodes
-      in
-      { store; cfg; root = build 1 leaves }
+  | entries ->
+      { store;
+        cfg;
+        root =
+          Split_key.bulk_build ~pool store
+            ~cut_leaves:(balanced_segments cfg.leaf_capacity)
+            ~cut_refs:(balanced_segments cfg.internal_capacity)
+            ~encode_leaf:(fun a -> encode (Leaf a))
+            ~encode_internal:(fun lvl a -> encode (Internal (lvl, a)))
+            (Array.of_list entries) }
 
-let insert_many ?pool t entries =
-  if Hash.is_null t.root then of_sorted ?pool t.store t.cfg entries
-  else batch t (List.map (fun (k, v) -> Kv.Put (k, v)) entries)
+(* --- whole-tree helpers ------------------------------------------------------ *)
 
-(* --- diff / merge / range proofs -------------------------------------------------------- *)
-
-let td_decode_bytes bytes = Split_key.tree_diff_node (decode bytes)
-
-let td_decode store h = td_decode_bytes (Store.get store h)
-
-let stats t =
-  Tree_stats.collect ~get:(Store.get t.store) ~decode:td_decode_bytes ~root:t.root
-
-let prove_range t ~lo ~hi =
-  Range_proof.prove ~get:(Store.get t.store) ~decode:td_decode_bytes
-    ~root:t.root ~lo ~hi
-
-let verify_range_proof ~root proof =
-  Range_proof.verify ~decode:td_decode_bytes ~root proof
-
-let diff t1 t2 =
-  Tree_diff.diff ~decode:(td_decode t1.store) ~left:t1.root ~right:t2.root
-
-let merge t1 t2 ~policy =
-  let diffs = diff t1 t2 in
-  let conflicts = ref [] in
-  let ops =
-    List.filter_map
-      (fun { Kv.key; left; right } ->
-        match (left, right) with
-        | _, None -> None
-        | None, Some rv -> Some (Kv.Put (key, rv))
-        | Some lv, Some rv -> (
-            match Kv.merge_values policy key lv rv with
-            | Ok v -> if String.equal v lv then None else Some (Kv.Put (key, v))
-            | Error c ->
-                conflicts := c :: !conflicts;
-                None))
-      diffs
-  in
-  match !conflicts with
-  | [] -> Ok (batch t1 ops)
-  | cs -> Error (List.rev cs)
+let stats t = Split_key.stats ~decode t.store t.root
+let prove_range t ~lo ~hi = Split_key.prove_range ~decode t.store t.root ~lo ~hi
+let verify_range_proof ~root proof = Split_key.verify_range_proof ~decode ~root proof
 
 (* --- generic ------------------------------------------------------------------------ *)
 
@@ -383,7 +298,5 @@ let rec generic ?pool t =
     ~order:(Ordered (Split_key.scan ~fetch:(get t.store) t.root))
     ~batch:(fun ops -> view (batch t ops))
     ~bulk_load:(fun entries -> view (of_sorted ?pool t.store t.cfg entries))
-    ~diff:(fun other -> diff t { t with root = other })
-    ~merge:(fun policy other ->
-      Result.map view (merge t { t with root = other } ~policy))
+    ~diff:(Split_key.diff ~decode t.store t.root)
     ~reopen:(fun r -> view { t with root = r })

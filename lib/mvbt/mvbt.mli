@@ -12,9 +12,10 @@
     simply dropped), which keeps the baseline faithful to a plain
     copy-on-write B+-tree.
 
-    Its nodes have the POS-Tree's shape, so its reads are the same
-    split-key walk and scan ({!Siri_core.Split_key}); {!generic} derives
-    every read from them. *)
+    Its nodes have the POS-Tree's shape, so it shares the POS-Tree's
+    split-key walk, scan, bulk build and diff ({!Siri_core.Split_key});
+    {!generic} derives every read and the merge from them.  What stays
+    here is the codec and the copy-on-write insert and remove. *)
 
 open Siri_crypto
 open Siri_core
@@ -41,23 +42,19 @@ val batch : t -> Kv.op list -> t
 val of_entries : Store.t -> config -> (Kv.key * Kv.value) list -> t
 
 val of_sorted : ?pool:Siri_parallel.Pool.t -> Store.t -> config -> (Kv.key * Kv.value) list -> t
-(** Bulk-load by canonical bottom-up packing: entries are split into
-    balanced nodes of at most [leaf_capacity] (resp. [internal_capacity])
-    whose sizes differ by at most one; encoding and hashing fan out over
-    [pool] (default: sequential).  The root is byte-identical for any
+(** Bulk-load by canonical bottom-up packing
+    ({!Siri_core.Split_key.bulk_build}): entries are split into balanced
+    nodes of at most [leaf_capacity] (resp. [internal_capacity]) whose
+    sizes differ by at most one; encoding and hashing fan out over [pool]
+    (default: sequential).  The root is byte-identical for any
     domain count, but — the B+-tree not being structurally invariant —
     it generally differs from the insertion-order-dependent root that
     {!of_entries} produces for the same records.  Duplicate keys: last
     wins. *)
 
-val insert_many : ?pool:Siri_parallel.Pool.t -> t -> (Kv.key * Kv.value) list -> t
-(** {!of_sorted} when the tree is empty, sequential {!batch} otherwise. *)
-
 val stats : t -> Tree_stats.t
 val prove_range : t -> lo:Kv.key option -> hi:Kv.key option -> Range_proof.t
 val verify_range_proof : root:Hash.t -> Range_proof.t -> bool
-val diff : t -> t -> Kv.diff_entry list
-val merge : t -> t -> policy:Kv.merge_policy -> (t, Kv.conflict list) result
 val generic : ?pool:Siri_parallel.Pool.t -> t -> Generic.t
 (** Package as a uniform instance.  With [pool], the instance's
     [bulk_load] runs through the parallel {!of_sorted} pipeline. *)

@@ -75,9 +75,8 @@ let recommended ?(cap = 8) () =
   max 1 (min cap base)
 
 (* Widths beyond what the host can actually run in parallel buy queue
-   traffic, not speed (BENCH_parallel.json records 0.32-0.80x at every
-   width > 1 on a 1-core host), so an explicit [~domains] request is
-   clamped to the hardware.  SIRI_DOMAINS stays an explicit override —
+   traffic, not speed, so an explicit [~domains] request is clamped to
+   the hardware.  SIRI_DOMAINS stays an explicit override —
    it replaces the hardware figure entirely, so CI on small hosts can
    still force real worker domains. *)
 let host_limit () =

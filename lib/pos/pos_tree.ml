@@ -2,7 +2,6 @@ open Siri_crypto
 open Siri_core
 module Store = Siri_store.Store
 module Wire = Siri_codec.Wire
-module Telemetry = Siri_telemetry.Telemetry
 module Chunker = Siri_chunk.Chunker
 
 type internal_rule =
@@ -76,8 +75,6 @@ type node = Split_key.node =
   | Leaf of (Kv.key * Kv.value) array
   | Internal of int * (Kv.key * Hash.t) array
 
-type Siri_readpath.Node_cache.repr += Cached of node
-
 let encode_leaf salt entries =
   let w = Wire.Writer.create ~capacity:1024 () in
   Wire.Writer.u8 w tag_leaf;
@@ -123,23 +120,16 @@ let decode bytes =
             (k, h)) )
   end
 
-(* Read through the store's decoded-node cache.  Decoded entry/ref arrays
-   are never mutated (writes rebuild via the streaming rebuilder), so
-   sharing one decoding across lookups is safe.  The salt dropped by
-   [decode] is irrelevant to reads. *)
-let get store h =
-  let cache = Store.cache store in
-  if not (Siri_readpath.Node_cache.enabled cache) then
-    decode (Store.get store h)
-  else
-    match Siri_readpath.Node_cache.find cache h with
-    | Some (Cached node) -> node
-    | _ ->
-        let bytes = Store.get store h in
-        let node = decode bytes in
-        Siri_readpath.Node_cache.insert cache h ~bytes:(String.length bytes)
-          (Cached node);
-        node
+(* Decoded entry/ref arrays are never mutated (writes rebuild via the
+   streaming rebuilder), so sharing one decoding is safe.  The salt dropped
+   by [decode] is irrelevant to reads. *)
+module Nodes = Store.Decoded (struct
+  type nonrec node = node
+
+  let decode = decode
+end)
+
+let get = Nodes.get
 
 (* Serialized form of a record as fed to the rolling hash. *)
 let ser_entry k v =
@@ -436,60 +426,18 @@ let ref_segments cfg refs =
   if !lo < n then segs := (!lo, n) :: !segs;
   Array.of_list (List.rev !segs)
 
-let of_sorted ?pool store cfg entries =
-  let entries =
-    Kv.apply_sorted []
-      (Kv.sort_ops (List.map (fun (k, v) -> Kv.Put (k, v)) entries))
-  in
-  match entries with
+let of_sorted ?(pool = Pool.sequential) store cfg entries =
+  match Kv.sort_entries entries with
   | [] -> empty store cfg
-  | _ ->
-      let pool = match pool with Some p -> p | None -> Pool.sequential in
+  | entries ->
       let salt = if cfg.non_recursively_identical then next_salt () else "" in
-      let sink = Store.sink store in
-      (* Stage one level on the pool: quiet hashing in the workers, then
-         observer replay + batched install in segment order on the
-         coordinator — the same digest/put sequence as the streaming
-         rebuilder emits for these nodes. *)
-      let par_stage segs stage_of =
-        let staged =
-          Telemetry.with_span sink "commit.parallel" (fun () ->
-              Pool.map pool stage_of segs)
-        in
-        let as_list = Array.to_list (Array.map snd staged) in
-        Store.note_staged as_list;
-        Store.put_staged store as_list;
-        if Telemetry.enabled sink then begin
-          Telemetry.incr sink "parallel.maps";
-          Telemetry.incr sink ~by:(Array.length segs) "parallel.tasks";
-          Telemetry.incr sink ~by:(Array.length segs) "parallel.nodes"
-        end;
-        Array.map (fun (k, s) -> (k, s.Store.digest)) staged
-      in
-      let arr = Array.of_list entries in
-      let leaves =
-        par_stage (leaf_segments cfg arr) (fun (lo, hi) ->
-            let slice = Array.sub arr lo (hi - lo) in
-            (fst slice.(hi - lo - 1), Store.stage_quiet (encode_leaf salt slice)))
-      in
-      let rec build lvl refs =
-        if Array.length refs = 1 then snd refs.(0)
-        else
-          let nodes =
-            par_stage (ref_segments cfg refs) (fun (lo, hi) ->
-                let slice = Array.sub refs lo (hi - lo) in
-                ( fst slice.(hi - lo - 1),
-                  Store.stage_quiet
-                    ~children:(Array.to_list (Array.map snd slice))
-                    (encode_internal salt lvl slice) ))
-          in
-          build (lvl + 1) nodes
-      in
-      { store; cfg; root = build 1 leaves; salt }
-
-let insert_many ?pool t entries =
-  if Hash.is_null t.root then of_sorted ?pool t.store t.cfg entries
-  else batch t (List.map (fun (k, v) -> Kv.Put (k, v)) entries)
+      { store;
+        cfg;
+        root =
+          Split_key.bulk_build ~pool store ~cut_leaves:(leaf_segments cfg)
+            ~cut_refs:(ref_segments cfg) ~encode_leaf:(encode_leaf salt)
+            ~encode_internal:(encode_internal salt) (Array.of_list entries);
+        salt }
 
 (* --- queries ----------------------------------------------------------------- *)
 
@@ -510,48 +458,11 @@ let leaf_sizes t =
   if not (Hash.is_null t.root) then go t.root;
   List.rev !acc
 
-(* --- diff / merge --------------------------------------------------------------- *)
+(* --- whole-tree helpers ------------------------------------------------------ *)
 
-let td_decode_bytes bytes = Split_key.tree_diff_node (decode bytes)
-
-let td_decode store h = td_decode_bytes (Store.get store h)
-
-let diff t1 t2 =
-  Tree_diff.diff ~decode:(td_decode t1.store) ~left:t1.root ~right:t2.root
-
-let merge t1 t2 ~policy =
-  let diffs = diff t1 t2 in
-  let conflicts = ref [] in
-  let ops =
-    List.filter_map
-      (fun { Kv.key; left; right } ->
-        match (left, right) with
-        | _, None -> None
-        | None, Some rv -> Some (Kv.Put (key, rv))
-        | Some lv, Some rv -> (
-            match Kv.merge_values policy key lv rv with
-            | Ok v -> if String.equal v lv then None else Some (Kv.Put (key, v))
-            | Error c ->
-                conflicts := c :: !conflicts;
-                None))
-      diffs
-  in
-  match !conflicts with
-  | [] -> Ok (batch t1 ops)
-  | cs -> Error (List.rev cs)
-
-let stats t =
-  Tree_stats.collect ~get:(Store.get t.store) ~decode:td_decode_bytes ~root:t.root
-
-(* --- range proofs --------------------------------------------------------------- *)
-
-let prove_range t ~lo ~hi =
-  Range_proof.prove
-    ~get:(Store.get t.store)
-    ~decode:td_decode_bytes ~root:t.root ~lo ~hi
-
-let verify_range_proof ~root proof =
-  Range_proof.verify ~decode:td_decode_bytes ~root proof
+let stats t = Split_key.stats ~decode t.store t.root
+let prove_range t ~lo ~hi = Split_key.prove_range ~decode t.store t.root ~lo ~hi
+let verify_range_proof ~root proof = Split_key.verify_range_proof ~decode ~root proof
 
 (* --- generic ------------------------------------------------------------------------ *)
 
@@ -564,9 +475,7 @@ let rec generic_named ?pool name t =
     ~order:(Ordered (Split_key.scan ~fetch:(get t.store) t.root))
     ~batch:(fun ops -> view (batch t ops))
     ~bulk_load:(fun entries -> view (of_sorted ?pool t.store t.cfg entries))
-    ~diff:(fun other -> diff t { t with root = other })
-    ~merge:(fun policy other ->
-      Result.map view (merge t { t with root = other } ~policy))
+    ~diff:(Split_key.diff ~decode t.store t.root)
     ~reopen:(fun r -> view { t with root = r })
 
 let generic ?pool t = generic_named ?pool "pos-tree" t

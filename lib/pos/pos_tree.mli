@@ -23,11 +23,12 @@
     and {!config_non_recursively_identical} (fresh salt per version, so no
     node is ever byte-identical across versions).
 
-    This module owns the codec and the write paths.  Reads go through
-    {!generic}: the point walk and the ordered scan are the split-key
-    traversals of {!Siri_core.Split_key}, shared with the MVMB+-Tree, and
-    {!Siri_core.Generic.make} derives lookups, proofs and ranges from
-    them. *)
+    This module owns the codec, the boundary rules and the streaming
+    rebuilder.  Everything else is shared: the point walk, the ordered
+    scan, the bulk build and the diff-shaped helpers live in
+    {!Siri_core.Split_key} (with the MVMB+-Tree), the cached node read is
+    {!Siri_store.Store.Decoded}, and {!generic}'s
+    {!Siri_core.Generic.make} derives lookups, proofs, ranges and merge. *)
 
 open Siri_crypto
 open Siri_core
@@ -100,15 +101,12 @@ val of_entries : Store.t -> config -> (Kv.key * Kv.value) list -> t
 (** Bottom-up bulk build. *)
 
 val of_sorted : ?pool:Siri_parallel.Pool.t -> Store.t -> config -> (Kv.key * Kv.value) list -> t
-(** Bulk build in two passes per level: a sequential rolling-hash scan
-    replays the streaming boundary rules to find every chunk cut, then the
-    chunks are encoded and SHA-256'd in parallel on [pool] (default:
-    sequential).  Boundaries depend only on the item sequence, so the root
+(** Bulk build in two passes per level ({!Siri_core.Split_key.bulk_build}):
+    a sequential rolling-hash scan replays the streaming boundary rules to
+    find every chunk cut, then the chunks are encoded and SHA-256'd in
+    parallel on [pool] (default: sequential).  Boundaries depend only on the item sequence, so the root
     is byte-identical to {!of_entries} and to itself at any domain count.
     Duplicate keys: last wins. *)
-
-val insert_many : ?pool:Siri_parallel.Pool.t -> t -> (Kv.key * Kv.value) list -> t
-(** {!of_sorted} when the tree is empty, streaming {!batch} otherwise. *)
 
 val prove_range :
   t -> lo:Kv.key option -> hi:Kv.key option -> Range_proof.t
@@ -116,10 +114,6 @@ val prove_range :
 
 val verify_range_proof : root:Hash.t -> Range_proof.t -> bool
 
-val diff : t -> t -> Kv.diff_entry list
-(** Hash-pruned ordered diff (via {!Siri_core.Tree_diff}). *)
-
-val merge : t -> t -> policy:Kv.merge_policy -> (t, Kv.conflict list) result
 val generic : ?pool:Siri_parallel.Pool.t -> t -> Generic.t
 (** With [pool], the instance's [bulk_load] runs through the parallel
     {!of_sorted} pipeline. *)

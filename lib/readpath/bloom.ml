@@ -72,11 +72,3 @@ let of_keys ?bits_per_key keys =
 let copy t = { t with bits = Bytes.copy t.bits }
 let bits t = t.nbits
 let probes t = t.k
-let memory_bytes t = Bytes.length t.bits
-
-let fill_ratio t =
-  let set = ref 0 in
-  for i = 0 to t.nbits - 1 do
-    if get_bit t.bits i then incr set
-  done;
-  float_of_int !set /. float_of_int t.nbits

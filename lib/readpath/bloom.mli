@@ -46,10 +46,3 @@ val bits : t -> int
 
 val probes : t -> int
 (** Hash probes per key ([k]). *)
-
-val memory_bytes : t -> int
-(** Approximate heap footprint of the bit array. *)
-
-val fill_ratio : t -> float
-(** Fraction of bits set — a saturation diagnostic (a well-sized filter
-    sits near [0.5] when full). *)

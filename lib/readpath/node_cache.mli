@@ -8,9 +8,9 @@
     on exactly those primitives.
 
     Decoded nodes of the five index kinds have different types, so the
-    cache carries an {e extensible} payload: each index library declares
-    its own constructor ([type Node_cache.repr += N of node]) and matches
-    it back on lookup.  A payload of the wrong kind (possible only if two
+    cache carries an {e extensible} payload: each application of
+    [Siri_store.Store.Decoded] declares its own constructor and matches it
+    back on lookup.  A payload of the wrong kind (possible only if two
     codecs decoded the same bytes — distinct wire layouts make this
     practically unreachable) is treated as a miss and overwritten.
 
@@ -23,8 +23,8 @@
     must only be touched by the coordinating domain. *)
 
 type repr = ..
-(** The open union of decoded node types; each index library adds its own
-    constructor. *)
+(** The open union of decoded node types; each [Store.Decoded]
+    application adds its own constructor. *)
 
 type t
 

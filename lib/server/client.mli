@@ -107,7 +107,3 @@ val commit :
 
 val stats : ?deadline_ms:int -> t -> (string, error) result
 (** The server's telemetry sink as JSON. *)
-
-val fresh_req_id : unit -> string
-(** A process-unique request id (pid + time + counter; matches
-    {!Proto.valid_req_id}). *)

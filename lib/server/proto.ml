@@ -55,14 +55,6 @@ type response =
           sending [Entries] frames until [more = false] (or an [Err]
           frame aborts the stream). *)
 
-let error_code_to_string = function
-  | Overload -> "overload"
-  | Timeout -> "timeout"
-  | Tampered -> "tampered"
-  | Read_only -> "read-only"
-  | Bad_request -> "bad-request"
-  | Unknown_branch -> "unknown-branch"
-
 let valid_req_id s =
   let n = String.length s in
   n >= 1 && n <= 64

@@ -87,8 +87,6 @@ type response =
       (** One chunk of a {!req.Scan} reply stream; the client keeps
           reading frames until [more = false]. *)
 
-val error_code_to_string : error_code -> string
-
 val valid_req_id : string -> bool
 (** 1–64 bytes of [A-Za-z0-9._-] — the charset keeps request ids safe to
     embed in group-commit messages, which is how the server makes them

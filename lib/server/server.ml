@@ -772,8 +772,6 @@ let start ?config ~durable ~listen () =
 let start_sharded ?config ~sharded ~listen () =
   start_backend ?config ~backend:(Shards sharded) ~listen ()
 
-let force_read_only t = enter_read_only t
-
 let pause_writer t =
   Mutex.lock t.qmu;
   t.paused <- true;

@@ -98,10 +98,6 @@ val sink : t -> Siri_telemetry.Telemetry.sink
 
 val read_only : t -> bool
 
-val force_read_only : t -> unit
-(** Enter read-only mode as if the commit path had reported [`Tampered]
-    (operational hook; tests use the real path). *)
-
 val pause_writer : t -> unit
 (** Test/bench hook: hold the writer so the queue fills deterministically
     (backpressure and deadline tests).  {!stop} resumes it. *)

@@ -153,7 +153,6 @@ let drop_hot t =
 
 let set_root_filter t root filter = Hash.Table.replace t.filters root filter
 let root_filter t root = Hash.Table.find_opt t.filters root
-let clear_root_filters t = Hash.Table.reset t.filters
 
 let put t ?(children = []) bytes =
   let h = Hash.of_string bytes in
@@ -236,6 +235,27 @@ let put_staged t staged =
     end
   end
 
+let count_parallel t ~tasks ~nodes =
+  if Telemetry.enabled t.sink then begin
+    Telemetry.incr t.sink "parallel.maps";
+    Telemetry.incr t.sink ~by:tasks "parallel.tasks";
+    Telemetry.incr t.sink ~by:nodes "parallel.nodes"
+  end
+
+(* The install step of every parallel build: the tasks stage quietly on
+   the workers, then the coordinator replays their digest notifications and
+   installs their nodes in task order — the digest and put sequence of the
+   same tasks run one after another.  The step is not metered: each build
+   counts its maps with [count_parallel]. *)
+let put_parallel t ~map task inputs =
+  let results =
+    Telemetry.with_span t.sink "commit.parallel" (fun () -> map task inputs)
+  in
+  let staged = List.concat_map snd (Array.to_list results) in
+  note_staged staged;
+  put_staged t staged;
+  Array.map fst results
+
 let put_batch t items =
   let staged = List.map (fun (bytes, children) -> stage ~children bytes) items in
   put_staged t staged;
@@ -272,6 +292,30 @@ let get t h =
   | Some f -> f h (String.length bytes)
   | None -> ());
   bytes
+
+(* One decoded-node cache read for every index kind: each application
+   declares its own payload constructor, so a kind only ever matches back
+   nodes it decoded itself.  Decoded nodes are shared between readers, so
+   a kind must never mutate one (its write paths copy before editing). *)
+module Decoded (N : sig
+  type node
+
+  val decode : string -> node
+end) =
+struct
+  type Node_cache.repr += Cached of N.node
+
+  let get t h =
+    if not (Node_cache.enabled t.cache) then N.decode (get t h)
+    else
+      match Node_cache.find t.cache h with
+      | Some (Cached node) -> node
+      | _ ->
+          let bytes = get t h in
+          let node = N.decode bytes in
+          Node_cache.insert t.cache h ~bytes:(String.length bytes) (Cached node);
+          node
+end
 
 let find t h = match get t h with s -> Some s | exception Not_found -> None
 

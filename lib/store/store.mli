@@ -64,9 +64,9 @@ val put : t -> ?children:Hash.t list -> string -> Hash.t
     The parallel commit pipeline splits a write into a pure phase — encode
     the node and digest its bytes, safe to fan out over pool workers — and
     a sequential install phase into the store.  {!stage_quiet} is the
-    worker half (it does not notify the digest observer); the coordinator
-    then calls {!note_staged} to replay the observer notifications in
-    deterministic order and {!put_staged} to install the nodes.  A batch
+    worker half (it does not notify the digest observer); {!put_parallel}
+    runs the workers and then, on the coordinator, replays the observer
+    notifications in deterministic order and installs the nodes.  A batch
     installed this way is observably identical to the same sequence of
     {!put}s: same hashes, same per-node dedup accounting, same counter
     totals — but with a single stats update and one coalesced telemetry
@@ -86,12 +86,28 @@ val stage_quiet : ?children:Hash.t list -> string -> staged
 (** {!stage} without notifying the digest observer — the only store entry
     point safe to call from pool worker domains. *)
 
-val note_staged : staged list -> unit
-(** Replay the digest-observer notifications for quietly staged nodes, in
-    list order. *)
-
 val put_staged : t -> staged list -> unit
 (** Install staged nodes, in list order, with coalesced accounting. *)
+
+val put_parallel :
+  t ->
+  map:(('a -> 'b * staged list) -> 'a array -> ('b * staged list) array) ->
+  ('a -> 'b * staged list) ->
+  'a array ->
+  'b array
+(** [put_parallel t ~map task inputs] is one parallel build step: [map]
+    (typically [Pool.map pool]) runs [task] over [inputs] inside a
+    [commit.parallel] span, each task returning a result and the nodes it
+    staged with {!stage_quiet}; the coordinator then replays their digest
+    notifications and installs them with {!put_staged}, in task order, and
+    returns the results in input order.  The step is not metered; the
+    build meters its maps with {!count_parallel}. *)
+
+val count_parallel : t -> tasks:int -> nodes:int -> unit
+(** Meter one parallel map on the attached sink: [parallel.maps] by one,
+    [parallel.tasks] by [tasks], [parallel.nodes] by [nodes].  A build
+    calls it once per map it counts, which may span several
+    {!put_parallel} steps. *)
 
 val put_batch : t -> (string * Hash.t list) list -> Hash.t list
 (** [put_batch t [(bytes, children); …]] stages and installs a batch in
@@ -157,11 +173,25 @@ val sink : t -> Siri_telemetry.Telemetry.sink
     [hash -> bytes] intact, so the cache needs no other invalidation. *)
 
 val cache : t -> Siri_readpath.Node_cache.t
-(** The decoded-node cache.  Indexes read through it via their [get_node];
+(** The decoded-node cache.  Indexes read through it via {!Decoded};
     callers may {!Siri_readpath.Node_cache.clear} or [resize] it at any
     time without affecting correctness.  {!set_sink} propagates the sink to
     the cache, so [cache.node.hit]/[miss]/[evict] are metered alongside the
     store counters. *)
+
+module Decoded (N : sig
+  type node
+
+  val decode : string -> node
+end) : sig
+  val get : t -> Hash.t -> N.node
+  (** [get t h] is [N.decode (Store.get t h)] read through {!cache}: a hit
+      returns the shared decoding without touching the node table, a miss
+      decodes and inserts it, charged at the encoded size.  Each
+      application carries its own cache payload, so two kinds never see
+      each other's decodings.  Callers must not mutate a returned node. *)
+end
+(** The decoded-node read of an index kind with codec [N]. *)
 
 val proof_cache : t -> Siri_readpath.Proof_cache.t
 (** The multiproof cache ([Siri_core.Generic.prove_many] reads through
@@ -178,11 +208,6 @@ val set_root_filter : t -> Hash.t -> Siri_readpath.Bloom.t -> unit
     [Generic.get]/[get_many] to short-circuit definite misses. *)
 
 val root_filter : t -> Hash.t -> Siri_readpath.Bloom.t option
-
-val clear_root_filters : t -> unit
-(** Drop all registered filters (every lookup walks the tree again).
-    Filters are in-memory sidecars: they are {e not} persisted by {!save}
-    and are rebuilt by the loading paths that know the key sets. *)
 
 val set_read_gate : t -> (Hash.t -> string -> unit) option -> unit
 (** Install a gate consulted on every {!get} {e before} the bytes are

@@ -95,6 +95,21 @@ let qcheck_same_merge =
       | [] -> true
       | first :: rest -> List.for_all (fun o -> o = first) rest)
 
+(* [bulk_load] resolves a duplicated key as [batch] does: the last
+   occurrence wins, whatever the kind's bulk pipeline. *)
+let test_bulk_load_duplicates () =
+  let input =
+    [ ("a", "first"); ("b", "x"); ("a", "last") ]
+    @ List.init 200 (fun i -> (Printf.sprintf "k%03d" (i mod 120), string_of_int i))
+  in
+  List.iter
+    (fun inst ->
+      Alcotest.(check (list (pair string string)))
+        (inst.Generic.name ^ " bulk_load = of_entries")
+        ((Generic.of_entries inst input).Generic.to_list ())
+        ((inst.Generic.bulk_load input).Generic.to_list ()))
+    (makers ())
+
 let qcheck_proofs_everywhere =
   QCheck.Test.make ~name:"proofs verify for every kind" ~count:30
     (QCheck.make QCheck.Gen.(pair op_gen (string_size ~gen:(char_range 'a' 'e') (1 -- 4))))
@@ -156,6 +171,8 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_same_diffs;
           QCheck_alcotest.to_alcotest qcheck_same_ranges;
           QCheck_alcotest.to_alcotest qcheck_same_merge;
+          Alcotest.test_case "bulk_load keeps the last duplicate" `Quick
+            test_bulk_load_duplicates;
           QCheck_alcotest.to_alcotest qcheck_proofs_everywhere ] );
       ( "adversarial",
         [ QCheck_alcotest.to_alcotest qcheck_garbage_proofs_rejected;

@@ -16,6 +16,7 @@ module Prolly = Siri_prolly.Prolly
 module Generic = Siri_core.Generic
 module Proof = Siri_core.Proof
 module Multiproof = Siri_core.Multiproof
+module Kv = Siri_core.Kv
 
 let entries =
   List.init 100 (fun i -> (Printf.sprintf "key-%03d" i, Printf.sprintf "value-%d" (i * i)))
@@ -202,6 +203,83 @@ let test_null_root_verdict () =
            { Multiproof.claims = [ claim ]; nodes = [] }))
     (read_views ())
 
+(* --- merge pins -----------------------------------------------------------
+
+   Two fixed versions of the dataset, merged both ways and under the
+   failing policy: the merged roots and the conflict keys are frozen, so
+   the Section 4.1.4 union cannot drift — not in which records it writes
+   and not in the order it applies them (the MVMB+-Tree's root depends on
+   that order). *)
+
+let left_ops =
+  [ Kv.Put ("key-010", "left-10"); Kv.Put ("key-011", "both-11");
+    Kv.Put ("key-012", "left-12"); Kv.Del "key-050"; Kv.Put ("key-200", "left-only") ]
+
+let right_ops =
+  [ Kv.Put ("key-010", "right-10"); Kv.Put ("key-011", "both-11");
+    Kv.Put ("key-013", "right-13"); Kv.Del "key-060"; Kv.Put ("key-005", "right-5");
+    Kv.Put ("key-150", "right-only"); Kv.Put ("a-first", "right-a") ]
+
+(* (Prefer_left root, Prefer_right root) per kind. *)
+let merge_pins =
+  [ ( "mpt",
+      ( "04c717718d53d549053b60edb8ca946a6948cf2aef4496c95b2d6a83e725d480",
+        "75a90e69331302bb77a2ceb7d1003b3dfe03e077d867957864002776f1a696d9" ) );
+    ( "mbt",
+      ( "88438b9e4945e28073feb2c8ca1c26b092477bab417d8f228b1225af05f64181",
+        "6fdb10fc9665210bc81c92ee756fbc3ff276a1160e4c33a6af3d1ec2d8010621" ) );
+    ( "pos",
+      ( "7a345ffdf0c3eb6a15c4717236a12dcea86359f84612ac4f3b2d009d02acc430",
+        "20a1f6f02fcd498acf27f9157337eb7facc3928dc78e91e73fe1ec3ac6c0c51e" ) );
+    ( "mvbt",
+      ( "5cf8ac7b4218724ca9142372192b389b26a4335e476daf2d20ca02e03448f183",
+        "7a135d3cde59646cebab32d0cdc97008d8c11c257786a70c1ff69aadbabae4ea" ) );
+    ( "prolly",
+      ( "7a345ffdf0c3eb6a15c4717236a12dcea86359f84612ac4f3b2d009d02acc430",
+        "20a1f6f02fcd498acf27f9157337eb7facc3928dc78e91e73fe1ec3ac6c0c51e" ) ) ]
+
+let check_merge_pins views =
+  List.iter
+    (fun (name, g) ->
+      let left = g.Generic.batch left_ops and right = g.Generic.batch right_ops in
+      let merged policy =
+        match left.Generic.merge policy right.Generic.root with
+        | Ok m -> Hash.to_hex m.Generic.root
+        | Error _ -> Alcotest.failf "%s: merge should not conflict" name
+      in
+      let prefer_left = merged Kv.Prefer_left
+      and prefer_right = merged Kv.Prefer_right in
+      let pin_left, pin_right = List.assoc name merge_pins in
+      Alcotest.(check string)
+        (name ^ " merge Prefer_left root frozen") pin_left prefer_left;
+      Alcotest.(check string)
+        (name ^ " merge Prefer_right root frozen") pin_right prefer_right;
+      let conflicts =
+        match left.Generic.merge Kv.Fail_on_conflict right.Generic.root with
+        | Ok _ -> Alcotest.failf "%s: merge should conflict" name
+        | Error cs -> List.map (fun (c : Kv.conflict) -> c.key) cs
+      in
+      Alcotest.(check (list string))
+        (name ^ " merge conflicts frozen")
+        [ "key-005"; "key-010"; "key-012"; "key-013" ] conflicts)
+    views
+
+let test_merge_pins () = check_merge_pins (read_views ())
+
+(* A pooled MBT instance batches level-wise on the pool, so its merge
+   writes through a different path; the merged roots must not move. *)
+let test_pooled_mbt_merge_pins () =
+  let pool = Siri_parallel.Pool.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Siri_parallel.Pool.shutdown pool)
+    (fun () ->
+      check_merge_pins
+        [ ( "mbt",
+            Mbt.generic ~pool
+              (Mbt.of_entries (Store.create ())
+                 (Mbt.config ~capacity:16 ~fanout:4 ())
+                 entries) ) ])
+
 let () =
   Alcotest.run "golden"
     [ ( "roots",
@@ -216,4 +294,8 @@ let () =
         [ Alcotest.test_case "single-proof bytes" `Quick test_proof_bytes;
           Alcotest.test_case "path lengths" `Quick test_path_lengths;
           Alcotest.test_case "inclusive range" `Quick test_inclusive_range;
-          Alcotest.test_case "null-root verdict" `Quick test_null_root_verdict ] ) ]
+          Alcotest.test_case "null-root verdict" `Quick test_null_root_verdict ] );
+      ( "merge",
+        [ Alcotest.test_case "merge pins" `Quick test_merge_pins;
+          Alcotest.test_case "pooled mbt merge pins" `Quick
+            test_pooled_mbt_merge_pins ] ) ]
