@@ -53,6 +53,12 @@
 #                  acked swap preserved and the dataset intact, plus the
 #                  scan-vs-sorted-assoc differential across every ordered
 #                  index kind and the single-shard routing fanout pin.
+#   make pos     — run the POS-Tree suite with the streaming-rebuilder
+#                  differential scaled up: SIRI_POS_ROUNDS=300 qcheck cases of
+#                  1–8 chained batches (random ops plus ops aimed at leaf
+#                  boundaries) under the default, Prolly, tiny-max_size and
+#                  min_size > 0 configs, each checked root-for-root against
+#                  both bulk builds.
 #   make lint    — fail on any `Unix.fork ()` call in lib/, bin/, test/ or
 #                  bench/.  OCaml 5 refuses fork once a domain has been
 #                  spawned, and the pool spawns domains at will, so crash
@@ -83,7 +89,7 @@ SIDECARS = BENCH_proof.json BENCH_pack.json BENCH_parallel.json \
            BENCH_readpath.json BENCH_server.json BENCH_shard.json \
            BENCH_scan.json
 
-.PHONY: all build test quick smoke crash par read pack proof serve shard scan lint bench-sidecars check bench clean
+.PHONY: all build test quick smoke crash par read pack proof serve shard scan pos lint bench-sidecars check bench clean
 
 all: build
 
@@ -127,6 +133,9 @@ shard: build
 scan: build
 	SIRI_SCAN_ROUNDS=25 QCHECK_SEED=$(QCHECK_SEED) $(DUNE) exec test/test_scan.exe
 
+pos: build
+	SIRI_POS_ROUNDS=300 QCHECK_SEED=$(QCHECK_SEED) $(DUNE) exec test/test_pos.exe
+
 DERIVED_READS = lookup_count|lookup|path_length|get_many|in_range|range|prove|verify_proof|prove_many|verify_many|to_list|cardinal
 INDEX_LIBS = lib/mpt lib/mbt lib/pos lib/mvbt lib/prolly
 
@@ -165,7 +174,7 @@ bench-sidecars:
 	if [ $$missing -ne 0 ]; then exit 1; fi; \
 	echo "bench-sidecars: OK"
 
-check: build lint test smoke crash par read pack proof serve shard scan bench-sidecars
+check: build lint test smoke crash par read pack proof serve shard scan pos bench-sidecars
 	@echo "check: OK"
 
 bench:

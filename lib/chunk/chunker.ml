@@ -60,6 +60,16 @@ let feed t item =
   if boundary then reset t;
   boundary
 
+let skip t len =
+  (* [matched] is always false between calls ([feed] resets on firing), so
+     an item whose bytes carry no pattern can only end the chunk through
+     the size cap.  Only valid with [min_size = 0]: otherwise whether an
+     item's pattern counts depends on the bytes before it. *)
+  t.bytes <- t.bytes + len;
+  let boundary = t.bytes >= t.c.max_size in
+  if boundary then reset t;
+  boundary
+
 let size t = t.bytes
 
 let hash_boundary c h =

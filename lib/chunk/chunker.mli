@@ -49,6 +49,20 @@ val feed : t -> string -> bool
 (** [feed t item] absorbs one item's bytes; [true] means a node boundary
     falls after this item (state has been reset). *)
 
+val skip : t -> int -> bool
+(** [skip t len] absorbs an item of [len] bytes that is known not to carry
+    the boundary pattern, without hashing it: it only counts the bytes and
+    applies the [max_size] cut.  For such an item it leaves the same state
+    and returns the same verdict as {!feed}.
+
+    Precondition: [min_size = 0] in [t]'s config.  Only then is carrying
+    the pattern a property of the item's own bytes, so an item that did not
+    end its chunk in a tree built under this config never fires anywhere
+    (every {!config_for_leaf_size} config qualifies).  With [min_size > 0]
+    callers must {!feed}.  Knowing that an item does not fire comes from
+    the tree it was read from, so a tree must be updated under the config
+    it was built with ([Pos_tree.t] carries that config). *)
+
 val size : t -> int
 (** Bytes absorbed since the last boundary. *)
 

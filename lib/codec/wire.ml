@@ -38,6 +38,9 @@ module Writer = struct
 
   let hash t h = raw t (Hash.to_raw h)
   let contents = Buffer.contents
+
+  let rec varint_size v = if v < 0x80 then 1 else 1 + varint_size (v lsr 7)
+  let str_size s = varint_size (String.length s) + String.length s
 end
 
 module Reader = struct

@@ -32,6 +32,12 @@ module Writer : sig
   (** Append the raw 32 bytes of a digest. *)
 
   val contents : t -> string
+
+  val varint_size : int -> int
+  (** Bytes {!varint} writes for a non-negative argument. *)
+
+  val str_size : string -> int
+  (** Bytes {!str} writes for the string. *)
 end
 
 module Reader : sig

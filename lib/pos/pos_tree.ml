@@ -75,8 +75,20 @@ type node = Split_key.node =
   | Leaf of (Kv.key * Kv.value) array
   | Internal of int * (Kv.key * Hash.t) array
 
+(* Bytes a record or a ref takes in a node, and in the rolling hash's
+   input: one length function sizes the encode buffer and feeds
+   [Chunker.skip]. *)
+let entry_size (k, v) = Wire.Writer.str_size k + Wire.Writer.str_size v
+let ref_size (k, _) = Wire.Writer.str_size k + Hash.size
+
 let encode_leaf salt entries =
-  let w = Wire.Writer.create ~capacity:1024 () in
+  let size =
+    Array.fold_left
+      (fun acc e -> acc + entry_size e)
+      (1 + Wire.Writer.str_size salt + Wire.Writer.varint_size (Array.length entries))
+      entries
+  in
+  let w = Wire.Writer.create ~capacity:size () in
   Wire.Writer.u8 w tag_leaf;
   Wire.Writer.str w salt;
   Wire.Writer.varint w (Array.length entries);
@@ -88,7 +100,13 @@ let encode_leaf salt entries =
   Wire.Writer.contents w
 
 let encode_internal salt level refs =
-  let w = Wire.Writer.create ~capacity:1024 () in
+  let size =
+    Array.fold_left
+      (fun acc r -> acc + ref_size r)
+      (2 + Wire.Writer.str_size salt + Wire.Writer.varint_size (Array.length refs))
+      refs
+  in
+  let w = Wire.Writer.create ~capacity:size () in
   Wire.Writer.u8 w tag_internal;
   Wire.Writer.str w salt;
   Wire.Writer.u8 w level;
@@ -132,14 +150,14 @@ end)
 let get = Nodes.get
 
 (* Serialized form of a record as fed to the rolling hash. *)
-let ser_entry k v =
-  let w = Wire.Writer.create ~capacity:(String.length k + String.length v + 8) () in
+let ser_entry (k, v) =
+  let w = Wire.Writer.create ~capacity:(entry_size (k, v)) () in
   Wire.Writer.str w k;
   Wire.Writer.str w v;
   Wire.Writer.contents w
 
-let ser_ref k h =
-  let w = Wire.Writer.create ~capacity:(String.length k + 40) () in
+let ser_ref (k, h) =
+  let w = Wire.Writer.create ~capacity:(ref_size (k, h)) () in
   Wire.Writer.str w k;
   Wire.Writer.hash w h;
   Wire.Writer.contents w
@@ -150,12 +168,22 @@ let ser_ref k h =
    Chunk boundaries are decided as items arrive; a finished chunk becomes a
    node whose ref is pushed onto the stream above.  Reusing a clean subtree
    of height l is legal exactly when streams 0..l are at a boundary (all
-   pendings empty, rolling states reset). *)
+   pendings empty, rolling states reset).
 
-type item = Ent of Kv.key * Kv.value | Ref of Kv.key * Hash.t
+   An item read back unchanged from the old tree may be [known] not to
+   carry the rolling-hash pattern (see [merge_leaf] and [emit]); with
+   [min_size = 0] such an item is only counted by [Chunker.skip], not
+   hashed, and the cuts come out exactly as a full feed would place them. *)
+
+type item = Ent of (Kv.key * Kv.value) | Ref of (Kv.key * Hash.t)
+
+type cut =
+  | Rolling of { chunker : Chunker.t; skippable : bool }
+      (* stream 0, or internal By_rolling; [skippable] iff [min_size = 0] *)
+  | Child_hash of { pattern : Chunker.config; min_items : int; max_items : int }
 
 type stream = {
-  chunker : Chunker.t option;  (* stream 0, or internal By_rolling *)
+  cut : cut;
   mutable pending : item list;  (* reversed *)
   mutable pending_count : int;
   mutable total : int;
@@ -166,20 +194,27 @@ type rebuilder = {
   rcfg : config;
   rsalt : string;
   mutable streams : stream array;
+  mutable fed : int;  (* items hashed by [Chunker.feed] *)
+  mutable skipped : int;  (* items counted by [Chunker.skip] *)
 }
 
 let new_stream cfg lvl =
-  let chunker =
-    if lvl = 0 then Some (Chunker.create cfg.leaf)
+  let rolling c =
+    Rolling { chunker = Chunker.create c; skippable = c.Chunker.min_size = 0 }
+  in
+  let cut =
+    if lvl = 0 then rolling cfg.leaf
     else
       match cfg.internal with
-      | By_rolling c -> Some (Chunker.create c)
-      | By_child_hash _ -> None
+      | By_rolling c -> rolling c
+      | By_child_hash { bits; min_items; max_items } ->
+          Child_hash
+            { pattern = Chunker.config ~pattern_bits:bits (); min_items; max_items }
   in
-  { chunker; pending = []; pending_count = 0; total = 0 }
+  { cut; pending = []; pending_count = 0; total = 0 }
 
 let rebuilder store cfg salt =
-  { rstore = store; rcfg = cfg; rsalt = salt; streams = [||] }
+  { rstore = store; rcfg = cfg; rsalt = salt; streams = [||]; fed = 0; skipped = 0 }
 
 let stream r lvl =
   let n = Array.length r.streams in
@@ -192,70 +227,82 @@ let stream r lvl =
   end;
   r.streams.(lvl)
 
-let item_key = function Ent (k, _) -> k | Ref (k, _) -> k
+let item_size = function Ent e -> entry_size e | Ref rf -> ref_size rf
+let ser_item = function Ent e -> ser_entry e | Ref rf -> ser_ref rf
 
-let make_node r lvl items =
-  (* [items] in order; returns the ref of the created node. *)
-  let last_key = item_key (List.nth items (List.length items - 1)) in
+(* The node holding [s]'s pending items; returns its ref.  [pending] is
+   reversed, so the arrays are filled from the back. *)
+let make_node r lvl s =
+  let n = s.pending_count in
+  let last_key =
+    match s.pending with
+    | Ent (k, _) :: _ | Ref (k, _) :: _ -> k
+    | [] -> assert false
+  in
   let h =
-    if lvl = 0 then
-      let entries =
-        Array.of_list
-          (List.map (function Ent (k, v) -> (k, v) | Ref _ -> assert false) items)
-      in
+    if lvl = 0 then begin
+      let entries = Array.make n ("", "") in
+      List.iteri
+        (fun i -> function
+          | Ent e -> entries.(n - 1 - i) <- e
+          | Ref _ -> assert false)
+        s.pending;
       Store.put r.rstore (encode_leaf r.rsalt entries)
-    else
-      let refs =
-        Array.of_list
-          (List.map (function Ref (k, h) -> (k, h) | Ent _ -> assert false) items)
+    end
+    else begin
+      let refs = Array.make n ("", Hash.null) in
+      let rec fill i children = function
+        | Ref ((_, h) as rf) :: rest ->
+            refs.(i) <- rf;
+            fill (i - 1) (h :: children) rest
+        | Ent _ :: _ -> assert false
+        | [] -> children
       in
-      Store.put r.rstore
-        ~children:(List.map (fun (_, h) -> h) (Array.to_list refs))
-        (encode_internal r.rsalt lvl refs)
+      let children = fill (n - 1) [] s.pending in
+      Store.put r.rstore ~children (encode_internal r.rsalt lvl refs)
+    end
   in
   (last_key, h)
 
-let rec add_item r lvl item =
+let rec add_item r lvl item ~known =
   let s = stream r lvl in
   s.pending <- item :: s.pending;
   s.pending_count <- s.pending_count + 1;
   s.total <- s.total + 1;
   let boundary =
-    match (lvl, r.rcfg.internal, item) with
-    | 0, _, Ent (k, v) -> (
-        match s.chunker with
-        | Some c -> Chunker.feed c (ser_entry k v)
-        | None -> assert false)
-    | _, By_rolling _, Ref (k, h) -> (
-        match s.chunker with
-        | Some c ->
-            (* Never cut a single-ref chunk: a chain of one-child internal
-               nodes would grow the tree height unboundedly. *)
-            let fired = Chunker.feed c (ser_ref k h) in
-            fired && s.pending_count >= 2
-        | None -> assert false)
-    | _, By_child_hash { bits; min_items; max_items }, Ref (_, h) ->
-        if s.pending_count >= max_items then true
-        else
-          s.pending_count >= min_items
-          && Chunker.hash_boundary
-               (Chunker.config ~pattern_bits:bits ()) h
-    | _ -> assert false
+    match (s.cut, item) with
+    | Rolling { chunker; skippable }, _ ->
+        let fired =
+          if known && skippable then begin
+            r.skipped <- r.skipped + 1;
+            Chunker.skip chunker (item_size item)
+          end
+          else begin
+            r.fed <- r.fed + 1;
+            Chunker.feed chunker (ser_item item)
+          end
+        in
+        (* Never cut a single-ref chunk: a chain of one-child internal
+           nodes would grow the tree height unboundedly. *)
+        fired && (lvl = 0 || s.pending_count >= 2)
+    | Child_hash { pattern; min_items; max_items }, Ref (_, h) ->
+        s.pending_count >= max_items
+        || (s.pending_count >= min_items && Chunker.hash_boundary pattern h)
+    | Child_hash _, Ent _ -> assert false
   in
   if boundary then flush_stream r lvl
 
 and flush_stream r lvl =
   let s = stream r lvl in
   if s.pending_count > 0 then begin
-    let items = List.rev s.pending in
+    let rf = make_node r lvl s in
     s.pending <- [];
     s.pending_count <- 0;
-    (match s.chunker with Some c -> Chunker.reset c | None -> ());
-    let k, h = make_node r lvl items in
-    add_item r (lvl + 1) (Ref (k, h))
+    (match s.cut with
+    | Rolling { chunker; _ } -> Chunker.reset chunker
+    | Child_hash _ -> ());
+    add_item r (lvl + 1) (Ref rf) ~known:false
   end
-
-let add_entry r k v = add_item r 0 (Ent (k, v))
 
 (* A clean subtree of height [h] can be reused iff all streams up to and
    including [h] are at a boundary. *)
@@ -313,42 +360,58 @@ let partition_ops refs ops =
   go 0 ops;
   Array.map List.rev buckets
 
-let rec emit r h height ops ~reuse =
-  if ops = [] && reuse && can_reuse r height then begin
-    (* Whole subtree is clean and chunking is aligned: reuse by ref.  The
-       subtree's max key is needed by the parent; it is the key of its last
-       item, which equals the split key the parent stored — the caller passes
-       it via [h]'s ref; here we only have the hash, so fetch lazily. *)
-    match get r.rstore h with
-    | Leaf entries when Array.length entries = 0 -> ()
-    | Leaf entries ->
-        add_item r (height + 1) (Ref (fst entries.(Array.length entries - 1), h))
-    | Internal (_, refs) ->
-        add_item r (height + 1) (Ref (fst refs.(Array.length refs - 1), h))
-  end
-  else
-    match get r.rstore h with
-    | Leaf entries ->
-        let merged = Kv.apply_sorted (Array.to_list entries) ops in
-        List.iter (fun (k, v) -> add_entry r k v) merged;
-        (* Local mode: contain the edit within this node's span — cut here
-           instead of re-chunking into the following nodes. *)
-        if r.rcfg.local_split then flush_stream r 0
-    | Internal (lvl, refs) ->
-        let buckets = partition_ops refs ops in
-        Array.iteri
-          (fun i (key, child) ->
-            if buckets.(i) = [] && reuse && can_reuse r (lvl - 1) then
-              add_item r lvl (Ref (key, child))
-            else emit r child (lvl - 1) buckets.(i) ~reuse)
-          refs
+(* Stream a leaf's records, merged with its sorted ops ([Kv.apply_sorted]'s
+   semantics), into stream 0.  An untouched record other than the leaf's
+   last is known not to fire: it did not end the old chunk, so its own
+   bytes carry no pattern. *)
+let merge_leaf r entries ops =
+  let n = Array.length entries in
+  let put = function
+    | Kv.Put (k, v) -> add_item r 0 (Ent (k, v)) ~known:false
+    | Kv.Del _ -> ()
+  in
+  let rec go i ops =
+    if i = n then List.iter put ops
+    else
+      let ((k, _) as e) = entries.(i) in
+      match ops with
+      | op :: rest when String.compare (Kv.key_of_op op) k <= 0 ->
+          put op;
+          go (if String.equal (Kv.key_of_op op) k then i + 1 else i) rest
+      | _ ->
+          add_item r 0 (Ent e) ~known:(i < n - 1);
+          go (i + 1) ops
+  in
+  go 0 ops
+
+let rec emit r h ops ~reuse =
+  match get r.rstore h with
+  | Leaf entries ->
+      merge_leaf r entries ops;
+      (* Local mode: contain the edit within this node's span — cut here
+         instead of re-chunking into the following nodes. *)
+      if r.rcfg.local_split then flush_stream r 0
+  | Internal (lvl, refs) ->
+      let buckets = partition_ops refs ops in
+      let last = Array.length refs - 1 in
+      Array.iteri
+        (fun i ((_, child) as rf) ->
+          if buckets.(i) = [] && reuse && can_reuse r (lvl - 1) then
+            (* A reused ref is known not to fire strictly inside its old
+               node: the last one ended it, and the first may have fired
+               unheeded since a single-ref chunk is never cut. *)
+            add_item r lvl (Ref rf) ~known:(i > 0 && i < last)
+          else emit r child buckets.(i) ~reuse)
+        refs
 
 let rebuild t ops salt ~reuse =
   let r = rebuilder t.store t.cfg salt in
-  (if Hash.is_null t.root then
-     List.iter (fun (k, v) -> add_entry r k v) (Kv.apply_sorted [] ops)
-   else emit r t.root max_int ops ~reuse);
-  { t with root = finish r; salt }
+  if Hash.is_null t.root then merge_leaf r [||] ops else emit r t.root ops ~reuse;
+  let root = finish r in
+  let sink = Store.sink t.store in
+  Siri_telemetry.Telemetry.incr sink ~by:r.fed "chunk.fed";
+  Siri_telemetry.Telemetry.incr sink ~by:r.skipped "chunk.skipped";
+  { t with root; salt }
 
 let batch t ops =
   let ops = Kv.sort_ops ops in
@@ -385,8 +448,8 @@ let leaf_segments cfg entries =
   let ch = Chunker.create cfg.leaf in
   let segs = ref [] and lo = ref 0 in
   Array.iteri
-    (fun i (k, v) ->
-      if Chunker.feed ch (ser_entry k v) then begin
+    (fun i e ->
+      if Chunker.feed ch (ser_entry e) then begin
         segs := (!lo, i + 1) :: !segs;
         lo := i + 1
       end)
@@ -403,8 +466,8 @@ let ref_segments cfg refs =
   | By_rolling c ->
       let ch = Chunker.create c in
       Array.iteri
-        (fun i (k, h) ->
-          let fired = Chunker.feed ch (ser_ref k h) in
+        (fun i rf ->
+          let fired = Chunker.feed ch (ser_ref rf) in
           if fired && i + 1 - !lo >= 2 then begin
             segs := (!lo, i + 1) :: !segs;
             lo := i + 1

@@ -95,7 +95,11 @@ val remove : t -> Kv.key -> t
 val batch : t -> Kv.op list -> t
 (** One streaming pass: all ops are applied bottom-up, every clean subtree
     is reused without being read — this is the batching advantage measured
-    in Section 5.3.1. *)
+    in Section 5.3.1.  Inside a rebuilt node, an untouched item whose
+    boundary the old tree already shows is only counted
+    ({!Siri_chunk.Chunker.skip}), not hashed, unless the rolling config
+    has [min_size > 0]; so [t] must have been built under [conf t].
+    Reports [chunk.fed] and [chunk.skipped] to the store's sink. *)
 
 val of_entries : Store.t -> config -> (Kv.key * Kv.value) list -> t
 (** Bottom-up bulk build. *)

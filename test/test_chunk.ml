@@ -152,6 +152,44 @@ let test_config_validation () =
     (Invalid_argument "Chunker.config: bad min/max sizes") (fun () ->
       ignore (Chunker.config ~pattern_bits:4 ~min_size:100 ~max_size:50 ()))
 
+let test_skip_force_cut () =
+  (* Skipped bytes count toward max_size: the tenth 10-byte item is cut. *)
+  let c = Chunker.create (Chunker.config ~pattern_bits:30 ~max_size:100 ()) in
+  for i = 1 to 9 do
+    Alcotest.(check bool) (Printf.sprintf "item %d not cut" i) false (Chunker.skip c 10)
+  done;
+  Alcotest.(check int) "90 bytes counted" 90 (Chunker.size c);
+  Alcotest.(check bool) "tenth item force-cut" true (Chunker.skip c 10);
+  Alcotest.(check int) "state reset" 0 (Chunker.size c)
+
+let qcheck_skip_matches_feed =
+  (* Two chunkers take the same item sequence; for every item whose bytes
+     carry no pattern (probed on an uncapped chunker) one feeds and the
+     other skips.  Verdicts and sizes must agree after every item, so the
+     states stay interchangeable.  Small caps make force-cuts common. *)
+  QCheck.Test.make ~name:"skip = feed on non-firing items" ~count:200
+    QCheck.(
+      triple (int_range 4 9) (int_range 8 160)
+        (list_of_size Gen.(0 -- 200) (string_of_size Gen.(1 -- 40))))
+    (fun (bits, max_size, items) ->
+      let cfg = Chunker.config ~pattern_bits:bits ~max_size () in
+      let probe = Chunker.create (Chunker.config ~pattern_bits:bits ~max_size:max_int ()) in
+      let fires item =
+        let f = Chunker.feed probe item in
+        Chunker.reset probe;
+        f
+      in
+      let fed = Chunker.create cfg and mixed = Chunker.create cfg in
+      List.for_all
+        (fun item ->
+          let by_feed = Chunker.feed fed item in
+          let by_mixed =
+            if fires item then Chunker.feed mixed item
+            else Chunker.skip mixed (String.length item)
+          in
+          by_feed = by_mixed && Chunker.size fed = Chunker.size mixed)
+        items)
+
 let qcheck_split_preserves =
   QCheck.Test.make ~name:"split preserves item sequence" ~count:100
     QCheck.(list_of_size Gen.(0 -- 200) (string_of_size Gen.(1 -- 50)))
@@ -180,5 +218,7 @@ let () =
           Alcotest.test_case "resynchronisation" `Quick test_resynchronisation;
           Alcotest.test_case "hash boundary rate" `Quick test_hash_boundary_rate;
           Alcotest.test_case "config validation" `Quick test_config_validation;
+          Alcotest.test_case "skip force cut" `Quick test_skip_force_cut;
+          QCheck_alcotest.to_alcotest qcheck_skip_matches_feed;
           QCheck_alcotest.to_alcotest qcheck_split_preserves;
           QCheck_alcotest.to_alcotest qcheck_split_deterministic ] ) ]

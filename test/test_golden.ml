@@ -280,6 +280,72 @@ let test_pooled_mbt_merge_pins () =
                  (Mbt.config ~capacity:16 ~fanout:4 ())
                  entries) ) ])
 
+(* --- history pins -----------------------------------------------------------
+
+   A fixed, seeded 64-batch history of puts and deletes applied through
+   [batch], one root pinned per config.  The streaming rebuilder reuses
+   and re-chunks against the previous version, so these pin the update
+   path itself rather than the bulk build: for the structurally
+   invariant configs the pin equals the bulk root of the final records,
+   but for [config_non_structurally_invariant] the shape depends on the
+   history and only a pin can guard it.  The [min_size > 0] config takes
+   the chunker's full-feed path on every entry. *)
+
+let history_base =
+  List.init 1500 (fun i ->
+      (Printf.sprintf "hkey%06d" (i * 4), Printf.sprintf "hval-%d-%d" i (i * 37 mod 101)))
+
+let history_batches () =
+  let rng = Siri_core.Rng.create 64 in
+  List.init 64 (fun b ->
+      List.init (Siri_core.Rng.int_in rng 1 24) (fun _ ->
+          let k = Printf.sprintf "hkey%06d" (Siri_core.Rng.int rng 6400) in
+          if Siri_core.Rng.int rng 4 = 0 then Kv.Del k
+          else
+            Kv.Put
+              (k, Printf.sprintf "b%d-%s" b
+                    (Siri_core.Rng.string_alnum rng (Siri_core.Rng.int_in rng 0 40)))))
+
+let history_configs =
+  [ ( "pos default",
+      Pos.config (),
+      "ade7891d18b33181d6d1ddaddbaebe26686463978c7ab33c7a72d2550a44b063",
+      true );
+    ( "prolly",
+      Prolly.config ~node_target:256 (),
+      "c869cb191b8908c280c1c645bce51772efbd8d7a894cee2c536223fbcac0236a",
+      true );
+    ( "min_size > 0",
+      { (Pos.config ~leaf_target:256 ~internal_bits:3 ()) with
+        Pos.leaf = Siri_chunk.Chunker.config ~pattern_bits:8 ~min_size:96 () },
+      "47d94ce8f201609353afa05691955eb0aa506acbd22e8cdc88dee1a982d9500a",
+      true );
+    ( "non-structurally-invariant",
+      Pos.config_non_structurally_invariant ~leaf_target:256 (),
+      "7a71467977c0bae43ad95152909aba12b4f2f26bca7319ef3bc7a20f2f2e04c5",
+      false ) ]
+
+let test_history_pins () =
+  let batches = history_batches () in
+  List.iter
+    (fun (name, cfg, pin, invariant) ->
+      let store = Store.create () in
+      let t =
+        List.fold_left Pos.batch (Pos.of_entries store cfg history_base) batches
+      in
+      Alcotest.(check string) (name ^ " history root frozen") pin
+        (Hash.to_hex (Pos.root t));
+      let final =
+        List.fold_left
+          (fun acc ops -> Kv.apply_sorted acc (Kv.sort_ops ops))
+          history_base batches
+      in
+      Alcotest.(check bool)
+        (name ^ " history root = bulk root of the final records")
+        invariant
+        (Hash.equal (Pos.root t) (Pos.root (Pos.of_entries store cfg final))))
+    history_configs
+
 let () =
   Alcotest.run "golden"
     [ ( "roots",
@@ -298,4 +364,6 @@ let () =
       ( "merge",
         [ Alcotest.test_case "merge pins" `Quick test_merge_pins;
           Alcotest.test_case "pooled mbt merge pins" `Quick
-            test_pooled_mbt_merge_pins ] ) ]
+            test_pooled_mbt_merge_pins ] );
+      ( "history",
+        [ Alcotest.test_case "64-batch history pins" `Quick test_history_pins ] ) ]

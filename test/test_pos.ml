@@ -102,27 +102,112 @@ let test_incremental_equals_bulk () =
   let bulk = Pos.of_entries store cfg (Kv.apply_sorted base (Kv.sort_ops ops)) in
   Alcotest.(check bool) "same root" true (Hash.equal (Pos.root incr) (Pos.root bulk))
 
+(* Qcheck rounds for the differential below; [make pos] raises it. *)
+let pos_rounds () =
+  match Option.bind (Sys.getenv_opt "SIRI_POS_ROUNDS") int_of_string_opt with
+  | Some n -> max 1 n
+  | None -> 30
+
+(* Configs the differential runs under.  Each exercises a different part
+   of the rebuilder's skip: the default leaf rule; Prolly's rolling
+   internal rule with small targets, so internal nodes are short and their
+   first and last refs matter; size caps small enough that most cuts are
+   forced, at the leaves and at the rolling internal levels; and
+   [min_size > 0], under which nothing may be skipped. *)
+let differential_configs =
+  [ ("default", Pos.config ());
+    ("prolly small", Pos.config_prolly ~leaf_target:128 ~internal_target:128 ());
+    ( "tiny leaf max_size",
+      { cfg with Pos.leaf = Siri_chunk.Chunker.config ~pattern_bits:7 ~max_size:64 () } );
+    ( "tiny rolling max_size",
+      { (Pos.config_prolly ~leaf_target:128 ~internal_target:128 ()) with
+        Pos.internal =
+          Pos.By_rolling (Siri_chunk.Chunker.config ~pattern_bits:7 ~max_size:120 ()) } );
+    ( "min_size > 0",
+      { cfg with Pos.leaf = Siri_chunk.Chunker.config ~pattern_bits:7 ~min_size:48 () } ) ]
+
+(* The last record of every leaf a full build of [entries] cuts under
+   [leaf] (replaying the leaf rule on the records' wire bytes): editing
+   or deleting one removes a boundary, so the rebuild must resync into the
+   next leaf. *)
+let leaf_last_keys leaf entries =
+  let ch = Siri_chunk.Chunker.create leaf in
+  List.filter_map
+    (fun (k, v) ->
+      let w = Siri_codec.Wire.Writer.create () in
+      Siri_codec.Wire.Writer.str w k;
+      Siri_codec.Wire.Writer.str w v;
+      if Siri_chunk.Chunker.feed ch (Siri_codec.Wire.Writer.contents w) then Some k
+      else None)
+    entries
+
 let qcheck_incremental_invariance =
-  QCheck.Test.make ~name:"incremental = bulk on random batches" ~count:30
+  QCheck.Test.make ~name:"incremental = bulk on random batches"
+    ~count:(pos_rounds ())
     QCheck.(
       pair (int_bound 1000)
-        (list_of_size Gen.(1 -- 30)
-           (pair (int_bound 1200) (option (string_of_size Gen.(0 -- 20))))))
-    (fun (seed, raw_ops) ->
-      let store = Store.create () in
+        (list_of_size Gen.(1 -- 8)
+           (list_of_size Gen.(1 -- 30)
+              (pair (int_bound 1200) (option (string_of_size Gen.(0 -- 20)))))))
+    (fun (seed, chain) ->
       let base = big_entries 600 in
-      let t = Pos.of_entries store cfg base in
-      ignore seed;
-      let ops =
-        List.map
-          (fun (i, v) ->
-            let k = Printf.sprintf "key%06d" i in
-            match v with Some v -> Kv.Put (k, v) | None -> Kv.Del k)
-          raw_ops
-      in
-      let incr = Pos.batch t ops in
-      let bulk = Pos.of_entries store cfg (Kv.apply_sorted base (Kv.sort_ops ops)) in
-      Hash.equal (Pos.root incr) (Pos.root bulk))
+      List.for_all
+        (fun (_, config) ->
+          let store = Store.create () in
+          let rng = Rng.create seed in
+          let step (t, records) raw_ops =
+            let random =
+              List.map
+                (fun (i, v) ->
+                  let k = Printf.sprintf "key%06d" i in
+                  match v with Some v -> Kv.Put (k, v) | None -> Kv.Del k)
+                raw_ops
+            in
+            (* A few ops aimed at the current leaves' last records. *)
+            let aimed =
+              List.filter_map
+                (fun k ->
+                  match Rng.int rng 6 with
+                  | 0 -> Some (Kv.Del k)
+                  | 1 -> Some (Kv.Put (k, Rng.string_alnum rng (Rng.int_in rng 0 40)))
+                  | _ -> None)
+                (leaf_last_keys config.Pos.leaf records)
+            in
+            let ops = Rng.shuffle rng (random @ aimed) in
+            (Pos.batch t ops, Kv.apply_sorted records (Kv.sort_ops ops))
+          in
+          let rec go (t, records) = function
+            | [] -> true
+            | raw_ops :: rest ->
+                let t, records = step (t, records) raw_ops in
+                Hash.equal (Pos.root t) (Pos.root (Pos.of_entries store config records))
+                && Hash.equal (Pos.root t) (Pos.root (Pos.of_sorted store config records))
+                && go (t, records) rest
+          in
+          go (Pos.of_entries store config base, base) chain)
+        differential_configs)
+
+let test_skip_engages () =
+  (* A one-record update re-hashes only the records and refs whose
+     boundary is not already known: the touched record, each rebuilt
+     node's last item, and (at rolling internal levels) its first ref and
+     the new ref.  With the skip off, every item of every rebuilt node is
+     fed: 5 for the POS tree here and 31 for the Prolly tree.  The
+     root alone cannot show that the skip was turned off. *)
+  List.iter
+    (fun (name, config, bound) ->
+      let store = Store.create () in
+      let t = Pos.of_entries store config (big_entries 4000) in
+      let sink = Siri_telemetry.Telemetry.create () in
+      Store.set_sink store sink;
+      ignore (Pos.insert t "key002000" "NEW");
+      let fed = Siri_telemetry.Telemetry.counter sink "chunk.fed"
+      and skipped = Siri_telemetry.Telemetry.counter sink "chunk.skipped" in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d items fed (<= %d), %d skipped" name fed bound skipped)
+        true
+        (fed >= 1 && fed <= bound && skipped > 0))
+    [ ("pos", cfg, 3); ("prolly", Pos.config_prolly ~leaf_target:256 ~internal_target:256 (), 20) ]
 
 (* --- ablations (Section 5.5) -------------------------------------------------------- *)
 
@@ -221,6 +306,7 @@ let () =
           Alcotest.test_case "height logarithmic" `Quick test_height_grows_logarithmically;
           Alcotest.test_case "point update reuse" `Quick test_batch_one_pass_reuse;
           Alcotest.test_case "incremental = bulk" `Quick test_incremental_equals_bulk;
+          Alcotest.test_case "point update skips known records" `Quick test_skip_engages;
           QCheck_alcotest.to_alcotest qcheck_incremental_invariance ] );
       ( "ablations",
         [ Alcotest.test_case "non-SI order dependent" `Quick test_non_si_is_order_dependent;
