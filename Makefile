@@ -73,7 +73,10 @@
 #                  (Generic.make derives merge from diff and batch), extend
 #                  Node_cache.repr (Store.Decoded is the one cached read), or
 #                  call note_staged / put_staged (Store.put_parallel is the
-#                  one install step).
+#                  one install step).  And lib/pos and lib/mvbt must not
+#                  declare a decoded entry-array node type or use
+#                  Wire.Writer: a split-key node is read as a Split_key
+#                  view and written by Split_key's one exact-size writer.
 #   make bench-sidecars — fail loudly if any committed BENCH_*.json metrics
 #                  sidecar is missing or empty (regenerate with
 #                  `dune exec bench/main.exe -- <id>`).
@@ -138,6 +141,7 @@ pos: build
 
 DERIVED_READS = lookup_count|lookup|path_length|get_many|in_range|range|prove|verify_proof|prove_many|verify_many|to_list|cardinal
 INDEX_LIBS = lib/mpt lib/mbt lib/pos lib/mvbt lib/prolly
+SPLIT_KEY_LIBS = lib/pos lib/mvbt
 
 lint:
 	@if grep -rnE --include='*.ml' --include='*.mli' 'Unix\.fork *\(\)' lib bin test bench; then \
@@ -160,6 +164,12 @@ lint:
 	fi; \
 	if grep -rnE --include='*.ml' --include='*.mli' '\b(note_staged|put_staged)\b' $(INDEX_LIBS); then \
 	  echo "lint: index libraries must not install staged nodes directly (use Store.put_parallel)"; \
+	  exit 1; \
+	fi; \
+	if grep -rnE --include='*.ml' --include='*.mli' \
+	    '\bof[[:space:]]*\(?[[:space:]]*(Kv\.)?key[[:space:]]*\*[[:space:]]*((Kv\.)?value|Hash\.t)[[:space:]]*\)?[[:space:]]*array|Wire\.Writer' \
+	    $(SPLIT_KEY_LIBS); then \
+	  echo "lint: split-key trees read nodes as Split_key views and write them with Split_key's writer (no decoded entry-array node type, no Wire.Writer)"; \
 	  exit 1; \
 	fi; \
 	echo "lint: OK"

@@ -4,7 +4,8 @@
      dune exec bench/main.exe                 # everything, laptop scale
      dune exec bench/main.exe -- --full       # paper-scale parameters
      dune exec bench/main.exe -- fig6 fig17   # selected experiments
-     dune exec bench/main.exe -- --list       # available experiment ids  *)
+     dune exec bench/main.exe -- --list       # available experiment ids
+     dune exec bench/main.exe -- alloc --seed 13   # a seeded experiment  *)
 
 let experiments =
   [ ("fig1", "storage & transfer raw vs deduplicated", Fig_motivation.run);
@@ -40,6 +41,7 @@ let experiments =
     ("server", "extension: multi-client server, group vs single commit", Fig_server.run);
     ("shard", "extension: sharded keyspace, concurrent commit + composite root", Fig_shard.run);
     ("scan", "extension: routed range scans + online reshard", Fig_scan.run);
+    ("alloc", "extension: time and words per POS commit and cold get (--seed N)", Fig_alloc.run);
     ("batch", "ablation: write batch size vs throughput", Fig_throughput.batch_throughput);
     ("micro", "Bechamel per-op microbenchmarks", Micro.run);
     ("params", "print the Table 1/2 notation and parameter values", fun () ->
@@ -92,7 +94,19 @@ let run_one (id, _descr, f) =
   Printf.printf "[%s done in %.1fs]\n%!" id (Unix.gettimeofday () -. t0)
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
+  (* [--seed N] seeds the experiments that take one (alloc). *)
+  let rec strip_seed = function
+    | "--seed" :: n :: rest ->
+        (match int_of_string_opt n with
+        | Some s -> Fig_alloc.seed := s
+        | None ->
+            Printf.eprintf "--seed expects an integer, got %S\n" n;
+            exit 2);
+        strip_seed rest
+    | a :: rest -> a :: strip_seed rest
+    | [] -> []
+  in
+  let args = Array.to_list Sys.argv |> List.tl |> strip_seed in
   let full = List.mem "--full" args in
   let list = List.mem "--list" args in
   let selected =

@@ -43,15 +43,16 @@ let reset t =
   t.bytes <- 0;
   t.matched <- false
 
-let feed t item =
+let feed_sub t s ~off ~len =
   (* The window rolls within one item only: whether an item carries a
      boundary is then a property of the item's own bytes, so re-chunking
      after an edit realigns with the old boundaries at the very next
      pattern-carrying item (fast resynchronisation). *)
+  if off < 0 || len < 0 || off + len > String.length s then
+    invalid_arg "Chunker.feed_sub";
   Buzhash.reset t.bh;
-  let n = String.length item in
-  for i = 0 to n - 1 do
-    let h = Buzhash.roll t.bh item.[i] in
+  for i = off to off + len - 1 do
+    let h = Buzhash.roll t.bh s.[i] in
     t.bytes <- t.bytes + 1;
     if (not t.matched) && t.bytes >= t.c.min_size && h land t.mask = t.mask
     then t.matched <- true
@@ -59,6 +60,8 @@ let feed t item =
   let boundary = t.matched || t.bytes >= t.c.max_size in
   if boundary then reset t;
   boundary
+
+let feed t item = feed_sub t item ~off:0 ~len:(String.length item)
 
 let skip t len =
   (* [matched] is always false between calls ([feed] resets on firing), so
@@ -72,18 +75,22 @@ let skip t len =
 
 let size t = t.bytes
 
-let hash_boundary c h =
+let hash_boundary_sub c s ~off =
   (* Fold the first 8 digest bytes into an int and test the pattern; the
      digest is uniform so any fixed bits work. *)
+  if off < 0 || off + Hash.size > String.length s then
+    invalid_arg "Chunker.hash_boundary_sub";
   let v =
     let acc = ref 0 in
     for i = 0 to 7 do
-      acc := (!acc lsl 8) lor Hash.byte h i
+      acc := (!acc lsl 8) lor Char.code s.[off + i]
     done;
     !acc
   in
   let mask = (1 lsl c.pattern_bits) - 1 in
   v land mask = mask
+
+let hash_boundary c h = hash_boundary_sub c (Hash.to_raw h) ~off:0
 
 let split c items =
   let t = create c in

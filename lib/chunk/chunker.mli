@@ -49,6 +49,11 @@ val feed : t -> string -> bool
 (** [feed t item] absorbs one item's bytes; [true] means a node boundary
     falls after this item (state has been reset). *)
 
+val feed_sub : t -> string -> off:int -> len:int -> bool
+(** [feed_sub t s ~off ~len] is [feed t (String.sub s off len)] without
+    the copy: a node rebuilt by splicing feeds an item straight out of
+    the old node's bytes. *)
+
 val skip : t -> int -> bool
 (** [skip t len] absorbs an item of [len] bytes that is known not to carry
     the boundary pattern, without hashing it: it only counts the bytes and
@@ -69,6 +74,11 @@ val size : t -> int
 val hash_boundary : config -> Siri_crypto.Hash.t -> bool
 (** Internal-level rule: boundary iff the low [pattern_bits] bits of the
     first 8 bytes of the digest are all ones. *)
+
+val hash_boundary_sub : config -> string -> off:int -> bool
+(** [hash_boundary_sub c s ~off] is {!hash_boundary} of the raw digest
+    stored at [off] in [s] (a child hash inside a node's bytes), read in
+    place. *)
 
 val split : config -> string list -> string list list
 (** Partition a whole item sequence into chunks from a fresh state.  Every

@@ -43,6 +43,26 @@ module Writer = struct
   let str_size s = varint_size (String.length s) + String.length s
 end
 
+module Exact = struct
+  let rec varint b off v =
+    if v < 0 then invalid_arg "Wire.Exact.varint: negative";
+    if v < 0x80 then begin
+      Bytes.set b off (Char.unsafe_chr v);
+      off + 1
+    end
+    else begin
+      Bytes.set b off (Char.unsafe_chr (0x80 lor (v land 0x7F)));
+      varint b (off + 1) (v lsr 7)
+    end
+
+  let raw b off s =
+    let n = String.length s in
+    Bytes.blit_string s 0 b off n;
+    off + n
+
+  let str b off s = raw b (varint b off (String.length s)) s
+end
+
 module Reader = struct
   (* A reader is a window [base, limit) over [src]; [of_string] opens the
      whole string, [of_substring] a slice of it without copying — frame
@@ -81,21 +101,25 @@ module Reader = struct
     let lo = u16 t in
     (hi lsl 16) lor lo
 
-  let varint t =
-    (* Cap the shift: a malicious run of continuation bytes must fail
-       cleanly instead of shifting past the word size.  The last usable
-       chunk sits at shift 56 and may only carry 6 bits (bits 56..61);
-       anything larger would spill into the sign bit of a 63-bit OCaml
-       int and produce a negative "length". *)
-    let rec loop shift acc =
-      let b = u8 t in
-      let chunk = b land 0x7F in
-      if shift = 56 && (chunk lsr 6 <> 0 || b land 0x80 <> 0) then
-        raise Truncated;
-      let acc = acc lor (chunk lsl shift) in
-      if b land 0x80 = 0 then acc else loop (shift + 7) acc
-    in
-    loop 0 0
+  (* Cap the shift: a malicious run of continuation bytes must fail
+     cleanly instead of shifting past the word size.  The last usable
+     chunk sits at shift 56 and may only carry 6 bits (bits 56..61);
+     anything larger would spill into the sign bit of a 63-bit OCaml int
+     and produce a negative "length".  A top-level loop: node parsers
+     call this twice per record, so it must not allocate a closure. *)
+  let rec varint_from t shift acc =
+    let b = u8 t in
+    let chunk = b land 0x7F in
+    if shift = 56 && (chunk lsr 6 <> 0 || b land 0x80 <> 0) then
+      raise Truncated;
+    let acc = acc lor (chunk lsl shift) in
+    if b land 0x80 = 0 then acc else varint_from t (shift + 7) acc
+
+  let varint t = varint_from t 0 0
+
+  let skip t n =
+    need t n;
+    t.pos <- t.pos + n
 
   let raw t n =
     need t n;

@@ -40,6 +40,23 @@ module Writer : sig
   (** Bytes {!str} writes for the string. *)
 end
 
+module Exact : sig
+  (** Writes into a preallocated [Bytes.t] sized in advance with
+      {!Writer.varint_size} and {!Writer.str_size}, so a node is built in
+      one exact-size buffer with no growth and no final copy.  Each
+      function writes at the given offset and returns the offset just past
+      what it wrote; the bytes are those {!Writer} would append. *)
+
+  val varint : Bytes.t -> int -> int -> int
+  (** [varint b off v]: LEB128 of the non-negative [v]. *)
+
+  val raw : Bytes.t -> int -> string -> int
+  (** The string's bytes verbatim. *)
+
+  val str : Bytes.t -> int -> string -> int
+  (** Length-prefixed (varint) string. *)
+end
+
 module Reader : sig
   type t
 
@@ -67,6 +84,11 @@ module Reader : sig
       past the 62 usable bits of an OCaml int raises {!Truncated}. *)
 
   val raw : t -> int -> string
+
+  val skip : t -> int -> unit
+  (** [skip t n] advances past [n] bytes without copying them; raises
+      {!Truncated} exactly when [raw t n] would. *)
+
   val str : t -> string
   val hash : t -> Siri_crypto.Hash.t
 

@@ -1,7 +1,6 @@
 open Siri_crypto
 open Siri_core
 module Store = Siri_store.Store
-module Wire = Siri_codec.Wire
 
 type config = { leaf_capacity : int; internal_capacity : int }
 
@@ -18,83 +17,30 @@ let root t = t.root
 let store t = t.store
 let conf t = t.cfg
 
-(* --- codec (same layout as POS-Tree nodes, without the salt) -------------- *)
+(* --- nodes (the split-key layout without the salt) ----------------------- *)
 
-let tag_leaf = 0
-let tag_internal = 1
+(* Nodes are read as unsalted {!Split_key.view}s and written by the shared
+   exact-size writer.  The in-place write paths below edit materialized
+   entry and ref arrays, copied out of a view, so the views
+   [Store.Decoded] shares are never mutated. *)
+let decode = Split_key.parse ~salted:false
 
-type node = Split_key.node =
-  | Leaf of (Kv.key * Kv.value) array
-  | Internal of int * (Kv.key * Hash.t) array
-
-let encode node =
-  let w = Wire.Writer.create ~capacity:1024 () in
-  (match node with
-  | Leaf entries ->
-      Wire.Writer.u8 w tag_leaf;
-      Wire.Writer.varint w (Array.length entries);
-      Array.iter
-        (fun (k, v) ->
-          Wire.Writer.str w k;
-          Wire.Writer.str w v)
-        entries
-  | Internal (level, refs) ->
-      Wire.Writer.u8 w tag_internal;
-      Wire.Writer.u8 w level;
-      Wire.Writer.varint w (Array.length refs);
-      Array.iter
-        (fun (k, h) ->
-          Wire.Writer.str w k;
-          Wire.Writer.hash w h)
-        refs);
-  Wire.Writer.contents w
-
-let decode bytes =
-  let r = Wire.Reader.of_string bytes in
-  if Wire.Reader.u8 r = tag_leaf then
-    Leaf
-      (Array.init (Wire.Reader.varint r) (fun _ ->
-           let k = Wire.Reader.str r in
-           let v = Wire.Reader.str r in
-           (k, v)))
-  else begin
-    let level = Wire.Reader.u8 r in
-    Internal
-      ( level,
-        Array.init (Wire.Reader.varint r) (fun _ ->
-            let k = Wire.Reader.str r in
-            let h = Wire.Reader.hash r in
-            (k, h)) )
-  end
-
-let put store node =
-  let children =
-    match node with
-    | Leaf _ -> []
-    | Internal (_, refs) -> Array.to_list (Array.map snd refs)
-  in
-  Store.put store ~children (encode node)
-
-(* Decoded arrays are never mutated ([entry_insert]/[array_replace] copy
-   before writing), so a shared decoding is safe. *)
 module Nodes = Store.Decoded (struct
-  type nonrec node = node
+  type node = Split_key.view
 
   let decode = decode
 end)
 
 let get = Nodes.get
 
-let max_key = function
-  | Leaf entries -> fst entries.(Array.length entries - 1)
-  | Internal (_, refs) -> fst refs.(Array.length refs - 1)
+let put_leaf store entries = Store.put store (Split_key.write_leaf ~salt:None entries)
 
-let height t =
-  if Hash.is_null t.root then 0
-  else
-    match get t.store t.root with
-    | Leaf _ -> 1
-    | Internal (lvl, _) -> lvl + 1
+let put_internal store lvl refs =
+  Store.put store
+    ~children:(Array.fold_right (fun (_, h) acc -> h :: acc) refs [])
+    (Split_key.write_internal ~salt:None lvl refs)
+
+let height t = if Hash.is_null t.root then 0 else Split_key.level (get t.store t.root) + 1
 
 (* --- insert ------------------------------------------------------------------ *)
 
@@ -146,45 +92,41 @@ let splice refs i replacement =
       out
   | _ -> assert false
 
-let split_if_needed store cap mk arr =
+(* The ref of a node of sorted items: its last key, and [put]'s hash. *)
+let ref_of put arr = (fst arr.(Array.length arr - 1), put arr)
+
+let split_if_needed cap put arr =
   let n = Array.length arr in
-  if n <= cap then
-    let node = mk arr in
-    [ (max_key node, put store node) ]
+  if n <= cap then [ ref_of put arr ]
   else begin
     let mid = n / 2 in
-    let left = mk (Array.sub arr 0 mid) in
-    let right = mk (Array.sub arr mid (n - mid)) in
-    [ (max_key left, put store left); (max_key right, put store right) ]
+    [ ref_of put (Array.sub arr 0 mid); ref_of put (Array.sub arr mid (n - mid)) ]
   end
 
 (* Returns 1 or 2 replacement refs for the subtree rooted at [h]. *)
 let rec ins store cfg h key value =
-  match get store h with
-  | Leaf entries ->
-      let entries = entry_insert entries key value in
-      split_if_needed store cfg.leaf_capacity (fun a -> Leaf a) entries
-  | Internal (lvl, refs) ->
-      let i = min (Split_key.child_for refs key) (Array.length refs - 1) in
-      let replacement = ins store cfg (snd refs.(i)) key value in
-      let refs = splice refs i replacement in
-      split_if_needed store cfg.internal_capacity
-        (fun a -> Internal (lvl, a))
-        refs
+  let v = get store h in
+  if Split_key.is_leaf v then
+    let entries = entry_insert (Split_key.entries v) key value in
+    split_if_needed cfg.leaf_capacity (put_leaf store) entries
+  else begin
+    let i = min (Split_key.child_for v key) (Split_key.count v - 1) in
+    let replacement = ins store cfg (Split_key.child v i) key value in
+    let refs = splice (Split_key.refs v) i replacement in
+    split_if_needed cfg.internal_capacity
+      (put_internal store (Split_key.level v))
+      refs
+  end
 
 let insert t key value =
   if Hash.is_null t.root then
-    { t with root = put t.store (Leaf [| (key, value) |]) }
+    { t with root = put_leaf t.store [| (key, value) |] }
   else
     match ins t.store t.cfg t.root key value with
     | [ (_, h) ] -> { t with root = h }
     | two ->
-        let lvl =
-          match get t.store (snd (List.hd two)) with
-          | Leaf _ -> 1
-          | Internal (l, _) -> l + 1
-        in
-        { t with root = put t.store (Internal (lvl, Array.of_list two)) }
+        let lvl = Split_key.level (get t.store (snd (List.hd two))) + 1 in
+        { t with root = put_internal t.store lvl (Array.of_list two) }
 
 (* --- remove ------------------------------------------------------------------- *)
 
@@ -201,39 +143,37 @@ let entry_remove entries key =
 (* Returns the replacement ref, or None if the subtree became empty, or
    raises Not_found if the key is absent (no copy needed). *)
 let rec del store h key =
-  match get store h with
-  | Leaf entries -> (
-      match entry_remove entries key with
-      | None -> raise Not_found
-      | Some [||] -> None
-      | Some entries ->
-          let node = Leaf entries in
-          Some (max_key node, put store node))
-  | Internal (lvl, refs) -> (
-      let i = Split_key.child_for refs key in
-      if i >= Array.length refs then raise Not_found
-      else
-        match del store (snd refs.(i)) key with
-        | Some r ->
-            let refs = array_replace refs i r in
-            let node = Internal (lvl, refs) in
-            Some (max_key node, put store node)
-        | None ->
-            let n = Array.length refs in
-            if n = 1 then None
-            else begin
-              let refs' = Array.make (n - 1) refs.(0) in
-              Array.blit refs 0 refs' 0 i;
-              Array.blit refs (i + 1) refs' i (n - 1 - i);
-              let node = Internal (lvl, refs') in
-              Some (max_key node, put store node)
-            end)
+  let v = get store h in
+  if Split_key.is_leaf v then
+    match entry_remove (Split_key.entries v) key with
+    | None -> raise Not_found
+    | Some [||] -> None
+    | Some entries -> Some (ref_of (put_leaf store) entries)
+  else begin
+    let put = put_internal store (Split_key.level v) in
+    let i = Split_key.child_for v key in
+    if i >= Split_key.count v then raise Not_found
+    else
+      match del store (Split_key.child v i) key with
+      | Some r -> Some (ref_of put (array_replace (Split_key.refs v) i r))
+      | None ->
+          let refs = Split_key.refs v in
+          let n = Array.length refs in
+          if n = 1 then None
+          else begin
+            let refs' = Array.make (n - 1) refs.(0) in
+            Array.blit refs 0 refs' 0 i;
+            Array.blit refs (i + 1) refs' i (n - 1 - i);
+            Some (ref_of put refs')
+          end
+  end
 
 (* Drop single-child internal chains at the root after deletions. *)
 let rec collapse store h =
-  match get store h with
-  | Internal (_, [| (_, only) |]) -> collapse store only
-  | _ -> h
+  let v = get store h in
+  if (not (Split_key.is_leaf v)) && Split_key.count v = 1 then
+    collapse store (Split_key.child v 0)
+  else h
 
 let remove t key =
   if Hash.is_null t.root then t
@@ -276,11 +216,9 @@ let of_sorted ?(pool = Pool.sequential) store cfg entries =
       { store;
         cfg;
         root =
-          Split_key.bulk_build ~pool store
+          Split_key.bulk_build ~pool store ~salt:None
             ~cut_leaves:(balanced_segments cfg.leaf_capacity)
             ~cut_refs:(balanced_segments cfg.internal_capacity)
-            ~encode_leaf:(fun a -> encode (Leaf a))
-            ~encode_internal:(fun lvl a -> encode (Internal (lvl, a)))
             (Array.of_list entries) }
 
 (* --- whole-tree helpers ------------------------------------------------------ *)

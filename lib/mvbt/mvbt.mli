@@ -12,10 +12,11 @@
     simply dropped), which keeps the baseline faithful to a plain
     copy-on-write B+-tree.
 
-    Its nodes have the POS-Tree's shape, so it shares the POS-Tree's
-    split-key walk, scan, bulk build and diff ({!Siri_core.Split_key});
-    {!generic} derives every read and the merge from them.  What stays
-    here is the codec and the copy-on-write insert and remove. *)
+    Its nodes have the POS-Tree's layout without the salt, so it shares
+    the POS-Tree's node view and writer, split-key walk, scan, bulk build
+    and diff ({!Siri_core.Split_key}); {!generic} derives every read and
+    the merge from them.  What stays here is the copy-on-write insert and
+    remove, which edit entry and ref arrays copied out of a view. *)
 
 open Siri_crypto
 open Siri_core

@@ -281,11 +281,12 @@ let append t nodes =
   List.iter
     (fun (h, bytes, children) ->
       if not (Hash.Table.mem t.index h) then begin
-        let record = Segment.encode_record h bytes children in
-        let flen = String.length record in
+        let head = Segment.record_head h ~bytes_len:(String.length bytes) children in
+        let flen = String.length head + String.length bytes in
         if t.active_len + flen > t.segment_target && t.active_len > magic_len
         then roll t;
-        output_string t.chan record;
+        output_string t.chan head;
+        output_string t.chan bytes;
         Mutex.protect t.index_lock (fun () ->
             Hash.Table.replace t.index h
               { Pack_index.seg = t.active; off = t.active_len; len = flen });

@@ -37,19 +37,27 @@ let check_magic prefix =
 
 (* The head digest covers the length and the head only; the node bytes
    are already bound by [h], which the caller computed when it stored the
-   node — so an append hashes a few dozen bytes, never the node itself. *)
-let encode_record h bytes children =
+   node — so an append hashes a few dozen bytes, never the node itself.
+   Everything before the node bytes is written into one exact-size
+   buffer. *)
+let record_head h ~bytes_len children =
   let n = List.length children in
-  let w = Wire.Writer.create ~capacity:(Hash.size * (n + 1) + 8) () in
-  Wire.Writer.hash w h;
-  Wire.Writer.varint w n;
-  List.iter (Wire.Writer.hash w) children;
-  let head = Wire.Writer.contents w in
-  let lw = Wire.Writer.create ~capacity:4 () in
-  Wire.Writer.u32 lw (String.length head + String.length bytes);
-  let len = Wire.Writer.contents lw in
-  let digest = Hash.to_raw (Hash.of_concat len head) in
-  String.concat "" [ len; digest; head; bytes ]
+  let head_len = Hash.size + Wire.Writer.varint_size n + (n * Hash.size) in
+  if head_len + bytes_len > 0xFFFFFFFF then invalid_arg "Segment.record_head: too long";
+  let b = Bytes.create (header_len + head_len) in
+  Bytes.set_int32_be b 0 (Int32.of_int (head_len + bytes_len));
+  let off = Wire.Exact.raw b header_len (Hash.to_raw h) in
+  let off = Wire.Exact.varint b off n in
+  ignore (List.fold_left (fun off c -> Wire.Exact.raw b off (Hash.to_raw c)) off children);
+  let digest =
+    Hash.of_concat_sub (Bytes.sub_string b 0 4) (Bytes.unsafe_to_string b)
+      ~off:header_len ~len:head_len
+  in
+  Bytes.blit_string (Hash.to_raw digest) 0 b 4 Hash.size;
+  Bytes.unsafe_to_string b
+
+let encode_record h bytes children =
+  record_head h ~bytes_len:(String.length bytes) children ^ bytes
 
 type record = {
   hash : Hash.t;

@@ -40,10 +40,17 @@ val filename : int -> string
 val id_of_filename : string -> int option
 (** Inverse of {!filename}; [None] for anything else. *)
 
+val record_head : Hash.t -> bytes_len:int -> Hash.t list -> string
+(** [record_head h ~bytes_len children] is everything of a record before
+    its node bytes — [len | digest | hash | varint n | children] — built in
+    one exact-size buffer.  An appender writes it and then the node bytes,
+    so a node is never copied into a record.  [h] must be [SHA-256] of the
+    [bytes_len] node bytes that follow — the caller's already-computed
+    node hash; only the head is hashed here. *)
+
 val encode_record : Hash.t -> string -> Hash.t list -> string
-(** [encode_record h bytes children] is the record appended to a segment.
-    [h] must be [SHA-256(bytes)] — the caller's already-computed node
-    hash; only the head is hashed here. *)
+(** [encode_record h bytes children] = [record_head h ~bytes_len children ^
+    bytes], the whole record as one string (tests and tools). *)
 
 type record = {
   hash : Hash.t;

@@ -1,7 +1,6 @@
 open Siri_crypto
 open Siri_core
 module Store = Siri_store.Store
-module Wire = Siri_codec.Wire
 module Chunker = Siri_chunk.Chunker
 
 type internal_rule =
@@ -66,101 +65,22 @@ let salt_counter = Atomic.make 0
 
 let next_salt () = Printf.sprintf "v%d" (Atomic.fetch_and_add salt_counter 1 + 1)
 
-(* --- node codec ---------------------------------------------------------- *)
+(* --- node views -------------------------------------------------------------- *)
 
-let tag_leaf = 0
-let tag_internal = 1
+(* A node is read as a {!Split_key.view} of the salted layout: its bytes
+   and an offset table.  Views are immutable, so the one parse
+   [Store.Decoded] caches is shared by every reader and by the rebuilder,
+   which splices untouched items straight out of it.  The salt skipped by
+   the parser is irrelevant to reads. *)
+let decode = Split_key.parse ~salted:true
 
-type node = Split_key.node =
-  | Leaf of (Kv.key * Kv.value) array
-  | Internal of int * (Kv.key * Hash.t) array
-
-(* Bytes a record or a ref takes in a node, and in the rolling hash's
-   input: one length function sizes the encode buffer and feeds
-   [Chunker.skip]. *)
-let entry_size (k, v) = Wire.Writer.str_size k + Wire.Writer.str_size v
-let ref_size (k, _) = Wire.Writer.str_size k + Hash.size
-
-let encode_leaf salt entries =
-  let size =
-    Array.fold_left
-      (fun acc e -> acc + entry_size e)
-      (1 + Wire.Writer.str_size salt + Wire.Writer.varint_size (Array.length entries))
-      entries
-  in
-  let w = Wire.Writer.create ~capacity:size () in
-  Wire.Writer.u8 w tag_leaf;
-  Wire.Writer.str w salt;
-  Wire.Writer.varint w (Array.length entries);
-  Array.iter
-    (fun (k, v) ->
-      Wire.Writer.str w k;
-      Wire.Writer.str w v)
-    entries;
-  Wire.Writer.contents w
-
-let encode_internal salt level refs =
-  let size =
-    Array.fold_left
-      (fun acc r -> acc + ref_size r)
-      (2 + Wire.Writer.str_size salt + Wire.Writer.varint_size (Array.length refs))
-      refs
-  in
-  let w = Wire.Writer.create ~capacity:size () in
-  Wire.Writer.u8 w tag_internal;
-  Wire.Writer.str w salt;
-  Wire.Writer.u8 w level;
-  Wire.Writer.varint w (Array.length refs);
-  Array.iter
-    (fun (k, h) ->
-      Wire.Writer.str w k;
-      Wire.Writer.hash w h)
-    refs;
-  Wire.Writer.contents w
-
-let decode bytes =
-  let r = Wire.Reader.of_string bytes in
-  let tag = Wire.Reader.u8 r in
-  let _salt = Wire.Reader.str r in
-  if tag = tag_leaf then
-    Leaf
-      (Array.init (Wire.Reader.varint r) (fun _ ->
-           let k = Wire.Reader.str r in
-           let v = Wire.Reader.str r in
-           (k, v)))
-  else begin
-    let level = Wire.Reader.u8 r in
-    Internal
-      ( level,
-        Array.init (Wire.Reader.varint r) (fun _ ->
-            let k = Wire.Reader.str r in
-            let h = Wire.Reader.hash r in
-            (k, h)) )
-  end
-
-(* Decoded entry/ref arrays are never mutated (writes rebuild via the
-   streaming rebuilder), so sharing one decoding is safe.  The salt dropped
-   by [decode] is irrelevant to reads. *)
 module Nodes = Store.Decoded (struct
-  type nonrec node = node
+  type node = Split_key.view
 
   let decode = decode
 end)
 
 let get = Nodes.get
-
-(* Serialized form of a record as fed to the rolling hash. *)
-let ser_entry (k, v) =
-  let w = Wire.Writer.create ~capacity:(entry_size (k, v)) () in
-  Wire.Writer.str w k;
-  Wire.Writer.str w v;
-  Wire.Writer.contents w
-
-let ser_ref (k, h) =
-  let w = Wire.Writer.create ~capacity:(ref_size (k, h)) () in
-  Wire.Writer.str w k;
-  Wire.Writer.hash w h;
-  Wire.Writer.contents w
 
 (* --- streaming rebuilder -------------------------------------------------- *)
 
@@ -170,12 +90,18 @@ let ser_ref (k, h) =
    of height l is legal exactly when streams 0..l are at a boundary (all
    pendings empty, rolling states reset).
 
-   An item read back unchanged from the old tree may be [known] not to
-   carry the rolling-hash pattern (see [merge_leaf] and [emit]); with
-   [min_size = 0] such an item is only counted by [Chunker.skip], not
-   hashed, and the cuts come out exactly as a full feed would place them. *)
+   An item carried over unchanged from the old tree is a [Raw] slice of the
+   old node's view: its bytes are fed to the rolling hash in place and
+   blitted into the new node, never decoded and re-encoded.  Such an item
+   may be [known] not to carry the rolling-hash pattern (see [merge_leaf]
+   and [emit]); with [min_size = 0] it is then only counted by
+   [Chunker.skip], not hashed, and the cuts come out exactly as a full feed
+   would place them. *)
 
-type item = Ent of (Kv.key * Kv.value) | Ref of (Kv.key * Hash.t)
+type item = Split_key.item =
+  | Ent of Kv.key * Kv.value
+  | Ref of Kv.key * Hash.t
+  | Raw of Split_key.view * int
 
 type cut =
   | Rolling of { chunker : Chunker.t; skippable : bool }
@@ -186,6 +112,8 @@ type stream = {
   cut : cut;
   mutable pending : item list;  (* reversed *)
   mutable pending_count : int;
+  mutable pending_size : int;  (* bytes of the pending items *)
+  mutable pending_raw : int;  (* of which spliced from old nodes *)
   mutable total : int;
 }
 
@@ -196,6 +124,7 @@ type rebuilder = {
   mutable streams : stream array;
   mutable fed : int;  (* items hashed by [Chunker.feed] *)
   mutable skipped : int;  (* items counted by [Chunker.skip] *)
+  mutable spliced : int;  (* node bytes blitted from old nodes *)
 }
 
 let new_stream cfg lvl =
@@ -211,10 +140,11 @@ let new_stream cfg lvl =
           Child_hash
             { pattern = Chunker.config ~pattern_bits:bits (); min_items; max_items }
   in
-  { cut; pending = []; pending_count = 0; total = 0 }
+  { cut; pending = []; pending_count = 0; pending_size = 0; pending_raw = 0; total = 0 }
 
 let rebuilder store cfg salt =
-  { rstore = store; rcfg = cfg; rsalt = salt; streams = [||]; fed = 0; skipped = 0 }
+  { rstore = store; rcfg = cfg; rsalt = salt; streams = [||]; fed = 0; skipped = 0;
+    spliced = 0 }
 
 let stream r lvl =
   let n = Array.length r.streams in
@@ -227,47 +157,41 @@ let stream r lvl =
   end;
   r.streams.(lvl)
 
-let item_size = function Ent e -> entry_size e | Ref rf -> ref_size rf
-let ser_item = function Ent e -> ser_entry e | Ref rf -> ser_ref rf
-
-(* The node holding [s]'s pending items; returns its ref.  [pending] is
-   reversed, so the arrays are filled from the back. *)
+(* The node holding [s]'s pending items, written in one exact-size buffer
+   from the reversed pending list; returns the ref to it. *)
 let make_node r lvl s =
-  let n = s.pending_count in
   let last_key =
-    match s.pending with
-    | Ent (k, _) :: _ | Ref (k, _) :: _ -> k
-    | [] -> assert false
+    match s.pending with item :: _ -> Split_key.item_key item | [] -> assert false
   in
+  let bytes =
+    Split_key.write_rev ~salt:(Some r.rsalt) ~level:lvl ~count:s.pending_count
+      ~size:s.pending_size s.pending
+  in
+  r.spliced <- r.spliced + s.pending_raw;
   let h =
-    if lvl = 0 then begin
-      let entries = Array.make n ("", "") in
-      List.iteri
-        (fun i -> function
-          | Ent e -> entries.(n - 1 - i) <- e
-          | Ref _ -> assert false)
-        s.pending;
-      Store.put r.rstore (encode_leaf r.rsalt entries)
-    end
-    else begin
-      let refs = Array.make n ("", Hash.null) in
-      let rec fill i children = function
-        | Ref ((_, h) as rf) :: rest ->
-            refs.(i) <- rf;
-            fill (i - 1) (h :: children) rest
-        | Ent _ :: _ -> assert false
-        | [] -> children
+    if lvl = 0 then Store.put r.rstore bytes
+    else
+      let children =
+        List.fold_left (fun acc item -> Split_key.item_child item :: acc) [] s.pending
       in
-      let children = fill (n - 1) [] s.pending in
-      Store.put r.rstore ~children (encode_internal r.rsalt lvl refs)
-    end
+      Store.put r.rstore ~children bytes
   in
-  (last_key, h)
+  Ref (last_key, h)
+
+(* The [By_child_hash] rule, reading a spliced ref's hash in place. *)
+let child_boundary pattern = function
+  | Raw (v, i) ->
+      Chunker.hash_boundary_sub pattern (Split_key.bytes v)
+        ~off:(Split_key.child_off v i)
+  | item -> Chunker.hash_boundary pattern (Split_key.item_child item)
 
 let rec add_item r lvl item ~known =
   let s = stream r lvl in
+  let size = Split_key.item_size item in
   s.pending <- item :: s.pending;
   s.pending_count <- s.pending_count + 1;
+  s.pending_size <- s.pending_size + size;
+  (match item with Raw _ -> s.pending_raw <- s.pending_raw + size | _ -> ());
   s.total <- s.total + 1;
   let boundary =
     match (s.cut, item) with
@@ -275,19 +199,23 @@ let rec add_item r lvl item ~known =
         let fired =
           if known && skippable then begin
             r.skipped <- r.skipped + 1;
-            Chunker.skip chunker (item_size item)
+            Chunker.skip chunker size
           end
           else begin
             r.fed <- r.fed + 1;
-            Chunker.feed chunker (ser_item item)
+            match item with
+            | Raw (v, i) ->
+                Chunker.feed_sub chunker (Split_key.bytes v)
+                  ~off:(Split_key.item_start v i) ~len:size
+            | Ent _ | Ref _ -> Chunker.feed chunker (Split_key.ser_item item)
           end
         in
         (* Never cut a single-ref chunk: a chain of one-child internal
            nodes would grow the tree height unboundedly. *)
         fired && (lvl = 0 || s.pending_count >= 2)
-    | Child_hash { pattern; min_items; max_items }, Ref (_, h) ->
+    | Child_hash { pattern; min_items; max_items }, (Ref _ | Raw _) ->
         s.pending_count >= max_items
-        || (s.pending_count >= min_items && Chunker.hash_boundary pattern h)
+        || (s.pending_count >= min_items && child_boundary pattern item)
     | Child_hash _, Ent _ -> assert false
   in
   if boundary then flush_stream r lvl
@@ -298,10 +226,12 @@ and flush_stream r lvl =
     let rf = make_node r lvl s in
     s.pending <- [];
     s.pending_count <- 0;
+    s.pending_size <- 0;
+    s.pending_raw <- 0;
     (match s.cut with
     | Rolling { chunker; _ } -> Chunker.reset chunker
     | Child_hash _ -> ());
-    add_item r (lvl + 1) (Ref rf) ~known:false
+    add_item r (lvl + 1) rf ~known:false
   end
 
 (* A clean subtree of height [h] can be reused iff all streams up to and
@@ -327,7 +257,7 @@ let finish r =
     if lvl >= 1 && s.total = 1 && s.pending_count = 1 && not (above_active lvl)
     then
       match s.pending with
-      | [ Ref (_, h) ] -> h
+      | [ ((Ref _ | Raw _) as only) ] -> Split_key.item_child only
       | _ -> assert false
     else begin
       flush_stream r lvl;
@@ -338,10 +268,11 @@ let finish r =
 
 (* --- batch update ---------------------------------------------------------- *)
 
-(* Split sorted ops among children: child i takes ops with key <= its split
-   key; the last child also takes everything beyond the largest split key. *)
-let partition_ops refs ops =
-  let n = Array.length refs in
+(* Split sorted ops among an internal view's children: child i takes ops
+   with key <= its split key; the last child also takes everything beyond
+   the largest split key.  Keys are compared in place. *)
+let partition_ops v ops =
+  let n = Split_key.count v in
   let buckets = Array.make n [] in
   let rec go i ops =
     match ops with
@@ -350,7 +281,7 @@ let partition_ops refs ops =
         let key = Kv.key_of_op op in
         let rec advance i =
           if i >= n - 1 then n - 1
-          else if String.compare key (fst refs.(i)) <= 0 then i
+          else if Split_key.compare_key key v i <= 0 then i
           else advance (i + 1)
         in
         let i = advance i in
@@ -361,56 +292,64 @@ let partition_ops refs ops =
   Array.map List.rev buckets
 
 (* Stream a leaf's records, merged with its sorted ops ([Kv.apply_sorted]'s
-   semantics), into stream 0.  An untouched record other than the leaf's
-   last is known not to fire: it did not end the old chunk, so its own
-   bytes carry no pattern. *)
-let merge_leaf r entries ops =
-  let n = Array.length entries in
+   semantics), into stream 0.  An untouched record is spliced from the
+   leaf's view; one other than the leaf's last is known not to fire: it
+   did not end the old chunk, so its own bytes carry no pattern. *)
+let merge_leaf r v ops =
+  let n = Split_key.count v in
   let put = function
-    | Kv.Put (k, v) -> add_item r 0 (Ent (k, v)) ~known:false
+    | Kv.Put (k, x) -> add_item r 0 (Ent (k, x)) ~known:false
     | Kv.Del _ -> ()
   in
   let rec go i ops =
     if i = n then List.iter put ops
     else
-      let ((k, _) as e) = entries.(i) in
       match ops with
-      | op :: rest when String.compare (Kv.key_of_op op) k <= 0 ->
-          put op;
-          go (if String.equal (Kv.key_of_op op) k then i + 1 else i) rest
-      | _ ->
-          add_item r 0 (Ent e) ~known:(i < n - 1);
-          go (i + 1) ops
+      | op :: rest ->
+          let c = Split_key.compare_key (Kv.key_of_op op) v i in
+          if c <= 0 then begin
+            put op;
+            go (if c = 0 then i + 1 else i) rest
+          end
+          else keep i ops
+      | [] -> keep i ops
+  and keep i ops =
+    add_item r 0 (Raw (v, i)) ~known:(i < n - 1);
+    go (i + 1) ops
   in
   go 0 ops
 
 let rec emit r h ops ~reuse =
-  match get r.rstore h with
-  | Leaf entries ->
-      merge_leaf r entries ops;
-      (* Local mode: contain the edit within this node's span — cut here
-         instead of re-chunking into the following nodes. *)
-      if r.rcfg.local_split then flush_stream r 0
-  | Internal (lvl, refs) ->
-      let buckets = partition_ops refs ops in
-      let last = Array.length refs - 1 in
-      Array.iteri
-        (fun i ((_, child) as rf) ->
-          if buckets.(i) = [] && reuse && can_reuse r (lvl - 1) then
-            (* A reused ref is known not to fire strictly inside its old
-               node: the last one ended it, and the first may have fired
-               unheeded since a single-ref chunk is never cut. *)
-            add_item r lvl (Ref rf) ~known:(i > 0 && i < last)
-          else emit r child buckets.(i) ~reuse)
-        refs
+  let v = get r.rstore h in
+  if Split_key.is_leaf v then begin
+    merge_leaf r v ops;
+    (* Local mode: contain the edit within this node's span — cut here
+       instead of re-chunking into the following nodes. *)
+    if r.rcfg.local_split then flush_stream r 0
+  end
+  else begin
+    let lvl = Split_key.level v in
+    let buckets = partition_ops v ops in
+    let last = Split_key.count v - 1 in
+    for i = 0 to last do
+      if buckets.(i) = [] && reuse && can_reuse r (lvl - 1) then
+        (* A reused ref is known not to fire strictly inside its old
+           node: the last one ended it, and the first may have fired
+           unheeded since a single-ref chunk is never cut. *)
+        add_item r lvl (Raw (v, i)) ~known:(i > 0 && i < last)
+      else emit r (Split_key.child v i) buckets.(i) ~reuse
+    done
+  end
 
 let rebuild t ops salt ~reuse =
   let r = rebuilder t.store t.cfg salt in
-  if Hash.is_null t.root then merge_leaf r [||] ops else emit r t.root ops ~reuse;
+  if Hash.is_null t.root then merge_leaf r Split_key.empty_leaf ops
+  else emit r t.root ops ~reuse;
   let root = finish r in
   let sink = Store.sink t.store in
   Siri_telemetry.Telemetry.incr sink ~by:r.fed "chunk.fed";
   Siri_telemetry.Telemetry.incr sink ~by:r.skipped "chunk.skipped";
+  Siri_telemetry.Telemetry.incr sink ~by:r.spliced "node.spliced_bytes";
   { t with root; salt }
 
 let batch t ops =
@@ -448,8 +387,8 @@ let leaf_segments cfg entries =
   let ch = Chunker.create cfg.leaf in
   let segs = ref [] and lo = ref 0 in
   Array.iteri
-    (fun i e ->
-      if Chunker.feed ch (ser_entry e) then begin
+    (fun i (k, v) ->
+      if Chunker.feed ch (Split_key.ser_item (Ent (k, v))) then begin
         segs := (!lo, i + 1) :: !segs;
         lo := i + 1
       end)
@@ -467,7 +406,7 @@ let ref_segments cfg refs =
       let ch = Chunker.create c in
       Array.iteri
         (fun i rf ->
-          let fired = Chunker.feed ch (ser_ref rf) in
+          let fired = Chunker.feed ch (Split_key.ser_item (Ref (fst rf, snd rf))) in
           if fired && i + 1 - !lo >= 2 then begin
             segs := (!lo, i + 1) :: !segs;
             lo := i + 1
@@ -497,26 +436,25 @@ let of_sorted ?(pool = Pool.sequential) store cfg entries =
       { store;
         cfg;
         root =
-          Split_key.bulk_build ~pool store ~cut_leaves:(leaf_segments cfg)
-            ~cut_refs:(ref_segments cfg) ~encode_leaf:(encode_leaf salt)
-            ~encode_internal:(encode_internal salt) (Array.of_list entries);
+          Split_key.bulk_build ~pool store ~salt:(Some salt)
+            ~cut_leaves:(leaf_segments cfg) ~cut_refs:(ref_segments cfg)
+            (Array.of_list entries);
         salt }
 
 (* --- queries ----------------------------------------------------------------- *)
 
 let height t =
-  if Hash.is_null t.root then 0
-  else
-    match get t.store t.root with
-    | Leaf _ -> 1
-    | Internal (lvl, _) -> lvl + 1
+  if Hash.is_null t.root then 0 else Split_key.level (get t.store t.root) + 1
 
 let leaf_sizes t =
   let acc = ref [] in
   let rec go h =
-    match get t.store h with
-    | Leaf _ -> acc := Store.size_of t.store h :: !acc
-    | Internal (_, refs) -> Array.iter (fun (_, c) -> go c) refs
+    let v = get t.store h in
+    if Split_key.is_leaf v then acc := Store.size_of t.store h :: !acc
+    else
+      for i = 0 to Split_key.count v - 1 do
+        go (Split_key.child v i)
+      done
   in
   if not (Hash.is_null t.root) then go t.root;
   List.rev !acc

@@ -23,9 +23,10 @@
     and {!config_non_recursively_identical} (fresh salt per version, so no
     node is ever byte-identical across versions).
 
-    This module owns the codec, the boundary rules and the streaming
-    rebuilder.  Everything else is shared: the point walk, the ordered
-    scan, the bulk build and the diff-shaped helpers live in
+    This module owns the boundary rules and the streaming rebuilder.
+    Everything else is shared: the node layout (a salted
+    {!Siri_core.Split_key.view} and the exact-size writer), the point walk,
+    the ordered scan, the bulk build and the diff-shaped helpers live in
     {!Siri_core.Split_key} (with the MVMB+-Tree), the cached node read is
     {!Siri_store.Store.Decoded}, and {!generic}'s
     {!Siri_core.Generic.make} derives lookups, proofs, ranges and merge. *)
@@ -99,7 +100,11 @@ val batch : t -> Kv.op list -> t
     boundary the old tree already shows is only counted
     ({!Siri_chunk.Chunker.skip}), not hashed, unless the rolling config
     has [min_size > 0]; so [t] must have been built under [conf t].
-    Reports [chunk.fed] and [chunk.skipped] to the store's sink. *)
+    A rebuilt node is written in one exact-size buffer; every untouched
+    record or reused ref in it is spliced — blitted from the old node's
+    bytes, never decoded and re-encoded.
+    Reports [chunk.fed], [chunk.skipped] and [node.spliced_bytes] to the
+    store's sink. *)
 
 val of_entries : Store.t -> config -> (Kv.key * Kv.value) list -> t
 (** Bottom-up bulk build. *)

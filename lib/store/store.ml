@@ -296,7 +296,8 @@ let get t h =
 (* One decoded-node cache read for every index kind: each application
    declares its own payload constructor, so a kind only ever matches back
    nodes it decoded itself.  Decoded nodes are shared between readers, so
-   a kind must never mutate one (its write paths copy before editing). *)
+   a kind must never mutate one: the split-key kinds cache immutable
+   views over the node bytes, and the others copy before editing. *)
 module Decoded (N : sig
   type node
 

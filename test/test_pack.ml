@@ -432,6 +432,58 @@ let test_retired_format_refused () =
   Sys.remove (index_path dir);
   expect_refused "without an index"
 
+(* A fixed, seeded append sequence must produce a byte-identical segment
+   file: records with 0 children, with a few, and with >= 128 (a two-byte
+   child-count varint), small and large payloads, and a duplicate that the
+   append-time dedup drops.  The digest pins the on-disk format. *)
+let pinned_segment_sha256 =
+  "527409187d7343ad3cc62510bfd9af11a5040d29f240bcfd782fe998c50d7c0d"
+
+let test_segment_bytes_pinned () =
+  with_dir "pinned" @@ fun dir ->
+  let rng = Rng.create 1729 in
+  let record i =
+    let bytes = Rng.bytes_random rng (Rng.int_in rng 0 600) ^ string_of_int i in
+    let n =
+      match i mod 5 with 0 -> 0 | 1 -> 128 | 2 -> 200 | _ -> Rng.int rng 40
+    in
+    let children =
+      List.init n (fun _ -> Hash.of_string (Rng.bytes_random rng 8))
+    in
+    (Hash.of_string bytes, bytes, children)
+  in
+  let written = List.init 60 record in
+  let p, _ = open_exn dir in
+  Pack.append p written;
+  Pack.append p [ List.nth written 7 ];
+  Pack.close p;
+  Alcotest.(check (list int)) "one segment" [ 0 ] (Pack.segment_ids p);
+  Alcotest.(check string) "segment SHA-256" pinned_segment_sha256
+    (Hash.to_hex (Hash.of_string (read_file (seg_path dir 0))))
+
+let qcheck_record_roundtrip =
+  (* A record built from its head and its node bytes verifies, and yields
+     back the hash, the children and the bytes — with 0, a few, or 128+
+     children (a two-byte count). *)
+  let gen =
+    QCheck.(
+      pair (string_of_size Gen.(0 -- 300)) (oneofl [ 0; 1; 5; 127; 128; 200 ]))
+  in
+  QCheck.Test.make ~name:"record_head ^ bytes is a verified record" ~count:60 gen
+    (fun (bytes, n) ->
+      let h = Hash.of_string bytes in
+      let children = List.init n (fun i -> Hash.of_string (bytes ^ string_of_int i)) in
+      let record = Segment.encode_record h bytes children in
+      String.length record
+      = String.length (Segment.record_head h ~bytes_len:(String.length bytes) children)
+        + String.length bytes
+      &&
+      match Segment.step record ~pos:0 with
+      | Segment.Record r ->
+          Hash.equal r.hash h && r.children = children && r.next = String.length record
+          && String.sub record r.bytes_off r.bytes_len = bytes
+      | _ -> false)
+
 (* --- rebuilt index is byte-identical (qcheck) -------------------------------- *)
 
 let qcheck_rebuild_identity =
@@ -881,8 +933,11 @@ let () =
           Alcotest.test_case "node bytes hashed once per read, never on append"
             `Quick test_hash_once;
           Alcotest.test_case "SIRIPACKSEG1 refused by name" `Quick
-            test_retired_format_refused ] );
+            test_retired_format_refused;
+          Alcotest.test_case "seeded segment bytes pinned" `Quick
+            test_segment_bytes_pinned ] );
       ("index properties", [ qcheck qcheck_rebuild_identity ]);
+      ("record properties", [ qcheck qcheck_record_roundtrip ]);
       ( "compaction",
         [ Alcotest.test_case "drop + rewrite + swap" `Quick
             test_compaction_drops_and_survives;

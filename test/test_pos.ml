@@ -209,6 +209,53 @@ let test_skip_engages () =
         (fed >= 1 && fed <= bound && skipped > 0))
     [ ("pos", cfg, 3); ("prolly", Pos.config_prolly ~leaf_target:256 ~internal_target:256 (), 20) ]
 
+let test_splice_engages () =
+  (* A one-record update splices every untouched record of each rebuilt
+     leaf from the old leaf's bytes, and every reused ref of each rebuilt
+     internal node; only the touched record and the refs to new nodes are
+     encoded.  Roots alone cannot show that the splice was turned off. *)
+  List.iter
+    (fun (name, config) ->
+      let store = Store.create () in
+      let t = Pos.of_entries store config (big_entries 4000) in
+      let sink = Siri_telemetry.Telemetry.create () in
+      Store.set_sink store sink;
+      let t' = Pos.insert t "key002000" "NEW" in
+      let spliced = Siri_telemetry.Telemetry.counter sink "node.spliced_bytes" in
+      let fresh =
+        Hash.Set.diff (Store.reachable store (Pos.root t'))
+          (Store.reachable store (Pos.root t))
+      in
+      let view h = Split_key.parse ~salted:true (Store.get store h) in
+      let range v i j = Split_key.item_stop v j - Split_key.item_start v i in
+      (* Item bytes of the fresh leaves, of all fresh nodes, and of the refs
+         in fresh nodes to fresh children (necessarily encoded anew). *)
+      let leaf_bytes, all_bytes, new_refs =
+        Hash.Set.fold
+          (fun h (l, a, r) ->
+            let v = view h in
+            let n = Split_key.count v in
+            let body = range v 0 (n - 1) in
+            if Split_key.is_leaf v then (l + body, a + body, r)
+            else
+              let r = ref r in
+              for i = 0 to n - 1 do
+                if Hash.Set.mem (Split_key.child v i) fresh then r := !r + range v i i
+              done;
+              (l, a + body, !r))
+          fresh (0, 0, 0)
+      in
+      let touched = Siri_codec.Wire.Writer.(str_size "key002000" + str_size "NEW") in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: the rebuilt leaves' %d untouched bytes are spliced" name
+           (leaf_bytes - touched))
+        true
+        (leaf_bytes > touched && spliced > leaf_bytes - touched);
+      Alcotest.(check int)
+        (name ^ ": every item but the touched record and the new refs is spliced")
+        (all_bytes - touched - new_refs) spliced)
+    [ ("pos", cfg); ("prolly", Pos.config_prolly ~leaf_target:256 ~internal_target:256 ()) ]
+
 (* --- ablations (Section 5.5) -------------------------------------------------------- *)
 
 let test_non_si_is_order_dependent () =
@@ -307,6 +354,8 @@ let () =
           Alcotest.test_case "point update reuse" `Quick test_batch_one_pass_reuse;
           Alcotest.test_case "incremental = bulk" `Quick test_incremental_equals_bulk;
           Alcotest.test_case "point update skips known records" `Quick test_skip_engages;
+          Alcotest.test_case "point update splices untouched items" `Quick
+            test_splice_engages;
           QCheck_alcotest.to_alcotest qcheck_incremental_invariance ] );
       ( "ablations",
         [ Alcotest.test_case "non-SI order dependent" `Quick test_non_si_is_order_dependent;
