@@ -37,7 +37,9 @@
 #                  binary at 25 seeded points per backend (50 total) under
 #                  concurrent client traffic, asserting every acked commit
 #                  survives recovery, every unacked one is atomically
-#                  present-or-absent, and no phantom commits appear.
+#                  present-or-absent, and no phantom commits appear.  Run
+#                  twice, with SIRI_DOMAINS=1 (every session on the main
+#                  domain) and =2 (sessions spread over serving domains).
 #   make shard   — run the sharded-keyspace suite with the crash harness
 #                  scaled up: SIRI_SHARD_ROUNDS=15 SIGKILLs a committing
 #                  child at 15 seeded points mid-multi-shard-fan-out and
@@ -77,6 +79,8 @@
 #                  declare a decoded entry-array node type or use
 #                  Wire.Writer: a split-key node is read as a Split_key
 #                  view and written by Split_key's one exact-size writer.
+#                  And lib/pack must not use Unix.lseek or a read_mutex:
+#                  segment reads are lock-free positioned reads.
 #   make bench-sidecars — fail loudly if any committed BENCH_*.json metrics
 #                  sidecar is missing or empty (regenerate with
 #                  `dune exec bench/main.exe -- <id>`).
@@ -128,7 +132,8 @@ proof: build
 	SIRI_PROOF_CACHE=1048576 QCHECK_SEED=$(QCHECK_SEED) $(DUNE) exec test/test_proof.exe
 
 serve: build
-	SIRI_SERVE_ROUNDS=25 QCHECK_SEED=$(QCHECK_SEED) $(DUNE) exec test/test_server.exe
+	SIRI_DOMAINS=1 SIRI_SERVE_ROUNDS=25 QCHECK_SEED=$(QCHECK_SEED) $(DUNE) exec test/test_server.exe
+	SIRI_DOMAINS=2 SIRI_SERVE_ROUNDS=25 QCHECK_SEED=$(QCHECK_SEED) $(DUNE) exec test/test_server.exe
 
 shard: build
 	SIRI_SHARD_ROUNDS=15 QCHECK_SEED=$(QCHECK_SEED) $(DUNE) exec test/test_shard.exe
@@ -170,6 +175,10 @@ lint:
 	    '\bof[[:space:]]*\(?[[:space:]]*(Kv\.)?key[[:space:]]*\*[[:space:]]*((Kv\.)?value|Hash\.t)[[:space:]]*\)?[[:space:]]*array|Wire\.Writer' \
 	    $(SPLIT_KEY_LIBS); then \
 	  echo "lint: split-key trees read nodes as Split_key views and write them with Split_key's writer (no decoded entry-array node type, no Wire.Writer)"; \
+	  exit 1; \
+	fi; \
+	if grep -rnE --include='*.ml' --include='*.mli' 'Unix\.lseek|read_mutex' lib/pack; then \
+	  echo "lint: pack reads are lock-free positioned reads (Pack.pread): no Unix.lseek, no read_mutex in lib/pack"; \
 	  exit 1; \
 	fi; \
 	echo "lint: OK"

@@ -4,6 +4,8 @@ module Store = Siri_store.Store
 module Fault = Siri_fault.Fault
 module Telemetry = Siri_telemetry.Telemetry
 
+module Int_map = Map.Make (Int)
+
 type t = {
   dir : string;
   segment_target : int;
@@ -17,18 +19,17 @@ type t = {
          lookups and writer mutations take this lock; the writer's own
          folds need not, as nothing else mutates the table. *)
   lens : (int, int) Hashtbl.t;  (* live segment id -> valid length *)
-  fds : (int, Unix.file_descr) Hashtbl.t;  (* read descriptors, lazy *)
-  read_mutex : Mutex.t;
-      (* Segment reads share one descriptor per segment, positioned with
-         [lseek] — two concurrent readers would race the seek (the wire
-         server serves sessions from multiple threads, and [Unix.read]
-         releases the runtime lock).  The critical section is one seek +
-         one bounded read, so contention stays negligible. *)
+  fds : Unix.file_descr Int_map.t Atomic.t;
+      (* One read descriptor per live segment, opened eagerly at open and
+         at roll and published as an immutable map: readers on any domain
+         share them through the positioned [pread], with no lock and no
+         seek.  Compaction swaps the map (it requires no concurrent
+         readers). *)
   mutable generation : int;
   mutable active : int;
   mutable chan : out_channel;
   mutable active_len : int;
-  mutable dirty : bool;  (* bytes in the channel buffer *)
+  mutable dirty : bool;  (* bytes in the channel buffer; writer only *)
   mutable os_dirty : bool;  (* bytes flushed to the OS but not fsynced *)
   mutable index_dirty : bool;
   mutable bytes : int;  (* payload bytes live in the index *)
@@ -131,36 +132,22 @@ let rec mkdir_p path =
 
 (* --- reads ------------------------------------------------------------------- *)
 
-let seg_fd t id =
-  match Hashtbl.find_opt t.fds id with
-  | Some fd -> fd
-  | None ->
-      let fd = Unix.openfile (seg_path t.dir id) [ Unix.O_RDONLY ] 0 in
-      Hashtbl.replace t.fds id fd;
-      fd
+external pread_into : Unix.file_descr -> bytes -> int -> int -> int -> int
+  = "siri_pack_pread"
 
-let pread t id ~off ~len =
-  Mutex.lock t.read_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.read_mutex)
-    (fun () ->
-      let fd = seg_fd t id in
-      ignore (Unix.lseek fd off Unix.SEEK_SET : int);
-      let buf = Bytes.create len in
-      let rec go p =
-        if p >= len then len
-        else
-          match Unix.read fd buf p (len - p) with 0 -> p | n -> go (p + n)
-      in
-      let got = go 0 in
-      if got = len then Bytes.unsafe_to_string buf else Bytes.sub_string buf 0 got)
+let pread fd ~off ~len =
+  let buf = Bytes.create len in
+  let got = pread_into fd buf 0 len off in
+  if got = len then Bytes.unsafe_to_string buf else Bytes.sub_string buf 0 got
 
-let flush_buffered t =
-  if t.dirty then begin
-    flush t.chan;
-    t.dirty <- false;
-    t.os_dirty <- true
-  end
+let open_reader dir id = Unix.openfile (seg_path dir id) [ Unix.O_RDONLY ] 0
+
+let open_readers dir ids =
+  List.fold_left
+    (fun m id -> Int_map.add id (open_reader dir id) m)
+    Int_map.empty ids
+
+let close_readers fds = Int_map.iter (fun _ fd -> Unix.close fd) fds
 
 (* Read and verify one indexed record, returning the raw record and its
    decoded fields.  [Segment.step] checks the head digest and then the
@@ -168,8 +155,8 @@ let flush_buffered t =
    flipped bit, truncated record — lands in [Store.Tampered], never a
    wrong read. *)
 let read_record t ?(use_gate = true) h (e : Pack_index.entry) =
-  if e.seg = t.active then flush_buffered t;
-  let blob = pread t e.seg ~off:e.off ~len:e.len in
+  let fd = Int_map.find e.seg (Atomic.get t.fds) in
+  let blob = pread fd ~off:e.off ~len:e.len in
   let blob =
     match t.gate with
     | Some g when use_gate -> Fault.gate_read g h blob
@@ -242,6 +229,13 @@ let scrub t =
 
 let live_ids t = List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.lens [])
 
+let flush_buffered t =
+  if t.dirty then begin
+    Stdlib.flush t.chan;
+    t.dirty <- false;
+    t.os_dirty <- true
+  end
+
 let flush ?(sync = true) t =
   flush_buffered t;
   if sync && t.os_dirty then begin
@@ -252,7 +246,6 @@ let flush ?(sync = true) t =
 
 let sync_index t =
   if t.index_dirty then begin
-    flush_buffered t;
     Hashtbl.replace t.lens t.active t.active_len;
     let segments = Hashtbl.fold (fun id len acc -> (id, len) :: acc) t.lens [] in
     Pack_index.save ~sync:true (index_path t.dir)
@@ -263,7 +256,9 @@ let sync_index t =
 
 let roll t =
   (* Seal the active segment (its bytes must be durable before anything
-     references the successor), then file-first/manifest-second. *)
+     references the successor), then file-first/manifest-second.  The
+     successor's read descriptor is published before any of its records
+     can be. *)
   flush ~sync:true t;
   close_out t.chan;
   Hashtbl.replace t.lens t.active t.active_len;
@@ -272,31 +267,42 @@ let roll t =
   t.generation <- t.generation + 1;
   save_manifest t.dir ~generation:t.generation (id :: live_ids t);
   Hashtbl.replace t.lens id magic_len;
+  Atomic.set t.fds (Int_map.add id (open_reader t.dir id) (Atomic.get t.fds));
   t.active <- id;
   t.chan <- open_append t.dir id;
   t.active_len <- magic_len;
   Telemetry.incr t.sink "pack.roll"
 
+(* Publish after flush: the call's records are pushed to the OS once, at
+   the end, and only then enter the index, so a reader on any domain that
+   finds an entry finds its bytes through its own descriptor.  Readers
+   never flush the writer's channel, which would race [append]'s writes
+   and could leave a record unflushed past a later fsync. *)
 let append t nodes =
+  let fresh = Hash.Table.create 8 in
   List.iter
     (fun (h, bytes, children) ->
-      if not (Hash.Table.mem t.index h) then begin
+      if not (Hash.Table.mem t.index h || Hash.Table.mem fresh h) then begin
         let head = Segment.record_head h ~bytes_len:(String.length bytes) children in
         let flen = String.length head + String.length bytes in
         if t.active_len + flen > t.segment_target && t.active_len > magic_len
         then roll t;
         output_string t.chan head;
         output_string t.chan bytes;
-        Mutex.protect t.index_lock (fun () ->
-            Hash.Table.replace t.index h
-              { Pack_index.seg = t.active; off = t.active_len; len = flen });
+        Hash.Table.replace fresh h
+          { Pack_index.seg = t.active; off = t.active_len; len = flen };
         t.active_len <- t.active_len + flen;
         t.bytes <- t.bytes + (flen - Segment.header_len);
         t.dirty <- true;
-        t.index_dirty <- true;
         Telemetry.incr t.sink "pack.append"
       end)
-    nodes
+    nodes;
+  if Hash.Table.length fresh > 0 then begin
+    flush_buffered t;
+    t.index_dirty <- true;
+    Mutex.protect t.index_lock (fun () ->
+        Hash.Table.iter (Hash.Table.replace t.index) fresh)
+  end
 
 (* --- open / recovery --------------------------------------------------------- *)
 
@@ -535,8 +541,7 @@ let open_ ?(segment_target = 8 * 1024 * 1024) ?(retry_attempts = 3)
                   index;
                   index_lock = Mutex.create ();
                   lens;
-                  fds = Hashtbl.create 8;
-                  read_mutex = Mutex.create ();
+                  fds = Atomic.make (open_readers dir ids);
                   generation;
                   active;
                   chan = open_append dir active;
@@ -558,8 +563,7 @@ let close t =
   flush ~sync:true t;
   sync_index t;
   close_out t.chan;
-  Hashtbl.iter (fun _ fd -> Unix.close fd) t.fds;
-  Hashtbl.reset t.fds
+  close_readers (Atomic.exchange t.fds Int_map.empty)
 
 let dir t = t.dir
 let count t = Mutex.protect t.index_lock (fun () -> Hash.Table.length t.index)
@@ -644,8 +648,8 @@ let compact ?(on_step = ignore) t ~live =
     on_step "manifest";
     (* Committed: everything from here is cleanup. *)
     close_out t.chan;
-    Hashtbl.iter (fun _ fd -> Unix.close fd) t.fds;
-    Hashtbl.reset t.fds;
+    close_readers
+      (Atomic.exchange t.fds (open_readers t.dir (List.map fst new_lens)));
     List.iter
       (fun id -> try Sys.remove (seg_path t.dir id) with Sys_error _ -> ())
       old_ids;

@@ -20,11 +20,21 @@
       segment set, never a mix.  Segment files not named by the manifest
       are swept on open.
 
-    Group fsync: appends are buffered; {!flush} [~sync:false] pushes them
-    to the OS so the WAL's single commit fsync remains the per-commit
+    Group fsync: each {!append} call writes its records to the OS without
+    an fsync, so the WAL's single commit fsync remains the per-commit
     durability point (replay regenerates any node the pack lost), while
     checkpoints call {!flush} [~sync:true] + {!sync_index} before the
-    WAL manifest flips. *)
+    WAL manifest flips.
+
+    Concurrency: one appender, readers on any domain.  Each {!append}
+    call pushes its records to the OS before it publishes their index
+    entries (publish after flush), so a reader that finds an entry finds
+    its bytes; readers never touch the appender's channel.  Every live
+    segment has one read descriptor, opened eagerly at open and at roll
+    and published as an immutable map through an [Atomic]; {!get} reads
+    with a positioned {!pread}, so it takes no lock beyond the offset
+    index's and no seek.  {!compact} swaps that map and closes the old
+    descriptors, so it requires that no reader runs concurrently. *)
 
 module Hash = Siri_crypto.Hash
 module Store = Siri_store.Store
@@ -70,11 +80,15 @@ val segment_ids : t -> int list
 
 val append : t -> (Hash.t * string * Hash.t list) list -> unit
 (** Append records for the nodes not already present (content-addressed
-    dedup), rolling segments as needed.  Buffered — call {!flush}. *)
+    dedup), rolling segments as needed.  The call's records reach the OS
+    before it returns, and only then become visible to {!get}; they are
+    durable after {!flush}. *)
 
 val flush : ?sync:bool -> t -> unit
-(** Push buffered appends to the OS; with [sync] (default true) fsync the
-    active segment — one fsync for the whole batch ([pack.fsync]). *)
+(** With [sync] (default true) fsync the active segment if appends
+    reached it since the last fsync — one fsync for the whole batch
+    ([pack.fsync]).  Appends are already in the OS, so [~sync:false]
+    has nothing left to do. *)
 
 val sync_index : t -> unit
 (** Persist the offset index (atomic, fsynced) if it changed. *)
@@ -84,7 +98,8 @@ val get : t -> Hash.t -> (string * Hash.t list) option
     {!Store.Tampered} when the head digest or the content hash fails —
     injected damage can never surface as a wrong read — and
     {!Store.Transient} when injected transients outlast the retry
-    budget.  Safe to call from several threads beside one appender. *)
+    budget.  Safe to call from any thread on any domain beside one
+    appender. *)
 
 val mem : t -> Hash.t -> bool
 
@@ -103,7 +118,15 @@ val compact :
     [on_step] is called at the kill-points ["begin"],
     ["segments-written"], ["index-written"], ["manifest"], ["cleanup"] —
     crash tests raise from it; a crash strictly before ["manifest"]
-    preserves the old set, at or after it the new set. *)
+    preserves the old set, at or after it the new set.  No {!get} may run
+    concurrently: compaction replaces the read descriptors. *)
+
+val pread : Unix.file_descr -> off:int -> len:int -> string
+(** [pread fd ~off ~len] reads [len] bytes at file offset [off] without
+    moving the descriptor's position, so threads on any domain can share
+    [fd].  The result is shorter than [len] only at end of file (a torn
+    tail).  The runtime lock is released around each system call, which
+    reads at most 64 KiB. *)
 
 val set_read_gate : t -> Fault.io_gate option -> unit
 (** Route every raw segment read through a fault-injection gate. *)

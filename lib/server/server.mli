@@ -4,12 +4,27 @@
     connection, Unix-domain or TCP-loopback listeners) on top of a
     {!Siri_wal.Durable} engine:
 
+    - {b Serving domains.}  Session threads run on
+      [Siri_parallel.Pool.recommended ()] serving domains (the
+      [SIRI_DOMAINS] rule): the calling domain plus that many minus one
+      spawned domains, each spawned when its first session is placed on
+      it and given a small fixed minor heap.  The accept loop places each
+      new connection on the serving domain with the fewest open
+      sessions.  At width 1 nothing is spawned and every session runs on
+      the calling domain.  {!stop} has each spawned domain join its own
+      session threads, then joins the domains.
+
     - {b Snapshot-isolated, lock-free reads.}  After every commit the
       writer publishes an immutable snapshot (branch → head commit +
-      {!Siri_core.Generic} view) through an [Atomic]; sessions serve
-      [Get]/[Get_many]/[Prove_many]/[Head] straight off that snapshot
-      without taking any lock — old roots stay valid forever, which is
-      the SIRI property doing the concurrency work.
+      {!Siri_core.Generic} view) through an [Atomic]; sessions on every
+      serving domain serve [Get]/[Get_many]/[Prove_many]/[Head] straight
+      off that snapshot without a server lock — old roots stay valid
+      forever, which is the SIRI property doing the concurrency work.
+      Below the snapshot, the store's node table and filter registry
+      and the pack's offset index take short table locks, and cold pack
+      reads take none (a positioned read on a shared descriptor).  The
+      engine's store must be created with its decoded-node and proof
+      caches off: those are not guarded.
 
     - {b Single-writer group commit.}  Client write batches queue into a
       bounded queue; one writer thread drains up to [group_max] of them,

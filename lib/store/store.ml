@@ -38,13 +38,14 @@ type stats = {
   gets : int;
 }
 
-(* The node table is guarded by [lock]: the wire server reads it from
-   session threads while the writer inserts, and an insert that resizes
-   the table moves every binding — an unguarded read in that window can
-   miss a node that is present.  Critical sections are single table
-   operations (or one pass that never calls out of the store); cold reads
-   and write-through stay outside, since the backend serializes its own
-   I/O.  Stat counters are [Atomic]s, race-free without the lock. *)
+(* The node table and the filter registry are guarded by [lock]: the wire
+   server reads them from session threads on several domains while the
+   writer inserts, and an insert that resizes a table moves every binding
+   — an unguarded read in that window can miss an entry that is present.
+   Critical sections are single table operations (or one pass that never
+   calls out of the store); cold reads and write-through stay outside,
+   since the backend guards its own state.  Stat counters are [Atomic]s,
+   race-free without the lock. *)
 type t = {
   tbl : node Hash.Table.t;
   lock : Mutex.t;
@@ -87,13 +88,15 @@ let add_counter c by = ignore (Atomic.fetch_and_add c by : int)
 
 let locked t f = Mutex.protect t.lock f
 
-(* The hot-path lookup locks by hand: it cannot raise, and this keeps it
+(* Hot-path lookups lock by hand: they cannot raise, and this keeps them
    free of the closure [Mutex.protect] would allocate. *)
-let find_node t h =
+let find_locked t tbl h =
   Mutex.lock t.lock;
-  let n = Hash.Table.find_opt t.tbl h in
+  let v = Hash.Table.find_opt tbl h in
   Mutex.unlock t.lock;
-  n
+  v
+
+let find_node t h = find_locked t t.tbl h
 
 (* Install [node] under [h] unless a node is already there; true if it
    was installed. *)
@@ -151,8 +154,10 @@ let drop_hot t =
    [gc]/[repair] can do.  Each of those invalidates the affected entries,
    so for every other operation the cache is coherent by construction. *)
 
-let set_root_filter t root filter = Hash.Table.replace t.filters root filter
-let root_filter t root = Hash.Table.find_opt t.filters root
+let set_root_filter t root filter =
+  locked t (fun () -> Hash.Table.replace t.filters root filter)
+
+let root_filter t root = find_locked t t.filters root
 
 let put t ?(children = []) bytes =
   let h = Hash.of_string bytes in
@@ -421,12 +426,12 @@ let gc t ~roots =
   in
   (* Filters for roots that were collected describe versions that no longer
      exist; drop them so the registry cannot outgrow the store. *)
-  let stale =
-    Hash.Table.fold
-      (fun root _ acc -> if mem t root then acc else root :: acc)
-      t.filters []
+  let roots =
+    locked t (fun () ->
+        Hash.Table.fold (fun root _ acc -> root :: acc) t.filters [])
   in
-  List.iter (Hash.Table.remove t.filters) stale;
+  let stale = List.filter (fun root -> not (mem t root)) roots in
+  locked t (fun () -> List.iter (Hash.Table.remove t.filters) stale);
   (* Any collected node may sit inside a memoized multiproof. *)
   Proof_cache.clear t.proof_cache;
   Hash.Set.cardinal

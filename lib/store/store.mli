@@ -31,10 +31,12 @@ exception Tampered of Hash.t
 (** A stored payload no longer hashes to its key. *)
 
 type t
-(** A store is safe to read from several threads while one writer
-    inserts: the node table is guarded by a mutex, held for single table
-    operations only.  Cold reads through an attached {!backend} run
-    outside it. *)
+(** A store is safe to read from several threads, on any domain, while
+    one writer inserts: the node table and the filter registry are
+    guarded by a mutex, held for single table operations only.  Cold
+    reads through an attached {!backend} run outside it.  The decoded-node
+    and proof caches are not guarded: a store read concurrently must be
+    created with both off. *)
 
 type stats = {
   puts : int;          (** logical writes (including duplicates) *)

@@ -86,17 +86,18 @@ type span = { name : string; start_s : float; stop_s : float; depth : int }
 type state = {
   clock : unit -> float;
   mu : Mutex.t;
-      (* guards [counters] and [histos]: {!incr} and {!observe} are called
-         concurrently by server session threads, and an unguarded Hashtbl
-         resize racing a lookup can corrupt a bucket chain.  Spans stay
-         single-threaded (the depth counter makes {!with_span} inherently
-         so) and are not guarded. *)
+      (* guards [counters], [histos], [spans] and [nspans]: server session
+         threads on several domains meter onto one sink, and an unguarded
+         Hashtbl resize racing a lookup can corrupt a bucket chain. *)
   counters : (string, int ref) Hashtbl.t;
   histos : (string, Histo.t) Hashtbl.t;
   max_spans : int;
   mutable spans : span list;  (* completed, newest first *)
   mutable nspans : int;
-  mutable depth : int;
+  depth : int ref Domain.DLS.key;
+      (* span nesting cursor, one per domain: nesting is a property of one
+         call stack, and a shared cursor would mix the stacks of domains
+         recording spans at the same time *)
 }
 
 let locked s f =
@@ -108,10 +109,8 @@ type sink = state option
 let null = None
 
 let tick_clock () =
-  let ticks = ref 0 in
-  fun () ->
-    incr ticks;
-    float_of_int !ticks
+  let ticks = Atomic.make 0 in
+  fun () -> float_of_int (1 + Atomic.fetch_and_add ticks 1)
 
 let create ?clock ?(max_spans = 100_000) () =
   let clock = match clock with Some c -> c | None -> tick_clock () in
@@ -123,7 +122,7 @@ let create ?clock ?(max_spans = 100_000) () =
       max_spans;
       spans = [];
       nspans = 0;
-      depth = 0 }
+      depth = Domain.DLS.new_key (fun () -> ref 0) }
 
 let enabled = Option.is_some
 let now = function None -> 0.0 | Some s -> s.clock ()
@@ -181,12 +180,12 @@ let quantile sink name p =
   match histogram sink name with None -> 0.0 | Some h -> Histo.quantile h p
 
 let record_span s span =
-  if s.nspans < s.max_spans then begin
-    s.spans <- span :: s.spans;
-    s.nspans <- s.nspans + 1
-  end
-  else
-    locked s (fun () ->
+  locked s (fun () ->
+      if s.nspans < s.max_spans then begin
+        s.spans <- span :: s.spans;
+        s.nspans <- s.nspans + 1
+      end
+      else
         match Hashtbl.find_opt s.counters "telemetry.spans_dropped" with
         | Some r -> Stdlib.incr r
         | None -> Hashtbl.add s.counters "telemetry.spans_dropped" (ref 1))
@@ -195,12 +194,13 @@ let with_span sink name f =
   match sink with
   | None -> f ()
   | Some s ->
-      let depth = s.depth in
-      s.depth <- depth + 1;
+      let cursor = Domain.DLS.get s.depth in
+      let depth = !cursor in
+      cursor := depth + 1;
       let start_s = s.clock () in
       let finish () =
         let stop_s = s.clock () in
-        s.depth <- depth;
+        Stdlib.decr cursor;
         record_span s { name; start_s; stop_s; depth }
       in
       (match f () with
@@ -211,8 +211,11 @@ let with_span sink name f =
           finish ();
           raise e)
 
-let spans sink = match sink with None -> [] | Some s -> List.rev s.spans
-let span_depth sink = match sink with None -> 0 | Some s -> s.depth
+let spans sink =
+  match sink with None -> [] | Some s -> List.rev (locked s (fun () -> s.spans))
+
+let span_depth sink =
+  match sink with None -> 0 | Some s -> !(Domain.DLS.get s.depth)
 
 let probe sink name f =
   match sink with
@@ -236,10 +239,10 @@ let reset sink =
   | Some s ->
       locked s (fun () ->
           Hashtbl.reset s.counters;
-          Hashtbl.reset s.histos);
-      s.spans <- [];
-      s.nspans <- 0;
-      s.depth <- 0
+          Hashtbl.reset s.histos;
+          s.spans <- [];
+          s.nspans <- 0);
+      Domain.DLS.get s.depth := 0
 
 (* --- hash metering ----------------------------------------------------------- *)
 

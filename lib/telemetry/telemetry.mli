@@ -36,12 +36,13 @@
     telemetry is off, and attaching a sink never changes any root hash —
     instrumentation observes, it does not serialize.
 
-    {b Threads.}  Counters and histograms ({!incr}, {!observe} and their
-    readers) are guarded by an internal mutex, so concurrent server
-    session threads can meter onto one shared sink.  Spans are {e not}:
-    {!with_span} keeps a nesting-depth cursor that only makes sense on a
-    single thread — multi-threaded callers must stick to {!incr} and
-    {!observe}. *)
+    {b Threads and domains.}  Counters, histograms and the completed-span
+    list are guarded by an internal mutex, so server session threads on
+    several domains can meter onto one shared sink.  {!with_span} keeps
+    its nesting-depth cursor per domain ([Domain.DLS]): spans opened on
+    different domains never share a depth.  Systhreads of one domain
+    share that domain's cursor, so interleaved spans there record
+    approximate depths, though the cursor still returns to 0. *)
 
 type sink
 (** A metrics collector, or the disabled {!null} sink. *)
@@ -124,15 +125,16 @@ type span = {
 
 val with_span : sink -> string -> (unit -> 'a) -> 'a
 (** Run the thunk inside a named scope.  The completed span is recorded on
-    exit (also when the thunk raises — the exception is re-raised).
-    Single-threaded only — see the Threads note above. *)
+    exit (also when the thunk raises — the exception is re-raised).  The
+    depth is the calling domain's; see the note above. *)
 
 val spans : sink -> span list
 (** Completed spans in completion order (inner spans before the scopes
     that contain them). *)
 
 val span_depth : sink -> int
-(** Current live nesting depth — 0 when no span is open. *)
+(** The calling domain's live nesting depth — 0 when no span is open
+    there. *)
 
 (** {2 Combined probe}
 
@@ -144,8 +146,8 @@ val span_depth : sink -> int
 val probe : sink -> string -> (unit -> 'a) -> 'a
 
 val reset : sink -> unit
-(** Drop all counters, histograms and completed spans (the clock keeps
-    ticking forward). *)
+(** Drop all counters, histograms and completed spans, and zero the
+    calling domain's span depth (the clock keeps ticking forward). *)
 
 (** {2 Hash metering}
 

@@ -266,12 +266,6 @@ let open_ ?(sync = true) ?(backend = `Snapshot) ?replay_cap ~dir ~empty_index ()
                           (fun acc (seq, _) -> max acc seq)
                           snapshot_seq entries
                       in
-                      (* Replayed nodes were written through to the pack
-                         buffer; push them to the OS — the journal stays
-                         the durability point until the next checkpoint. *)
-                      (match pack with
-                      | Some p -> Pack.flush ~sync:false p
-                      | None -> ());
                       let journal = open_journal_for_append ~sync jpath in
                       Ok
                         { dir;
@@ -324,25 +318,19 @@ let append ?seq t record =
   Telemetry.incr s ~by:(String.length bytes) "wal.append_bytes"
 
 (* Group fsync: the journal append above is the only per-commit fsync.
-   Write-through pack appends are merely pushed to the OS page cache —
-   a power loss loses at most nodes the journal replay regenerates. *)
-let publish_pack t =
-  match t.pack with Some p -> Pack.flush ~sync:false p | None -> ()
-
+   Write-through pack appends reach the OS page cache as each append
+   returns — a power loss loses at most nodes the journal replay
+   regenerates. *)
 let commit ?seq t ~branch ~message ops =
   (* Validate before journaling so an invalid branch never taints the log. *)
   ignore (Engine.head t.engine branch : Engine.commit);
   append ?seq t (Wal.Commit { branch; message; ops });
-  let c = Engine.commit t.engine ~branch ~message ops in
-  publish_pack t;
-  c
+  Engine.commit t.engine ~branch ~message ops
 
 let commit_bulk ?seq t ~branch ~message entries =
   ignore (Engine.head t.engine branch : Engine.commit);
   append ?seq t (Wal.Bulk { branch; message; entries });
-  let c = Engine.commit_bulk t.engine ~branch ~message entries in
-  publish_pack t;
-  c
+  Engine.commit_bulk t.engine ~branch ~message entries
 
 let fork ?seq t ~from name =
   if List.mem name (Engine.branches t.engine) then
@@ -359,9 +347,7 @@ let merge_branches t ~into ~from ~policy =
   | Ok ops ->
       let message = Engine.merge_message ~into ~from in
       append t (Wal.Merge { into; from; message; ops });
-      let c = Engine.commit t.engine ~branch:into ~message ops in
-      publish_pack t;
-      Ok c
+      Ok (Engine.commit t.engine ~branch:into ~message ops)
 
 (* --- checkpoint ----------------------------------------------------------------- *)
 

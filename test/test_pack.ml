@@ -760,9 +760,10 @@ let test_store_gc_compacts_backend () =
 
 (* --- durable engine on the pack backend ----------------------------------------- *)
 
-(* Two threads re-read a fixed record set while a third appends 100k
-   records, resizing the offset index several times: a lookup that lands
-   inside a resize must still find its record. *)
+(* Two domains re-read a fixed record set while the main domain appends
+   100k records, resizing the offset index several times: a lookup that
+   lands inside a resize must still find its record, and every read is a
+   lock-free positioned read racing the appends. *)
 let test_readers_beside_appender () =
   with_dir "readers-appender" @@ fun dir ->
   let p, _ = open_exn dir in
@@ -787,11 +788,73 @@ let test_readers_beside_appender () =
     done;
     Atomic.set writing false
   in
-  List.iter Thread.join
-    (List.map (fun f -> Thread.create f ()) [ reader; reader; appender ]);
+  let readers = List.map Domain.spawn [ reader; reader ] in
+  appender ();
+  List.iter Domain.join readers;
   Alcotest.(check bool) "readers overlapped the appender" true
     (Atomic.get reads > 0);
   Alcotest.(check int) "no missing records" 0 (Atomic.get missing);
+  Pack.close p
+
+(* Publish after flush: the moment [append] returns, with no [flush],
+   every new record is in the OS — a freshly opened descriptor scanning
+   the segment sees each one — and reads back through [get].  A reader
+   never has to flush the appender's channel to find a published record,
+   so it never can race the appender out of an fsync. *)
+let test_append_publishes_after_flush () =
+  with_dir "publish" @@ fun dir ->
+  let p, _ = open_exn dir in
+  let written = nodes 40 in
+  Pack.append p written;
+  let on_disk =
+    List.concat_map
+      (fun id ->
+        match Segment.scan (read_file (seg_path dir id)) with
+        | Ok s -> List.map (fun (h, _, _) -> h) s.Segment.records
+        | Error _ -> Alcotest.fail "segment scan failed")
+      (Pack.segment_ids p)
+  in
+  Alcotest.(check (list string)) "every record is in the OS on return"
+    (List.sort compare (List.map (fun (h, _, _) -> Hash.to_hex h) written))
+    (List.sort compare (List.map Hash.to_hex on_disk));
+  check_reads p written ~expected:(List.map (fun (h, _, _) -> h) written);
+  Pack.close p
+
+(* The positioned read loops over 64 KiB bounce-buffer chunks: a record
+   several chunks long must read back whole.  At a torn tail the read
+   comes back short — the byte count the file actually holds — and a
+   record cut there is [Tampered], never a wrong read. *)
+let test_pread_large_and_torn () =
+  with_dir "pread" @@ fun dir ->
+  let p, _ = open_exn dir in
+  let big =
+    String.init ((200 * 1024) + 7) (fun i -> Char.chr (i * 31 land 0xff))
+  in
+  let h = Hash.of_string big in
+  Pack.append p [ (h, big, []) ];
+  (match Pack.get p h with
+  | Some (b, _) ->
+      Alcotest.(check bool) "200 KiB record reads back whole" true (b = big)
+  | None -> Alcotest.fail "large record missing");
+  let path = seg_path dir (List.hd (Pack.segment_ids p)) in
+  let len = (Unix.stat path).Unix.st_size in
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Alcotest.(check string) "pread matches the file"
+        (String.sub (read_file path) 100 70_000)
+        (Pack.pread fd ~off:100 ~len:70_000);
+      Unix.truncate path (len - 10);
+      Alcotest.(check int) "short count at the torn tail" 90
+        (String.length (Pack.pread fd ~off:(len - 100) ~len:1000));
+      Alcotest.(check int) "nothing past the end" 0
+        (String.length (Pack.pread fd ~off:len ~len:16)));
+  (match Pack.get p h with
+  | _ -> Alcotest.fail "a record cut by the torn tail must not read"
+  | exception Store.Tampered h' ->
+      Alcotest.(check string) "tampered names the record" (Hash.to_hex h)
+        (Hash.to_hex h'));
   Pack.close p
 
 let mk_mpt () = Siri_mpt.Mpt.generic (Siri_mpt.Mpt.empty (Store.create ()))
@@ -956,7 +1019,11 @@ let () =
           Alcotest.test_case "gc compacts the pack and stays coherent" `Quick
             test_store_gc_compacts_backend;
           Alcotest.test_case "readers beside a 100k-record appender" `Quick
-            test_readers_beside_appender ] );
+            test_readers_beside_appender;
+          Alcotest.test_case "append publishes after flush" `Quick
+            test_append_publishes_after_flush;
+          Alcotest.test_case "pread: >64 KiB record, short count at torn tail"
+            `Quick test_pread_large_and_torn ] );
       ( "durable engine",
         [ Alcotest.test_case "commit/replay/reopen equality" `Quick
             test_durable_pack_reopen;

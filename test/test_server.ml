@@ -351,6 +351,130 @@ let test_e2e_mixed () =
   Alcotest.(check int) "engine version = groups" groups
     (Engine.head eng "master").Engine.version
 
+(* --- serving domains ------------------------------------------------------------ *)
+
+(* Run [f] with the serving width forced through SIRI_DOMAINS (the rule
+   [Server.start] follows), restoring the caller's setting after. *)
+let with_width n f =
+  let prev = Option.value (Sys.getenv_opt "SIRI_DOMAINS") ~default:"" in
+  Unix.putenv "SIRI_DOMAINS" (string_of_int n);
+  Fun.protect ~finally:(fun () -> Unix.putenv "SIRI_DOMAINS" prev) f
+
+(* 150 start/stop cycles in one process at width 2, each with two
+   sessions still open at [stop]: one lands on the main domain, the other
+   on the serving domain spawned for it.  OCaml caps a process at 128
+   live domains, so a cycle that failed to retire its domain would make
+   the spawn after it fail. *)
+let test_start_stop_cycles () =
+  with_width 2 @@ fun () ->
+  with_dir "cycles" @@ fun dir ->
+  let sock = Filename.concat dir "s" in
+  for cycle = 1 to 150 do
+    let durable = open_durable ~backend:`Snapshot dir in
+    let server = Server.start ~durable ~listen:[ `Unix sock ] () in
+    let c1 = connect_exn (`Unix sock) and c2 = connect_exn (`Unix sock) in
+    List.iter
+      (fun c ->
+        match Client.ping c with
+        | Ok () -> ()
+        | Error e ->
+            Alcotest.failf "cycle %d: ping: %s" cycle (Client.error_to_string e))
+      [ c1; c2 ];
+    Server.stop server;
+    Client.close c1;
+    Client.close c2;
+    match Domain.join (Domain.spawn ignore) with
+    | () -> ()
+    | exception Failure msg ->
+        Alcotest.failf "cycle %d: serving domains leaked: %s" cycle msg
+  done
+
+(* Two clients read a reopened pack-backed server — every node read is a
+   cold positioned read — while a third commits.  Every answer is
+   checked: preloaded keys keep their value, absent keys stay absent, and
+   a committed key is either not yet visible or carries exactly its
+   committed value. *)
+let test_parallel_cold_reads () =
+  with_dir "cold-reads" @@ fun dir ->
+  let key i = Printf.sprintf "key-%05d" i in
+  let value i = Printf.sprintf "v%d" i in
+  let preload = 3000 and commits = 40 in
+  let d0 = open_durable ~backend:`Pack dir in
+  ignore
+    (Durable.commit d0 ~branch:"master" ~message:"preload"
+       (List.init preload (fun i -> Kv.Put (key i, value i)))
+      : Engine.commit);
+  (* checkpointed, so the reopen replays nothing and the hot tier is empty *)
+  Durable.checkpoint d0;
+  Durable.close d0;
+  let durable = open_durable ~backend:`Pack dir in
+  let sock = Filename.concat dir "s" in
+  let server = Server.start ~durable ~listen:[ `Unix sock ] () in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let committing = Atomic.make true in
+  let reader seed =
+    let c = connect_exn (`Unix sock) in
+    let rng = Random.State.make [| seed |] in
+    let answers = ref 0 and wrong = ref [] in
+    let check k expect got =
+      if not (expect got) then
+        wrong :=
+          Printf.sprintf "%s -> %s" k
+            (match got with
+            | Ok (Some v) -> v
+            | Ok None -> "absent"
+            | Error e -> Client.error_to_string e)
+          :: !wrong
+    in
+    while Atomic.get committing || !answers < 300 do
+      let i = Random.State.int rng (preload + 200) in
+      let k = if i < preload then key i else Printf.sprintf "absent-%d" i in
+      check k
+        (fun got -> got = Ok (if i < preload then Some (value i) else None))
+        (Client.get c ~branch:"master" k);
+      let j = Random.State.int rng commits in
+      let ck = Printf.sprintf "c-%d" j in
+      check ck
+        (function
+          | Ok None -> true | Ok (Some v) -> v = value j | Error _ -> false)
+        (Client.get c ~branch:"master" ck);
+      answers := !answers + 2
+    done;
+    Client.close c;
+    (!answers, !wrong)
+  in
+  let results = Array.make 2 (0, []) in
+  let readers =
+    List.init 2 (fun r ->
+        Thread.create (fun () -> results.(r) <- reader (r + 1)) ())
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set committing false;
+      List.iter Thread.join readers)
+    (fun () ->
+      let w = connect_exn (`Unix sock) in
+      for j = 0 to commits - 1 do
+        let ck = Printf.sprintf "c-%d" j in
+        ignore (commit_exn w ~branch:"master" [ Kv.Put (ck, value j) ]);
+        match Client.get w ~branch:"master" ck with
+        | Ok (Some v) when v = value j -> ()
+        | _ -> Alcotest.failf "committed %s does not read back" ck
+      done;
+      Client.close w);
+  Array.iteri
+    (fun r (answers, wrong) ->
+      Alcotest.(check bool) (Printf.sprintf "reader %d answered" r) true
+        (answers >= 300);
+      match wrong with
+      | [] -> ()
+      | w :: _ ->
+          Alcotest.failf "reader %d: %d wrong answers, first %s" r
+            (List.length wrong) w)
+    results;
+  Alcotest.(check bool) "reads went to the pack" true
+    (counter server "store.get.cold" > 0)
+
 let test_tcp_listener () =
   with_dir "tcp" @@ fun dir ->
   let durable = open_durable ~backend:`Snapshot dir in
@@ -861,6 +985,11 @@ let () =
         [ Alcotest.test_case "concurrent mixed traffic + conservation" `Quick
             test_e2e_mixed;
           Alcotest.test_case "tcp loopback listener" `Quick test_tcp_listener ] );
+      ( "serving domains",
+        [ Alcotest.test_case "150 start/stop cycles at width 2" `Quick
+            test_start_stop_cycles;
+          Alcotest.test_case "2 cold readers beside a committer, pack" `Quick
+            test_parallel_cold_reads ] );
       ( "group commit",
         [ Alcotest.test_case "n batches fold into one WAL frame" `Quick
             test_group_fold;

@@ -211,9 +211,9 @@ let qcheck_content_addressing =
 
 (* --- concurrent readers beside a writer ----------------------------------- *)
 
-(* Two threads re-read every node of a fixed version while a third inserts
-   100k fresh nodes, resizing the node table several times.  A read that
-   lands inside a resize must still find its node. *)
+(* Two domains re-read every node of a fixed version while the main
+   domain inserts 100k fresh nodes, resizing the node table several
+   times.  A read that lands inside a resize must still find its node. *)
 let test_readers_beside_writer () =
   let s = Store.create () in
   let v =
@@ -241,8 +241,9 @@ let test_readers_beside_writer () =
     done;
     Atomic.set writing false
   in
-  let threads = List.map (fun f -> Thread.create f ()) [ reader; reader; writer ] in
-  List.iter Thread.join threads;
+  let readers = List.map Domain.spawn [ reader; reader ] in
+  writer ();
+  List.iter Domain.join readers;
   Alcotest.(check bool) "readers overlapped the writer" true (Atomic.get reads > 0);
   Alcotest.(check int) "no missing nodes" 0 (Atomic.get missing);
   Alcotest.(check int) "every insert landed"

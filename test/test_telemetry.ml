@@ -155,6 +155,43 @@ let test_span_on_raise () =
     (List.length (Telemetry.spans sink));
   Alcotest.(check int) "depth restored" 0 (Telemetry.span_depth sink)
 
+(* Spans from several domains at once: every span lands in the shared
+   list (appended under the sink's lock), each domain nests against its
+   own depth cursor, and every cursor returns to 0. *)
+let test_span_domains () =
+  let sink = Telemetry.create ~clock:Unix.gettimeofday () in
+  let n = 4 and m = 10_000 in
+  let started = Atomic.make 0 in
+  let worker () =
+    (* start together, so the domains' spans overlap *)
+    Atomic.incr started;
+    while Atomic.get started < n do
+      Domain.cpu_relax ()
+    done;
+    let bad_depth = ref 0 in
+    for _ = 1 to m / 2 do
+      Telemetry.with_span sink "outer" (fun () ->
+          Telemetry.with_span sink "inner" (fun () ->
+              if Telemetry.span_depth sink <> 2 then incr bad_depth))
+    done;
+    (!bad_depth, Telemetry.span_depth sink)
+  in
+  let results =
+    List.map Domain.join (List.init n (fun _ -> Domain.spawn worker))
+  in
+  List.iteri
+    (fun i (bad, depth) ->
+      Alcotest.(check int) (Printf.sprintf "domain %d nests at depth 2" i) 0 bad;
+      Alcotest.(check int)
+        (Printf.sprintf "domain %d depth back to 0" i)
+        0 depth)
+    results;
+  let spans = Telemetry.spans sink in
+  Alcotest.(check int) "every span recorded" (n * m) (List.length spans);
+  Alcotest.(check int) "inner spans at depth 1" (n * m / 2)
+    (List.length (List.filter (fun s -> s.Telemetry.depth = 1) spans));
+  Alcotest.(check int) "this domain's depth" 0 (Telemetry.span_depth sink)
+
 (* Every digest computed during a build is metered; there is at least one
    per logical write (put hashes its payload). *)
 let test_hash_metering () =
@@ -243,7 +280,8 @@ let () =
       ("zero-impact", qcheck (List.map root_invariance_test makers));
       ( "spans",
         [ Alcotest.test_case "nesting" `Quick test_span_nesting;
-          Alcotest.test_case "raise" `Quick test_span_on_raise ] );
+          Alcotest.test_case "raise" `Quick test_span_on_raise;
+          Alcotest.test_case "N domains x M spans" `Quick test_span_domains ] );
       ( "metering",
         [ Alcotest.test_case "hash counter" `Quick test_hash_metering;
           Alcotest.test_case "histogram accounting" `Quick test_histo_accounting;
