@@ -80,7 +80,10 @@
 #                  Wire.Writer: a split-key node is read as a Split_key
 #                  view and written by Split_key's one exact-size writer.
 #                  And lib/pack must not use Unix.lseek or a read_mutex:
-#                  segment reads are lock-free positioned reads.
+#                  segment reads are lock-free positioned reads.  And
+#                  bin/ and lib/server must not name "SHARDS",
+#                  Durable.open_ or Sharded.open_: Siri_shard.Dir is the
+#                  one place that reads a directory's layout.
 #   make bench-sidecars — fail loudly if any committed BENCH_*.json metrics
 #                  sidecar is missing or empty (regenerate with
 #                  `dune exec bench/main.exe -- <id>`).
@@ -179,6 +182,10 @@ lint:
 	fi; \
 	if grep -rnE --include='*.ml' --include='*.mli' 'Unix\.lseek|read_mutex' lib/pack; then \
 	  echo "lint: pack reads are lock-free positioned reads (Pack.pread): no Unix.lseek, no read_mutex in lib/pack"; \
+	  exit 1; \
+	fi; \
+	if grep -rnE --include='*.ml' --include='*.mli' '"SHARDS"|Durable\.open_|Sharded\.open_' bin lib/server; then \
+	  echo "lint: bin/ and lib/server open directories through Siri_shard.Dir, which reads the layout from disk (no \"SHARDS\", Durable.open_ or Sharded.open_)"; \
 	  exit 1; \
 	fi; \
 	echo "lint: OK"

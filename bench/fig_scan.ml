@@ -187,11 +187,13 @@ let run () =
   if migrated <> n then
     failwith (Printf.sprintf "fig_scan: reshard migrated %d/%d" migrated n);
   let generation = Sharded.generation t8 in
-  let stats = Sharded.shard_stats t8 ~branch:"master" in
-  let max_keys = Array.fold_left (fun m s -> max m s.Sharded.keys) 0 stats in
-  let min_keys =
-    Array.fold_left (fun m s -> min m s.Sharded.keys) max_int stats
+  let keys =
+    Array.map
+      (fun (v : Generic.t) -> v.Generic.cardinal ())
+      (Siri_shard.Views.parts (Sharded.view t8 ~branch:"master"))
   in
+  let max_keys = Array.fold_left max 0 keys in
+  let min_keys = Array.fold_left min max_int keys in
   Sharded.close t8;
   rm_rf reshard_dir;
   Table.print

@@ -60,17 +60,18 @@ type run = {
 let run_mode ~writers ~commits ~batch ~group_max =
   let dir = fresh_dir () in
   let sock = Filename.concat dir "bench.sock" in
-  let store = Store.create ~cache_bytes:0 ~proof_cache_bytes:0 () in
-  Store.set_sink store (Telemetry.create ~clock:Unix.gettimeofday ());
+  let empty_index () =
+    let store = Store.create ~cache_bytes:0 ~proof_cache_bytes:0 () in
+    Store.set_sink store (Telemetry.create ~clock:Unix.gettimeofday ());
+    mk_index store
+  in
   let durable =
-    match
-      Durable.open_ ~sync:true ~dir ~empty_index:(mk_index store) ()
-    with
+    match Siri_shard.Dir.open_ ~sync:true ~dir ~empty_index () with
     | Ok d -> d
     | Error e -> failwith (Format.asprintf "%a" Siri_wal.Wal.pp_error e)
   in
   let config = { Server.default_config with group_max } in
-  let server = Server.start ~config ~durable ~listen:[ `Unix sock ] () in
+  let server = Server.start ~config ~dir:durable ~listen:[ `Unix sock ] () in
   let lat = Telemetry.create ~clock:Unix.gettimeofday () in
   let zipf = Zipf.create ~n:10_000 ~theta:0.9 in
   let failures = Atomic.make 0 in

@@ -21,41 +21,11 @@ module Table = Siri_benchkit.Table
 module Ycsb = Siri_workload.Ycsb
 module Pool = Siri_parallel.Pool
 module Partition = Siri_shard.Partition
-module Shard_views = Siri_shard.Views
-module Shard_proof = Siri_shard.Shard_proof
-module Sharded = Siri_shard.Sharded
-module Engine = Siri_forkbase.Engine
+module Views = Siri_shard.Views
+module Dir = Siri_shard.Dir
 module Wal = Siri_wal.Wal
 module Durable = Siri_wal.Durable
 
-(* --- index selection ------------------------------------------------------- *)
-
-type index_kind = Pos | Mpt | Mbt | Mvbt | Prolly
-
-let kind_conv =
-  Arg.enum
-    [ ("pos", Pos); ("mpt", Mpt); ("mbt", Mbt); ("mvbt", Mvbt); ("prolly", Prolly) ]
-
-let index_arg =
-  Arg.(
-    value
-    & opt kind_conv Pos
-    & info [ "i"; "index" ] ~docv:"INDEX"
-        ~doc:"Index structure: $(b,pos), $(b,mpt), $(b,mbt), $(b,mvbt) or $(b,prolly).")
-
-let make ?pool kind store =
-  match kind with
-  | Pos ->
-      Siri_pos.Pos_tree.generic ?pool
-        (Siri_pos.Pos_tree.empty store (Siri_pos.Pos_tree.config ()))
-  | Prolly -> Siri_prolly.Prolly.generic ?pool (Siri_prolly.Prolly.empty store)
-  | Mpt -> Siri_mpt.Mpt.generic ?pool (Siri_mpt.Mpt.empty store)
-  | Mbt ->
-      Siri_mbt.Mbt.generic ?pool
-        (Siri_mbt.Mbt.empty store (Siri_mbt.Mbt.config ~capacity:1024 ~fanout:4 ()))
-  | Mvbt ->
-      Siri_mvbt.Mvbt.generic ?pool
-        (Siri_mvbt.Mvbt.empty store (Siri_mvbt.Mvbt.config ()))
 
 (* --- tsv io ------------------------------------------------------------------ *)
 
@@ -81,7 +51,7 @@ let read_tsv path =
 
 let load kind path =
   let store = Store.create () in
-  let inst = make kind store in
+  let inst = Kind.make kind store in
   (store, Generic.of_entries inst (read_tsv path))
 
 let file_arg idx docv =
@@ -112,43 +82,74 @@ let partition_arg =
     & info [ "partition" ] ~docv:"SCHEME"
         ~doc:"Partition scheme with --shards: $(b,hash) (default) or $(b,range).")
 
-(* Per-shard in-memory views built from a TSV dataset: each shard gets its
-   own store and index instance holding exactly the records the spec
-   routes to it. *)
-let sharded_views kind spec entries =
-  let buckets = Array.make spec.Partition.shards [] in
-  List.iter
-    (fun ((k, _) as e) ->
-      let i = Partition.shard_of_key spec k in
-      buckets.(i) <- e :: buckets.(i))
-    entries;
-  Array.map
-    (fun part -> Generic.of_entries (make kind (Store.create ())) (List.rev part))
-    buckets
+let spec_of partition = Option.map (fun n -> Partition.make partition ~shards:n)
 
-let durable_backend_arg =
-  Arg.(
-    value
-    & opt (enum [ ("snapshot", `Snapshot); ("pack", `Pack) ]) `Snapshot
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Checkpoint backend the directory was created with: \
-           $(b,snapshot) (default) or $(b,pack).")
+(* An in-memory read view of a TSV dataset: one index, or with a spec one
+   per shard, each with its own store holding exactly the records the
+   spec routes to it. *)
+let tsv_view kind spec entries =
+  let build part = Generic.of_entries (Kind.make kind (Store.create ())) part in
+  match spec with
+  | None -> Views.flat (build entries)
+  | Some spec ->
+      let buckets = Array.make spec.Partition.shards [] in
+      List.iter
+        (fun ((k, _) as e) ->
+          let i = Partition.shard_of_key spec k in
+          buckets.(i) <- e :: buckets.(i))
+        entries;
+      Views.sharded spec (Array.map (fun part -> build (List.rev part)) buckets)
+
+(* [verifier]: an empty instance carries the per-kind verification logic
+   (and, for MBT, the tree geometry); verification never touches its
+   store. *)
+let verify_proof kind ~root proof =
+  Views.verify_proof ~verifier:(Kind.make kind (Store.create ())) ~root proof
 
 let branch_arg =
   Arg.(
     value & opt string "master"
     & info [ "branch" ] ~docv:"BRANCH" ~doc:"Branch to operate on.")
 
-let is_sharded_dir path =
-  Sys.file_exists path
-  && Sys.is_directory path
-  && Sys.file_exists (Filename.concat path "SHARDS")
+(* Open a durable directory — flat or sharded, as it says on disk — run
+   [f] on it and close it; an unopenable directory exits 2.  [spec] and
+   [backend] only shape a directory being created. *)
+let with_dir ?backend ?spec ~cmd kind dir f =
+  match
+    Dir.open_ ?backend ?spec ~dir
+      ~empty_index:(fun () -> Kind.make kind (Store.create ()))
+      ()
+  with
+  | Error e ->
+      Format.eprintf "%s: %a@." cmd Wal.pp_error e;
+      2
+  | Ok d -> Fun.protect ~finally:(fun () -> Dir.close d) (fun () -> f d)
 
-let open_sharded_dir kind backend dir =
-  Sharded.open_ ~backend ~dir
-    ~empty_index:(fun () -> make kind (Store.create ()))
-    ()
+let check_branch ~cmd d branch f =
+  if List.mem branch (Dir.branches d) then f ()
+  else begin
+    Printf.eprintf "%s: unknown branch %s\n" cmd branch;
+    2
+  end
+
+(* Per-shard size/key-count balance of a sharded view — the figures that
+   decide when an online reshard is worth it. *)
+let print_shards view =
+  let parts = Views.parts view in
+  let keys = Array.map (fun (v : Generic.t) -> v.Generic.cardinal ()) parts in
+  let total = Array.fold_left ( + ) 0 keys in
+  Array.iteri
+    (fun i v ->
+      Printf.printf "shard %-4d : %6d keys (%4.1f%%)  %6d nodes  %9s  root %s\n"
+        i keys.(i)
+        (if total = 0 then 0.
+         else 100. *. float_of_int keys.(i) /. float_of_int total)
+        (Generic.node_count v)
+        (Table.fmt_bytes (Generic.total_bytes v))
+        (Hash.short v.Generic.root))
+    parts;
+  Printf.printf "records    : %d\n" total;
+  Printf.printf "composite  : %s\n" (Hash.to_hex (Views.root view))
 
 (* --- commands ------------------------------------------------------------------ *)
 
@@ -163,7 +164,9 @@ let run_sample ?pool ?cache_bytes kind ~records ~ops =
   Store.set_sink store sink;
   Telemetry.attach_hash_counter sink;
   let y = Ycsb.create ~seed:1 ~n:records () in
-  let inst = Generic.load_sorted (make ?pool kind store) (Ycsb.dataset y) in
+  let inst =
+    Generic.load_sorted (Kind.make ?pool kind store) (Ycsb.dataset y)
+  in
   let rng = Rng.create 1 in
   let operations =
     Ycsb.operations y ~rng ~theta:0.5 ~mix:{ Ycsb.write_ratio = 0.5 } ~count:ops
@@ -191,7 +194,7 @@ let run_sample ?pool ?cache_bytes kind ~records ~ops =
   Store.set_sink store Telemetry.null;
   (inst, sink)
 
-let sample_kinds = [ Mpt; Mbt; Pos; Mvbt ]
+let sample_kinds = Kind.[ Mpt; Mbt; Pos; Mvbt ]
 
 let stats_workload ?pool ?cache_bytes ~records ~ops ~json () =
   let results =
@@ -288,25 +291,11 @@ let stats_workload ?pool ?cache_bytes ~records ~ops ~json () =
   0
 
 let stats_cmd =
-  let run_sharded kind spec path =
-    let entries = read_tsv path in
-    let views = sharded_views kind spec entries in
-    Printf.printf "index      : %s\n" views.(0).Generic.name;
-    Printf.printf "partition  : %s\n" (Partition.to_string spec);
-    Printf.printf "records    : %d\n" (List.length entries);
-    Array.iteri
-      (fun i v ->
-        Printf.printf "shard %-4d : %6d records  root %s\n" i
-          (v.Generic.cardinal ())
-          (Hash.short v.Generic.root))
-      views;
-    Printf.printf "composite  : %s\n"
-      (Hash.to_hex (Shard_views.composite spec views));
-    0
-  in
   let run ~pool kind path =
     let store = Store.create () in
-    let inst = Generic.load_sorted (make ~pool kind store) (read_tsv path) in
+    let inst =
+      Generic.load_sorted (Kind.make ~pool kind store) (read_tsv path)
+    in
     let st = Store.stats store in
     let pages = Generic.page_set inst in
     Printf.printf "index      : %s\n" inst.Generic.name;
@@ -318,16 +307,16 @@ let stats_cmd =
       (Siri_benchkit.Table.fmt_bytes (Store.bytes_of_set store pages));
     Printf.printf "store puts : %d (%d unique)\n" st.Store.puts st.Store.unique_nodes;
     (match kind with
-    | Pos | Prolly | Mvbt ->
+    | Kind.Pos | Prolly | Mvbt ->
         let decode_bytes, root =
           match kind with
-          | Mvbt ->
+          | Kind.Mvbt ->
               let cfg = Siri_mvbt.Mvbt.config () in
               let t = Siri_mvbt.Mvbt.of_root store cfg inst.Generic.root in
               ((fun () -> Siri_mvbt.Mvbt.stats t), inst.Generic.root)
           | _ ->
               let cfg =
-                if kind = Prolly then Siri_prolly.Prolly.default_config
+                if kind = Kind.Prolly then Siri_prolly.Prolly.default_config
                 else Siri_pos.Pos_tree.config ()
               in
               let t = Siri_pos.Pos_tree.of_root store cfg inst.Generic.root in
@@ -335,7 +324,7 @@ let stats_cmd =
         in
         ignore root;
         Format.printf "%a" Tree_stats.pp (decode_bytes ())
-    | Mpt | Mbt -> ());
+    | Kind.Mpt | Mbt -> ());
     0
   in
   let file_opt =
@@ -344,8 +333,9 @@ let stats_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"FILE"
           ~doc:
-            "TSV dataset to load.  When omitted, a telemetry-instrumented \
-             YCSB sample workload is run over all four structures instead.")
+            "TSV dataset to load, or a sharded durable directory.  When \
+             omitted, a telemetry-instrumented YCSB sample workload is run \
+             over all four structures instead.")
   in
   let records =
     Arg.(
@@ -386,46 +376,31 @@ let stats_cmd =
              (overrides $(b,SIRI_NODE_CACHE); 0 disables).  Default: the \
              environment variable, else disabled.")
   in
-  (* A sharded durable directory: per-shard size/key-count balance — the
-     figures that decide when an online reshard is worth it. *)
-  let run_durable_dir kind backend branch dir =
-    match open_sharded_dir kind backend dir with
-    | Error e ->
-        Format.eprintf "stats: %a@." Siri_wal.Wal.pp_error e;
+  let run_dir kind branch dir =
+    with_dir ~cmd:"stats" kind dir @@ fun d ->
+    match Dir.spec d with
+    | None ->
+        Printf.eprintf
+          "stats: %s is a flat durable directory; stats DIR reports the \
+           per-shard balance of a sharded one\n"
+          dir;
         2
-    | Ok t when not (List.mem branch (Sharded.branches t)) ->
-        Printf.eprintf "stats: unknown branch %s\n" branch;
-        Sharded.close t;
-        2
-    | Ok t ->
-        let h = Sharded.head t ~branch in
-        Printf.printf "partition  : %s\n" (Partition.to_string (Sharded.spec t));
-        Printf.printf "generation : %d\n" (Sharded.generation t);
-        Printf.printf "branch     : %s (seq %d)\n" branch h.Sharded.seq;
-        let stats = Sharded.shard_stats t ~branch in
-        let total = Array.fold_left (fun a s -> a + s.Sharded.keys) 0 stats in
-        Array.iter
-          (fun s ->
-            Printf.printf
-              "shard %-4d : %6d keys (%4.1f%%)  %6d nodes  %9s  root %s\n"
-              s.Sharded.shard s.Sharded.keys
-              (if total = 0 then 0.
-               else 100. *. float_of_int s.Sharded.keys /. float_of_int total)
-              s.Sharded.nodes
-              (Table.fmt_bytes s.Sharded.bytes)
-              (Hash.short s.Sharded.root))
-          stats;
-        Printf.printf "records    : %d\n" total;
-        Printf.printf "composite  : %s\n" (Hash.to_hex h.Sharded.composite);
-        Sharded.close t;
+    | Some _ ->
+        check_branch ~cmd:"stats" d branch @@ fun () ->
+        Printf.printf "layout     : %s\n" (Dir.describe d);
+        Printf.printf "branch     : %s (seq %d)\n" branch
+          (Dir.head d ~branch).Dir.version;
+        print_shards (Dir.view d ~branch);
         0
   in
-  let dispatch kind backend branch shards partition path records ops json
-      domains cache =
-    match (shards, path) with
-    | _, Some path when is_sharded_dir path ->
-        run_durable_dir kind backend branch path
-    | Some n, Some path -> run_sharded kind (Partition.make partition ~shards:n) path
+  let dispatch kind branch shards partition path records ops json domains
+      cache =
+    match (spec_of partition shards, path) with
+    | _, Some path when Sys.is_directory path -> run_dir kind branch path
+    | Some spec, Some path ->
+        Printf.printf "partition  : %s\n" (Partition.to_string spec);
+        print_shards (tsv_view kind (Some spec) (read_tsv path));
+        0
     | Some _, None ->
         prerr_endline "stats: --shards needs a FILE dataset";
         2
@@ -452,9 +427,8 @@ let stats_cmd =
           and print per-structure counters, node-cache hit ratios and \
           per-tier p50/p95/p99 latencies.")
     Term.(
-      const dispatch $ index_arg $ durable_backend_arg $ branch_arg
-      $ shards_arg $ partition_arg $ file_opt
-      $ records $ ops $ json $ domains $ cache)
+      const dispatch $ Kind.arg $ branch_arg $ shards_arg $ partition_arg
+      $ file_opt $ records $ ops $ json $ domains $ cache)
 
 let get_cmd =
   let run kind path key =
@@ -468,7 +442,7 @@ let get_cmd =
         1
   in
   Cmd.v (Cmd.info "get" ~doc:"Look up one key.")
-    Term.(const run $ index_arg $ file_arg 0 "FILE" $ key_arg 1)
+    Term.(const run $ Kind.arg $ file_arg 0 "FILE" $ key_arg 1)
 
 let prove_cmd =
   let keys_arg =
@@ -490,56 +464,26 @@ let prove_cmd =
         close_out oc;
         Printf.eprintf "wrote %d bytes to %s\n" (String.length encoded) file
   in
-  let run_sharded kind spec path keys out =
-    let views = sharded_views kind spec (read_tsv path) in
-    let sp = Shard_proof.prove ~views spec keys in
-    List.iter
-      (fun (k, claim) ->
-        Printf.printf "%-24s : shard %d, %s\n" k
-          (Partition.shard_of_key spec k)
-          (match claim with Some v -> "present, value " ^ v | None -> "absent"))
-      (Shard_proof.claims sp);
-    let encoded = Shard_proof.encode sp in
-    Printf.printf "proof      : %d shard part%s of %d, %d bytes encoded\n"
-      (List.length sp.Shard_proof.parts)
-      (if List.length sp.Shard_proof.parts = 1 then "" else "s")
-      spec.Partition.shards (String.length encoded);
-    let composite = Shard_views.composite spec views in
-    Printf.printf "composite  : %s\n" (Hash.to_hex composite);
-    let verifier = make kind (Store.create ()) in
-    let ok = Shard_proof.verify ~verifier ~composite sp in
-    Printf.printf "verified   : %b\n" ok;
-    write_out out encoded;
-    if ok then 0 else 1
-  in
   let run kind shards partition path keys out =
-    match shards with
-    | Some n -> run_sharded kind (Partition.make partition ~shards:n) path keys out
-    | None ->
-    let _, inst = load kind path in
-    let mp = Generic.prove_many inst keys in
-    List.iter
-      (fun (k, claim) ->
-        Printf.printf "%-24s : %s\n" k
-          (match claim with Some v -> "present, value " ^ v | None -> "absent"))
-      mp.Multiproof.claims;
-    let singles =
-      List.map (fun k -> inst.Generic.prove k) (Multiproof.keys mp)
+    let view = tsv_view kind (spec_of partition shards) (read_tsv path) in
+    let encoded = Views.prove view keys in
+    let root = Views.root view in
+    (* Verify what is written: the encoded blob, decoded again. *)
+    let ok =
+      match Views.decode_proof encoded with
+      | Error _ -> false
+      | Ok proof ->
+          List.iter
+            (fun (k, claim) ->
+              Printf.printf "%-24s : %s\n" k
+                (match claim with
+                | Some v -> "present, value " ^ v
+                | None -> "absent"))
+            (Views.proof_claims proof);
+          verify_proof kind ~root proof
     in
-    let single_bytes =
-      List.fold_left (fun acc p -> acc + Proof.size_bytes p) 0 singles
-    in
-    let encoded = Multiproof.encode mp in
-    Printf.printf "multiproof : %d claims, %d nodes, %d bytes encoded\n"
-      (List.length mp.Multiproof.claims)
-      (List.length mp.Multiproof.nodes)
-      (String.length encoded);
-    Printf.printf "vs singles : %d proofs, %d bytes (%.0f%% of singles)\n"
-      (List.length singles) single_bytes
-      (if single_bytes = 0 then 100.
-       else 100. *. float_of_int (String.length encoded) /. float_of_int single_bytes);
-    Printf.printf "root       : %s\n" (Hash.to_hex inst.Generic.root);
-    let ok = Generic.verify_many inst ~root:inst.Generic.root mp in
+    Printf.printf "proof      : %d bytes encoded\n" (String.length encoded);
+    Printf.printf "root       : %s\n" (Hash.to_hex root);
     Printf.printf "verified   : %b\n" ok;
     write_out out encoded;
     if ok then 0 else 1
@@ -548,13 +492,12 @@ let prove_cmd =
     (Cmd.info "prove"
        ~doc:
          "Produce and verify a batched Merkle multiproof (membership and \
-          absence) for one or more KEYs, reporting its size against the \
-          equivalent single proofs.  With $(b,--shards) the dataset is \
+          absence) for one or more KEYs.  With $(b,--shards) the dataset is \
           partitioned and a two-layer sharded proof (shard multiproofs + \
           top shard-root vector) is produced and verified against the \
           composite root.")
     Term.(
-      const run $ index_arg $ shards_arg $ partition_arg $ file_arg 0 "FILE"
+      const run $ Kind.arg $ shards_arg $ partition_arg $ file_arg 0 "FILE"
       $ keys_arg $ out_arg)
 
 let verify_proof_cmd =
@@ -586,84 +529,47 @@ let verify_proof_cmd =
       close_in ic;
       s
     in
-    let blob = read_file proof_file in
-    (* [rebuild] turns --data into the trusted digest for whichever proof
-       shape the blob turned out to be. *)
-    let trusted rebuild =
-      match (root_hex, data) with
-      | Some hex, None -> (
-          match Hash.of_hex hex with
-          | root -> Some root
-          | exception Invalid_argument _ ->
-              prerr_endline "malformed --root (need 64 hex chars)";
-              None)
-      | None, Some path -> Some (rebuild path)
-      | _ ->
-          prerr_endline "exactly one of --root and --data is required";
-          None
-    in
-    if Shard_proof.is_encoded blob then
-      match Shard_proof.decode blob with
-      | Error (`Malformed why) ->
-          Printf.eprintf "malformed proof: %s\n" why;
-          2
-      | Error (`Tampered why) ->
-          Printf.eprintf "tampered proof: %s\n" why;
-          2
-      | Ok sp -> (
-          (* --data is partitioned with the proof's own spec: the spec is
-             bound into the composite digest, so a proof lying about it
-             cannot verify anyway. *)
-          let rebuild path =
-            Shard_views.composite sp.Shard_proof.spec
-              (sharded_views kind sp.Shard_proof.spec (read_tsv path))
-          in
-          match trusted rebuild with
-          | None -> 2
-          | Some composite ->
-              let verifier = make kind (Store.create ()) in
-              let ok = Shard_proof.verify ~verifier ~composite sp in
-              let claims = Shard_proof.claims sp in
-              Printf.printf "sharded  : %s, %d of %d shards touched\n"
-                (Partition.to_string sp.Shard_proof.spec)
-                (List.length sp.Shard_proof.parts)
-                sp.Shard_proof.spec.Partition.shards;
-              Printf.printf "claims   : %d (%d absent)\n" (List.length claims)
-                (List.length (List.filter (fun (_, v) -> v = None) claims));
-              Printf.printf "root     : %s\n" (Hash.to_hex composite);
-              Printf.printf "verified : %b\n" ok;
-              if ok then 0 else 1)
-    else
-      let rebuild path =
-        let _, inst = load kind path in
-        inst.Generic.root
-      in
-      match trusted rebuild with
-      | None -> 2
-      | Some root -> (
-          match Multiproof.decode blob with
-          | Error (`Malformed why) ->
-              Printf.eprintf "malformed proof: %s\n" why;
-              2
-          | Error (`Tampered why) ->
-              Printf.eprintf "tampered proof: %s\n" why;
-              2
-          | Ok mp ->
-              (* An empty instance carries the per-kind verification logic
-                 (and, for MBT, the tree geometry); verification itself never
-                 touches the store. *)
-              let inst = make kind (Store.create ()) in
-              let ok = inst.Generic.verify_many ~root mp in
-              Printf.printf "claims   : %d (%d absent)\n"
-                (List.length mp.Multiproof.claims)
-                (List.length
-                   (List.filter (fun (_, v) -> v = None) mp.Multiproof.claims));
-              Printf.printf "nodes    : %d (%d bytes)\n"
-                (List.length mp.Multiproof.nodes)
-                (Multiproof.size_bytes mp);
-              Printf.printf "root     : %s\n" (Hash.to_hex root);
-              Printf.printf "verified : %b\n" ok;
-              if ok then 0 else 1)
+    match Views.decode_proof (read_file proof_file) with
+    | Error (`Malformed why) ->
+        Printf.eprintf "malformed proof: %s\n" why;
+        2
+    | Error (`Tampered why) ->
+        Printf.eprintf "tampered proof: %s\n" why;
+        2
+    | Ok proof -> (
+        (* --data is partitioned with the proof's own spec: the spec is
+           bound into the composite digest, so a proof lying about it
+           cannot verify anyway. *)
+        let trusted =
+          match (root_hex, data) with
+          | Some hex, None -> (
+              match Hash.of_hex hex with
+              | root -> Some root
+              | exception Invalid_argument _ ->
+                  prerr_endline "malformed --root (need 64 hex chars)";
+                  None)
+          | None, Some path ->
+              Some
+                (Views.root
+                   (tsv_view kind (Views.proof_spec proof) (read_tsv path)))
+          | _ ->
+              prerr_endline "exactly one of --root and --data is required";
+              None
+        in
+        match trusted with
+        | None -> 2
+        | Some root ->
+            let claims = Views.proof_claims proof in
+            Option.iter
+              (fun spec ->
+                Printf.printf "sharded  : %s\n" (Partition.to_string spec))
+              (Views.proof_spec proof);
+            Printf.printf "claims   : %d (%d absent)\n" (List.length claims)
+              (List.length (List.filter (fun (_, v) -> v = None) claims));
+            Printf.printf "root     : %s\n" (Hash.to_hex root);
+            let ok = verify_proof kind ~root proof in
+            Printf.printf "verified : %b\n" ok;
+            if ok then 0 else 1)
   in
   Cmd.v
     (Cmd.info "verify-proof"
@@ -673,12 +579,12 @@ let verify_proof_cmd =
           root ($(b,--root) or the root of a rebuilt $(b,--data) index).  \
           Exits 0 if verified, 1 if refused, 2 if the file is malformed or \
           tampered.")
-    Term.(const run $ index_arg $ proof_arg $ root_arg $ data_arg)
+    Term.(const run $ Kind.arg $ proof_arg $ root_arg $ data_arg)
 
 let diff_cmd =
   let run kind path1 path2 =
     let store = Store.create () in
-    let inst = make kind store in
+    let inst = Kind.make kind store in
     let v1 = Generic.of_entries inst (read_tsv path1) in
     let v2 = Generic.of_entries inst (read_tsv path2) in
     let diffs = v1.Generic.diff v2.Generic.root in
@@ -695,7 +601,7 @@ let diff_cmd =
   Cmd.v
     (Cmd.info "diff"
        ~doc:"Diff two TSV datasets through the index ($(b,-) left-only, $(b,+) right-only, $(b,~) changed).")
-    Term.(const run $ index_arg $ file_arg 0 "FILE1" $ file_arg 1 "FILE2")
+    Term.(const run $ Kind.arg $ file_arg 0 "FILE1" $ file_arg 1 "FILE2")
 
 let policy_arg =
   Arg.(
@@ -708,7 +614,7 @@ let policy_arg =
 let merge_cmd =
   let run kind policy path1 path2 =
     let store = Store.create () in
-    let inst = make kind store in
+    let inst = Kind.make kind store in
     let v1 = Generic.of_entries inst (read_tsv path1) in
     let v2 = Generic.of_entries inst (read_tsv path2) in
     match v1.Generic.merge policy v2.Generic.root with
@@ -729,13 +635,14 @@ let merge_cmd =
   Cmd.v
     (Cmd.info "merge"
        ~doc:"Merge two TSV datasets (union of records); prints the result as TSV.")
-    Term.(const run $ index_arg $ policy_arg $ file_arg 0 "FILE1" $ file_arg 1 "FILE2")
+    Term.(
+      const run $ Kind.arg $ policy_arg $ file_arg 0 "FILE1" $ file_arg 1 "FILE2")
 
 let properties_cmd =
   let run kind path =
     let entries = read_tsv path in
     let store = Store.create () in
-    let build e = Generic.of_entries (make kind store) e in
+    let build e = Generic.of_entries (Kind.make kind store) e in
     let si =
       Properties.structurally_invariant ~build ~entries ~permutations:3 ~seed:7
     in
@@ -763,7 +670,7 @@ let properties_cmd =
   Cmd.v
     (Cmd.info "properties"
        ~doc:"Check the three SIRI properties (Definition 3.1) on this data.")
-    Term.(const run $ index_arg $ file_arg 0 "FILE")
+    Term.(const run $ Kind.arg $ file_arg 0 "FILE")
 
 let range_cmd =
   let lo = Arg.(value & opt (some string) None & info [ "lo" ] ~docv:"LO" ~doc:"Lower bound (inclusive).") in
@@ -778,7 +685,7 @@ let range_cmd =
   Cmd.v
     (Cmd.info "range"
        ~doc:"List records with LO <= key <= HI (either bound may be omitted).")
-    Term.(const run $ index_arg $ file_arg 0 "FILE" $ lo $ hi)
+    Term.(const run $ Kind.arg $ file_arg 0 "FILE" $ lo $ hi)
 
 let scan_cmd =
   let lo =
@@ -832,45 +739,17 @@ let scan_cmd =
     end;
     0
   in
-  let run kind backend branch lo hi limit count_only target =
-    let scan_target () =
-      if is_sharded_dir target then
-        (* sharded durable directory: routed scan across the shards *)
-        match open_sharded_dir kind backend target with
-        | Error e ->
-            Format.eprintf "scan: %a@." Wal.pp_error e;
-            2
-        | Ok t ->
-            Fun.protect
-              ~finally:(fun () -> Sharded.close t)
-              (fun () ->
-                if not (List.mem branch (Sharded.branches t)) then begin
-                  Printf.eprintf "scan: unknown branch %s\n" branch;
-                  2
-                end
-                else consume count_only limit (Sharded.scan ?lo ?hi t ~branch))
-      else if Sys.is_directory target then
-        (* flat durable directory: scan the branch-head index *)
-        match
-          Durable.open_ ~backend ~dir:target
-            ~empty_index:(make kind (Store.create ()))
-            ()
-        with
-        | Error e ->
-            Format.eprintf "scan: %a@." Wal.pp_error e;
-            2
-        | Ok d ->
-            Fun.protect
-              ~finally:(fun () -> Durable.close d)
-              (fun () ->
-                consume count_only limit
-                  (Engine.scan ?lo ?hi (Durable.engine d) ~branch))
+  let run kind branch lo hi limit count_only target =
+    let scan view = consume count_only limit (Views.scan ?lo ?hi view) in
+    match
+      if Sys.is_directory target then
+        (* durable directory, flat or sharded: scan the branch head *)
+        with_dir ~cmd:"scan" kind target @@ fun d ->
+        check_branch ~cmd:"scan" d branch @@ fun () -> scan (Dir.view d ~branch)
       else
         (* TSV dataset: build the index in memory, then stream *)
-        let _, inst = load kind target in
-        consume count_only limit (Generic.scan ?lo ?hi inst)
-    in
-    match scan_target () with
+        scan (tsv_view kind None (read_tsv target))
+    with
     | rc -> rc
     | exception Generic.Unsupported name ->
         Printf.eprintf "scan: index kind %S does not support ordered scans\n"
@@ -881,11 +760,11 @@ let scan_cmd =
     (Cmd.info "scan"
        ~doc:
          "Stream records with LO <= key < HI in key order.  TARGET is a TSV \
-          dataset, a flat durable directory, or a sharded durable directory \
-          (detected by its SHARDS manifest) — sharded range-partitioned \
-          scans touch only the shards the bounds route to.")
+          dataset or a durable directory, flat or sharded (read from the \
+          directory) — sharded range-partitioned scans touch only the \
+          shards the bounds route to.")
     Term.(
-      const run $ index_arg $ durable_backend_arg $ branch_arg $ lo $ hi
+      const run $ Kind.arg $ branch_arg $ lo $ hi
       $ limit $ count_only $ file_arg 0 "TARGET")
 
 let reshard_cmd =
@@ -895,49 +774,35 @@ let reshard_cmd =
       & opt (some int) None
       & info [ "shards" ] ~docv:"M" ~doc:"New shard count.")
   in
-  let run kind backend m dir =
-    match open_sharded_dir kind backend dir with
+  let run kind m dir =
+    match
+      Dir.open_ ~dir
+        ~empty_index:(fun () -> Kind.make kind (Store.create ()))
+        ()
+    with
     | Error e ->
         Format.eprintf "reshard: %a@." Wal.pp_error e;
         2
-    | Ok t -> (
-        Printf.printf "from       : %s (generation %d)\n"
-          (Partition.to_string (Sharded.spec t))
-          (Sharded.generation t);
-        match Sharded.reshard t ~shards:m with
-        | exception Invalid_argument msg ->
-            Printf.eprintf "reshard: %s\n" msg;
-            Sharded.close t;
-            2
-        | Error e ->
-            Format.eprintf "reshard: %a@." Wal.pp_error e;
-            Sharded.close t;
-            2
-        | Ok t ->
-            Printf.printf "to         : %s (generation %d)\n"
-              (Partition.to_string (Sharded.spec t))
-              (Sharded.generation t);
-            let stats = Sharded.shard_stats t ~branch:"master" in
-            let total =
-              Array.fold_left (fun a s -> a + s.Sharded.keys) 0 stats
-            in
-            Array.iter
-              (fun s ->
-                Printf.printf "shard %-4d : %6d keys (%4.1f%%)  root %s\n"
-                  s.Sharded.shard s.Sharded.keys
-                  (if total = 0 then 0.
-                   else
-                     100. *. float_of_int s.Sharded.keys /. float_of_int total)
-                  (Hash.short s.Sharded.root))
-              stats;
+    | Ok d -> (
+        Printf.printf "from       : %s\n" (Dir.describe d);
+        let refuse msg =
+          Printf.eprintf "reshard: %s\n" msg;
+          Dir.close d;
+          2
+        in
+        match Dir.reshard d ~shards:m with
+        | exception Invalid_argument msg -> refuse msg
+        | Error e -> refuse (Format.asprintf "%a" Wal.pp_error e)
+        | Ok d ->
+            Printf.printf "to         : %s\n" (Dir.describe d);
+            print_shards (Dir.view d ~branch:"master");
             List.iter
               (fun b ->
-                let h = Sharded.head t ~branch:b in
+                let h = Dir.head d ~branch:b in
                 Printf.printf "branch     : %-12s composite %s (seq %d)\n" b
-                  (Hash.short h.Sharded.composite)
-                  h.Sharded.seq)
-              (Sharded.branches t);
-            Sharded.close t;
+                  (Hash.short h.Dir.root) h.Dir.version)
+              (Dir.branches d);
+            Dir.close d;
             0)
   in
   Cmd.v
@@ -947,9 +812,9 @@ let reshard_cmd =
           stream every live entry out of the old shards in key order, \
           bulk-load M fresh shards in a staging generation, and atomically \
           switch the SHARDS manifest — a crash at any point leaves the old \
-          or the new layout, never a mix.")
-    Term.(
-      const run $ index_arg $ durable_backend_arg $ shards_req $ dir_arg)
+          or the new layout, never a mix.  A flat directory is refused \
+          (exit 2) and left as it is.")
+    Term.(const run $ Kind.arg $ shards_req $ dir_arg)
 
 let snapshot_cmd =
   let out_arg =
@@ -966,18 +831,9 @@ let snapshot_cmd =
   Cmd.v
     (Cmd.info "snapshot"
        ~doc:"Build an index from a TSV file and save the node store to SNAPSHOT.")
-    Term.(const run $ index_arg $ file_arg 0 "FILE" $ out_arg)
+    Term.(const run $ Kind.arg $ file_arg 0 "FILE" $ out_arg)
 
 module Pack = Siri_pack.Pack
-
-let scrub_backend_arg =
-  Arg.(
-    value
-    & opt (enum [ ("store", `Store); ("pack", `Pack) ]) `Store
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "What TARGET is: $(b,store) (default), a saved node-store \
-           snapshot file, or $(b,pack), a log-structured pack directory.")
 
 let scrub_pack dir =
   match Pack.open_ dir with
@@ -1017,12 +873,11 @@ let scrub_cmd =
         ~doc:
           "Verify digests while loading and reject the file outright on any \
            damage, instead of best-effort loading followed by a scrub report \
-           ($(b,--backend store) only).")
+           (snapshot files only).")
   in
-  let run strict backend path =
-    match backend with
-    | `Pack -> scrub_pack path
-    | `Store -> (
+  let run strict path =
+    if Sys.is_directory path then scrub_pack path
+    else (
         match Store.load_checked ~verify:strict path with
         | Error (`Malformed msg) ->
             Printf.eprintf "scrub: %s\n" msg;
@@ -1046,12 +901,12 @@ let scrub_cmd =
     (Cmd.info "scrub"
        ~doc:
          "Audit stored nodes: re-hash every payload against its digest.  \
-          $(b,--backend store) audits a snapshot file (exit 1 on integrity \
-          violations, 2 if unreadable).  $(b,--backend pack) audits a pack \
+          A TARGET file is a node-store snapshot (exit 1 on integrity \
+          violations, 2 if unreadable); a TARGET directory is a pack \
           directory (exit 1 when only a torn segment tail was clamped, 2 on \
           unrecoverable damage: corrupt manifest, missing segment or \
           mid-segment checksum mismatch).")
-    Term.(const run $ strict $ scrub_backend_arg $ target_arg)
+    Term.(const run $ strict $ target_arg)
 
 (* --- pack: build / migrate / compact ------------------------------------------ *)
 
@@ -1077,29 +932,16 @@ let pack_cmd =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"DIR")
   in
   let run_sharded kind spec src dir =
-    match
-      Sharded.open_ ~backend:`Pack ~spec ~dir
-        ~empty_index:(fun () -> make kind (Store.create ()))
-        ()
-    with
-    | Error e ->
-        Format.eprintf "pack: %a@." Siri_wal.Wal.pp_error e;
-        2
-    | Ok t ->
-        let ops = List.map (fun (k, v) -> Kv.Put (k, v)) (read_tsv src) in
-        let h = Sharded.commit t ~branch:"master" ~message:"pack" ops in
-        (* Checkpoint so the records land in the per-shard pack segments
-           and the journals truncate — the shape a served directory has. *)
-        Sharded.checkpoint t;
-        Printf.printf "partition : %s\n" (Partition.to_string spec);
-        Array.iteri
-          (fun i r -> Printf.printf "shard %-3d : root %s\n" i (Hash.short r))
-          h.Sharded.roots;
-        Printf.printf "composite : %s (seq %d)\n"
-          (Hash.to_hex h.Sharded.composite)
-          h.Sharded.seq;
-        Sharded.close t;
-        0
+    with_dir ~backend:`Pack ~spec ~cmd:"pack" kind dir @@ fun d ->
+    let ops = List.map (fun (k, v) -> Kv.Put (k, v)) (read_tsv src) in
+    let h = Dir.commit d ~branch:"master" ~message:"pack" ops in
+    (* Checkpoint so the records land in the per-shard pack segments and
+       the journals truncate — the shape a served directory has. *)
+    Dir.checkpoint d;
+    Printf.printf "layout    : %s\n" (Dir.describe d);
+    Printf.printf "composite : %s (seq %d)\n" (Hash.to_hex h.Dir.root)
+      h.Dir.version;
+    0
   in
   let run kind from_snapshot shards partition src dir =
     match shards with
@@ -1127,7 +969,7 @@ let pack_cmd =
              straight to the pack. *)
           let store = Store.create () in
           Pack.attach p store;
-          let inst = Generic.of_entries (make kind store) (read_tsv src) in
+          let inst = Generic.of_entries (Kind.make kind store) (read_tsv src) in
           Printf.printf "root     : %s\n" (Hash.to_hex inst.Generic.root)
         end;
         pack_summary p;
@@ -1142,7 +984,7 @@ let pack_cmd =
           With $(b,--shards) the dataset is committed into a sharded \
           durable directory whose shards each use a pack backend.")
     Term.(
-      const run $ index_arg $ from_snapshot $ shards_arg $ partition_arg
+      const run $ Kind.arg $ from_snapshot $ shards_arg $ partition_arg
       $ file_arg 0 "SRC" $ out_arg)
 
 let compact_cmd =
@@ -1208,133 +1050,67 @@ let compact_cmd =
 
 (* --- durability: recover / checkpoint ---------------------------------------- *)
 
-(* Sharded variant of the recover/checkpoint report: per-shard replay
-   stats plus the top-journal clamp and the rolled-back (published-but-
-   not-sequenced) record count, then the composite head per branch. *)
-let sharded_durable_run ~checkpoint kind backend spec dir =
-  match
-    Sharded.open_ ~backend ?spec ~dir
-      ~empty_index:(fun () -> make kind (Store.create ()))
-      ()
-  with
-  | Error e ->
-      Format.eprintf "recover: %a@." Wal.pp_error e;
-      2
-  | Ok t ->
-      let r = Sharded.recovery t in
-      Printf.printf "partition  : %s\n" (Partition.to_string (Sharded.spec t));
-      Printf.printf "last seq   : %d\n" r.Sharded.last_seq;
-      Printf.printf "top clamp  : %d byte%s of torn tail\n"
-        r.Sharded.top_clamped_bytes
-        (if r.Sharded.top_clamped_bytes = 1 then "" else "s");
-      if r.Sharded.capped > 0 then
-        Printf.printf "rolled back: %d unpublished shard record%s\n"
-          r.Sharded.capped
-          (if r.Sharded.capped = 1 then "" else "s");
-      Array.iteri
-        (fun i sr ->
-          Printf.printf
-            "shard %-4d : generation %d, replayed %d, clamped %d byte%s\n" i
-            sr.Durable.generation sr.Durable.replayed sr.Durable.clamped_bytes
-            (if sr.Durable.clamped_bytes = 1 then "" else "s"))
-        r.Sharded.shards;
-      List.iter
-        (fun b ->
-          let h = Sharded.head t ~branch:b in
-          Printf.printf "branch     : %-12s composite %s (seq %d)\n" b
-            (Hash.short h.Sharded.composite) h.Sharded.seq)
-        (Sharded.branches t);
-      if checkpoint then begin
-        Sharded.checkpoint t;
-        print_endline "checkpoint : all shards checkpointed, top journal compacted"
-      end;
-      Sharded.close t;
-      if
-        r.Sharded.top_clamped_bytes > 0
-        || r.Sharded.capped > 0
-        || Array.exists (fun sr -> sr.Durable.clamped_bytes > 0) r.Sharded.shards
-      then begin
-        print_endline "=> recovered (unpublished tail rolled back)";
-        1
-      end
-      else begin
-        print_endline "=> clean";
-        0
-      end
-
-(* Shared by recover and checkpoint: open (recovering), print the report,
-   optionally checkpoint, and exit with the established convention —
-   0 clean, 1 recovered-with-clamp, 2 unrecoverable. *)
-let durable_run ~checkpoint kind backend dir =
-  match
-    Durable.open_ ~backend ~dir ~empty_index:(make kind (Store.create ())) ()
-  with
-  | Error e ->
-      Format.eprintf "recover: %a@." Wal.pp_error e;
-      2
-  | Ok t ->
-      let r = Durable.recovery t in
-      Printf.printf "snapshot   : generation %d\n" r.Durable.generation;
-      Printf.printf "replayed   : %d record%s\n" r.Durable.replayed
-        (if r.Durable.replayed = 1 then "" else "s");
-      if r.Durable.skipped > 0 then
-        Printf.printf "skipped    : %d (already in the snapshot)\n"
-          r.Durable.skipped;
-      Printf.printf "clamped    : %d byte%s of torn tail\n"
-        r.Durable.clamped_bytes
-        (if r.Durable.clamped_bytes = 1 then "" else "s");
-      let engine = Durable.engine t in
-      List.iter
-        (fun b ->
-          let h = Engine.head engine b in
-          Printf.printf "branch     : %-12s %s (version %d)\n" b
-            (Hash.short h.Engine.id) h.Engine.version)
-        (Engine.branches engine);
-      if checkpoint then begin
-        Durable.checkpoint t;
-        Printf.printf "checkpoint : journal truncated to %d bytes\n"
-          (Durable.journal_bytes t)
-      end;
-      Durable.close t;
-      if r.Durable.clamped_bytes > 0 then begin
-        print_endline "=> recovered (torn journal tail clamped)";
-        1
-      end
-      else begin
-        print_endline "=> clean";
-        0
-      end
-
-(* A sharded directory is self-describing (its SHARDS manifest), so
-   recover/checkpoint auto-detect one; --shards is only needed to create
-   a fresh sharded directory (or to assert the expected count — a
-   mismatch with the manifest is refused). *)
-let durable_dispatch ~checkpoint kind backend shards partition dir =
-  match shards with
-  | Some n ->
-      sharded_durable_run ~checkpoint kind backend
-        (Some (Partition.make partition ~shards:n))
-        dir
-  | None ->
-      if is_sharded_dir dir then
-        sharded_durable_run ~checkpoint kind backend None dir
-      else durable_run ~checkpoint kind backend dir
+(* Shared by recover and checkpoint: open (recovering) a flat or sharded
+   directory, print the report — per journal replay stats, the composite
+   journal's clamp and the rolled-back unpublished records, the head per
+   branch — optionally checkpoint, and exit with the established
+   convention: 0 clean, 1 recovered with a torn or unpublished tail
+   rolled back, 2 unrecoverable.  --shards only creates a sharded
+   directory (or asserts the count: a mismatch is refused). *)
+let durable_run ~checkpoint kind shards partition dir =
+  with_dir ?spec:(spec_of partition shards) ~cmd:"recover" kind dir @@ fun d ->
+  let r = Dir.recovery d in
+  let plural n = if n = 1 then "" else "s" in
+  Printf.printf "layout     : %s\n" (Dir.describe d);
+  if r.Dir.top_clamped_bytes > 0 then
+    Printf.printf "top clamp  : %d byte%s of torn tail\n"
+      r.Dir.top_clamped_bytes
+      (plural r.Dir.top_clamped_bytes);
+  if r.Dir.capped > 0 then
+    Printf.printf "rolled back: %d unpublished shard record%s\n" r.Dir.capped
+      (plural r.Dir.capped);
+  Array.iteri
+    (fun i (j : Durable.recovery) ->
+      Printf.printf
+        "%-10s : generation %d, replayed %d, skipped %d, clamped %d byte%s\n"
+        (if Dir.spec d = None then "journal" else Printf.sprintf "shard %d" i)
+        j.Durable.generation j.Durable.replayed j.Durable.skipped
+        j.Durable.clamped_bytes (plural j.Durable.clamped_bytes))
+    r.Dir.journals;
+  List.iter
+    (fun b ->
+      let h = Dir.head d ~branch:b in
+      Printf.printf "branch     : %-12s %s (version %d)\n" b
+        (Hash.short h.Dir.id) h.Dir.version)
+    (Dir.branches d);
+  if checkpoint then begin
+    Dir.checkpoint d;
+    print_endline "checkpoint : snapshot written, journals truncated"
+  end;
+  if Dir.clamped d then begin
+    print_endline "=> recovered (torn or unpublished tail rolled back)";
+    1
+  end
+  else begin
+    print_endline "=> clean";
+    0
+  end
 
 let recover_cmd =
   Cmd.v
     (Cmd.info "recover"
        ~doc:
-         "Recover a durable engine directory: load the manifest snapshot, \
-          replay the commit journal, clamp any torn tail.  Sharded \
-          directories (or $(b,--shards)) replay every shard journal capped \
-          at the last published composite and verify the recomputed \
-          composite root.  Exits 0 when the journal was clean, 1 when a \
-          torn or unpublished tail was rolled back, 2 when the directory \
-          is unrecoverable (corrupt journal, snapshot or composite \
-          mismatch).")
+         "Recover a durable engine directory, flat or sharded, on the \
+          backend it holds: load the manifest snapshot, replay the commit \
+          journal, clamp any torn tail.  Sharded directories replay every \
+          shard journal capped at the last published composite and verify \
+          the recomputed composite root; $(b,--shards) creates one.  \
+          Exits 0 when the journal was clean, 1 when a torn or unpublished \
+          tail was rolled back, 2 when the directory is unrecoverable \
+          (corrupt journal, snapshot or composite mismatch).")
     Term.(
-      const (durable_dispatch ~checkpoint:false)
-      $ index_arg $ durable_backend_arg $ shards_arg $ partition_arg $ dir_arg)
+      const (durable_run ~checkpoint:false)
+      $ Kind.arg $ shards_arg $ partition_arg $ dir_arg)
 
 let checkpoint_cmd =
   Cmd.v
@@ -1345,8 +1121,8 @@ let checkpoint_cmd =
           truncate the journal (all shards plus the top journal for a \
           sharded directory).  Same exit codes as $(b,recover).")
     Term.(
-      const (durable_dispatch ~checkpoint:true)
-      $ index_arg $ durable_backend_arg $ shards_arg $ partition_arg $ dir_arg)
+      const (durable_run ~checkpoint:true)
+      $ Kind.arg $ shards_arg $ partition_arg $ dir_arg)
 
 (* --- connect: client mode against a running siri_serve ----------------------- *)
 
@@ -1525,50 +1301,22 @@ let connect_cmd =
                         match Client.prove_many ?deadline_ms c ~branch [ key ] with
                         | Ok (root, proof_bytes) -> (
                             (* A sharded server answers with a two-layer
-                               proof and the composite as [root]; the
-                               leading payload byte says which arrived. *)
-                            let print_claims claims =
-                              List.iter
-                                (fun (k, v) ->
-                                  Printf.printf "%s\t%s\tverified\n" k
-                                    (match v with
-                                    | Some v -> v
-                                    | None -> "(absent)"))
-                                claims
-                            in
-                            let refused () =
-                              Printf.eprintf "proof REFUSED against root %s\n"
-                                (Hash.short root);
-                              1
-                            in
-                            let verifier = make index (Store.create ()) in
-                            if Shard_proof.is_encoded proof_bytes then
-                              match Shard_proof.decode proof_bytes with
-                              | Error (`Malformed d | `Tampered d) ->
-                                  Printf.eprintf "proof undecodable: %s\n" d;
-                                  1
-                              | Ok sp ->
-                                  if
-                                    Shard_proof.verify ~verifier
-                                      ~composite:root sp
-                                  then begin
-                                    print_claims (Shard_proof.claims sp);
-                                    0
-                                  end
-                                  else refused ()
-                            else
-                              match Siri_core.Multiproof.decode proof_bytes with
-                              | Error (`Malformed d | `Tampered d) ->
-                                  Printf.eprintf "proof undecodable: %s\n" d;
-                                  1
-                              | Ok proof ->
-                                  if Generic.verify_many verifier ~root proof
-                                  then begin
-                                    print_claims
-                                      proof.Siri_core.Multiproof.claims;
-                                    0
-                                  end
-                                  else refused ())
+                               proof and the composite as [root]. *)
+                            match Views.decode_proof proof_bytes with
+                            | Error (`Malformed d | `Tampered d) ->
+                                Printf.eprintf "proof undecodable: %s\n" d;
+                                1
+                            | Ok proof when verify_proof index ~root proof ->
+                                List.iter
+                                  (fun (k, v) ->
+                                    Printf.printf "%s\t%s\tverified\n" k
+                                      (Option.value v ~default:"(absent)"))
+                                  (Views.proof_claims proof);
+                                0
+                            | Ok _ ->
+                                Printf.eprintf "proof REFUSED against root %s\n"
+                                  (Hash.short root);
+                                1)
                         | Error e -> fail "prove" e)
                     | None -> (
                         match Client.ping ?deadline_ms c with
@@ -1588,7 +1336,7 @@ let connect_cmd =
           (idempotent commit), $(b,--scan) (streamed ordered read), \
           $(b,--head) or $(b,--stats).")
     Term.(
-      const run $ index_arg $ unix_path $ tcp_port $ branch $ deadline_ms
+      const run $ Kind.arg $ unix_path $ tcp_port $ branch $ deadline_ms
       $ get_key $ prove_key $ puts $ do_head $ do_stats $ do_scan $ scan_lo
       $ scan_hi $ scan_limit)
 

@@ -4,7 +4,9 @@
      siri_serve DIR --backend pack --tcp 0      # port printed on READY
      siri_serve DIR --unix s.sock --tcp 7421    # both listeners
 
-   Opens (recovering) the durable directory, binds the listeners, prints
+   Opens (recovering) the durable directory — flat or sharded, on the
+   backend it holds; --backend and --shards only shape a directory being
+   created — binds the listeners, prints
    one "READY <addr>" line per listener on stdout (the crash harness and
    scripts wait for these), then serves until SIGTERM/SIGINT, which shuts
    down gracefully: queued commits drain, sessions close, journal fsyncs.
@@ -17,28 +19,10 @@
 open Cmdliner
 module Store = Siri_store.Store
 module Telemetry = Siri_telemetry.Telemetry
-module Engine = Siri_forkbase.Engine
 module Wal = Siri_wal.Wal
-module Durable = Siri_wal.Durable
 module Partition = Siri_shard.Partition
-module Sharded = Siri_shard.Sharded
+module Dir = Siri_shard.Dir
 module Server = Siri_server.Server
-
-type index_kind = Pos | Mpt | Mbt | Mvbt | Prolly
-
-let make kind store =
-  match kind with
-  | Pos ->
-      Siri_pos.Pos_tree.generic
-        (Siri_pos.Pos_tree.empty store (Siri_pos.Pos_tree.config ()))
-  | Prolly -> Siri_prolly.Prolly.generic (Siri_prolly.Prolly.empty store)
-  | Mpt -> Siri_mpt.Mpt.generic (Siri_mpt.Mpt.empty store)
-  | Mbt ->
-      Siri_mbt.Mbt.generic
-        (Siri_mbt.Mbt.empty store (Siri_mbt.Mbt.config ~capacity:1024 ~fanout:4 ()))
-  | Mvbt ->
-      Siri_mvbt.Mvbt.generic
-        (Siri_mvbt.Mvbt.empty store (Siri_mvbt.Mvbt.config ()))
 
 let addr_to_string : Server.addr -> string = function
   | `Unix p -> "unix:" ^ p
@@ -64,89 +48,66 @@ let serve dir kind backend shards partition unix_path tcp_port sync group_max
     let fresh_index () =
       let store = Store.create ~cache_bytes:0 ~proof_cache_bytes:0 () in
       Store.set_sink store tsink;
-      make kind store
+      Kind.make kind store
     in
     let config =
       { Server.default_config with group_max; max_queue; session_max }
     in
-    let run_server ~clamped ~start_server ~close_engine =
-      match start_server () with
-      | exception Unix.Unix_error (err, fn, arg) ->
-          Printf.eprintf "siri_serve: %s %s: %s\n" fn arg
-            (Unix.error_message err);
-          close_engine ();
-          2
-      | server ->
-          List.iter
-            (fun a -> Printf.printf "READY %s\n" (addr_to_string a))
-            (Server.listening server);
-          flush stdout;
-          let stop_flag = Atomic.make false in
-          let handler = Sys.Signal_handle (fun _ -> Atomic.set stop_flag true) in
-          Sys.set_signal Sys.sigterm handler;
-          Sys.set_signal Sys.sigint handler;
-          (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-           with Invalid_argument _ -> ());
-          while not (Atomic.get stop_flag) do
-            Thread.delay 0.1
-          done;
-          Server.stop server;
-          if clamped then 1 else 0
+    (* A sharded directory runs one systhread per shard inside the single
+       writer: journal fsyncs overlap, index builds stay on this domain
+       (the store discipline the lock-free snapshot reads rely on). *)
+    let spec =
+      Option.map (fun n -> Partition.make partition ~shards:n) shards
     in
-    match shards with
-    | None -> (
-        match Durable.open_ ~sync ~backend ~dir ~empty_index:(fresh_index ()) () with
-        | Error e ->
-            Format.eprintf "siri_serve: %a@." Wal.pp_error e;
+    match
+      Dir.open_ ~sync ?backend ~runner:`Threads ?spec ~dir
+        ~empty_index:fresh_index ()
+    with
+    | exception Invalid_argument msg ->
+        Printf.eprintf "siri_serve: %s\n" msg;
+        2
+    | Error e ->
+        Format.eprintf "siri_serve: %a@." Wal.pp_error e;
+        2
+    | Ok d -> (
+        match Server.start ~config ~dir:d ~listen () with
+        | exception Unix.Unix_error (err, fn, arg) ->
+            Printf.eprintf "siri_serve: %s %s: %s\n" fn arg
+              (Unix.error_message err);
+            Dir.close d;
             2
-        | Ok durable ->
-            let r = Durable.recovery durable in
-            run_server
-              ~clamped:(r.Durable.clamped_bytes > 0)
-              ~start_server:(fun () -> Server.start ~config ~durable ~listen ())
-              ~close_engine:(fun () -> Durable.close durable))
-    | Some n -> (
-        (* One systhread per shard inside the single writer: journal
-           fsyncs overlap, index builds stay on this domain (the store
-           discipline the lock-free snapshot reads rely on). *)
-        let spec = Partition.make partition ~shards:n in
-        match
-          Sharded.open_ ~sync ~backend ~runner:`Threads ~spec ~dir
-            ~empty_index:fresh_index ()
-        with
-        | exception Invalid_argument msg ->
-            Printf.eprintf "siri_serve: %s\n" msg;
-            2
-        | Error e ->
-            Format.eprintf "siri_serve: %a@." Wal.pp_error e;
-            2
-        | Ok sharded ->
-            let r = Sharded.recovery sharded in
-            run_server
-              ~clamped:(r.Sharded.top_clamped_bytes > 0 || r.Sharded.capped > 0)
-              ~start_server:(fun () ->
-                Server.start_sharded ~config ~sharded ~listen ())
-              ~close_engine:(fun () -> Sharded.close sharded))
+        | server ->
+            List.iter
+              (fun a -> Printf.printf "READY %s\n" (addr_to_string a))
+              (Server.listening server);
+            flush stdout;
+            let stop_flag = Atomic.make false in
+            let handler =
+              Sys.Signal_handle (fun _ -> Atomic.set stop_flag true)
+            in
+            Sys.set_signal Sys.sigterm handler;
+            Sys.set_signal Sys.sigint handler;
+            (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+             with Invalid_argument _ -> ());
+            while not (Atomic.get stop_flag) do
+              Thread.delay 0.1
+            done;
+            Server.stop server;
+            if Dir.clamped d then 1 else 0)
   end
 
 let cmd =
   let dir = Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR") in
-  let kind =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("pos", Pos); ("mpt", Mpt); ("mbt", Mbt); ("mvbt", Mvbt);
-               ("prolly", Prolly) ])
-          Pos
-      & info [ "i"; "index" ] ~docv:"INDEX" ~doc:"Index structure.")
-  in
   let backend =
     Arg.(
       value
-      & opt (enum [ ("snapshot", `Snapshot); ("pack", `Pack) ]) `Snapshot
+      & opt (some (enum [ ("snapshot", `Snapshot); ("pack", `Pack) ])) None
       & info [ "backend" ] ~docv:"BACKEND"
-          ~doc:"Checkpoint backend: $(b,snapshot) (default) or $(b,pack).")
+          ~doc:
+            "Checkpoint backend of a directory being created: \
+             $(b,snapshot) (the default) or $(b,pack).  An existing \
+             directory is opened with the backend it holds; a \
+             contradicting value is refused.")
   in
   let shards =
     Arg.(
@@ -154,10 +115,11 @@ let cmd =
       & opt (some int) None
       & info [ "shards" ] ~docv:"N"
           ~doc:
-            "Serve a sharded keyspace: partition across $(docv) independent \
-             journaled stores committed concurrently under one composite \
-             Merkle root.  The count is fixed at directory creation and \
-             recorded in the manifest.")
+            "Create a sharded keyspace: partition across $(docv) \
+             independent journaled stores committed concurrently under one \
+             composite Merkle root.  An existing directory is served with \
+             the layout it holds (its SHARDS manifest); a contradicting \
+             count is refused.")
   in
   let partition =
     Arg.(
@@ -167,8 +129,8 @@ let cmd =
           Partition.Hash
       & info [ "partition" ] ~docv:"SCHEME"
           ~doc:
-            "Partition scheme with --shards: $(b,hash) (default) or \
-             $(b,range).")
+            "Partition scheme of a directory created with --shards: \
+             $(b,hash) (default) or $(b,range).")
   in
   let unix_path =
     Arg.(
@@ -214,7 +176,7 @@ let cmd =
           snapshot-isolated reads, single-writer group commit, graceful \
           shutdown on SIGTERM.")
     Term.(
-      const serve $ dir $ kind $ backend $ shards $ partition $ unix_path
+      const serve $ dir $ Kind.arg $ backend $ shards $ partition $ unix_path
       $ tcp_port $ sync $ group_max $ max_queue $ session_max)
 
 let () = exit (Cmd.eval' cmd)

@@ -11,18 +11,13 @@
 module Hash = Siri_crypto.Hash
 module Kv = Siri_core.Kv
 module Generic = Siri_core.Generic
-module Multiproof = Siri_core.Multiproof
 module Telemetry = Siri_telemetry.Telemetry
 module Engine = Siri_forkbase.Engine
-module Durable = Siri_wal.Durable
-module Sharded = Siri_shard.Sharded
-module Shard_proof = Siri_shard.Shard_proof
-module Shard_views = Siri_shard.Views
+module Dir = Siri_shard.Dir
+module Views = Siri_shard.Views
 module Fault = Siri_fault.Fault
 
 type addr = [ `Unix of string | `Tcp of int ]
-
-type backend = Plain of Durable.t | Shards of Sharded.t
 
 type config = {
   max_queue : int;
@@ -48,17 +43,10 @@ type pending = {
   mutable resp : Proto.response option;
 }
 
-(* One published branch snapshot.  Plain backend: the head commit's id,
-   index root and version over a single index view.  Sharded backend:
-   the composite root stands in for both id and root, the global
-   sequence number is the version, and reads route across the per-shard
-   views (all immutable — old shard roots stay valid like any other
-   version, so the lock-free read discipline is unchanged). *)
-type view_ =
-  | Mono of Generic.t
-  | Multi of Siri_shard.Partition.t * Generic.t array
-
-type snap = { s_id : Hash.t; s_root : Hash.t; s_version : int; view : view_ }
+(* One published branch snapshot: the head and its read view.  Views
+   are immutable — old roots, flat or per shard, stay valid like any
+   other version — so sessions read them without a lock. *)
+type snap = { head : Dir.head; view : Views.t }
 
 (* A serving domain.  Lane 0 is the main domain: the accept thread
    creates its session threads directly, as at width 1.  Every other lane
@@ -83,7 +71,7 @@ let serving_minor_heap_words = 65536
 
 type t = {
   config : config;
-  backend : backend;
+  dir : Dir.t;
   tsink : Telemetry.sink;
   snapshot : (string * snap) list Atomic.t;
   ro : bool Atomic.t;
@@ -153,7 +141,8 @@ let ids_of_message msg =
    union over shard histories recovers every id; the cached ack carries
    that shard's commit id, which is an honest at-most-once answer even
    though the original ack named the composite. *)
-let recover_seen_engine t eng =
+let recover_seen t =
+  Array.iter @@ fun eng ->
   List.iter
     (fun branch ->
       List.rev (Engine.history eng branch)
@@ -171,37 +160,10 @@ let recover_seen_engine t eng =
                ids))
     (Engine.branches eng)
 
-let recover_seen t =
-  match t.backend with
-  | Plain d -> recover_seen_engine t (Durable.engine d)
-  | Shards s ->
-      Array.iter
-        (fun d -> recover_seen_engine t (Durable.engine d))
-        (Sharded.shards s)
-
 (* --- snapshot publication ---------------------------------------------- *)
 
 let snap_of_branch t branch =
-  match t.backend with
-  | Plain d ->
-      let eng = Durable.engine d in
-      let head = Engine.head eng branch in
-      { s_id = head.id;
-        s_root = head.index_root;
-        s_version = head.version;
-        view = Mono (Engine.index eng branch) }
-  | Shards s ->
-      let views = Sharded.views s ~branch in
-      let composite = Shard_views.composite (Sharded.spec s) views in
-      { s_id = composite;
-        s_root = composite;
-        s_version = Sharded.last_seq s;
-        view = Multi (Sharded.spec s, views) }
-
-let backend_branches t =
-  match t.backend with
-  | Plain d -> Engine.branches (Durable.engine d)
-  | Shards s -> Sharded.branches s
+  { head = Dir.head t.dir ~branch; view = Dir.view t.dir ~branch }
 
 let publish_branch t branch =
   let rest = List.remove_assoc branch (Atomic.get t.snapshot) in
@@ -209,7 +171,7 @@ let publish_branch t branch =
 
 let publish_all t =
   Atomic.set t.snapshot
-    (List.map (fun b -> (b, snap_of_branch t b)) (backend_branches t))
+    (List.map (fun b -> (b, snap_of_branch t b)) (Dir.branches t.dir))
 
 (* --- writer: group commit ---------------------------------------------- *)
 
@@ -226,31 +188,25 @@ let enter_read_only t =
     Telemetry.incr t.tsink "server.readonly.enter"
 
 (* Fold one branch's batches into a single engine commit and ack them
-   all with the same commit id.  Sharded backend: the fold becomes one
-   {!Sharded.commit} — the group's concatenated ops are partitioned per
-   shard and the shard commits run concurrently under this (single)
-   writer, still one composite publication and one ack per batch. *)
-let backend_commit t ~branch ~message ops =
-  match t.backend with
-  | Plain d ->
-      Fault.with_retry ~attempts:3 ~sink:t.tsink (fun () ->
-          let c = Durable.commit d ~branch ~message ops in
-          (c.Engine.id, c.Engine.version))
-  | Shards s ->
-      (* No retry: a failed fan-out may have applied some shards, and
-         replaying the same global sequence number is refused by the
-         shard journals.  The handle is poisoned; degrade below. *)
-      Fault.protect (fun () ->
-          let h = Sharded.commit s ~branch ~message ops in
-          (h.Sharded.composite, h.Sharded.seq))
+   all with the same commit id.  Sharded: the fold becomes one composite
+   commit — the group's concatenated ops are partitioned per shard and
+   the shard commits run concurrently under this (single) writer, still
+   one composite publication and one ack per batch.  Only a retryable
+   handle is retried: a failed sharded fan-out may have applied some
+   shards, and replaying its global sequence number is refused by the
+   shard journals, so that handle is poisoned and degrades below. *)
+let dir_commit t ~branch ~message ops =
+  let commit () = Dir.commit t.dir ~branch ~message ops in
+  if Dir.retryable t.dir then Fault.with_retry ~attempts:3 ~sink:t.tsink commit
+  else Fault.protect commit
 
 let commit_branch_group t branch (items : pending list) =
   let ids = List.map (fun p -> p.req_id) items in
   let message = serve_prefix ^ String.concat "," ids in
   let ops = List.concat_map (fun p -> p.ops) items in
   let n = List.length items in
-  match backend_commit t ~branch ~message ops with
-  | Ok (commit_id, version) ->
+  match dir_commit t ~branch ~message ops with
+  | Ok { Dir.id = commit_id; version; _ } ->
       publish_branch t branch;
       Telemetry.incr t.tsink "server.commit.groups";
       Telemetry.incr t.tsink ~by:n "server.commit.acked";
@@ -283,23 +239,21 @@ let commit_branch_group t branch (items : pending list) =
       let detail = "commit path: " ^ Fault.error_to_string e in
       List.iter (fun p -> reply p (err Proto.Tampered detail)) items;
       Error `Stop_group
-  | Error (`Transient _ as e) -> (
-      match t.backend with
-      | Plain _ ->
-          (* still transient after the retry budget: refuse retryably,
-             keep serving — the fault was not an integrity failure. *)
-          List.iter
-            (fun p -> reply p (err Proto.Overload "transient store failure"))
-            items;
-          Ok ()
-      | Shards _ ->
-          (* a transient that interrupted the fan-out may have landed on
-             some shards only; the in-memory handle can no longer be
-             trusted to match the published composite *)
-          enter_read_only t;
-          let detail = "sharded commit failed: " ^ Fault.error_to_string e in
-          List.iter (fun p -> reply p (err Proto.Tampered detail)) items;
-          Error `Stop_group)
+  | Error (`Transient _) when Dir.retryable t.dir ->
+      (* still transient after the retry budget: refuse retryably, keep
+         serving — the fault was not an integrity failure. *)
+      List.iter
+        (fun p -> reply p (err Proto.Overload "transient store failure"))
+        items;
+      Ok ()
+  | Error (`Transient _ as e) ->
+      (* a transient that interrupted the fan-out may have landed on some
+         shards only; the in-memory handle can no longer be trusted to
+         match the published composite *)
+      enter_read_only t;
+      let detail = "sharded commit failed: " ^ Fault.error_to_string e in
+      List.iter (fun p -> reply p (err Proto.Tampered detail)) items;
+      Error `Stop_group
 
 let process_group t (batch : pending list) =
   let now = Unix.gettimeofday () in
@@ -428,46 +382,30 @@ let dispatch_read t (body : Proto.req) : Proto.response =
   | Proto.Head { branch } -> (
       match snap_of t branch with
       | None -> err Proto.Unknown_branch branch
-      | Some s ->
-          Proto.Head_r { id = s.s_id; root = s.s_root; version = s.s_version })
+      | Some { head = { Dir.id; root; version }; _ } ->
+          Proto.Head_r { id; root; version })
   | Proto.Get { branch; key } -> (
       match snap_of t branch with
       | None -> err Proto.Unknown_branch branch
       | Some s -> (
-          match
-            Fault.protect (fun () ->
-                match s.view with
-                | Mono v -> Generic.get v key
-                | Multi (spec, views) -> Shard_views.get spec views key)
-          with
+          match Fault.protect (fun () -> Views.get s.view key) with
           | Ok v -> Proto.Value v
           | Error e -> err Proto.Tampered (Fault.error_to_string e)))
   | Proto.Get_many { branch; keys } -> (
       match snap_of t branch with
       | None -> err Proto.Unknown_branch branch
       | Some s -> (
-          match
-            Fault.protect (fun () ->
-                match s.view with
-                | Mono v -> Generic.get_many v keys
-                | Multi (spec, views) -> Shard_views.get_many spec views keys)
-          with
+          match Fault.protect (fun () -> Views.get_many s.view keys) with
           | Ok vs -> Proto.Values vs
           | Error e -> err Proto.Tampered (Fault.error_to_string e)))
   | Proto.Prove_many { branch; keys } -> (
       match snap_of t branch with
       | None -> err Proto.Unknown_branch branch
       | Some s -> (
-          match
-            Fault.protect (fun () ->
-                match s.view with
-                | Mono v -> Multiproof.encode (Generic.prove_many v keys)
-                | Multi (spec, views) ->
-                    (* two-layer proof; [root] in the response is the
-                       composite the client verifies it against *)
-                    Shard_proof.encode (Shard_proof.prove ~views spec keys))
-          with
-          | Ok proof -> Proto.Proof { root = s.s_root; proof }
+          (* sharded: a two-layer proof; [root] in the response is the
+             composite the client verifies it against *)
+          match Fault.protect (fun () -> Views.prove s.view keys) with
+          | Ok proof -> Proto.Proof { root = s.head.Dir.root; proof }
           | Error e -> err Proto.Tampered (Fault.error_to_string e)))
   | Proto.Commit _ -> assert false  (* routed to the write path *)
   | Proto.Scan _ -> assert false  (* streamed by the session loop *)
@@ -544,12 +482,7 @@ let session_scan t ~deadline ~branch ~lo ~hi ~limit send =
   match snap_of t branch with
   | None -> send (err Proto.Unknown_branch branch)
   | Some s -> (
-      match
-        Fault.protect (fun () ->
-            match s.view with
-            | Mono v -> Generic.scan ?lo ?hi v
-            | Multi (spec, views) -> Shard_views.scan spec views ~lo ~hi)
-      with
+      match Fault.protect (fun () -> Views.scan ?lo ?hi s.view) with
       | exception Generic.Unsupported kind ->
           send
             (err Proto.Bad_request
@@ -810,17 +743,13 @@ let bind_addr (a : addr) : addr * Unix.file_descr =
       in
       (`Tcp port, fd)
 
-let start_backend ?(config = default_config) ~backend ~listen () =
-  let tsink =
-    match backend with
-    | Plain d -> Siri_store.Store.sink (Engine.store (Durable.engine d))
-    | Shards s -> Sharded.sink s
-  in
+let start ?(config = default_config) ~dir ~listen () =
+  let tsink = Dir.sink dir in
   let listeners = List.map bind_addr listen in
   let width = Siri_parallel.Pool.recommended () in
   let t =
     { config;
-      backend;
+      dir;
       tsink;
       snapshot = Atomic.make [];
       ro = Atomic.make false;
@@ -851,17 +780,11 @@ let start_backend ?(config = default_config) ~backend ~listen () =
       stopped = false }
   in
   publish_all t;
-  recover_seen t;
+  recover_seen t (Dir.engines dir);
   t.writer <- Some (Thread.create writer_loop t);
   t.accept_threads <-
     List.map (fun (_, lfd) -> Thread.create (accept_loop t) lfd) listeners;
   t
-
-let start ?config ~durable ~listen () =
-  start_backend ?config ~backend:(Plain durable) ~listen ()
-
-let start_sharded ?config ~sharded ~listen () =
-  start_backend ?config ~backend:(Shards sharded) ~listen ()
 
 let pause_writer t =
   Mutex.lock t.qmu;
@@ -933,7 +856,5 @@ let stop t =
         l.domain <- None)
       t.lanes;
     (* 4. flush and close the journal(s) *)
-    match t.backend with
-    | Plain d -> Durable.close d
-    | Shards s -> Sharded.close s
+    Dir.close t.dir
   end

@@ -2,7 +2,7 @@
 
     One process serves many concurrent sessions (one thread per accepted
     connection, Unix-domain or TCP-loopback listeners) on top of a
-    {!Siri_wal.Durable} engine:
+    durable directory, flat or sharded ({!Siri_shard.Dir}):
 
     - {b Serving domains.}  Session threads run on
       [Siri_parallel.Pool.recommended ()] serving domains (the
@@ -15,8 +15,8 @@
       session threads, then joins the domains.
 
     - {b Snapshot-isolated, lock-free reads.}  After every commit the
-      writer publishes an immutable snapshot (branch → head commit +
-      {!Siri_core.Generic} view) through an [Atomic]; sessions on every
+      writer publishes an immutable snapshot (branch → head +
+      {!Siri_shard.Views} read view) through an [Atomic]; sessions on every
       serving domain serve [Get]/[Get_many]/[Prove_many]/[Head] straight
       off that snapshot without a server lock — old roots stay valid
       forever, which is the SIRI property doing the concurrency work.
@@ -45,9 +45,12 @@
     - {b Graceful degradation.}  If the commit path reports [`Tampered],
       the server enters read-only mode: writes are refused with
       [Err Read_only], reads keep being served off the last good
-      snapshot.  Damaged request frames are refused ([`Tampered] /
-      [`Malformed]) and the session closed; no byte from the wire is ever
-      parsed unverified and no exception escapes the accept loop.
+      snapshot.  A transient fault is retried and then refused with
+      [Err Overload] on a flat directory; on a sharded one it also
+      degrades to read-only ({!Siri_shard.Dir.retryable}).  Damaged
+      request frames are refused ([`Tampered] / [`Malformed]) and the
+      session closed; no byte from the wire is ever parsed unverified
+      and no exception escapes the accept loop.
 
     Telemetry (on the engine store's sink): [server.req.<op>] counters
     and latency histograms, [server.commit.acked] / [server.commit.groups]
@@ -57,8 +60,6 @@
     [server.sessions].  Conservation: [server.commit.groups] = WAL frames
     appended by the server, and [server.commit.acked] = the histogram sum
     of [server.commit.group_size] (pinned in [test_server]). *)
-
-module Durable = Siri_wal.Durable
 
 type addr = [ `Unix of string | `Tcp of int  (** loopback port; 0 = pick *) ]
 
@@ -74,36 +75,27 @@ val default_config : config
 type t
 
 val start :
-  ?config:config -> durable:Durable.t -> listen:addr list -> unit -> t
+  ?config:config -> dir:Siri_shard.Dir.t -> listen:addr list -> unit -> t
 (** Bind every address, recover the idempotency table from the commit
     history, publish the initial snapshot and spawn the accept and writer
-    threads.  The durable engine must have been opened by the caller
-    (backend, sync mode and fault gates are its business); the server
-    writes through {!Durable.commit} only.  A Unix socket path left
-    behind by a killed server is probed and reclaimed (unlinked) if
-    nothing answers on it; raises [Unix.Unix_error] if a bind fails,
-    including when a {e live} server already owns the path. *)
+    threads.  The directory must have been opened by the caller (sync
+    mode and fault gates are its business); the server writes through
+    {!Siri_shard.Dir.commit} only and closes it at {!stop}.  A Unix
+    socket path left behind by a killed server is probed and reclaimed
+    (unlinked) if nothing answers on it; raises [Unix.Unix_error] if a
+    bind fails, including when a {e live} server already owns the path.
 
-val start_sharded :
-  ?config:config ->
-  sharded:Siri_shard.Sharded.t ->
-  listen:addr list ->
-  unit ->
-  t
-(** Like {!start}, over a sharded keyspace engine.  Group commit batches
-    are partitioned per shard and the shard commits run concurrently
-    under the single writer; [Head] answers the composite root (as both
-    id and root) with the global sequence number as version, and
-    [Prove_many] returns an encoded {!Siri_shard.Shard_proof} (the
-    response's [root] is the composite to verify it against — the
-    leading payload byte distinguishes it from a flat multiproof).  The
-    engine should be opened with [~runner:`Threads]: shard journal
-    writes and fsyncs still overlap, while index builds stay on the one
-    domain whose single-writer/many-reader store discipline the
-    lock-free snapshot reads rely on.  A failed sharded commit cannot be
-    blindly retried (some shards may have applied), so the server
-    degrades to read-only instead — the directory recovers to the
-    published composite prefix on restart. *)
+    On a sharded directory, group commit batches are partitioned per
+    shard and the shard commits run concurrently under the single
+    writer; [Head] answers the composite root (as both id and root) with
+    the global sequence number as version, and [Prove_many] returns an
+    encoded {!Siri_shard.Shard_proof} (the response's [root] is the
+    composite to verify it against — the leading payload byte
+    distinguishes it from a flat multiproof).  Open a sharded directory
+    with [~runner:`Threads]: shard journal writes and fsyncs still
+    overlap, while index builds stay on the one domain whose
+    single-writer/many-reader store discipline the lock-free snapshot
+    reads rely on. *)
 
 val listening : t -> addr list
 (** The bound addresses, with [`Tcp 0] resolved to the actual port. *)

@@ -12,7 +12,7 @@ type t = {
 }
 
 let prove ~views spec keys =
-  let roots = Views.roots views in
+  let roots = Array.map (fun (v : Generic.t) -> v.Generic.root) views in
   let parts =
     List.map
       (fun (i, ks) -> (i, Generic.prove_many views.(i) ks))

@@ -204,8 +204,10 @@ let run_tasks t fs =
 
 (* --- reads --------------------------------------------------------------- *)
 
-let views t ~branch =
+let shard_views t ~branch =
   Array.map (fun d -> Engine.index (Durable.engine d) branch) t.shards
+
+let view t ~branch = Views.sharded t.spec (shard_views t ~branch)
 
 let shard_roots t branch =
   Array.map
@@ -225,7 +227,7 @@ let get_many t ~branch keys =
      dispatch the per-shard batched walks through the runner — each task
      touches only its own shard's store, so the domain-safety argument is
      the concurrent-commit one.  Results reassemble in input order. *)
-  let vs = views t ~branch in
+  let vs = shard_views t ~branch in
   match Partition.split_keys t.spec keys with
   | [] -> []
   | [ (i, _) ] -> Generic.get_many vs.(i) keys
@@ -243,28 +245,10 @@ let get_many t ~branch keys =
         results;
       List.map (fun k -> (k, Option.join (Hashtbl.find_opt found k))) keys
 
-let scan ?lo ?hi t ~branch = Views.scan t.spec (views t ~branch) ~lo ~hi
-
-type shard_stat = {
-  shard : int;
-  keys : int;
-  nodes : int;
-  bytes : int;
-  root : Hash.t;
-}
-
-let shard_stats t ~branch =
-  Array.mapi
-    (fun i v ->
-      { shard = i;
-        keys = v.Generic.cardinal ();
-        nodes = Generic.node_count v;
-        bytes = Generic.total_bytes v;
-        root = v.Generic.root })
-    (views t ~branch)
+let scan ?lo ?hi t ~branch = Views.scan ?lo ?hi (view t ~branch)
 
 let prove_many t ~branch keys =
-  Shard_proof.prove ~views:(views t ~branch) t.spec keys
+  Shard_proof.prove ~views:(shard_views t ~branch) t.spec keys
 
 (* --- writes -------------------------------------------------------------- *)
 
@@ -411,14 +395,19 @@ let array_result_map f arr =
   in
   go 0 []
 
-let open_ ?(sync = true) ?(backend = `Snapshot) ?(runner = `Pool) ?spec ~dir
-    ~empty_index () =
-  match ensure_dir dir with
+let exists dir = Sys.file_exists (manifest_path dir)
+
+let open_ ?(sync = true) ?backend ?(runner = `Pool) ?spec ~dir ~empty_index ()
+    =
+  match read_manifest dir with
   | Error _ as e -> e
-  | Ok () -> (
-      match read_manifest dir with
+  | Ok None when Durable.detect dir <> None ->
+      (* Never write a second layout into a flat durable directory. *)
+      Error (`Malformed (dir ^ ": a flat durable directory, not a sharded one"))
+  | Ok manifest -> (
+      match ensure_dir dir with
       | Error _ as e -> e
-      | Ok manifest -> (
+      | Ok () -> (
           let spec_r =
             match (manifest, spec) with
             | None, None -> Ok (Partition.make Partition.Hash ~shards:4, 0)
@@ -462,7 +451,7 @@ let open_ ?(sync = true) ?(backend = `Snapshot) ?(runner = `Pool) ?spec ~dir
                     array_result_map
                       (fun i ->
                         match
-                          Durable.open_ ~sync ~backend ~replay_cap:last
+                          Durable.open_ ~sync ?backend ~replay_cap:last
                             ~dir:(shard_dir dir generation i)
                             ~empty_index:(empty_index ()) ()
                         with
@@ -562,7 +551,7 @@ let open_ ?(sync = true) ?(backend = `Snapshot) ?(runner = `Pool) ?spec ~dir
                                 runner;
                                 pool;
                                 shards;
-                                backend;
+                                backend = Durable.backend shards.(0);
                                 empty_index;
                                 generation;
                                 top =

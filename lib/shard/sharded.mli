@@ -86,9 +86,16 @@ val open_ :
 (** Open (creating if needed) and recover as described above.
     [empty_index] is a {e factory}: it is called once per shard and
     must return a fresh instance (own store) each time.  [spec]
-    (default [hash:4]) applies only when the directory is created; an
-    existing manifest wins, and an explicit [spec] that contradicts it
-    is refused ([`Malformed]) rather than silently re-routed. *)
+    (default [hash:4]) and [backend] (default [`Snapshot]) apply only
+    when the directory is created: an existing manifest and the shards'
+    own layout win, and an explicit value that contradicts them is
+    refused ([`Malformed]) rather than silently re-routed.  A flat
+    durable directory ({!Siri_wal.Durable.detect}) is refused too:
+    opening never writes a second layout into a directory. *)
+
+val exists : string -> bool
+(** [exists dir] — [dir] holds a sharded layout (its partition
+    manifest). *)
 
 val recovery : t -> recovery
 val spec : t -> Partition.t
@@ -102,9 +109,9 @@ val sink : t -> Siri_telemetry.Telemetry.sink
 (** Shard 0's store sink; the factory shares one sink across shards
     when aggregate telemetry is wanted. *)
 
-val views : t -> branch:string -> Generic.t array
-(** One index view per shard at the branch head — the unit the server
-    snapshots and {!Shard_proof} consumes. *)
+val view : t -> branch:string -> Views.t
+(** The sharded read view at the branch head — the unit the server
+    snapshots and the CLI reads. *)
 
 val head : t -> branch:string -> head
 val get : t -> branch:string -> Kv.key -> Kv.value option
@@ -125,19 +132,6 @@ val scan :
     to — a single-shard interval streams from one shard (telemetry:
     [shard.scan.fanout]); hash scheme: lazy k-way merge of all shards.
     Raises {!Generic.Unsupported} for MBT. *)
-
-type shard_stat = {
-  shard : int;
-  keys : int;  (** live records in this shard at the branch head *)
-  nodes : int;  (** reachable index nodes *)
-  bytes : int;  (** bytes of those nodes *)
-  root : Hash.t;
-}
-
-val shard_stats : t -> branch:string -> shard_stat array
-(** Per-shard size/key-count figures at a branch head — the balance
-    telemetry that decides when an online {!reshard} is worth it.
-    O(reachable nodes) per shard: a stats/CLI path, not a hot path. *)
 
 val prove_many : t -> branch:string -> Kv.key list -> Shard_proof.t
 

@@ -34,6 +34,35 @@ type t = {
   recovered : recovery;
 }
 
+let backend_name = function `Snapshot -> "snapshot" | `Pack -> "pack"
+
+(* The pack directory is created on the first open of a [`Pack]
+   directory, before its journal, so it marks the backend from then on. *)
+let detect dir =
+  if Sys.file_exists (pack_dir dir) then Some `Pack
+  else if
+    Sys.file_exists (manifest_path dir) || Sys.file_exists (journal_path dir)
+  then Some `Snapshot
+  else None
+
+(* [backend] only chooses the layout of a directory being created; an
+   existing one answers for itself, and a stated backend that contradicts
+   it is refused before anything is written. *)
+let resolve_backend ~dir backend =
+  (* "SHARDS" is the partition manifest of a sharded root (lib/shard). *)
+  if Sys.file_exists (Filename.concat dir "SHARDS") then
+    Error (`Malformed (dir ^ ": a sharded directory, not a flat one"))
+  else
+    match (detect dir, backend) with
+    | Some found, Some asked when found <> asked ->
+        Error
+          (`Malformed
+             (Printf.sprintf
+                "%s: %s backend requested but the directory holds a %s backend"
+                dir (backend_name asked) (backend_name found)))
+    | Some found, _ -> Ok found
+    | None, asked -> Ok (Option.value asked ~default:`Snapshot)
+
 let recovery t = t.recovered
 let engine t = t.engine
 let dir t = t.dir
@@ -124,19 +153,20 @@ let apply_record engine = function
   | Wal.Bulk { branch; message; entries } ->
       ignore (Engine.commit_bulk engine ~branch ~message entries : Engine.commit)
 
-let open_ ?(sync = true) ?(backend = `Snapshot) ?replay_cap ~dir ~empty_index () =
+let open_ ?(sync = true) ?backend ?replay_cap ~dir ~empty_index () =
   match
+    Result.bind (resolve_backend ~dir backend) @@ fun backend ->
     if Sys.file_exists dir then
-      if Sys.is_directory dir then Ok ()
+      if Sys.is_directory dir then Ok backend
       else Error (`Malformed (dir ^ ": not a directory"))
     else
       match Unix.mkdir dir 0o755 with
-      | () -> Ok ()
+      | () -> Ok backend
       | exception Unix.Unix_error (e, _, _) ->
           Error (`Malformed (dir ^ ": " ^ Unix.error_message e))
   with
   | Error _ as e -> e
-  | Ok () -> (
+  | Ok backend -> (
       cleanup_stale_tmp dir;
       match read_manifest dir with
       | Error _ as e -> e

@@ -47,8 +47,9 @@ type backend = [ `Snapshot | `Pack ]
     fsync the pack, persist its offset index and write the tiny heads
     file — no O(data) snapshot rewrite.  Commits stay group-fsynced:
     the journal append is the single per-commit fsync, pack appends are
-    only pushed to the OS (replay regenerates anything lost).  A
-    directory must be reopened with the backend it was created with. *)
+    only pushed to the OS (replay regenerates anything lost).  The
+    backend is chosen when a directory is created and read back from
+    disk ({!detect}) on every later open. *)
 
 type recovery = {
   generation : int;  (** snapshot generation loaded; 0 = none *)
@@ -67,7 +68,11 @@ val open_ :
   empty_index:Generic.t ->
   unit ->
   (t, Wal.error) result
-(** Open (creating the directory if needed) and recover.  [empty_index]
+(** Open (creating the directory if needed) and recover.  [backend]
+    (default [`Snapshot]) applies only when the directory is created: an
+    existing directory answers for itself ({!detect}), a stated backend
+    that contradicts it is refused with [`Malformed], and so is a
+    sharded root — all before anything is written.  [empty_index]
     must be a {e fresh} instance of the index kind the engine was built
     with — its store receives the recovered state, exactly as in
     {!Siri_forkbase.Engine.load}.  [sync] (default [true]) controls
@@ -82,6 +87,11 @@ val open_ :
     its composite journal published, so a crash between a shard-journal
     append and the composite commit point rolls the shard back instead
     of resurrecting an unpublished commit. *)
+
+val detect : string -> backend option
+(** The backend a directory holds: [`Pack] when it has a [pack/]
+    directory, [`Snapshot] when it has a [MANIFEST] or a [journal]
+    alone, [None] when it holds no flat durable layout. *)
 
 val recovery : t -> recovery
 (** What {!open_} found. *)

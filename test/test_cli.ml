@@ -134,9 +134,13 @@ let test_checkpoint_exit_codes () =
    with
   | Ok t ->
       ignore (Durable.commit t ~branch:"master" ~message:"p" [ Kv.Put ("a", "1") ]);
+      Durable.checkpoint t;
       Durable.close t
   | Error _ -> Alcotest.fail "pack seed");
-  check_exit "pack checkpoint" 0 [ "checkpoint"; "--backend"; "pack"; dp ]
+  (* the backend is read from the directory: no flag needed to reopen *)
+  check_exit "recover a checkpointed pack directory" 0 [ "recover"; dp ];
+  check_exit "pack checkpoint" 0 [ "checkpoint"; dp ];
+  check_exit "recover after a pack checkpoint" 0 [ "recover"; dp ]
 
 let test_scrub_exit_codes () =
   with_dir "scrub" @@ fun dir ->
@@ -168,12 +172,36 @@ let test_scrub_exit_codes () =
       Siri_pack.Pack.append p [ (Hash.of_string "x", "x", []) ];
       Siri_pack.Pack.close p
   | Error _ -> Alcotest.fail "pack open");
-  check_exit "intact pack" 0 [ "scrub"; "--backend"; "pack"; pdir ];
+  check_exit "intact pack" 0 [ "scrub"; pdir ];
   let seg = Filename.concat pdir (Siri_pack.Segment.filename 0) in
   let fd = Unix.openfile seg [ Unix.O_WRONLY ] 0 in
   ignore (Unix.write_substring fd "SIRIPACKSEG1" 0 12 : int);
   Unix.close fd;
-  check_exit "retired pack format" 2 [ "scrub"; "--backend"; "pack"; pdir ]
+  check_exit "retired pack format" 2 [ "scrub"; pdir ]
+
+(* Every entry under [dir] with its bytes. *)
+let tree dir =
+  let rec walk rel acc =
+    let p = Filename.concat dir rel in
+    if Sys.is_directory p then
+      Array.fold_left
+        (fun acc n -> walk (Filename.concat rel n) acc)
+        ((rel ^ "/", "") :: acc) (Sys.readdir p)
+    else (rel, In_channel.with_open_bin p In_channel.input_all) :: acc
+  in
+  List.sort compare (walk "" [])
+
+(* Sharded-only commands refuse a flat directory and leave it as it is. *)
+let test_flat_dir_refusals () =
+  with_dir "flat" @@ fun dir ->
+  let d = Filename.concat dir "flat" in
+  seed_durable d;
+  let before = tree d in
+  check_exit "reshard of a flat directory" 2 [ "reshard"; "--shards"; "2"; d ];
+  Alcotest.(check (list (pair string string)))
+    "reshard left the directory byte-for-byte unchanged" before (tree d);
+  check_exit "stats of a flat directory" 2 [ "stats"; d ];
+  check_exit "recover after the refusals" 0 [ "recover"; d ]
 
 let test_verify_proof_exit_codes () =
   with_dir "vproof" @@ fun dir ->
@@ -214,6 +242,8 @@ let () =
             test_checkpoint_exit_codes;
           Alcotest.test_case "scrub: 0 intact / 1 violations / 2 malformed"
             `Quick test_scrub_exit_codes;
+          Alcotest.test_case "reshard/stats: a flat directory refused, 2"
+            `Quick test_flat_dir_refusals;
           Alcotest.test_case "verify-proof: 0 ok / 1 refused / 2 tampered"
             `Quick test_verify_proof_exit_codes;
           Alcotest.test_case "connect: errors are nonzero" `Quick

@@ -969,6 +969,64 @@ let test_durable_pack_journal_crash () =
     Durable.close t
   done
 
+(* Every entry under [dir] with its bytes, for byte-for-byte comparison. *)
+let tree dir =
+  let rec walk rel acc =
+    let p = Filename.concat dir rel in
+    if Sys.is_directory p then
+      Array.fold_left
+        (fun acc n -> walk (Filename.concat rel n) acc)
+        ((rel ^ "/", "") :: acc) (Sys.readdir p)
+    else (rel, read_file p) :: acc
+  in
+  List.sort compare (walk "" [])
+
+(* The backend is read from disk: a stated one that contradicts a
+   checkpointed directory is refused before anything is written, and an
+   unstated one opens a pack directory as a pack — its checkpoint writes
+   heads, never a store.<gen> snapshot beside pack/. *)
+let test_durable_backend_from_disk () =
+  with_dir "durable-detect" @@ fun dir ->
+  Unix.mkdir dir 0o755;
+  let pdir = Filename.concat dir "p" and sdir = Filename.concat dir "s" in
+  let final = run_script ~checkpoint_after:(List.length script - 1) pdir in
+  let t = open_durable_exn ~sync:false ~backend:`Snapshot sdir in
+  ignore (Durable.commit t ~branch:"master" ~message:"s" [ Kv.Put ("a", "1") ]
+          : Engine.commit);
+  Durable.checkpoint t;
+  Durable.close t;
+  List.iter
+    (fun (d, wrong) ->
+      let before = tree d in
+      (match
+         Durable.open_ ~sync:false ~backend:wrong ~dir:d
+           ~empty_index:(mk_mpt ()) ()
+       with
+      | Error (`Malformed _) -> ()
+      | Error e -> Alcotest.failf "unexpected error: %a" Wal.pp_error e
+      | Ok t ->
+          Durable.close t;
+          Alcotest.failf "%s: ACCEPTED a contradicting backend" d);
+      Alcotest.(check (list (pair string string)))
+        (d ^ ": refused open leaves the directory untouched") before (tree d))
+    [ (pdir, `Snapshot); (sdir, `Pack) ];
+  let t =
+    match Durable.open_ ~sync:false ~dir:pdir ~empty_index:(mk_mpt ()) () with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "Durable.open_: %a" Wal.pp_error e
+  in
+  Alcotest.(check bool) "opened as a pack" true (Durable.backend t = `Pack);
+  Alcotest.check state_testable "every record there" final
+    (state (Durable.engine t));
+  Durable.checkpoint t;
+  Durable.close t;
+  Alcotest.(check bool) "no store.<gen> beside pack/" false
+    (Sys.file_exists (Filename.concat pdir "store.2"));
+  let t = open_durable_exn ~sync:false ~backend:`Pack pdir in
+  Alcotest.check state_testable "the pack reopens whole" final
+    (state (Durable.engine t));
+  Durable.close t
+
 (* --- registration ------------------------------------------------------------- *)
 
 let () =
@@ -1029,5 +1087,7 @@ let () =
             test_durable_pack_reopen;
           Alcotest.test_case "checkpoint: pack fsync + heads, no snapshot"
             `Quick test_durable_pack_checkpoint;
+          Alcotest.test_case "backend read from disk, contradiction refused"
+            `Quick test_durable_backend_from_disk;
           Alcotest.test_case "journal truncation at every byte offset" `Slow
             test_durable_pack_journal_crash ] ) ]

@@ -14,6 +14,8 @@ module Hash = Siri_crypto.Hash
 module Telemetry = Siri_telemetry.Telemetry
 module Partition = Siri_shard.Partition
 module Sharded = Siri_shard.Sharded
+module Views = Siri_shard.Views
+module Dir = Siri_shard.Dir
 module Wal = Siri_wal.Wal
 module Durable = Siri_wal.Durable
 module Server = Siri_server.Server
@@ -417,11 +419,11 @@ let test_reshard_differential () =
     (Hash.equal fresh_head.Sharded.composite migrated_head.Sharded.composite);
   Sharded.close f;
   (* per-shard stats: every live key accounted for exactly once *)
-  let stats = Sharded.shard_stats t' ~branch:"master" in
-  Alcotest.(check int) "stats cover 8 shards" 8 (Array.length stats);
+  let parts = Views.parts (Sharded.view t' ~branch:"master") in
+  Alcotest.(check int) "stats cover 8 shards" 8 (Array.length parts);
   Alcotest.(check int) "keys partition the branch"
     (List.length master_before)
-    (Array.fold_left (fun acc s -> acc + s.Sharded.keys) 0 stats);
+    (Array.fold_left (fun acc v -> acc + v.Generic.cardinal ()) 0 parts);
   (* the engine stays writable after the swap *)
   ignore
     (Sharded.commit t' ~branch:"master" ~message:"post" [ Kv.Put ("post", "1") ]);
@@ -545,10 +547,15 @@ let test_server_scan () =
   with_dir "serve-scan" @@ fun dir ->
   Unix.mkdir dir 0o755;
   let data = Filename.concat dir "d" and sock = Filename.concat dir "s" in
-  let sharded =
-    open_exn ~sync:false ~runner:`Threads ~spec:(range_spec 2) ~dir:data ()
+  let d =
+    match
+      Dir.open_ ~sync:false ~runner:`Threads ~spec:(range_spec 2) ~dir:data
+        ~empty_index:mk_empty ()
+    with
+    | Ok d -> d
+    | Error e -> Alcotest.failf "Dir.open_: %a" Wal.pp_error e
   in
-  let server = Server.start_sharded ~sharded ~listen:[ `Unix sock ] () in
+  let server = Server.start ~dir:d ~listen:[ `Unix sock ] () in
   Fun.protect
     ~finally:(fun () -> Server.stop server)
     (fun () ->
@@ -596,17 +603,17 @@ let test_server_scan_mbt_refused () =
   with_dir "serve-mbt" @@ fun dir ->
   Unix.mkdir dir 0o755;
   let data = Filename.concat dir "d" and sock = Filename.concat dir "s" in
-  let durable =
+  let d =
     match
-      Durable.open_ ~sync:false ~dir:data
-        ~empty_index:
-          (Mbt.generic (Mbt.empty (Store.create ()) (Mbt.config ~capacity:16 ())))
+      Dir.open_ ~sync:false ~dir:data
+        ~empty_index:(fun () ->
+          Mbt.generic (Mbt.empty (Store.create ()) (Mbt.config ~capacity:16 ())))
         ()
     with
     | Ok d -> d
-    | Error e -> Alcotest.failf "Durable.open_: %a" Wal.pp_error e
+    | Error e -> Alcotest.failf "Dir.open_: %a" Wal.pp_error e
   in
-  let server = Server.start ~durable ~listen:[ `Unix sock ] () in
+  let server = Server.start ~dir:d ~listen:[ `Unix sock ] () in
   Fun.protect
     ~finally:(fun () -> Server.stop server)
     (fun () ->

@@ -23,6 +23,7 @@ module Hash = Siri_crypto.Hash
 module Telemetry = Siri_telemetry.Telemetry
 module Engine = Siri_forkbase.Engine
 module Durable = Siri_wal.Durable
+module Dir = Siri_shard.Dir
 module Proto = Siri_server.Proto
 module Server = Siri_server.Server
 module Client = Siri_server.Client
@@ -56,17 +57,23 @@ let mk_index store =
 
 let open_durable ?(sync = false) ~backend dir =
   (* caches off: session threads read the store concurrently *)
-  let store = Store.create ~cache_bytes:0 ~proof_cache_bytes:0 () in
-  Store.set_sink store (Telemetry.create ~clock:Unix.gettimeofday ());
-  match Durable.open_ ~sync ~backend ~dir ~empty_index:(mk_index store) () with
+  let empty_index () =
+    let store = Store.create ~cache_bytes:0 ~proof_cache_bytes:0 () in
+    Store.set_sink store (Telemetry.create ~clock:Unix.gettimeofday ());
+    mk_index store
+  in
+  match Dir.open_ ~sync ~backend ~dir ~empty_index () with
   | Ok d -> d
   | Error e -> Alcotest.failf "durable open: %a" Siri_wal.Wal.pp_error e
+
+(* The one engine of a flat directory, to inspect what the server wrote. *)
+let engine d = (Dir.engines d).(0)
 
 let with_server ?config ?(backend = `Snapshot) name f =
   with_dir name @@ fun dir ->
   let durable = open_durable ~backend dir in
   let sock = Filename.concat dir "s" in
-  let server = Server.start ?config ~durable ~listen:[ `Unix sock ] () in
+  let server = Server.start ?config ~dir:durable ~listen:[ `Unix sock ] () in
   Fun.protect
     ~finally:(fun () -> Server.stop server)
     (fun () -> f ~dir ~sock ~server ~durable)
@@ -347,7 +354,7 @@ let test_e2e_mixed () =
       Alcotest.(check int) "histogram count = groups" groups
         (Telemetry.Histo.count h));
   (* the engine agrees with the wire *)
-  let eng = Durable.engine durable in
+  let eng = engine durable in
   Alcotest.(check int) "engine version = groups" groups
     (Engine.head eng "master").Engine.version
 
@@ -371,7 +378,7 @@ let test_start_stop_cycles () =
   let sock = Filename.concat dir "s" in
   for cycle = 1 to 150 do
     let durable = open_durable ~backend:`Snapshot dir in
-    let server = Server.start ~durable ~listen:[ `Unix sock ] () in
+    let server = Server.start ~dir:durable ~listen:[ `Unix sock ] () in
     let c1 = connect_exn (`Unix sock) and c2 = connect_exn (`Unix sock) in
     List.iter
       (fun c ->
@@ -401,15 +408,15 @@ let test_parallel_cold_reads () =
   let preload = 3000 and commits = 40 in
   let d0 = open_durable ~backend:`Pack dir in
   ignore
-    (Durable.commit d0 ~branch:"master" ~message:"preload"
+    (Dir.commit d0 ~branch:"master" ~message:"preload"
        (List.init preload (fun i -> Kv.Put (key i, value i)))
-      : Engine.commit);
+      : Dir.head);
   (* checkpointed, so the reopen replays nothing and the hot tier is empty *)
-  Durable.checkpoint d0;
-  Durable.close d0;
+  Dir.checkpoint d0;
+  Dir.close d0;
   let durable = open_durable ~backend:`Pack dir in
   let sock = Filename.concat dir "s" in
-  let server = Server.start ~durable ~listen:[ `Unix sock ] () in
+  let server = Server.start ~dir:durable ~listen:[ `Unix sock ] () in
   Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
   let committing = Atomic.make true in
   let reader seed =
@@ -478,7 +485,7 @@ let test_parallel_cold_reads () =
 let test_tcp_listener () =
   with_dir "tcp" @@ fun dir ->
   let durable = open_durable ~backend:`Snapshot dir in
-  let server = Server.start ~durable ~listen:[ `Tcp 0 ] () in
+  let server = Server.start ~dir:durable ~listen:[ `Tcp 0 ] () in
   Fun.protect
     ~finally:(fun () -> Server.stop server)
     (fun () ->
@@ -507,7 +514,7 @@ let spin_until ?(timeout = 5.0) what pred =
 let test_group_fold () =
   with_server "group" @@ fun ~dir:_ ~sock ~server ~durable ->
   let n = 8 in
-  let before = (Engine.head (Durable.engine durable) "master").Engine.version in
+  let before = (Engine.head (engine durable) "master").Engine.version in
   Server.pause_writer server;
   let results = Array.make n None in
   let threads =
@@ -541,7 +548,7 @@ let test_group_fold () =
       Alcotest.(check int) "group size" n g)
     commits;
   Alcotest.(check int) "exactly one version advance" (before + 1)
-    (Engine.head (Durable.engine durable) "master").Engine.version;
+    (Engine.head (engine durable) "master").Engine.version;
   Alcotest.(check int) "one group" 1 (counter server "server.commit.groups");
   Alcotest.(check int) "all acked" n (counter server "server.commit.acked");
   (* all keys landed *)
@@ -596,7 +603,7 @@ let test_overload () =
 
 let test_deadline () =
   with_server "deadline" @@ fun ~dir:_ ~sock ~server ~durable ->
-  let before = (Engine.head (Durable.engine durable) "master").Engine.version in
+  let before = (Engine.head (engine durable) "master").Engine.version in
   Server.pause_writer server;
   let result = ref None in
   let th =
@@ -621,7 +628,7 @@ let test_deadline () =
   | None -> Alcotest.fail "unfinished");
   Alcotest.(check int) "timeout metered" 1 (counter server "server.timeout");
   Alcotest.(check int) "nothing committed" before
-    (Engine.head (Durable.engine durable) "master").Engine.version;
+    (Engine.head (engine durable) "master").Engine.version;
   (* a key refused on deadline is absent *)
   let c = connect_exn (`Unix sock) in
   (match Client.get c ~branch:"master" "late" with
@@ -642,7 +649,7 @@ let test_idempotent_duplicate () =
   Alcotest.(check bool) "dedup metered" true
     (counter server "server.commit.dedup" >= 1);
   Alcotest.(check int) "applied once" v1
-    (Engine.head (Durable.engine durable) "master").Engine.version;
+    (Engine.head (engine durable) "master").Engine.version;
   (match Client.get c ~branch:"master" "a" with
   | Ok (Some "1") -> ()
   | _ -> Alcotest.fail "first write must win");
@@ -652,14 +659,14 @@ let test_idempotent_across_restart () =
   with_dir "idem-restart" @@ fun dir ->
   let sock = Filename.concat dir "s" in
   let durable = open_durable ~backend:`Snapshot dir in
-  let server = Server.start ~durable ~listen:[ `Unix sock ] () in
+  let server = Server.start ~dir:durable ~listen:[ `Unix sock ] () in
   let c = connect_exn (`Unix sock) in
   let h1, v1, _ = commit_exn ~req_id:"boot-7" c ~branch:"master" [ Kv.Put ("x", "1") ] in
   Client.close c;
   Server.stop server;
   (* reopen the directory: the id table rebuilds from the journal *)
   let durable2 = open_durable ~backend:`Snapshot dir in
-  let server2 = Server.start ~durable:durable2 ~listen:[ `Unix sock ] () in
+  let server2 = Server.start ~dir:durable2 ~listen:[ `Unix sock ] () in
   Fun.protect
     ~finally:(fun () -> Server.stop server2)
     (fun () ->
@@ -670,7 +677,7 @@ let test_idempotent_across_restart () =
       Alcotest.(check bool) "same commit across restart" true (Hash.equal h1 h2);
       Alcotest.(check int) "same version across restart" v1 v2;
       Alcotest.(check int) "not reapplied" v1
-        (Engine.head (Durable.engine durable2) "master").Engine.version;
+        (Engine.head (engine durable2) "master").Engine.version;
       (match Client.get c ~branch:"master" "x" with
       | Ok (Some "1") -> ()
       | _ -> Alcotest.fail "retry must not overwrite");
@@ -684,7 +691,7 @@ let test_read_only_degradation () =
   (* a real tree with internal nodes, so the commit path must fetch them *)
   let ops = List.init 300 (fun i -> Kv.Put (Printf.sprintf "key%04d" i, "v")) in
   let _ = commit_exn c ~branch:"master" ops in
-  let eng = Durable.engine durable in
+  let eng = engine durable in
   let head = Engine.head eng "master" in
   Store.corrupt (Engine.store eng) head.Engine.index_root;
   (* the commit path hits the damage, refuses, and flips to read-only *)
@@ -935,7 +942,7 @@ let crash_round ~backend ~round =
   close_in ic2;
   (* no phantoms: every server commit in the journal names issued ids *)
   let durable = open_durable ~backend data in
-  let eng = Durable.engine durable in
+  let eng = engine durable in
   List.iter
     (fun (cm : Engine.commit) ->
       let p = "serve:" in
@@ -947,8 +954,52 @@ let crash_round ~backend ~round =
                if not (Hashtbl.mem issued id) then
                  Alcotest.failf "PHANTOM COMMIT: unknown request id %s" id))
     (Engine.history eng "master");
-  Durable.close durable;
+  Dir.close durable;
   (Hashtbl.length issued, Hashtbl.length acked)
+
+(* The real binary on a sharded pack directory, started the way a flat
+   one is (--backend pack, no --shards): it must serve the directory as
+   it is on disk, every preloaded key and the published sequence. *)
+let test_serve_reads_layout () =
+  with_dir "serve-layout" @@ fun dir ->
+  let data = Filename.concat dir "d" and sock = Filename.concat dir "s" in
+  let spec = Siri_shard.Partition.make Siri_shard.Partition.Hash ~shards:4 in
+  let d =
+    match
+      Dir.open_ ~sync:false ~backend:`Pack ~spec ~dir:data
+        ~empty_index:(fun () -> mk_index (Store.create ()))
+        ()
+    with
+    | Ok d -> d
+    | Error e -> Alcotest.failf "preload open: %a" Siri_wal.Wal.pp_error e
+  in
+  let keys = List.init 40 (fun i -> Printf.sprintf "pre-%02d" i) in
+  ignore
+    (Dir.commit d ~branch:"master" ~message:"preload"
+       (List.map (fun k -> Kv.Put (k, "v" ^ k)) keys)
+      : Dir.head);
+  Dir.checkpoint d;
+  Dir.close d;
+  let pid, ic = spawn_serve ~dir:data ~sock ~backend:`Pack in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+      reap pid;
+      close_in ic)
+  @@ fun () ->
+  let c = connect_exn (`Unix sock) in
+  (match Client.head c ~branch:"master" with
+  | Ok (_, _, version) -> Alcotest.(check int) "published sequence" 1 version
+  | Error e -> Alcotest.failf "head: %s" (Client.error_to_string e));
+  List.iter
+    (fun k ->
+      match Client.get c ~branch:"master" k with
+      | Ok v -> Alcotest.(check (option string)) k (Some ("v" ^ k)) v
+      | Error e -> Alcotest.failf "get %s: %s" k (Client.error_to_string e))
+    keys;
+  Client.close c;
+  Alcotest.(check bool) "no flat journal in the sharded root" false
+    (Sys.file_exists (Filename.concat data "journal"))
 
 let rounds () =
   match Sys.getenv_opt "SIRI_SERVE_ROUNDS" with
@@ -1010,6 +1061,9 @@ let () =
             test_session_cap;
           Alcotest.test_case "unknown branch / bad req_id" `Quick
             test_unknown_branch ] );
+      ( "layout",
+        [ Alcotest.test_case "siri_serve reads a sharded layout from disk"
+            `Quick test_serve_reads_layout ] );
       ( "crash kill",
         [ Alcotest.test_case "snapshot backend: SIGKILL storm" `Slow
             (test_crash_kill `Snapshot);

@@ -13,6 +13,7 @@ module Composite = Siri_shard.Composite
 module Views = Siri_shard.Views
 module Shard_proof = Siri_shard.Shard_proof
 module Sharded = Siri_shard.Sharded
+module Dir = Siri_shard.Dir
 module Wal = Siri_wal.Wal
 module Durable = Siri_wal.Durable
 module Server = Siri_server.Server
@@ -70,6 +71,13 @@ let open_exn ?sync ?(runner = `Inline) ?spec ~dir () =
   match Sharded.open_ ?sync ~runner ?spec ~dir ~empty_index:mk_empty () with
   | Ok t -> t
   | Error e -> Alcotest.failf "Sharded.open_: %a" Wal.pp_error e
+
+let open_dir_exn ?sync ?backend ?runner ?spec ~dir () =
+  match
+    Dir.open_ ?sync ?backend ?runner ?spec ~dir ~empty_index:mk_empty ()
+  with
+  | Ok d -> d
+  | Error e -> Alcotest.failf "Dir.open_: %a" Wal.pp_error e
 
 let spec_of n = Partition.make Partition.Hash ~shards:n
 
@@ -272,7 +280,7 @@ let storm_entries =
 let test_proof_storm () =
   let spec = spec_of 4 in
   let views = views_of spec storm_entries in
-  let composite = Views.composite spec views in
+  let composite = Views.root (Views.sharded spec views) in
   let verifier = mk_empty () in
   let keys = [ "storm-000"; "storm-077"; "storm-199"; "nope-1"; "nope-2" ] in
   let sp = Shard_proof.prove ~views spec keys in
@@ -330,7 +338,7 @@ let test_proof_storm () =
 let test_proof_wire_flips () =
   let spec = spec_of 3 in
   let views = views_of spec storm_entries in
-  let composite = Views.composite spec views in
+  let composite = Views.root (Views.sharded spec views) in
   let verifier = mk_empty () in
   let sp = Shard_proof.prove ~views spec [ "storm-010"; "storm-111"; "gone" ] in
   let blob = Shard_proof.encode sp in
@@ -490,6 +498,63 @@ let test_spec_pinned () =
   | Error e -> Alcotest.failf "unexpected error: %a" Wal.pp_error e
   | Ok _ -> Alcotest.fail "ACCEPTED a contradicting shard count"
 
+(* A sharded pack directory opened the way siri_serve opens it — a
+   backend stated, no spec — is served sharded with every preloaded key,
+   and no open writes a flat layout into its root. *)
+let test_dir_reads_layout () =
+  with_dir "layout" @@ fun dir ->
+  let entries =
+    List.init 120 (fun i ->
+        (Printf.sprintf "pre-%03d" i, Printf.sprintf "v%d" i))
+  in
+  let d = open_dir_exn ~sync:false ~backend:`Pack ~spec:(spec_of 4) ~dir () in
+  ignore
+    (Dir.commit d ~branch:"master" ~message:"preload"
+       (List.map (fun (k, v) -> Kv.Put (k, v)) entries)
+      : Dir.head);
+  Dir.checkpoint d;
+  Dir.close d;
+  let root () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  let before = root () in
+  let d = open_dir_exn ~sync:false ~backend:`Pack ~runner:`Threads ~dir () in
+  Alcotest.(check (option string)) "spec read from the manifest"
+    (Some "hash:4")
+    (Option.map Partition.to_string (Dir.spec d));
+  Alcotest.(check int) "published sequence" 1
+    (Dir.head d ~branch:"master").Dir.version;
+  let view = Dir.view d ~branch:"master" in
+  List.iter
+    (fun (k, v) ->
+      Alcotest.(check (option string)) k (Some v) (Views.get view k))
+    entries;
+  Alcotest.(check (list (pair string (option string))))
+    "get_many" (List.map (fun (k, v) -> (k, Some v)) entries)
+    (Views.get_many view (List.map fst entries));
+  Dir.close d;
+  let refused what = function
+    | Error (`Malformed _) -> ()
+    | Error e -> Alcotest.failf "%s: unexpected error: %a" what Wal.pp_error e
+    | Ok _ -> Alcotest.failf "%s: ACCEPTED" what
+  in
+  refused "flat open of a sharded root"
+    (Durable.open_ ~sync:false ~dir ~empty_index:(mk_empty ()) ());
+  refused "snapshot backend stated for pack shards"
+    (Dir.open_ ~sync:false ~backend:`Snapshot ~dir ~empty_index:mk_empty ());
+  Alcotest.(check (list string))
+    "no second layout in the root" before (root ());
+  (* the reverse: a flat directory is never opened (or resharded) sharded *)
+  let flat = dir ^ "-flat" in
+  Fun.protect ~finally:(fun () -> rm_rf flat) @@ fun () ->
+  Dir.close (open_dir_exn ~sync:false ~dir:flat ());
+  let flat_before = Array.to_list (Sys.readdir flat) in
+  refused "sharded open of a flat directory"
+    (Sharded.open_ ~sync:false ~dir:flat ~empty_index:mk_empty ());
+  let d = open_dir_exn ~sync:false ~dir:flat () in
+  refused "reshard of a flat directory" (Dir.reshard d ~shards:2);
+  Dir.close d;
+  Alcotest.(check (list string)) "flat directory unchanged" flat_before
+    (Array.to_list (Sys.readdir flat))
+
 (* --- SIGKILL: crash mid-multi-shard-commit ----------------------------------- *)
 
 let crash_rounds () =
@@ -557,10 +622,10 @@ let test_server_sharded () =
   with_dir "serve" @@ fun dir ->
   Unix.mkdir dir 0o755;
   let data = Filename.concat dir "d" and sock = Filename.concat dir "s" in
-  let sharded =
-    open_exn ~sync:false ~runner:`Threads ~spec:(spec_of 2) ~dir:data ()
+  let d =
+    open_dir_exn ~sync:false ~runner:`Threads ~spec:(spec_of 2) ~dir:data ()
   in
-  let server = Server.start_sharded ~sharded ~listen:[ `Unix sock ] () in
+  let server = Server.start ~dir:d ~listen:[ `Unix sock ] () in
   Fun.protect
     ~finally:(fun () -> Server.stop server)
     (fun () ->
@@ -637,5 +702,7 @@ let () =
         [ Alcotest.test_case "SIGKILL mid-fan-out: all-or-clamped" `Slow
             test_sigkill_storm ] );
       ( "server",
-        [ Alcotest.test_case "sharded serving end to end" `Quick
+        [ Alcotest.test_case "layout read from disk: served sharded, no \
+                              second layout" `Quick test_dir_reads_layout;
+          Alcotest.test_case "sharded serving end to end" `Quick
             test_server_sharded ] ) ]
