@@ -13,7 +13,10 @@
 #                  reruns every suite: dune does not track SIRI_DOMAINS.
 #   make crash   — run the WAL crash simulator on its own: every-byte-offset
 #                  truncation plus seeded bit-flip storms against the commit
-#                  journal, for all four index structures.  The seed is
+#                  journal, for all four index structures; then test_shard's
+#                  "recovery" group, the same every-offset sweep over the
+#                  sharded composite journal (top), so both users of
+#                  Siri_wal.Journal are swept by one target.  The seed is
 #                  pinned so a failure reproduces identically everywhere.
 #   make par     — run the parallel-commit determinism suite twice, with the
 #                  pool width forced to 1 and to 4 via SIRI_DOMAINS: the
@@ -83,7 +86,11 @@
 #                  segment reads are lock-free positioned reads.  And
 #                  bin/ and lib/server must not name "SHARDS",
 #                  Durable.open_ or Sharded.open_: Siri_shard.Dir is the
-#                  one place that reads a directory's layout.
+#                  one place that reads a directory's layout.  And in
+#                  lib/wal and lib/shard only journal.ml may use
+#                  open_out_gen, Unix.truncate or Frame.step: the journal
+#                  file protocol (scan, clamp, append, rewrite) lives in
+#                  Siri_wal.Journal alone.
 #   make bench-sidecars — fail loudly if any committed BENCH_*.json metrics
 #                  sidecar is missing or empty (regenerate with
 #                  `dune exec bench/main.exe -- <id>`).
@@ -118,6 +125,7 @@ smoke: build
 
 crash: build
 	QCHECK_SEED=$(QCHECK_SEED) $(DUNE) exec test/test_wal.exe
+	QCHECK_SEED=$(QCHECK_SEED) $(DUNE) exec test/test_shard.exe -- test recovery
 
 par: build
 	SIRI_DOMAINS=1 QCHECK_SEED=$(QCHECK_SEED) $(DUNE) exec test/test_parallel.exe
@@ -186,6 +194,11 @@ lint:
 	fi; \
 	if grep -rnE --include='*.ml' --include='*.mli' '"SHARDS"|Durable\.open_|Sharded\.open_' bin lib/server; then \
 	  echo "lint: bin/ and lib/server open directories through Siri_shard.Dir, which reads the layout from disk (no \"SHARDS\", Durable.open_ or Sharded.open_)"; \
+	  exit 1; \
+	fi; \
+	if grep -rnE --include='*.ml' --include='*.mli' 'open_out_gen|Unix\.truncate|Frame\.step' lib/wal lib/shard \
+	    | grep -v '^lib/wal/journal\.ml:'; then \
+	  echo "lint: lib/wal and lib/shard write and scan journal files through Siri_wal.Journal (no open_out_gen, Unix.truncate or Frame.step outside journal.ml)"; \
 	  exit 1; \
 	fi; \
 	echo "lint: OK"

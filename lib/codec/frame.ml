@@ -48,3 +48,12 @@ let step blob ~pos =
       else Corrupt
     end
   end
+
+let whole ~what blob =
+  match step blob ~pos:0 with
+  | Frame { payload_off; payload_len; next } when next = String.length blob ->
+      Ok (Wire.Reader.of_substring blob ~off:payload_off ~len:payload_len)
+  | Frame _ -> Error (`Malformed ("trailing bytes after " ^ what ^ " frame"))
+  | End -> Error (`Malformed ("empty " ^ what))
+  | Torn _ -> Error (`Malformed ("torn " ^ what ^ " frame"))
+  | Corrupt -> Error (`Tampered (what ^ " frame checksum mismatch"))

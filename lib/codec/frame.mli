@@ -35,3 +35,12 @@ val step : string -> pos:int -> step
 (** Classify the bytes of [blob] starting at [pos] (which must be within
     [0, length blob]).  Checksum verification is zero-copy — the digest is
     computed over slices in place. *)
+
+val whole :
+  what:string ->
+  string ->
+  (Wire.Reader.t, [> `Malformed of string | `Tampered of string ]) result
+(** A blob that must be exactly one frame (a proof's wire form): a reader
+    over its payload, or why it is not one — trailing bytes, empty, torn,
+    or a checksum mismatch ([`Tampered]); [what] names the blob in the
+    message. *)

@@ -207,11 +207,4 @@ let parse_payload r =
     end
   end
 
-let decode s =
-  match Frame.step s ~pos:0 with
-  | Frame { payload_off; payload_len; next } when next = String.length s ->
-      parse_payload (Wire.Reader.of_substring s ~off:payload_off ~len:payload_len)
-  | Frame _ -> Error (`Malformed "trailing bytes after multiproof frame")
-  | End -> Error (`Malformed "empty multiproof")
-  | Torn _ -> Error (`Malformed "torn multiproof frame")
-  | Corrupt -> Error (`Tampered "multiproof frame checksum mismatch")
+let decode s = Result.bind (Frame.whole ~what:"multiproof" s) parse_payload

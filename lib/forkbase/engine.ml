@@ -350,7 +350,7 @@ let load_heads t path =
   (* Restore branch heads from the TSV at [path], resolving each commit
      through the engine's store (which may fall through to a cold
      backend).  Returns the skipped (ghost) branch names. *)
-  ignore (Store.cleanup_stale_tmp path : int);
+  Store.cleanup_stale_tmp path;
   let skipped = ref [] in
   let ic = open_in path in
   Fun.protect

@@ -119,19 +119,9 @@ let parse_payload r =
         end
   with Wire.Reader.Truncated -> malformed "truncated sharded proof payload"
 
-let decode s =
-  match Frame.step s ~pos:0 with
-  | Frame { payload_off; payload_len; next } when next = String.length s ->
-      parse_payload (Wire.Reader.of_substring s ~off:payload_off ~len:payload_len)
-  | Frame _ -> Error (`Malformed "trailing bytes after sharded proof frame")
-  | End -> Error (`Malformed "empty sharded proof")
-  | Torn _ -> Error (`Malformed "torn sharded proof frame")
-  | Corrupt -> Error (`Tampered "sharded proof frame checksum mismatch")
+let decode s = Result.bind (Frame.whole ~what:"sharded proof" s) parse_payload
 
 let is_encoded s =
   String.length s > Frame.header_len
   && Char.code s.[Frame.header_len] = version
-  &&
-  match Frame.step s ~pos:0 with
-  | Frame { next; _ } -> next = String.length s
-  | _ -> false
+  && Result.is_ok (Frame.whole ~what:"sharded proof" s)

@@ -10,8 +10,8 @@ module Durable = Siri_wal.Durable
 module Wal = Siri_wal.Wal
 module Pool = Siri_parallel.Pool
 module Telemetry = Siri_telemetry.Telemetry
+module Journal = Siri_wal.Journal
 module Wire = Siri_codec.Wire
-module Frame = Siri_codec.Frame
 
 type runner = [ `Pool | `Threads | `Inline ]
 
@@ -28,6 +28,13 @@ type recovery = {
   shards : Durable.recovery array;
 }
 
+type top_entry = {
+  e_seq : int;
+  e_branch : string;
+  e_composite : Hash.t;
+  e_roots : Hash.t array;
+}
+
 type t = {
   dir : string;
   sync : bool;
@@ -38,13 +45,12 @@ type t = {
   backend : Durable.backend;
   empty_index : unit -> Generic.t;
   generation : int;
-  mutable top : out_channel option;
+  top : top_entry Journal.t;
   mutable next_seq : int;
   recovered : recovery;
 }
 
 let manifest_magic = "SIRISHARD1"
-let top_magic = "SIRITOPJ1"
 
 let manifest_path dir = Filename.concat dir "SHARDS"
 
@@ -103,78 +109,32 @@ let branches t = Engine.branches (Durable.engine t.shards.(0))
 
 (* --- the composite journal ---------------------------------------------- *)
 
-type top_entry = {
-  e_seq : int;
-  e_branch : string;
-  e_composite : Hash.t;
-  e_roots : Hash.t array;
-}
+let top_codec =
+  { Journal.magic = "SIRITOPJ1";
+    encode =
+      (fun e ->
+        let w =
+          Wire.Writer.create ~capacity:(64 + (32 * Array.length e.e_roots)) ()
+        in
+        Wire.Writer.varint w e.e_seq;
+        Wire.Writer.str w e.e_branch;
+        Wire.Writer.hash w e.e_composite;
+        Wire.Writer.varint w (Array.length e.e_roots);
+        Array.iter (fun r -> Wire.Writer.hash w r) e.e_roots;
+        Wire.Writer.contents w);
+    decode =
+      (fun r ->
+        let e_seq = Wire.Reader.varint r in
+        let e_branch = Wire.Reader.str r in
+        let e_composite = Wire.Reader.hash r in
+        let n = Wire.Reader.varint r in
+        if n < 1 || n > Partition.max_shards then raise Wire.Reader.Truncated;
+        let e_roots = Array.init n (fun _ -> Wire.Reader.hash r) in
+        { e_seq; e_branch; e_composite; e_roots }) }
 
-let encode_top_entry e =
-  let w = Wire.Writer.create ~capacity:(64 + (32 * Array.length e.e_roots)) () in
-  Wire.Writer.varint w e.e_seq;
-  Wire.Writer.str w e.e_branch;
-  Wire.Writer.hash w e.e_composite;
-  Wire.Writer.varint w (Array.length e.e_roots);
-  Array.iter (fun r -> Wire.Writer.hash w r) e.e_roots;
-  Frame.encode (Wire.Writer.contents w)
-
-let decode_top_payload r =
-  let e_seq = Wire.Reader.varint r in
-  let e_branch = Wire.Reader.str r in
-  let e_composite = Wire.Reader.hash r in
-  let n = Wire.Reader.varint r in
-  if n < 1 || n > Partition.max_shards then
-    Error (`Malformed "top journal: shard count out of range")
-  else begin
-    let e_roots = Array.init n (fun _ -> Wire.Reader.hash r) in
-    if not (Wire.Reader.at_end r) then
-      Error (`Malformed "top journal: trailing bytes in record")
-    else Ok { e_seq; e_branch; e_composite; e_roots }
-  end
-
-(* Longest valid prefix of complete checksummed records, same contract
-   as {!Wal.scan}: a torn tail is clamped, a complete-but-damaged frame
-   is [`Tampered]. *)
-let scan_top bytes =
-  let len = String.length bytes in
-  let mlen = String.length top_magic in
-  if len < mlen || String.sub bytes 0 mlen <> top_magic then
-    Error (`Malformed "top journal: bad magic")
-  else begin
-    let rec step pos acc =
-      match Frame.step bytes ~pos with
-      | Frame.End -> Ok (List.rev acc, pos, 0)
-      | Frame.Torn _ -> Ok (List.rev acc, pos, len - pos)
-      | Frame.Corrupt -> Error (`Tampered pos)
-      | Frame.Frame { payload_off; payload_len; next } -> (
-          match
-            try
-              decode_top_payload
-                (Wire.Reader.of_substring bytes ~off:payload_off
-                   ~len:payload_len)
-            with Wire.Reader.Truncated ->
-              Error (`Malformed "top journal: truncated record payload")
-          with
-          | Error _ as e -> e
-          | Ok e -> step next (e :: acc))
-    in
-    step mlen []
-  end
-
-let fsync_out oc = Unix.fsync (Unix.descr_of_out_channel oc)
-
-let open_top_for_append ~sync path =
-  let oc =
-    open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644
-      path
-  in
-  if out_channel_length oc = 0 then begin
-    output_string oc top_magic;
-    flush oc;
-    if sync then fsync_out oc
-  end;
-  oc
+let top_entry spec ~seq branch roots =
+  { e_seq = seq; e_branch = branch; e_composite = Composite.root spec roots;
+    e_roots = roots }
 
 (* --- fan-out ------------------------------------------------------------- *)
 
@@ -209,10 +169,12 @@ let shard_views t ~branch =
 
 let view t ~branch = Views.sharded t.spec (shard_views t ~branch)
 
-let shard_roots t branch =
+let roots_of shards branch =
   Array.map
     (fun d -> (Engine.head (Durable.engine d) branch).Engine.index_root)
-    t.shards
+    shards
+
+let shard_roots t branch = roots_of t.shards branch
 
 let head t ~branch =
   let roots = shard_roots t branch in
@@ -252,23 +214,11 @@ let prove_many t ~branch keys =
 
 (* --- writes -------------------------------------------------------------- *)
 
-let top_channel t =
-  match t.top with
-  | Some oc -> oc
-  | None -> invalid_arg "Sharded: top journal closed"
-
 let publish t ~seq ~branch =
-  let roots = shard_roots t branch in
-  let composite = Composite.root t.spec roots in
-  let oc = top_channel t in
-  output_string oc
-    (encode_top_entry
-       { e_seq = seq; e_branch = branch; e_composite = composite;
-         e_roots = roots });
-  flush oc;
-  if t.sync then fsync_out oc;
+  let e = top_entry t.spec ~seq branch (shard_roots t branch) in
+  ignore (Journal.append t.top e : int);
   Telemetry.incr (sink t) "shard.publish";
-  { seq; composite; roots }
+  { seq; composite = e.e_composite; roots = e.e_roots }
 
 let commit t ~branch ~message ops =
   (* Validate everywhere before journaling anywhere. *)
@@ -313,32 +263,14 @@ let checkpoint t =
   (* Compact the composite journal: the per-branch post-state is all
      recovery needs, and every shard checkpoint above already captured
      sequence numbers up to [last_seq t]. *)
-  (match t.top with Some oc -> close_out_noerr oc | None -> ());
-  t.top <- None;
-  let seq = last_seq t in
-  let entries =
-    List.map
-      (fun branch ->
-        let roots = shard_roots t branch in
-        { e_seq = seq; e_branch = branch;
-          e_composite = Composite.root t.spec roots; e_roots = roots })
-      (branches t)
-  in
-  Store.write_file_atomic ~sync:t.sync (top_path t.dir t.generation) (fun oc ->
-      output_string oc top_magic;
-      List.iter (fun e -> output_string oc (encode_top_entry e)) entries);
-  t.top <-
-    Some (open_top_for_append ~sync:t.sync (top_path t.dir t.generation));
+  Journal.rewrite t.top
+    (List.map
+       (fun b -> top_entry t.spec ~seq:(last_seq t) b (shard_roots t b))
+       (branches t));
   Telemetry.incr (sink t) "shard.checkpoint"
 
 let close t =
-  (match t.top with
-  | None -> ()
-  | Some oc ->
-      flush oc;
-      if t.sync then fsync_out oc;
-      close_out_noerr oc;
-      t.top <- None);
+  Journal.close t.top;
   Array.iter Durable.close t.shards;
   match t.pool with Some p -> Pool.shutdown p | None -> ()
 
@@ -377,16 +309,6 @@ let write_manifest ~sync dir spec ~generation =
       Printf.fprintf oc "%s\n%s\ngen %d\n" manifest_magic
         (Partition.to_string spec) generation)
 
-let ensure_dir dir =
-  if Sys.file_exists dir then
-    if Sys.is_directory dir then Ok ()
-    else Error (`Malformed (dir ^ ": not a directory"))
-  else
-    match Unix.mkdir dir 0o755 with
-    | () -> Ok ()
-    | exception Unix.Unix_error (e, _, _) ->
-        Error (`Malformed (dir ^ ": " ^ Unix.error_message e))
-
 let array_result_map f arr =
   let n = Array.length arr in
   let rec go i acc =
@@ -397,174 +319,133 @@ let array_result_map f arr =
 
 let exists dir = Sys.file_exists (manifest_path dir)
 
+let ( let* ) = Result.bind
+
 let open_ ?(sync = true) ?backend ?(runner = `Pool) ?spec ~dir ~empty_index ()
     =
-  match read_manifest dir with
-  | Error _ as e -> e
-  | Ok None when Durable.detect dir <> None ->
+  let* manifest = read_manifest dir in
+  let* () =
+    if manifest = None && Durable.detect dir <> None then
       (* Never write a second layout into a flat durable directory. *)
       Error (`Malformed (dir ^ ": a flat durable directory, not a sharded one"))
-  | Ok manifest -> (
-      match ensure_dir dir with
-      | Error _ as e -> e
-      | Ok () -> (
-          let spec_r =
-            match (manifest, spec) with
-            | None, None -> Ok (Partition.make Partition.Hash ~shards:4, 0)
-            | None, Some s -> Ok (s, 0)
-            | Some (m, g), None -> Ok (m, g)
-            | Some (m, g), Some s ->
-                if m = s then Ok (m, g)
-                else
-                  Error
-                    (`Malformed
-                       (Printf.sprintf
-                          "partition spec %s requested but directory was \
-                           created with %s"
-                          (Partition.to_string s) (Partition.to_string m)))
-          in
-          match spec_r with
-          | Error _ as e -> e
-          | Ok (spec, generation) -> (
-              if manifest = None then write_manifest ~sync dir spec ~generation;
-              (* Superseded generations and crashed reshard staging dirs
-                 are garbage the moment the manifest stops (or never
-                 started) naming them. *)
-              sweep_stale dir ~generation;
-              (* 1. The composite journal names the last published
-                 sequence number — the cap every shard replays under. *)
-              let tpath = top_path dir generation in
-              let top_r =
-                if Sys.file_exists tpath then
-                  scan_top (In_channel.with_open_bin tpath In_channel.input_all)
-                else Ok ([], 0, 0)
-              in
-              match top_r with
-              | Error _ as e -> e
-              | Ok (entries, valid_prefix, top_clamped_bytes) -> (
-                  let last =
-                    List.fold_left (fun acc e -> max acc e.e_seq) 0 entries
-                  in
-                  (* 2. Recover every shard, rolled back to the published
-                     prefix. *)
-                  let shard_r =
-                    array_result_map
-                      (fun i ->
-                        match
-                          Durable.open_ ~sync ?backend ~replay_cap:last
-                            ~dir:(shard_dir dir generation i)
-                            ~empty_index:(empty_index ()) ()
-                        with
-                        | Ok d -> Ok d
-                        | Error (`Malformed msg) ->
-                            Error
-                              (`Malformed
-                                 (Printf.sprintf "shard %d: %s" i msg))
-                        | Error (`Tampered _) as e -> e)
-                      (Array.init spec.Partition.shards Fun.id)
-                  in
-                  match shard_r with
-                  | Error _ as e -> e
-                  | Ok shards -> (
-                      if top_clamped_bytes > 0 then
-                        Unix.truncate tpath valid_prefix;
-                      (* 3. Cross-shard consistency: one branch set, and
-                         per branch the recomputed composite must equal
-                         the last published one. *)
-                      let branch_sets =
-                        Array.map
-                          (fun d ->
-                            List.sort String.compare
-                              (Engine.branches (Durable.engine d)))
-                          shards
-                      in
-                      let consistent =
-                        Array.for_all (fun bs -> bs = branch_sets.(0)) branch_sets
-                      in
-                      if not consistent then
-                        Error (`Malformed "shards disagree on the branch set")
-                      else begin
-                        let published = Hashtbl.create 8 in
-                        List.iter
-                          (fun e -> Hashtbl.replace published e.e_branch e)
-                          entries;
-                        let roots_of branch =
-                          Array.map
-                            (fun d ->
-                              (Engine.head (Durable.engine d) branch)
-                                .Engine.index_root)
-                            shards
-                        in
-                        let mismatch =
-                          List.find_opt
-                            (fun branch ->
-                              match Hashtbl.find_opt published branch with
-                              | None -> false
-                              | Some e ->
-                                  not
-                                    (Hash.equal
-                                       (Composite.root spec (roots_of branch))
-                                       e.e_composite))
-                            branch_sets.(0)
-                        in
-                        let ghost =
-                          Hashtbl.fold
-                            (fun b _ acc ->
-                              if List.mem b branch_sets.(0) then acc
-                              else b :: acc)
-                            published []
-                        in
-                        match (mismatch, ghost) with
-                        | Some branch, _ ->
-                            Error
-                              (`Malformed
-                                 (Printf.sprintf
-                                    "composite root mismatch on branch %S: \
-                                     shard state does not match the \
-                                     published composite"
-                                    branch))
-                        | None, b :: _ ->
-                            Error
-                              (`Malformed
-                                 (Printf.sprintf
-                                    "published branch %S missing from shards"
-                                    b))
-                        | None, [] ->
-                            let pool =
-                              match runner with
-                              | `Pool when spec.Partition.shards > 1 ->
-                                  Some
-                                    (Pool.create
-                                       ~domains:spec.Partition.shards ())
-                              | _ -> None
-                            in
-                            let capped =
-                              Array.fold_left
-                                (fun acc d ->
-                                  acc + (Durable.recovery d).Durable.capped)
-                                0 shards
-                            in
-                            Ok
-                              { dir;
-                                sync;
-                                spec;
-                                runner;
-                                pool;
-                                shards;
-                                backend = Durable.backend shards.(0);
-                                empty_index;
-                                generation;
-                                top =
-                                  Some (open_top_for_append ~sync tpath);
-                                next_seq = last + 1;
-                                recovered =
-                                  { last_seq = last;
-                                    top_clamped_bytes;
-                                    capped;
-                                    shards =
-                                      Array.map Durable.recovery shards }
-                              }
-                      end)))))
+    else Durable.ensure_dir dir
+  in
+  let* spec, generation =
+    match (manifest, spec) with
+    | None, None -> Ok (Partition.make Partition.Hash ~shards:4, 0)
+    | None, Some s -> Ok (s, 0)
+    | Some (m, g), None -> Ok (m, g)
+    | Some (m, g), Some s ->
+        if m = s then Ok (m, g)
+        else
+          Error
+            (`Malformed
+               (Printf.sprintf
+                  "partition spec %s requested but directory was created \
+                   with %s"
+                  (Partition.to_string s) (Partition.to_string m)))
+  in
+  (* Interrupted atomic writes ([SHARDS], a [top] checkpoint) leave tmp
+     files that are never live; superseded generations and crashed
+     reshard staging dirs are garbage the moment the manifest stops (or
+     never started) naming them. *)
+  Store.sweep_tmp dir;
+  if generation > 0 then Store.sweep_tmp (gen_root dir generation);
+  if manifest = None then write_manifest ~sync dir spec ~generation;
+  sweep_stale dir ~generation;
+  (* 1. The composite journal names the last published sequence number —
+     the cap every shard replays under. *)
+  let tpath = top_path dir generation in
+  let* { Journal.entries; valid_prefix; clamped_bytes = top_clamped_bytes; _ }
+      =
+    Journal.scan_file top_codec tpath
+    |> Result.map_error (function
+         | `Malformed msg -> `Malformed ("top journal: " ^ msg)
+         | e -> e)
+  in
+  let last = List.fold_left (fun acc e -> max acc e.e_seq) 0 entries in
+  (* 2. Recover every shard, rolled back to the published prefix. *)
+  let* shards =
+    array_result_map
+      (fun i ->
+        Durable.open_ ~sync ?backend ~replay_cap:last
+          ~dir:(shard_dir dir generation i) ~empty_index:(empty_index ()) ()
+        |> Result.map_error (function
+             | `Malformed msg -> `Malformed (Printf.sprintf "shard %d: %s" i msg)
+             | e -> e))
+      (Array.init spec.Partition.shards Fun.id)
+  in
+  (* 3. Cross-shard consistency: one branch set, and per branch the
+     recomputed composite must equal the last published one. *)
+  let branch_sets =
+    Array.map
+      (fun d -> List.sort String.compare (Engine.branches (Durable.engine d)))
+      shards
+  in
+  let* () =
+    if Array.for_all (fun bs -> bs = branch_sets.(0)) branch_sets then Ok ()
+    else Error (`Malformed "shards disagree on the branch set")
+  in
+  let published = Hashtbl.create 8 in
+  List.iter (fun e -> Hashtbl.replace published e.e_branch e) entries;
+  let mismatch =
+    List.find_opt
+      (fun branch ->
+        match Hashtbl.find_opt published branch with
+        | None -> false
+        | Some e ->
+            not
+              (Hash.equal (Composite.root spec (roots_of shards branch))
+                 e.e_composite))
+      branch_sets.(0)
+  in
+  let ghost =
+    Hashtbl.fold
+      (fun b _ acc -> if List.mem b branch_sets.(0) then acc else b :: acc)
+      published []
+  in
+  let* () =
+    match (mismatch, ghost) with
+    | Some branch, _ ->
+        Error
+          (`Malformed
+             (Printf.sprintf
+                "composite root mismatch on branch %S: shard state does not \
+                 match the published composite"
+                branch))
+    | None, b :: _ ->
+        Error
+          (`Malformed (Printf.sprintf "published branch %S missing from shards" b))
+    | None, [] -> Ok ()
+  in
+  (* Opening clamps a torn tail (or a torn header) off the file. *)
+  let top = Journal.open_ ~sync ~valid_prefix top_codec tpath in
+  let pool =
+    match runner with
+    | `Pool when spec.Partition.shards > 1 ->
+        Some (Pool.create ~domains:spec.Partition.shards ())
+    | _ -> None
+  in
+  let capped =
+    Array.fold_left (fun acc d -> acc + (Durable.recovery d).Durable.capped) 0 shards
+  in
+  Ok
+    { dir;
+      sync;
+      spec;
+      runner;
+      pool;
+      shards;
+      backend = Durable.backend shards.(0);
+      empty_index;
+      generation;
+      top;
+      next_seq = last + 1;
+      recovered =
+        { last_seq = last;
+          top_clamped_bytes;
+          capped;
+          shards = Array.map Durable.recovery shards } }
 
 (* --- online reshard ------------------------------------------------------- *)
 
@@ -584,11 +465,8 @@ let reshard t ~shards:m =
   let build () =
     Telemetry.with_span s "shard.reshard" @@ fun () ->
     rm_rf staging;
-    (match Unix.mkdir staging 0o755 with
-    | () -> ()
-    | exception Unix.Unix_error (e, _, _) ->
-        raise
-          (Reshard_error (`Malformed (staging ^ ": " ^ Unix.error_message e))));
+    Result.iter_error (fun e -> raise (Reshard_error e))
+      (Durable.ensure_dir staging);
     let open_new i =
       match
         Durable.open_ ~sync:t.sync ~backend:t.backend
@@ -640,24 +518,10 @@ let reshard t ~shards:m =
     let final_seq = base + nforks + List.length ordered - 1 in
     (* The staging composite journal: one record per branch at the final
        sequence number, exactly like a checkpoint compaction. *)
-    let entries =
-      List.map
-        (fun b ->
-          let roots =
-            Array.map
-              (fun d -> (Engine.head (Durable.engine d) b).Engine.index_root)
-              new_shards
-          in
-          { e_seq = final_seq;
-            e_branch = b;
-            e_composite = Composite.root new_spec roots;
-            e_roots = roots })
-        ordered
-    in
-    Store.write_file_atomic ~sync:t.sync (Filename.concat staging "top")
-      (fun oc ->
-        output_string oc top_magic;
-        List.iter (fun e -> output_string oc (encode_top_entry e)) entries);
+    Journal.write ~sync:t.sync top_codec (Filename.concat staging "top")
+      (List.map
+         (fun b -> top_entry new_spec ~seq:final_seq b (roots_of new_shards b))
+         ordered);
     Array.iter Durable.close new_shards;
     (* Rename the fully-built generation into place, then flip the
        manifest — the atomic commit point.  Until the manifest replacement

@@ -9,9 +9,10 @@
       at create time and checked on every reopen;
     - [shard.0] … [shard.N-1] — one complete {!Siri_wal.Durable}
       directory per shard;
-    - [top] — the composite journal: one checksummed frame per commit
-      or fork carrying its global sequence number, branch, composite
-      root and the full shard-root vector.
+    - [top] — the composite journal, a {!Siri_wal.Journal} file (magic
+      [SIRITOPJ1]) with one record per commit or fork carrying its
+      global sequence number, branch, composite root and the full
+      shard-root vector.
 
     {b Commit protocol.}  Every commit takes the next {e global}
     sequence number, routes its batch with {!Partition.split_ops}, and
@@ -21,8 +22,10 @@
     record appended (flushed, fsynced when [sync]) to [top] — the
     commit point of the whole operation.
 
-    {b Recovery invariant: all-or-clamped.}  [open_] scans [top]
-    (clamping a torn tail) to find the last {e published} sequence [S],
+    {b Recovery invariant: all-or-clamped.}  [open_] sweeps the root's
+    stale tmp files, then scans [top] by the {!Siri_wal.Journal} rules —
+    a torn tail is clamped, and so is a torn header (an empty journal) —
+    to find the last {e published} sequence [S],
     then opens every shard with [replay_cap = S]: shard-journal records
     beyond [S] were never published and are truncated at their frame
     boundary, so a SIGKILL anywhere inside the commit fan-out rolls
@@ -146,8 +149,9 @@ val fork : t -> from:string -> string -> head
 
 val checkpoint : t -> unit
 (** Checkpoint every shard (concurrently, same runner), then compact
-    the top journal to one record per branch — atomically, via the same
-    tmp+fsync+rename protocol as the shard manifests. *)
+    the top journal to one record per branch — an atomic
+    {!Siri_wal.Journal.rewrite}, the same rewrite that empties each
+    shard's journal. *)
 
 val generation : t -> int
 (** Layout generation: 0 is the flat as-created layout, each successful

@@ -457,23 +457,25 @@ let tmp_marker = ".tmp."
 
 let is_tmp_of ~base name =
   let prefix = base ^ tmp_marker in
-  String.length name > String.length prefix
-  && String.sub name 0 (String.length prefix) = prefix
+  String.length name > String.length prefix && String.starts_with ~prefix name
+
+let has_tmp_marker name =
+  let n = String.length name and m = String.length tmp_marker in
+  let rec at i = i + m <= n && (String.sub name i m = tmp_marker || at (i + 1)) in
+  at 0
+
+let sweep_tmp ?base dir =
+  let is_tmp =
+    match base with Some base -> is_tmp_of ~base | None -> has_tmp_marker
+  in
+  Array.iter
+    (fun name ->
+      if is_tmp name then
+        try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
+    (try Sys.readdir dir with Sys_error _ -> [||])
 
 let cleanup_stale_tmp path =
-  let dir = Filename.dirname path in
-  let base = Filename.basename path in
-  match Sys.readdir dir with
-  | exception Sys_error _ -> 0
-  | names ->
-      Array.fold_left
-        (fun removed name ->
-          if is_tmp_of ~base name then (
-            match Sys.remove (Filename.concat dir name) with
-            | () -> removed + 1
-            | exception Sys_error _ -> removed)
-          else removed)
-        0 names
+  sweep_tmp ~base:(Filename.basename path) (Filename.dirname path)
 
 (* A rename is not durable until the containing directory's entry table is
    on disk: on ext4 an fsync of the file alone can survive a crash while
@@ -539,7 +541,7 @@ let save ?sync t path =
         t.tbl)
 
 let load ?(verify = true) path =
-  ignore (cleanup_stale_tmp path : int);
+  cleanup_stale_tmp path;
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)

@@ -303,10 +303,14 @@ val save : ?sync:bool -> t -> string -> unit
     and benchmarks), and only then renamed over [path].  A crash mid-save
     leaves at most a stale temp file, never a damaged destination. *)
 
-val cleanup_stale_tmp : string -> int
-(** Remove leftover [path ^ ".tmp.*"] files from interrupted saves next to
-    [path]; returns how many were removed.  {!load} calls this
-    automatically. *)
+val sweep_tmp : ?base:string -> string -> unit
+(** Remove the leftover tmp files of interrupted atomic writes from a
+    directory: with [base], only [base ^ ".tmp.*"]; without, every name
+    containing [".tmp."] — none is ever a live file. *)
+
+val cleanup_stale_tmp : string -> unit
+(** [sweep_tmp] of [path]'s own tmp files, next to [path].  {!load} calls
+    this automatically. *)
 
 val write_file_atomic : ?sync:bool -> string -> (out_channel -> unit) -> unit
 (** The tmp+fsync+rename primitive underlying {!save}, exposed for the

@@ -28,7 +28,7 @@ type t = {
   engine : Engine.t;
   backend : backend;
   pack : Pack.t option;
-  mutable journal : out_channel option;
+  journal : (int * Wal.record) Journal.t;
   mutable generation : int;
   mutable next_seq : int;
   recovered : recovery;
@@ -99,46 +99,17 @@ let read_manifest dir =
             | _ -> Error (`Malformed "manifest: bad generation line"))
         | _ -> Error (`Malformed "manifest: bad magic"))
 
-(* --- journal file helpers ----------------------------------------------------- *)
+(* --- directory ------------------------------------------------------------------ *)
 
-let fsync_out oc = Unix.fsync (Unix.descr_of_out_channel oc)
-
-let open_journal_for_append ~sync path =
-  let oc =
-    open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644 path
-  in
-  if out_channel_length oc = 0 then begin
-    output_string oc Wal.magic;
-    flush oc;
-    if sync then fsync_out oc
-  end;
-  oc
-
-let cleanup_stale_tmp dir =
-  (* Any interrupted atomic write in this directory (snapshot, heads or
-     manifest) leaves a uniquely-named *.tmp.* file; none is ever a live
-     artifact, so sweep them all. *)
-  match Sys.readdir dir with
-  | exception Sys_error _ -> ()
-  | names ->
-      Array.iter
-        (fun name ->
-          let is_tmp =
-            match String.index_opt name '.' with
-            | None -> false
-            | Some _ ->
-                (* contains ".tmp." somewhere *)
-                let marker = ".tmp." in
-                let nl = String.length name and ml = String.length marker in
-                let rec scan i =
-                  i + ml <= nl
-                  && (String.sub name i ml = marker || scan (i + 1))
-                in
-                scan 0
-          in
-          if is_tmp then
-            try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
-        names
+let ensure_dir dir =
+  if Sys.file_exists dir then
+    if Sys.is_directory dir then Ok ()
+    else Error (`Malformed (dir ^ ": not a directory"))
+  else
+    match Unix.mkdir dir 0o755 with
+    | () -> Ok ()
+    | exception Unix.Unix_error (e, _, _) ->
+        Error (`Malformed (dir ^ ": " ^ Unix.error_message e))
 
 (* --- recovery ----------------------------------------------------------------- *)
 
@@ -153,170 +124,123 @@ let apply_record engine = function
   | Wal.Bulk { branch; message; entries } ->
       ignore (Engine.commit_bulk engine ~branch ~message entries : Engine.commit)
 
+let ( let* ) = Result.bind
+
 let open_ ?(sync = true) ?backend ?replay_cap ~dir ~empty_index () =
-  match
-    Result.bind (resolve_backend ~dir backend) @@ fun backend ->
-    if Sys.file_exists dir then
-      if Sys.is_directory dir then Ok backend
-      else Error (`Malformed (dir ^ ": not a directory"))
-    else
-      match Unix.mkdir dir 0o755 with
-      | () -> Ok backend
-      | exception Unix.Unix_error (e, _, _) ->
-          Error (`Malformed (dir ^ ": " ^ Unix.error_message e))
-  with
-  | Error _ as e -> e
-  | Ok backend -> (
-      cleanup_stale_tmp dir;
-      match read_manifest dir with
-      | Error _ as e -> e
-      | Ok manifest -> (
-          let engine_r =
-            match backend with
-            | `Snapshot -> (
-                match manifest with
-                | None -> Ok (Engine.create ~empty_index, 0, 0, None)
-                | Some (generation, seq) -> (
-                    match
-                      Engine.load_checked ~empty_index
-                        (snapshot_path dir generation)
-                    with
-                    | Ok engine -> Ok (engine, generation, seq, None)
-                    | Error (`Malformed _) as e -> e))
-            | `Pack -> (
-                (* Node payloads live in the pack, so the "snapshot" of a
-                   generation is just its heads file: create a fresh
-                   engine, attach the pack as its cold tier, and resolve
-                   the heads through it. *)
-                let engine = Engine.create ~empty_index in
-                let sink = Store.sink (Engine.store engine) in
-                match Pack.open_ ~sink (pack_dir dir) with
-                | Error (`Tampered msg) -> Error (`Malformed ("pack: " ^ msg))
-                | Ok (p, _) -> (
-                    Pack.attach p (Engine.store engine);
-                    match manifest with
-                    | None -> Ok (engine, 0, 0, Some p)
-                    | Some (generation, seq) -> (
-                        match
-                          Engine.load_heads engine (heads_path dir generation)
-                        with
-                        | (_ : string list) -> Ok (engine, generation, seq, Some p)
-                        | exception Failure msg -> Error (`Malformed msg)
-                        | exception Sys_error msg -> Error (`Malformed msg))))
-          in
-          (* A crash between manifest publication and old-generation removal
-             leaves superseded snapshot files behind; sweep them. *)
-          (match manifest with
-          | None -> ()
-          | Some (generation, _) ->
-              Array.iter
-                (fun name ->
-                  match Scanf.sscanf_opt name "store.%d%s" (fun g rest -> (g, rest)) with
-                  | Some (g, ("" | ".heads")) when g <> generation -> (
-                      try Sys.remove (Filename.concat dir name)
-                      with Sys_error _ -> ())
-                  | _ -> ())
-                (try Sys.readdir dir with Sys_error _ -> [||]));
-          match engine_r with
-          | Error _ as e -> e
-          | Ok (engine, generation, snapshot_seq, pack) -> (
-              let sink = Store.sink (Engine.store engine) in
-              let jpath = journal_path dir in
-              let scan_r =
-                if Sys.file_exists jpath then
-                  Wal.scan (In_channel.with_open_bin jpath In_channel.input_all)
-                else
-                  Ok
-                    { Wal.entries = [];
-                      ends = [];
-                      valid_prefix = 0;
-                      clamped_bytes = 0 }
-              in
-              match scan_r with
-              | Error _ as e -> e
-              | Ok { Wal.entries; ends; valid_prefix; clamped_bytes } -> (
-                  (* A replay cap is an outer commit point (the sharded
-                     engine's composite journal) saying "nothing past
-                     sequence [cap] was ever published": records beyond
-                     it are unpublished tail, clamped at their exact
-                     frame boundary just like a torn write. *)
-                  let entries, valid_prefix, capped =
-                    match replay_cap with
-                    | None -> (entries, valid_prefix, 0)
-                    | Some cap ->
-                        let rec take kept last_end entries ends =
-                          match (entries, ends) with
-                          | ((seq, _) as e) :: es, off :: offs when seq <= cap
-                            -> take (e :: kept) off es offs
-                          | rest, _ -> (List.rev kept, last_end, List.length rest)
-                        in
-                        take [] (String.length Wal.magic) entries ends
-                  in
-                  let replay () =
-                    let replayed = ref 0 and skipped = ref 0 in
-                    List.iter
-                      (fun (seq, record) ->
-                        if seq <= snapshot_seq then incr skipped
-                        else begin
-                          apply_record engine record;
-                          incr replayed
-                        end)
-                      entries;
-                    (!replayed, !skipped)
-                  in
-                  match
-                    Telemetry.with_span sink "recovery" (fun () ->
-                        Fault.protect replay)
-                  with
-                  | Error e ->
-                      (* A record that passed its checksum but cannot be
-                         applied (e.g. it forks from a branch the snapshot
-                         does not know): the journal and snapshot disagree. *)
-                      Error
-                        (`Malformed
-                           ("replay failed: " ^ Fault.error_to_string e))
-                  | Ok (replayed, skipped) ->
-                      if clamped_bytes > 0 || capped > 0 then begin
-                        (* Drop the torn (or unpublished) tail on disk so
-                           subsequent appends extend the valid prefix,
-                           not the garbage. *)
-                        Unix.truncate jpath valid_prefix;
-                        if clamped_bytes > 0 then begin
-                          Telemetry.incr sink "recovery.clamped";
-                          Telemetry.incr sink ~by:clamped_bytes
-                            "recovery.clamped_bytes"
-                        end;
-                        if capped > 0 then
-                          Telemetry.incr sink ~by:capped "recovery.capped"
-                      end;
-                      Telemetry.incr sink ~by:replayed "recovery.replayed";
-                      Telemetry.incr sink ~by:skipped "recovery.skipped";
-                      let last_seq =
-                        List.fold_left
-                          (fun acc (seq, _) -> max acc seq)
-                          snapshot_seq entries
-                      in
-                      let journal = open_journal_for_append ~sync jpath in
-                      Ok
-                        { dir;
-                          sync;
-                          engine;
-                          backend;
-                          pack;
-                          journal = Some journal;
-                          generation;
-                          next_seq = last_seq + 1;
-                          recovered =
-                            { generation; replayed; skipped; clamped_bytes;
-                              capped }
-                        }))))
+  let* backend = resolve_backend ~dir backend in
+  let* () = ensure_dir dir in
+  (* Any interrupted atomic write here (snapshot, heads, manifest or a
+     journal checkpoint) leaves a uniquely-named tmp file; none is ever a
+     live artifact. *)
+  Store.sweep_tmp dir;
+  let* manifest = read_manifest dir in
+  let engine_r =
+    match backend with
+    | `Snapshot -> (
+        match manifest with
+        | None -> Ok (Engine.create ~empty_index, 0, 0, None)
+        | Some (generation, seq) -> (
+            match Engine.load_checked ~empty_index (snapshot_path dir generation) with
+            | Ok engine -> Ok (engine, generation, seq, None)
+            | Error (`Malformed _) as e -> e))
+    | `Pack -> (
+        (* Node payloads live in the pack, so the "snapshot" of a
+           generation is just its heads file: create a fresh engine,
+           attach the pack as its cold tier, and resolve the heads
+           through it. *)
+        let engine = Engine.create ~empty_index in
+        let sink = Store.sink (Engine.store engine) in
+        match Pack.open_ ~sink (pack_dir dir) with
+        | Error (`Tampered msg) -> Error (`Malformed ("pack: " ^ msg))
+        | Ok (p, _) -> (
+            Pack.attach p (Engine.store engine);
+            match manifest with
+            | None -> Ok (engine, 0, 0, Some p)
+            | Some (generation, seq) -> (
+                match Engine.load_heads engine (heads_path dir generation) with
+                | (_ : string list) -> Ok (engine, generation, seq, Some p)
+                | exception Failure msg -> Error (`Malformed msg)
+                | exception Sys_error msg -> Error (`Malformed msg))))
+  in
+  (* A crash between manifest publication and old-generation removal
+     leaves superseded snapshot files behind; sweep them. *)
+  (match manifest with
+  | None -> ()
+  | Some (generation, _) ->
+      Array.iter
+        (fun name ->
+          match Scanf.sscanf_opt name "store.%d%s" (fun g rest -> (g, rest)) with
+          | Some (g, ("" | ".heads")) when g <> generation -> (
+              try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
+          | _ -> ())
+        (try Sys.readdir dir with Sys_error _ -> [||]));
+  let* engine, generation, snapshot_seq, pack = engine_r in
+  let sink = Store.sink (Engine.store engine) in
+  let jpath = journal_path dir in
+  let* { Wal.entries; ends; valid_prefix; clamped_bytes } =
+    Journal.scan_file Wal.codec jpath
+  in
+  (* A replay cap is an outer commit point (the sharded engine's
+     composite journal) saying "nothing past sequence [cap] was ever
+     published": records beyond it are unpublished tail, clamped at their
+     exact frame boundary just like a torn write. *)
+  let entries, valid_prefix, capped =
+    match replay_cap with
+    | None -> (entries, valid_prefix, 0)
+    | Some cap ->
+        let rec take kept last_end entries ends =
+          match (entries, ends) with
+          | ((seq, _) as e) :: es, off :: offs when seq <= cap ->
+              take (e :: kept) off es offs
+          | rest, _ -> (List.rev kept, last_end, List.length rest)
+        in
+        take [] (String.length Wal.magic) entries ends
+  in
+  let replay () =
+    let replayed = ref 0 and skipped = ref 0 in
+    List.iter
+      (fun (seq, record) ->
+        if seq <= snapshot_seq then incr skipped
+        else begin
+          apply_record engine record;
+          incr replayed
+        end)
+      entries;
+    (!replayed, !skipped)
+  in
+  let* replayed, skipped =
+    Telemetry.with_span sink "recovery" (fun () -> Fault.protect replay)
+    |> Result.map_error (fun e ->
+           (* A record that passed its checksum but cannot be applied
+              (e.g. it forks from a branch the snapshot does not know):
+              the journal and snapshot disagree. *)
+           `Malformed ("replay failed: " ^ Fault.error_to_string e))
+  in
+  if clamped_bytes > 0 then begin
+    Telemetry.incr sink "recovery.clamped";
+    Telemetry.incr sink ~by:clamped_bytes "recovery.clamped_bytes"
+  end;
+  if capped > 0 then Telemetry.incr sink ~by:capped "recovery.capped";
+  Telemetry.incr sink ~by:replayed "recovery.replayed";
+  Telemetry.incr sink ~by:skipped "recovery.skipped";
+  let last_seq =
+    List.fold_left (fun acc (seq, _) -> max acc seq) snapshot_seq entries
+  in
+  (* Opening drops the torn (or unpublished) tail on disk, so later
+     appends extend the valid prefix, not the garbage. *)
+  let journal = Journal.open_ ~sync ~valid_prefix Wal.codec jpath in
+  Ok
+    { dir;
+      sync;
+      engine;
+      backend;
+      pack;
+      journal;
+      generation;
+      next_seq = last_seq + 1;
+      recovered = { generation; replayed; skipped; clamped_bytes; capped } }
 
 (* --- journaled writes ---------------------------------------------------------- *)
-
-let journal_channel t =
-  match t.journal with
-  | Some oc -> oc
-  | None -> invalid_arg "Durable: journal closed"
 
 let append ?seq t record =
   (* An explicit [seq] stamps an externally-allocated (journal-wide
@@ -334,18 +258,12 @@ let append ?seq t record =
                t.next_seq);
         s
   in
-  let oc = journal_channel t in
-  let bytes = Wal.encode_record ~seq record in
   t.next_seq <- seq + 1;
-  output_string oc bytes;
-  flush oc;
+  let bytes = Journal.append t.journal (seq, record) in
   let s = sink t in
-  if t.sync then begin
-    fsync_out oc;
-    Telemetry.incr s "wal.fsync"
-  end;
+  if t.sync then Telemetry.incr s "wal.fsync";
   Telemetry.incr s "wal.append";
-  Telemetry.incr s ~by:(String.length bytes) "wal.append_bytes"
+  Telemetry.incr s ~by:bytes "wal.append_bytes"
 
 (* Group fsync: the journal append above is the only per-commit fsync.
    Write-through pack appends reach the OS page cache as each append
@@ -381,13 +299,7 @@ let merge_branches t ~into ~from ~policy =
 
 (* --- checkpoint ----------------------------------------------------------------- *)
 
-let journal_bytes t =
-  match t.journal with
-  | Some oc -> out_channel_length oc
-  | None -> (
-      match (Unix.stat (journal_path t.dir)).Unix.st_size with
-      | n -> n
-      | exception Unix.Unix_error _ -> 0)
+let journal_bytes t = Journal.length t.journal
 
 let checkpoint t =
   let s = sink t in
@@ -406,21 +318,10 @@ let checkpoint t =
   (* 2. Commit point: one atomic manifest replacement naming both the
      snapshot generation and the last journal sequence it captures. *)
   write_manifest ~sync:t.sync t.dir ~generation ~seq:(t.next_seq - 1);
-  (* 3. Truncate the journal — everything in it is captured.  A crash
-     before this point replays against the new snapshot and skips every
-     record by sequence number. *)
-  (match t.journal with
-  | Some oc -> close_out_noerr oc
-  | None -> ());
-  let oc =
-    open_out_gen
-      [ Open_wronly; Open_trunc; Open_creat; Open_binary ]
-      0o644 (journal_path t.dir)
-  in
-  output_string oc Wal.magic;
-  flush oc;
-  if t.sync then fsync_out oc;
-  t.journal <- Some oc;
+  (* 3. Empty the journal — everything in it is captured — by an atomic
+     rewrite to its bare magic.  A crash before this point replays
+     against the new snapshot and skips every record by sequence number. *)
+  Journal.rewrite t.journal [];
   (* 4. Best-effort removal of the superseded generation. *)
   if t.generation > 0 then begin
     let old = snapshot_path t.dir t.generation in
@@ -436,10 +337,4 @@ let close t =
       Pack.flush ~sync:t.sync p;
       Pack.sync_index p
   | None -> ());
-  match t.journal with
-  | None -> ()
-  | Some oc ->
-      flush oc;
-      if t.sync then fsync_out oc;
-      close_out_noerr oc;
-      t.journal <- None
+  Journal.close t.journal

@@ -5,7 +5,8 @@
 
     {b Layout.}  A durable engine lives in a directory:
 
-    - [journal] — the append-only commit journal;
+    - [journal] — the append-only commit journal, a {!Journal} file with
+      the {!Wal} codec;
     - [MANIFEST] — {e one} atomically-replaced file naming the current
       snapshot generation and the last journal sequence number it
       captures (closing the two-file store/heads atomicity hole of
@@ -22,7 +23,8 @@
 
     {b Checkpoint} ({!checkpoint}): write the next-generation snapshot
     (fsync), atomically publish the manifest (tmp+fsync+rename — the
-    commit point), then truncate the journal and drop the old generation.
+    commit point), then atomically rewrite the journal to its bare magic
+    ({!Journal.rewrite}) and drop the old generation.
     A crash anywhere in that sequence recovers: before the manifest rename
     the old generation + full journal are intact; after it, replay skips
     everything the new snapshot captures.
@@ -87,6 +89,10 @@ val open_ :
     its composite journal published, so a crash between a shard-journal
     append and the composite commit point rolls the shard back instead
     of resurrecting an unpublished commit. *)
+
+val ensure_dir : string -> (unit, Wal.error) result
+(** Create a directory when absent; [`Malformed] when the path is a file
+    or cannot be created.  Every durable root is made through this. *)
 
 val detect : string -> backend option
 (** The backend a directory holds: [`Pack] when it has a [pack/]

@@ -1,4 +1,3 @@
-module Hash = Siri_crypto.Hash
 module Wire = Siri_codec.Wire
 module Kv = Siri_core.Kv
 
@@ -14,7 +13,7 @@ type record =
       entries : (Kv.key * Kv.value) list;
     }
 
-type error = [ `Tampered of int | `Malformed of string ]
+type error = Journal.error
 
 let pp_error ppf = function
   | `Tampered off ->
@@ -84,7 +83,7 @@ let encode_payload ~seq record =
         entries);
   Wire.Writer.contents w
 
-let decode_payload_reader r =
+let decode_payload r =
   let seq = Wire.Reader.varint r in
   let record =
     match Wire.Reader.u8 r with
@@ -114,76 +113,25 @@ let decode_payload_reader r =
         Bulk { branch; message; entries }
     | _ -> raise Wire.Reader.Truncated
   in
-  if not (Wire.Reader.at_end r) then raise Wire.Reader.Truncated;
   (seq, record)
 
-(* --- framing ----------------------------------------------------------------- *)
+(* --- the journal ------------------------------------------------------------ *)
 
-(* The journal shares its frame layout with the pack-file segments
-   ([Siri_codec.Frame]): 4 length bytes, 32 checksum bytes, payload. *)
+let codec =
+  { Journal.magic;
+    encode = (fun (seq, record) -> encode_payload ~seq record);
+    decode = decode_payload }
 
-module Frame = Siri_codec.Frame
+let encode_record ~seq record =
+  Siri_codec.Frame.encode (encode_payload ~seq record)
 
-let encode_record ~seq record = Frame.encode (encode_payload ~seq record)
-
-type scan_result = {
-  entries : (int * record) list;
+type 'a scan = 'a Journal.scan = {
+  entries : 'a list;
   ends : int list;
   valid_prefix : int;
   clamped_bytes : int;
 }
 
-let scan blob =
-  let total = String.length blob in
-  let mlen = String.length magic in
-  if total < mlen then
-    if String.equal blob (String.sub magic 0 total) then
-      (* Torn while writing the very header: an empty committed prefix. *)
-      Ok { entries = []; ends = []; valid_prefix = 0; clamped_bytes = total }
-    else Error (`Malformed "bad magic")
-  else if not (String.equal (String.sub blob 0 mlen) magic) then
-    Error (`Malformed "bad magic")
-  else begin
-    let entries = ref [] in
-    let ends = ref [] in
-    let result = ref None in
-    let pos = ref mlen in
-    let stop r = result := Some r in
-    while !result = None do
-      (* Frames are verified and decoded in place — the checksum is hashed
-         over slices ([Frame.step]) and the payload parsed through a
-         windowed reader ([Reader.of_substring]), so scanning a journal
-         allocates no per-frame payload copies. *)
-      match Frame.step blob ~pos:!pos with
-      | Frame.End ->
-          stop
-            (Ok
-               { entries = List.rev !entries;
-                 ends = List.rev !ends;
-                 valid_prefix = !pos;
-                 clamped_bytes = 0 })
-      | Frame.Torn clamped ->
-          stop
-            (Ok
-               { entries = List.rev !entries;
-                 ends = List.rev !ends;
-                 valid_prefix = !pos;
-                 clamped_bytes = clamped })
-      | Frame.Corrupt -> stop (Error (`Tampered !pos))
-      | Frame.Frame { payload_off; payload_len; next } -> (
-          match
-            decode_payload_reader
-              (Wire.Reader.of_substring blob ~off:payload_off ~len:payload_len)
-          with
-          | seq, record ->
-              entries := (seq, record) :: !entries;
-              pos := next;
-              ends := next :: !ends
-          | exception Wire.Reader.Truncated ->
-              stop
-                (Error
-                   (`Malformed
-                      (Printf.sprintf "undecodable record at offset %d" !pos))))
-    done;
-    Option.get !result
-  end
+type scan_result = (int * record) scan
+
+let scan = Journal.scan codec

@@ -1,8 +1,11 @@
-(** The append-only commit journal: record types, on-disk framing, and the
-    recovery scan.
+(** The commit journal of a flat durable directory: its record types,
+    its payload codec, and its recovery scan.
 
-    A journal file is the byte [magic] followed by a sequence of framed
-    records.  Each frame is
+    The file protocol — magic, checksummed frames, torn-tail clamp,
+    [`Tampered] on a complete frame that fails its checksum — is
+    {!Journal}'s; this module supplies the [SIRIWAL1] magic and the
+    payload, a {!Siri_codec.Wire}-encoded varint sequence number, a
+    one-byte record tag, then the record body.  A frame is
 
     {v
     +--------------+---------------------------+------------------+
@@ -12,25 +15,11 @@
 
     where the checksum covers the 4 length bytes {e and} the payload, so a
     bit flip anywhere in a complete frame — including its length prefix —
-    fails verification.  The payload itself is {!Siri_codec.Wire} encoded:
-    a varint sequence number, a one-byte record tag, then the record body.
-
-    {b Recovery invariant.}  {!scan} splits any byte string into the
-    longest valid prefix of complete, checksum-verified records plus a
-    diagnosis of the remainder:
-
-    - a record that runs past the end of the input is a {b torn tail}
-      (the crash happened mid-append): the partial bytes are reported as
-      [clamped_bytes] and silently discarded — recovery lands on the
-      committed prefix;
-    - a {e complete} record whose checksum fails is {b corruption} (a
-      truncation alone can never produce it): scan stops with
-      [`Tampered offset], never an exception.
-
-    A flipped length byte that makes the {e final} record appear to extend
-    past the end of the input is indistinguishable from a torn write and is
-    clamped — the standard WAL ambiguity (LevelDB and etcd resolve it the
-    same way); every other single-bit flip over a frame is detected. *)
+    fails verification.  A flipped length byte that makes the {e final}
+    record appear to extend past the end of the input is
+    indistinguishable from a torn write and is clamped — the standard WAL
+    ambiguity (LevelDB and etcd resolve it the same way); every other
+    single-bit flip over a frame is detected. *)
 
 module Kv = Siri_core.Kv
 
@@ -56,9 +45,7 @@ type record =
           [bulk_load] and byte-reproduces the original commit — the
           record the online reshard journals per migrated branch. *)
 
-type error =
-  [ `Tampered of int  (** checksum failure at this byte offset *)
-  | `Malformed of string ]
+type error = Journal.error
 
 val pp_error : Format.formatter -> error -> unit
 
@@ -69,16 +56,23 @@ val encode_record : seq:int -> record -> string
     a crash {e between} manifest publication and journal truncation
     replays nothing twice. *)
 
-type scan_result = {
-  entries : (int * record) list;  (** (sequence number, record), in order *)
+val codec : (int * record) Journal.codec
+(** The journal codec: a record with its journal-wide sequence number. *)
+
+type 'a scan = 'a Journal.scan = {
+  entries : 'a list;
   ends : int list;
       (** byte offset of the end of each valid record — the crash
           simulator's oracle for "which committed prefix must survive a
           truncation at offset L" *)
-  valid_prefix : int;  (** offset where the last valid record ends *)
-  clamped_bytes : int;  (** torn-tail bytes after [valid_prefix] *)
+  valid_prefix : int;
+  clamped_bytes : int;
 }
 
+type scan_result = (int * record) scan
+(** (sequence number, record) entries, in order. *)
+
 val scan : string -> (scan_result, error) result
-(** Total on arbitrary bytes: every outcome is [Ok] (possibly clamped) or
-    a typed [error] — never an exception. *)
+(** {!Journal.scan} with {!codec}: total on arbitrary bytes — every
+    outcome is [Ok] (possibly clamped) or a typed [error], never an
+    exception. *)

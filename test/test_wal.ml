@@ -515,7 +515,35 @@ let test_stale_tmp_cleanup () =
   Store.save ~sync:false store path;
   Store.save ~sync:false store path;
   Alcotest.(check int) "still loadable" 1
-    (Store.stats (Store.load path)).Store.unique_nodes
+    (Store.stats (Store.load path)).Store.unique_nodes;
+  (* Opening a flat durable directory or a sharded root sweeps the tmp
+     files its own atomic writes (manifests, journal checkpoints) leave. *)
+  let mk = List.assoc "pos" makers in
+  let swept what root names reopen =
+    List.iter (fun n -> write_file (Filename.concat root n) "torn") names;
+    reopen ();
+    List.iter
+      (fun n ->
+        Alcotest.(check bool)
+          (what ^ ": " ^ n ^ " swept") false
+          (Sys.file_exists (Filename.concat root n)))
+      names
+  in
+  let flat = Filename.concat dir "flat" in
+  Durable.close (open_exn ~sync:false ~dir:flat mk);
+  swept "flat" flat [ "journal.tmp.999.1"; "MANIFEST.tmp.999.2" ] (fun () ->
+      Durable.close (open_exn ~sync:false ~dir:flat mk));
+  let sharded = Filename.concat dir "sharded" in
+  let open_sharded () =
+    match
+      Siri_shard.Sharded.open_ ~sync:false ~runner:`Inline ~dir:sharded
+        ~empty_index:mk ()
+    with
+    | Ok t -> Siri_shard.Sharded.close t
+    | Error e -> Alcotest.failf "Sharded.open_: %a" Wal.pp_error e
+  in
+  open_sharded ();
+  swept "sharded" sharded [ "top.tmp.999.3"; "SHARDS.tmp.999.4" ] open_sharded
 
 let () =
   let qcheck = QCheck_alcotest.to_alcotest in
