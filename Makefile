@@ -28,7 +28,13 @@
 #                  every-byte-offset truncation of segments, offset index
 #                  and journal, seeded bit-flip storms, compaction
 #                  kill-points, and the rebuilt-index ≡ persisted-index
-#                  property, under the same pinned seed.
+#                  property, under the same pinned seed.  It also cuts
+#                  the segments a roll sealed without an fsync (a power
+#                  loss before the next checkpoint) at every byte, and a
+#                  durable engine's sealed segment at every record
+#                  boundary, requiring replay to the committed state;
+#                  and it pins the fsync counters: a roll adds none, the
+#                  next sync flush one per sealed segment plus the active.
 #   make proof   — run the multiproof suites on their own: the differential
 #                  single-proof oracle, the adversarial flip storm, the
 #                  wire-codec every-offset harness, and the proof-cache

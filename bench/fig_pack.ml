@@ -7,14 +7,22 @@
    hashes the node bytes once (the content hash) plus a short head digest.  The table reports both reopen latencies, the pack's
    worst case (index deleted, rebuilt by scanning every segment — the
    bound crash recovery pays), cold read throughput, and the bytes each
-   layout keeps on disk. *)
+   layout keeps on disk.
+
+   A second table times appends into the default 8 MiB segments across
+   several rolls: each append carries ~120 KB, the pack bytes of one
+   perfbench [ingest] commit, with no sync flush in between, as under
+   [Durable], where only a checkpoint syncs the pack.  Its p99 and max
+   are the appends that roll. *)
 
 module Store = Siri_store.Store
 module Hash = Siri_crypto.Hash
 module Pack = Siri_pack.Pack
 module Clock = Siri_benchkit.Clock
 module Table = Siri_benchkit.Table
-module Json = Siri_telemetry.Telemetry.Json
+module Hist = Siri_benchkit.Hist
+module Telemetry = Siri_telemetry.Telemetry
+module Json = Telemetry.Json
 
 let rec rm_rf path =
   match Sys.is_directory path with
@@ -64,8 +72,8 @@ let dir_bytes dir =
       if Sys.is_directory p then acc else acc + file_bytes p)
     0 (Sys.readdir dir)
 
-let open_pack_exn dir =
-  match Pack.open_ dir with
+let open_pack_exn ?sink dir =
+  match Pack.open_ ?sink dir with
   | Ok tr -> tr
   | Error (`Tampered msg) -> failwith ("pack bench: " ^ msg)
 
@@ -128,8 +136,41 @@ let measure n =
     pack_reopen_s; pack_rescan_s; pack_cold_kops = kops pack_cold_s;
     pack_bytes }
 
+(* --- rolling appends ----------------------------------------------------------- *)
+
+let roll_appends = 600
+let roll_records = 40
+let roll_record_bytes = 3 * 1024
+
+type rolling = { rolls : int; p50_us : float; p99_us : float; max_us : float }
+
+let measure_rolling () =
+  let dir = fresh_dir () in
+  let sink = Telemetry.create () in
+  let p, _ = open_pack_exn ~sink dir in
+  let hist = Hist.create () in
+  for a = 0 to roll_appends - 1 do
+    let batch =
+      List.init roll_records (fun r ->
+          let bytes =
+            Printf.sprintf "roll-%06d-%02d:" a r
+            ^ String.make roll_record_bytes 'r'
+          in
+          (Hash.of_string bytes, bytes, []))
+    in
+    Hist.add hist (Clock.time_unit (fun () -> Pack.append p batch))
+  done;
+  Pack.close p;
+  rm_rf dir;
+  let us q = Hist.percentile hist q *. 1e6 in
+  { rolls = Telemetry.counter sink "pack.roll";
+    p50_us = us 0.50;
+    p99_us = us 0.99;
+    max_us = Hist.max_value hist *. 1e6 }
+
 let run () =
   let rows = List.map measure (sizes ()) in
+  let rolling = measure_rolling () in
   let ms s = Printf.sprintf "%.1f" (s *. 1000.0) in
   let mb b = Printf.sprintf "%.1f" (float_of_int b /. 1048576.0) in
   Table.print
@@ -147,6 +188,14 @@ let run () =
            Printf.sprintf "%.1f" r.pack_cold_kops;
            mb r.snap_bytes; mb r.pack_bytes ])
        rows);
+  let us v = Printf.sprintf "%.0f" v in
+  Table.print
+    ~title:
+      (Printf.sprintf "Rolling appends: %d x %d records of %d B, 8 MiB segments"
+         roll_appends roll_records roll_record_bytes)
+    ~headers:[ "rolls"; "append p50 us"; "append p99 us"; "append max us" ]
+    [ [ string_of_int rolling.rolls; us rolling.p50_us; us rolling.p99_us;
+        us rolling.max_us ] ];
   Metrics.write ~id:"pack"
     (Json.obj
        [ ("experiment", Json.str "pack");
@@ -166,4 +215,13 @@ let run () =
                       ("pack_cold_get_kops", Json.num r.pack_cold_kops);
                       ("snapshot_bytes", Json.int r.snap_bytes);
                       ("pack_bytes", Json.int r.pack_bytes) ])
-                rows) ) ])
+                rows) );
+         ( "rolling_append",
+           Json.obj
+             [ ("appends", Json.int roll_appends);
+               ("records_per_append", Json.int roll_records);
+               ("record_bytes", Json.int roll_record_bytes);
+               ("rolls", Json.int rolling.rolls);
+               ("append_p50_us", Json.num rolling.p50_us);
+               ("append_p99_us", Json.num rolling.p99_us);
+               ("append_max_us", Json.num rolling.max_us) ] ) ])

@@ -31,6 +31,10 @@ type t = {
   mutable active_len : int;
   mutable dirty : bool;  (* bytes in the channel buffer; writer only *)
   mutable os_dirty : bool;  (* bytes flushed to the OS but not fsynced *)
+  mutable sealed : int list;
+      (* Rolled segments whose bytes are in the OS but not yet fsynced,
+         newest first; the next [flush ~sync:true] fsyncs them.  Writer
+         only. *)
   mutable index_dirty : bool;
   mutable bytes : int;  (* payload bytes live in the index *)
   mutable gate : Fault.io_gate option;
@@ -236,8 +240,20 @@ let flush_buffered t =
     t.os_dirty <- true
   end
 
+(* Sealed segments are fsynced oldest first through their read
+   descriptors (fsync applies to the file, whatever the descriptor's
+   mode), then the active one. *)
 let flush ?(sync = true) t =
   flush_buffered t;
+  if sync && t.sealed <> [] then begin
+    let fds = Atomic.get t.fds in
+    List.iter
+      (fun id ->
+        Unix.fsync (Int_map.find id fds);
+        Telemetry.incr t.sink "pack.fsync")
+      (List.rev t.sealed);
+    t.sealed <- []
+  end;
   if sync && t.os_dirty then begin
     Unix.fsync (Unix.descr_of_out_channel t.chan);
     t.os_dirty <- false;
@@ -255,11 +271,19 @@ let sync_index t =
   end
 
 let roll t =
-  (* Seal the active segment (its bytes must be durable before anything
-     references the successor), then file-first/manifest-second.  The
+  (* Seal the active segment without an fsync: push its bytes to the OS
+     and leave the fsync to the next [flush ~sync:true], which every
+     checkpoint, [close] and [compact] reach before anything that depends
+     on those bytes.  Until then the journal is the durability point: a
+     power loss that tears a sealed segment loses only nodes written
+     since the last checkpoint, which reopen clamps and replay
+     regenerates.  Then file-first/manifest-second, both fsynced, so the
+     manifest never names a file that does not exist durably.  The
      successor's read descriptor is published before any of its records
      can be. *)
-  flush ~sync:true t;
+  flush_buffered t;
+  if t.os_dirty then t.sealed <- t.active :: t.sealed;
+  t.os_dirty <- false;
   close_out t.chan;
   Hashtbl.replace t.lens t.active t.active_len;
   let id = t.active + 1 in
@@ -548,6 +572,7 @@ let open_ ?(segment_target = 8 * 1024 * 1024) ?(retry_attempts = 3)
                   active_len;
                   dirty = false;
                   os_dirty = false;
+                  sealed = [];
                   index_dirty = index_rebuilt || !adopted > 0 || !clamped > 0;
                   bytes;
                   gate = None }

@@ -21,10 +21,15 @@
       are swept on open.
 
     Group fsync: each {!append} call writes its records to the OS without
-    an fsync, so the WAL's single commit fsync remains the per-commit
-    durability point (replay regenerates any node the pack lost), while
-    checkpoints call {!flush} [~sync:true] + {!sync_index} before the
-    WAL manifest flips.
+    an fsync, and so does a roll: the outgoing segment is sealed (its
+    bytes pushed to the OS) and fsynced later, by the next {!flush}
+    [~sync:true].  Only creating the successor file and flipping the
+    manifest fsync inline.  So the WAL's single commit fsync remains the
+    per-commit durability point (replay regenerates any node the pack
+    lost, in any segment), while checkpoints call {!flush} [~sync:true]
+    + {!sync_index} before the WAL manifest flips.  After a power loss a
+    sealed segment, not only the last one, may have a torn tail; reopen
+    clamps it like any other.
 
     Concurrency: one appender, readers on any domain.  Each {!append}
     call pushes its records to the OS before it publishes their index
@@ -82,13 +87,17 @@ val append : t -> (Hash.t * string * Hash.t list) list -> unit
 (** Append records for the nodes not already present (content-addressed
     dedup), rolling segments as needed.  The call's records reach the OS
     before it returns, and only then become visible to {!get}; they are
-    durable after {!flush}. *)
+    durable after {!flush} [~sync:true].  A roll fsyncs only the new
+    segment file and the manifest, never the outgoing segment's bytes
+    ([pack.roll]; [pack.fsync] is untouched). *)
 
 val flush : ?sync:bool -> t -> unit
-(** With [sync] (default true) fsync the active segment if appends
-    reached it since the last fsync — one fsync for the whole batch
-    ([pack.fsync]).  Appends are already in the OS, so [~sync:false]
-    has nothing left to do. *)
+(** With [sync] (default true) fsync every segment sealed by a roll
+    since the last such flush, oldest first, then the active segment if
+    appends reached it since its last fsync — one [pack.fsync] each, so
+    a flush after [r] rolls of written segments costs at most [r + 1]
+    fsyncs and a second flush costs none.  Appends are already in the
+    OS, so [~sync:false] has nothing left to do. *)
 
 val sync_index : t -> unit
 (** Persist the offset index (atomic, fsynced) if it changed. *)

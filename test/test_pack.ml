@@ -222,6 +222,146 @@ let test_append_after_clamp () =
     ~expected:(List.map (fun (h, _, _) -> h) (fresh :: kept));
   Pack.close p3
 
+(* --- sealed segments: a roll defers the outgoing segment's fsync -------------- *)
+
+let file_len path = (Unix.stat path).Unix.st_size
+
+(* Every entry under [dir] with its bytes, for byte-for-byte comparison. *)
+let tree dir =
+  let rec walk rel acc =
+    let p = Filename.concat dir rel in
+    if Sys.is_directory p then
+      Array.fold_left
+        (fun acc n -> walk (Filename.concat rel n) acc)
+        ((rel ^ "/", "") :: acc) (Sys.readdir p)
+    else (rel, read_file p) :: acc
+  in
+  List.sort compare (walk "" [])
+
+(* Recreate [dir] as [tree] saw it: one power-loss image, restored before
+   each cut. *)
+let restore_tree dir image =
+  rm_rf dir;
+  List.iter
+    (fun (rel, blob) ->
+      let p = Filename.concat dir rel in
+      if String.ends_with ~suffix:"/" rel then Unix.mkdir p 0o755
+      else write_file p blob)
+    image
+
+(* (hash, record end) of every record of a segment blob, in file order. *)
+let record_ends blob =
+  match Segment.scan blob with
+  | Ok s -> List.map (fun (h, off, len) -> (h, off + len)) s.Segment.records
+  | Error _ -> Alcotest.fail "pristine segment must scan"
+
+(* Rolls fsync nothing: the sealed segments wait for the next sync flush,
+   which fsyncs each of them and the active segment exactly once. *)
+let test_roll_defers_fsync () =
+  with_dir "roll-fsync" @@ fun dir ->
+  let sink = Telemetry.create () in
+  let counter = Telemetry.counter sink in
+  let written = nodes 60 in
+  let p, _ = open_exn ~segment_target:1024 ~sink dir in
+  List.iter (fun n -> Pack.append p [ n ]) written;
+  let rolls = counter "pack.roll" in
+  Alcotest.(check bool) (Printf.sprintf "%d rolls >= 3" rolls) true (rolls >= 3);
+  Alcotest.(check int) "no fsync across the rolls" 0 (counter "pack.fsync");
+  Pack.flush p;
+  Alcotest.(check int) "sync flush: every sealed segment + the active one"
+    (rolls + 1) (counter "pack.fsync");
+  Pack.flush p;
+  Alcotest.(check int) "a second sync flush fsyncs nothing" (rolls + 1)
+    (counter "pack.fsync");
+  Pack.close p;
+  let p, _ = open_exn ~segment_target:1024 dir in
+  check_reads p written ~expected:(List.map (fun (h, _, _) -> h) written);
+  Pack.close p
+
+(* Power loss after rolls with no sync flush: any segment written since
+   the last sync — a sealed one, not only the last — may come back with a
+   torn tail while its successors keep their records.  Cut each such
+   segment at every byte offset from its synced length to its end, the
+   others intact: reopen clamps exactly the torn bytes, keeps the cut
+   segment's record prefix and every other record, and reads back
+   verbatim with a clean scrub. *)
+let test_sealed_segment_power_loss () =
+  with_dir "sealed-cut" @@ fun dir ->
+  let segment_target = 1024 in
+  let before = nodes 12 in
+  let p, _ = open_exn ~segment_target dir in
+  Pack.append p before;
+  Pack.flush p;
+  Pack.sync_index p;
+  let synced =
+    List.map (fun id -> (id, file_len (seg_path dir id))) (Pack.segment_ids p)
+  in
+  let active_at_sync = List.fold_left max 0 (List.map fst synced) in
+  let after = List.init 24 (fun i -> node (2000 + i)) in
+  List.iter (fun n -> Pack.append p [ n ]) after;
+  let ids = Pack.segment_ids p in
+  Alcotest.(check bool) "appends rolled at least twice" true
+    (List.length ids - List.length synced >= 2);
+  (* Abandoned without a sync flush or close: the power-loss image. *)
+  let image = tree dir in
+  let written = before @ after in
+  let ends =
+    List.map (fun id -> (id, record_ends (read_file (seg_path dir id)))) ids
+  in
+  let magic_len = String.length Segment.magic in
+  let synced_len id =
+    Option.value (List.assoc_opt id synced) ~default:magic_len
+  in
+  List.iter
+    (fun id ->
+      let blob = read_file (seg_path dir id) in
+      for cut = synced_len id to String.length blob do
+        restore_tree dir image;
+        write_file (seg_path dir id) (String.sub blob 0 cut);
+        let what = Printf.sprintf "seg %d cut@%d" id cut in
+        let p, r =
+          match Pack.open_ ~segment_target dir with
+          | Ok pr -> pr
+          | Error (`Tampered msg) -> Alcotest.failf "%s: `Tampered %s" what msg
+        in
+        let kept =
+          List.concat_map
+            (fun (id', es) ->
+              List.filter_map
+                (fun (h, e) -> if id' <> id || e <= cut then Some h else None)
+                es)
+            ends
+        in
+        let prefix_end =
+          List.fold_left
+            (fun acc (_, e) -> if e <= cut then max acc e else acc)
+            magic_len (List.assoc id ends)
+        in
+        Alcotest.(check int) (what ^ ": clamps exactly the torn bytes")
+          (cut - prefix_end) r.Pack.clamped_bytes;
+        Alcotest.(check int) (what ^ ": file clamped to the record prefix")
+          prefix_end
+          (file_len (seg_path dir id));
+        Alcotest.(check int) (what ^ ": exact record count") (List.length kept)
+          (Pack.count p);
+        List.iter
+          (fun (h, bytes, _) ->
+            let expect = List.exists (Hash.equal h) kept in
+            match Pack.get p h with
+            | Some (b, _) when expect ->
+                Alcotest.(check string) (what ^ ": verbatim") bytes b
+            | None when not expect -> ()
+            | Some _ -> Alcotest.failf "%s: a cut record reads back" what
+            | None -> Alcotest.failf "%s: a kept record is absent" what
+            | exception Store.Tampered _ ->
+                Alcotest.failf "%s: `Tampered on read" what)
+          written;
+        Alcotest.(check (list string)) (what ^ ": scrub is clean") []
+          (List.map Hash.to_hex (Pack.scrub p));
+        Pack.close p
+      done)
+    (List.filter (fun id -> id >= active_at_sync) ids)
+
 (* --- bit flips --------------------------------------------------------------- *)
 
 (* A mid-segment flip with a still-valid index: the open is cheap (no
@@ -969,17 +1109,134 @@ let test_durable_pack_journal_crash () =
     Durable.close t
   done
 
-(* Every entry under [dir] with its bytes, for byte-for-byte comparison. *)
-let tree dir =
-  let rec walk rel acc =
-    let p = Filename.concat dir rel in
-    if Sys.is_directory p then
-      Array.fold_left
-        (fun acc n -> walk (Filename.concat rel n) acc)
-        ((rel ^ "/", "") :: acc) (Sys.readdir p)
-    else (rel, read_file p) :: acc
+(* --- durable engine: a roll inside a commit run ------------------------------- *)
+
+(* [Durable] has no segment-target option, so crossing a roll takes a
+   commit whose nodes pass the default 8 MiB: 12 values of 768 KiB. *)
+let roll_entries =
+  List.init 12 (fun i ->
+      ( Printf.sprintf "bulk-%02d" i,
+        Printf.sprintf "%02d:" i ^ String.make (768 * 1024) (Char.chr (97 + i)) ))
+
+let checkpoint_side_branch t =
+  Durable.fork t ~from:"master" "side";
+  ignore (Durable.commit t ~branch:"side" ~message:"s0" [ Kv.Put ("a", "1") ]
+          : Engine.commit);
+  Durable.checkpoint t
+
+(* A run that crosses a roll: a bulk load of [roll_entries] on master
+   (still at version 0, so the canonical bulk build) and the small
+   [script] commits; returns the run's commit count. *)
+let roll_run t =
+  ignore (Durable.commit_bulk t ~branch:"master" ~message:"bulk" roll_entries
+          : Engine.commit);
+  List.iteri
+    (fun i (branch, ops) ->
+      ignore (Durable.commit t ~branch ~message:(Printf.sprintf "c%d" i) ops
+              : Engine.commit))
+    script;
+  1 + List.length script
+
+let mk_mpt_with_sink sink =
+  let store = Store.create () in
+  Store.set_sink store sink;
+  Siri_mpt.Mpt.generic (Siri_mpt.Mpt.empty store)
+
+(* A checkpoint, then commits across a roll: the run fsyncs the journal
+   once per commit and the pack not at all, until the next checkpoint
+   fsyncs each sealed segment and the active one. *)
+let test_durable_roll_fsyncs () =
+  with_dir "durable-roll-fsync" @@ fun dir ->
+  let sink = Telemetry.create () in
+  let counter = Telemetry.counter sink in
+  let t =
+    match
+      Durable.open_ ~sync:true ~backend:`Pack ~dir
+        ~empty_index:(mk_mpt_with_sink sink) ()
+    with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "Durable.open_: %a" Wal.pp_error e
   in
-  List.sort compare (walk "" [])
+  checkpoint_side_branch t;
+  let fsync0 = counter "pack.fsync" and wal0 = counter "wal.fsync" in
+  let roll0 = counter "pack.roll" in
+  let commits = roll_run t in
+  let rolls = counter "pack.roll" - roll0 in
+  Alcotest.(check bool) "the run rolled a segment" true (rolls >= 1);
+  Alcotest.(check int) "no pack fsync inside the commits" 0
+    (counter "pack.fsync" - fsync0);
+  Alcotest.(check int) "one journal fsync per commit" commits
+    (counter "wal.fsync" - wal0);
+  Durable.checkpoint t;
+  Alcotest.(check int) "the checkpoint fsyncs each sealed segment + the active"
+    (rolls + 1)
+    (counter "pack.fsync" - fsync0);
+  Durable.close t
+
+(* Power loss after a roll inside a commit run: the journal is fsynced
+   per commit, the sealed segment is not.  Cut that segment at every
+   record boundary, one byte either side, and a seeded sample of other
+   offsets past its checkpointed length: reopen clamps it, and replay
+   regenerates every lost node — the exact committed state, every node
+   of the undamaged pack present and verified, a clean scrub. *)
+let test_durable_sealed_power_loss () =
+  with_dir "durable-sealed" @@ fun dir ->
+  let t = open_durable_exn ~sync:true ~backend:`Pack dir in
+  let pdir = Durable.pack_dir dir in
+  let sealed = seg_path pdir 0 in
+  checkpoint_side_branch t;
+  let synced = file_len sealed in
+  ignore (roll_run t : int);
+  let final = state (Durable.engine t) in
+  let ids = Pack.segment_ids (Option.get (Durable.pack t)) in
+  Alcotest.(check bool) "segment 0 was sealed by a roll" true
+    (List.length ids >= 2);
+  (* Abandoned without a checkpoint or close: the power-loss image. *)
+  let image = tree dir in
+  let blob = read_file sealed in
+  let len = String.length blob in
+  let all_nodes =
+    List.concat_map
+      (fun id -> List.map fst (record_ends (read_file (seg_path pdir id))))
+      ids
+  in
+  let boundaries =
+    List.filter_map
+      (fun (_, e) -> if e > synced then Some e else None)
+      (record_ends blob)
+  in
+  let rng = Rng.create 22 in
+  let cuts =
+    List.sort_uniq compare
+      (List.filter
+         (fun c -> c >= synced && c <= len)
+         (synced
+         :: List.concat_map (fun b -> [ b - 1; b; b + 1 ]) boundaries
+         @ List.init 16 (fun _ -> synced + Rng.int rng (len - synced))))
+  in
+  Alcotest.(check bool) "records past the checkpoint in the sealed segment"
+    true (List.length boundaries >= 5);
+  List.iter
+    (fun cut ->
+      restore_tree dir image;
+      Unix.truncate sealed cut;
+      let what = Printf.sprintf "sealed seg cut@%d" cut in
+      let t = open_durable_exn ~sync:false ~backend:`Pack dir in
+      Alcotest.check state_testable (what ^ ": replays the committed state")
+        final
+        (state (Durable.engine t));
+      let p = Option.get (Durable.pack t) in
+      List.iter
+        (fun h ->
+          match Pack.get p h with
+          | Some _ -> ()
+          | None -> Alcotest.failf "%s: a node was not regenerated" what
+          | exception Store.Tampered _ -> Alcotest.failf "%s: `Tampered" what)
+        all_nodes;
+      Alcotest.(check (list string)) (what ^ ": scrub is clean") []
+        (List.map Hash.to_hex (Pack.scrub p));
+      Durable.close t)
+    cuts
 
 (* The backend is read from disk: a stated one that contradicts a
    checkpointed directory is refused before anything is written, and an
@@ -1042,7 +1299,11 @@ let () =
         [ Alcotest.test_case "segment truncation at every byte offset" `Slow
             test_segment_truncation_every_offset;
           Alcotest.test_case "index truncation at every byte offset" `Slow
-            test_index_truncation_every_offset ] );
+            test_index_truncation_every_offset;
+          Alcotest.test_case "sealed segment cut at every byte offset" `Slow
+            test_sealed_segment_power_loss;
+          Alcotest.test_case "a roll fsyncs nothing, the next sync flush all"
+            `Quick test_roll_defers_fsync ] );
       ( "corruption",
         [ Alcotest.test_case "mid-segment flip is `Tampered + scrubbed" `Quick
             test_midsegment_flip_tampered;
@@ -1090,4 +1351,8 @@ let () =
           Alcotest.test_case "backend read from disk, contradiction refused"
             `Quick test_durable_backend_from_disk;
           Alcotest.test_case "journal truncation at every byte offset" `Slow
-            test_durable_pack_journal_crash ] ) ]
+            test_durable_pack_journal_crash;
+          Alcotest.test_case "a roll inside commits: one journal fsync each"
+            `Quick test_durable_roll_fsyncs;
+          Alcotest.test_case "sealed segment cut: replay regenerates" `Slow
+            test_durable_sealed_power_loss ] ) ]
