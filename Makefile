@@ -35,6 +35,12 @@
 #                  boundary, requiring replay to the committed state;
 #                  and it pins the fsync counters: a roll adds none, the
 #                  next sync flush one per sealed segment plus the active.
+#                  Its "cold read" group pins the allocation-light read:
+#                  a warm Pack.get allocates the node bytes plus a fixed
+#                  constant (0- and 40-child records), systhreads and
+#                  domains sharing the per-domain record buffer get
+#                  byte-identical answers, and a flip of any head byte is
+#                  `Tampered on the bytes-only path.
 #   make proof   — run the multiproof suites on their own: the differential
 #                  single-proof oracle, the adversarial flip storm, the
 #                  wire-codec every-offset harness, and the proof-cache

@@ -1025,8 +1025,8 @@ let compact_cmd =
                 let rec walk h =
                   if (not (Hash.Set.mem h !live)) && Pack.mem p h then begin
                     live := Hash.Set.add h !live;
-                    match Pack.get p h with
-                    | Some (_, children) -> List.iter walk children
+                    match Pack.children p h with
+                    | Some children -> List.iter walk children
                     | None -> ()
                   end
                 in

@@ -55,6 +55,15 @@ let of_hex s =
 
 let short t = String.sub (to_hex t) 0 8
 let equal = String.equal
+
+let equal_sub t s ~off =
+  if off < 0 || off > String.length s - size then invalid_arg "Hash.equal_sub";
+  let word str i : int64 = String.get_int64_ne str i in
+  word t 0 = word s off
+  && word t 8 = word s (off + 8)
+  && word t 16 = word s (off + 16)
+  && word t 24 = word s (off + 24)
+
 let compare = String.compare
 
 (* The digest is already uniform, so folding the first word is enough. *)

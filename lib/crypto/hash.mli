@@ -61,6 +61,12 @@ val short : t -> string
 (** First 8 hex chars — for logs and error messages. *)
 
 val equal : t -> t -> bool
+
+val equal_sub : t -> string -> off:int -> bool
+(** [equal_sub h s ~off] is [equal h (of_raw (String.sub s off size))]
+    without copying the slice.  Raises [Invalid_argument] if the slice
+    is out of bounds. *)
+
 val compare : t -> t -> int
 
 val hash : t -> int

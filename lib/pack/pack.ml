@@ -153,27 +153,66 @@ let open_readers dir ids =
 
 let close_readers fds = Int_map.iter (fun _ fd -> Unix.close fd) fds
 
-(* Read and verify one indexed record, returning the raw record and its
-   decoded fields.  [Segment.step] checks the head digest and then the
-   content hash on the slice as read, so every failure mode — short read,
-   flipped bit, truncated record — lands in [Store.Tampered], never a
-   wrong read. *)
-let read_record t ?(use_gate = true) h (e : Pack_index.entry) =
-  let fd = Int_map.find e.seg (Atomic.get t.fds) in
-  let blob = pread fd ~off:e.off ~len:e.len in
-  let blob =
-    match t.gate with
-    | Some g when use_gate -> Fault.gate_read g h blob
-    | _ -> blob
-  in
-  match Segment.step blob ~pos:0 with
-  | Segment.Record r when r.next = String.length blob && Hash.equal r.hash h ->
-      (blob, r)
-  | _ -> raise (Store.Tampered h)
+(* Each domain keeps one record buffer for its cold reads, so a read
+   allocates the node bytes it returns and not the record around them.
+   The buffer is held in a checkout slot, as [Sha256.with_scratch] holds
+   its context: systhreads on one domain share DLS state and [pread]
+   releases the runtime lock, so two threads reading on a bare shared
+   buffer would verify one record and return the other's bytes.
+   [Atomic.exchange] hands the buffer to exactly one thread at a time
+   ([Bytes.empty] marks it checked out).  A thread that finds the slot
+   empty, or a record longer than [keep_max], reads into a fresh buffer;
+   a short buffer is replaced by one at least twice as long. *)
+let keep_max = 1 lsl 20
 
-let read_entry t h e =
-  let blob, (r : Segment.record) = read_record t h e in
-  (String.sub blob r.bytes_off r.bytes_len, r.children)
+let read_buffer : Bytes.t Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make (Bytes.create 4096))
+
+let checkout slot len =
+  if len > keep_max then Bytes.create len
+  else
+    let buf = Atomic.exchange slot Bytes.empty in
+    let have = Bytes.length buf in
+    if have >= len then buf
+    else Bytes.create (min keep_max (max len (2 * have)))
+
+let checkin slot buf = if Bytes.length buf <= keep_max then Atomic.set slot buf
+
+(* Read one indexed record into the domain's buffer, verify it there and
+   pass the verified blob to [f], which must copy out whatever it keeps:
+   the buffer is reused once [f] returns.  [Segment.step] checks the
+   head digest and then the content hash on the bytes as read, and the
+   record must fill its index entry and carry the requested hash, so
+   every failure mode — short read, flipped bit, truncated record — lands
+   in [Store.Tampered], never a wrong read. *)
+let with_record t ?(use_gate = true) h (e : Pack_index.entry) f =
+  let verify blob ~limit =
+    match Segment.step ~limit blob ~pos:0 with
+    | Segment.Record r
+      when r.next = e.len && Hash.equal_sub h blob ~off:r.hash_off ->
+        f blob r
+    | _ -> raise (Store.Tampered h)
+  in
+  let fd = Int_map.find e.seg (Atomic.get t.fds) in
+  let slot = Domain.DLS.get read_buffer in
+  let buf = checkout slot e.len in
+  match
+    let got = pread_into fd buf 0 e.len e.off in
+    match t.gate with
+    | Some g when use_gate ->
+        let blob = Fault.gate_read g h (Bytes.sub_string buf 0 got) in
+        verify blob ~limit:(String.length blob)
+    | _ -> verify (Bytes.unsafe_to_string buf) ~limit:got
+  with
+  | v ->
+      checkin slot buf;
+      v
+  | exception ex ->
+      checkin slot buf;
+      raise ex
+
+let node_bytes blob (r : Segment.record) =
+  String.sub blob r.bytes_off r.bytes_len
 
 let find_entry t h =
   Mutex.lock t.index_lock;
@@ -181,21 +220,26 @@ let find_entry t h =
   Mutex.unlock t.index_lock;
   e
 
+(* A verified read of [h] through [f], retried on transient faults. *)
+let read t h e f =
+  match
+    Fault.with_retry ~attempts:t.retry_attempts ~backoff_s:t.retry_backoff_s
+      ~sink:t.sink (fun () -> with_record t h e f)
+  with
+  | Ok v ->
+      Telemetry.incr t.sink "pack.read";
+      v
+  | Error (`Transient _) -> raise (Store.Transient h)
+  | Error (`Missing _) -> raise (Store.Missing h)
+  | Error (`Tampered _ | `Malformed _) -> raise (Store.Tampered h)
+
 let get t h =
+  match find_entry t h with None -> None | Some e -> Some (read t h e node_bytes)
+
+let children t h =
   match find_entry t h with
   | None -> None
-  | Some e -> (
-      match
-        Fault.with_retry ~attempts:t.retry_attempts
-          ~backoff_s:t.retry_backoff_s ~sink:t.sink (fun () ->
-            read_entry t h e)
-      with
-      | Ok v ->
-          Telemetry.incr t.sink "pack.read";
-          Some v
-      | Error (`Transient _) -> raise (Store.Transient h)
-      | Error (`Missing _) -> raise (Store.Missing h)
-      | Error (`Tampered _ | `Malformed _) -> raise (Store.Tampered h))
+  | Some e -> Some (read t h e Segment.children)
 
 let mem t h = Option.is_some (find_entry t h)
 
@@ -208,14 +252,7 @@ let iter t f =
   List.iter
     (fun (h, e) ->
       let bytes, children =
-        match
-          Fault.with_retry ~attempts:t.retry_attempts
-            ~backoff_s:t.retry_backoff_s ~sink:t.sink (fun () ->
-              read_entry t h e)
-        with
-        | Ok v -> v
-        | Error (`Transient _) -> raise (Store.Transient h)
-        | Error _ -> raise (Store.Tampered h)
+        read t h e (fun blob r -> (node_bytes blob r, Segment.children blob r))
       in
       f h bytes children)
     (sorted_entries t)
@@ -223,9 +260,8 @@ let iter t f =
 let scrub t =
   List.filter_map
     (fun (h, e) ->
-      match read_record t ~use_gate:false h e with
-      | _ -> None
-      | exception Store.Tampered _ -> Some h
+      match with_record t ~use_gate:false h e (fun _ _ -> ()) with
+      | () -> None
       | exception _ -> Some h)
     (sorted_entries t)
 
@@ -386,13 +422,14 @@ let adopt_tail dir id ~covered ~index ~clamped ~adopted =
         clamped := !clamped + n;
         Ok (covered + pos)
     | Segment.Corrupt -> Error (scan_failure id (covered + pos))
-    | Segment.Record { hash = h; next; _ } ->
+    | Segment.Record r ->
+        let h = Segment.hash tail r in
         if not (Hash.Table.mem index h) then begin
           Hash.Table.replace index h
-            { Pack_index.seg = id; off = covered + pos; len = next - pos };
+            { Pack_index.seg = id; off = covered + pos; len = r.next - pos };
           incr adopted
         end;
-        go next
+        go r.next
   in
   go 0
 
@@ -653,7 +690,10 @@ let compact ?(on_step = ignore) t ~live =
            corrupt record into a fresh segment.  Records are
            position-independent, so the verified bytes are copied
            verbatim. *)
-        let record, _ = read_record t ~use_gate:false h e in
+        let record =
+          with_record t ~use_gate:false h e (fun blob _ ->
+              String.sub blob 0 e.len)
+        in
         if Buffer.length cur + e.len > t.segment_target
            && Buffer.length cur > magic_len
         then write_segment ();
@@ -705,6 +745,7 @@ let compact ?(on_step = ignore) t ~live =
 let backend t =
   { Store.backend_name = "pack";
     backend_read = (fun h -> get t h);
+    backend_children = (fun h -> children t h);
     backend_mem = (fun h -> mem t h);
     backend_write = (fun nodes -> append t nodes);
     backend_flush = (fun ~sync -> flush ~sync t);

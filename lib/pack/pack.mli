@@ -39,7 +39,13 @@
     and published as an immutable map through an [Atomic]; {!get} reads
     with a positioned {!pread}, so it takes no lock beyond the offset
     index's and no seek.  {!compact} swaps that map and closes the old
-    descriptors, so it requires that no reader runs concurrently. *)
+    descriptors, so it requires that no reader runs concurrently.
+
+    Cold reads are allocation-light: a read lands in a record buffer its
+    domain keeps (checked out with [Atomic.exchange], so systhreads of
+    one domain never share it mid-read), is verified there in full, and
+    only what the caller asked for is copied out — the node bytes for
+    {!get}, the child hashes for {!children}. *)
 
 module Hash = Siri_crypto.Hash
 module Store = Siri_store.Store
@@ -102,13 +108,19 @@ val flush : ?sync:bool -> t -> unit
 val sync_index : t -> unit
 (** Persist the offset index (atomic, fsynced) if it changed. *)
 
-val get : t -> Hash.t -> (string * Hash.t list) option
-(** Verified positional read.  [None] when absent.  Raises
-    {!Store.Tampered} when the head digest or the content hash fails —
+val get : t -> Hash.t -> string option
+(** Verified positional read of the node bytes.  [None] when absent.
+    The whole record is verified — its length, head digest, hash and
+    content hash — and the node bytes are its one allocation beyond a
+    small constant.  Raises {!Store.Tampered} when any check fails —
     injected damage can never surface as a wrong read — and
     {!Store.Transient} when injected transients outlast the retry
     budget.  Safe to call from any thread on any domain beside one
     appender. *)
+
+val children : t -> Hash.t -> Hash.t list option
+(** Verified positional read of the child hashes, in append order;
+    verifies and raises like {!get}. *)
 
 val mem : t -> Hash.t -> bool
 

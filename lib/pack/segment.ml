@@ -60,8 +60,9 @@ let encode_record h bytes children =
   record_head h ~bytes_len:(String.length bytes) children ^ bytes
 
 type record = {
-  hash : Hash.t;
-  children : Hash.t list;
+  hash_off : int;
+  n_children : int;
+  children_off : int;
   bytes_off : int;
   bytes_len : int;
   next : int;
@@ -69,13 +70,16 @@ type record = {
 
 type step = Record of record | End | Torn of int | Corrupt
 
-let step blob ~pos =
-  let total = String.length blob in
+(* Allocation-light: both digests are computed over slices of [blob] and
+   compared against the stored ones in place, and the children stay in
+   the blob until {!children} asks for them. *)
+let step ?limit blob ~pos =
+  let total = match limit with Some l -> l | None -> String.length blob in
   let remaining = total - pos in
   if remaining = 0 then End
   else if remaining < header_len then Torn remaining
   else begin
-    let len = Wire.Reader.u32 (Wire.Reader.of_substring blob ~off:pos ~len:4) in
+    let len = Int32.to_int (String.get_int32_be blob pos) land 0xFFFFFFFF in
     if remaining - header_len < len then
       (* Torn mid-record — or a length flip on the final record, which is
          indistinguishable from a torn write and clamped the same way. *)
@@ -103,34 +107,38 @@ let step blob ~pos =
       match head_end with
       | None -> Corrupt
       | Some (n, children_off, head_end) ->
-          let digest = Hash.of_raw (String.sub blob (pos + 4) Hash.size) in
           if
             not
-              (Hash.equal digest
+              (Hash.equal_sub
                  (Hash.of_concat_sub (String.sub blob pos 4) blob ~off:body
-                    ~len:(head_end - body)))
+                    ~len:(head_end - body))
+                 blob ~off:(pos + 4))
           then Corrupt
           else begin
-            let hash = Hash.of_raw (String.sub blob body Hash.size) in
             let bytes_len = stop - head_end in
             if
               not
-                (Hash.equal hash
-                   (Hash.of_substring blob ~off:head_end ~len:bytes_len))
+                (Hash.equal_sub
+                   (Hash.of_substring blob ~off:head_end ~len:bytes_len)
+                   blob ~off:body)
             then Corrupt
             else
-              let children =
-                List.init n (fun i ->
-                    Hash.of_raw
-                      (String.sub blob
-                         (children_off + (i * Hash.size))
-                         Hash.size))
-              in
               Record
-                { hash; children; bytes_off = head_end; bytes_len; next = stop }
+                { hash_off = body;
+                  n_children = n;
+                  children_off;
+                  bytes_off = head_end;
+                  bytes_len;
+                  next = stop }
           end
     end
   end
+
+let hash blob r = Hash.of_raw (String.sub blob r.hash_off Hash.size)
+
+let children blob r =
+  List.init r.n_children (fun i ->
+      Hash.of_raw (String.sub blob (r.children_off + (i * Hash.size)) Hash.size))
 
 type scanned = {
   records : (Hash.t * int * int) list;
@@ -156,9 +164,9 @@ let scan blob =
       | End -> Ok { records = List.rev !records; length = pos; clamped = 0 }
       | Torn n -> Ok { records = List.rev !records; length = pos; clamped = n }
       | Corrupt -> Error (`Tampered pos)
-      | Record { hash; next; _ } ->
-          records := (hash, pos, next - pos) :: !records;
-          go next
+      | Record r ->
+          records := (hash blob r, pos, r.next - pos) :: !records;
+          go r.next
     in
     go mlen
   end

@@ -53,12 +53,16 @@ val encode_record : Hash.t -> string -> Hash.t list -> string
     bytes], the whole record as one string (tests and tools). *)
 
 type record = {
-  hash : Hash.t;
-  children : Hash.t list;
+  hash_off : int;  (** the node hash is the {!Hash.size} bytes here *)
+  n_children : int;  (** child count *)
+  children_off : int;  (** the first child hash; the others follow it *)
   bytes_off : int;
   bytes_len : int;  (** the node bytes are this slice of the blob *)
   next : int;  (** offset of the following record *)
 }
+(** A verified record, as offsets into the blob {!step} read it from:
+    nothing is copied out until a caller asks ({!hash}, {!children}, or
+    a [String.sub] of the node bytes). *)
 
 type step =
   | Record of record
@@ -71,10 +75,23 @@ type step =
       (** A complete record failing either digest, or with a malformed
           head — bit rot or tampering, never a torn write. *)
 
-val step : string -> pos:int -> step
-(** Verify the record of [blob] starting at [pos] (within
-    [0, length blob]).  Both digests are computed over slices in place,
-    before anything is copied. *)
+val step : ?limit:int -> string -> pos:int -> step
+(** Verify the record of [blob] starting at [pos] (within [0, limit]).
+    The blob is its first [limit] bytes (default: all of them), so a
+    reader can verify a record in a reused buffer longer than the
+    record.  Both digests are computed over slices in place and compared
+    with the stored ones in place: the record's hash, children and bytes
+    are never copied, so verifying a record allocates a small constant
+    (the two computed digests, the {!record}, a few words of parsing)
+    whatever its size.  This is the one record parser — segment scans,
+    tail adoption and every cold read go through it. *)
+
+val hash : string -> record -> Hash.t
+(** The node hash of a record {!step} verified in [blob], copied out. *)
+
+val children : string -> record -> Hash.t list
+(** The child hashes of a record {!step} verified in [blob], in order,
+    each copied out. *)
 
 type scanned = {
   records : (Hash.t * int * int) list;

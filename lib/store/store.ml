@@ -16,8 +16,11 @@ type node = { mutable bytes : string; children : Hash.t list }
    dependency graph acyclic: pack depends on store, not the reverse. *)
 type backend = {
   backend_name : string;
-  backend_read : Hash.t -> (string * Hash.t list) option;
-      (** Cold read; may raise {!Transient} or {!Tampered}. *)
+  backend_read : Hash.t -> string option;
+      (** Cold read of the node bytes; may raise {!Transient} or
+          {!Tampered}. *)
+  backend_children : Hash.t -> Hash.t list option;
+      (** Cold read of the child hashes; raises like [backend_read]. *)
   backend_mem : Hash.t -> bool;
   backend_write : (Hash.t * string * Hash.t list) list -> unit;
       (** Buffered append of freshly stored nodes (write-through). *)
@@ -266,24 +269,27 @@ let put_batch t items =
   put_staged t staged;
   List.map (fun s -> s.digest) staged
 
-(* Cold lookup beneath the hot table.  [backend_read] raising [Transient]
-   or [Tampered] propagates to the caller exactly like a gated fault. *)
-let cold_read t h =
+(* Cold lookups beneath the hot table: [read] is the backend's bytes or
+   children read.  A backend raising [Transient] or [Tampered] propagates
+   to the caller exactly like a gated fault. *)
+let cold t read h =
   match t.backend with
   | None -> raise Not_found
   | Some b -> (
-      match b.backend_read h with
+      match read b h with
       | None -> raise Not_found
-      | Some pair ->
+      | Some v ->
           Telemetry.incr t.sink "store.get.cold";
-          pair)
+          v)
+
+let cold_read t h = cold t (fun b -> b.backend_read) h
 
 let get t h =
   add_counter t.gets 1;
   let bytes =
     match find_node t h with
     | Some node -> node.bytes
-    | None -> fst (cold_read t h)
+    | None -> cold_read t h
   in
   (match t.read_gate with Some gate -> gate h bytes | None -> ());
   (* Telemetry counts successful reads (past the fault gate), at the same
@@ -332,12 +338,12 @@ let mem t h =
 let children t h =
   match find_node t h with
   | Some node -> node.children
-  | None -> snd (cold_read t h)
+  | None -> cold t (fun b -> b.backend_children) h
 
 let size_of t h =
   match find_node t h with
   | Some node -> String.length node.bytes
-  | None -> String.length (fst (cold_read t h))
+  | None -> String.length (cold_read t h)
 
 (* Snapshot under the lock, call [f] outside it: [f] may use the store. *)
 let iter_nodes t f =
@@ -366,7 +372,7 @@ let reachable_many t roots =
     | None -> (
         match t.backend with
         | None -> None
-        | Some b -> Option.map snd (b.backend_read h))
+        | Some b -> b.backend_children h)
   in
   let rec walk h =
     if (not (Hash.is_null h)) && not (Hash.Set.mem h !visited) then
@@ -391,7 +397,7 @@ let bytes_of_set t set =
           | None -> acc
           | Some b -> (
               match b.backend_read h with
-              | Some (bytes, _) -> acc + String.length bytes
+              | Some bytes -> acc + String.length bytes
               | None | (exception _) -> acc)))
     set 0
 

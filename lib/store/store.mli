@@ -235,9 +235,14 @@ val set_read_gate : t -> (Hash.t -> string -> unit) option -> unit
 
 type backend = {
   backend_name : string;
-  backend_read : Hash.t -> (string * Hash.t list) option;
-      (** Cold read of payload and children; may raise {!Transient} (the
-          retryable read fault) or {!Tampered} (checksum mismatch). *)
+  backend_read : Hash.t -> string option;
+      (** Cold read of the node bytes alone — the {!get} path, so it
+          builds no child list; may raise {!Transient} (the retryable
+          read fault) or {!Tampered} (checksum mismatch). *)
+  backend_children : Hash.t -> Hash.t list option;
+      (** Cold read of the child hashes alone, for {!children} and the
+          reachability walks of {!gc} and {!scrub}; raises like
+          [backend_read].  Both reads verify the whole record. *)
   backend_mem : Hash.t -> bool;
   backend_write : (Hash.t * string * Hash.t list) list -> unit;
       (** Append freshly stored nodes (buffered until [backend_flush]). *)

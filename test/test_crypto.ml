@@ -82,7 +82,13 @@ let test_hash_basics () =
     (Hash.to_hex (Hash.of_hex (Hash.to_hex h)));
   Alcotest.(check int) "short is 8 chars" 8 (String.length (Hash.short h));
   Alcotest.(check bool) "null is null" true (Hash.is_null Hash.null);
-  Alcotest.(check bool) "h is not null" false (Hash.is_null h)
+  Alcotest.(check bool) "h is not null" false (Hash.is_null h);
+  let raw = "ab" ^ Hash.to_raw h ^ "c" in
+  Alcotest.(check bool) "equal_sub at the slice" true (Hash.equal_sub h raw ~off:2);
+  Alcotest.(check bool) "equal_sub off by one" false (Hash.equal_sub h raw ~off:1);
+  Alcotest.check_raises "equal_sub past the end"
+    (Invalid_argument "Hash.equal_sub") (fun () ->
+      ignore (Hash.equal_sub h raw ~off:4))
 
 let test_hash_of_raw_rejects () =
   Alcotest.check_raises "bad length"

@@ -71,10 +71,11 @@ let check_reads ?expected p written =
   List.iter
     (fun (h, bytes, children) ->
       match Pack.get p h with
-      | Some (b, c) ->
+      | Some b ->
           Alcotest.(check string) "payload survives verbatim" bytes b;
-          Alcotest.(check int) "children survive" (List.length children)
-            (List.length c);
+          Alcotest.(check (option int)) "children survive"
+            (Some (List.length children))
+            (Option.map List.length (Pack.children p h));
           readable := h :: !readable
       | None -> ()
       | exception Store.Tampered _ -> ())
@@ -348,7 +349,7 @@ let test_sealed_segment_power_loss () =
           (fun (h, bytes, _) ->
             let expect = List.exists (Hash.equal h) kept in
             match Pack.get p h with
-            | Some (b, _) when expect ->
+            | Some b when expect ->
                 Alcotest.(check string) (what ^ ": verbatim") bytes b
             | None when not expect -> ()
             | Some _ -> Alcotest.failf "%s: a cut record reads back" what
@@ -453,12 +454,12 @@ let check_exact_reads p written =
   List.iter
     (fun (h, bytes, children) ->
       match Pack.get p h with
-      | Some (b, c) ->
+      | Some b ->
           Alcotest.(check string) "bytes read back verbatim" bytes b;
-          Alcotest.(check (list string))
+          Alcotest.(check (option (list string)))
             "children read back verbatim"
-            (List.map Hash.to_hex children)
-            (List.map Hash.to_hex c)
+            (Some (List.map Hash.to_hex children))
+            (Option.map (List.map Hash.to_hex) (Pack.children p h))
       | None -> ()
       | exception Store.Tampered _ -> ())
     written
@@ -530,7 +531,7 @@ let test_hash_once () =
       Pack.flush p;
       observe (fun () ->
           match Pack.get p h with
-          | Some (b, _) -> Alcotest.(check string) "read back" bytes b
+          | Some b -> Alcotest.(check string) "read back" bytes b
           | None -> Alcotest.fail "appended node is absent");
       Alcotest.(check (pair int int))
         (Printf.sprintf "get with %d children hashes bytes + head" c)
@@ -618,11 +619,19 @@ let qcheck_record_roundtrip =
       = String.length (Segment.record_head h ~bytes_len:(String.length bytes) children)
         + String.length bytes
       &&
-      match Segment.step record ~pos:0 with
-      | Segment.Record r ->
-          Hash.equal r.hash h && r.children = children && r.next = String.length record
-          && String.sub record r.bytes_off r.bytes_len = bytes
-      | _ -> false)
+      (* In a longer buffer too, as a cold read verifies it: [limit]
+         ends the blob at the record. *)
+      let padded = record ^ String.make 40 '\xff' in
+      List.for_all
+        (fun (blob, limit) ->
+          match Segment.step ?limit blob ~pos:0 with
+          | Segment.Record r ->
+              Hash.equal (Segment.hash blob r) h
+              && Segment.children blob r = children
+              && r.next = String.length record
+              && String.sub blob r.bytes_off r.bytes_len = bytes
+          | _ -> false)
+        [ (record, None); (padded, Some (String.length record)) ])
 
 (* --- rebuilt index is byte-identical (qcheck) -------------------------------- *)
 
@@ -840,7 +849,7 @@ let test_io_gate_transients () =
   List.iter
     (fun (h, bytes, _) ->
       match Pack.get p h with
-      | Some (b, _) -> Alcotest.(check string) "verified read" bytes b
+      | Some b -> Alcotest.(check string) "verified read" bytes b
       | None -> Alcotest.fail "indexed node cannot vanish"
       | exception Store.Tampered _ -> ())
     written;
@@ -973,7 +982,7 @@ let test_pread_large_and_torn () =
   let h = Hash.of_string big in
   Pack.append p [ (h, big, []) ];
   (match Pack.get p h with
-  | Some (b, _) ->
+  | Some b ->
       Alcotest.(check bool) "200 KiB record reads back whole" true (b = big)
   | None -> Alcotest.fail "large record missing");
   let path = seg_path dir (List.hd (Pack.segment_ids p)) in
@@ -995,6 +1004,170 @@ let test_pread_large_and_torn () =
   | exception Store.Tampered h' ->
       Alcotest.(check string) "tampered names the record" (Hash.to_hex h)
         (Hash.to_hex h'));
+  Pack.close p
+
+(* --- cold reads ------------------------------------------------------------------ *)
+
+(* Words [f] allocates: minor words plus words allocated directly in the
+   major heap (a promotion is a minor word counted again, so promoted
+   words are taken out), less what the measurement itself allocates.
+   Under OCaml 5.1 [Gc.quick_stat] lags both counts until the next
+   collection and [Gc.counters] misreports the minor one, so the minor
+   words come from [Gc.minor_words] and the major ones from
+   [Gc.counters]; both are exact for the calling domain. *)
+let allocated_words f =
+  let words () =
+    let minor = Gc.minor_words () in
+    let _, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let span g =
+    let before = words () in
+    let v = g () in
+    let after = words () in
+    (v, int_of_float (after -. before))
+  in
+  let (), overhead = span ignore in
+  let v, total = span f in
+  (v, total - overhead)
+
+(* Heap words of a string of [len] bytes, header included. *)
+let string_words len = (len / 8) + 2
+
+(* What a cold read may allocate beside the node bytes it returns: the
+   retry wrapper's closures, the two digests, the record of offsets and
+   the option.  Neither the record nor its child list is ever copied. *)
+let read_overhead_words = 128
+
+(* A warm cold read allocates the node bytes it returns plus a fixed
+   constant — for a leaf and for a 40-child internal node alike.  Read
+   into a fresh record buffer with the children listed, the two reads
+   cost ~390 and ~690 words more. *)
+let test_cold_read_allocation () =
+  with_dir "alloc" @@ fun dir ->
+  let p, _ = open_exn dir in
+  let leaf_bytes = "leaf:" ^ String.make 2000 'l' in
+  let inner_bytes = "inner:" ^ String.make 1200 'i' in
+  let kids = List.init 40 (fun i -> Hash.of_string (Printf.sprintf "kid-%d" i)) in
+  let leaf = Hash.of_string leaf_bytes and inner = Hash.of_string inner_bytes in
+  Pack.append p [ (leaf, leaf_bytes, []); (inner, inner_bytes, kids) ];
+  List.iter
+    (fun (what, h, bytes) ->
+      ignore (Pack.get p h : string option);
+      let got, words = allocated_words (fun () -> Pack.get p h) in
+      Alcotest.(check (option string)) (what ^ " reads back") (Some bytes) got;
+      let bound = string_words (String.length bytes) + read_overhead_words in
+      if words > bound then
+        Alcotest.failf "%s: a cold read allocated %d words, bound %d" what
+          words bound)
+    [ ("0-child record", leaf, leaf_bytes); ("40-child record", inner, inner_bytes) ];
+  Alcotest.(check (option (list string))) "children read back"
+    (Some (List.map Hash.to_hex kids))
+    (Option.map (List.map Hash.to_hex) (Pack.children p inner));
+  Pack.close p
+
+(* Each domain's record buffer is checked out for the length of a read.
+   Systhreads on the main domain share its buffer, and a record over
+   64 KiB makes [pread] release the runtime lock between chunks, so
+   three of them reading large and small records at once would overwrite
+   each other's bytes mid-read if the buffer were used in place.  Two
+   reader domains run beside them; every answer must be byte-identical. *)
+let test_shared_read_buffer () =
+  with_dir "shared-buffer" @@ fun dir ->
+  let p, _ = open_exn dir in
+  let large i =
+    String.init (70_000 + (37_000 * i)) (fun j -> Char.chr ((j * (7 + i)) land 0xff))
+  in
+  let records =
+    List.concat
+      (List.init 4 (fun i ->
+           let big = large i in
+           let h, small, _ = node i in
+           [ (Hash.of_string big, big, []);
+             (Hash.of_string (small ^ "!"), small ^ "!", [ h; Hash.of_string big ]) ]))
+  in
+  Pack.append p records;
+  let records = Array.of_list records in
+  let bad = Atomic.make 0 and reads = Atomic.make 0 in
+  let reader id () =
+    for round = 0 to 24 do
+      for k = 0 to Array.length records - 1 do
+        let h, bytes, children =
+          records.((k + (round * id)) mod Array.length records)
+        in
+        Atomic.incr reads;
+        match (Pack.get p h, Pack.children p h) with
+        | Some b, Some c when String.equal b bytes && c = children -> ()
+        | _ | (exception _) -> Atomic.incr bad
+      done
+    done
+  in
+  let domains = List.map (fun id -> Domain.spawn (reader id)) [ 1; 2 ] in
+  let threads = List.map (fun id -> Thread.create (reader id) ()) [ 3; 4; 5 ] in
+  List.iter Thread.join threads;
+  List.iter Domain.join domains;
+  Alcotest.(check int) "every read answered" (5 * 25 * Array.length records)
+    (Atomic.get reads);
+  Alcotest.(check int) "every answer byte-identical" 0 (Atomic.get bad);
+  Pack.close p
+
+(* A cold read verifies the whole record even though it returns only the
+   node bytes: flip, on disk, each byte of one record's head — length,
+   digest, hash, child count, every child hash — and a sample of its node
+   bytes, and both [get] and [children] refuse it as [`Tampered] naming
+   that hash. *)
+let test_head_flips_on_bytes_path () =
+  with_dir "head-flips" @@ fun dir ->
+  let p, _ = open_exn dir in
+  let kids = List.init 3 (fun i -> Hash.of_string (Printf.sprintf "kid-%d" i)) in
+  let bytes = "internal:" ^ String.make 300 'n' in
+  let h = Hash.of_string bytes in
+  Pack.append p [ node 1; (h, bytes, kids); node 2 ];
+  Pack.flush p;
+  let path = seg_path dir 0 in
+  let off, len =
+    match Segment.scan (read_file path) with
+    | Ok s ->
+        let _, off, len =
+          List.find (fun (h', _, _) -> Hash.equal h h') s.Segment.records
+        in
+        (off, len)
+    | Error _ -> Alcotest.fail "pristine scan"
+  in
+  let head = Segment.header_len + Hash.size + 1 + (List.length kids * Hash.size) in
+  Alcotest.(check int) "record layout" (head + String.length bytes) len;
+  let sampled = List.init ((len - head) / 16) (fun i -> head + (16 * i)) in
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+  let write_byte pos c =
+    ignore (Unix.lseek fd (off + pos) Unix.SEEK_SET : int);
+    ignore (Unix.write_substring fd (String.make 1 c) 0 1 : int)
+  in
+  let pristine = read_file path in
+  let refused what read =
+    match read p h with
+    | exception Store.Tampered h' ->
+        Alcotest.(check string) (what ^ " names the record") (Hash.to_hex h)
+          (Hash.to_hex h')
+    | _ -> Alcotest.failf "%s returned a flipped record" what
+  in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+      List.iter
+        (fun pos ->
+          let c = pristine.[off + pos] in
+          List.iter
+            (fun mask ->
+              write_byte pos (Char.chr (Char.code c lxor mask));
+              refused (Printf.sprintf "get, byte %d ^ %d" pos mask) Pack.get;
+              refused (Printf.sprintf "children, byte %d ^ %d" pos mask)
+                Pack.children)
+            [ 0x01; 0x80 ];
+          write_byte pos c)
+        (List.init head Fun.id @ sampled @ [ len - 1 ]));
+  Alcotest.(check (option string)) "restored record reads back" (Some bytes)
+    (Pack.get p h);
+  Alcotest.(check (option (list string))) "children are the appended list"
+    (Some (List.map Hash.to_hex kids))
+    (Option.map (List.map Hash.to_hex) (Pack.children p h));
   Pack.close p
 
 let mk_mpt () = Siri_mpt.Mpt.generic (Siri_mpt.Mpt.empty (Store.create ()))
@@ -1343,6 +1516,13 @@ let () =
             test_append_publishes_after_flush;
           Alcotest.test_case "pread: >64 KiB record, short count at torn tail"
             `Quick test_pread_large_and_torn ] );
+      ( "cold read",
+        [ Alcotest.test_case "allocates the node bytes plus a constant" `Quick
+            test_cold_read_allocation;
+          Alcotest.test_case "buffer checkout: threads and domains" `Quick
+            test_shared_read_buffer;
+          Alcotest.test_case "every head byte checked on the bytes path" `Quick
+            test_head_flips_on_bytes_path ] );
       ( "durable engine",
         [ Alcotest.test_case "commit/replay/reopen equality" `Quick
             test_durable_pack_reopen;
