@@ -102,7 +102,11 @@
 #                  lib/wal and lib/shard only journal.ml may use
 #                  open_out_gen, Unix.truncate or Frame.step: the journal
 #                  file protocol (scan, clamp, append, rewrite) lives in
-#                  Siri_wal.Journal alone.
+#                  Siri_wal.Journal alone.  And in lib/pack only
+#                  segment.ml(i) may name Torn or End: Segment.scan is the
+#                  one segment scan (rebuild, unindexed segments and tails
+#                  alike), so a second scan loop cannot creep back into
+#                  pack.ml.
 #   make bench-sidecars — fail loudly if any committed BENCH_*.json metrics
 #                  sidecar is missing or empty (regenerate with
 #                  `dune exec bench/main.exe -- <id>`).
@@ -211,6 +215,11 @@ lint:
 	if grep -rnE --include='*.ml' --include='*.mli' 'open_out_gen|Unix\.truncate|Frame\.step' lib/wal lib/shard \
 	    | grep -v '^lib/wal/journal\.ml:'; then \
 	  echo "lint: lib/wal and lib/shard write and scan journal files through Siri_wal.Journal (no open_out_gen, Unix.truncate or Frame.step outside journal.ml)"; \
+	  exit 1; \
+	fi; \
+	if grep -rnwE --include='*.ml' --include='*.mli' 'Torn|End' lib/pack \
+	    | grep -vE '^lib/pack/segment\.mli?:'; then \
+	  echo "lint: lib/pack steps segment records in Segment.scan alone (no Torn or End outside segment.ml)"; \
 	  exit 1; \
 	fi; \
 	echo "lint: OK"

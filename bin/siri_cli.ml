@@ -1020,20 +1020,13 @@ let compact_cmd =
                 Pack.close p;
                 2
             | None ->
-                (* Reachability closure through the pack's child lists. *)
-                let live = ref Hash.Set.empty in
-                let rec walk h =
-                  if (not (Hash.Set.mem h !live)) && Pack.mem p h then begin
-                    live := Hash.Set.add h !live;
-                    match Pack.children p h with
-                    | Some children -> List.iter walk children
-                    | None -> ()
-                  end
-                in
-                List.iter walk roots;
-                let dropped = Pack.compact p ~live:!live in
-                Printf.printf "dropped  : %d record%s\n" (List.length dropped)
-                  (if List.length dropped = 1 then "" else "s");
+                (* An empty store over the pack: its collector walks the
+                   pack's child lists and compacts it to the closure. *)
+                let store = Store.create () in
+                Pack.attach p store;
+                let dropped = Store.gc store ~roots in
+                Printf.printf "dropped  : %d record%s\n" dropped
+                  (if dropped = 1 then "" else "s");
                 pack_summary p;
                 Pack.close p;
                 0))
@@ -1058,7 +1051,8 @@ let compact_cmd =
    rolled back, 2 unrecoverable.  --shards only creates a sharded
    directory (or asserts the count: a mismatch is refused). *)
 let durable_run ~checkpoint kind shards partition dir =
-  with_dir ?spec:(spec_of partition shards) ~cmd:"recover" kind dir @@ fun d ->
+  let cmd = if checkpoint then "checkpoint" else "recover" in
+  with_dir ?spec:(spec_of partition shards) ~cmd kind dir @@ fun d ->
   let r = Dir.recovery d in
   let plural n = if n = 1 then "" else "s" in
   Printf.printf "layout     : %s\n" (Dir.describe d);
@@ -1215,11 +1209,21 @@ let connect_cmd =
       | None, Some p -> Some (`Tcp p)
       | None, None -> None
     in
-    match addr with
-    | None ->
+    let split kv =
+      Option.map
+        (fun i -> (String.sub kv 0 i, String.sub kv (i + 1) (String.length kv - i - 1)))
+        (String.index_opt kv '=')
+    in
+    match (addr, List.filter (fun kv -> Option.is_none (split kv)) puts) with
+    | None, _ ->
         prerr_endline "connect: need --unix PATH or --tcp PORT";
         2
-    | Some addr -> (
+    | Some _, (_ :: _ as malformed) ->
+        List.iter
+          (Printf.eprintf "connect: malformed --put %S (want KEY=VALUE)\n")
+          malformed;
+        2
+    | Some addr, [] -> (
         match Client.connect ~addr () with
         | Error e ->
             Printf.eprintf "connect: %s\n" (Client.error_to_string e);
@@ -1262,17 +1266,7 @@ let connect_cmd =
               else if puts <> [] then begin
                 let ops =
                   List.filter_map
-                    (fun kv ->
-                      match String.index_opt kv '=' with
-                      | None ->
-                          Printf.eprintf "connect: skipping %S (want KEY=VALUE)\n" kv;
-                          None
-                      | Some i ->
-                          Some
-                            (Kv.Put
-                               ( String.sub kv 0 i,
-                                 String.sub kv (i + 1)
-                                   (String.length kv - i - 1) )))
+                    (fun kv -> Option.map (fun (k, v) -> Kv.Put (k, v)) (split kv))
                     puts
                 in
                 match

@@ -57,41 +57,16 @@ let manifest_path dir = Filename.concat dir "manifest"
 let manifest_magic = "SIRIPACKMANIFEST1"
 
 let encode_manifest ~generation ids =
-  let w = Wire.Writer.create () in
-  Wire.Writer.raw w manifest_magic;
-  Wire.Writer.varint w generation;
-  Wire.Writer.varint w (List.length ids);
-  List.iter (Wire.Writer.varint w) (List.sort compare ids);
-  let body = Wire.Writer.contents w in
-  body ^ Hash.to_raw (Hash.of_string body)
+  Sealed.encode ~magic:manifest_magic (fun w ->
+      Wire.Writer.varint w generation;
+      Wire.Writer.varint w (List.length ids);
+      List.iter (Wire.Writer.varint w) (List.sort compare ids))
 
-let decode_manifest blob =
-  let blen = String.length blob in
-  let mlen = String.length manifest_magic in
-  if blen < mlen + Hash.size then Error (`Malformed "manifest too short")
-  else if String.sub blob 0 mlen <> manifest_magic then
-    Error (`Malformed "bad manifest magic")
-  else begin
-    let body_len = blen - Hash.size in
-    let digest = Hash.of_raw (String.sub blob body_len Hash.size) in
-    if not (Hash.equal digest (Hash.of_substring blob ~off:0 ~len:body_len))
-    then Error (`Malformed "manifest checksum mismatch")
-    else
-      match
-        let r =
-          Wire.Reader.of_substring blob ~off:mlen ~len:(body_len - mlen)
-        in
-        let generation = Wire.Reader.varint r in
-        let n = Wire.Reader.varint r in
-        let ids = List.init n (fun _ -> Wire.Reader.varint r) in
-        if not (Wire.Reader.at_end r) then failwith "trailing bytes";
-        (generation, ids)
-      with
-      | m -> Ok m
-      | exception Wire.Reader.Truncated ->
-          Error (`Malformed "manifest truncated")
-      | exception Failure msg -> Error (`Malformed msg)
-  end
+let decode_manifest =
+  Sealed.decode ~magic:manifest_magic ~what:"manifest" (fun r ->
+      let generation = Wire.Reader.varint r in
+      let n = Wire.Reader.varint r in
+      (generation, List.init n (fun _ -> Wire.Reader.varint r)))
 
 (* The manifest flip is the commit point for every segment-set change, so
    it is always written atomically and fsynced through to the directory. *)
@@ -369,9 +344,9 @@ let append t nodes =
 let scan_failure id pos =
   `Tampered (Printf.sprintf "%s: checksum mismatch at offset %d" (Segment.filename id) pos)
 
-(* Clamp a segment's torn tail on disk.  A tail torn inside the magic
-   itself (external truncation of a fresh segment) clamps to empty and
-   the magic is rewritten — the registered creation had fsynced it. *)
+(* Clamp a segment's torn tail on disk.  A segment left shorter than the
+   magic (a torn creation, or an empty file) clamps to empty and the
+   magic is rewritten — the registered creation had fsynced it. *)
 let clamp_segment dir id ~keep =
   let path = seg_path dir id in
   if keep >= magic_len then Unix.truncate path keep
@@ -385,59 +360,33 @@ let clamp_segment dir id ~keep =
     close_out oc
   end
 
-let full_rescan dir ids ~index ~lens =
-  (* Rebuild the index by scanning every live segment, ascending; the
-     first record for a hash wins, matching the append-time dedup. *)
-  let clamped = ref 0 in
-  let rec go = function
-    | [] -> Ok ()
-    | id :: rest -> (
-        let path = seg_path dir id in
-        match Segment.scan (read_whole path) with
-        | Error (`Tampered pos) -> Error (scan_failure id pos)
-        | Ok s ->
-            if s.clamped > 0 then begin
-              clamp_segment dir id ~keep:s.length;
-              clamped := !clamped + s.clamped
-            end;
-            Hashtbl.replace lens id (max s.length magic_len);
-            List.iter
-              (fun (h, off, len) ->
-                if not (Hash.Table.mem index h) then
-                  Hash.Table.replace index h { Pack_index.seg = id; off; len })
-              s.records;
-            go rest)
-  in
-  Result.map (fun () -> !clamped) (go (List.sort compare ids))
-
-let adopt_tail dir id ~covered ~index ~clamped ~adopted =
-  (* The index is honest up to [covered]; scan and adopt what was
-     appended after the last index sync. *)
-  let tail = read_from (seg_path dir id) ~off:covered in
-  let rec go pos =
-    match Segment.step tail ~pos with
-    | Segment.End -> Ok (covered + pos)
-    | Segment.Torn n ->
-        clamp_segment dir id ~keep:(covered + pos);
-        clamped := !clamped + n;
-        Ok (covered + pos)
-    | Segment.Corrupt -> Error (scan_failure id (covered + pos))
-    | Segment.Record r ->
-        let h = Segment.hash tail r in
-        if not (Hash.Table.mem index h) then begin
-          Hash.Table.replace index h
-            { Pack_index.seg = id; off = covered + pos; len = r.next - pos };
-          incr adopted
-        end;
-        go r.next
-  in
-  go 0
+(* Recover segment [id] from [covered] — the index's coverage, or 0 for a
+   segment the index does not name or a rebuild — through the one
+   segment scan: clamp a torn tail, record the valid length, and add the
+   records found, the first occurrence of a hash winning as at append. *)
+let recover_segment dir id ~covered ~index ~lens ~clamped ~added =
+  match Segment.scan ~from:covered (read_from (seg_path dir id) ~off:covered) with
+  | Error (`Tampered pos) -> Error (scan_failure id pos)
+  | Ok s ->
+      if s.clamped > 0 || s.length < magic_len then begin
+        clamp_segment dir id ~keep:s.length;
+        clamped := !clamped + s.clamped
+      end;
+      Hashtbl.replace lens id (max s.length magic_len);
+      List.iter
+        (fun (h, off, len) ->
+          if not (Hash.Table.mem index h) then begin
+            Hash.Table.replace index h { Pack_index.seg = id; off; len };
+            incr added
+          end)
+        s.records;
+      Ok ()
 
 let load_index dir live =
   (* The persisted index is usable only if it describes a subset of the
      live segment set within each file's real length; anything else —
      missing, corrupt, or referencing a crashed compaction's segments —
-     triggers a full rescan. *)
+     triggers a rebuild. *)
   match Pack_index.load (index_path dir) with
   | None -> None
   | Some idx ->
@@ -462,9 +411,10 @@ let load_index dir live =
       in
       if ok_entries then Some idx else None
 
-(* A live segment must exist and carry this build's magic.  The magic is
-   checked here, up front, so a segment in a retired format is refused by
-   name even when a valid index would skip scanning it. *)
+(* A live segment must exist and carry this build's magic, or — shorter
+   than the magic — a prefix of it.  The magic is checked here, up front,
+   so a segment in a retired format, or short garbage, is refused by name
+   whether or not a valid index covers it. *)
 let live_segment_problem dir id =
   let path = seg_path dir id in
   let problem msg = Some (Segment.filename id ^ ": " ^ msg) in
@@ -472,7 +422,8 @@ let live_segment_problem dir id =
   else
     let prefix =
       In_channel.with_open_bin path (fun ic ->
-          Option.value ~default:"" (In_channel.really_input_string ic magic_len))
+          let n = min magic_len (Int64.to_int (In_channel.length ic)) in
+          Option.value ~default:"" (In_channel.really_input_string ic n))
     in
     match Segment.check_magic prefix with
     | Ok () -> None
@@ -503,94 +454,46 @@ let open_ ?(segment_target = 8 * 1024 * 1024) ?(retry_attempts = 3)
       match List.find_map (live_segment_problem dir) ids with
       | Some msg -> Error (`Tampered msg)
       | None -> (
+          (* Start from the persisted index when it is usable — a fresh
+             pack has nothing to index — or from empty (a rebuild); then
+             every live segment is scanned from what the index covers. *)
+          let loaded =
+            if fresh then Some { Pack_index.segments = []; entries = [] }
+            else load_index dir ids
+          in
+          let index_rebuilt = Option.is_none loaded in
+          if index_rebuilt then Telemetry.incr sink "pack.open.rebuild";
           let index = Hash.Table.create 1024 in
+          let covered_of =
+            match loaded with
+            | None -> fun _ -> 0
+            | Some idx ->
+                List.iter (fun (h, e) -> Hash.Table.replace index h e) idx.entries;
+                fun id -> Option.value ~default:0 (List.assoc_opt id idx.segments)
+          in
           let lens = Hashtbl.create 8 in
           let clamped = ref 0 in
-          let adopted = ref 0 in
-          let recovered =
-            if fresh then begin
-              Hashtbl.replace lens 0 magic_len;
-              Ok false
-            end
-            else
-              match load_index dir ids with
-            | None ->
-                Telemetry.incr sink "pack.open.rebuild";
-                Result.map
-                  (fun c ->
-                    clamped := c;
-                    true)
-                  (full_rescan dir ids ~index ~lens)
-            | Some idx ->
-                List.iter
-                  (fun (h, e) -> Hash.Table.replace index h e)
-                  idx.entries;
-                let covered_of id =
-                  match List.assoc_opt id idx.segments with
-                  | Some c -> c
-                  | None -> 0
-                in
-                let rec go = function
-                  | [] -> Ok false
-                  | id :: rest -> (
-                      let covered = covered_of id in
-                      let flen = file_len (seg_path dir id) in
-                      if covered = 0 && flen < magic_len then begin
-                        (* torn creation of an unindexed segment *)
-                        clamp_segment dir id ~keep:0;
-                        clamped := !clamped + flen;
-                        Hashtbl.replace lens id magic_len;
-                        go rest
-                      end
-                      else if covered = 0 then
-                        match Segment.scan (read_whole (seg_path dir id)) with
-                        | Error (`Tampered pos) -> Error (scan_failure id pos)
-                        | Ok s ->
-                            if s.clamped > 0 then begin
-                              clamp_segment dir id ~keep:s.length;
-                              clamped := !clamped + s.clamped
-                            end;
-                            Hashtbl.replace lens id (max s.length magic_len);
-                            List.iter
-                              (fun (h, off, len) ->
-                                if not (Hash.Table.mem index h) then begin
-                                  Hash.Table.replace index h
-                                    { Pack_index.seg = id; off; len };
-                                  incr adopted
-                                end)
-                              s.records;
-                            go rest
-                      else if flen > covered then
-                        match
-                          adopt_tail dir id ~covered ~index ~clamped ~adopted
-                        with
-                        | Error e -> Error e
-                        | Ok valid ->
-                            Hashtbl.replace lens id valid;
-                            go rest
-                      else begin
-                        Hashtbl.replace lens id covered;
-                        go rest
-                      end)
-                in
-                go ids
-          in
-          match recovered with
+          let added = ref 0 in
+          match
+            List.fold_left
+              (fun acc id ->
+                Result.bind acc (fun () ->
+                    recover_segment dir id ~covered:(covered_of id) ~index ~lens
+                      ~clamped ~added))
+              (Ok ()) ids
+          with
           | Error e -> Error e
-          | Ok index_rebuilt ->
+          | Ok () ->
+              (* Records a rebuild finds are the index, not adopted. *)
+              let adopted = if index_rebuilt then 0 else !added in
               let active = List.fold_left max 0 ids in
-              let active_len =
-                match Hashtbl.find_opt lens active with
-                | Some l -> l
-                | None -> magic_len
-              in
               let bytes =
                 Hash.Table.fold
                   (fun _ (e : Pack_index.entry) acc ->
                     acc + e.len - Segment.header_len)
                   index 0
               in
-              Telemetry.incr sink ~by:!adopted "pack.open.adopted";
+              Telemetry.incr sink ~by:adopted "pack.open.adopted";
               if !clamped > 0 then
                 Telemetry.incr sink ~by:!clamped "pack.clamp";
               let t =
@@ -606,11 +509,12 @@ let open_ ?(segment_target = 8 * 1024 * 1024) ?(retry_attempts = 3)
                   generation;
                   active;
                   chan = open_append dir active;
-                  active_len;
+                  active_len =
+                    Option.value ~default:magic_len (Hashtbl.find_opt lens active);
                   dirty = false;
                   os_dirty = false;
                   sealed = [];
-                  index_dirty = index_rebuilt || !adopted > 0 || !clamped > 0;
+                  index_dirty = index_rebuilt || adopted > 0 || !clamped > 0;
                   bytes;
                   gate = None }
               in
@@ -618,7 +522,7 @@ let open_ ?(segment_target = 8 * 1024 * 1024) ?(retry_attempts = 3)
                 ( t,
                   { clamped_bytes = !clamped;
                     index_rebuilt;
-                    adopted = !adopted;
+                    adopted;
                     swept = !swept } )))
 
 let close t =

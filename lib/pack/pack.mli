@@ -9,7 +9,8 @@
       that reopen clamps (same prefix semantics as the WAL journal).
       A mid-segment verification failure is [`Tampered] — refused, never
       misread.
-    - {b index} is advisory: missing, corrupt, or stale-beyond-the-file
+    - {b index} is advisory: it decides how much reopen scans, never
+      what reopen concludes.  Missing, corrupt, or stale-beyond-the-file
       copies are discarded and rebuilt by scanning the segments; the
       rebuilt bytes are identical to an undamaged persisted index.
       A file {e longer} than its indexed coverage only has its tail
@@ -57,7 +58,9 @@ type t
 type recovery = {
   clamped_bytes : int;  (** torn tail bytes truncated away, all segments *)
   index_rebuilt : bool;  (** persisted index was missing/corrupt/stale *)
-  adopted : int;  (** records adopted by scanning un-indexed segment tails *)
+  adopted : int;
+      (** records a usable index lacked, found by scanning past its
+          coverage (0 on a rebuild) *)
   swept : int;  (** orphan segment files deleted (crashed compaction) *)
 }
 
@@ -72,10 +75,25 @@ val open_ :
     (default 8 MiB) caps a segment before rolling to a fresh one.
     Transient read faults are retried [retry_attempts] times (default 3)
     with exponential [retry_backoff_s] (default 0 — tests inject their
-    own clock).  [`Tampered] is unrecoverable damage: a corrupt manifest,
-    a manifest naming a missing segment, a segment with a foreign magic
-    (a retired format such as "SIRIPACKSEG1" is named), or a mid-segment
-    verification failure; the message names the file and offset. *)
+    own clock).
+
+    Reopen starts from the persisted index when it is usable, or from
+    empty ([index_rebuilt]).  Every live segment, ascending by id, is
+    then scanned by {!Segment.scan} from the index's covered length — 0
+    on a rebuild or for a segment the index does not name — so a reopen
+    after a crash reads the index and the unindexed tails, not the data.
+    A torn tail is clamped on disk ([clamped_bytes]) and the records
+    found are added, the first occurrence of a hash winning.  A live
+    segment shorter than its magic clamps to empty (the magic is
+    rewritten) only when its bytes are a prefix of the magic — a torn
+    creation; anything else that short is [`Tampered].  Every verdict is
+    the same with or without the index.
+
+    [`Tampered] is unrecoverable damage: a corrupt manifest, a manifest
+    naming a missing segment, a segment with a foreign or short garbage
+    magic (a retired format such as "SIRIPACKSEG1" is named), or a
+    verification failure on a complete record the scan reads; the
+    message names the file, and for a record the offset. *)
 
 val close : t -> unit
 (** {!flush} [~sync:true], {!sync_index}, release descriptors. *)

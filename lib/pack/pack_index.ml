@@ -17,75 +17,53 @@ let of_table ~segments tbl =
     entries = List.sort (fun (a, _) (b, _) -> Hash.compare a b) entries }
 
 let encode t =
-  let w = Wire.Writer.create ~capacity:(64 + (48 * List.length t.entries)) () in
-  Wire.Writer.raw w magic;
-  Wire.Writer.varint w (List.length t.segments);
-  List.iter
-    (fun (id, covered) ->
-      Wire.Writer.varint w id;
-      Wire.Writer.varint w covered)
-    t.segments;
-  Wire.Writer.varint w (List.length t.entries);
-  List.iter
-    (fun (h, e) ->
-      Wire.Writer.hash w h;
-      Wire.Writer.varint w e.seg;
-      Wire.Writer.varint w e.off;
-      Wire.Writer.varint w e.len)
-    t.entries;
-  let body = Wire.Writer.contents w in
-  body ^ Hash.to_raw (Hash.of_string body)
+  Sealed.encode ~capacity:(64 + (48 * List.length t.entries)) ~magic (fun w ->
+      Wire.Writer.varint w (List.length t.segments);
+      List.iter
+        (fun (id, covered) ->
+          Wire.Writer.varint w id;
+          Wire.Writer.varint w covered)
+        t.segments;
+      Wire.Writer.varint w (List.length t.entries);
+      List.iter
+        (fun (h, e) ->
+          Wire.Writer.hash w h;
+          Wire.Writer.varint w e.seg;
+          Wire.Writer.varint w e.off;
+          Wire.Writer.varint w e.len)
+        t.entries)
 
 (* Sortedness is re-verified on decode: an index that parses but is not
    canonical could only come from a foreign writer, and trusting it would
    break the rebuild-equivalence oracle. *)
-let decode blob =
-  let blen = String.length blob in
-  let mlen = String.length magic in
-  if blen < mlen + Hash.size then Error (`Malformed "index too short")
-  else if String.sub blob 0 mlen <> magic then
-    Error (`Malformed "bad index magic")
-  else begin
-    let body_len = blen - Hash.size in
-    let digest = Hash.of_raw (String.sub blob body_len Hash.size) in
-    if not (Hash.equal digest (Hash.of_substring blob ~off:0 ~len:body_len))
-    then Error (`Malformed "index checksum mismatch")
-    else
-      match
-        let r = Wire.Reader.of_substring blob ~off:mlen ~len:(body_len - mlen) in
-        let nsegs = Wire.Reader.varint r in
-        let segments =
-          List.init nsegs (fun _ ->
-              let id = Wire.Reader.varint r in
-              let covered = Wire.Reader.varint r in
-              (id, covered))
-        in
-        let nentries = Wire.Reader.varint r in
-        let entries =
-          List.init nentries (fun _ ->
-              let h = Wire.Reader.hash r in
-              let seg = Wire.Reader.varint r in
-              let off = Wire.Reader.varint r in
-              let len = Wire.Reader.varint r in
-              (h, { seg; off; len }))
-        in
-        if not (Wire.Reader.at_end r) then failwith "trailing bytes";
-        let rec ascending cmp = function
-          | a :: (b :: _ as rest) ->
-              cmp a b < 0 && ascending cmp rest
-          | _ -> true
-        in
-        if
-          not
-            (ascending (fun (a, _) (b, _) -> compare a b) segments
-            && ascending (fun (a, _) (b, _) -> Hash.compare a b) entries)
-        then failwith "non-canonical order";
-        { segments; entries }
-      with
-      | t -> Ok t
-      | exception Wire.Reader.Truncated -> Error (`Malformed "index truncated")
-      | exception Failure msg -> Error (`Malformed msg)
-  end
+let decode =
+  Sealed.decode ~magic ~what:"index" (fun r ->
+      let nsegs = Wire.Reader.varint r in
+      let segments =
+        List.init nsegs (fun _ ->
+            let id = Wire.Reader.varint r in
+            let covered = Wire.Reader.varint r in
+            (id, covered))
+      in
+      let nentries = Wire.Reader.varint r in
+      let entries =
+        List.init nentries (fun _ ->
+            let h = Wire.Reader.hash r in
+            let seg = Wire.Reader.varint r in
+            let off = Wire.Reader.varint r in
+            let len = Wire.Reader.varint r in
+            (h, { seg; off; len }))
+      in
+      let rec ascending cmp = function
+        | a :: (b :: _ as rest) -> cmp a b < 0 && ascending cmp rest
+        | _ -> true
+      in
+      if
+        not
+          (ascending (fun (a, _) (b, _) -> compare a b) segments
+          && ascending (fun (a, _) (b, _) -> Hash.compare a b) entries)
+      then failwith "non-canonical order";
+      { segments; entries })
 
 let save ?(sync = true) path t =
   let blob = encode t in

@@ -29,7 +29,7 @@ val of_table : segments:(int * int) list -> entry Hash.Table.t -> t
 (** Canonicalise: sorts both lists. *)
 
 val encode : t -> string
-(** The canonical bytes, checksum trailer included. *)
+(** The canonical bytes, sealed by {!Sealed.encode}. *)
 
 val decode : string -> (t, [ `Malformed of string ]) result
 (** Verify the trailer and parse.  Any damage — wrong magic, bad

@@ -23,13 +23,12 @@ let id_of_filename name =
     else None
   else None
 
+(* Only a prefix of the magic may be short: a torn creation.  Short
+   garbage is refused like a wrong magic. *)
 let check_magic prefix =
-  let mlen = String.length magic in
-  if String.length prefix < mlen then Ok ()
-  else
-    let found = String.sub prefix 0 mlen in
-    if found = magic then Ok ()
-    else if found = retired_magic then
+  let found = String.sub prefix 0 (min (String.length prefix) (String.length magic)) in
+  if String.starts_with ~prefix:found magic then Ok ()
+  else if found = retired_magic then
       Error
         (Printf.sprintf "unsupported segment format %s (this build reads %s)"
            found magic)
@@ -146,27 +145,20 @@ type scanned = {
   clamped : int;
 }
 
-let scan blob =
-  let blen = String.length blob in
-  let mlen = String.length magic in
-  let prefix = min blen mlen in
-  if String.sub blob 0 prefix <> String.sub magic 0 prefix then
-    Error (`Tampered 0)
-  else if blen < mlen then
-    (* A torn segment creation — clamp to empty; the opener rewrites the
-       magic.  (A registered segment always had its magic fsynced, so
-       this arises only from external truncation.) *)
-    Ok { records = []; length = 0; clamped = blen }
-  else begin
-    let records = ref [] in
-    let rec go pos =
-      match step blob ~pos with
-      | End -> Ok { records = List.rev !records; length = pos; clamped = 0 }
-      | Torn n -> Ok { records = List.rev !records; length = pos; clamped = n }
-      | Corrupt -> Error (`Tampered pos)
-      | Record r ->
-          records := (hash blob r, pos, r.next - pos) :: !records;
-          go r.next
-    in
-    go mlen
-  end
+let scan ?(from = 0) blob =
+  let rec go records pos =
+    match step blob ~pos with
+    | End -> Ok { records = List.rev records; length = from + pos; clamped = 0 }
+    | Torn n -> Ok { records = List.rev records; length = from + pos; clamped = n }
+    | Corrupt -> Error (`Tampered (from + pos))
+    | Record r -> go ((hash blob r, from + pos, r.next - pos) :: records) r.next
+  in
+  if from > 0 then go [] 0
+  else
+    match check_magic blob with
+    | Error _ -> Error (`Tampered 0)
+    | Ok () when String.length blob < String.length magic ->
+        (* A torn segment creation: clamp to empty; the opener rewrites
+           the magic. *)
+        Ok { records = []; length = 0; clamped = String.length blob }
+    | Ok () -> go [] (String.length magic)

@@ -26,10 +26,12 @@ val magic : string
 (** First bytes of every segment file ("SIRIPACKSEG2"). *)
 
 val check_magic : string -> (unit, string) result
-(** Classify the first bytes of a segment file.  A prefix shorter than
-    {!magic} is [Ok] (a torn creation, clamped by {!scan}); a retired
-    format such as "SIRIPACKSEG1" is an error naming that format; any
-    other magic is an error. *)
+(** Classify the first bytes of a segment file (all of them when the
+    file is shorter than {!magic}).  A file shorter than the magic is
+    [Ok] only when its bytes are a prefix of it — a torn creation,
+    clamped to empty by {!scan}; short garbage is an error like a wrong
+    magic.  A retired format such as "SIRIPACKSEG1" is an error naming
+    that format; any other magic is an error. *)
 
 val header_len : int
 (** Bytes before the head: 4 length bytes + the 32-byte head digest. *)
@@ -83,8 +85,8 @@ val step : ?limit:int -> string -> pos:int -> step
     with the stored ones in place: the record's hash, children and bytes
     are never copied, so verifying a record allocates a small constant
     (the two computed digests, the {!record}, a few words of parsing)
-    whatever its size.  This is the one record parser — segment scans,
-    tail adoption and every cold read go through it. *)
+    whatever its size.  This is the one record parser: {!scan} and every
+    cold read go through it. *)
 
 val hash : string -> record -> Hash.t
 (** The node hash of a record {!step} verified in [blob], copied out. *)
@@ -100,8 +102,16 @@ type scanned = {
   clamped : int;  (** torn trailing bytes past [length] *)
 }
 
-val scan : string -> (scanned, [ `Tampered of int ]) result
-(** Classify a whole segment blob with {!step}.  A torn tail (including a
-    torn or missing magic) is clamped into [clamped]; a verification
-    failure on a complete record, or a wrong magic, is
-    [`Tampered offset]. *)
+val scan : ?from:int -> string -> (scanned, [ `Tampered of int ]) result
+(** [scan ~from tail] classifies a segment's bytes from file offset [from]
+    (default 0) to its end, given as [tail], with {!step}: the one segment
+    scan, for a rebuild, a segment the offset index does not name, and the
+    tail past the index's coverage alike.  From 0 it first checks the
+    magic ({!check_magic}) and steps from just after it; a file torn
+    inside the magic is clamped to empty, and a wrong magic is
+    [`Tampered 0].  From [from > 0] — a record boundary past the magic,
+    such as the index's covered length — only the tail is stepped, so a
+    reopen after a crash reads the unindexed bytes, not the whole file.
+    Record offsets, [length] and the [`Tampered] offset are file offsets.
+    A torn tail is clamped into [clamped]; a verification failure on a
+    complete record is [`Tampered offset]. *)

@@ -231,7 +231,41 @@ let test_connect_exit_codes () =
   let sock = Filename.concat dir "nope.sock" in
   Alcotest.(check bool) "dead socket refused" true
     (run_cli [ "connect"; "--unix"; sock ] <> 0);
-  check_exit "missing address" 2 [ "connect" ]
+  check_exit "missing address" 2 [ "connect" ];
+  (* a malformed pair is a usage error, refused before dialing *)
+  check_exit "malformed --put" 2
+    [ "connect"; "--unix"; sock; "--put"; "k=v"; "--put"; "novalue" ]
+
+(* compact keeps the closure of its roots: a malformed or unknown root
+   is refused and leaves the pack as it is. *)
+let test_compact_exit_codes () =
+  with_dir "compact" @@ fun dir ->
+  let module Pack = Siri_pack.Pack in
+  let pdir = Filename.concat dir "pack" in
+  let p =
+    match Pack.open_ pdir with Ok (p, _) -> p | Error _ -> Alcotest.fail "pack open"
+  in
+  let store = Store.create () in
+  Pack.attach p store;
+  let v =
+    Generic.of_entries (mk_index store)
+      (List.init 200 (fun i -> (Printf.sprintf "k%03d" i, "v")))
+  in
+  let live = Hash.Set.cardinal (Store.reachable store v.Generic.root) in
+  let orphan = Hash.of_string "orphan" in
+  Pack.append p [ (orphan, "orphan", []) ];
+  Pack.close p;
+  let root = Hash.to_hex v.Generic.root in
+  check_exit "malformed root" 2 [ "compact"; "--root"; "zz"; pdir ];
+  check_exit "unknown root" 2 [ "compact"; "--root"; String.make 64 '1'; pdir ];
+  check_exit "no roots: nothing dropped" 0 [ "compact"; pdir ];
+  check_exit "compact to the root's closure" 0 [ "compact"; "--root"; root; pdir ];
+  match Pack.open_ pdir with
+  | Error _ -> Alcotest.fail "compacted pack reopens"
+  | Ok (p, _) ->
+      Alcotest.(check int) "the closure is kept" live (Pack.count p);
+      Alcotest.(check bool) "the orphan is dropped" false (Pack.mem p orphan);
+      Pack.close p
 
 let () =
   Alcotest.run "cli"
@@ -247,4 +281,6 @@ let () =
           Alcotest.test_case "verify-proof: 0 ok / 1 refused / 2 tampered"
             `Quick test_verify_proof_exit_codes;
           Alcotest.test_case "connect: errors are nonzero" `Quick
-            test_connect_exit_codes ] ) ]
+            test_connect_exit_codes;
+          Alcotest.test_case "compact: 0 kept / 2 malformed or unknown root"
+            `Quick test_compact_exit_codes ] ) ]

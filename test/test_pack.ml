@@ -89,6 +89,35 @@ let check_reads ?expected p written =
         "readable set is the exact expected prefix"
         (List.map Hash.to_hex exp) (List.map Hash.to_hex got)
 
+let file_len path = (Unix.stat path).Unix.st_size
+
+(* Every entry under [dir] with its bytes, for byte-for-byte comparison. *)
+let tree dir =
+  let rec walk rel acc =
+    let p = Filename.concat dir rel in
+    if Sys.is_directory p then
+      Array.fold_left
+        (fun acc n -> walk (Filename.concat rel n) acc)
+        ((rel ^ "/", "") :: acc) (Sys.readdir p)
+    else (rel, read_file p) :: acc
+  in
+  List.sort compare (walk "" [])
+
+(* Recreate [dir] as [tree] saw it: one crash image, restored before each
+   damage. *)
+let restore_tree dir image =
+  rm_rf dir;
+  List.iter
+    (fun (rel, blob) ->
+      let p = Filename.concat dir rel in
+      if String.ends_with ~suffix:"/" rel then Unix.mkdir p 0o755
+      else write_file p blob)
+    image
+
+(* [tree] with each file's bytes as a digest, for readable failures. *)
+let tree_digest dir =
+  List.map (fun (rel, blob) -> (rel, Hash.to_hex (Hash.of_string blob))) (tree dir)
+
 (* --- roundtrip -------------------------------------------------------------- *)
 
 let test_roundtrip () =
@@ -126,17 +155,38 @@ let test_tail_adoption () =
   Pack.append p first;
   Pack.flush p;
   Pack.sync_index p;
+  let covered = file_len (seg_path dir 0) in
   (* more appends, flushed to the file but the index never re-synced *)
   let extra = List.init 7 (fun i -> node (1000 + i)) in
   Pack.append p extra;
   Pack.flush p;
   (* abandon without close: the persisted index now under-covers the file *)
+  let image = tree dir in
   let p2, r2 = open_exn dir in
   Alcotest.(check bool) "not a full rebuild" false r2.Pack.index_rebuilt;
   Alcotest.(check int) "tail records adopted" 7 r2.Pack.adopted;
   check_reads p2 (first @ extra)
     ~expected:(List.map (fun (h, _, _) -> h) (first @ extra));
-  Pack.close p2
+  Pack.close p2;
+  (* A flip behind the coverage, in the first tail record's head, is
+     refused by file and offset, index or not. *)
+  List.iter
+    (fun with_index ->
+      restore_tree dir image;
+      if not with_index then Sys.remove (index_path dir);
+      let b = Bytes.of_string (read_file (seg_path dir 0)) in
+      let pos = covered + Segment.header_len + 3 in
+      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 1));
+      write_file (seg_path dir 0) (Bytes.to_string b);
+      match Pack.open_ dir with
+      | Ok _ -> Alcotest.fail "a flip past the index coverage was opened"
+      | Error (`Tampered msg) ->
+          Alcotest.(check string)
+            (Printf.sprintf "tail flip (index: %b)" with_index)
+            (Printf.sprintf "%s: checksum mismatch at offset %d"
+               (Segment.filename 0) covered)
+            msg)
+    [ true; false ]
 
 (* --- truncation at every byte offset ----------------------------------------- *)
 
@@ -225,31 +275,6 @@ let test_append_after_clamp () =
 
 (* --- sealed segments: a roll defers the outgoing segment's fsync -------------- *)
 
-let file_len path = (Unix.stat path).Unix.st_size
-
-(* Every entry under [dir] with its bytes, for byte-for-byte comparison. *)
-let tree dir =
-  let rec walk rel acc =
-    let p = Filename.concat dir rel in
-    if Sys.is_directory p then
-      Array.fold_left
-        (fun acc n -> walk (Filename.concat rel n) acc)
-        ((rel ^ "/", "") :: acc) (Sys.readdir p)
-    else (rel, read_file p) :: acc
-  in
-  List.sort compare (walk "" [])
-
-(* Recreate [dir] as [tree] saw it: one power-loss image, restored before
-   each cut. *)
-let restore_tree dir image =
-  rm_rf dir;
-  List.iter
-    (fun (rel, blob) ->
-      let p = Filename.concat dir rel in
-      if String.ends_with ~suffix:"/" rel then Unix.mkdir p 0o755
-      else write_file p blob)
-    image
-
 (* (hash, record end) of every record of a segment blob, in file order. *)
 let record_ends blob =
   match Segment.scan blob with
@@ -285,7 +310,8 @@ let test_roll_defers_fsync () =
    segment at every byte offset from its synced length to its end, the
    others intact: reopen clamps exactly the torn bytes, keeps the cut
    segment's record prefix and every other record, and reads back
-   verbatim with a clean scrub. *)
+   verbatim with a clean scrub — with the offset index and without it,
+   leaving byte-identical directories behind. *)
 let test_sealed_segment_power_loss () =
   with_dir "sealed-cut" @@ fun dir ->
   let segment_target = 1024 in
@@ -313,55 +339,128 @@ let test_sealed_segment_power_loss () =
   let synced_len id =
     Option.value (List.assoc_opt id synced) ~default:magic_len
   in
+  let reopen ~with_index id blob cut =
+    restore_tree dir image;
+    write_file (seg_path dir id) (String.sub blob 0 cut);
+    if not with_index then Sys.remove (index_path dir);
+    let what =
+      Printf.sprintf "seg %d cut@%d%s" id cut
+        (if with_index then "" else " (no index)")
+    in
+    let p, r =
+      match Pack.open_ ~segment_target dir with
+      | Ok pr -> pr
+      | Error (`Tampered msg) -> Alcotest.failf "%s: `Tampered %s" what msg
+    in
+    let kept =
+      List.concat_map
+        (fun (id', es) ->
+          List.filter_map
+            (fun (h, e) -> if id' <> id || e <= cut then Some h else None)
+            es)
+        ends
+    in
+    let prefix_end =
+      List.fold_left
+        (fun acc (_, e) -> if e <= cut then max acc e else acc)
+        magic_len (List.assoc id ends)
+    in
+    Alcotest.(check int) (what ^ ": clamps exactly the torn bytes")
+      (cut - prefix_end) r.Pack.clamped_bytes;
+    Alcotest.(check int) (what ^ ": file clamped to the record prefix")
+      prefix_end
+      (file_len (seg_path dir id));
+    Alcotest.(check int) (what ^ ": exact record count") (List.length kept)
+      (Pack.count p);
+    List.iter
+      (fun (h, bytes, _) ->
+        let expect = List.exists (Hash.equal h) kept in
+        match Pack.get p h with
+        | Some b when expect ->
+            Alcotest.(check string) (what ^ ": verbatim") bytes b
+        | None when not expect -> ()
+        | Some _ -> Alcotest.failf "%s: a cut record reads back" what
+        | None -> Alcotest.failf "%s: a kept record is absent" what
+        | exception Store.Tampered _ ->
+            Alcotest.failf "%s: `Tampered on read" what)
+      written;
+    Alcotest.(check (list string)) (what ^ ": scrub is clean") []
+      (List.map Hash.to_hex (Pack.scrub p));
+    Pack.close p;
+    tree_digest dir
+  in
   List.iter
     (fun id ->
       let blob = read_file (seg_path dir id) in
       for cut = synced_len id to String.length blob do
-        restore_tree dir image;
-        write_file (seg_path dir id) (String.sub blob 0 cut);
-        let what = Printf.sprintf "seg %d cut@%d" id cut in
-        let p, r =
-          match Pack.open_ ~segment_target dir with
-          | Ok pr -> pr
-          | Error (`Tampered msg) -> Alcotest.failf "%s: `Tampered %s" what msg
-        in
-        let kept =
-          List.concat_map
-            (fun (id', es) ->
-              List.filter_map
-                (fun (h, e) -> if id' <> id || e <= cut then Some h else None)
-                es)
-            ends
-        in
-        let prefix_end =
-          List.fold_left
-            (fun acc (_, e) -> if e <= cut then max acc e else acc)
-            magic_len (List.assoc id ends)
-        in
-        Alcotest.(check int) (what ^ ": clamps exactly the torn bytes")
-          (cut - prefix_end) r.Pack.clamped_bytes;
-        Alcotest.(check int) (what ^ ": file clamped to the record prefix")
-          prefix_end
-          (file_len (seg_path dir id));
-        Alcotest.(check int) (what ^ ": exact record count") (List.length kept)
-          (Pack.count p);
-        List.iter
-          (fun (h, bytes, _) ->
-            let expect = List.exists (Hash.equal h) kept in
-            match Pack.get p h with
-            | Some b when expect ->
-                Alcotest.(check string) (what ^ ": verbatim") bytes b
-            | None when not expect -> ()
-            | Some _ -> Alcotest.failf "%s: a cut record reads back" what
-            | None -> Alcotest.failf "%s: a kept record is absent" what
-            | exception Store.Tampered _ ->
-                Alcotest.failf "%s: `Tampered on read" what)
-          written;
-        Alcotest.(check (list string)) (what ^ ": scrub is clean") []
-          (List.map Hash.to_hex (Pack.scrub p));
-        Pack.close p
+        (* The index is advisory: with or without it, the one segment
+           scan leaves the same directory behind. *)
+        Alcotest.(check (list (pair string string)))
+          (Printf.sprintf "seg %d cut@%d: the index changes no byte" id cut)
+          (reopen ~with_index:true id blob cut)
+          (reopen ~with_index:false id blob cut)
       done)
     (List.filter (fun id -> id >= active_at_sync) ids)
+
+(* A live segment shorter than its magic gets one verdict, index or not:
+   short garbage is refused naming the segment, and a prefix of the
+   magic — a torn creation, down to an empty file — clamps to empty and
+   takes appends again.  The index names only
+   segment 0, so with it present the newest segment is scanned from 0
+   as a segment the index does not name; without it, by the rebuild. *)
+let test_short_segment_verdict () =
+  with_dir "short-seg" @@ fun dir ->
+  let small = nodes 2 in
+  let p, _ = open_exn dir in
+  List.iter (fun n -> Pack.append p [ n ]) small;
+  Pack.close p;
+  let big i =
+    let bytes = Printf.sprintf "short-seg-%d:%s" i (String.make 200 'x') in
+    (Hash.of_string bytes, bytes, [])
+  in
+  let extra = List.init 6 big in
+  let p, _ = open_exn ~segment_target:1024 dir in
+  List.iter (fun n -> Pack.append p [ n ]) extra;
+  Alcotest.(check (list int)) "two rolls" [ 0; 1; 2 ] (Pack.segment_ids p);
+  (* Abandoned without a close. *)
+  let image = tree dir in
+  let kept =
+    List.concat_map (fun id -> List.map fst (record_ends (read_file (seg_path dir id)))) [ 0; 1 ]
+  in
+  List.iter
+    (fun with_index ->
+      let shape = if with_index then "with the index" else "without the index" in
+      let damage bytes =
+        restore_tree dir image;
+        if not with_index then Sys.remove (index_path dir);
+        write_file (seg_path dir 2) bytes;
+        Pack.open_ ~segment_target:1024 dir
+      in
+      (match damage "XXXXX" with
+      | Ok _ -> Alcotest.failf "%s: short garbage was opened" shape
+      | Error (`Tampered msg) ->
+          Alcotest.(check string) (shape ^ ": short garbage is refused")
+            (Segment.filename 2 ^ ": bad segment magic") msg);
+      (* An empty file is the shortest magic prefix: its magic must be
+         rewritten too, or the next append lands before its offset. *)
+      List.iter
+        (fun torn ->
+          match damage torn with
+          | Error (`Tampered msg) ->
+              Alcotest.failf "%s: torn creation refused: %s" shape msg
+          | Ok (p, r) ->
+              let what = Printf.sprintf "%s, %S" shape torn in
+              Alcotest.(check int) (what ^ ": the torn creation clamps")
+                (String.length torn) r.Pack.clamped_bytes;
+              Alcotest.(check string) (what ^ ": the magic is rewritten")
+                Segment.magic
+                (read_file (seg_path dir 2));
+              let ((h, _, _) as fresh) = node 4242 in
+              Pack.append p [ fresh ];
+              check_reads p (fresh :: (small @ extra)) ~expected:(h :: kept);
+              Pack.close p)
+        [ String.sub Segment.magic 0 5; "" ])
+    [ true; false ]
 
 (* --- bit flips --------------------------------------------------------------- *)
 
@@ -1475,6 +1574,8 @@ let () =
             test_index_truncation_every_offset;
           Alcotest.test_case "sealed segment cut at every byte offset" `Slow
             test_sealed_segment_power_loss;
+          Alcotest.test_case "short segment: garbage refused, torn magic clamps"
+            `Quick test_short_segment_verdict;
           Alcotest.test_case "a roll fsyncs nothing, the next sync flush all"
             `Quick test_roll_defers_fsync ] );
       ( "corruption",
