@@ -106,7 +106,10 @@
 #                  segment.ml(i) may name Torn or End: Segment.scan is the
 #                  one segment scan (rebuild, unindexed segments and tails
 #                  alike), so a second scan loop cannot creep back into
-#                  pack.ml.
+#                  pack.ml.  And bin/siri_cli.ml may name
+#                  Generic.of_entries once (its TSV index builder, build)
+#                  and Pack.open_ once (with_pack), so per-command
+#                  builders and pack opens cannot come back.
 #   make bench-sidecars — fail loudly if any committed BENCH_*.json metrics
 #                  sidecar is missing or empty (regenerate with
 #                  `dune exec bench/main.exe -- <id>`).
@@ -220,6 +223,12 @@ lint:
 	if grep -rnwE --include='*.ml' --include='*.mli' 'Torn|End' lib/pack \
 	    | grep -vE '^lib/pack/segment\.mli?:'; then \
 	  echo "lint: lib/pack steps segment records in Segment.scan alone (no Torn or End outside segment.ml)"; \
+	  exit 1; \
+	fi; \
+	if [ $$(grep -o 'Generic\.of_entries' bin/siri_cli.ml | wc -l) -gt 1 ] \
+	    || [ $$(grep -o 'Pack\.open_' bin/siri_cli.ml | wc -l) -gt 1 ]; then \
+	  grep -nE 'Generic\.of_entries|Pack\.open_' bin/siri_cli.ml; \
+	  echo "lint: bin/siri_cli.ml builds TSV indexes in build alone and opens packs in with_pack alone (one Generic.of_entries, one Pack.open_)"; \
 	  exit 1; \
 	fi; \
 	echo "lint: OK"

@@ -1,16 +1,17 @@
 (* siri_cli — inspect SIRI indexes from the command line.
 
-   Data files are TSV: one "key<TAB>value" record per line.
+   Commands: gen, stats, get, range, scan, prove, verify-proof, diff,
+   merge, properties, snapshot, scrub, pack, compact, recover, checkpoint,
+   reshard and connect (one action per call).  Data files are TSV, one
+   "key<TAB>value" record per line; a line without a TAB exits 2 as
+   FILE:N, before any directory is opened or created.
 
      siri_cli gen --count 1000 > data.tsv
-     siri_cli stats                        # telemetry over a sample workload,
-                                           # all four structures
-     siri_cli stats --index pos data.tsv
+     siri_cli stats                 # telemetry over a sample workload
      siri_cli get --index mpt data.tsv some-key
-     siri_cli prove --index pos data.tsv some-key
-     siri_cli diff --index pos v1.tsv v2.tsv
-     siri_cli merge --index pos --policy right a.tsv b.tsv
-     siri_cli properties --index mbt data.tsv  *)
+     siri_cli range --index pos data.tsv --lo a --hi m   # LO <= key <= HI
+     siri_cli scan --index pos data.tsv --lo a --hi m    # LO <= key < HI
+     siri_cli merge --index pos --policy right a.tsv b.tsv *)
 
 open Cmdliner
 open Siri_core
@@ -25,49 +26,57 @@ module Views = Siri_shard.Views
 module Dir = Siri_shard.Dir
 module Wal = Siri_wal.Wal
 module Durable = Siri_wal.Durable
-
+module Pack = Siri_pack.Pack
 
 (* --- tsv io ------------------------------------------------------------------ *)
 
+(* A malformed TSV line, as "FILE:N: why"; caught once, at the top level. *)
+exception Bad_tsv of string
+
 let read_tsv path =
-  let ic = open_in path in
-  let rec loop acc n =
-    match input_line ic with
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-    | line -> (
-        match String.index_opt line '\t' with
-        | None when line = "" -> loop acc (n + 1)
-        | None ->
-            close_in ic;
-            failwith (Printf.sprintf "%s:%d: missing TAB separator" path n)
-        | Some i ->
-            let k = String.sub line 0 i in
-            let v = String.sub line (i + 1) (String.length line - i - 1) in
-            loop ((k, v) :: acc) (n + 1))
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.mapi (fun i line ->
+         match String.index_opt line '\t' with
+         | Some t ->
+             let len = String.length line in
+             [ (String.sub line 0 t, String.sub line (t + 1) (len - t - 1)) ]
+         | None when line = "" -> []
+         | None ->
+             let why = Printf.sprintf "%s:%d: missing TAB separator" path (i + 1) in
+             raise (Bad_tsv why))
+  |> List.concat
+
+(* The one TSV index builder: [entries] inserted into an empty [kind]
+   index over [store] (a fresh one by default). *)
+let build ?(store = Store.create ()) kind entries =
+  Generic.of_entries (Kind.make kind store) entries
+
+let plural n = if n = 1 then "" else "s"
+
+(* Print records as TSV on stdout and their count on stderr. *)
+let print_records
+    ?(summary = fun n -> Printf.sprintf "%d record%s in range" n (plural n))
+    records =
+  let n =
+    Seq.fold_left
+      (fun n (k, v) ->
+        Printf.printf "%s\t%s\n" k v;
+        n + 1)
+      0 records
   in
-  loop [] 1
+  Printf.eprintf "%s\n" (summary n)
 
-let load kind path =
-  let store = Store.create () in
-  let inst = Kind.make kind store in
-  (store, Generic.of_entries inst (read_tsv path))
+let pos_arg ?(ty = Arg.string) idx docv =
+  Arg.(required & pos idx (some ty) None & info [] ~docv)
 
-let file_arg idx docv =
-  Arg.(required & pos idx (some file) None & info [] ~docv)
-
-let key_arg idx = Arg.(required & pos idx (some string) None & info [] ~docv:"KEY")
-
-let dir_arg =
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR")
+let file_arg = pos_arg ~ty:Arg.file
 
 (* --- sharded keyspace plumbing --------------------------------------------- *)
 
 let shards_arg =
   Arg.(
-    value
-    & opt (some int) None
+    value & opt (some int) None
     & info [ "shards" ] ~docv:"N"
         ~doc:
           "Partition the keyspace across $(docv) shards (one independent \
@@ -88,9 +97,8 @@ let spec_of partition = Option.map (fun n -> Partition.make partition ~shards:n)
    per shard, each with its own store holding exactly the records the
    spec routes to it. *)
 let tsv_view kind spec entries =
-  let build part = Generic.of_entries (Kind.make kind (Store.create ())) part in
   match spec with
-  | None -> Views.flat (build entries)
+  | None -> Views.flat (build kind entries)
   | Some spec ->
       let buckets = Array.make spec.Partition.shards [] in
       List.iter
@@ -98,7 +106,8 @@ let tsv_view kind spec entries =
           let i = Partition.shard_of_key spec k in
           buckets.(i) <- e :: buckets.(i))
         entries;
-      Views.sharded spec (Array.map (fun part -> build (List.rev part)) buckets)
+      Views.sharded spec
+        (Array.map (fun part -> build kind (List.rev part)) buckets)
 
 (* [verifier]: an empty instance carries the per-kind verification logic
    (and, for MBT, the tree geometry); verification never touches its
@@ -110,6 +119,17 @@ let branch_arg =
   Arg.(
     value & opt string "master"
     & info [ "branch" ] ~docv:"BRANCH" ~doc:"Branch to operate on.")
+
+(* Key bounds and a record cap: one definition each for range, scan and
+   connect; only the docs differ ([--hi] is inclusive for range). *)
+let lo_arg =
+  Arg.(value & opt (some string) None
+       & info [ "lo" ] ~docv:"LO" ~doc:"Lower bound (inclusive).")
+
+let hi_arg ~doc =
+  Arg.(value & opt (some string) None & info [ "hi" ] ~docv:"HI" ~doc)
+
+let limit_arg ~doc = Arg.(value & opt int 0 & info [ "limit" ] ~docv:"N" ~doc)
 
 (* Open a durable directory — flat or sharded, as it says on disk — run
    [f] on it and close it; an unopenable directory exits 2.  [spec] and
@@ -124,6 +144,15 @@ let with_dir ?backend ?spec ~cmd kind dir f =
       Format.eprintf "%s: %a@." cmd Wal.pp_error e;
       2
   | Ok d -> Fun.protect ~finally:(fun () -> Dir.close d) (fun () -> f d)
+
+(* Open a pack directory (creating it if absent), run [f] on it and the
+   open report, and close it; a tampered pack exits 2. *)
+let with_pack ~cmd dir f =
+  match Pack.open_ dir with
+  | Error (`Tampered msg) ->
+      Printf.eprintf "%s: %s\n" cmd msg;
+      2
+  | Ok (p, r) -> Fun.protect ~finally:(fun () -> Pack.close p) (fun () -> f p r)
 
 let check_branch ~cmd d branch f =
   if List.mem branch (Dir.branches d) then f ()
@@ -204,14 +233,13 @@ let stats_workload ?pool ?cache_bytes ~records ~ops ~json () =
         (inst.Generic.name, inst, sink))
       sample_kinds
   in
+  let domains = match pool with Some p -> Pool.domains p | None -> 1 in
   Table.print
     ~title:
       (Printf.sprintf
          "Telemetry counters — YCSB sample workload (%d records, %d ops, %d \
           domain%s)"
-         records ops
-         (match pool with Some p -> Pool.domains p | None -> 1)
-         (match pool with Some p when Pool.domains p > 1 -> "s" | _ -> ""))
+         records ops domains (plural domains))
     ~headers:
       [ "index"; "node reads"; "node writes"; "unique"; "bytes written";
         "hashes"; "hashed bytes" ]
@@ -304,33 +332,23 @@ let stats_cmd =
     Printf.printf "root       : %s\n" (Hash.to_hex inst.Generic.root);
     Printf.printf "nodes      : %d\n" (Hash.Set.cardinal pages);
     Printf.printf "bytes      : %s\n"
-      (Siri_benchkit.Table.fmt_bytes (Store.bytes_of_set store pages));
+      (Table.fmt_bytes (Store.bytes_of_set store pages));
     Printf.printf "store puts : %d (%d unique)\n" st.Store.puts st.Store.unique_nodes;
+    let root = inst.Generic.root in
+    let module Pos = Siri_pos.Pos_tree in
+    let module Mvbt = Siri_mvbt.Mvbt in
+    let pos cfg = Pos.stats (Pos.of_root store cfg root) in
     (match kind with
-    | Kind.Pos | Prolly | Mvbt ->
-        let decode_bytes, root =
-          match kind with
-          | Kind.Mvbt ->
-              let cfg = Siri_mvbt.Mvbt.config () in
-              let t = Siri_mvbt.Mvbt.of_root store cfg inst.Generic.root in
-              ((fun () -> Siri_mvbt.Mvbt.stats t), inst.Generic.root)
-          | _ ->
-              let cfg =
-                if kind = Kind.Prolly then Siri_prolly.Prolly.default_config
-                else Siri_pos.Pos_tree.config ()
-              in
-              let t = Siri_pos.Pos_tree.of_root store cfg inst.Generic.root in
-              ((fun () -> Siri_pos.Pos_tree.stats t), inst.Generic.root)
-        in
-        ignore root;
-        Format.printf "%a" Tree_stats.pp (decode_bytes ())
-    | Kind.Mpt | Mbt -> ());
+    | Kind.Pos -> Some (pos (Pos.config ()))
+    | Prolly -> Some (pos Siri_prolly.Prolly.default_config)
+    | Mvbt -> Some (Mvbt.stats (Mvbt.of_root store (Mvbt.config ()) root))
+    | Mpt | Mbt -> None)
+    |> Option.iter (Format.printf "%a" Tree_stats.pp);
     0
   in
   let file_opt =
     Arg.(
-      value
-      & pos 0 (some file) None
+      value & pos 0 (some file) None
       & info [] ~docv:"FILE"
           ~doc:
             "TSV dataset to load, or a sharded durable directory.  When \
@@ -349,8 +367,7 @@ let stats_cmd =
   in
   let json =
     Arg.(
-      value
-      & opt (some string) None
+      value & opt (some string) None
       & info [ "json" ] ~docv:"PATH"
           ~doc:
             "Write the per-structure telemetry as newline-delimited JSON to \
@@ -358,8 +375,7 @@ let stats_cmd =
   in
   let domains =
     Arg.(
-      value
-      & opt (some int) None
+      value & opt (some int) None
       & info [ "domains" ] ~docv:"N"
           ~doc:
             "Domains for the parallel commit pipeline (default: the host's \
@@ -368,8 +384,7 @@ let stats_cmd =
   in
   let cache =
     Arg.(
-      value
-      & opt (some int) None
+      value & opt (some int) None
       & info [ "cache" ] ~docv:"BYTES"
           ~doc:
             "Decoded-node cache budget in bytes for the sample workload \
@@ -405,11 +420,7 @@ let stats_cmd =
         prerr_endline "stats: --shards needs a FILE dataset";
         2
     | None, _ ->
-        let pool =
-          match domains with
-          | Some d -> Pool.create ~domains:d ()
-          | None -> Pool.create ()
-        in
+        let pool = Pool.create ?domains () in
         Fun.protect
           ~finally:(fun () -> Pool.shutdown pool)
           (fun () ->
@@ -432,8 +443,7 @@ let stats_cmd =
 
 let get_cmd =
   let run kind path key =
-    let _, inst = load kind path in
-    match inst.Generic.lookup key with
+    match (build kind (read_tsv path)).Generic.lookup key with
     | Some v ->
         print_endline v;
         0
@@ -442,7 +452,7 @@ let get_cmd =
         1
   in
   Cmd.v (Cmd.info "get" ~doc:"Look up one key.")
-    Term.(const run $ Kind.arg $ file_arg 0 "FILE" $ key_arg 1)
+    Term.(const run $ Kind.arg $ file_arg 0 "FILE" $ pos_arg 1 "KEY")
 
 let prove_cmd =
   let keys_arg =
@@ -450,19 +460,13 @@ let prove_cmd =
   in
   let out_arg =
     Arg.(
-      value
-      & opt (some string) None
+      value & opt (some string) None
       & info [ "o"; "out" ] ~docv:"FILE"
           ~doc:"Write the encoded multiproof (Frame-wrapped wire format) to $(docv).")
   in
-  let write_out out encoded =
-    match out with
-    | None -> ()
-    | Some file ->
-        let oc = open_out_bin file in
-        output_string oc encoded;
-        close_out oc;
-        Printf.eprintf "wrote %d bytes to %s\n" (String.length encoded) file
+  let write_out encoded file =
+    Out_channel.with_open_bin file (fun oc -> output_string oc encoded);
+    Printf.eprintf "wrote %d bytes to %s\n" (String.length encoded) file
   in
   let run kind shards partition path keys out =
     let view = tsv_view kind (spec_of partition shards) (read_tsv path) in
@@ -485,7 +489,7 @@ let prove_cmd =
     Printf.printf "proof      : %d bytes encoded\n" (String.length encoded);
     Printf.printf "root       : %s\n" (Hash.to_hex root);
     Printf.printf "verified   : %b\n" ok;
-    write_out out encoded;
+    Option.iter (write_out encoded) out;
     if ok then 0 else 1
   in
   Cmd.v
@@ -501,20 +505,15 @@ let prove_cmd =
       $ keys_arg $ out_arg)
 
 let verify_proof_cmd =
-  let proof_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"PROOF")
-  in
   let root_arg =
     Arg.(
-      value
-      & opt (some string) None
+      value & opt (some string) None
       & info [ "root" ] ~docv:"HEX"
           ~doc:"Trusted 64-char hex root digest to verify against.")
   in
   let data_arg =
     Arg.(
-      value
-      & opt (some file) None
+      value & opt (some file) None
       & info [ "data" ] ~docv:"FILE"
           ~doc:
             "TSV dataset to rebuild the index from; its root becomes the \
@@ -522,14 +521,8 @@ let verify_proof_cmd =
              required.")
   in
   let run kind proof_file root_hex data =
-    let read_file path =
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    in
-    match Views.decode_proof (read_file proof_file) with
+    let encoded = In_channel.with_open_bin proof_file In_channel.input_all in
+    match Views.decode_proof encoded with
     | Error (`Malformed why) ->
         Printf.eprintf "malformed proof: %s\n" why;
         2
@@ -579,14 +572,17 @@ let verify_proof_cmd =
           root ($(b,--root) or the root of a rebuilt $(b,--data) index).  \
           Exits 0 if verified, 1 if refused, 2 if the file is malformed or \
           tampered.")
-    Term.(const run $ Kind.arg $ proof_arg $ root_arg $ data_arg)
+    Term.(const run $ Kind.arg $ file_arg 0 "PROOF" $ root_arg $ data_arg)
+
+(* Two TSV versions built into one store, as diff and merge compare them. *)
+let two_versions kind path1 path2 =
+  let e1 = read_tsv path1 and e2 = read_tsv path2 in
+  let store = Store.create () in
+  (build ~store kind e1, build ~store kind e2)
 
 let diff_cmd =
   let run kind path1 path2 =
-    let store = Store.create () in
-    let inst = Kind.make kind store in
-    let v1 = Generic.of_entries inst (read_tsv path1) in
-    let v2 = Generic.of_entries inst (read_tsv path2) in
+    let v1, v2 = two_versions kind path1 path2 in
     let diffs = v1.Generic.diff v2.Generic.root in
     List.iter
       (fun { Kv.key; left; right } ->
@@ -606,23 +602,22 @@ let diff_cmd =
 let policy_arg =
   Arg.(
     value
-    & opt (enum [ ("left", Kv.Prefer_left); ("right", Kv.Prefer_right); ("fail", Kv.Fail_on_conflict) ])
+    & opt
+        (enum
+           [ ("left", Kv.Prefer_left); ("right", Kv.Prefer_right);
+             ("fail", Kv.Fail_on_conflict) ])
         Kv.Fail_on_conflict
     & info [ "policy" ] ~docv:"POLICY"
         ~doc:"Conflict policy: $(b,left), $(b,right) or $(b,fail).")
 
 let merge_cmd =
   let run kind policy path1 path2 =
-    let store = Store.create () in
-    let inst = Kind.make kind store in
-    let v1 = Generic.of_entries inst (read_tsv path1) in
-    let v2 = Generic.of_entries inst (read_tsv path2) in
+    let v1, v2 = two_versions kind path1 path2 in
     match v1.Generic.merge policy v2.Generic.root with
     | Ok merged ->
-        List.iter
-          (fun (k, v) -> Printf.printf "%s\t%s\n" k v)
-          (merged.Generic.to_list ());
-        Printf.eprintf "merged %d records\n" (merged.Generic.cardinal ());
+        print_records
+          ~summary:(Printf.sprintf "merged %d records")
+          (List.to_seq (merged.Generic.to_list ()));
         0
     | Error conflicts ->
         List.iter
@@ -642,17 +637,14 @@ let properties_cmd =
   let run kind path =
     let entries = read_tsv path in
     let store = Store.create () in
-    let build e = Generic.of_entries (Kind.make kind store) e in
+    let build = build ~store kind in
     let si =
       Properties.structurally_invariant ~build ~entries ~permutations:3 ~seed:7
     in
     let ri =
       match entries with
       | [] -> true
-      | (k, v) :: _ ->
-          Properties.recursively_identical ~build
-            ~entries:(List.tl entries)
-            ~extra:(k, v)
+      | extra :: entries -> Properties.recursively_identical ~build ~entries ~extra
     in
     let ur =
       Properties.universally_reusable ~build ~entries
@@ -673,39 +665,18 @@ let properties_cmd =
     Term.(const run $ Kind.arg $ file_arg 0 "FILE")
 
 let range_cmd =
-  let lo = Arg.(value & opt (some string) None & info [ "lo" ] ~docv:"LO" ~doc:"Lower bound (inclusive).") in
-  let hi = Arg.(value & opt (some string) None & info [ "hi" ] ~docv:"HI" ~doc:"Upper bound (inclusive).") in
   let run kind path lo hi =
-    let _, inst = load kind path in
-    let records = inst.Generic.range ~lo ~hi in
-    List.iter (fun (k, v) -> Printf.printf "%s\t%s\n" k v) records;
-    Printf.eprintf "%d records in range\n" (List.length records);
+    print_records (List.to_seq ((build kind (read_tsv path)).Generic.range ~lo ~hi));
     0
   in
   Cmd.v
     (Cmd.info "range"
        ~doc:"List records with LO <= key <= HI (either bound may be omitted).")
-    Term.(const run $ Kind.arg $ file_arg 0 "FILE" $ lo $ hi)
+    Term.(
+      const run $ Kind.arg $ file_arg 0 "FILE" $ lo_arg
+      $ hi_arg ~doc:"Upper bound (inclusive).")
 
 let scan_cmd =
-  let lo =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "lo" ] ~docv:"LO" ~doc:"Lower bound (inclusive).")
-  in
-  let hi =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "hi" ] ~docv:"HI" ~doc:"Upper bound (exclusive).")
-  in
-  let limit =
-    Arg.(
-      value & opt int 0
-      & info [ "limit" ] ~docv:"N"
-          ~doc:"Stop after $(docv) records (0 = unbounded).")
-  in
   let count_only =
     Arg.(
       value & flag
@@ -713,34 +684,14 @@ let scan_cmd =
           ~doc:"Print only the number of records in range (stops early \
                 under $(b,--limit)).")
   in
-  let consume count_only limit seq =
-    if count_only then begin
-      let n = ref 0 in
-      (try
-         Seq.iter
-           (fun _ ->
-             incr n;
-             if limit > 0 && !n >= limit then raise Exit)
-           seq
-       with Exit -> ());
-      Printf.printf "%d\n" !n
-    end
-    else begin
-      let n = ref 0 in
-      (try
-         Seq.iter
-           (fun (k, v) ->
-             incr n;
-             Printf.printf "%s\t%s\n" k v;
-             if limit > 0 && !n >= limit then raise Exit)
-           seq
-       with Exit -> ());
-      Printf.eprintf "%d record%s in range\n" !n (if !n = 1 then "" else "s")
-    end;
-    0
-  in
   let run kind branch lo hi limit count_only target =
-    let scan view = consume count_only limit (Views.scan ?lo ?hi view) in
+    let scan view =
+      let records = Views.scan ?lo ?hi view in
+      let records = if limit > 0 then Seq.take limit records else records in
+      if count_only then Printf.printf "%d\n" (Seq.length records)
+      else print_records records;
+      0
+    in
     match
       if Sys.is_directory target then
         (* durable directory, flat or sharded: scan the branch head *)
@@ -764,14 +715,15 @@ let scan_cmd =
           directory) — sharded range-partitioned scans touch only the \
           shards the bounds route to.")
     Term.(
-      const run $ Kind.arg $ branch_arg $ lo $ hi
-      $ limit $ count_only $ file_arg 0 "TARGET")
+      const run $ Kind.arg $ branch_arg $ lo_arg
+      $ hi_arg ~doc:"Upper bound (exclusive)."
+      $ limit_arg ~doc:"Stop after $(docv) records (0 = unbounded)."
+      $ count_only $ file_arg 0 "TARGET")
 
 let reshard_cmd =
   let shards_req =
     Arg.(
-      required
-      & opt (some int) None
+      required & opt (some int) None
       & info [ "shards" ] ~docv:"M" ~doc:"New shard count.")
   in
   let run kind m dir =
@@ -814,14 +766,12 @@ let reshard_cmd =
           switch the SHARDS manifest — a crash at any point leaves the old \
           or the new layout, never a mix.  A flat directory is refused \
           (exit 2) and left as it is.")
-    Term.(const run $ Kind.arg $ shards_req $ dir_arg)
+    Term.(const run $ Kind.arg $ shards_req $ pos_arg 0 "DIR")
 
 let snapshot_cmd =
-  let out_arg =
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"SNAPSHOT")
-  in
   let run kind path out =
-    let store, inst = load kind path in
+    let store = Store.create () in
+    let inst = build ~store kind (read_tsv path) in
     Store.save store out;
     Printf.printf "root  : %s\n" (Hash.to_hex inst.Generic.root);
     Printf.printf "nodes : %d\n" (Store.stats store).Store.unique_nodes;
@@ -831,39 +781,30 @@ let snapshot_cmd =
   Cmd.v
     (Cmd.info "snapshot"
        ~doc:"Build an index from a TSV file and save the node store to SNAPSHOT.")
-    Term.(const run $ Kind.arg $ file_arg 0 "FILE" $ out_arg)
-
-module Pack = Siri_pack.Pack
+    Term.(const run $ Kind.arg $ file_arg 0 "FILE" $ pos_arg 1 "SNAPSHOT")
 
 let scrub_pack dir =
-  match Pack.open_ dir with
-  | Error (`Tampered msg) ->
-      Printf.eprintf "scrub: %s\n" msg;
-      2
-  | Ok (p, r) ->
-      let corrupt = Pack.scrub p in
-      Printf.printf "segments   : %d\n" (List.length (Pack.segment_ids p));
-      Printf.printf "records    : %d\n" (Pack.count p);
-      Printf.printf "bytes      : %s\n" (Table.fmt_bytes (Pack.stored_bytes p));
-      Printf.printf "clamped    : %d byte%s of torn tail\n" r.Pack.clamped_bytes
-        (if r.Pack.clamped_bytes = 1 then "" else "s");
-      if r.Pack.index_rebuilt then print_endline "index      : rebuilt from segments";
-      List.iter
-        (fun h -> Printf.printf "corrupt    : %s\n" (Hash.to_hex h))
-        corrupt;
-      Pack.close p;
-      if corrupt <> [] then begin
-        print_endline "=> unrecoverable corruption found";
-        2
-      end
-      else if r.Pack.clamped_bytes > 0 then begin
-        print_endline "=> recovered (torn segment tail clamped)";
-        1
-      end
-      else begin
-        print_endline "=> pack is intact";
-        0
-      end
+  with_pack ~cmd:"scrub" dir @@ fun p r ->
+  let corrupt = Pack.scrub p in
+  Printf.printf "segments   : %d\n" (List.length (Pack.segment_ids p));
+  Printf.printf "records    : %d\n" (Pack.count p);
+  Printf.printf "bytes      : %s\n" (Table.fmt_bytes (Pack.stored_bytes p));
+  Printf.printf "clamped    : %d byte%s of torn tail\n" r.Pack.clamped_bytes
+    (plural r.Pack.clamped_bytes);
+  if r.Pack.index_rebuilt then print_endline "index      : rebuilt from segments";
+  List.iter (fun h -> Printf.printf "corrupt    : %s\n" (Hash.to_hex h)) corrupt;
+  if corrupt <> [] then begin
+    print_endline "=> unrecoverable corruption found";
+    2
+  end
+  else if r.Pack.clamped_bytes > 0 then begin
+    print_endline "=> recovered (torn segment tail clamped)";
+    1
+  end
+  else begin
+    print_endline "=> pack is intact";
+    0
+  end
 
 let scrub_cmd =
   let strict =
@@ -894,9 +835,6 @@ let scrub_cmd =
               1
             end)
   in
-  let target_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"TARGET")
-  in
   Cmd.v
     (Cmd.info "scrub"
        ~doc:
@@ -906,7 +844,7 @@ let scrub_cmd =
           directory (exit 1 when only a torn segment tail was clamped, 2 on \
           unrecoverable damage: corrupt manifest, missing segment or \
           mid-segment checksum mismatch).")
-    Term.(const run $ strict $ target_arg)
+    Term.(const run $ strict $ pos_arg 0 "TARGET")
 
 (* --- pack: build / migrate / compact ------------------------------------------ *)
 
@@ -928,12 +866,9 @@ let pack_cmd =
              format stays readable precisely so existing stores can move \
              to the pack backend.")
   in
-  let out_arg =
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"DIR")
-  in
-  let run_sharded kind spec src dir =
+  let run_sharded kind spec entries dir =
     with_dir ~backend:`Pack ~spec ~cmd:"pack" kind dir @@ fun d ->
-    let ops = List.map (fun (k, v) -> Kv.Put (k, v)) (read_tsv src) in
+    let ops = List.map (fun (k, v) -> Kv.Put (k, v)) entries in
     let h = Dir.commit d ~branch:"master" ~message:"pack" ops in
     (* Checkpoint so the records land in the per-shard pack segments and
        the journals truncate — the shape a served directory has. *)
@@ -943,38 +878,33 @@ let pack_cmd =
       h.Dir.version;
     0
   in
+  let run_flat kind entries dir =
+    with_pack ~cmd:"pack" dir @@ fun p _ ->
+    (match entries with
+    | `Snapshot src ->
+        let batch = ref [] in
+        Store.iter_nodes (Store.load src) (fun bytes children ->
+            batch := (Hash.of_string bytes, bytes, children) :: !batch);
+        Pack.append p (List.rev !batch)
+    | `Tsv entries ->
+        (* Write-through build: every fresh node the index creates goes
+           straight to the pack. *)
+        let store = Store.create () in
+        Pack.attach p store;
+        let inst = build ~store kind entries in
+        Printf.printf "root     : %s\n" (Hash.to_hex inst.Generic.root));
+    pack_summary p;
+    0
+  in
   let run kind from_snapshot shards partition src dir =
-    match shards with
-    | Some n ->
-        if from_snapshot then begin
-          prerr_endline "pack: --from-snapshot and --shards are exclusive";
-          2
-        end
-        else run_sharded kind (Partition.make partition ~shards:n) src dir
-    | None -> (
-    match Pack.open_ dir with
-    | Error (`Tampered msg) ->
-        Printf.eprintf "pack: %s\n" msg;
+    match (shards, from_snapshot) with
+    | Some _, true ->
+        prerr_endline "pack: --from-snapshot and --shards are exclusive";
         2
-    | Ok (p, _) ->
-        if from_snapshot then begin
-          let loaded = Store.load src in
-          let batch = ref [] in
-          Store.iter_nodes loaded (fun bytes children ->
-              batch := (Hash.of_string bytes, bytes, children) :: !batch);
-          Pack.append p (List.rev !batch)
-        end
-        else begin
-          (* Write-through build: every fresh node the index creates goes
-             straight to the pack. *)
-          let store = Store.create () in
-          Pack.attach p store;
-          let inst = Generic.of_entries (Kind.make kind store) (read_tsv src) in
-          Printf.printf "root     : %s\n" (Hash.to_hex inst.Generic.root)
-        end;
-        pack_summary p;
-        Pack.close p;
-        0)
+    | None, true -> run_flat kind (`Snapshot src) dir
+    | Some n, false ->
+        run_sharded kind (Partition.make partition ~shards:n) (read_tsv src) dir
+    | None, false -> run_flat kind (`Tsv (read_tsv src)) dir
   in
   Cmd.v
     (Cmd.info "pack"
@@ -985,7 +915,7 @@ let pack_cmd =
           durable directory whose shards each use a pack backend.")
     Term.(
       const run $ Kind.arg $ from_snapshot $ shards_arg $ partition_arg
-      $ file_arg 0 "SRC" $ out_arg)
+      $ file_arg 0 "SRC" $ pos_arg 1 "DIR")
 
 let compact_cmd =
   let roots =
@@ -998,38 +928,29 @@ let compact_cmd =
              roots the pack is left untouched.")
   in
   let run roots dir =
-    match Pack.open_ dir with
-    | Error (`Tampered msg) ->
-        Printf.eprintf "compact: %s\n" msg;
+    with_pack ~cmd:"compact" dir @@ fun p _ ->
+    match List.map Hash.of_hex roots with
+    | exception Invalid_argument _ ->
+        Printf.eprintf "compact: malformed --root hash\n";
         2
-    | Ok (p, _) -> (
-        match List.map Hash.of_hex roots with
-        | exception Invalid_argument _ ->
-            Printf.eprintf "compact: malformed --root hash\n";
-            Pack.close p;
+    | [] ->
+        print_endline "no roots given; nothing dropped";
+        pack_summary p;
+        0
+    | roots -> (
+        match List.find_opt (fun h -> not (Pack.mem p h)) roots with
+        | Some h ->
+            Printf.eprintf "compact: root %s not in pack\n" (Hash.to_hex h);
             2
-        | [] ->
-            print_endline "no roots given; nothing dropped";
+        | None ->
+            (* An empty store over the pack: its collector walks the
+               pack's child lists and compacts it to the closure. *)
+            let store = Store.create () in
+            Pack.attach p store;
+            let dropped = Store.gc store ~roots in
+            Printf.printf "dropped  : %d record%s\n" dropped (plural dropped);
             pack_summary p;
-            Pack.close p;
-            0
-        | roots -> (
-            match List.find_opt (fun h -> not (Pack.mem p h)) roots with
-            | Some h ->
-                Printf.eprintf "compact: root %s not in pack\n" (Hash.to_hex h);
-                Pack.close p;
-                2
-            | None ->
-                (* An empty store over the pack: its collector walks the
-                   pack's child lists and compacts it to the closure. *)
-                let store = Store.create () in
-                Pack.attach p store;
-                let dropped = Store.gc store ~roots in
-                Printf.printf "dropped  : %d record%s\n" dropped
-                  (if dropped = 1 then "" else "s");
-                pack_summary p;
-                Pack.close p;
-                0))
+            0)
   in
   Cmd.v
     (Cmd.info "compact"
@@ -1037,9 +958,7 @@ let compact_cmd =
          "Compact a pack directory: rewrite the records reachable from the \
           given $(b,--root) hashes into fresh segments, atomically flip the \
           manifest, and delete the old segments.")
-    Term.(
-      const run $ roots
-      $ Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR"))
+    Term.(const run $ roots $ pos_arg 0 "DIR")
 
 (* --- durability: recover / checkpoint ---------------------------------------- *)
 
@@ -1054,7 +973,6 @@ let durable_run ~checkpoint kind shards partition dir =
   let cmd = if checkpoint then "checkpoint" else "recover" in
   with_dir ?spec:(spec_of partition shards) ~cmd kind dir @@ fun d ->
   let r = Dir.recovery d in
-  let plural n = if n = 1 then "" else "s" in
   Printf.printf "layout     : %s\n" (Dir.describe d);
   if r.Dir.top_clamped_bytes > 0 then
     Printf.printf "top clamp  : %d byte%s of torn tail\n"
@@ -1104,7 +1022,7 @@ let recover_cmd =
           (corrupt journal, snapshot or composite mismatch).")
     Term.(
       const (durable_run ~checkpoint:false)
-      $ Kind.arg $ shards_arg $ partition_arg $ dir_arg)
+      $ Kind.arg $ shards_arg $ partition_arg $ pos_arg 0 "DIR")
 
 let checkpoint_cmd =
   Cmd.v
@@ -1116,30 +1034,94 @@ let checkpoint_cmd =
           sharded directory).  Same exit codes as $(b,recover).")
     Term.(
       const (durable_run ~checkpoint:true)
-      $ Kind.arg $ shards_arg $ partition_arg $ dir_arg)
+      $ Kind.arg $ shards_arg $ partition_arg $ pos_arg 0 "DIR")
 
 (* --- connect: client mode against a running siri_serve ----------------------- *)
 
 module Server = Siri_server.Server
 module Client = Siri_server.Client
 
+(* One request per call: the flags name at most one action. *)
+type action =
+  | Ping
+  | Stats
+  | Head
+  | Scan of { lo : string option; hi : string option; limit : int }
+  | Put of Kv.op list
+  | Get of string
+  | Prove of string
+
+(* Send [action] on [c] and print the reply: 0 on success, 1 when the
+   server refuses, the key is absent or the proof does not verify. *)
+let act kind c ~branch ?deadline_ms action =
+  let reply what r ok =
+    match r with
+    | Ok x -> ok x
+    | Error e ->
+        Printf.eprintf "%s: %s\n" what (Client.error_to_string e);
+        1
+  in
+  match action with
+  | Ping ->
+      reply "ping" (Client.ping ?deadline_ms c) @@ fun () ->
+      print_endline "pong";
+      0
+  | Stats ->
+      reply "stats" (Client.stats ?deadline_ms c) @@ fun json ->
+      print_endline json;
+      0
+  | Head ->
+      reply "head" (Client.head ?deadline_ms c ~branch) @@ fun (id, root, version) ->
+      Printf.printf "head    : %s (version %d)\nroot    : %s\n" (Hash.short id)
+        version (Hash.short root);
+      0
+  | Scan { lo; hi; limit } ->
+      reply "scan" (Client.scan ?deadline_ms ?lo ?hi ~limit c ~branch)
+      @@ fun entries ->
+      print_records (List.to_seq entries);
+      0
+  | Put ops ->
+      reply "commit" (Client.commit ?deadline_ms c ~branch ~message:"cli" ops)
+      @@ fun (id, version, group_size) ->
+      Printf.printf "commit  : %s (version %d, group of %d)\n" (Hash.short id)
+        version group_size;
+      0
+  | Get key -> (
+      reply "get" (Client.get ?deadline_ms c ~branch key) @@ function
+      | Some v ->
+          print_endline v;
+          0
+      | None ->
+          Printf.eprintf "%s: not found\n" key;
+          1)
+  | Prove key -> (
+      reply "prove" (Client.prove_many ?deadline_ms c ~branch [ key ])
+      @@ fun (root, proof_bytes) ->
+      (* A sharded server answers with a two-layer proof and the
+         composite as [root]. *)
+      match Views.decode_proof proof_bytes with
+      | Error (`Malformed d | `Tampered d) ->
+          Printf.eprintf "proof undecodable: %s\n" d;
+          1
+      | Ok proof when verify_proof kind ~root proof ->
+          List.iter
+            (fun (k, v) ->
+              Printf.printf "%s\t%s\tverified\n" k
+                (Option.value v ~default:"(absent)"))
+            (Views.proof_claims proof);
+          0
+      | Ok _ ->
+          Printf.eprintf "proof REFUSED against root %s\n" (Hash.short root);
+          1)
+
 let connect_cmd =
   let unix_path =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "unix" ] ~docv:"PATH" ~doc:"Server Unix-domain socket.")
+    Arg.(value & opt (some string) None
+         & info [ "unix" ] ~docv:"PATH" ~doc:"Server Unix-domain socket.")
   in
   let tcp_port =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "tcp" ] ~docv:"PORT" ~doc:"Server TCP loopback port.")
-  in
-  let branch =
-    Arg.(
-      value & opt string "master"
-      & info [ "branch" ] ~docv:"BRANCH" ~doc:"Branch to operate on.")
+    Arg.(value & opt (some int) None
+         & info [ "tcp" ] ~docv:"PORT" ~doc:"Server TCP loopback port.")
   in
   let deadline_ms =
     Arg.(
@@ -1153,8 +1135,7 @@ let connect_cmd =
   in
   let prove_key =
     Arg.(
-      value
-      & opt (some string) None
+      value & opt (some string) None
       & info [ "prove" ] ~docv:"KEY"
           ~doc:"Fetch a multiproof for KEY and verify it client-side \
                 against the server's root.")
@@ -1175,24 +1156,6 @@ let connect_cmd =
                 $(b,--lo)/$(b,--hi), capped by $(b,--limit)), printed as \
                 TSV.")
   in
-  let scan_lo =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "lo" ] ~docv:"LO" ~doc:"Scan lower bound (inclusive).")
-  in
-  let scan_hi =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "hi" ] ~docv:"HI" ~doc:"Scan upper bound (exclusive).")
-  in
-  let scan_limit =
-    Arg.(
-      value & opt int 0
-      & info [ "limit" ] ~docv:"N"
-          ~doc:"Cap the scan at $(docv) records server-side (0 = unbounded).")
-  in
   let do_stats =
     Arg.(
       value & flag
@@ -1201,138 +1164,80 @@ let connect_cmd =
                 $(b,server.req.*), $(b,server.commit.*) counters and \
                 latency histograms land here.")
   in
-  let run index unix_path tcp_port branch deadline_ms get_key prove_key puts
-      do_head do_stats do_scan scan_lo scan_hi scan_limit =
+  let split kv =
+    Option.map
+      (fun i ->
+        Kv.Put (String.sub kv 0 i, String.sub kv (i + 1) (String.length kv - i - 1)))
+      (String.index_opt kv '=')
+  in
+  (* The flags as one action, or why they are refused. *)
+  let action get prove ops head stats scan lo hi limit =
+    let named =
+      List.filter_map Fun.id
+        [ Option.map (fun k -> Get k) get;
+          Option.map (fun k -> Prove k) prove;
+          (if ops = [] then None else Some (Put ops));
+          (if head then Some Head else None);
+          (if stats then Some Stats else None);
+          (if scan then Some (Scan { lo; hi; limit }) else None) ]
+    in
+    match named with
+    | _ :: _ :: _ ->
+        Error "at most one of --get, --prove, --put, --head, --stats and --scan"
+    | [ (Scan _ as a) ] -> Ok a
+    | _ when lo <> None || hi <> None || limit <> 0 ->
+        Error "--lo, --hi and --limit need --scan"
+    | [ a ] -> Ok a
+    | [] -> Ok Ping
+  in
+  let run kind unix_path tcp_port branch deadline_ms get prove puts head stats
+      scan lo hi limit =
     let addr =
       match (unix_path, tcp_port) with
       | Some p, _ -> Some (`Unix p)
       | None, Some p -> Some (`Tcp p)
       | None, None -> None
     in
-    let split kv =
-      Option.map
-        (fun i -> (String.sub kv 0 i, String.sub kv (i + 1) (String.length kv - i - 1)))
-        (String.index_opt kv '=')
-    in
-    match (addr, List.filter (fun kv -> Option.is_none (split kv)) puts) with
-    | None, _ ->
+    let malformed = List.filter (fun kv -> split kv = None) puts in
+    let ops = List.filter_map split puts in
+    match (addr, malformed, action get prove ops head stats scan lo hi limit) with
+    | None, _, _ ->
         prerr_endline "connect: need --unix PATH or --tcp PORT";
         2
-    | Some _, (_ :: _ as malformed) ->
+    | Some _, _ :: _, _ ->
         List.iter
           (Printf.eprintf "connect: malformed --put %S (want KEY=VALUE)\n")
           malformed;
         2
-    | Some addr, [] -> (
+    | Some _, [], Error why ->
+        Printf.eprintf "connect: %s\n" why;
+        2
+    | Some addr, [], Ok action -> (
         match Client.connect ~addr () with
         | Error e ->
             Printf.eprintf "connect: %s\n" (Client.error_to_string e);
             1
         | Ok c ->
             let deadline_ms = if deadline_ms <= 0 then None else Some deadline_ms in
-            let fail what e =
-              Printf.eprintf "%s: %s\n" what (Client.error_to_string e);
-              1
-            in
-            let rc =
-              if do_stats then
-                match Client.stats ?deadline_ms c with
-                | Ok json ->
-                    print_endline json;
-                    0
-                | Error e -> fail "stats" e
-              else if do_head then
-                match Client.head ?deadline_ms c ~branch with
-                | Ok (id, root, version) ->
-                    Printf.printf "head    : %s (version %d)\nroot    : %s\n"
-                      (Hash.short id) version (Hash.short root);
-                    0
-                | Error e -> fail "head" e
-              else if do_scan then begin
-                match
-                  Client.scan ?deadline_ms ?lo:scan_lo ?hi:scan_hi
-                    ~limit:scan_limit c ~branch
-                with
-                | Ok entries ->
-                    List.iter
-                      (fun (k, v) -> Printf.printf "%s\t%s\n" k v)
-                      entries;
-                    Printf.eprintf "%d record%s in range\n"
-                      (List.length entries)
-                      (if List.length entries = 1 then "" else "s");
-                    0
-                | Error e -> fail "scan" e
-              end
-              else if puts <> [] then begin
-                let ops =
-                  List.filter_map
-                    (fun kv -> Option.map (fun (k, v) -> Kv.Put (k, v)) (split kv))
-                    puts
-                in
-                match
-                  Client.commit ?deadline_ms c ~branch ~message:"cli" ops
-                with
-                | Ok (id, version, group_size) ->
-                    Printf.printf "commit  : %s (version %d, group of %d)\n"
-                      (Hash.short id) version group_size;
-                    0
-                | Error e -> fail "commit" e
-              end
-              else
-                match get_key with
-                | Some key -> (
-                    match Client.get ?deadline_ms c ~branch key with
-                    | Ok (Some v) ->
-                        print_endline v;
-                        0
-                    | Ok None ->
-                        Printf.eprintf "%s: not found\n" key;
-                        1
-                    | Error e -> fail "get" e)
-                | None -> (
-                    match prove_key with
-                    | Some key -> (
-                        match Client.prove_many ?deadline_ms c ~branch [ key ] with
-                        | Ok (root, proof_bytes) -> (
-                            (* A sharded server answers with a two-layer
-                               proof and the composite as [root]. *)
-                            match Views.decode_proof proof_bytes with
-                            | Error (`Malformed d | `Tampered d) ->
-                                Printf.eprintf "proof undecodable: %s\n" d;
-                                1
-                            | Ok proof when verify_proof index ~root proof ->
-                                List.iter
-                                  (fun (k, v) ->
-                                    Printf.printf "%s\t%s\tverified\n" k
-                                      (Option.value v ~default:"(absent)"))
-                                  (Views.proof_claims proof);
-                                0
-                            | Ok _ ->
-                                Printf.eprintf "proof REFUSED against root %s\n"
-                                  (Hash.short root);
-                                1)
-                        | Error e -> fail "prove" e)
-                    | None -> (
-                        match Client.ping ?deadline_ms c with
-                        | Ok () ->
-                            print_endline "pong";
-                            0
-                        | Error e -> fail "ping" e))
-            in
-            Client.close c;
-            rc)
+            Fun.protect
+              ~finally:(fun () -> Client.close c)
+              (fun () -> act kind c ~branch ?deadline_ms action))
   in
   Cmd.v
     (Cmd.info "connect"
        ~doc:
-         "Talk to a running $(b,siri_serve): ping (default), $(b,--get), \
-          $(b,--prove) (verified client-side), $(b,--put KEY=VALUE) \
-          (idempotent commit), $(b,--scan) (streamed ordered read), \
-          $(b,--head) or $(b,--stats).")
+         "Talk to a running $(b,siri_serve), one action per call: ping \
+          (default), $(b,--get), $(b,--prove) (verified client-side), \
+          $(b,--put KEY=VALUE) (repeatable; one idempotent commit), \
+          $(b,--scan) (streamed ordered read), $(b,--head) or \
+          $(b,--stats).  Two actions, or $(b,--lo)/$(b,--hi)/$(b,--limit) \
+          without $(b,--scan), are refused with exit 2 before dialing.")
     Term.(
-      const run $ Kind.arg $ unix_path $ tcp_port $ branch $ deadline_ms
-      $ get_key $ prove_key $ puts $ do_head $ do_stats $ do_scan $ scan_lo
-      $ scan_hi $ scan_limit)
+      const run $ Kind.arg $ unix_path $ tcp_port $ branch_arg $ deadline_ms
+      $ get_key $ prove_key $ puts $ do_head $ do_stats $ do_scan $ lo_arg
+      $ hi_arg ~doc:"Upper bound (exclusive)."
+      $ limit_arg
+          ~doc:"Cap the scan at $(docv) records server-side (0 = unbounded).")
 
 let gen_cmd =
   let count =
@@ -1350,12 +1255,25 @@ let gen_cmd =
     (Cmd.info "gen" ~doc:"Generate a YCSB-like dataset as TSV on stdout.")
     Term.(const run $ count $ seed)
 
+(* [Bad_tsv] is the one exception caught here (exit 2); any other keeps
+   cmdliner's internal-error report and exit code. *)
 let () =
   let doc = "inspect and compare indexes for immutable data (MPT, MBT, POS-Tree)" in
   let info = Cmd.info "siri_cli" ~version:"1.0.0" ~doc in
+  let main =
+    Cmd.group info
+      [ stats_cmd; get_cmd; prove_cmd; verify_proof_cmd; range_cmd; scan_cmd;
+        reshard_cmd; diff_cmd; merge_cmd;
+        properties_cmd; snapshot_cmd; scrub_cmd; pack_cmd; compact_cmd;
+        recover_cmd; checkpoint_cmd; connect_cmd; gen_cmd ]
+  in
   exit
-    (Cmd.eval' (Cmd.group info
-       [ stats_cmd; get_cmd; prove_cmd; verify_proof_cmd; range_cmd; scan_cmd;
-         reshard_cmd; diff_cmd; merge_cmd;
-         properties_cmd; snapshot_cmd; scrub_cmd; pack_cmd; compact_cmd;
-         recover_cmd; checkpoint_cmd; connect_cmd; gen_cmd ]))
+    (match Cmd.eval' ~catch:false main with
+    | rc -> rc
+    | exception Bad_tsv why ->
+        prerr_endline why;
+        2
+    | exception e ->
+        Format.eprintf "siri_cli: @[internal error, uncaught exception:@\n%s@]@."
+          (Printexc.to_string e);
+        Cmd.Exit.internal_error)

@@ -54,11 +54,3 @@ let buckets t ~n =
     List.init n (fun i ->
         (lo +. (Float.of_int i *. width), lo +. (Float.of_int (i + 1) *. width), counts.(i)))
   end
-
-let pp_summary fmt t =
-  let us x = x *. 1e6 in
-  Format.fprintf fmt "n=%d mean=%.2fus p50=%.2fus p99=%.2fus max=%.2fus"
-    (count t) (us (mean t))
-    (us (percentile t 0.5))
-    (us (percentile t 0.99))
-    (us (max_value t))

@@ -16,6 +16,3 @@ val percentile : t -> float -> float
 val buckets : t -> n:int -> (float * float * int) list
 (** Split [min, max] into [n] equal-width ranges and count samples in each —
     the (latency-range, #records) histograms the paper plots. *)
-
-val pp_summary : Format.formatter -> t -> unit
-(** "n=… mean=… p50=… p99=… max=…" with times in microseconds. *)

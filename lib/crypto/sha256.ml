@@ -129,11 +129,6 @@ let digest_string s =
       feed_string ctx s;
       finalize ctx)
 
-let digest_bytes b =
-  with_scratch (fun ctx ->
-      feed_bytes ctx b;
-      finalize ctx)
-
 let digest_substring s ~off ~len =
   with_scratch (fun ctx ->
       feed_string ctx ~off ~len s;

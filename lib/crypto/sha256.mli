@@ -39,9 +39,6 @@ val digest_string : string -> string
     they allocate only the result and are safe to call concurrently from
     different domains. *)
 
-val digest_bytes : bytes -> string
-(** One-shot digest of a byte buffer. *)
-
 val digest_substring : string -> off:int -> len:int -> string
 (** [digest_substring s ~off ~len] is
     [digest_string (String.sub s off len)] without the copy. *)

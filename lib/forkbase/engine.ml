@@ -483,9 +483,6 @@ let prune t ~keep =
 let get_checked ?attempts t ~branch key =
   Fault.retrying ?attempts (fun () -> get t ~branch key)
 
-let checkout_checked ?attempts t id =
-  Fault.retrying ?attempts (fun () -> checkout t id)
-
 let history_checked ?attempts t name =
   Fault.retrying ?attempts (fun () -> history t name)
 

@@ -182,10 +182,6 @@ val get_checked :
   ?attempts:int -> t -> branch:string -> Kv.key ->
   (Kv.value option, Siri_fault.Fault.error) result
 
-val checkout_checked :
-  ?attempts:int -> t -> Hash.t ->
-  (Generic.t, Siri_fault.Fault.error) result
-
 val history_checked :
   ?attempts:int -> t -> string ->
   (commit list, Siri_fault.Fault.error) result

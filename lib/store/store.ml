@@ -129,9 +129,6 @@ let proof_cache t = t.proof_cache
 let set_backend t backend = t.backend <- backend
 let backend_name t = Option.map (fun b -> b.backend_name) t.backend
 
-let flush_backend ?(sync = true) t =
-  match t.backend with Some b -> b.backend_flush ~sync | None -> ()
-
 let write_through t nodes =
   match t.backend with
   | None -> ()

@@ -225,9 +225,10 @@ val set_read_gate : t -> (Hash.t -> string -> unit) option -> unit
     practice the log-structured pack-file store ([Siri_pack.Pack]), attached
     via its [Pack.attach].  With a backend attached the in-memory node table
     becomes the {e hot} tier: every fresh {!put} is written through to the
-    backend (buffered; {!flush_backend} is the group-fsync point), and a
-    read that misses the table falls through to a cold backend read (metered
-    as [store.get.cold]).  The decoded-node cache ({!cache}) sits above both
+    backend (buffered; the group-fsync point is the pack's own
+    [Pack.flush ~sync:true], reached from a durable checkpoint), and a read
+    that misses the table falls through to a cold backend read (metered as
+    [store.get.cold]).  The decoded-node cache ({!cache}) sits above both
     tiers and needs no extra invalidation — content addressing keeps a
     cached decoding valid wherever the bytes live.  {!scrub} merges the
     backend's own integrity scan into its report, and {!gc} compacts the
@@ -258,11 +259,6 @@ type backend = {
 
 val set_backend : t -> backend option -> unit
 val backend_name : t -> string option
-
-val flush_backend : ?sync:bool -> t -> unit
-(** Flush buffered write-through appends; with [sync] (the default) this is
-    the backend's group-fsync point — one fsync covers every node stored
-    since the last flush. *)
 
 val drop_hot : t -> unit
 (** Clear the in-memory tier, leaving all reads to the backend — the cold

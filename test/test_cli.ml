@@ -63,6 +63,49 @@ let check_exit what expected args =
   Alcotest.(check int) (what ^ ": " ^ String.concat " " args) expected
     (run_cli args)
 
+(* Run the CLI with stdout and stderr captured; return the exit code and
+   both outputs. *)
+let run_cli_io args =
+  let exe = Filename.concat (bin_dir ()) "siri_cli.exe" in
+  let out = Filename.temp_file "siri-cli" ".out" in
+  let err = Filename.temp_file "siri-cli" ".err" in
+  let fd_out = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  let fd_err = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  let pid =
+    Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin fd_out
+      fd_err
+  in
+  Unix.close fd_out;
+  Unix.close fd_err;
+  let code =
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED code -> code
+    | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) ->
+        Alcotest.failf "siri_cli killed by signal %d" n
+  in
+  let read f =
+    let s = In_channel.with_open_bin f In_channel.input_all in
+    Sys.remove f;
+    s
+  in
+  let out = read out in
+  (code, out, read err)
+
+let run_cli_out args =
+  let code, out, _ = run_cli_io args in
+  (code, out)
+
+let check_out what (code, out) args =
+  let what = what ^ ": " ^ String.concat " " args in
+  Alcotest.(check (pair int string)) what (code, out) (run_cli_out args)
+
+let write_tsv path entries =
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter (fun (k, v) -> Printf.fprintf oc "%s\t%s\n" k v) entries)
+
+let tsv_lines entries =
+  String.concat "" (List.map (fun (k, v) -> k ^ "\t" ^ v ^ "\n") entries)
+
 let mk_index store =
   Siri_pos.Pos_tree.generic
     (Siri_pos.Pos_tree.empty store (Siri_pos.Pos_tree.config ()))
@@ -234,7 +277,44 @@ let test_connect_exit_codes () =
   check_exit "missing address" 2 [ "connect" ];
   (* a malformed pair is a usage error, refused before dialing *)
   check_exit "malformed --put" 2
-    [ "connect"; "--unix"; sock; "--put"; "k=v"; "--put"; "novalue" ]
+    [ "connect"; "--unix"; sock; "--put"; "k=v"; "--put"; "novalue" ];
+  (* one action per call, and scan bounds need --scan: both refused
+     before dialing, so a dead socket still answers 2 *)
+  check_exit "two actions" 2 [ "connect"; "--unix"; sock; "--get"; "a"; "--head" ];
+  check_exit "put and get" 2
+    [ "connect"; "--unix"; sock; "--put"; "b=2"; "--get"; "a" ];
+  check_exit "--lo without --scan" 2 [ "connect"; "--unix"; sock; "--lo"; "a" ];
+  check_exit "--limit without --scan" 2
+    [ "connect"; "--unix"; sock; "--get"; "a"; "--limit"; "3" ];
+  Alcotest.(check bool) "--scan with bounds dials" true
+    (run_cli [ "connect"; "--unix"; sock; "--scan"; "--lo"; "a"; "--limit"; "3" ]
+    = 1)
+
+(* A TSV line without a TAB is reported as FILE:N and exits 2 — from every
+   command, and before a directory is created. *)
+let test_malformed_tsv () =
+  with_dir "badtsv" @@ fun dir ->
+  let good = Filename.concat dir "good.tsv" and bad = Filename.concat dir "bad.tsv" in
+  write_tsv good [ ("a", "1"); ("b", "2") ];
+  Out_channel.with_open_bin bad (fun oc ->
+      output_string oc "a\t1\n\nno-tab-here\nc\t3\n");
+  let proof = Filename.concat dir "p.bin" in
+  check_exit "prove" 0 [ "prove"; good; "a"; "-o"; proof ];
+  let out = Filename.concat dir "out" in
+  List.iter
+    (fun args ->
+      let code, stdout, stderr = run_cli_io args in
+      let what = String.concat " " args in
+      Alcotest.(check int) ("exit: " ^ what) 2 code;
+      Alcotest.(check string) ("no output: " ^ what) "" stdout;
+      Alcotest.(check string) ("reported: " ^ what)
+        (bad ^ ":3: missing TAB separator\n") stderr;
+      Alcotest.(check bool) ("nothing created: " ^ what) false
+        (Sys.file_exists out))
+    [ [ "get"; bad; "a" ];
+      [ "verify-proof"; proof; "--data"; bad ];
+      [ "pack"; bad; out ];
+      [ "pack"; "--shards"; "2"; bad; out ] ]
 
 (* compact keeps the closure of its roots: a malformed or unknown root
    is refused and leaves the pack as it is. *)
@@ -267,6 +347,96 @@ let test_compact_exit_codes () =
       Alcotest.(check bool) "the orphan is dropped" false (Pack.mem p orphan);
       Pack.close p
 
+(* The TSV commands against a sorted-assoc model: every printed record,
+   count and diff line is what the model computes, on every kind. *)
+let test_tsv_commands () =
+  with_dir "tsv" @@ fun dir ->
+  let a = Filename.concat dir "a.tsv" and b = Filename.concat dir "b.tsv" in
+  let code, gen = run_cli_out [ "gen"; "--count"; "300" ] in
+  Alcotest.(check int) "gen" 0 code;
+  let parse s =
+    List.filter_map
+      (fun line ->
+        match String.index_opt line '\t' with
+        | None -> None
+        | Some i ->
+            Some
+              ( String.sub line 0 i,
+                String.sub line (i + 1) (String.length line - i - 1) ))
+      (String.split_on_char '\n' s)
+  in
+  let model_a = List.sort compare (parse gen) in
+  (* the edited copy: every 7th record dropped, every 5th changed, two
+     added (one before and one after every generated key) *)
+  let model_b =
+    List.sort compare
+      (("0-added", "new") :: ("~-added", "new")
+      :: List.concat
+           (List.mapi
+              (fun i (k, v) ->
+                if i mod 7 = 0 then []
+                else if i mod 5 = 0 then [ (k, "edited") ]
+                else [ (k, v) ])
+              model_a))
+  in
+  write_tsv a model_a;
+  write_tsv b model_b;
+  let keys = Array.of_list (List.map fst model_a) in
+  let lo = keys.(40) and hi = keys.(120) in
+  let hit_k, hit_v = List.nth model_a 77 in
+  let in_range ~hi_incl (k, _) =
+    k >= lo && if hi_incl then k <= hi else k < hi
+  in
+  let diff_lines =
+    let tag k =
+      match (List.assoc_opt k model_a, List.assoc_opt k model_b) with
+      | Some _, None -> Some ("- " ^ k)
+      | None, Some _ -> Some ("+ " ^ k)
+      | Some x, Some y when x <> y -> Some ("~ " ^ k)
+      | _ -> None
+    in
+    List.sort_uniq compare (List.map fst (model_a @ model_b))
+    |> List.filter_map tag
+    |> List.map (fun l -> l ^ "\n")
+    |> String.concat ""
+  in
+  let merged =
+    List.sort_uniq compare (List.map fst (model_a @ model_b))
+    |> List.map (fun k ->
+           match List.assoc_opt k model_b with
+           | Some v -> (k, v)
+           | None -> (k, List.assoc k model_a))
+  in
+  let take n l = List.filteri (fun i _ -> i < n) l in
+  List.iter
+    (fun kind ->
+      let i = [ "-i"; kind ] in
+      check_out (kind ^ " get hit") (0, hit_v ^ "\n") ([ "get" ] @ i @ [ a; hit_k ]);
+      check_out (kind ^ " get miss") (1, "") ([ "get" ] @ i @ [ a; "0-absent" ]);
+      let ranged = List.filter (in_range ~hi_incl:true) model_a in
+      check_out (kind ^ " range") (0, tsv_lines ranged)
+        ([ "range" ] @ i @ [ a; "--lo"; lo; "--hi"; hi ]);
+      let scanned = List.filter (in_range ~hi_incl:false) model_a in
+      if kind = "mbt" then begin
+        check_exit "mbt refuses scan" 2
+          ([ "scan" ] @ i @ [ a; "--lo"; lo; "--hi"; hi; "--limit"; "7" ]);
+        check_exit "mbt refuses scan --count" 2 ([ "scan"; "--count" ] @ i @ [ a ])
+      end
+      else begin
+        check_out (kind ^ " scan --limit") (0, tsv_lines (take 7 scanned))
+          ([ "scan" ] @ i @ [ a; "--lo"; lo; "--hi"; hi; "--limit"; "7" ]);
+        check_out (kind ^ " scan --count")
+          (0, Printf.sprintf "%d\n" (List.length model_a))
+          ([ "scan"; "--count" ] @ i @ [ a ]);
+        check_out (kind ^ " scan --count bounded")
+          (0, Printf.sprintf "%d\n" (List.length scanned))
+          ([ "scan"; "--count" ] @ i @ [ a; "--lo"; lo; "--hi"; hi ])
+      end;
+      check_out (kind ^ " diff") (0, diff_lines) ([ "diff" ] @ i @ [ a; b ]);
+      check_out (kind ^ " merge") (0, tsv_lines merged)
+        ([ "merge" ] @ i @ [ "--policy"; "right"; a; b ]))
+    [ "pos"; "mpt"; "mbt"; "mvbt"; "prolly" ]
+
 let () =
   Alcotest.run "cli"
     [ ( "exit codes",
@@ -282,5 +452,10 @@ let () =
             `Quick test_verify_proof_exit_codes;
           Alcotest.test_case "connect: errors are nonzero" `Quick
             test_connect_exit_codes;
+          Alcotest.test_case "malformed TSV: 2, nothing created" `Quick
+            test_malformed_tsv;
           Alcotest.test_case "compact: 0 kept / 2 malformed or unknown root"
-            `Quick test_compact_exit_codes ] ) ]
+            `Quick test_compact_exit_codes ] );
+      ( "output",
+        [ Alcotest.test_case "TSV commands agree with the model" `Quick
+            test_tsv_commands ] ) ]
