@@ -100,9 +100,15 @@
 #                  Durable.open_ or Sharded.open_: Siri_shard.Dir is the
 #                  one place that reads a directory's layout.  And in
 #                  lib/wal and lib/shard only journal.ml may use
-#                  open_out_gen, Unix.truncate or Frame.step: the journal
-#                  file protocol (scan, clamp, append, rewrite) lives in
-#                  Siri_wal.Journal alone.  And in lib/pack only
+#                  Frame.step: the journal scan lives in Siri_wal.Journal
+#                  alone.  And nothing in lib/ outside lib/io may call
+#                  Unix.fsync, open_out_gen, open_out_bin, Sys.rename,
+#                  Unix.rename, Unix.truncate, Unix.ftruncate, Sys.remove,
+#                  Unix.mkdir or Sys.rmdir: every durable file effect goes
+#                  through Siri_io.Io, the one place the crash-ordering
+#                  rules live and the effect trace is recorded
+#                  (lib/server's socket-file Unix.unlink is not a durable
+#                  effect and is not on the list).  And in lib/pack only
 #                  segment.ml(i) may name Torn or End: Segment.scan is the
 #                  one segment scan (rebuild, unindexed segments and tails
 #                  alike), so a second scan loop cannot creep back into
@@ -177,6 +183,7 @@ pos: build
 DERIVED_READS = lookup_count|lookup|path_length|get_many|in_range|range|prove|verify_proof|prove_many|verify_many|to_list|cardinal
 INDEX_LIBS = lib/mpt lib/mbt lib/pos lib/mvbt lib/prolly
 SPLIT_KEY_LIBS = lib/pos lib/mvbt
+DURABLE_EFFECTS = \bUnix\.fsync\b|\bopen_out_gen\b|\bopen_out_bin\b|\bSys\.rename\b|\bUnix\.rename\b|\bUnix\.truncate\b|\bUnix\.ftruncate\b|\bSys\.remove\b|\bUnix\.mkdir\b|\bSys\.rmdir\b
 
 lint:
 	@if grep -rnE --include='*.ml' --include='*.mli' 'Unix\.fork *\(\)' lib bin test bench; then \
@@ -215,9 +222,14 @@ lint:
 	  echo "lint: bin/ and lib/server open directories through Siri_shard.Dir, which reads the layout from disk (no \"SHARDS\", Durable.open_ or Sharded.open_)"; \
 	  exit 1; \
 	fi; \
-	if grep -rnE --include='*.ml' --include='*.mli' 'open_out_gen|Unix\.truncate|Frame\.step' lib/wal lib/shard \
+	if grep -rnE --include='*.ml' --include='*.mli' 'Frame\.step' lib/wal lib/shard \
 	    | grep -v '^lib/wal/journal\.ml:'; then \
-	  echo "lint: lib/wal and lib/shard write and scan journal files through Siri_wal.Journal (no open_out_gen, Unix.truncate or Frame.step outside journal.ml)"; \
+	  echo "lint: lib/wal and lib/shard scan journal files through Siri_wal.Journal (no Frame.step outside journal.ml)"; \
+	  exit 1; \
+	fi; \
+	if grep -rnE --include='*.ml' --include='*.mli' \
+	    '$(DURABLE_EFFECTS)' lib | grep -v '^lib/io/'; then \
+	  echo "lint: durable file effects in lib/ go through Siri_io.Io (no Unix.fsync, open_out_gen, open_out_bin, Sys.rename, Unix.rename, Unix.truncate, Unix.ftruncate, Sys.remove, Unix.mkdir or Sys.rmdir outside lib/io)"; \
 	  exit 1; \
 	fi; \
 	if grep -rnwE --include='*.ml' --include='*.mli' 'Torn|End' lib/pack \

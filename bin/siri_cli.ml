@@ -772,11 +772,18 @@ let snapshot_cmd =
   let run kind path out =
     let store = Store.create () in
     let inst = build ~store kind (read_tsv path) in
-    Store.save store out;
-    Printf.printf "root  : %s\n" (Hash.to_hex inst.Generic.root);
-    Printf.printf "nodes : %d\n" (Store.stats store).Store.unique_nodes;
-    Printf.printf "saved : %s\n" out;
-    0
+    let refuse reason =
+      Printf.eprintf "snapshot: %s: %s\n" out reason;
+      2
+    in
+    match Store.save store out with
+    | exception Unix.Unix_error (e, _, _) -> refuse (Unix.error_message e)
+    | exception Sys_error msg -> refuse msg
+    | () ->
+        Printf.printf "root  : %s\n" (Hash.to_hex inst.Generic.root);
+        Printf.printf "nodes : %d\n" (Store.stats store).Store.unique_nodes;
+        Printf.printf "saved : %s\n" out;
+        0
   in
   Cmd.v
     (Cmd.info "snapshot"
@@ -881,9 +888,9 @@ let pack_cmd =
   let run_flat kind entries dir =
     with_pack ~cmd:"pack" dir @@ fun p _ ->
     (match entries with
-    | `Snapshot src ->
+    | `Snapshot store ->
         let batch = ref [] in
-        Store.iter_nodes (Store.load src) (fun bytes children ->
+        Store.iter_nodes store (fun bytes children ->
             batch := (Hash.of_string bytes, bytes, children) :: !batch);
         Pack.append p (List.rev !batch)
     | `Tsv entries ->
@@ -901,7 +908,14 @@ let pack_cmd =
     | Some _, true ->
         prerr_endline "pack: --from-snapshot and --shards are exclusive";
         2
-    | None, true -> run_flat kind (`Snapshot src) dir
+    | None, true -> (
+        (* Read the snapshot before the pack is opened, so a bad one
+           creates nothing. *)
+        match Store.load_checked src with
+        | Error (`Malformed msg) ->
+            Printf.eprintf "pack: %s: %s\n" src msg;
+            2
+        | Ok store -> run_flat kind (`Snapshot store) dir)
     | Some n, false ->
         run_sharded kind (Partition.make partition ~shards:n) (read_tsv src) dir
     | None, false -> run_flat kind (`Tsv (read_tsv src)) dir

@@ -5,6 +5,7 @@ module Wire = Siri_codec.Wire
 module Fault = Siri_fault.Fault
 module Telemetry = Siri_telemetry.Telemetry
 module Bloom = Siri_readpath.Bloom
+module Io = Siri_io.Io
 
 type commit = {
   id : Hash.t;
@@ -336,8 +337,8 @@ let commit_txn txn ~message =
 
 let heads_path path = path ^ ".heads"
 
-let save_heads ?sync t path =
-  Store.write_file_atomic ?sync path (fun oc ->
+let save_heads ?(sync = true) t path =
+  Io.replace ~sync path (fun oc ->
       Hashtbl.iter
         (fun name c -> Printf.fprintf oc "%s\t%s\n" name (Hash.to_hex c.id))
         t.heads)
@@ -350,7 +351,7 @@ let load_heads t path =
   (* Restore branch heads from the TSV at [path], resolving each commit
      through the engine's store (which may fall through to a cold
      backend).  Returns the skipped (ghost) branch names. *)
-  Store.cleanup_stale_tmp path;
+  Io.sweep (Filename.dirname path) (Io.is_tmp ~base:(Filename.basename path));
   let skipped = ref [] in
   let ic = open_in path in
   Fun.protect

@@ -137,7 +137,7 @@ val commit_txn :
 
 val save : ?sync:bool -> t -> string -> unit
 (** Both files are written with the crash-safe tmp+fsync+rename protocol
-    of {!Siri_store.Store.save} ([sync] defaults to [true]).  The two
+    of {!Siri_io.Io.replace} ([sync] defaults to [true]).  The two
     renames are still not atomic {e together} — {!load} degrades
     gracefully on the resulting inconsistency, and the [Siri_wal.Durable]
     layer closes the hole entirely with a single manifest file. *)

@@ -3,6 +3,7 @@ module Wire = Siri_codec.Wire
 module Store = Siri_store.Store
 module Fault = Siri_fault.Fault
 module Telemetry = Siri_telemetry.Telemetry
+module Io = Siri_io.Io
 
 module Int_map = Map.Make (Int)
 
@@ -27,10 +28,11 @@ type t = {
          readers). *)
   mutable generation : int;
   mutable active : int;
-  mutable chan : out_channel;
+  mutable chan : Io.file;
   mutable active_len : int;
-  mutable dirty : bool;  (* bytes in the channel buffer; writer only *)
-  mutable os_dirty : bool;  (* bytes flushed to the OS but not fsynced *)
+  mutable os_dirty : bool;
+      (* bytes appended since the active segment's last fsync; writer
+         only (every [append] flushes them to the OS before it returns) *)
   mutable sealed : int list;
       (* Rolled segments whose bytes are in the OS but not yet fsynced,
          newest first; the next [flush ~sync:true] fsyncs them.  Writer
@@ -72,8 +74,7 @@ let decode_manifest =
    it is always written atomically and fsynced through to the directory. *)
 let save_manifest dir ~generation ids =
   let blob = encode_manifest ~generation ids in
-  Store.write_file_atomic ~sync:true (manifest_path dir) (fun oc ->
-      output_string oc blob)
+  Io.replace ~sync:true (manifest_path dir) (fun oc -> output_string oc blob)
 
 (* --- raw file helpers -------------------------------------------------------- *)
 
@@ -90,24 +91,10 @@ let file_len path = (Unix.stat path).Unix.st_size
    fsynced, all before the manifest names it — a crash in between leaves
    an orphan file the next open sweeps. *)
 let create_segment_file dir id =
-  let path = seg_path dir id in
-  let oc =
-    open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 path
-  in
-  output_string oc Segment.magic;
-  flush oc;
-  Unix.fsync (Unix.descr_of_out_channel oc);
-  close_out oc;
-  Store.fsync_dir dir
+  Io.create ~sync:true (seg_path dir id) (fun oc ->
+      output_string oc Segment.magic)
 
-let open_append dir id =
-  open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 (seg_path dir id)
-
-let rec mkdir_p path =
-  if path <> "" && path <> "/" && not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
+let open_append dir id = Io.open_append (seg_path dir id)
 
 (* --- reads ------------------------------------------------------------------- *)
 
@@ -244,29 +231,22 @@ let scrub t =
 
 let live_ids t = List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.lens [])
 
-let flush_buffered t =
-  if t.dirty then begin
-    Stdlib.flush t.chan;
-    t.dirty <- false;
-    t.os_dirty <- true
-  end
-
 (* Sealed segments are fsynced oldest first through their read
    descriptors (fsync applies to the file, whatever the descriptor's
    mode), then the active one. *)
 let flush ?(sync = true) t =
-  flush_buffered t;
+  Io.flush t.chan;
   if sync && t.sealed <> [] then begin
     let fds = Atomic.get t.fds in
     List.iter
       (fun id ->
-        Unix.fsync (Int_map.find id fds);
+        Io.fsync_fd (seg_path t.dir id) (Int_map.find id fds);
         Telemetry.incr t.sink "pack.fsync")
       (List.rev t.sealed);
     t.sealed <- []
   end;
   if sync && t.os_dirty then begin
-    Unix.fsync (Unix.descr_of_out_channel t.chan);
+    Io.fsync t.chan;
     t.os_dirty <- false;
     Telemetry.incr t.sink "pack.fsync"
   end
@@ -292,10 +272,10 @@ let roll t =
      manifest never names a file that does not exist durably.  The
      successor's read descriptor is published before any of its records
      can be. *)
-  flush_buffered t;
+  Io.flush t.chan;
   if t.os_dirty then t.sealed <- t.active :: t.sealed;
   t.os_dirty <- false;
-  close_out t.chan;
+  Io.close t.chan;
   Hashtbl.replace t.lens t.active t.active_len;
   let id = t.active + 1 in
   create_segment_file t.dir id;
@@ -322,18 +302,18 @@ let append t nodes =
         let flen = String.length head + String.length bytes in
         if t.active_len + flen > t.segment_target && t.active_len > magic_len
         then roll t;
-        output_string t.chan head;
-        output_string t.chan bytes;
+        Io.output t.chan head;
+        Io.output t.chan bytes;
         Hash.Table.replace fresh h
           { Pack_index.seg = t.active; off = t.active_len; len = flen };
         t.active_len <- t.active_len + flen;
         t.bytes <- t.bytes + (flen - Segment.header_len);
-        t.dirty <- true;
+        t.os_dirty <- true;
         Telemetry.incr t.sink "pack.append"
       end)
     nodes;
   if Hash.Table.length fresh > 0 then begin
-    flush_buffered t;
+    Io.flush t.chan;
     t.index_dirty <- true;
     Mutex.protect t.index_lock (fun () ->
         Hash.Table.iter (Hash.Table.replace t.index) fresh)
@@ -346,19 +326,10 @@ let scan_failure id pos =
 
 (* Clamp a segment's torn tail on disk.  A segment left shorter than the
    magic (a torn creation, or an empty file) clamps to empty and the
-   magic is rewritten — the registered creation had fsynced it. *)
+   magic is rewritten. *)
 let clamp_segment dir id ~keep =
-  let path = seg_path dir id in
-  if keep >= magic_len then Unix.truncate path keep
-  else begin
-    let oc =
-      open_out_gen
-        [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
-        0o644 path
-    in
-    output_string oc Segment.magic;
-    close_out oc
-  end
+  if keep >= magic_len then Io.truncate (seg_path dir id) keep
+  else create_segment_file dir id
 
 (* Recover segment [id] from [covered] — the index's coverage, or 0 for a
    segment the index does not name or a rebuild — through the one
@@ -431,7 +402,7 @@ let live_segment_problem dir id =
 
 let open_ ?(segment_target = 8 * 1024 * 1024) ?(retry_attempts = 3)
     ?(retry_backoff_s = 0.) ?(sink = Telemetry.null) dir =
-  mkdir_p dir;
+  Io.mkdir ~sync:true dir;
   let fresh = not (Sys.file_exists (manifest_path dir)) in
   if fresh then begin
     create_segment_file dir 0;
@@ -441,16 +412,16 @@ let open_ ?(segment_target = 8 * 1024 * 1024) ?(retry_attempts = 3)
   | Error (`Malformed msg) -> Error (`Tampered ("manifest: " ^ msg))
   | Ok (generation, ids) -> (
       let ids = List.sort compare ids in
-      (* Sweep segment files a crashed compaction or roll left behind. *)
+      (* One sweep: segment files a crashed compaction or roll left
+         behind, and the tmp files of an interrupted manifest or index
+         replacement. *)
       let swept = ref 0 in
-      Array.iter
-        (fun name ->
+      Io.sweep dir (fun name ->
           match Segment.id_of_filename name with
           | Some id when not (List.mem id ids) ->
-              Sys.remove (Filename.concat dir name);
-              incr swept
-          | _ -> ())
-        (Sys.readdir dir);
+              incr swept;
+              true
+          | _ -> Io.is_tmp name);
       match List.find_map (live_segment_problem dir) ids with
       | Some msg -> Error (`Tampered msg)
       | None -> (
@@ -511,7 +482,6 @@ let open_ ?(segment_target = 8 * 1024 * 1024) ?(retry_attempts = 3)
                   chan = open_append dir active;
                   active_len =
                     Option.value ~default:magic_len (Hashtbl.find_opt lens active);
-                  dirty = false;
                   os_dirty = false;
                   sealed = [];
                   index_dirty = index_rebuilt || adopted > 0 || !clamped > 0;
@@ -528,7 +498,7 @@ let open_ ?(segment_target = 8 * 1024 * 1024) ?(retry_attempts = 3)
 let close t =
   flush ~sync:true t;
   sync_index t;
-  close_out t.chan;
+  Io.close t.chan;
   close_readers (Atomic.exchange t.fds Int_map.empty)
 
 let dir t = t.dir
@@ -573,16 +543,8 @@ let compact ?(on_step = ignore) t ~live =
     Buffer.add_string cur Segment.magic;
     let write_segment () =
       let id = !cur_id in
-      let path = seg_path t.dir id in
-      let oc =
-        open_out_gen
-          [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
-          0o644 path
-      in
-      Buffer.output_buffer oc cur;
-      Stdlib.flush oc;
-      Unix.fsync (Unix.descr_of_out_channel oc);
-      close_out oc;
+      Io.create ~sync:true (seg_path t.dir id) (fun oc ->
+          Buffer.output_buffer oc cur);
       new_lens := (id, Buffer.length cur) :: !new_lens;
       Buffer.clear cur;
       Buffer.add_string cur Segment.magic;
@@ -606,7 +568,6 @@ let compact ?(on_step = ignore) t ~live =
         Buffer.add_string cur record)
       kept;
     write_segment ();
-    Store.fsync_dir t.dir;
     on_step "segments-written";
     let new_lens = !new_lens in
     Pack_index.save ~sync:true (index_path t.dir)
@@ -616,12 +577,10 @@ let compact ?(on_step = ignore) t ~live =
     save_manifest t.dir ~generation:t.generation (List.map fst new_lens);
     on_step "manifest";
     (* Committed: everything from here is cleanup. *)
-    close_out t.chan;
+    Io.close t.chan;
     close_readers
       (Atomic.exchange t.fds (open_readers t.dir (List.map fst new_lens)));
-    List.iter
-      (fun id -> try Sys.remove (seg_path t.dir id) with Sys_error _ -> ())
-      old_ids;
+    List.iter (fun id -> Io.remove (seg_path t.dir id)) old_ids;
     on_step "cleanup";
     Mutex.protect t.index_lock (fun () ->
         Hash.Table.reset t.index;
@@ -632,7 +591,6 @@ let compact ?(on_step = ignore) t ~live =
     t.active <- active;
     t.active_len <- List.assoc active new_lens;
     t.chan <- open_append t.dir active;
-    t.dirty <- false;
     t.os_dirty <- false;
     t.index_dirty <- false;
     t.bytes <-

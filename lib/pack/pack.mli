@@ -15,11 +15,15 @@
       rebuilt bytes are identical to an undamaged persisted index.
       A file {e longer} than its indexed coverage only has its tail
       scanned and adopted.
-    - {b manifest} is replaced atomically (tmp + rename + directory
-      fsync).  Compaction writes new segments and a new index first, then
-      flips the manifest: a crash at any point leaves the old or the new
-      segment set, never a mix.  Segment files not named by the manifest
+    - {b manifest} is replaced atomically ({!Siri_io.Io.replace}).
+      Compaction writes new segments and a new index first, then flips
+      the manifest: a crash at any point leaves the old or the new
+      segment set, never a mix.  Segment files not named by the manifest,
+      and the temp files of an interrupted manifest or index replace,
       are swept on open.
+
+    Every file effect here goes through {!Siri_io.Io}; this module
+    decides only what is written and in what order.
 
     Group fsync: each {!append} call writes its records to the OS without
     an fsync, and so does a roll: the outgoing segment is sealed (its

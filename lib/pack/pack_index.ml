@@ -1,6 +1,5 @@
 module Hash = Siri_crypto.Hash
 module Wire = Siri_codec.Wire
-module Store = Siri_store.Store
 
 let magic = "SIRIPACKIDX1"
 
@@ -67,7 +66,7 @@ let decode =
 
 let save ?(sync = true) path t =
   let blob = encode t in
-  Store.write_file_atomic ~sync path (fun oc -> output_string oc blob)
+  Siri_io.Io.replace ~sync path (fun oc -> output_string oc blob)
 
 let load path =
   match In_channel.with_open_bin path In_channel.input_all with

@@ -36,8 +36,7 @@ val decode : string -> (t, [ `Malformed of string ]) result
     checksum, truncation, non-canonical order — is [`Malformed]. *)
 
 val save : ?sync:bool -> string -> t -> unit
-(** Atomic tmp-rename write ({!Siri_store.Store.write_file_atomic});
-    with [sync] (default true) the parent directory is fsynced too. *)
+(** Atomic replace ({!Siri_io.Io.replace}); [sync] defaults to true. *)
 
 val load : string -> t option
 (** [None] when the file is missing or fails {!decode} — the caller

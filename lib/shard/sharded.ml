@@ -12,6 +12,7 @@ module Pool = Siri_parallel.Pool
 module Telemetry = Siri_telemetry.Telemetry
 module Journal = Siri_wal.Journal
 module Wire = Siri_codec.Wire
+module Io = Siri_io.Io
 
 type runner = [ `Pool | `Threads | `Inline ]
 
@@ -69,35 +70,22 @@ let top_path dir g = Filename.concat (gen_root dir g) "top"
 let shard_dir dir g i =
   Filename.concat (gen_root dir g) (Printf.sprintf "shard.%d" i)
 
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | true ->
-      Array.iter
-        (fun name -> rm_rf (Filename.concat path name))
-        (try Sys.readdir path with Sys_error _ -> [||]);
-      (try Sys.rmdir path with Sys_error _ -> ())
-  | false -> ( try Sys.remove path with Sys_error _ -> ())
-  | exception Sys_error _ -> ()
-
-(* Remove every layout the manifest does not name: superseded
-   generations after a reshard, and staging directories a crash left
-   mid-build.  Nothing here is ever the live state, so the sweep is
-   unconditional and idempotent. *)
-let sweep_stale dir ~generation =
-  Array.iter
-    (fun name ->
-      let stale =
-        match Scanf.sscanf_opt name "gen.%d%s" (fun g rest -> (g, rest)) with
-        | Some (g, "") -> g <> generation
-        | Some (_, ".tmp") -> true
-        | _ ->
-            generation > 0
-            && (name = "top"
-               || Scanf.sscanf_opt name "shard.%d%s" (fun i rest -> (i, rest))
-                  |> Option.fold ~none:false ~some:(fun (_, rest) -> rest = ""))
-      in
-      if stale then rm_rf (Filename.concat dir name))
-    (try Sys.readdir dir with Sys_error _ -> [||])
+(* Every name under [dir] that the manifest does not name: interrupted
+   atomic writes ([SHARDS], a [top] checkpoint), superseded generations
+   after a reshard, and staging directories a crash left mid-build.
+   Nothing here is ever the live state, so the sweep is unconditional
+   and idempotent. *)
+let stale ~generation name =
+  Io.is_tmp name
+  ||
+  match Scanf.sscanf_opt name "gen.%d%s" (fun g rest -> (g, rest)) with
+  | Some (g, "") -> g <> generation
+  | Some (_, ".tmp") -> true
+  | _ ->
+      generation > 0
+      && (name = "top"
+         || Scanf.sscanf_opt name "shard.%d%s" (fun i rest -> (i, rest))
+            |> Option.fold ~none:false ~some:(fun (_, rest) -> rest = ""))
 
 let recovery t = t.recovered
 let spec t = t.spec
@@ -305,7 +293,7 @@ let read_manifest dir =
         | _ -> Error (`Malformed "shard manifest: bad magic"))
 
 let write_manifest ~sync dir spec ~generation =
-  Store.write_file_atomic ~sync (manifest_path dir) (fun oc ->
+  Io.replace ~sync (manifest_path dir) (fun oc ->
       Printf.fprintf oc "%s\n%s\ngen %d\n" manifest_magic
         (Partition.to_string spec) generation)
 
@@ -328,7 +316,7 @@ let open_ ?(sync = true) ?backend ?(runner = `Pool) ?spec ~dir ~empty_index ()
     if manifest = None && Durable.detect dir <> None then
       (* Never write a second layout into a flat durable directory. *)
       Error (`Malformed (dir ^ ": a flat durable directory, not a sharded one"))
-    else Durable.ensure_dir dir
+    else Durable.ensure_dir ~sync dir
   in
   let* spec, generation =
     match (manifest, spec) with
@@ -345,14 +333,9 @@ let open_ ?(sync = true) ?backend ?(runner = `Pool) ?spec ~dir ~empty_index ()
                    with %s"
                   (Partition.to_string s) (Partition.to_string m)))
   in
-  (* Interrupted atomic writes ([SHARDS], a [top] checkpoint) leave tmp
-     files that are never live; superseded generations and crashed
-     reshard staging dirs are garbage the moment the manifest stops (or
-     never started) naming them. *)
-  Store.sweep_tmp dir;
-  if generation > 0 then Store.sweep_tmp (gen_root dir generation);
   if manifest = None then write_manifest ~sync dir spec ~generation;
-  sweep_stale dir ~generation;
+  Io.sweep dir (stale ~generation);
+  if generation > 0 then Io.sweep (gen_root dir generation) Io.is_tmp;
   (* 1. The composite journal names the last published sequence number —
      the cap every shard replays under. *)
   let tpath = top_path dir generation in
@@ -464,9 +447,8 @@ let reshard t ~shards:m =
   let staging = staging_root t.dir g' in
   let build () =
     Telemetry.with_span s "shard.reshard" @@ fun () ->
-    rm_rf staging;
-    Result.iter_error (fun e -> raise (Reshard_error e))
-      (Durable.ensure_dir staging);
+    Io.remove staging;
+    Io.mkdir ~sync:t.sync staging;
     let open_new i =
       match
         Durable.open_ ~sync:t.sync ~backend:t.backend
@@ -527,16 +509,15 @@ let reshard t ~shards:m =
        manifest — the atomic commit point.  Until the manifest replacement
        lands, the old layout is still the state and everything built here
        is sweepable staging. *)
-    Unix.rename staging (gen_root t.dir g');
-    if t.sync then Store.fsync_dir t.dir;
+    Io.rename ~sync:t.sync staging (gen_root t.dir g');
     write_manifest ~sync:t.sync t.dir new_spec ~generation:g'
   in
   match build () with
   | exception Reshard_error e ->
-      rm_rf staging;
+      Io.remove staging;
       Error e
   | exception Unix.Unix_error (e, fn, arg) ->
-      rm_rf staging;
+      Io.remove staging;
       Error
         (`Malformed
            (Printf.sprintf "reshard: %s(%s): %s" fn arg (Unix.error_message e)))

@@ -1,4 +1,5 @@
 open Siri_crypto
+module Io = Siri_io.Io
 module Telemetry = Siri_telemetry.Telemetry
 module Node_cache = Siri_readpath.Node_cache
 module Proof_cache = Siri_readpath.Proof_cache
@@ -444,71 +445,6 @@ let gc t ~roots =
 
 let magic = "SIRISTORE2"
 
-(* Atomic file replacement.  The temp name carries the pid and a process-wide
-   counter so concurrent saves to the same destination never clobber each
-   other's half-written file; [fsync] before the rename makes the
-   bytes-then-name ordering crash-safe (a torn save leaves only a stale
-   [.tmp.*], never a damaged destination). *)
-
-let tmp_counter = Atomic.make 0
-
-let fresh_tmp path =
-  Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
-    (Atomic.fetch_and_add tmp_counter 1 + 1)
-
-let tmp_marker = ".tmp."
-
-let is_tmp_of ~base name =
-  let prefix = base ^ tmp_marker in
-  String.length name > String.length prefix && String.starts_with ~prefix name
-
-let has_tmp_marker name =
-  let n = String.length name and m = String.length tmp_marker in
-  let rec at i = i + m <= n && (String.sub name i m = tmp_marker || at (i + 1)) in
-  at 0
-
-let sweep_tmp ?base dir =
-  let is_tmp =
-    match base with Some base -> is_tmp_of ~base | None -> has_tmp_marker
-  in
-  Array.iter
-    (fun name ->
-      if is_tmp name then
-        try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
-    (try Sys.readdir dir with Sys_error _ -> [||])
-
-let cleanup_stale_tmp path =
-  sweep_tmp ~base:(Filename.basename path) (Filename.dirname path)
-
-(* A rename is not durable until the containing directory's entry table is
-   on disk: on ext4 an fsync of the file alone can survive a crash while
-   the rename itself is lost, resurrecting the old name.  Every atomic
-   replacement therefore ends with an fsync of the parent directory.
-   Failures are swallowed — some filesystems refuse fsync on directories,
-   and a failed directory sync only weakens durability, never integrity. *)
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
-
-let write_file_atomic ?(sync = true) path writer =
-  let tmp = fresh_tmp path in
-  let oc = open_out_bin tmp in
-  (try
-     writer oc;
-     flush oc;
-     if sync then Unix.fsync (Unix.descr_of_out_channel oc);
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path;
-  if sync then fsync_dir (Filename.dirname path)
-
 (* Insert a node under an explicit key without re-hashing — the load path
    needs this so that a node whose recorded digest no longer matches its
    bytes keeps its original identity (and can then be found by [scrub]). *)
@@ -516,8 +452,8 @@ let add_raw t h bytes children =
   if add_if_absent t h { bytes; children } then
     add_counter t.stored_bytes (String.length bytes)
 
-let save ?sync t path =
-  write_file_atomic ?sync path (fun oc ->
+let save ?(sync = true) t path =
+  Io.replace ~sync path (fun oc ->
       output_string oc magic;
       let write_varint n =
         let rec go n =
@@ -544,7 +480,7 @@ let save ?sync t path =
         t.tbl)
 
 let load ?(verify = true) path =
-  cleanup_stale_tmp path;
+  Io.sweep (Filename.dirname path) (Io.is_tmp ~base:(Filename.basename path));
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)

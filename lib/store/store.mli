@@ -297,37 +297,14 @@ val gc : t -> roots:Hash.t list -> int
     and the file rejected with a typed error. *)
 
 val save : ?sync:bool -> t -> string -> unit
-(** Write all nodes to [path], atomically: bytes go to a uniquely-named
-    temp file ([path ^ ".tmp.<pid>.<counter>"], so concurrent saves to one
-    destination cannot clobber each other), are [fsync]ed ([sync] defaults
-    to [true]; pass [false] to trade crash-durability for speed in tests
-    and benchmarks), and only then renamed over [path].  A crash mid-save
-    leaves at most a stale temp file, never a damaged destination. *)
-
-val sweep_tmp : ?base:string -> string -> unit
-(** Remove the leftover tmp files of interrupted atomic writes from a
-    directory: with [base], only [base ^ ".tmp.*"]; without, every name
-    containing [".tmp."] — none is ever a live file. *)
-
-val cleanup_stale_tmp : string -> unit
-(** [sweep_tmp] of [path]'s own tmp files, next to [path].  {!load} calls
-    this automatically. *)
-
-val write_file_atomic : ?sync:bool -> string -> (out_channel -> unit) -> unit
-(** The tmp+fsync+rename primitive underlying {!save}, exposed for the
-    other persistence layers (engine heads, WAL manifest, pack index) so
-    every file in the system is replaced with the same crash-safe protocol.
-    With [sync] the replacement ends with {!fsync_dir} on the parent — a
-    rename alone is not durable on ext4. *)
-
-val fsync_dir : string -> unit
-(** Fsync a directory so a just-created or just-renamed entry inside it
-    survives a crash.  Best-effort: errors (including filesystems that
-    refuse directory fsync) are swallowed — a failed directory sync can
-    weaken durability but never integrity. *)
+(** Write all nodes to [path] with {!Siri_io.Io.replace}: a crash
+    mid-save leaves at most a stale temp file, never a damaged
+    destination.  [sync] (default [true]) fsyncs; pass [false] to trade
+    crash-durability for speed in tests and benchmarks. *)
 
 val load : ?verify:bool -> string -> t
-(** Read a store back.  Raises [Failure] on a malformed, truncated or
+(** Read a store back, first sweeping the temp files an interrupted
+    {!save} to [path] left.  Raises [Failure] on a malformed, truncated or
     damaged file (any payload whose re-hash disagrees with its recorded
     digest).  With [~verify:false] damaged payloads are kept under their
     recorded key instead of rejected — best-effort loading for forensics:

@@ -2,6 +2,7 @@ module Engine = Siri_forkbase.Engine
 module Store = Siri_store.Store
 module Fault = Siri_fault.Fault
 module Pack = Siri_pack.Pack
+module Io = Siri_io.Io
 module Telemetry = Siri_telemetry.Telemetry
 
 let manifest_magic = "SIRIWALMANIFEST1"
@@ -78,7 +79,7 @@ let sink t = Store.sink (Engine.store t.engine)
    old version or the new one — never torn. *)
 
 let write_manifest ~sync dir ~generation ~seq =
-  Store.write_file_atomic ~sync (manifest_path dir) (fun oc ->
+  Io.replace ~sync (manifest_path dir) (fun oc ->
       Printf.fprintf oc "%s\n%d %d\n" manifest_magic generation seq)
 
 let read_manifest dir =
@@ -101,15 +102,12 @@ let read_manifest dir =
 
 (* --- directory ------------------------------------------------------------------ *)
 
-let ensure_dir dir =
-  if Sys.file_exists dir then
-    if Sys.is_directory dir then Ok ()
-    else Error (`Malformed (dir ^ ": not a directory"))
-  else
-    match Unix.mkdir dir 0o755 with
-    | () -> Ok ()
-    | exception Unix.Unix_error (e, _, _) ->
-        Error (`Malformed (dir ^ ": " ^ Unix.error_message e))
+let ensure_dir ~sync dir =
+  match Io.mkdir ~sync dir with
+  | () when Sys.is_directory dir -> Ok ()
+  | () -> Error (`Malformed (dir ^ ": not a directory"))
+  | exception Unix.Unix_error (e, _, _) ->
+      Error (`Malformed (dir ^ ": " ^ Unix.error_message e))
 
 (* --- recovery ----------------------------------------------------------------- *)
 
@@ -128,12 +126,19 @@ let ( let* ) = Result.bind
 
 let open_ ?(sync = true) ?backend ?replay_cap ~dir ~empty_index () =
   let* backend = resolve_backend ~dir backend in
-  let* () = ensure_dir dir in
-  (* Any interrupted atomic write here (snapshot, heads, manifest or a
-     journal checkpoint) leaves a uniquely-named tmp file; none is ever a
-     live artifact. *)
-  Store.sweep_tmp dir;
-  let* manifest = read_manifest dir in
+  let* () = ensure_dir ~sync dir in
+  let manifest = read_manifest dir in
+  (* One sweep.  Any interrupted atomic write here (snapshot, heads,
+     manifest or a journal checkpoint) leaves a uniquely-named tmp file,
+     never a live artifact; and a crash between manifest publication and
+     old-generation removal leaves superseded snapshot files behind. *)
+  let stale_generation name =
+    match (manifest, Scanf.sscanf_opt name "store.%d%s" (fun g rest -> (g, rest))) with
+    | Ok (Some (generation, _)), Some (g, ("" | ".heads")) -> g <> generation
+    | _ -> false
+  in
+  Io.sweep dir (fun name -> Io.is_tmp name || stale_generation name);
+  let* manifest = manifest in
   let engine_r =
     match backend with
     | `Snapshot -> (
@@ -162,18 +167,6 @@ let open_ ?(sync = true) ?backend ?replay_cap ~dir ~empty_index () =
                 | exception Failure msg -> Error (`Malformed msg)
                 | exception Sys_error msg -> Error (`Malformed msg))))
   in
-  (* A crash between manifest publication and old-generation removal
-     leaves superseded snapshot files behind; sweep them. *)
-  (match manifest with
-  | None -> ()
-  | Some (generation, _) ->
-      Array.iter
-        (fun name ->
-          match Scanf.sscanf_opt name "store.%d%s" (fun g rest -> (g, rest)) with
-          | Some (g, ("" | ".heads")) when g <> generation -> (
-              try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
-          | _ -> ())
-        (try Sys.readdir dir with Sys_error _ -> [||]));
   let* engine, generation, snapshot_seq, pack = engine_r in
   let sink = Store.sink (Engine.store engine) in
   let jpath = journal_path dir in
@@ -325,8 +318,8 @@ let checkpoint t =
   (* 4. Best-effort removal of the superseded generation. *)
   if t.generation > 0 then begin
     let old = snapshot_path t.dir t.generation in
-    (try Sys.remove old with Sys_error _ -> ());
-    try Sys.remove (old ^ ".heads") with Sys_error _ -> ()
+    Io.remove old;
+    Io.remove (old ^ ".heads")
   end;
   t.generation <- generation;
   Telemetry.incr s "wal.checkpoint"

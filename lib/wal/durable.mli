@@ -90,9 +90,11 @@ val open_ :
     append and the composite commit point rolls the shard back instead
     of resurrecting an unpublished commit. *)
 
-val ensure_dir : string -> (unit, Wal.error) result
-(** Create a directory when absent; [`Malformed] when the path is a file
-    or cannot be created.  Every durable root is made through this. *)
+val ensure_dir : sync:bool -> string -> (unit, Wal.error) result
+(** Create a directory and its missing ancestors ({!Siri_io.Io.mkdir},
+    so under [sync] each new entry is durable); [`Malformed] when the
+    path is a file or cannot be created.  Every durable root is made
+    through this. *)
 
 val detect : string -> backend option
 (** The backend a directory holds: [`Pack] when it has a [pack/]

@@ -1,6 +1,6 @@
 module Frame = Siri_codec.Frame
 module Wire = Siri_codec.Wire
-module Store = Siri_store.Store
+module Io = Siri_io.Io
 
 type error = [ `Tampered of int | `Malformed of string ]
 
@@ -63,63 +63,55 @@ type 'a t = {
   codec : 'a codec;
   path : string;
   sync : bool;
-  mutable oc : out_channel option;
+  mutable file : Io.file option;
 }
 
-let fsync oc = Unix.fsync (Unix.descr_of_out_channel oc)
+let size path =
+  match (Unix.stat path).Unix.st_size with
+  | n -> n
+  | exception Unix.Unix_error _ -> 0
 
-let open_channel ~sync codec path =
-  let oc =
-    open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644 path
-  in
-  if out_channel_length oc = 0 then begin
-    output_string oc codec.magic;
-    flush oc;
-    if sync then fsync oc
-  end;
-  oc
+(* An absent or empty journal is created with its magic and fsynced
+   through to its directory, so the name survives a crash with a header
+   that scans. *)
+let open_file ~sync codec path =
+  if size path = 0 then
+    Io.create ~sync path (fun oc -> output_string oc codec.magic);
+  Io.open_append path
 
 let open_ ?(sync = true) ~valid_prefix codec path =
-  (match (Unix.stat path).Unix.st_size with
-  | size -> if size > valid_prefix then Unix.truncate path valid_prefix
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
-  { codec; path; sync; oc = Some (open_channel ~sync codec path) }
+  if size path > valid_prefix then Io.truncate path valid_prefix;
+  { codec; path; sync; file = Some (open_file ~sync codec path) }
 
 let append t v =
-  match t.oc with
+  match t.file with
   | None -> invalid_arg ("Journal.append: " ^ t.path ^ " is closed")
-  | Some oc ->
+  | Some f ->
       let frame = Frame.encode (t.codec.encode v) in
-      output_string oc frame;
-      flush oc;
-      if t.sync then fsync oc;
+      Io.output f frame;
+      Io.flush f;
+      if t.sync then Io.fsync f;
       String.length frame
 
 let write ?(sync = true) codec path vs =
-  Store.write_file_atomic ~sync path (fun oc ->
+  Io.replace ~sync path (fun oc ->
       output_string oc codec.magic;
       List.iter (fun v -> output_string oc (Frame.encode (codec.encode v))) vs)
 
 let rewrite t vs =
   (* Every record in the old file is superseded: close without a sync. *)
-  Option.iter close_out_noerr t.oc;
-  t.oc <- None;
+  Option.iter Io.close t.file;
+  t.file <- None;
   write ~sync:t.sync t.codec t.path vs;
-  t.oc <- Some (open_channel ~sync:t.sync t.codec t.path)
+  t.file <- Some (open_file ~sync:t.sync t.codec t.path)
 
-let length t =
-  match t.oc with
-  | Some oc -> out_channel_length oc
-  | None -> (
-      match (Unix.stat t.path).Unix.st_size with
-      | n -> n
-      | exception Unix.Unix_error _ -> 0)
+let length t = size t.path
 
 let close t =
   Option.iter
-    (fun oc ->
-      flush oc;
-      if t.sync then fsync oc;
-      close_out_noerr oc)
-    t.oc;
-  t.oc <- None
+    (fun f ->
+      Io.flush f;
+      if t.sync then Io.fsync f;
+      Io.close f)
+    t.file;
+  t.file <- None

@@ -50,8 +50,9 @@ type 'a t
 val open_ : ?sync:bool -> valid_prefix:int -> 'a codec -> string -> 'a t
 (** Truncate the file to [valid_prefix] bytes when it is longer (the
     torn tail a {!scan} found, or any suffix the caller rolls back), then
-    open it for appending, writing the magic first when the file is empty
-    or absent.  [sync] (default [true]) fsyncs every write. *)
+    open it for appending.  An empty or absent file is first created
+    with the magic ({!Siri_io.Io.create}, so its directory entry is
+    durable too).  [sync] (default [true]) fsyncs every write. *)
 
 val append : 'a t -> 'a -> int
 (** Frame the record, write it, flush it and [fsync] it when [sync];
@@ -59,7 +60,7 @@ val append : 'a t -> 'a -> int
 
 val write : ?sync:bool -> 'a codec -> string -> 'a list -> unit
 (** Atomically replace the file at a path with the magic and the given
-    records ({!Siri_store.Store.write_file_atomic}). *)
+    records ({!Siri_io.Io.replace}). *)
 
 val rewrite : 'a t -> 'a list -> unit
 (** {!write} over an open journal's file — the checkpoint compaction —

@@ -316,6 +316,36 @@ let test_malformed_tsv () =
       [ "pack"; bad; out ];
       [ "pack"; "--shards"; "2"; bad; out ] ]
 
+(* A snapshot that cannot be read, or a path that cannot be written, is
+   refused by name with exit 2 and leaves nothing behind: no pack
+   directory, no temp file. *)
+let test_bad_paths () =
+  with_dir "badpath" @@ fun dir ->
+  let tsv = Filename.concat dir "data.tsv" in
+  write_tsv tsv [ ("a", "1"); ("b", "2") ];
+  let junk = Filename.concat dir "junk" in
+  Out_channel.with_open_bin junk (fun oc -> output_string oc "JUNK");
+  let taken = Filename.concat dir "taken" in
+  Unix.mkdir taken 0o755;
+  let refused args err =
+    let code, stdout, stderr = run_cli_io args in
+    let what = String.concat " " args in
+    Alcotest.(check int) ("exit: " ^ what) 2 code;
+    Alcotest.(check string) ("no output: " ^ what) "" stdout;
+    Alcotest.(check string) ("reported: " ^ what) err stderr
+  in
+  let out = Filename.concat dir "out" in
+  refused [ "pack"; "--from-snapshot"; junk; out ]
+    (Printf.sprintf "pack: %s: Store.load: bad magic\n" junk);
+  Alcotest.(check bool) "no pack directory" false (Sys.file_exists out);
+  let missing = Filename.concat dir "missing/x" in
+  refused [ "snapshot"; tsv; missing ]
+    (Printf.sprintf "snapshot: %s: No such file or directory\n" missing);
+  refused [ "snapshot"; tsv; taken ]
+    (Printf.sprintf "snapshot: %s: Is a directory\n" taken);
+  Alcotest.(check (list string)) "no temp file left" [ "data.tsv"; "junk"; "taken" ]
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
+
 (* compact keeps the closure of its roots: a malformed or unknown root
    is refused and leaves the pack as it is. *)
 let test_compact_exit_codes () =
@@ -455,7 +485,9 @@ let () =
           Alcotest.test_case "malformed TSV: 2, nothing created" `Quick
             test_malformed_tsv;
           Alcotest.test_case "compact: 0 kept / 2 malformed or unknown root"
-            `Quick test_compact_exit_codes ] );
+            `Quick test_compact_exit_codes;
+          Alcotest.test_case "bad snapshot or output path: 2, nothing left"
+            `Quick test_bad_paths ] );
       ( "output",
         [ Alcotest.test_case "TSV commands agree with the model" `Quick
             test_tsv_commands ] ) ]

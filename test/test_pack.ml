@@ -832,6 +832,33 @@ let test_compaction_drops_and_survives () =
     ~expected:((fun (h, _, _) -> h) fresh :: List.map (fun (h, _, _) -> h) live_nodes);
   Pack.close p2
 
+(* A crash inside a manifest or index replacement leaves its temp file in
+   the pack directory.  Reopen removes both in the same pass as orphan
+   segments (counting neither as one) and leaves the live segment as it
+   was. *)
+let test_tmp_files_swept () =
+  with_dir "tmp-sweep" @@ fun dir ->
+  let all = nodes 20 in
+  let p, _ = open_exn dir in
+  Pack.append p all;
+  Pack.close p;
+  let seg = read_file (seg_path dir 0) in
+  let tmps =
+    List.map (Filename.concat dir) [ "manifest.tmp.99999.1"; "index.tmp.99999.2" ]
+  in
+  List.iter (fun path -> write_file path "torn") tmps;
+  let p, r = open_exn dir in
+  List.iter
+    (fun path ->
+      Alcotest.(check bool) (path ^ " swept") false (Sys.file_exists path))
+    tmps;
+  Alcotest.(check int) "no orphan segment" 0 r.Pack.swept;
+  Alcotest.(check string) "live segment intact" seg (read_file (seg_path dir 0));
+  check_reads p all ~expected:(List.map (fun (h, _, _) -> h) all);
+  Alcotest.(check (list string)) "scrub is clean" []
+    (List.map Hash.to_hex (Pack.scrub p));
+  Pack.close p
+
 (* --- retry / transient gates --------------------------------------------------- *)
 
 let test_with_retry () =
@@ -1598,7 +1625,9 @@ let () =
         [ Alcotest.test_case "drop + rewrite + swap" `Quick
             test_compaction_drops_and_survives;
           Alcotest.test_case "kill at every step: old or new, never a mix"
-            `Quick test_compaction_kill_points ] );
+            `Quick test_compaction_kill_points;
+          Alcotest.test_case "manifest and index tmp files swept on open"
+            `Quick test_tmp_files_swept ] );
       ( "retry",
         [ Alcotest.test_case "with_retry semantics + telemetry" `Quick
             test_with_retry;

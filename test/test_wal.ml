@@ -11,6 +11,7 @@
 
 open Siri_core
 module Store = Siri_store.Store
+module Io = Siri_io.Io
 module Hash = Siri_crypto.Hash
 module Engine = Siri_forkbase.Engine
 module Wal = Siri_wal.Wal
@@ -477,7 +478,7 @@ let test_engine_load_checked () =
   let engine = Engine.create ~empty_index:(make_pos ()) in
   Engine.save ~sync:false engine path;
   (* Every head ghosted: typed error, not Not_found / Failure. *)
-  Store.write_file_atomic ~sync:false (path ^ ".heads") (fun oc ->
+  Io.replace ~sync:false (path ^ ".heads") (fun oc ->
       Printf.fprintf oc "master\t%s\n" (Hash.to_hex (Hash.of_string "ghost")));
   (match Engine.load_checked ~empty_index:(make_pos ()) path with
   | Error (`Malformed msg) ->
@@ -485,7 +486,7 @@ let test_engine_load_checked () =
         (Astring.String.is_infix ~affix:"absent" msg)
   | Ok _ -> Alcotest.fail "expected `Malformed");
   (* Malformed heads file: typed error. *)
-  Store.write_file_atomic ~sync:false (path ^ ".heads") (fun oc ->
+  Io.replace ~sync:false (path ^ ".heads") (fun oc ->
       output_string oc "no tab separator here\n");
   (match Engine.load_checked ~empty_index:(make_pos ()) path with
   | Error (`Malformed _) -> ()
