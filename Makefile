@@ -119,6 +119,14 @@
 #   make bench-sidecars — fail loudly if any committed BENCH_*.json metrics
 #                  sidecar is missing or empty (regenerate with
 #                  `dune exec bench/main.exe -- <id>`).
+#   make rss     — memory under load (not part of check): runs the perfbench
+#                  ingest workload for 60 s (seed 13) and samples the
+#                  largest siri_serve.exe RSS with ps once a second, then
+#                  prints the samples and the least-squares MB/s slope over
+#                  the load window (bench/rss.py).  The last samples, after
+#                  the window, include the shutdown Pack.sync_index, which
+#                  serializes the whole offset index: that spike is not the
+#                  steady state.
 #   make quick   — tier-1 without the slow cases: everything alcotest marks
 #                  `Slow (the SIGKILL storms, the every-offset truncation
 #                  sweeps and the qcheck property tests) is skipped via
@@ -131,7 +139,7 @@ SIDECARS = BENCH_proof.json BENCH_pack.json BENCH_parallel.json \
            BENCH_readpath.json BENCH_server.json BENCH_shard.json \
            BENCH_scan.json
 
-.PHONY: all build test quick smoke crash par read pack proof serve shard scan pos lint bench-sidecars check bench clean
+.PHONY: all build test quick smoke crash par read pack proof serve shard scan pos lint bench-sidecars check bench rss clean
 
 all: build
 
@@ -260,6 +268,9 @@ check: build lint test smoke crash par read pack proof serve shard scan pos benc
 
 bench:
 	$(DUNE) exec bench/main.exe
+
+rss:
+	python3 bench/rss.py
 
 clean:
 	$(DUNE) clean

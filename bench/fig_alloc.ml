@@ -7,9 +7,9 @@
 
    A commit is [Pos_tree.batch] into an in-memory store (node rebuild,
    SHA-256, store install; no WAL, no pack).  A cold get is a point lookup
-   on a pack-backed store whose hot tier was dropped, with no node cache,
-   so every node on the path is a segment read, a content hash and a
-   parse.  The seed drives the operation streams only; the dataset is
+   on a pack-backed store, which keeps no node in memory, with no node
+   cache, so every node on the path is a segment read, a content hash and
+   a parse.  The seed drives the operation streams only; the dataset is
    fixed.  Words come from [Gc.counters]: minor words allocated, and
    major words (direct major allocation plus promotions). *)
 
@@ -102,7 +102,6 @@ let cold_get_cost entries =
   let store = Store.create ~cache_bytes:0 ~proof_cache_bytes:0 () in
   Pack.attach pack store;
   let g = Pos_tree.generic (Pos_tree.of_sorted store (Pos_tree.config ()) entries) in
-  Store.drop_hot store;
   let rng = Rng.create ((!seed * 1_000_003) + 7919 + 11) in
   let keys =
     Array.init cold_gets (fun _ ->

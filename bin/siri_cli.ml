@@ -889,10 +889,8 @@ let pack_cmd =
     with_pack ~cmd:"pack" dir @@ fun p _ ->
     (match entries with
     | `Snapshot store ->
-        let batch = ref [] in
-        Store.iter_nodes store (fun bytes children ->
-            batch := (Hash.of_string bytes, bytes, children) :: !batch);
-        Pack.append p (List.rev !batch)
+        (* Attaching moves the loaded nodes into the pack. *)
+        Pack.attach p store
     | `Tsv entries ->
         (* Write-through build: every fresh node the index creates goes
            straight to the pack. *)

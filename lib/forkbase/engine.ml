@@ -98,11 +98,12 @@ let checkout t id =
       t.reopen (decode_commit id (Store.get t.store id)).index_root)
 
 (* Extend the parent version's negative-lookup filter to the committed
-   version: copy it and add the written keys.  Deleted keys stay set in
-   the copy, costing only false positives — a filter must never produce a
-   false negative.  A parent without a filter whose key set is non-empty
-   (only possible for pre-existing histories) gets none either: building
-   one from the ops alone would miss the parent's keys. *)
+   version: copy it and add the written keys ([advance] then retires the
+   parent's).  Deleted keys stay set in the copy, costing only false
+   positives — a filter must never produce a false negative.  A parent
+   without a filter whose key set is non-empty (only possible for
+   pre-existing histories) gets none either: building one from the ops
+   alone would miss the parent's keys. *)
 let propagate_filter t ~parent ~parent_known_empty ~root keys =
   if not (Hash.is_null root) then begin
     let base =
@@ -120,46 +121,48 @@ let propagate_filter t ~parent ~parent_known_empty ~root keys =
         Store.set_root_filter t.store root f
   end
 
+(* Only branch heads keep a filter.  Once [c] replaces [branch]'s head,
+   the old head's index root loses its filter unless a head still has
+   that root (a fork, or a commit that left the root unchanged).  A
+   version off every head reads without a filter, which only skips the
+   short-circuit. *)
+let advance t branch c =
+  let old = (head t branch).index_root in
+  Hashtbl.replace t.heads branch c;
+  let shared = Hashtbl.fold (fun _ h acc -> acc || Hash.equal h.index_root old) in
+  if not (shared t.heads false) then Store.remove_root_filter t.store old
+
 let put_keys ops =
   List.filter_map (function Kv.Put (k, _) -> Some k | Kv.Del _ -> None) ops
 
-let commit t ~branch ~message ops =
-  (* The span encloses the index batch, so per-index [<index>.batch] probes
-     nest inside [engine.commit] in the trace. *)
+(* One commit on [branch]: [build] makes the next version from the head
+   and its index; the filter moves forward with [keys] and the head
+   advances.  The span encloses the build, so per-index [<index>.batch]
+   probes nest inside [engine.commit] in the trace. *)
+let commit_with t ~branch ~message ~keys build =
   Telemetry.with_span (Store.sink t.store) "engine.commit" (fun () ->
       let h = head t branch in
-      let inst = t.reopen h.index_root in
-      let inst' = inst.Generic.batch ops in
+      let inst' = build h (t.reopen h.index_root) in
       propagate_filter t ~parent:h.index_root
-        ~parent_known_empty:(h.version = 0) ~root:inst'.Generic.root
-        (put_keys ops);
+        ~parent_known_empty:(h.version = 0) ~root:inst'.Generic.root keys;
       let c =
         store_commit t ~parent:(Some h.id) ~index_root:inst'.Generic.root
           ~message ~version:(h.version + 1)
       in
-      Hashtbl.replace t.heads branch c;
+      advance t branch c;
       c)
 
+let commit t ~branch ~message ops =
+  commit_with t ~branch ~message ~keys:(put_keys ops) (fun _ inst ->
+      inst.Generic.batch ops)
+
 let commit_bulk t ~branch ~message entries =
-  Telemetry.with_span (Store.sink t.store) "engine.commit" (fun () ->
-      let h = head t branch in
-      let inst = t.reopen h.index_root in
-      let inst' =
-        (* A bulk load replaces the version's content wholesale; only the
-           initial (empty) version can take the fast canonical-build path
-           without discarding existing records. *)
-        if h.version = 0 then inst.Generic.bulk_load entries
-        else inst.Generic.batch (List.map (fun (k, v) -> Kv.Put (k, v)) entries)
-      in
-      propagate_filter t ~parent:h.index_root
-        ~parent_known_empty:(h.version = 0) ~root:inst'.Generic.root
-        (List.map fst entries);
-      let c =
-        store_commit t ~parent:(Some h.id) ~index_root:inst'.Generic.root
-          ~message ~version:(h.version + 1)
-      in
-      Hashtbl.replace t.heads branch c;
-      c)
+  commit_with t ~branch ~message ~keys:(List.map fst entries) (fun h inst ->
+      (* A bulk load replaces the version's content wholesale; only the
+         initial (empty) version can take the fast canonical-build path
+         without discarding existing records. *)
+      if h.version = 0 then inst.Generic.bulk_load entries
+      else inst.Generic.batch (List.map (fun (k, v) -> Kv.Put (k, v)) entries))
 
 let get t ~branch key = Generic.get (index t branch) key
 let get_many t ~branch keys = Generic.get_many (index t branch) keys
@@ -247,20 +250,14 @@ let merge_ops t ~into ~from ~policy =
 
 let merge_message ~into ~from = Printf.sprintf "merge %s into %s" from into
 
+(* The resolved write batch, committed like any other: the merged head
+   keeps a filter, and a durable merge (journaled as its ops) replays to
+   the same commit. *)
 let merge_branches t ~into ~from ~policy =
  Telemetry.with_span (Store.sink t.store) "engine.merge" @@ fun () ->
-  match merge_ops t ~into ~from ~policy with
-  | Error cs -> Error cs
-  | Ok ops ->
-      let h = head t into in
-      let merged = (t.reopen h.index_root).Generic.batch ops in
-      let c =
-        store_commit t ~parent:(Some h.id) ~index_root:merged.Generic.root
-          ~message:(merge_message ~into ~from)
-          ~version:(h.version + 1)
-      in
-      Hashtbl.replace t.heads into c;
-      Ok c
+  Result.map
+    (commit t ~branch:into ~message:(merge_message ~into ~from))
+    (merge_ops t ~into ~from ~policy)
 
 (* --- optimistic transactions ---------------------------------------------- *)
 

@@ -46,7 +46,10 @@ val checkout : t -> Hash.t -> Generic.t
 (** The index instance of any past commit. *)
 
 val commit : t -> branch:string -> message:string -> Kv.op list -> commit
-(** Apply a write batch on a branch and advance its head. *)
+(** Apply a write batch on a branch and advance its head.  The new head
+    root gets a copy of the old one's negative-lookup filter plus the
+    written keys; the old root's filter is unregistered unless another
+    head still has that root, so only branch heads keep a filter. *)
 
 val commit_bulk :
   t -> branch:string -> message:string -> (Kv.key * Kv.value) list -> commit

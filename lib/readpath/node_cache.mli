@@ -61,9 +61,8 @@ val remove : t -> Siri_crypto.Hash.t -> unit
 (** Targeted invalidation (tamper simulation, node quarantine). *)
 
 val remove_many : t -> Siri_crypto.Hash.t list -> unit
-(** Batch invalidation — used by [Store.gc] for nodes reclaimed from the
-    cold pack tier, which may be cached here without ever having been in
-    the hot table. *)
+(** Batch invalidation — used by [Store.gc] for the nodes it reclaims,
+    from the store's table or from its backend. *)
 
 val clear : t -> unit
 val resize : t -> budget:int -> unit

@@ -11,20 +11,19 @@ exception Tampered of Hash.t
 
 type node = { mutable bytes : string; children : Hash.t list }
 
-(* A cold storage tier sitting below the in-memory node table.  The store
-   never names a concrete backend (the pack-file implementation lives in
-   [lib/pack] and plugs in through these closures), which keeps the
-   dependency graph acyclic: pack depends on store, not the reverse. *)
+(* The storage a store delegates its nodes to.  The store never names a
+   concrete backend (the pack-file implementation lives in [lib/pack] and
+   plugs in through these closures), which keeps the dependency graph
+   acyclic: pack depends on store, not the reverse. *)
 type backend = {
   backend_name : string;
   backend_read : Hash.t -> string option;
-      (** Cold read of the node bytes; may raise {!Transient} or
-          {!Tampered}. *)
+      (** Read of the node bytes; may raise {!Transient} or {!Tampered}. *)
   backend_children : Hash.t -> Hash.t list option;
-      (** Cold read of the child hashes; raises like [backend_read]. *)
+      (** Read of the child hashes; raises like [backend_read]. *)
   backend_mem : Hash.t -> bool;
   backend_write : (Hash.t * string * Hash.t list) list -> unit;
-      (** Buffered append of freshly stored nodes (write-through). *)
+      (** Append of fresh nodes, readable when the call returns. *)
   backend_flush : sync:bool -> unit;  (** Group fsync of buffered appends. *)
   backend_corrupt : unit -> Hash.t list;
       (** Integrity scan: hashes of records failing verification. *)
@@ -42,13 +41,15 @@ type stats = {
   gets : int;
 }
 
-(* The node table and the filter registry are guarded by [lock]: the wire
+(* A node lives in exactly one place: the node table when no backend is
+   attached, the backend otherwise — a backed store's table stays empty.
+   The table and the filter registry are guarded by [lock]: the wire
    server reads them from session threads on several domains while the
    writer inserts, and an insert that resizes a table moves every binding
    — an unguarded read in that window can miss an entry that is present.
    Critical sections are single table operations (or one pass that never
-   calls out of the store); cold reads and write-through stay outside,
-   since the backend guards its own state.  Stat counters are [Atomic]s,
+   calls out of the store); backend reads and writes stay outside, since
+   the backend guards its own state.  Stat counters are [Atomic]s,
    race-free without the lock. *)
 type t = {
   tbl : node Hash.Table.t;
@@ -125,27 +126,27 @@ let sink t = t.sink
 let cache t = t.cache
 let proof_cache t = t.proof_cache
 
-(* --- cold storage tier ------------------------------------------------------ *)
+(* --- backend ---------------------------------------------------------------- *)
 
-let set_backend t backend = t.backend <- backend
+(* Attaching moves the nodes the table holds — an engine's initial
+   commit, an MBT's empty tree — into the backend, their one place from
+   then on.  The table empties only once the backend serves them. *)
+let set_backend t backend =
+  Option.iter
+    (fun b ->
+      let nodes =
+        locked t (fun () ->
+            Hash.Table.fold (fun h n acc -> (h, n.bytes, n.children) :: acc) t.tbl [])
+      in
+      if nodes <> [] then b.backend_write (List.rev nodes))
+    backend;
+  t.backend <- backend;
+  if Option.is_some backend then begin
+    locked t (fun () -> Hash.Table.reset t.tbl);
+    Atomic.set t.stored_bytes 0
+  end
+
 let backend_name t = Option.map (fun b -> b.backend_name) t.backend
-
-let write_through t nodes =
-  match t.backend with
-  | None -> ()
-  | Some b -> if nodes <> [] then b.backend_write nodes
-
-(* Drop the in-memory (hot) tier: every node must already be in the backend
-   (write-through guarantees it for nodes stored while attached), so
-   subsequent reads fall through to cold storage.  The decoded-node cache
-   stays — content addressing keeps it coherent across tiers. *)
-let drop_hot t =
-  match t.backend with
-  | None -> invalid_arg "Store.drop_hot: no backend attached"
-  | Some b ->
-      b.backend_flush ~sync:false;
-      locked t (fun () -> Hash.Table.reset t.tbl);
-      Atomic.set t.stored_bytes 0
 
 (* --- read-path sidecars ----------------------------------------------------
 
@@ -160,16 +161,29 @@ let set_root_filter t root filter =
 
 let root_filter t root = find_locked t t.filters root
 
+let remove_root_filter t root =
+  locked t (fun () -> Hash.Table.remove t.filters root)
+
+(* Store a node in its one place unless it is there already — the table,
+   or the backend, which serves it once [backend_write] returns; true if
+   it was stored. *)
+let install t h bytes children =
+  match t.backend with
+  | None ->
+      let fresh = add_if_absent t h { bytes; children } in
+      if fresh then add_counter t.stored_bytes (String.length bytes);
+      fresh
+  | Some b ->
+      let fresh = not (b.backend_mem h) in
+      if fresh then b.backend_write [ (h, bytes, children) ];
+      fresh
+
 let put t ?(children = []) bytes =
   let h = Hash.of_string bytes in
   let len = String.length bytes in
   add_counter t.puts 1;
   add_counter t.put_bytes len;
-  let fresh = add_if_absent t h { bytes; children } in
-  if fresh then begin
-    add_counter t.stored_bytes len;
-    write_through t [ (h, bytes, children) ]
-  end;
+  let fresh = install t h bytes children in
   if Telemetry.enabled t.sink then begin
     Telemetry.incr t.sink "store.put";
     Telemetry.incr t.sink ~by:len "store.put_bytes";
@@ -205,39 +219,50 @@ let note_staged staged =
 let put_staged t staged =
   (* One pass, one stats update, one telemetry flush.  Dedup accounting is
      per node and in list order, exactly as a sequence of [put]s: a
-     duplicate later in the batch sees the earlier node already installed. *)
-  let count = ref 0 and total = ref 0 in
-  let fresh_count = ref 0 and fresh_bytes = ref 0 in
-  let fresh_nodes = ref [] in
-  locked t (fun () ->
-      List.iter
-        (fun s ->
-          let len = String.length s.node_bytes in
-          incr count;
-          total := !total + len;
-          if not (Hash.Table.mem t.tbl s.digest) then begin
-            Hash.Table.add t.tbl s.digest
-              { bytes = s.node_bytes; children = s.node_children };
-            incr fresh_count;
-            fresh_bytes := !fresh_bytes + len;
-            if t.backend <> None then
-              fresh_nodes :=
-                (s.digest, s.node_bytes, s.node_children) :: !fresh_nodes
-          end)
-        staged);
+     duplicate later in the batch sees the earlier node already stored. *)
+  let bytes l = List.fold_left (fun acc s -> acc + String.length s.node_bytes) 0 l in
+  let fresh =
+    match t.backend with
+    | None ->
+        let fresh =
+          locked t (fun () ->
+              List.filter
+                (fun s ->
+                  (not (Hash.Table.mem t.tbl s.digest))
+                  && (Hash.Table.add t.tbl s.digest
+                        { bytes = s.node_bytes; children = s.node_children };
+                      true))
+                staged)
+        in
+        add_counter t.stored_bytes (bytes fresh);
+        fresh
+    | Some b ->
+        let seen = Hash.Table.create 16 in
+        let fresh =
+          List.filter
+            (fun s ->
+              (not (Hash.Table.mem seen s.digest || b.backend_mem s.digest))
+              && (Hash.Table.replace seen s.digest ();
+                  true))
+            staged
+        in
+        if fresh <> [] then
+          b.backend_write
+            (List.map (fun s -> (s.digest, s.node_bytes, s.node_children)) fresh);
+        fresh
+  in
   (match t.put_observer with
   | Some f -> List.iter (fun s -> f s.digest (String.length s.node_bytes)) staged
   | None -> ());
-  write_through t (List.rev !fresh_nodes);
-  add_counter t.puts !count;
-  add_counter t.put_bytes !total;
-  add_counter t.stored_bytes !fresh_bytes;
-  if Telemetry.enabled t.sink && !count > 0 then begin
-    Telemetry.incr t.sink ~by:!count "store.put";
-    Telemetry.incr t.sink ~by:!total "store.put_bytes";
-    if !fresh_count > 0 then begin
-      Telemetry.incr t.sink ~by:!fresh_count "store.put_unique";
-      Telemetry.incr t.sink ~by:!fresh_bytes "store.put_unique_bytes"
+  let count = List.length staged and total = bytes staged in
+  add_counter t.puts count;
+  add_counter t.put_bytes total;
+  if Telemetry.enabled t.sink && count > 0 then begin
+    Telemetry.incr t.sink ~by:count "store.put";
+    Telemetry.incr t.sink ~by:total "store.put_bytes";
+    if fresh <> [] then begin
+      Telemetry.incr t.sink ~by:(List.length fresh) "store.put_unique";
+      Telemetry.incr t.sink ~by:(bytes fresh) "store.put_unique_bytes"
     end
   end
 
@@ -267,27 +292,23 @@ let put_batch t items =
   put_staged t staged;
   List.map (fun s -> s.digest) staged
 
-(* Cold lookups beneath the hot table: [read] is the backend's bytes or
-   children read.  A backend raising [Transient] or [Tampered] propagates
-   to the caller exactly like a gated fault. *)
+(* A backed store's read: [read] is the backend's bytes or children read.
+   A backend raising [Transient] or [Tampered] propagates to the caller
+   exactly like a gated fault. *)
 let cold t read h =
-  match t.backend with
+  match read h with
   | None -> raise Not_found
-  | Some b -> (
-      match read b h with
-      | None -> raise Not_found
-      | Some v ->
-          Telemetry.incr t.sink "store.get.cold";
-          v)
-
-let cold_read t h = cold t (fun b -> b.backend_read) h
+  | Some v ->
+      Telemetry.incr t.sink "store.get.cold";
+      v
 
 let get t h =
   add_counter t.gets 1;
   let bytes =
-    match find_node t h with
-    | Some node -> node.bytes
-    | None -> cold_read t h
+    match t.backend with
+    | None -> (
+        match find_node t h with Some node -> node.bytes | None -> raise Not_found)
+    | Some b -> cold t b.backend_read h
   in
   (match t.read_gate with Some gate -> gate h bytes | None -> ());
   (* Telemetry counts successful reads (past the fault gate), at the same
@@ -330,18 +351,23 @@ end
 let find t h = match get t h with s -> Some s | exception Not_found -> None
 
 let mem t h =
-  Option.is_some (find_node t h)
-  || match t.backend with Some b -> b.backend_mem h | None -> false
+  match t.backend with
+  | None -> Option.is_some (find_node t h)
+  | Some b -> b.backend_mem h
 
 let children t h =
-  match find_node t h with
-  | Some node -> node.children
-  | None -> cold t (fun b -> b.backend_children) h
+  match t.backend with
+  | None -> (
+      match find_node t h with Some node -> node.children | None -> raise Not_found)
+  | Some b -> cold t b.backend_children h
 
 let size_of t h =
-  match find_node t h with
-  | Some node -> String.length node.bytes
-  | None -> String.length (cold_read t h)
+  match t.backend with
+  | None -> (
+      match find_node t h with
+      | Some node -> String.length node.bytes
+      | None -> raise Not_found)
+  | Some b -> String.length (cold t b.backend_read h)
 
 (* Snapshot under the lock, call [f] outside it: [f] may use the store. *)
 let iter_nodes t f =
@@ -351,9 +377,14 @@ let iter_nodes t f =
   List.iter (fun node -> f node.bytes node.children) (List.rev nodes)
 
 let stats t =
+  let unique_nodes, stored_bytes =
+    match t.backend with
+    | None -> (locked t (fun () -> Hash.Table.length t.tbl), Atomic.get t.stored_bytes)
+    | Some b -> (b.backend_count (), b.backend_bytes ())
+  in
   { puts = Atomic.get t.puts;
-    unique_nodes = locked t (fun () -> Hash.Table.length t.tbl);
-    stored_bytes = Atomic.get t.stored_bytes;
+    unique_nodes;
+    stored_bytes;
     put_bytes = Atomic.get t.put_bytes;
     gets = Atomic.get t.gets }
 
@@ -364,21 +395,13 @@ let reset_counters t =
 
 let reachable_many t roots =
   let visited = ref Hash.Set.empty in
-  let children_opt h =
-    match find_node t h with
-    | Some node -> Some node.children
-    | None -> (
-        match t.backend with
-        | None -> None
-        | Some b -> b.backend_children h)
-  in
   let rec walk h =
     if (not (Hash.is_null h)) && not (Hash.Set.mem h !visited) then
-      match children_opt h with
-      | None -> ()
-      | Some children ->
+      match children t h with
+      | exception Not_found -> ()
+      | cs ->
           visited := Hash.Set.add h !visited;
-          List.iter walk children
+          List.iter walk cs
   in
   List.iter walk roots;
   !visited
@@ -387,47 +410,30 @@ let reachable t root = reachable_many t [ root ]
 
 let bytes_of_set t set =
   Hash.Set.fold
-    (fun h acc ->
-      match find_node t h with
-      | Some n -> acc + String.length n.bytes
-      | None -> (
-          match t.backend with
-          | None -> acc
-          | Some b -> (
-              match b.backend_read h with
-              | Some bytes -> acc + String.length bytes
-              | None | (exception _) -> acc)))
+    (fun h acc -> match size_of t h with n -> acc + n | exception _ -> acc)
     set 0
 
 let gc t ~roots =
   let live = reachable_many t roots in
   let dead =
-    locked t (fun () ->
-        let dead =
-          Hash.Table.fold
-            (fun h _ acc -> if Hash.Set.mem h live then acc else h :: acc)
-            t.tbl []
-        in
-        List.iter
-          (fun h ->
-            let n = Hash.Table.find t.tbl h in
-            add_counter t.stored_bytes (-String.length n.bytes);
-            Hash.Table.remove t.tbl h)
-          dead;
-        dead)
+    match t.backend with
+    | Some b -> b.backend_compact ~live
+    | None ->
+        locked t (fun () ->
+            let dead =
+              Hash.Table.fold
+                (fun h _ acc -> if Hash.Set.mem h live then acc else h :: acc)
+                t.tbl []
+            in
+            List.iter
+              (fun h ->
+                let n = Hash.Table.find t.tbl h in
+                add_counter t.stored_bytes (-String.length n.bytes);
+                Hash.Table.remove t.tbl h)
+              dead;
+            dead)
   in
   Node_cache.remove_many t.cache dead;
-  (* The backend compacts against the same live set; nodes it drops may be
-     absent from the hot table (after [drop_hot]) but could still sit in the
-     decoded-node cache, so each dropped hash is invalidated there too. *)
-  let backend_dropped =
-    match t.backend with
-    | None -> []
-    | Some b ->
-        let dropped = b.backend_compact ~live in
-        Node_cache.remove_many t.cache dropped;
-        dropped
-  in
   (* Filters for roots that were collected describe versions that no longer
      exist; drop them so the registry cannot outgrow the store. *)
   let roots =
@@ -438,8 +444,7 @@ let gc t ~roots =
   locked t (fun () -> List.iter (Hash.Table.remove t.filters) stale);
   (* Any collected node may sit inside a memoized multiproof. *)
   Proof_cache.clear t.proof_cache;
-  Hash.Set.cardinal
-    (Hash.Set.union (Hash.Set.of_list dead) (Hash.Set.of_list backend_dropped))
+  List.length dead
 
 (* --- persistence ---------------------------------------------------------- *)
 
@@ -542,33 +547,27 @@ let load_checked ?verify path =
 let find_exn t h =
   match find_node t h with Some n -> n | None -> raise Not_found
 
-let corrupt t h =
-  let n = find_exn t h in
+let invalidate t h =
   Node_cache.remove t.cache h;
-  Proof_cache.clear t.proof_cache;
-  if String.length n.bytes = 0 then n.bytes <- "\001"
-  else begin
-    let b = Bytes.of_string n.bytes in
-    Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xFF));
-    n.bytes <- Bytes.unsafe_to_string b
-  end
+  Proof_cache.clear t.proof_cache
 
-let corrupt_at t h ~pos =
+let flip t h ~pos ~mask =
   let n = find_exn t h in
-  Node_cache.remove t.cache h;
-  Proof_cache.clear t.proof_cache;
+  invalidate t h;
   if String.length n.bytes = 0 then n.bytes <- "\001"
   else begin
     let b = Bytes.of_string n.bytes in
     let i = pos mod Bytes.length b in
-    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask));
     n.bytes <- Bytes.unsafe_to_string b
   end
 
+let corrupt t h = flip t h ~pos:0 ~mask:0xFF
+let corrupt_at t h ~pos = flip t h ~pos ~mask:0x01
+
 let truncate_node t h ~keep =
   let n = find_exn t h in
-  Node_cache.remove t.cache h;
-  Proof_cache.clear t.proof_cache;
+  invalidate t h;
   let keep = max 0 (min keep (String.length n.bytes)) in
   add_counter t.stored_bytes (-(String.length n.bytes - keep));
   n.bytes <- String.sub n.bytes 0 keep
@@ -582,8 +581,7 @@ let remove_node t h =
   with
   | None -> false
   | Some n ->
-      Node_cache.remove t.cache h;
-      Proof_cache.clear t.proof_cache;
+      invalidate t h;
       add_counter t.stored_bytes (-String.length n.bytes);
       true
 
@@ -623,17 +621,13 @@ let scrub ?roots t =
                 dangling := (h, c) :: !dangling)
             node.children)
         t.tbl);
-  (* The cold tier is audited by its own scan (head digests plus content
-     hashes); its findings merge into the same report.  Records present in
-     both tiers are deduplicated by the sort below. *)
-  (match t.backend with
-  | None -> ()
-  | Some b ->
-      List.iter
-        (fun h ->
-          incr scanned;
-          if not (List.mem h !corrupt) then corrupt := h :: !corrupt)
-        (b.backend_corrupt ()));
+  (* A backed store's table is empty: its nodes are audited by the
+     backend's own scan (head digests plus content hashes). *)
+  Option.iter
+    (fun b ->
+      scanned := !scanned + b.backend_count ();
+      corrupt := b.backend_corrupt () @ !corrupt)
+    t.backend;
   let orphaned =
     match roots with
     | None -> []
@@ -674,9 +668,5 @@ let repair t ~replica =
   List.iter (fun h -> ignore (remove_node t h)) report.corrupt;
   let grafted = ref 0 in
   iter_nodes replica (fun bytes children ->
-      let h = Hash.of_string bytes in
-      if add_if_absent t h { bytes; children } then begin
-        add_counter t.stored_bytes (String.length bytes);
-        incr grafted
-      end);
+      if install t (Hash.of_string bytes) bytes children then incr grafted);
   !grafted

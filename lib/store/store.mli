@@ -33,9 +33,9 @@ exception Tampered of Hash.t
 type t
 (** A store is safe to read from several threads, on any domain, while
     one writer inserts: the node table and the filter registry are
-    guarded by a mutex, held for single table operations only.  Cold
-    reads through an attached {!backend} run outside it.  The decoded-node
-    and proof caches are not guarded: a store read concurrently must be
+    guarded by a mutex, held for single table operations only.  A store
+    with a {!backend} reads its nodes outside it.  The decoded-node and
+    proof caches are not guarded: a store read concurrently must be
     created with both off. *)
 
 type stats = {
@@ -211,6 +211,10 @@ val set_root_filter : t -> Hash.t -> Siri_readpath.Bloom.t -> unit
 
 val root_filter : t -> Hash.t -> Siri_readpath.Bloom.t option
 
+val remove_root_filter : t -> Hash.t -> unit
+(** Unregister the filter of that exact root, if any.  A reader holding
+    the filter keeps using it: filters are never mutated. *)
+
 val set_read_gate : t -> (Hash.t -> string -> unit) option -> unit
 (** Install a gate consulted on every {!get} {e before} the bytes are
     returned (and before the get observer fires).  The gate may raise one
@@ -219,37 +223,40 @@ val set_read_gate : t -> (Hash.t -> string -> unit) option -> unit
     its key — this is the injection point used by [Siri_fault.Fault].
     Integrity scrubbing ({!scrub}) bypasses the gate. *)
 
-(** {2 Cold storage tier}
+(** {2 Backend}
 
-    A store may delegate cold storage to a pluggable {!backend} — in
-    practice the log-structured pack-file store ([Siri_pack.Pack]), attached
-    via its [Pack.attach].  With a backend attached the in-memory node table
-    becomes the {e hot} tier: every fresh {!put} is written through to the
-    backend (buffered; the group-fsync point is the pack's own
-    [Pack.flush ~sync:true], reached from a durable checkpoint), and a read
-    that misses the table falls through to a cold backend read (metered as
-    [store.get.cold]).  The decoded-node cache ({!cache}) sits above both
-    tiers and needs no extra invalidation — content addressing keeps a
-    cached decoding valid wherever the bytes live.  {!scrub} merges the
-    backend's own integrity scan into its report, and {!gc} compacts the
-    backend against the same live set it sweeps the table with. *)
+    A store may delegate its nodes to a pluggable {!backend} — in practice
+    the log-structured pack-file store ([Siri_pack.Pack]), attached via
+    its [Pack.attach].  A node then lives in one place, the backend: a
+    fresh {!put} is written through and never enters the in-memory table
+    (the pack serves it once its append returns; the group-fsync point is
+    the pack's own [Pack.flush ~sync:true], reached from a durable
+    checkpoint), and every read goes to the backend (metered as
+    [store.get.cold]).  {!stats} reports [backend_count] and
+    [backend_bytes] (a pack also counts each record's hashes).
+    {!iter_nodes}, {!save}, the tamper primitives and {!scrub}'s table
+    half see only the in-memory table, which is empty on a backed store:
+    its {!scrub} is the backend's own scan, and {!gc} compacts the
+    backend.  The decoded-node cache ({!cache}) stays valid wherever the
+    bytes live. *)
 
 type backend = {
   backend_name : string;
   backend_read : Hash.t -> string option;
-      (** Cold read of the node bytes alone — the {!get} path, so it
+      (** Read of the node bytes alone — the {!get} path, so it
           builds no child list; may raise {!Transient} (the retryable
           read fault) or {!Tampered} (checksum mismatch). *)
   backend_children : Hash.t -> Hash.t list option;
-      (** Cold read of the child hashes alone, for {!children} and the
+      (** Read of the child hashes alone, for {!children} and the
           reachability walks of {!gc} and {!scrub}; raises like
           [backend_read].  Both reads verify the whole record. *)
   backend_mem : Hash.t -> bool;
   backend_write : (Hash.t * string * Hash.t list) list -> unit;
-      (** Append freshly stored nodes (buffered until [backend_flush]). *)
+      (** Append freshly stored nodes, readable when the call returns
+          (durable after [backend_flush ~sync:true]). *)
   backend_flush : sync:bool -> unit;
   backend_corrupt : unit -> Hash.t list;
-      (** Integrity scan of cold storage: records failing verification. *)
+      (** Integrity scan: records failing verification. *)
   backend_compact : live:Hash.Set.t -> Hash.t list;
       (** Reclaim everything outside [live]; returns the dropped hashes so
           the caller can invalidate caches. *)
@@ -258,14 +265,11 @@ type backend = {
 }
 
 val set_backend : t -> backend option -> unit
-val backend_name : t -> string option
+(** Attach a backend, moving the nodes the table holds into it (whatever
+    was stored first, such as an engine's initial commit), or replace one
+    backend with another.  [None] detaches. *)
 
-val drop_hot : t -> unit
-(** Clear the in-memory tier, leaving all reads to the backend — the cold
-    state a process reopening a pack directory starts from, reproduced
-    in-process for tests and cold-read benchmarks.  Flushes buffered appends
-    first.  Raises [Invalid_argument] without a backend (dropping the table
-    would lose data). *)
+val backend_name : t -> string option
 
 (** {2 Page sets and reachability} *)
 
@@ -284,9 +288,8 @@ val bytes_of_set : t -> Hash.Set.t -> int
 
 val gc : t -> roots:Hash.t list -> int
 (** Drop every node not reachable from [roots]; returns how many distinct
-    nodes were reclaimed.  With a backend attached the backend is compacted
-    against the same live set (its reclaimed records count too), and every
-    dropped hash is invalidated in the decoded-node cache. *)
+    nodes were reclaimed (from the backend, when one is attached), and
+    invalidates each in the decoded-node cache. *)
 
 (** {2 Persistence}
 

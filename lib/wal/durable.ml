@@ -151,7 +151,8 @@ let open_ ?(sync = true) ?backend ?replay_cap ~dir ~empty_index () =
     | `Pack -> (
         (* Node payloads live in the pack, so the "snapshot" of a
            generation is just its heads file: create a fresh engine,
-           attach the pack as its cold tier, and resolve the heads
+           attach the pack — which takes over the nodes stored so far,
+           the initial commit among them — and resolve the heads
            through it. *)
         let engine = Engine.create ~empty_index in
         let sink = Store.sink (Engine.store engine) in

@@ -160,5 +160,6 @@ val checkpoint : t -> unit
 (** Atomic snapshot + journal truncation, as described above. *)
 
 val close : t -> unit
-(** Flush ([fsync] when [sync]) and close the journal.  The engine stays
+(** Flush the pack ([fsync] when [sync]) and its index, and close the
+    journal, which every commit already pushed.  The engine stays
     usable for reads; further durable writes require a fresh {!open_}. *)

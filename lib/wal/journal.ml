@@ -107,11 +107,8 @@ let rewrite t vs =
 
 let length t = size t.path
 
+(* Nothing to push: every append flushed (and, under [sync], fsynced)
+   its frame, and a rewrite or creation is fsynced by [Io]. *)
 let close t =
-  Option.iter
-    (fun f ->
-      Io.flush f;
-      if t.sync then Io.fsync f;
-      Io.close f)
-    t.file;
+  Option.iter Io.close t.file;
   t.file <- None

@@ -70,4 +70,5 @@ val length : 'a t -> int
 (** The journal's size in bytes. *)
 
 val close : 'a t -> unit
-(** Flush, [fsync] when [sync], and close.  Idempotent. *)
+(** Close.  Nothing is left to push: each {!append} flushed (and under
+    [sync] fsynced) its frame.  Idempotent. *)

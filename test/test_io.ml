@@ -17,7 +17,10 @@
        journal rewrite, and the journal rewrite before any removal of
        the old generation; a compaction or reshard fsyncs its new files
        and their directories before the manifest flip and removes old
-       files only after it. *)
+       files only after it;
+   I5  a file is fsynced only when it was written since its previous
+       fsync — checked over the whole run, a rename carrying its source's
+       state to the destination. *)
 
 open Siri_core
 module Io = Siri_io.Io
@@ -264,7 +267,44 @@ let i4_flip s ~flip_name =
   if not (exists_between s flip (len s) (function Remove _ -> true | _ -> false))
   then Alcotest.failf "I4: step %S removed nothing after the flip" s.label
 
+(* A flush writes when it changes the file's length; a create or truncate
+   always writes.  Per path: the length last seen and whether it was
+   written since its last fsync. *)
+let i5 steps =
+  let files : (string, int option * bool) Hashtbl.t = Hashtbl.create 32 in
+  let under p q = q = p || String.starts_with ~prefix:(p ^ "/") q in
+  let within p =
+    Hashtbl.fold (fun q st acc -> if under p q then (q, st) :: acc else acc) files []
+  in
+  List.iter
+    (fun s ->
+      Array.iteri
+        (fun i e ->
+          match e with
+          | Create p -> Hashtbl.replace files p (None, true)
+          | Truncate (p, n) -> Hashtbl.replace files p (Some n, true)
+          | Flush (p, n) -> (
+              match Hashtbl.find_opt files p with
+              | Some (Some m, dirty) when m = n -> Hashtbl.replace files p (Some n, dirty)
+              | _ -> Hashtbl.replace files p (Some n, true))
+          | Fsync p -> (
+              match Hashtbl.find_opt files p with
+              | Some (len, true) -> Hashtbl.replace files p (len, false)
+              | _ -> fail_at s i "I5" "fsync without a write since the previous one")
+          | Rename (src, dst) ->
+              List.iter
+                (fun (q, st) ->
+                  Hashtbl.remove files q;
+                  let n = String.length src in
+                  Hashtbl.replace files (dst ^ String.sub q n (String.length q - n)) st)
+                (within src)
+          | Remove p -> List.iter (fun (q, _) -> Hashtbl.remove files q) (within p)
+          | Mkdir _ | Fsync_dir _ -> ())
+        s.trace)
+    steps
+
 let check_all ~sharded steps =
+  i5 steps;
   List.iter
     (fun s ->
       i1 s;

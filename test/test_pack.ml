@@ -986,7 +986,12 @@ let test_io_gate_transients () =
 
 (* --- store integration --------------------------------------------------------- *)
 
-let test_store_write_through_and_drop_hot () =
+let table_size store =
+  let n = ref 0 in
+  Store.iter_nodes store (fun _ _ -> incr n);
+  !n
+
+let test_store_write_through () =
   with_dir "store" @@ fun dir ->
   let p, _ = open_exn dir in
   let store = Store.create () in
@@ -1000,11 +1005,11 @@ let test_store_write_through_and_drop_hot () =
   in
   let root_bytes = "root-node" in
   let root = Store.put store ~children:(List.map fst leaves) root_bytes in
-  (* hot and cold tiers agree *)
-  Store.drop_hot store;
+  (* the pack is the nodes' one place: nothing stays in memory *)
+  Alcotest.(check int) "no node in the table" 0 (table_size store);
   List.iter
     (fun (h, bytes) ->
-      Alcotest.(check string) "cold read == hot value" bytes (Store.get store h))
+      Alcotest.(check string) "read back from the pack" bytes (Store.get store h))
     ((root, root_bytes) :: leaves);
   Alcotest.(check int) "children come back from the pack" 30
     (List.length (Store.children store root));
@@ -1020,7 +1025,7 @@ let test_store_gc_compacts_backend () =
   let drop = List.init 10 (fun i -> Store.put store (Printf.sprintf "drop-%d" i)) in
   let root = Store.put store ~children:keep "gc-root" in
   let reclaimed = Store.gc store ~roots:[ root ] in
-  Alcotest.(check int) "dead nodes reclaimed in both tiers" 10 reclaimed;
+  Alcotest.(check int) "dead nodes reclaimed" 10 reclaimed;
   List.iter
     (fun h ->
       Alcotest.(check bool) "dropped from the pack too" false (Pack.mem p h))
@@ -1028,8 +1033,7 @@ let test_store_gc_compacts_backend () =
   List.iter
     (fun h -> Alcotest.(check bool) "live survives in pack" true (Pack.mem p h))
     (root :: keep);
-  (* cold reads of the live set still verify after compaction *)
-  Store.drop_hot store;
+  (* reads of the live set still verify after compaction *)
   Alcotest.(check string) "root readable cold" "gc-root" (Store.get store root);
   Pack.close p
 
@@ -1338,7 +1342,7 @@ let test_durable_pack_reopen () =
     (state (Durable.engine t));
   Alcotest.(check int) "all records replayed (no checkpoint)"
     (List.length script) (Durable.recovery t).Durable.replayed;
-  (* reads go through: hot table was rebuilt by replay *)
+  (* reads go to the pack the replay wrote through *)
   Alcotest.(check (option string)) "value" (Some "5")
     (Durable.get t ~branch:"master" "a");
   Durable.close t
@@ -1440,6 +1444,112 @@ let mk_mpt_with_sink sink =
   let store = Store.create () in
   Store.set_sink store sink;
   Siri_mpt.Mpt.generic (Siri_mpt.Mpt.empty store)
+
+let mk_pos store =
+  Siri_pos.Pos_tree.generic
+    (Siri_pos.Pos_tree.empty store (Siri_pos.Pos_tree.config ()))
+
+let mk_mbt store =
+  Siri_mbt.Mbt.generic
+    (Siri_mbt.Mbt.empty store (Siri_mbt.Mbt.config ~capacity:64 ~fanout:4 ()))
+
+let open_pack_durable ~dir index =
+  match Durable.open_ ~sync:false ~backend:`Pack ~dir ~empty_index:index () with
+  | Ok t -> t
+  | Error e -> Alcotest.failf "Durable.open_: %a" Wal.pp_error e
+
+let puts c n =
+  List.init n (fun j ->
+      let k = ((c * 37) + (j * 101)) mod 1000 in
+      Kv.Put (Printf.sprintf "k%04d" k, Printf.sprintf "v%d.%d" c j))
+
+(* What a long run keeps is bounded by count, not by host memory: after
+   200 commits a pack-backed store holds no node in its table, and only
+   the head's root keeps a negative-lookup filter.  A fork shares its
+   parent's root, so that root keeps its filter when one branch moves. *)
+let test_bounded_by_count () =
+  with_dir "bounded" @@ fun dir ->
+  let store = Store.create () in
+  let t = open_pack_durable ~dir (mk_pos store) in
+  ignore
+    (Durable.commit_bulk t ~branch:"master" ~message:"load"
+       (List.init 1000 (fun i -> (Printf.sprintf "k%04d" i, "v0")))
+      : Engine.commit);
+  for c = 1 to 200 do
+    ignore (Durable.commit t ~branch:"master" ~message:"c" (puts c 16) : Engine.commit)
+  done;
+  let engine = Durable.engine t in
+  Alcotest.(check int) "no node in the table" 0 (table_size store);
+  let head = Engine.head engine "master" in
+  Alcotest.(check bool) "the head keeps its filter" true
+    (Option.is_some (Store.root_filter store head.Engine.index_root));
+  List.iter
+    (fun (c : Engine.commit) ->
+      if c.version < head.version then
+        Alcotest.(check bool)
+          (Printf.sprintf "version %d has no filter" c.version)
+          true
+          (Option.is_none (Store.root_filter store c.index_root)))
+    (Engine.history engine "master");
+  Durable.fork t ~from:"master" "side";
+  ignore (Durable.commit t ~branch:"side" ~message:"s" (puts 201 16) : Engine.commit);
+  Alcotest.(check bool) "the shared parent root keeps its filter" true
+    (Option.is_some (Store.root_filter store head.Engine.index_root));
+  Alcotest.(check bool) "the moved branch's head has a filter" true
+    (Option.is_some
+       (Store.root_filter store (Engine.head engine "side").Engine.index_root));
+  Alcotest.(check (option string)) "reads still answer" (Some "v200.0")
+    (Durable.get t ~branch:"master" (Printf.sprintf "k%04d" (200 * 37 mod 1000)));
+  Durable.close t
+
+(* A backed store's stats are the pack's, and its put accounting matches
+   an in-memory store fed the same script — including an MBT, whose empty
+   tree is stored before the pack is attached and whose bulk build repeats
+   empty buckets. *)
+let test_stats_are_the_packs () =
+  let script t =
+    ignore
+      (Durable.commit_bulk t ~branch:"master" ~message:"load"
+         (List.init 40 (fun i -> (Printf.sprintf "k%04d" (i * 7), "v0")))
+        : Engine.commit);
+    for c = 1 to 5 do
+      ignore (Durable.commit t ~branch:"master" ~message:"c" (puts c 8) : Engine.commit)
+    done;
+    Durable.fork t ~from:"master" "side";
+    ignore
+      (Durable.commit t ~branch:"side" ~message:"s" [ Kv.Del "k0007"; Kv.Put ("x", "y") ]
+        : Engine.commit)
+  in
+  List.iter
+    (fun (kind, mk) ->
+      let counted backend =
+        with_dir ("stats-" ^ kind) @@ fun dir ->
+        let sink = Telemetry.create () in
+        let store = Store.create () in
+        Store.set_sink store sink;
+        let t =
+          match Durable.open_ ~sync:false ~backend ~dir ~empty_index:(mk store) () with
+          | Ok t -> t
+          | Error e -> Alcotest.failf "Durable.open_: %a" Wal.pp_error e
+        in
+        script t;
+        let st = Store.stats store in
+        (match Durable.pack t with
+        | Some p ->
+            Alcotest.(check int) (kind ^ ": unique nodes = Pack.count") (Pack.count p)
+              st.Store.unique_nodes;
+            Alcotest.(check int) (kind ^ ": stored bytes = Pack.stored_bytes")
+              (Pack.stored_bytes p) st.Store.stored_bytes
+        | None -> ());
+        Durable.close t;
+        List.map (Telemetry.counter sink)
+          [ "store.put"; "store.put_unique"; "store.put_unique_bytes" ]
+        @ [ st.Store.puts ]
+      in
+      let in_pack = counted `Pack in
+      Alcotest.(check (list int)) (kind ^ ": put accounting as in memory")
+        (counted `Snapshot) in_pack)
+    [ ("pos", mk_pos); ("mbt", mk_mbt) ]
 
 (* A checkpoint, then commits across a roll: the run fsyncs the journal
    once per commit and the pack not at all, until the next checkpoint
@@ -1636,8 +1746,8 @@ let () =
           Alcotest.test_case "io gates: transient/flip/truncate" `Quick
             test_io_gate_transients ] );
       ( "store backend",
-        [ Alcotest.test_case "write-through + drop_hot cold reads" `Quick
-            test_store_write_through_and_drop_hot;
+        [ Alcotest.test_case "write-through: reads come from the pack" `Quick
+            test_store_write_through;
           Alcotest.test_case "gc compacts the pack and stays coherent" `Quick
             test_store_gc_compacts_backend;
           Alcotest.test_case "readers beside a 100k-record appender" `Quick
@@ -1664,5 +1774,9 @@ let () =
             test_durable_pack_journal_crash;
           Alcotest.test_case "a roll inside commits: one journal fsync each"
             `Quick test_durable_roll_fsyncs;
+          Alcotest.test_case "bounded by count: empty table, head filters only"
+            `Quick test_bounded_by_count;
+          Alcotest.test_case "stats are the pack's, put accounting unchanged"
+            `Quick test_stats_are_the_packs;
           Alcotest.test_case "sealed segment cut: replay regenerates" `Slow
             test_durable_sealed_power_loss ] ) ]

@@ -411,7 +411,7 @@ let test_parallel_cold_reads () =
     (Dir.commit d0 ~branch:"master" ~message:"preload"
        (List.init preload (fun i -> Kv.Put (key i, value i)))
       : Dir.head);
-  (* checkpointed, so the reopen replays nothing and the hot tier is empty *)
+  (* checkpointed, so the reopen replays nothing: every read is a pack read *)
   Dir.checkpoint d0;
   Dir.close d0;
   let durable = open_durable ~backend:`Pack dir in

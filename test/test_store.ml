@@ -250,6 +250,82 @@ let test_readers_beside_writer () =
     (100_000 + List.length version)
     (Store.stats s).Store.unique_nodes
 
+(* --- backend ---------------------------------------------------------------- *)
+
+(* A backend over a plain table, counting the writes and reads that reach
+   it. *)
+let table_backend () =
+  let tbl = Hash.Table.create 16 in
+  let writes = ref 0 and reads = ref 0 in
+  let b =
+    { Store.backend_name = "table";
+      backend_read =
+        (fun h ->
+          incr reads;
+          Option.map fst (Hash.Table.find_opt tbl h));
+      backend_children = (fun h -> Option.map snd (Hash.Table.find_opt tbl h));
+      backend_mem = Hash.Table.mem tbl;
+      backend_write =
+        (fun nodes ->
+          writes := !writes + List.length nodes;
+          List.iter (fun (h, b, c) -> Hash.Table.replace tbl h (b, c)) nodes);
+      backend_flush = (fun ~sync:_ -> ());
+      backend_corrupt = (fun () -> []);
+      backend_compact = (fun ~live:_ -> []);
+      backend_count = (fun () -> Hash.Table.length tbl);
+      backend_bytes =
+        (fun () -> Hash.Table.fold (fun _ (b, _) acc -> acc + String.length b) tbl 0) }
+  in
+  (b, writes, reads)
+
+let table_size s =
+  let n = ref 0 in
+  Store.iter_nodes s (fun _ _ -> incr n);
+  !n
+
+(* A node stored before the backend is attached moves into it: the
+   table empties and every read finds the node in its one place. *)
+let test_attach_moves_table () =
+  let s = Store.create () in
+  let a = Store.put s "leaf-a" in
+  let root = Store.put s ~children:[ a ] "root" in
+  let b, writes, _ = table_backend () in
+  Store.set_backend s (Some b);
+  Alcotest.(check int) "table emptied" 0 (table_size s);
+  Alcotest.(check int) "both nodes moved" 2 !writes;
+  Alcotest.(check string) "read from the backend" "leaf-a" (Store.get s a);
+  Alcotest.(check int) "children from the backend" 1
+    (List.length (Store.children s root));
+  let c = Store.put s "leaf-c" in
+  ignore (Store.put s "leaf-a" : Hash.t);
+  Alcotest.(check int) "a fresh put is written through, a duplicate is not" 3 !writes;
+  Alcotest.(check int) "still nothing in memory" 0 (table_size s);
+  Alcotest.(check bool) "mem" true (Store.mem s c);
+  let st = Store.stats s in
+  Alcotest.(check int) "unique nodes are the backend's" 3 st.unique_nodes;
+  Alcotest.(check int) "stored bytes are the backend's" 16 st.stored_bytes
+
+(* Replacing one backend with another on an empty table moves nothing:
+   a wrapper over the same storage sees every later read. *)
+let test_replace_backend () =
+  let s = Store.create () in
+  let inner, inner_writes, _ = table_backend () in
+  Store.set_backend s (Some inner);
+  let h = Store.put s "node" in
+  let reads = ref 0 in
+  Store.set_backend s
+    (Some
+       { inner with
+         Store.backend_name = "traced";
+         backend_read =
+           (fun h ->
+             incr reads;
+             inner.Store.backend_read h) });
+  Alcotest.(check int) "no write on the swap" 1 !inner_writes;
+  Alcotest.(check string) "read through the new backend" "node" (Store.get s h);
+  Alcotest.(check int) "the wrapper served it" 1 !reads;
+  Alcotest.(check (option string)) "named" (Some "traced") (Store.backend_name s)
+
 let () =
   Alcotest.run "store"
     [ ( "basics",
@@ -276,6 +352,9 @@ let () =
           Alcotest.test_case "repair from replica" `Quick test_repair_from_replica;
           Alcotest.test_case "repair rejects corrupt replica" `Quick
             test_repair_rejects_corrupt_replica ] );
+      ( "backend",
+        [ Alcotest.test_case "attach moves the table" `Quick test_attach_moves_table;
+          Alcotest.test_case "replace a backend" `Quick test_replace_backend ] );
       ( "concurrency",
         [ Alcotest.test_case "readers beside a 100k-node writer" `Quick
             test_readers_beside_writer ] ) ]
