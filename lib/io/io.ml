@@ -16,6 +16,9 @@ module For_testing = struct
     let saved = Atomic.exchange recorder (Some (Mutex.create (), trace)) in
     let v = Fun.protect ~finally:(fun () -> Atomic.set recorder saved) f in
     (v, List.rev !trace)
+
+  let fsync_fault : string option Atomic.t = Atomic.make None
+  let fail_next_fsync path = Atomic.set fsync_fault (Some path)
 end
 
 open For_testing
@@ -26,26 +29,65 @@ let note e =
   | None -> ()
   | Some (m, trace) -> Mutex.protect m (fun () -> trace := e :: !trace)
 
-type file = { path : string; oc : out_channel }
+(* A file's helper pthread for overlapped fsyncs (fsync_stubs.c). *)
+type syncer
+
+external syncer_start : Unix.file_descr -> syncer = "siri_io_syncer_start"
+external syncer_ask : syncer -> unit = "siri_io_syncer_ask"
+external syncer_wait : syncer -> string -> unit = "siri_io_syncer_wait"
+external syncer_stop : syncer -> unit = "siri_io_syncer_stop"
+
+type file = { path : string; oc : out_channel; mutable syncer : syncer option }
 
 let open_file flags path =
   let fd = Unix.openfile path (Unix.O_WRONLY :: flags) 0o644 in
-  { path; oc = Unix.out_channel_of_descr fd }
+  { path; oc = Unix.out_channel_of_descr fd; syncer = None }
 
 let open_append = open_file [ Unix.O_APPEND ]
 let output f s = output_string f.oc s
-let close f = close_out_noerr f.oc
+
+let close f =
+  Option.iter syncer_stop f.syncer;
+  f.syncer <- None;
+  close_out_noerr f.oc
 
 let flush f =
   Stdlib.flush f.oc;
   if Option.is_some (Atomic.get recorder) then
     note (Flush (f.path, out_channel_length f.oc))
 
+(* Off the fault switch, this costs one [Atomic.get]. *)
+let injected path =
+  match Atomic.get fsync_fault with
+  | Some p as armed when p = path ->
+      Atomic.compare_and_set fsync_fault armed None
+  | _ -> false
+
+let eio path = Unix.Unix_error (Unix.EIO, "fsync", path)
+
 let fsync_fd path fd =
+  if injected path then raise (eio path);
   Unix.fsync fd;
   note (Fsync path)
 
 let fsync f = fsync_fd f.path (Unix.descr_of_out_channel f.oc)
+
+let fsync_begin f =
+  if injected f.path then fun () -> raise (eio f.path)
+  else begin
+    let s =
+      match f.syncer with
+      | Some s -> s
+      | None ->
+          let s = syncer_start (Unix.descr_of_out_channel f.oc) in
+          f.syncer <- Some s;
+          s
+    in
+    syncer_ask s;
+    fun () ->
+      syncer_wait s f.path;
+      note (Fsync f.path)
+  end
 
 (* Errors are swallowed: some filesystems refuse fsync on directories,
    and a failed directory sync weakens durability, never integrity. *)

@@ -19,11 +19,20 @@ val flush : file -> unit
 
 val fsync : file -> unit
 
+val fsync_begin : file -> unit -> unit
+(** Start fsyncing a file and return the wait, which returns once the
+    fsync has, and raises what it raised.  The fsync runs on the file's
+    helper pthread, started on first use and joined by {!close}; it
+    takes no runtime lock, so it starts while the caller goes on.  Call
+    the wait exactly once, before the file's next {!output}, {!fsync}
+    or {!fsync_begin}. *)
+
 val fsync_fd : string -> Unix.file_descr -> unit
 (** Fsync the file at a path through a descriptor opened elsewhere. *)
 
 val close : file -> unit
-(** Close without flushing errors: callers flush (and fsync) first. *)
+(** Close without flushing errors: callers flush (and fsync) first.
+    Joins the file's helper pthread, if {!fsync_begin} started one. *)
 
 val create : sync:bool -> string -> (out_channel -> unit) -> unit
 (** Create (or truncate) a file, write it, flush, fsync, close, and fsync
@@ -69,4 +78,9 @@ module For_testing : sig
   val record : (unit -> 'a) -> 'a * effect list
   (** Run a function and return, with its result, the effects this
       module performed meanwhile, from any thread or domain, in order. *)
+
+  val fail_next_fsync : string -> unit
+  (** Make the next fsync of the file at this path raise
+      [Unix.Unix_error (EIO, "fsync", path)] without syncing; later
+      fsyncs run as usual. *)
 end

@@ -64,8 +64,9 @@ type error_code =
   | Timeout  (** the request's deadline expired before it was served *)
   | Tampered  (** integrity failure: a bad frame, or a poisoned commit path *)
   | Read_only
-      (** the commit path reported [`Tampered] earlier; writes are refused,
-          reads still served *)
+      (** the commit path failed earlier (a tampered node or an I/O error
+          on the journal or pack), or this commit's own write failed;
+          writes are refused, reads still served *)
   | Bad_request  (** undecodable or invalid request *)
   | Unknown_branch
 

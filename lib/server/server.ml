@@ -197,8 +197,14 @@ let enter_read_only t =
    shard journals, so that handle is poisoned and degrades below. *)
 let dir_commit t ~branch ~message ops =
   let commit () = Dir.commit t.dir ~branch ~message ops in
-  if Dir.retryable t.dir then Fault.with_retry ~attempts:3 ~sink:t.tsink commit
-  else Fault.protect commit
+  match
+    if Dir.retryable t.dir then Fault.with_retry ~attempts:3 ~sink:t.tsink commit
+    else Fault.protect commit
+  with
+  | r -> (r :> (Dir.head, [ Fault.error | `Io of string ]) result)
+  | exception Unix.Unix_error (e, fn, arg) ->
+      Error (`Io (Printf.sprintf "%s %s: %s" fn arg (Unix.error_message e)))
+  | exception Sys_error msg -> Error (`Io msg)
 
 let commit_branch_group t branch (items : pending list) =
   let ids = List.map (fun p -> p.req_id) items in
@@ -238,6 +244,15 @@ let commit_branch_group t branch (items : pending list) =
       enter_read_only t;
       let detail = "commit path: " ^ Fault.error_to_string e in
       List.iter (fun p -> reply p (err Proto.Tampered detail)) items;
+      Error `Stop_group
+  | Error (`Io detail) ->
+      (* The journal or the pack could not be written or made durable.
+         The engine may be ahead of the disk and the durable handle
+         refuses further writes, so the group is refused and nothing
+         more is committed. *)
+      enter_read_only t;
+      let detail = "commit path: I/O error: " ^ detail in
+      List.iter (fun p -> reply p (err Proto.Read_only detail)) items;
       Error `Stop_group
   | Error (`Transient _) when Dir.retryable t.dir ->
       (* still transient after the retry budget: refuse retryably, keep

@@ -47,7 +47,11 @@
       [Err Read_only], reads keep being served off the last good
       snapshot.  A transient fault is retried and then refused with
       [Err Overload] on a flat directory; on a sharded one it also
-      degrades to read-only ({!Siri_shard.Dir.retryable}).  Damaged
+      degrades to read-only ({!Siri_shard.Dir.retryable}).  An I/O error
+      on the journal or the pack ([Unix_error] or [Sys_error], a failed
+      fsync among them) refuses its group with [Err Read_only] and
+      enters read-only mode too: the engine may be ahead of the disk.
+      Damaged
       request frames are refused ([`Tampered] / [`Malformed]) and the
       session closed; no byte from the wire is ever parsed unverified
       and no exception escapes the accept loop.

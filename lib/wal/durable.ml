@@ -253,33 +253,62 @@ let append ?seq t record =
         s
   in
   t.next_seq <- seq + 1;
-  let bytes = Journal.append t.journal (seq, record) in
+  let bytes, wait = Journal.append_begin t.journal (seq, record) in
   let s = sink t in
   if t.sync then Telemetry.incr s "wal.fsync";
   Telemetry.incr s "wal.append";
-  Telemetry.incr s ~by:bytes "wal.append_bytes"
+  Telemetry.incr s ~by:bytes "wal.append_bytes";
+  wait
 
-(* Group fsync: the journal append above is the only per-commit fsync.
-   Write-through pack appends reach the OS page cache as each append
-   returns — a power loss loses at most nodes the journal replay
-   regenerates. *)
+(* Journal, then apply, and return once both are done.  The frame's
+   fsync runs on Io's helper thread while [apply] rebuilds the index and
+   appends pack records: the build never reads the journal.  Pack records
+   can therefore reach the OS before their frame is durable; a crash then
+   leaves records no recovered head names, which gc and compaction drop.
+   [wal.fsync_wait] is the time the fsync outlasted the build.  A failed
+   fsync closes the journal (Journal.append_begin) with the engine
+   already ahead of it, so every later journaled write is refused.  A
+   failed apply leaves the engine where it was, so its frame is taken
+   back out: a retry, or the next write, must not follow a frame that
+   replay would apply. *)
+let journaled ?seq t record apply =
+  let wait = append ?seq t record in
+  let v =
+    match apply () with
+    | v -> v
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        (try
+           wait ();
+           Journal.unappend t.journal
+         with _ -> ());
+        Printexc.raise_with_backtrace e bt
+  in
+  if t.sync then begin
+    let s = sink t in
+    let t0 = Telemetry.now s in
+    wait ();
+    Telemetry.observe s "wal.fsync_wait" (Telemetry.now s -. t0)
+  end;
+  v
+
 let commit ?seq t ~branch ~message ops =
   (* Validate before journaling so an invalid branch never taints the log. *)
   ignore (Engine.head t.engine branch : Engine.commit);
-  append ?seq t (Wal.Commit { branch; message; ops });
-  Engine.commit t.engine ~branch ~message ops
+  journaled ?seq t (Wal.Commit { branch; message; ops }) (fun () ->
+      Engine.commit t.engine ~branch ~message ops)
 
 let commit_bulk ?seq t ~branch ~message entries =
   ignore (Engine.head t.engine branch : Engine.commit);
-  append ?seq t (Wal.Bulk { branch; message; entries });
-  Engine.commit_bulk t.engine ~branch ~message entries
+  journaled ?seq t (Wal.Bulk { branch; message; entries }) (fun () ->
+      Engine.commit_bulk t.engine ~branch ~message entries)
 
 let fork ?seq t ~from name =
   if List.mem name (Engine.branches t.engine) then
     invalid_arg (Printf.sprintf "Engine.fork: branch %S exists" name);
   ignore (Engine.head t.engine from : Engine.commit);
-  append ?seq t (Wal.Fork { from; name });
-  Engine.fork t.engine ~from name
+  journaled ?seq t (Wal.Fork { from; name }) (fun () ->
+      Engine.fork t.engine ~from name)
 
 let get t ~branch key = Engine.get t.engine ~branch key
 
@@ -288,14 +317,18 @@ let merge_branches t ~into ~from ~policy =
   | Error _ as e -> e
   | Ok ops ->
       let message = Engine.merge_message ~into ~from in
-      append t (Wal.Merge { into; from; message; ops });
-      Ok (Engine.commit t.engine ~branch:into ~message ops)
+      Ok
+        (journaled t (Wal.Merge { into; from; message; ops }) (fun () ->
+             Engine.commit t.engine ~branch:into ~message ops))
 
 (* --- checkpoint ----------------------------------------------------------------- *)
 
 let journal_bytes t = Journal.length t.journal
 
 let checkpoint t =
+  (* After a failed append the engine may be ahead of the journal: a
+     snapshot of it would publish a commit that was refused. *)
+  Journal.check t.journal;
   let s = sink t in
   Telemetry.with_span s "wal.checkpoint" @@ fun () ->
   let generation = t.generation + 1 in

@@ -30,7 +30,10 @@
     everything the new snapshot captures.
 
     Instrumentation (on the engine store's telemetry sink): [wal.append],
-    [wal.append_bytes], [wal.fsync], [wal.checkpoint] counters; recovery
+    [wal.append_bytes], [wal.fsync], [wal.checkpoint] counters; under
+    [sync] a [wal.fsync_wait] histogram, the seconds each journaled write
+    waited for its frame's fsync after applying (0 when the fsync was
+    hidden behind the apply); recovery
     runs inside a [recovery] span and bumps [recovery.replayed] (records
     re-applied), [recovery.skipped] (records the snapshot already
     captured), [recovery.clamped] (torn-tail clamp events) and
@@ -47,9 +50,10 @@ type backend = [ `Snapshot | `Pack ]
     nodes in a log-structured {!Siri_pack.Pack} directory ([<dir>/pack])
     written through on every commit: a checkpoint then only needs to
     fsync the pack, persist its offset index and write the tiny heads
-    file — no O(data) snapshot rewrite.  Commits stay group-fsynced:
-    the journal append is the single per-commit fsync, pack appends are
-    only pushed to the OS (replay regenerates anything lost).  The
+    file — no O(data) snapshot rewrite.  The journal frame's fsync is
+    the single per-commit fsync; pack appends are only pushed to the OS
+    (replay regenerates anything lost, and a record whose frame never
+    became durable is named by no head, so compaction drops it).  The
     backend is chosen when a directory is created and read back from
     disk ({!detect}) on every later open. *)
 
@@ -131,10 +135,20 @@ val journal_bytes : t -> int
 val commit :
   ?seq:int -> t -> branch:string -> message:string -> Kv.op list ->
   Engine.commit
-(** Journal (flush, and [fsync] when [sync]), then apply.  [seq] stamps
-    an externally-allocated sequence number (the sharded engine's global
-    commit counter); it must not be below the journal's own watermark —
-    [Invalid_argument] otherwise. *)
+(** Journal, then apply, and return once both are done.  The frame is
+    written and flushed before the apply starts; under [sync] its
+    [fsync] runs on a helper thread ({!Siri_io.Io.fsync_begin}) while the
+    apply rebuilds the index, and is joined before the call returns.
+    [fork], [commit_bulk] and [merge_branches] journal the same way.  An
+    apply that raises leaves the engine unchanged; its frame is then
+    truncated off the journal and the exception re-raised, so a retry
+    journals the write once.  A failed journal write or fsync raises [Unix.Unix_error] or
+    [Sys_error] and leaves the engine possibly ahead of the journal: the
+    frame is cut off the file and every later journaled write or
+    {!checkpoint} on this handle raises [Sys_error]; reopen to recover
+    the durable prefix.  [seq] stamps an externally-allocated sequence
+    number (the sharded engine's global commit counter); it must not be
+    below the journal's own watermark — [Invalid_argument] otherwise. *)
 
 val commit_bulk :
   ?seq:int -> t -> branch:string -> message:string ->

@@ -64,6 +64,9 @@ type 'a t = {
   path : string;
   sync : bool;
   mutable file : Io.file option;
+  mutable length : int;
+  mutable last : int;  (* where the last appended frame begins *)
+  mutable failure : string option;
 }
 
 let size path =
@@ -81,17 +84,67 @@ let open_file ~sync codec path =
 
 let open_ ?(sync = true) ~valid_prefix codec path =
   if size path > valid_prefix then Io.truncate path valid_prefix;
-  { codec; path; sync; file = Some (open_file ~sync codec path) }
+  let file = open_file ~sync codec path in
+  let length = size path in
+  { codec; path; sync; file = Some file; length; last = length; failure = None }
 
-let append t v =
+(* A failed append cuts the file back to where the frame began, as far as
+   a truncate can, and closes the journal for good: a later frame must
+   not follow bytes that are not known to be durable. *)
+let fail t ~before e =
+  let bt = Printexc.get_raw_backtrace () in
+  Option.iter Io.close t.file;
+  t.file <- None;
+  t.failure <- Some (Printexc.to_string e);
+  (try Io.truncate t.path before with Unix.Unix_error _ -> ());
+  t.length <- before;
+  Printexc.raise_with_backtrace e bt
+
+let check t =
+  Option.iter
+    (fun why ->
+      raise (Sys_error (t.path ^ ": journal closed by a failed append: " ^ why)))
+    t.failure
+
+(* Write and flush one frame, and start its fsync with [fsync_begin]
+   under [sync]. *)
+let append_with fsync_begin t v =
+  check t;
   match t.file with
   | None -> invalid_arg ("Journal.append: " ^ t.path ^ " is closed")
-  | Some f ->
+  | Some f -> (
       let frame = Frame.encode (t.codec.encode v) in
-      Io.output f frame;
-      Io.flush f;
-      if t.sync then Io.fsync f;
-      String.length frame
+      let before = t.length in
+      match
+        Io.output f frame;
+        Io.flush f;
+        if t.sync then fsync_begin f else ignore
+      with
+      | exception e -> fail t ~before e
+      | wait ->
+          t.length <- before + String.length frame;
+          t.last <- before;
+          (String.length frame, fun () -> try wait () with e -> fail t ~before e))
+
+let append_begin t v = append_with Io.fsync_begin t v
+
+(* Nothing to overlap: the fsync runs inline, with no helper handover. *)
+let unappend t =
+  check t;
+  match Io.truncate t.path t.last with
+  | () -> t.length <- t.last
+  | exception e -> fail t ~before:t.last e
+
+let append t v =
+  let bytes, wait =
+    append_with
+      (fun f ->
+        Io.fsync f;
+        ignore)
+      t v
+  in
+  wait ();
+  bytes
 
 let write ?(sync = true) codec path vs =
   Io.replace ~sync path (fun oc ->
@@ -99,13 +152,16 @@ let write ?(sync = true) codec path vs =
       List.iter (fun v -> output_string oc (Frame.encode (codec.encode v))) vs)
 
 let rewrite t vs =
+  check t;
   (* Every record in the old file is superseded: close without a sync. *)
   Option.iter Io.close t.file;
   t.file <- None;
   write ~sync:t.sync t.codec t.path vs;
-  t.file <- Some (open_file ~sync:t.sync t.codec t.path)
+  t.file <- Some (open_file ~sync:t.sync t.codec t.path);
+  t.length <- size t.path;
+  t.last <- t.length
 
-let length t = size t.path
+let length t = t.length
 
 (* Nothing to push: every append flushed (and, under [sync], fsynced)
    its frame, and a rewrite or creation is fsynced by [Io]. *)

@@ -54,9 +54,27 @@ val open_ : ?sync:bool -> valid_prefix:int -> 'a codec -> string -> 'a t
     with the magic ({!Siri_io.Io.create}, so its directory entry is
     durable too).  [sync] (default [true]) fsyncs every write. *)
 
+val append_begin : 'a t -> 'a -> int * (unit -> unit)
+(** Frame the record, write it, flush it and, when [sync], start its
+    [fsync] ({!Siri_io.Io.fsync_begin}); returns the frame's size in
+    bytes and the wait, which returns once the frame is durable.  Call
+    the wait exactly once, before the next append.  A failed write,
+    flush or fsync raises (from this call or from the wait) after
+    truncating the file back to where the frame began and closing the
+    journal for good: later appends and rewrites raise [Sys_error]
+    naming the failure.  [Invalid_argument] once closed by {!close}. *)
+
 val append : 'a t -> 'a -> int
-(** Frame the record, write it, flush it and [fsync] it when [sync];
-    returns the frame's size in bytes.  [Invalid_argument] once closed. *)
+(** {!append_begin} with the [fsync] inline: returns once the frame is
+    durable, with the same failure handling. *)
+
+val unappend : 'a t -> unit
+(** Truncate the last appended frame off the file, after its wait: the
+    write it journaled was not applied.  A failed truncate closes the
+    journal as a failed append does. *)
+
+val check : 'a t -> unit
+(** Raise [Sys_error] if a failed append closed the journal. *)
 
 val write : ?sync:bool -> 'a codec -> string -> 'a list -> unit
 (** Atomically replace the file at a path with the magic and the given
@@ -64,10 +82,12 @@ val write : ?sync:bool -> 'a codec -> string -> 'a list -> unit
 
 val rewrite : 'a t -> 'a list -> unit
 (** {!write} over an open journal's file — the checkpoint compaction —
-    then reopen it for appending. *)
+    then reopen it for appending.  Refused ({!check}) once a failed
+    append closed the journal. *)
 
 val length : 'a t -> int
-(** The journal's size in bytes. *)
+(** The journal's size in bytes: what it was opened or rewritten with,
+    plus every frame appended since. *)
 
 val close : 'a t -> unit
 (** Close.  Nothing is left to push: each {!append} flushed (and under

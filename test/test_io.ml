@@ -31,6 +31,9 @@ module Durable = Siri_wal.Durable
 module Sharded = Siri_shard.Sharded
 module Partition = Siri_shard.Partition
 module Mpt = Siri_mpt.Mpt
+module Hash = Siri_crypto.Hash
+module Telemetry = Siri_telemetry.Telemetry
+module Pack = Siri_pack.Pack
 open Io.For_testing
 
 (* --- scratch directories ---------------------------------------------------- *)
@@ -425,9 +428,146 @@ let test_sharded () =
       Filename.concat dir "shard.1";
       Filename.concat (Filename.concat dir "shard.1") "journal" ]
 
+(* --- the overlapped journal fsync ---------------------------------------------- *)
+
+(* Every file under a directory, by relative path, with its bytes. *)
+let rec tree dir rel =
+  let path = Filename.concat dir rel in
+  if Sys.is_directory path then
+    List.concat_map
+      (fun n -> tree dir (if rel = "" then n else Filename.concat rel n))
+      (List.sort compare (Array.to_list (Sys.readdir path)))
+  else [ (rel, In_channel.with_open_bin path In_channel.input_all) ]
+
+let file_size path = (Unix.stat path).Unix.st_size
+
+(* One script of journaled writes on a fresh flat pack directory. *)
+let journaled_script ~sync dir =
+  let sink = Telemetry.create () in
+  let store = Store.create () in
+  Store.set_sink store sink;
+  let t =
+    ok_exn "open"
+      (Durable.open_ ~sync ~backend:`Pack ~dir
+         ~empty_index:(Mpt.generic (Mpt.empty store)) ())
+  in
+  let commit branch ops =
+    ignore (Durable.commit t ~branch ~message:"m" ops : Engine.commit)
+  in
+  ignore
+    (Durable.commit_bulk t ~branch:"master" ~message:"bulk"
+       (List.init 200 (fun i -> (Printf.sprintf "k%03d" i, "bulk")))
+      : Engine.commit);
+  List.iter
+    (fun i -> commit "master" [ put i; Kv.Del (Printf.sprintf "k%03d" (i + 100)) ])
+    [ 0; 1; 2 ];
+  Durable.fork t ~from:"master" "side";
+  commit "side" [ put 150; put 250 ];
+  (match Durable.merge_branches t ~into:"master" ~from:"side" ~policy:Kv.Prefer_right with
+  | Ok (_ : Engine.commit) -> ()
+  | Error _ -> Alcotest.fail "merge conflicts");
+  Durable.checkpoint t;
+  commit "master" [ put 7 ];
+  Durable.close t;
+  sink
+
+let test_sync_identity () =
+  with_dir "overlapped" @@ fun synced ->
+  with_dir "inline" @@ fun unsynced ->
+  let sink = journaled_script ~sync:true synced in
+  ignore (journaled_script ~sync:false unsynced : Telemetry.sink);
+  let a = tree synced "" and b = tree unsynced "" in
+  Alcotest.(check (list string)) "same files" (List.map fst b) (List.map fst a);
+  List.iter2
+    (fun (name, x) (_, y) ->
+      Alcotest.(check bool) (name ^ " byte-identical") true (String.equal x y))
+    a b;
+  (* eight journaled writes, each one fsync and one timed join *)
+  Alcotest.(check int) "wal.fsync" 8 (Telemetry.counter sink "wal.fsync");
+  Alcotest.(check int) "wal.fsync_wait samples" 8
+    (Option.fold ~none:0 ~some:Telemetry.Histo.count
+       (Telemetry.histogram sink "wal.fsync_wait"))
+
+let test_failed_fsync () =
+  with_dir "failed-fsync" @@ fun dir ->
+  let open_ () =
+    ok_exn "open"
+      (Durable.open_ ~sync:true ~backend:`Pack ~dir ~empty_index:(mk_mpt ()) ())
+  in
+  let commit t i =
+    ignore (Durable.commit t ~branch:"master" ~message:"m" [ put i ] : Engine.commit)
+  in
+  let t = open_ () in
+  List.iter (commit t) [ 0; 1 ];
+  let acked = Engine.head (Durable.engine t) "master" in
+  let bytes = Durable.journal_bytes t in
+  Io.For_testing.fail_next_fsync (Durable.journal_path dir);
+  (match commit t 2 with
+  | () -> Alcotest.fail "a failed fsync must raise"
+  | exception Unix.Unix_error (Unix.EIO, "fsync", _) -> ());
+  Alcotest.(check int) "the frame is cut off" bytes
+    (file_size (Durable.journal_path dir));
+  let refused name f =
+    match f () with
+    | () -> Alcotest.failf "%s after a failed fsync must be refused" name
+    | exception Sys_error _ -> ()
+  in
+  refused "a commit" (fun () -> commit t 3);
+  refused "a fork" (fun () -> Durable.fork t ~from:"master" "b");
+  refused "a checkpoint" (fun () -> Durable.checkpoint t);
+  Durable.close t;
+  let t = open_ () in
+  let head = Engine.head (Durable.engine t) "master" in
+  Alcotest.(check int) "acked version" acked.Engine.version head.Engine.version;
+  Alcotest.(check bool) "acked commit" true (Hash.equal acked.Engine.id head.Engine.id);
+  Alcotest.(check (option string)) "the refused put is absent" None
+    (Durable.get t ~branch:"master" "k002");
+  commit t 4;
+  Durable.close t
+
+(* A transient pack read fails the apply after its frame is journaled:
+   the frame comes back out, so the retry is journaled once and the
+   directory reopens to the head the live engine had. *)
+let test_failed_apply () =
+  with_dir "failed-apply" @@ fun dir ->
+  let open_ () =
+    ok_exn "open"
+      (Durable.open_ ~sync:true ~backend:`Pack ~dir ~empty_index:(mk_mpt ()) ())
+  in
+  let commit t i =
+    ignore (Durable.commit t ~branch:"master" ~message:"m" [ put i ] : Engine.commit)
+  in
+  let t = open_ () in
+  List.iter (commit t) [ 0; 1 ];
+  let bytes = Durable.journal_bytes t in
+  let pack = Option.get (Durable.pack t) in
+  Pack.set_read_gate pack
+    (Some (Siri_fault.Fault.io_gate (Siri_fault.Fault.plan ~transient:1.0 ~seed:7 ())));
+  (match commit t 2 with
+  | () -> Alcotest.fail "a commit over a dead disk must raise"
+  | exception Store.Transient _ -> ());
+  Alcotest.(check int) "the frame is taken back" bytes
+    (file_size (Durable.journal_path dir));
+  Pack.set_read_gate pack None;
+  commit t 2;
+  let live = Engine.head (Durable.engine t) "master" in
+  Durable.close t;
+  let t = open_ () in
+  let head = Engine.head (Durable.engine t) "master" in
+  Alcotest.(check int) "live version" live.Engine.version head.Engine.version;
+  Alcotest.(check bool) "live head" true (Hash.equal live.Engine.id head.Engine.id);
+  Durable.close t
+
 let () =
   Alcotest.run "io"
     [ ( "effect trace",
         [ Alcotest.test_case "flat snapshot: I1-I4" `Quick test_flat_snapshot;
           Alcotest.test_case "flat pack, roll, compact: I1-I4" `Quick test_flat_pack;
-          Alcotest.test_case "sharded, reshard: I1-I4" `Quick test_sharded ] ) ]
+          Alcotest.test_case "sharded, reshard: I1-I4" `Quick test_sharded ] );
+      ( "journaled writes",
+        [ Alcotest.test_case "sync:true and sync:false write the same bytes" `Quick
+            test_sync_identity;
+          Alcotest.test_case "a failed journal fsync refuses later writes" `Quick
+            test_failed_fsync;
+          Alcotest.test_case "a failed apply takes its frame back" `Quick
+            test_failed_apply ] ) ]

@@ -717,6 +717,66 @@ let test_read_only_degradation () =
   | Error e -> Alcotest.failf "head: %s" (Client.error_to_string e));
   Client.close c
 
+(* A journal fsync that fails under the writer: the group gets an error
+   reply (no session hangs), the server turns read-only, and the directory
+   reopens to exactly the acked commits. *)
+let test_fsync_failure () =
+  with_dir "fsync-fail" @@ fun dir ->
+  let sock = Filename.concat dir "s" in
+  let durable = open_durable ~sync:true ~backend:`Pack dir in
+  let server = Server.start ~dir:durable ~listen:[ `Unix sock ] () in
+  let acked_id, acked_version =
+    Fun.protect
+      ~finally:(fun () -> Server.stop server)
+      (fun () ->
+        let c = connect_exn (`Unix sock) in
+        ignore (commit_exn c ~branch:"master" [ Kv.Put ("a", "1") ]);
+        let id, version, _ = commit_exn c ~branch:"master" [ Kv.Put ("b", "2") ] in
+        (* each acked commit joined its overlapped fsync once *)
+        Alcotest.(check int) "wal.fsync_wait samples" 2
+          (Option.fold ~none:0 ~some:Telemetry.Histo.count
+             (Telemetry.histogram (sink_of server) "wal.fsync_wait"));
+        (match Client.stats c with
+        | Ok json ->
+            let has_sub s sub =
+              let n = String.length sub in
+              let rec go i =
+                i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+              in
+              go 0
+            in
+            Alcotest.(check bool) "wal.fsync_wait in the stats JSON" true
+              (has_sub json "\"wal.fsync_wait\"")
+        | Error e -> Alcotest.failf "stats: %s" (Client.error_to_string e));
+        Siri_io.Io.For_testing.fail_next_fsync (Durable.journal_path dir);
+        (match Client.commit c ~branch:"master" ~message:"t" [ Kv.Put ("c", "3") ] with
+        | Error `Read_only -> ()
+        | Ok _ -> Alcotest.fail "a commit whose fsync failed must not be acked"
+        | Error e ->
+            Alcotest.failf "expected `Read_only, got %s" (Client.error_to_string e));
+        Alcotest.(check int) "transition metered" 1
+          (counter server "server.readonly.enter");
+        (match Client.commit c ~branch:"master" ~message:"t" [ Kv.Put ("d", "4") ] with
+        | Error `Read_only -> ()
+        | _ -> Alcotest.fail "writes must be refused after a failed fsync");
+        (match Client.get c ~branch:"master" "b" with
+        | Ok (Some "2") -> ()
+        | _ -> Alcotest.fail "reads must still be served");
+        Client.close c;
+        (id, version))
+  in
+  let reopened = open_durable ~sync:true ~backend:`Pack dir in
+  let head = Engine.head (engine reopened) "master" in
+  Alcotest.(check int) "acked version recovered" acked_version head.Engine.version;
+  Alcotest.(check bool) "acked commit recovered" true
+    (Hash.equal acked_id head.Engine.id);
+  Alcotest.(check (list (option string))) "exactly the acked puts"
+    [ Some "1"; Some "2"; None; None ]
+    (List.map
+       (fun k -> Engine.get (engine reopened) ~branch:"master" k)
+       [ "a"; "b"; "c"; "d" ]);
+  Dir.close reopened
+
 let test_session_cap () =
   let config = { Server.default_config with session_max = 2 } in
   with_server ~config "cap" @@ fun ~dir:_ ~sock ~server:_ ~durable:_ ->
@@ -1055,7 +1115,9 @@ let () =
           Alcotest.test_case "duplicate req_id across restart" `Quick
             test_idempotent_across_restart ] );
       ( "degradation",
-        [ Alcotest.test_case "tampered commit path -> read-only" `Quick
+        [ Alcotest.test_case "failed journal fsync -> read-only, acked prefix kept"
+            `Quick test_fsync_failure;
+          Alcotest.test_case "tampered commit path -> read-only" `Quick
             test_read_only_degradation;
           Alcotest.test_case "session cap refuses politely" `Quick
             test_session_cap;
