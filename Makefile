@@ -89,8 +89,9 @@
 #                  an index library must not define merge or insert_many
 #                  (Generic.make derives merge from diff and batch), extend
 #                  Node_cache.repr (Store.Decoded is the one cached read), or
-#                  call note_staged / put_staged (Store.put_parallel is the
-#                  one install step).  And lib/pos and lib/mvbt must not
+#                  call note_staged / put_staged (Store.put_parallel and,
+#                  for a sequential rebuild, Store.put_deferred are the
+#                  install steps).  And lib/pos and lib/mvbt must not
 #                  declare a decoded entry-array node type or use
 #                  Wire.Writer: a split-key node is read as a Split_key
 #                  view and written by Split_key's one exact-size writer.
@@ -213,7 +214,7 @@ lint:
 	  exit 1; \
 	fi; \
 	if grep -rnE --include='*.ml' --include='*.mli' '\b(note_staged|put_staged)\b' $(INDEX_LIBS); then \
-	  echo "lint: index libraries must not install staged nodes directly (use Store.put_parallel)"; \
+	  echo "lint: index libraries must not install staged nodes directly (use Store.put_parallel or Store.put_deferred)"; \
 	  exit 1; \
 	fi; \
 	if grep -rnE --include='*.ml' --include='*.mli' \

@@ -6,7 +6,12 @@
      dune exec bench/main.exe -- alloc --seed 13
 
    A commit is [Pos_tree.batch] into an in-memory store (node rebuild,
-   SHA-256, store install; no WAL, no pack).  A cold get is a point lookup
+   SHA-256, store install; no WAL, no pack).  A pack commit is the same
+   batch through [Durable.commit] on a pack directory, bulk-loaded and
+   reopened first as the served benchmark's is: node reads come from the
+   pack or the store's writer cache, new nodes go out in one pack append,
+   and a journal frame is written (no fsync, so the row times the commit
+   path, not the disk).  A cold get is a point lookup
    on a pack-backed store, which keeps no node in memory, with no node
    cache, so every node on the path is a segment read, a content hash and
    a parse.  The seed drives the operation streams only; the dataset is
@@ -20,6 +25,7 @@ module Kv = Siri_core.Kv
 module Rng = Siri_core.Rng
 module Zipf = Siri_workload.Zipf
 module Pack = Siri_pack.Pack
+module Durable = Siri_wal.Durable
 module Table = Siri_benchkit.Table
 module Clock = Siri_benchkit.Clock
 
@@ -64,18 +70,20 @@ let measure n op =
     minor = per (minor1 -. minor0);
     major = per (major1 -. major0) }
 
+(* The commit stream: [commits] batches of 16 zipf(0.9) puts. *)
+let batches salt =
+  let rng = Rng.create ((!seed * 1_000_003) + salt) in
+  let zipf = Zipf.create ~n:preload_keys ~theta:0.9 in
+  Array.init commits (fun c ->
+      List.init batch_puts (fun _ ->
+          let i = scatter (Zipf.sample zipf rng) in
+          Kv.Put (key (2 * i), pad rng (Printf.sprintf "w%d.%d-" c i))))
+
 let commit_cost entries =
   let store = Store.create ~cache_bytes:0 ~proof_cache_bytes:0 () in
   let cfg = Pos_tree.config () in
   let t = ref (Pos_tree.of_sorted store cfg entries) in
-  let rng = Rng.create ((!seed * 1_000_003) + 11) in
-  let zipf = Zipf.create ~n:preload_keys ~theta:0.9 in
-  let batches =
-    Array.init commits (fun c ->
-        List.init batch_puts (fun _ ->
-            let i = scatter (Zipf.sample zipf rng) in
-            Kv.Put (key (2 * i), pad rng (Printf.sprintf "w%d.%d-" c i))))
-  in
+  let batches = batches 11 in
   measure commits (fun c -> t := Pos_tree.batch !t batches.(c))
 
 let rec rm_rf path =
@@ -86,13 +94,35 @@ let rec rm_rf path =
   | false -> Sys.remove path
   | exception Sys_error _ -> ()
 
-let cold_get_cost entries =
+let with_temp_dir name f =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "siri_alloc_bench.%d" (Unix.getpid ()))
+      (Printf.sprintf "siri_alloc_bench.%s.%d" name (Unix.getpid ()))
   in
   rm_rf dir;
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+let pack_commit_cost entries =
+  with_temp_dir "commit" @@ fun dir ->
+  let open_ () =
+    let store = Store.create ~cache_bytes:0 ~proof_cache_bytes:0 () in
+    let index = Pos_tree.generic (Pos_tree.empty store (Pos_tree.config ())) in
+    match Durable.open_ ~sync:false ~backend:`Pack ~dir ~empty_index:index () with
+    | Ok d -> d
+    | Error e -> failwith (Format.asprintf "alloc bench: %a" Siri_wal.Wal.pp_error e)
+  in
+  let d = open_ () in
+  ignore (Durable.commit_bulk d ~branch:"master" ~message:"preload" entries);
+  Durable.checkpoint d;
+  Durable.close d;
+  let d = open_ () in
+  Fun.protect ~finally:(fun () -> Durable.close d) @@ fun () ->
+  let batches = batches 11 in
+  measure commits (fun c ->
+      ignore (Durable.commit d ~branch:"master" ~message:"c" batches.(c)))
+
+let cold_get_cost entries =
+  with_temp_dir "get" @@ fun dir ->
   let pack =
     match Pack.open_ dir with
     | Ok (p, _) -> p
@@ -113,6 +143,7 @@ let cold_get_cost entries =
 let run () =
   let entries = dataset () in
   let c = commit_cost entries in
+  let p = pack_commit_cost entries in
   let g = cold_get_cost entries in
   let row name n x =
     [ name; string_of_int n; Printf.sprintf "%.0f" x.us_p50; Printf.sprintf "%.0f" x.us_mean;
@@ -123,4 +154,6 @@ let run () =
       (Printf.sprintf "Time and allocation per op (seed %d, %d keys, %s)" !seed
          preload_keys Siri_crypto.Sha256.kernel)
     ~headers:[ "op"; "ops"; "us p50"; "us mean"; "minor words"; "major words" ]
-    [ row "commit (16 puts)" commits c; row "cold get" cold_gets g ]
+    [ row "commit (16 puts)" commits c;
+      row "commit (16 puts, pack)" commits p;
+      row "cold get" cold_gets g ]

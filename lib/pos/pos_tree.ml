@@ -119,6 +119,9 @@ type stream = {
 
 type rebuilder = {
   rstore : Store.t;
+  rstage : children:Hash.t list -> string -> Hash.t;
+      (* the node install of [Store.put_deferred]: digest now, put when
+         the rebuild returns *)
   rcfg : config;
   rsalt : string;
   mutable streams : stream array;
@@ -142,9 +145,9 @@ let new_stream cfg lvl =
   in
   { cut; pending = []; pending_count = 0; pending_size = 0; pending_raw = 0; total = 0 }
 
-let rebuilder store cfg salt =
-  { rstore = store; rcfg = cfg; rsalt = salt; streams = [||]; fed = 0; skipped = 0;
-    spliced = 0 }
+let rebuilder store stage cfg salt =
+  { rstore = store; rstage = stage; rcfg = cfg; rsalt = salt; streams = [||];
+    fed = 0; skipped = 0; spliced = 0 }
 
 let stream r lvl =
   let n = Array.length r.streams in
@@ -168,14 +171,11 @@ let make_node r lvl s =
       ~size:s.pending_size s.pending
   in
   r.spliced <- r.spliced + s.pending_raw;
-  let h =
-    if lvl = 0 then Store.put r.rstore bytes
-    else
-      let children =
-        List.fold_left (fun acc item -> Split_key.item_child item :: acc) [] s.pending
-      in
-      Store.put r.rstore ~children bytes
+  let children =
+    if lvl = 0 then []
+    else List.fold_left (fun acc item -> Split_key.item_child item :: acc) [] s.pending
   in
+  let h = r.rstage ~children bytes in
   Ref (last_key, h)
 
 (* The [By_child_hash] rule, reading a spliced ref's hash in place. *)
@@ -319,8 +319,10 @@ let merge_leaf r v ops =
   in
   go 0 ops
 
+(* The old version's nodes are read with [get_own]: the internal ones
+   are usually in the writer cache, put by the commit that made them. *)
 let rec emit r h ops ~reuse =
-  let v = get r.rstore h in
+  let v = Nodes.get_own r.rstore h in
   if Split_key.is_leaf v then begin
     merge_leaf r v ops;
     (* Local mode: contain the edit within this node's span — cut here
@@ -342,10 +344,13 @@ let rec emit r h ops ~reuse =
   end
 
 let rebuild t ops salt ~reuse =
-  let r = rebuilder t.store t.cfg salt in
-  if Hash.is_null t.root then merge_leaf r Split_key.empty_leaf ops
-  else emit r t.root ops ~reuse;
-  let root = finish r in
+  let r, root =
+    Store.put_deferred t.store (fun ~stage ->
+        let r = rebuilder t.store stage t.cfg salt in
+        if Hash.is_null t.root then merge_leaf r Split_key.empty_leaf ops
+        else emit r t.root ops ~reuse;
+        (r, finish r))
+  in
   let sink = Store.sink t.store in
   Siri_telemetry.Telemetry.incr sink ~by:r.fed "chunk.fed";
   Siri_telemetry.Telemetry.incr sink ~by:r.skipped "chunk.skipped";

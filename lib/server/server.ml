@@ -6,7 +6,11 @@
    path has a single writer and many readers: the store's node table and
    filter registry sit behind the store lock, the pack's offset index
    behind its own lock, its read descriptors in an [Atomic] map read with
-   a positioned [pread], and the telemetry sink behind its mutex. *)
+   a positioned [pread], and the telemetry sink behind its mutex.  The
+   store's writer cache is the writer thread's alone: its commits fill
+   it and read it back, and sessions never touch it.  The writer answers
+   every batch it drains, even when the commit path raises an exception
+   nothing maps ([refuse_unanswered]). *)
 
 module Hash = Siri_crypto.Hash
 module Kv = Siri_core.Kv
@@ -344,6 +348,22 @@ let process_group t (batch : pending list) =
       (List.rev !dups)
   end
 
+(* The writer's handler of last resort.  An exception that neither
+   [Fault.protect] nor [dir_commit]'s I/O mapping names leaves the engine
+   in an unknown state: the batches not yet answered are refused, the
+   server turns read-only, and the writer lives on to answer everything
+   queued after, so no session waits forever and [stop] can join it. *)
+let refuse_unanswered t batch e =
+  enter_read_only t;
+  let detail = "commit path: unexpected error: " ^ Printexc.to_string e in
+  List.iter
+    (fun p ->
+      Mutex.lock p.pmu;
+      let answered = Option.is_some p.resp in
+      Mutex.unlock p.pmu;
+      if not answered then reply p (err Proto.Read_only detail))
+    batch
+
 let writer_loop t =
   let rec loop () =
     Mutex.lock t.qmu;
@@ -379,7 +399,10 @@ let writer_loop t =
         drain ()
       end;
       Mutex.unlock t.qmu;
-      process_group t (List.rev !batch);
+      let batch = List.rev !batch in
+      (match process_group t batch with
+      | () -> ()
+      | exception e -> refuse_unanswered t batch e);
       loop ()
     end
   in

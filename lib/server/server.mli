@@ -51,7 +51,9 @@
       on the journal or the pack ([Unix_error] or [Sys_error], a failed
       fsync among them) refuses its group with [Err Read_only] and
       enters read-only mode too: the engine may be ahead of the disk.
-      Damaged
+      Any other exception on the commit path does the same for every
+      batch of the group not yet answered, and the writer lives on, so
+      no session waits forever and {!stop} returns.  Damaged
       request frames are refused ([`Tampered] / [`Malformed]) and the
       session closed; no byte from the wire is ever parsed unverified
       and no exception escapes the accept loop.

@@ -4,6 +4,7 @@ module Telemetry = Siri_telemetry.Telemetry
 module Node_cache = Siri_readpath.Node_cache
 module Proof_cache = Siri_readpath.Proof_cache
 module Bloom = Siri_readpath.Bloom
+module Written = Siri_readpath.Lru_cache.Make (Hash)
 
 exception Missing of Hash.t
 exception Transient of Hash.t
@@ -71,7 +72,17 @@ type t = {
      skips the short-circuit. *)
   filters : Bloom.t Hash.Table.t;
   mutable backend : backend option;
+  (* The writer cache: bytes of the internal nodes the writer's last
+     builds installed, so its next build reads them back without a
+     backend read.  Filled by [put_deferred] and read by [get_own] alone,
+     both on the writer, so it takes no lock (DESIGN §8); used only on a
+     backed store. *)
+  written : string Written.t;
 }
+
+(* The writer cache's byte budget: about the internal nodes the next
+   commit of a 100k-key POS-Tree descends through. *)
+let written_budget = 128 * 1024
 
 let create ?cache_bytes ?proof_cache_bytes () =
   { tbl = Hash.Table.create 4096;
@@ -87,7 +98,8 @@ let create ?cache_bytes ?proof_cache_bytes () =
     cache = Node_cache.create ?budget:cache_bytes ();
     proof_cache = Proof_cache.create ?budget:proof_cache_bytes ();
     filters = Hash.Table.create 16;
-    backend = None }
+    backend = None;
+    written = Written.create ~budget:written_budget }
 
 let add_counter c by = ignore (Atomic.fetch_and_add c by : int)
 
@@ -141,6 +153,7 @@ let set_backend t backend =
       if nodes <> [] then b.backend_write (List.rev nodes))
     backend;
   t.backend <- backend;
+  Written.clear t.written;
   if Option.is_some backend then begin
     locked t (fun () -> Hash.Table.reset t.tbl);
     Atomic.set t.stored_bytes 0
@@ -287,6 +300,34 @@ let put_parallel t ~map task inputs =
   put_staged t staged;
   Array.map fst results
 
+(* The install step of a sequential build: [build] stages its nodes as it
+   makes them, and they are installed in stage order by one [put_staged]
+   when it returns — one backend append per build, and none if it
+   raises.  The build never reads its own new nodes, so none needs to be
+   visible earlier.  On a backed store its internal nodes then enter the
+   writer cache, fresh or not: a node re-put byte-identical is still the
+   head's, and the next build reads it again.  Leaves stay out: a leaf is
+   read again only by a build that writes a key in it, while the internal
+   nodes above it are on most builds' paths. *)
+let put_deferred t build =
+  let staged = ref [] in
+  let stage_node ~children bytes =
+    let s = stage ~children bytes in
+    staged := s :: !staged;
+    s.digest
+  in
+  let result = build ~stage:stage_node in
+  let staged = List.rev !staged in
+  put_staged t staged;
+  if Option.is_some t.backend then
+    List.iter
+      (fun s ->
+        if s.node_children <> [] then
+          Written.insert t.written s.digest ~cost:(String.length s.node_bytes)
+            s.node_bytes)
+      staged;
+  result
+
 let put_batch t items =
   let staged = List.map (fun (bytes, children) -> stage ~children bytes) items in
   put_staged t staged;
@@ -302,14 +343,11 @@ let cold t read h =
       Telemetry.incr t.sink "store.get.cold";
       v
 
-let get t h =
-  add_counter t.gets 1;
-  let bytes =
-    match t.backend with
-    | None -> (
-        match find_node t h with Some node -> node.bytes | None -> raise Not_found)
-    | Some b -> cold t b.backend_read h
-  in
+(* Past the fetch, every read is metered alike: the fault gate, then
+   [store.get] and the deployment observer, counting successful reads.
+   Inlined: the serving read [get] pays no call for sharing it with
+   [get_own]. *)
+let[@inline] deliver t h bytes =
   (match t.read_gate with Some gate -> gate h bytes | None -> ());
   (* Telemetry counts successful reads (past the fault gate), at the same
      point the deployment-simulation observer fires — so cache hit/miss
@@ -322,6 +360,31 @@ let get t h =
   | Some f -> f h (String.length bytes)
   | None -> ());
   bytes
+
+let get t h =
+  add_counter t.gets 1;
+  let bytes =
+    match t.backend with
+    | None -> (
+        match find_node t h with Some node -> node.bytes | None -> raise Not_found)
+    | Some b -> cold t b.backend_read h
+  in
+  deliver t h bytes
+
+(* The writer's read: a node it put recently comes out of the writer
+   cache, and leaves it — the rebuild reading it is replacing it, and
+   re-caches it only if it re-puts it.  Anything else is a [get]. *)
+let get_own t h =
+  match Written.find t.written h with
+  | None -> get t h
+  | Some bytes ->
+      ignore (Written.remove t.written h : bool);
+      add_counter t.gets 1;
+      let bytes = deliver t h bytes in
+      Telemetry.incr t.sink "store.get.written";
+      bytes
+
+let written_mem t h = Written.mem t.written h
 
 (* One decoded-node cache read for every index kind: each application
    declares its own payload constructor, so a kind only ever matches back
@@ -336,16 +399,20 @@ end) =
 struct
   type Node_cache.repr += Cached of N.node
 
-  let get t h =
-    if not (Node_cache.enabled t.cache) then N.decode (get t h)
+  (* Inlined into [get] and [get_own], so each calls its fetch directly. *)
+  let[@inline] through fetch t h =
+    if not (Node_cache.enabled t.cache) then N.decode (fetch t h)
     else
       match Node_cache.find t.cache h with
       | Some (Cached node) -> node
       | _ ->
-          let bytes = get t h in
+          let bytes = fetch t h in
           let node = N.decode bytes in
           Node_cache.insert t.cache h ~bytes:(String.length bytes) (Cached node);
           node
+
+  let get t h = through get t h
+  let get_own t h = through get_own t h
 end
 
 let find t h = match get t h with s -> Some s | exception Not_found -> None
@@ -434,6 +501,7 @@ let gc t ~roots =
             dead)
   in
   Node_cache.remove_many t.cache dead;
+  List.iter (fun h -> ignore (Written.remove t.written h : bool)) dead;
   (* Filters for roots that were collected describe versions that no longer
      exist; drop them so the registry cannot outgrow the store. *)
   let roots =
@@ -549,6 +617,7 @@ let find_exn t h =
 
 let invalidate t h =
   Node_cache.remove t.cache h;
+  ignore (Written.remove t.written h : bool);
   Proof_cache.clear t.proof_cache
 
 let flip t h ~pos ~mask =

@@ -111,6 +111,17 @@ val count_parallel : t -> tasks:int -> nodes:int -> unit
     calls it once per map it counts, which may span several
     {!put_parallel} steps. *)
 
+val put_deferred : t -> (stage:(children:Hash.t list -> string -> Hash.t) -> 'a) -> 'a
+(** [put_deferred t build] is the install step of a sequential build:
+    [build ~stage] makes its nodes with [stage ~children bytes], which
+    digests a node (notifying the digest observer) and returns its hash
+    without installing it; when [build] returns, the staged nodes are
+    installed in stage order by one {!put_staged} — one backend append for
+    the whole build — and, on a backed store, its internal nodes enter the
+    writer cache ({!written_mem}).  If [build] raises, nothing is
+    installed.  The build must not read the nodes it stages: they are not
+    stored until it returns. *)
+
 val put_batch : t -> (string * Hash.t list) list -> Hash.t list
 (** [put_batch t [(bytes, children); …]] stages and installs a batch in
     one call, returning the content hashes in order.  Equivalent to
@@ -147,7 +158,9 @@ val set_put_observer : t -> (Hash.t -> int -> unit) option -> unit
 
 val set_sink : t -> Siri_telemetry.Telemetry.sink -> unit
 (** Attach a telemetry sink.  Every successful {!get} increments
-    [store.get] / [store.get_bytes]; every {!put} increments [store.put] /
+    [store.get] / [store.get_bytes]; a read served by the writer cache
+    ({!Decoded}'s [get_own]) counts there too, and in [store.get.written]
+    instead of [store.get.cold]; every {!put} increments [store.put] /
     [store.put_bytes], plus [store.put_unique] / [store.put_unique_bytes]
     when the bytes were not already stored (so
     [store.put - store.put_unique] is the deduplicated write count).
@@ -187,13 +200,40 @@ module Decoded (N : sig
   val decode : string -> node
 end) : sig
   val get : t -> Hash.t -> N.node
-  (** [get t h] is [N.decode (Store.get t h)] read through {!cache}: a hit
-      returns the shared decoding without touching the node table, a miss
-      decodes and inserts it, charged at the encoded size.  Each
-      application carries its own cache payload, so two kinds never see
-      each other's decodings.  Callers must not mutate a returned node. *)
+  (** [get t h] is [N.decode (Store.get t h)] read through {!cache}: with
+      the cache on, a hit returns the shared decoding without a {!get}, a
+      miss decodes and inserts it, charged at the encoded size; with it
+      off (as on a served store) every call is a {!get} and a decode.
+      Each application carries its own cache payload, so two kinds never
+      see each other's decodings.  Callers must not mutate a returned
+      node. *)
+
+  val get_own : t -> Hash.t -> N.node
+  (** The writer's read, for a rebuild descending through the version
+      it replaces: as [get], except that a node in the writer cache is
+      served from there, and leaves it (see {!written_mem}).  Such a hit
+      passes the read gate and counts in [store.get] and
+      [store.get.written], not in [store.get.cold].  Only the thread that
+      puts into this store may call it. *)
 end
 (** The decoded-node read of an index kind with codec [N]. *)
+
+val written_mem : t -> Hash.t -> bool
+(** Whether the writer cache holds [h].
+
+    {b The writer cache.}  A backed store keeps the bytes of the internal
+    nodes (nodes with children) its last {!put_deferred} builds
+    installed, under a fixed 128 KiB budget, least recently installed
+    evicted first: the nodes the next rebuild of the same tree descends
+    through, which it would otherwise read back from the backend with a
+    verifying read each.  Only [Decoded.get_own] reads it, removing what
+    it finds: a node a rebuild descends into is being replaced, and is
+    cached again only if the rebuild re-puts it byte-identical.  Cached
+    bytes were hashed when they were put.  {!gc}, the tamper primitives
+    and {!set_backend} drop its entries as they do the decoded-node
+    cache's.  It is the writer's alone: only the thread that puts into a
+    store reads it, so it takes no lock, and reads on serving domains
+    ({!get}) never touch it. *)
 
 val proof_cache : t -> Siri_readpath.Proof_cache.t
 (** The multiproof cache ([Siri_core.Generic.prove_many] reads through
@@ -232,7 +272,8 @@ val set_read_gate : t -> (Hash.t -> string -> unit) option -> unit
     (the pack serves it once its append returns; the group-fsync point is
     the pack's own [Pack.flush ~sync:true], reached from a durable
     checkpoint), and every read goes to the backend (metered as
-    [store.get.cold]).  {!stats} reports [backend_count] and
+    [store.get.cold]) — except a rebuild's reads of nodes in the writer
+    cache ({!written_mem}).  {!stats} reports [backend_count] and
     [backend_bytes] (a pack also counts each record's hashes).
     {!iter_nodes}, {!save}, the tamper primitives and {!scrub}'s table
     half see only the in-memory table, which is empty on a backed store:

@@ -558,6 +558,83 @@ let test_failed_apply () =
   Alcotest.(check bool) "live head" true (Hash.equal live.Engine.id head.Engine.id);
   Durable.close t
 
+(* The POS-Tree twin of [test_failed_apply]: a rebuild installs its nodes
+   in one pack append when it returns, so one that raises — on a dead
+   disk, or on a leaf read after it has made nodes — appends nothing: the
+   pack keeps its length and record count, the frame is taken back, and
+   the retry commits.  The internal nodes the rebuild descends through
+   come from the store's writer cache; the leaves come from the pack. *)
+let test_failed_pos_rebuild () =
+  with_dir "failed-pos" @@ fun dir ->
+  let mk_pos () =
+    let store = Store.create ~cache_bytes:0 ~proof_cache_bytes:0 () in
+    Siri_pos.Pos_tree.generic
+      (Siri_pos.Pos_tree.empty store (Siri_pos.Pos_tree.config ()))
+  in
+  let open_ () =
+    ok_exn "open"
+      (Durable.open_ ~sync:true ~backend:`Pack ~dir ~empty_index:(mk_pos ()) ())
+  in
+  (* four puts spread over the key space, so over four leaves *)
+  let ops c =
+    List.init 4 (fun j ->
+        Kv.Put (Printf.sprintf "k%04d" ((j * 500) + 7 + c), Printf.sprintf "w%d" c))
+  in
+  let commit t c =
+    ignore (Durable.commit t ~branch:"master" ~message:"m" (ops c) : Engine.commit)
+  in
+  let t = open_ () in
+  ignore
+    (Durable.commit_bulk t ~branch:"master" ~message:"load"
+       (List.init 2000 (fun i -> (Printf.sprintf "k%04d" i, Printf.sprintf "v%d" i)))
+      : Engine.commit);
+  List.iter (commit t) [ 0; 1 ];
+  let pack = Option.get (Durable.pack t) in
+  let pack_bytes () =
+    let pd = Durable.pack_dir dir in
+    Array.fold_left
+      (fun acc name ->
+        if String.length name > 4 && String.sub name 0 4 = "seg-" then
+          acc + file_size (Filename.concat pd name)
+        else acc)
+      0 (Sys.readdir pd)
+  in
+  let fail_commit what =
+    let bytes = Durable.journal_bytes t in
+    let length = pack_bytes () and records = Pack.count pack in
+    (match commit t 2 with
+    | () -> Alcotest.failf "%s: the commit must raise" what
+    | exception Store.Transient _ -> ());
+    Alcotest.(check int) (what ^ ": the frame is taken back") bytes
+      (file_size (Durable.journal_path dir));
+    Alcotest.(check int) (what ^ ": pack length unchanged") length (pack_bytes ());
+    Alcotest.(check int) (what ^ ": pack records unchanged") records (Pack.count pack)
+  in
+  Pack.set_read_gate pack
+    (Some (Siri_fault.Fault.io_gate (Siri_fault.Fault.plan ~transient:1.0 ~seed:7 ())));
+  fail_commit "dead disk";
+  Pack.set_read_gate pack None;
+  (* the second leaf read fails, after the first leaf's nodes are made *)
+  let store = Engine.store (Durable.engine t) in
+  let leaves = ref 0 in
+  Store.set_read_gate store
+    (Some
+       (fun h bytes ->
+         if Split_key.is_leaf (Split_key.parse ~salted:true bytes) then begin
+           incr leaves;
+           if !leaves = 2 then raise (Store.Transient h)
+         end));
+  fail_commit "second leaf";
+  Store.set_read_gate store None;
+  commit t 2;
+  let live = Engine.head (Durable.engine t) "master" in
+  Durable.close t;
+  let t = open_ () in
+  let head = Engine.head (Durable.engine t) "master" in
+  Alcotest.(check int) "live version" live.Engine.version head.Engine.version;
+  Alcotest.(check bool) "live head" true (Hash.equal live.Engine.id head.Engine.id);
+  Durable.close t
+
 let () =
   Alcotest.run "io"
     [ ( "effect trace",
@@ -570,4 +647,6 @@ let () =
           Alcotest.test_case "a failed journal fsync refuses later writes" `Quick
             test_failed_fsync;
           Alcotest.test_case "a failed apply takes its frame back" `Quick
-            test_failed_apply ] ) ]
+            test_failed_apply;
+          Alcotest.test_case "a failed POS rebuild appends nothing" `Quick
+            test_failed_pos_rebuild ] ) ]

@@ -1037,6 +1037,164 @@ let test_store_gc_compacts_backend () =
   Alcotest.(check string) "root readable cold" "gc-root" (Store.get store root);
   Pack.close p
 
+(* --- the store's writer cache ------------------------------------------------------ *)
+
+module Pos_tree = Siri_pos.Pos_tree
+
+let pos_entries n = List.init n (fun i -> (Printf.sprintf "k%05d" i, Printf.sprintf "v%d" i))
+
+let pos_ops c =
+  List.init 8 (fun j ->
+      let k = ((c * 613) + (j * 997)) mod 4000 in
+      Kv.Put (Printf.sprintf "k%05d" k, Printf.sprintf "w%d.%d" c j))
+
+let pos_versions store n =
+  let cfg = Pos_tree.config () in
+  let t = ref (Pos_tree.of_sorted store cfg (pos_entries 4000)) in
+  for c = 1 to n do
+    t := Pos_tree.batch !t (pos_ops c)
+  done;
+  !t
+
+let uniq hs =
+  let seen = Hash.Table.create 64 in
+  List.filter
+    (fun h ->
+      (not (Hash.Table.mem seen h))
+      && (Hash.Table.replace seen h ();
+          true))
+    hs
+
+(* The writer cache changes where a rebuild's reads come from, not what
+   it reads or puts: a pack-backed POS-Tree reads and puts exactly what
+   an in-memory one does for the same script.  A read the cache serves
+   counts in [store.get] and [store.get.written], not [store.get.cold],
+   and passes the read gate like any other: a gate fault on a cached
+   node surfaces.  A hit takes the node out of the cache. *)
+let test_written_cache_reads () =
+  with_dir "written" @@ fun dir ->
+  let p, _ = open_exn dir in
+  let backed = Store.create ~cache_bytes:0 () and memory = Store.create ~cache_bytes:0 () in
+  Pack.attach p backed;
+  let sink_b = Telemetry.create () and sink_m = Telemetry.create () in
+  Store.set_sink backed sink_b;
+  Store.set_sink memory sink_m;
+  let gated = ref 0 in
+  Store.set_read_gate backed (Some (fun _ _ -> incr gated));
+  let tb = pos_versions backed 20 and tm = pos_versions memory 20 in
+  Alcotest.(check string) "same root" (Hash.to_hex (Pos_tree.root tm))
+    (Hash.to_hex (Pos_tree.root tb));
+  let c = Telemetry.counter sink_b and cm = Telemetry.counter sink_m in
+  Alcotest.(check int) "same node reads" (cm "store.get") (c "store.get");
+  Alcotest.(check int) "same puts" (cm "store.put") (c "store.put");
+  Alcotest.(check bool) "the writer cache served reads" true (c "store.get.written" > 0);
+  Alcotest.(check int) "a read is cold or written" (c "store.get")
+    (c "store.get.cold" + c "store.get.written");
+  Alcotest.(check int) "every read passed the gate" (c "store.get") !gated;
+  let root = Pos_tree.root tb in
+  Alcotest.(check bool) "the head root is cached" true (Store.written_mem backed root);
+  Alcotest.(check bool) "a plain get leaves it cached" true
+    (ignore (Store.get backed root : string);
+     Store.written_mem backed root);
+  Store.set_read_gate backed (Some (fun h _ -> raise (Store.Transient h)));
+  (match Pos_tree.batch tb (pos_ops 21) with
+  | _ -> Alcotest.fail "a gated read of a cached node must raise"
+  | exception Store.Transient h ->
+      Alcotest.(check string) "raised on the cached root" (Hash.to_hex root)
+        (Hash.to_hex h));
+  Alcotest.(check bool) "a hit takes the node out" false (Store.written_mem backed root);
+  Pack.close p
+
+(* One append per rebuild keeps the put order: the pack's records, in
+   segment order, are the put observer's hashes less repeats — across
+   several rolls. *)
+let test_record_order_is_put_order () =
+  with_dir "order" @@ fun dir ->
+  let p, _ = open_exn ~segment_target:16384 dir in
+  let store = Store.create ~cache_bytes:0 () in
+  Pack.attach p store;
+  let order = ref [] in
+  Store.set_put_observer store (Some (fun h _ -> order := h :: !order));
+  ignore (pos_versions store 20 : Pos_tree.t);
+  Pack.flush p;
+  let ids = Pack.segment_ids p in
+  Alcotest.(check bool) "several segments" true (List.length ids > 3);
+  let records =
+    List.concat_map
+      (fun id ->
+        match Segment.scan (read_file (seg_path dir id)) with
+        | Ok s -> List.map (fun (h, _, _) -> h) s.Segment.records
+        | Error _ -> Alcotest.failf "segment %d does not scan" id)
+      ids
+  in
+  Alcotest.(check (list string)) "records in put order"
+    (List.map Hash.to_hex (uniq (List.rev !order)))
+    (List.map Hash.to_hex records);
+  let head = pos_versions store 0 in
+  let appends = ref 0 in
+  let b = Pack.backend p in
+  Store.set_backend store
+    (Some
+       { b with
+         Store.backend_write =
+           (fun nodes ->
+             incr appends;
+             b.Store.backend_write nodes) });
+  ignore (Pos_tree.batch head (pos_ops 100) : Pos_tree.t);
+  Alcotest.(check int) "a rebuild appends once" 1 !appends;
+  Pack.close p
+
+(* The writer's own read: the node bytes, through [Decoded.get_own]. *)
+module Own = Store.Decoded (struct
+  type node = string
+
+  let decode s = s
+end)
+
+(* The writer cache never holds a hash [gc] dropped, nor bytes a tamper
+   primitive altered.  A side version's fresh internal nodes are cached
+   when [gc] drops them, so the first check is not vacuous.  The tamper
+   primitives alter only the node table, which a backed store keeps
+   empty: each refuses a cached node with [Not_found], and what the
+   cache then serves still hashes to its key. *)
+let test_written_cache_coherent () =
+  with_dir "coherent" @@ fun dir ->
+  let p, _ = open_exn dir in
+  let store = Store.create ~cache_bytes:0 () in
+  Pack.attach p store;
+  let put = ref [] in
+  Store.set_put_observer store (Some (fun h _ -> put := h :: !put));
+  let head = pos_versions store 10 in
+  let side = Pos_tree.batch head [ Kv.Put ("k00100", "side"); Kv.Put ("k03900", "side") ] in
+  let live = Store.reachable store (Pos_tree.root head) in
+  let dead = List.filter (fun h -> not (Hash.Set.mem h live)) (uniq !put) in
+  Alcotest.(check bool) "a dead node is cached before gc" true
+    (List.exists (Store.written_mem store) dead);
+  Alcotest.(check bool) "the side root is among them" true
+    (List.mem (Pos_tree.root side) dead);
+  ignore (Store.gc store ~roots:[ Pos_tree.root head ] : int);
+  List.iter
+    (fun h -> Alcotest.(check bool) "no dropped hash cached" false (Store.written_mem store h))
+    dead;
+  (* each tamper primitive on the root a fresh commit just cached *)
+  let t = ref head in
+  List.iteri
+    (fun i (name, tamper) ->
+      t := Pos_tree.batch !t (pos_ops (30 + i));
+      let h = Pos_tree.root !t in
+      Alcotest.(check bool) (name ^ ": the new root is cached") true
+        (Store.written_mem store h);
+      (match tamper h with
+      | () -> Alcotest.failf "%s altered a backed store's node" name
+      | exception Not_found -> ());
+      Alcotest.(check bool) (name ^ ": what the cache serves is intact") true
+        (Hash.equal h (Hash.of_string (Own.get_own store h))))
+    [ ("corrupt", fun h -> Store.corrupt store h);
+      ("corrupt_at", fun h -> Store.corrupt_at store h ~pos:3);
+      ("truncate_node", fun h -> Store.truncate_node store h ~keep:1);
+      ("remove_node", fun h -> if not (Store.remove_node store h) then raise Not_found) ];
+  Pack.close p
+
 (* --- durable engine on the pack backend ----------------------------------------- *)
 
 (* Two domains re-read a fixed record set while the main domain appends
@@ -1756,6 +1914,13 @@ let () =
             test_append_publishes_after_flush;
           Alcotest.test_case "pread: >64 KiB record, short count at torn tail"
             `Quick test_pread_large_and_torn ] );
+      ( "writer cache",
+        [ Alcotest.test_case "same reads and puts; hits metered and gated" `Quick
+            test_written_cache_reads;
+          Alcotest.test_case "records in put order, one append per rebuild" `Quick
+            test_record_order_is_put_order;
+          Alcotest.test_case "gc drops cached hashes, tampers alter none" `Quick
+            test_written_cache_coherent ] );
       ( "cold read",
         [ Alcotest.test_case "allocates the node bytes plus a constant" `Quick
             test_cold_read_allocation;

@@ -94,6 +94,11 @@ let commit_exn ?req_id c ~branch ops =
 let sink_of server = Server.sink server
 let counter server name = Telemetry.counter (sink_of server) name
 
+let has_sub s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 (* --- protocol codec ----------------------------------------------------------- *)
 
 let sample_requests =
@@ -738,13 +743,6 @@ let test_fsync_failure () =
              (Telemetry.histogram (sink_of server) "wal.fsync_wait"));
         (match Client.stats c with
         | Ok json ->
-            let has_sub s sub =
-              let n = String.length sub in
-              let rec go i =
-                i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-              in
-              go 0
-            in
             Alcotest.(check bool) "wal.fsync_wait in the stats JSON" true
               (has_sub json "\"wal.fsync_wait\"")
         | Error e -> Alcotest.failf "stats: %s" (Client.error_to_string e));
@@ -776,6 +774,58 @@ let test_fsync_failure () =
        (fun k -> Engine.get (engine reopened) ~branch:"master" k)
        [ "a"; "b"; "c"; "d" ]);
   Dir.close reopened
+
+(* An exception on the commit path, raised by a store read gate on a
+   leaf read.  [Failure] is mapped by [Fault.protect]; [Gate_broke] is
+   named by no mapping, so only the writer's handler of last resort
+   answers it.  Either way the group gets an error reply (no session
+   hangs), the server turns read-only once, stays up, and [stop] joins
+   the writer.  On the pack backend, with stats on, so the writer cache's
+   [store.get.written] shows in the stats JSON. *)
+exception Gate_broke
+
+let test_commit_path_exception () =
+  List.iter
+    (fun (name, exn, refusal) ->
+      with_server ~backend:`Pack ("raise-" ^ name)
+      @@ fun ~dir:_ ~sock ~server ~durable ->
+      let c = connect_exn (`Unix sock) in
+      (* ~15 KB of records: a root over several leaves *)
+      let ops =
+        List.init 300 (fun i -> Kv.Put (Printf.sprintf "key%04d" i, String.make 40 'v'))
+      in
+      ignore (commit_exn c ~branch:"master" ops);
+      ignore (commit_exn c ~branch:"master" [ Kv.Put ("key0007", "w") ]);
+      (match Client.stats c with
+      | Ok json ->
+          Alcotest.(check bool) "store.get.written in the stats JSON" true
+            (has_sub json "\"store.get.written\"")
+      | Error e -> Alcotest.failf "stats: %s" (Client.error_to_string e));
+      let store = Engine.store (engine durable) in
+      Store.set_read_gate store
+        (Some
+           (fun _ bytes ->
+             if Split_key.is_leaf (Split_key.parse ~salted:true bytes) then raise exn));
+      (match Client.commit c ~branch:"master" ~message:"t" [ Kv.Put ("key0001", "w") ] with
+      | Error e ->
+          Alcotest.(check string) (name ^ ": refused") refusal
+            (match e with
+            | `Read_only -> "read-only"
+            | `Tampered _ -> "tampered"
+            | e -> Client.error_to_string e)
+      | Ok _ -> Alcotest.failf "%s: the commit must be refused" name);
+      Store.set_read_gate store None;
+      Alcotest.(check bool) "entered read-only" true (Server.read_only server);
+      Alcotest.(check int) "transition metered" 1
+        (counter server "server.readonly.enter");
+      (match Client.commit c ~branch:"master" ~message:"t" [ Kv.Put ("z", "1") ] with
+      | Error `Read_only -> ()
+      | _ -> Alcotest.fail "writes must be refused in read-only mode");
+      (match Client.get c ~branch:"master" "key0007" with
+      | Ok (Some "w") -> ()
+      | _ -> Alcotest.fail "reads must still be served");
+      Client.close c)
+    [ ("failure", Failure "leaf read", "tampered"); ("unnamed", Gate_broke, "read-only") ]
 
 let test_session_cap () =
   let config = { Server.default_config with session_max = 2 } in
@@ -1119,6 +1169,8 @@ let () =
             `Quick test_fsync_failure;
           Alcotest.test_case "tampered commit path -> read-only" `Quick
             test_read_only_degradation;
+          Alcotest.test_case "exception on the commit path -> read-only" `Quick
+            test_commit_path_exception;
           Alcotest.test_case "session cap refuses politely" `Quick
             test_session_cap;
           Alcotest.test_case "unknown branch / bad req_id" `Quick
