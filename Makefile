@@ -113,7 +113,15 @@
 #                  segment.ml(i) may name Torn or End: Segment.scan is the
 #                  one segment scan (rebuild, unindexed segments and tails
 #                  alike), so a second scan loop cannot creep back into
-#                  pack.ml.  And bin/siri_cli.ml may name
+#                  pack.ml.  And outside lib/pack nothing in lib/ or bin/
+#                  may name record_head, children_off or
+#                  Segment.encode_record: the record layout (a head naming
+#                  each child by the offset of its hash in the node bytes)
+#                  stays behind lib/pack, and a node writer hands its
+#                  child offsets to Store.put, whose ~child_offsets type
+#                  already stops it passing hashes (Wal.encode_record is
+#                  the journal's own codec and not on the list).  And
+#                  bin/siri_cli.ml may name
 #                  Generic.of_entries once (its TSV index builder, build)
 #                  and Pack.open_ once (with_pack), so per-command
 #                  builders and pack opens cannot come back.
@@ -244,6 +252,12 @@ lint:
 	if grep -rnwE --include='*.ml' --include='*.mli' 'Torn|End' lib/pack \
 	    | grep -vE '^lib/pack/segment\.mli?:'; then \
 	  echo "lint: lib/pack steps segment records in Segment.scan alone (no Torn or End outside segment.ml)"; \
+	  exit 1; \
+	fi; \
+	if grep -rnE --include='*.ml' --include='*.mli' \
+	    '\b(record_head|children_off)\b|\bSegment\.encode_record\b' lib bin \
+	    | grep -v '^lib/pack/'; then \
+	  echo "lint: the pack record layout stays behind lib/pack (no record_head, children_off or Segment.encode_record outside it; writers pass Store.put ~child_offsets)"; \
 	  exit 1; \
 	fi; \
 	if [ $$(grep -o 'Generic\.of_entries' bin/siri_cli.ml | wc -l) -gt 1 ] \

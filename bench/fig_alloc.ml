@@ -16,7 +16,8 @@
    cache, so every node on the path is a segment read, a content hash and
    a parse.  The seed drives the operation streams only; the dataset is
    fixed.  Words come from [Gc.counters]: minor words allocated, and
-   major words (direct major allocation plus promotions). *)
+   major words (direct major allocation plus promotions).  A pack commit
+   also reports the segment bytes it appends, record heads included. *)
 
 module Store = Siri_store.Store
 module Pos_tree = Siri_pos.Pos_tree
@@ -49,7 +50,13 @@ let dataset () =
 
 let scatter rank = ((rank * 7919) + 12345) mod preload_keys
 
-type cost = { us_p50 : float; us_mean : float; minor : float; major : float }
+type cost = {
+  us_p50 : float;
+  us_mean : float;
+  minor : float;
+  major : float;
+  bytes : float option;  (* segment bytes appended per op, heads included *)
+}
 
 (* Run [op] [n] times; per-op wall time (median and mean) and mean words. *)
 let measure n op =
@@ -68,7 +75,8 @@ let measure n op =
   { us_p50 = times.(n / 2) *. 1e6;
     us_mean = per total *. 1e6;
     minor = per (minor1 -. minor0);
-    major = per (major1 -. major0) }
+    major = per (major1 -. major0);
+    bytes = None }
 
 (* The commit stream: [commits] batches of 16 zipf(0.9) puts. *)
 let batches salt =
@@ -118,8 +126,23 @@ let pack_commit_cost entries =
   let d = open_ () in
   Fun.protect ~finally:(fun () -> Durable.close d) @@ fun () ->
   let batches = batches 11 in
-  measure commits (fun c ->
-      ignore (Durable.commit d ~branch:"master" ~message:"c" batches.(c)))
+  (* Every commit's records reach the segment files before it returns. *)
+  let segment_bytes () =
+    let pack = Filename.concat dir "pack" in
+    Array.fold_left
+      (fun acc name ->
+        if Filename.check_suffix name ".pack" then
+          acc + (Unix.stat (Filename.concat pack name)).Unix.st_size
+        else acc)
+      0 (Sys.readdir pack)
+  in
+  let before = segment_bytes () in
+  let cost =
+    measure commits (fun c ->
+        ignore (Durable.commit d ~branch:"master" ~message:"c" batches.(c)))
+  in
+  let appended = segment_bytes () - before in
+  { cost with bytes = Some (Float.of_int appended /. Float.of_int commits) }
 
 let cold_get_cost entries =
   with_temp_dir "get" @@ fun dir ->
@@ -147,13 +170,15 @@ let run () =
   let g = cold_get_cost entries in
   let row name n x =
     [ name; string_of_int n; Printf.sprintf "%.0f" x.us_p50; Printf.sprintf "%.0f" x.us_mean;
-      Printf.sprintf "%.0f" x.minor; Printf.sprintf "%.0f" x.major ]
+      Printf.sprintf "%.0f" x.minor; Printf.sprintf "%.0f" x.major;
+      (match x.bytes with Some b -> Printf.sprintf "%.0f" b | None -> "-") ]
   in
   Table.print
     ~title:
       (Printf.sprintf "Time and allocation per op (seed %d, %d keys, %s)" !seed
          preload_keys Siri_crypto.Sha256.kernel)
-    ~headers:[ "op"; "ops"; "us p50"; "us mean"; "minor words"; "major words" ]
+    ~headers:
+      [ "op"; "ops"; "us p50"; "us mean"; "minor words"; "major words"; "bytes appended" ]
     [ row "commit (16 puts)" commits c;
       row "commit (16 puts, pack)" commits p;
       row "cold get" cold_gets g ]

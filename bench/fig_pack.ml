@@ -63,7 +63,7 @@ let node i =
   let bytes =
     Printf.sprintf "pack-bench-%08d:%s" i (String.make (128 + (i mod 64)) 'x')
   in
-  (Hash.of_string bytes, bytes, [])
+  (Hash.of_string bytes, bytes, [||])
 
 let nodes n = List.init n node
 
@@ -110,7 +110,8 @@ let measure n =
   let snap_path = Filename.concat snap_dir "store" in
   let store = Store.create () in
   List.iter
-    (fun (_, bytes, children) -> ignore (Store.put store ~children bytes : Hash.t))
+    (fun (_, bytes, child_offsets) ->
+      ignore (Store.put store ~child_offsets bytes : Hash.t))
     data;
   Store.save store snap_path;
   let loaded, snap_reopen_s = Clock.time (fun () -> Store.load snap_path) in
@@ -172,7 +173,7 @@ let measure_rolling () =
             Printf.sprintf "roll-%06d-%02d:" a r
             ^ String.make roll_record_bytes 'r'
           in
-          (Hash.of_string bytes, bytes, []))
+          (Hash.of_string bytes, bytes, [||]))
     in
     Hist.add hist (Clock.time_unit (fun () -> Pack.append p batch))
   done;

@@ -175,17 +175,22 @@ let node_buffer ~salt ~level ~count ~size =
   in
   (b, Wire.Exact.varint b off count)
 
+(* A ref's child hash is the last [Hash.size] bytes of its item, so an
+   internal node's writer knows each child's offset as it places the
+   item; a leaf has none. *)
 let write_rev ~salt ~level ~count ~size items =
   let b, first = node_buffer ~salt ~level ~count ~size in
-  let rec fill stop = function
-    | [] -> if stop <> first then invalid_arg "Split_key.write_rev: size"
+  let offsets = if level = 0 then [||] else Array.make count 0 in
+  let rec fill i stop = function
+    | [] -> if stop <> first || i <> -1 then invalid_arg "Split_key.write_rev: size"
     | item :: rest ->
         let off = stop - item_size item in
         ignore (put_item b off item);
-        fill off rest
+        if level > 0 then offsets.(i) <- stop - Hash.size;
+        fill (i - 1) off rest
   in
-  fill (Bytes.length b) items;
-  Bytes.unsafe_to_string b
+  fill (count - 1) (Bytes.length b) items;
+  (Bytes.unsafe_to_string b, offsets)
 
 let write_array ~salt ~level size put items =
   let total = Array.fold_left (fun acc x -> acc + size x) 0 items in
@@ -200,10 +205,19 @@ let write_leaf ~salt entries =
     entries
 
 let write_internal ~salt level refs =
-  write_array ~salt ~level
-    (fun (k, _) -> str_size k + Hash.size)
-    (fun b off (k, h) -> Wire.Exact.raw b (Wire.Exact.str b off k) (Hash.to_raw h))
-    refs
+  let offsets = Array.make (Array.length refs) 0 in
+  let i = ref 0 in
+  let bytes =
+    write_array ~salt ~level
+      (fun (k, _) -> str_size k + Hash.size)
+      (fun b off (k, h) ->
+        let stop = Wire.Exact.raw b (Wire.Exact.str b off k) (Hash.to_raw h) in
+        offsets.(!i) <- stop - Hash.size;
+        incr i;
+        stop)
+      refs
+  in
+  (bytes, offsets)
 
 (* --- reads --------------------------------------------------------------------- *)
 
@@ -299,9 +313,8 @@ let bulk_build ~pool store ~salt ~cut_leaves ~cut_refs entries =
     else
       up (height + 1)
         (level refs (cut_refs refs) (fun slice ->
-             Store.stage_quiet
-               ~children:(Array.fold_right (fun (_, h) acc -> h :: acc) slice [])
-               (write_internal ~salt height slice)))
+             let bytes, child_offsets = write_internal ~salt height slice in
+             Store.stage_quiet ~child_offsets bytes))
   in
   up 1
     (level entries (cut_leaves entries) (fun slice ->

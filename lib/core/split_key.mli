@@ -110,13 +110,19 @@ val ser_item : item -> string
 (** The item's bytes on their own, as fed to the rolling hash. *)
 
 val write_rev :
-  salt:string option -> level:int -> count:int -> size:int -> item list -> string
+  salt:string option -> level:int -> count:int -> size:int -> item list ->
+  string * int array
 (** The node at [level] (0 = leaf) holding [count] items of total
-    {!item_size} [size], given {e last item first}. *)
+    {!item_size} [size], given {e last item first}, with the offset of
+    each ref's child hash in the bytes, first ref first ([[||]] for a
+    leaf): the [~child_offsets] {!Siri_store.Store.put} takes.  A ref's
+    child hash is the last {!Hash.size} bytes of its item. *)
 
 val write_leaf : salt:string option -> (Kv.key * Kv.value) array -> string
-val write_internal : salt:string option -> int -> (Kv.key * Hash.t) array -> string
-(** A leaf, or an internal node at the given height, of sorted items. *)
+val write_internal :
+  salt:string option -> int -> (Kv.key * Hash.t) array -> string * int array
+(** A leaf, or an internal node at the given height (with its child hash
+    offsets, as {!write_rev}), of sorted items. *)
 
 (** {2 Reads} *)
 

@@ -46,12 +46,15 @@ let decode_commit id bytes =
 
 let store_commit t ~parent ~index_root ~message ~version =
   let bytes = encode_commit ~parent ~index_root ~message ~version in
-  let children =
-    (* Keep history and data alive under GC roots. *)
-    index_root :: (match parent with Some p -> [ p ] | None -> [])
-    |> List.filter (fun h -> not (Hash.is_null h))
+  (* Keep history and data alive under GC roots: the index root sits at
+     byte 33 and the parent at byte 1, each named when non-null. *)
+  let named h off = if Hash.is_null h then [] else [ off ] in
+  let child_offsets =
+    Array.of_list
+      (named index_root 33
+      @ match parent with Some p -> named p 1 | None -> [])
   in
-  let id = Store.put t.store ~children bytes in
+  let id = Store.put t.store ~child_offsets bytes in
   { id; parent; index_root; message; version }
 
 let create ~empty_index =
@@ -387,8 +390,8 @@ let load ~empty_index path =
      against them, then restore the branch heads. *)
   let loaded = Store.load path in
   let target = empty_index.Generic.store in
-  Store.iter_nodes loaded (fun bytes children ->
-      ignore (Store.put target ~children bytes));
+  Store.iter_nodes loaded (fun bytes child_offsets ->
+      ignore (Store.put target ~child_offsets bytes));
   Store.reset_counters target;
   let t =
     { store = target;

@@ -56,6 +56,13 @@ let encode_internal hashes =
   Array.iter (fun h -> Wire.Writer.hash w h) hashes;
   Wire.Writer.contents w
 
+(* An internal node's children are packed one after another behind its
+   tag and count. *)
+let internal_offsets hashes =
+  let n = Array.length hashes in
+  let first = 1 + Wire.Writer.varint_size n in
+  Array.init n (fun i -> first + (i * Hash.size))
+
 type node = Bucket of (Kv.key * Kv.value) array | Internal of Hash.t array
 
 let decode bytes =
@@ -85,7 +92,7 @@ let get = Nodes.get
 let put_bucket store entries = Store.put store (encode_bucket entries)
 
 let put_internal store hashes =
-  Store.put store ~children:(Array.to_list hashes) (encode_internal hashes)
+  Store.put store ~child_offsets:(internal_offsets hashes) (encode_internal hashes)
 
 (* --- construction ------------------------------------------------------- *)
 
@@ -101,7 +108,8 @@ let one s = (s.Store.digest, [ s ])
 (* One internal node per children array. *)
 let put_internals pool store children =
   Store.put_parallel store ~map:(Pool.map pool)
-    (fun cs -> one (Store.stage_quiet ~children:(Array.to_list cs) (encode_internal cs)))
+    (fun cs ->
+      one (Store.stage_quiet ~child_offsets:(internal_offsets cs) (encode_internal cs)))
     children
 
 (* Build the internal levels over the given level-0 hashes, one level of

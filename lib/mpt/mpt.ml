@@ -23,33 +23,44 @@ let tag_leaf = 0
 let tag_ext = 1
 let tag_branch = 2
 
+(* A node's bytes and the offsets of its child hashes in them: an
+   extension's child follows its path, and a branch's children follow its
+   bitmap, packed in nibble order. *)
 let encode node =
   let w = Wire.Writer.create () in
-  (match node with
-  | Leaf (path, v) ->
-      Wire.Writer.u8 w tag_leaf;
-      Wire.Writer.str w (Nibbles.compact_encode ~leaf:true path);
-      Wire.Writer.str w v
-  | Ext (path, child) ->
-      Wire.Writer.u8 w tag_ext;
-      Wire.Writer.str w (Nibbles.compact_encode ~leaf:false path);
-      Wire.Writer.hash w child
-  | Branch (children, value) ->
-      Wire.Writer.u8 w tag_branch;
-      let bitmap = ref 0 in
-      Array.iteri
-        (fun i c -> if not (Hash.is_null c) then bitmap := !bitmap lor (1 lsl i))
-        children;
-      Wire.Writer.u16 w !bitmap;
-      Array.iter
-        (fun c -> if not (Hash.is_null c) then Wire.Writer.hash w c)
-        children;
-      (match value with
-      | None -> Wire.Writer.u8 w 0
-      | Some v ->
-          Wire.Writer.u8 w 1;
-          Wire.Writer.str w v));
-  Wire.Writer.contents w
+  let child_offsets =
+    match node with
+    | Leaf (path, v) ->
+        Wire.Writer.u8 w tag_leaf;
+        Wire.Writer.str w (Nibbles.compact_encode ~leaf:true path);
+        Wire.Writer.str w v;
+        [||]
+    | Ext (path, child) ->
+        Wire.Writer.u8 w tag_ext;
+        Wire.Writer.str w (Nibbles.compact_encode ~leaf:false path);
+        let off = Wire.Writer.length w in
+        Wire.Writer.hash w child;
+        [| off |]
+    | Branch (children, value) ->
+        Wire.Writer.u8 w tag_branch;
+        let bitmap = ref 0 in
+        Array.iteri
+          (fun i c -> if not (Hash.is_null c) then bitmap := !bitmap lor (1 lsl i))
+          children;
+        Wire.Writer.u16 w !bitmap;
+        let first = Wire.Writer.length w in
+        Array.iter
+          (fun c -> if not (Hash.is_null c) then Wire.Writer.hash w c)
+          children;
+        let n = (Wire.Writer.length w - first) / Hash.size in
+        (match value with
+        | None -> Wire.Writer.u8 w 0
+        | Some v ->
+            Wire.Writer.u8 w 1;
+            Wire.Writer.str w v);
+        Array.init n (fun i -> first + (i * Hash.size))
+  in
+  (Wire.Writer.contents w, child_offsets)
 
 let decode bytes =
   let r = Wire.Reader.of_string bytes in
@@ -74,14 +85,9 @@ let decode bytes =
     Branch (children, value)
   end
 
-let node_children = function
-  | Leaf _ -> []
-  | Ext (_, c) -> [ c ]
-  | Branch (children, _) ->
-      Array.to_list children |> List.filter (fun c -> not (Hash.is_null c))
-
 let put store node =
-  Store.put store ~children:(node_children node) (encode node)
+  let bytes, child_offsets = encode node in
+  Store.put store ~child_offsets bytes
 
 (* Cached nodes are never mutated: every write path copies a Branch's
    child array before updating it, and Leaf/Ext payloads are immutable
@@ -312,7 +318,7 @@ let common_from paths lo hi depth =
 let rec build_slice acc paths lo hi depth =
   if hi - lo = 1 then begin
     let p, v = paths.(lo) in
-    let s = Store.stage_quiet (encode (Leaf (Nibbles.drop p depth, v))) in
+    let s = Store.stage_quiet (fst (encode (Leaf (Nibbles.drop p depth, v)))) in
     acc := s :: !acc;
     s.Store.digest
   end
@@ -337,7 +343,8 @@ let rec build_slice acc paths lo hi depth =
       i := !j
     done;
     let stage node =
-      let s = Store.stage_quiet ~children:(node_children node) (encode node) in
+      let bytes, child_offsets = encode node in
+      let s = Store.stage_quiet ~child_offsets bytes in
       acc := s :: !acc;
       s.Store.digest
     in

@@ -36,9 +36,8 @@ let get = Nodes.get
 let put_leaf store entries = Store.put store (Split_key.write_leaf ~salt:None entries)
 
 let put_internal store lvl refs =
-  Store.put store
-    ~children:(Array.fold_right (fun (_, h) acc -> h :: acc) refs [])
-    (Split_key.write_internal ~salt:None lvl refs)
+  let bytes, child_offsets = Split_key.write_internal ~salt:None lvl refs in
+  Store.put store ~child_offsets bytes
 
 let height t = if Hash.is_null t.root then 0 else Split_key.level (get t.store t.root) + 1
 

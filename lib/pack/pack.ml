@@ -210,15 +210,6 @@ let sorted_entries t =
     (fun (a, _) (b, _) -> Hash.compare a b)
     (Hash.Table.fold (fun h e acc -> (h, e) :: acc) t.index [])
 
-let iter t f =
-  List.iter
-    (fun (h, e) ->
-      let bytes, children =
-        read t h e (fun blob r -> (node_bytes blob r, Segment.children blob r))
-      in
-      f h bytes children)
-    (sorted_entries t)
-
 let scrub t =
   List.filter_map
     (fun (h, e) ->
@@ -296,9 +287,11 @@ let roll t =
 let append t nodes =
   let fresh = Hash.Table.create 8 in
   List.iter
-    (fun (h, bytes, children) ->
+    (fun (h, bytes, child_offsets) ->
       if not (Hash.Table.mem t.index h || Hash.Table.mem fresh h) then begin
-        let head = Segment.record_head h ~bytes_len:(String.length bytes) children in
+        let head =
+          Segment.record_head h ~bytes_len:(String.length bytes) child_offsets
+        in
         let flen = String.length head + String.length bytes in
         if t.active_len + flen > t.segment_target && t.active_len > magic_len
         then roll t;

@@ -111,13 +111,14 @@ val stored_bytes : t -> int
 val segment_ids : t -> int list
 (** Live segment ids, ascending; the last one is the active segment. *)
 
-val append : t -> (Hash.t * string * Hash.t list) list -> unit
+val append : t -> (Hash.t * string * int array) list -> unit
 (** Append records for the nodes not already present (content-addressed
-    dedup), rolling segments as needed.  The call's records reach the OS
-    before it returns, and only then become visible to {!get}; they are
-    durable after {!flush} [~sync:true].  A roll fsyncs only the new
-    segment file and the manifest, never the outgoing segment's bytes
-    ([pack.roll]; [pack.fsync] is untouched). *)
+    dedup), rolling segments as needed.  A node comes with the offsets of
+    its child hashes in its bytes ({!Segment.record_head}).  The call's
+    records reach the OS before it returns, and only then become visible
+    to {!get}; they are durable after {!flush} [~sync:true].  A roll
+    fsyncs only the new segment file and the manifest, never the
+    outgoing segment's bytes ([pack.roll]; [pack.fsync] is untouched). *)
 
 val flush : ?sync:bool -> t -> unit
 (** With [sync] (default true) fsync every segment sealed by a roll
@@ -145,9 +146,6 @@ val children : t -> Hash.t -> Hash.t list option
     verifies and raises like {!get}. *)
 
 val mem : t -> Hash.t -> bool
-
-val iter : t -> (Hash.t -> string -> Hash.t list -> unit) -> unit
-(** Verified sweep over every indexed record; raises like {!get}. *)
 
 val scrub : t -> Hash.t list
 (** Re-read and verify every indexed record (gate bypassed), returning

@@ -1,11 +1,12 @@
 module Hash = Siri_crypto.Hash
 module Wire = Siri_codec.Wire
 
-let magic = "SIRIPACKSEG2"
+let magic = "SIRIPACKSEG3"
 
-(* The previous layout: one WAL frame per record, its digest over the
-   node bytes too.  Refused by name — there is no second reader. *)
-let retired_magic = "SIRIPACKSEG1"
+(* The previous layouts, refused by name — there is no second reader:
+   SEG1 framed each record as a WAL frame whose digest covered the node
+   bytes too; SEG2 copied every child hash into the head. *)
+let retired_magics = [ "SIRIPACKSEG1"; "SIRIPACKSEG2" ]
 
 let header_len = 4 + Hash.size
 
@@ -28,7 +29,7 @@ let id_of_filename name =
 let check_magic prefix =
   let found = String.sub prefix 0 (min (String.length prefix) (String.length magic)) in
   if String.starts_with ~prefix:found magic then Ok ()
-  else if found = retired_magic then
+  else if List.mem found retired_magics then
       Error
         (Printf.sprintf "unsupported segment format %s (this build reads %s)"
            found magic)
@@ -37,17 +38,27 @@ let check_magic prefix =
 (* The head digest covers the length and the head only; the node bytes
    are already bound by [h], which the caller computed when it stored the
    node — so an append hashes a few dozen bytes, never the node itself.
-   Everything before the node bytes is written into one exact-size
-   buffer. *)
-let record_head h ~bytes_len children =
-  let n = List.length children in
-  let head_len = Hash.size + Wire.Writer.varint_size n + (n * Hash.size) in
+   A child is named by the offset of its hash in the node bytes, so the
+   content hash binds each child hash and the digest binds where it
+   sits.  Everything before the node bytes is written into one
+   exact-size buffer. *)
+let record_head h ~bytes_len child_offsets =
+  let n = Array.length child_offsets in
+  let offs_len =
+    Array.fold_left
+      (fun acc off ->
+        if off < 0 || off > bytes_len - Hash.size then
+          invalid_arg "Segment.record_head: child offset out of range";
+        acc + Wire.Writer.varint_size off)
+      0 child_offsets
+  in
+  let head_len = Hash.size + Wire.Writer.varint_size n + offs_len in
   if head_len + bytes_len > 0xFFFFFFFF then invalid_arg "Segment.record_head: too long";
   let b = Bytes.create (header_len + head_len) in
   Bytes.set_int32_be b 0 (Int32.of_int (head_len + bytes_len));
   let off = Wire.Exact.raw b header_len (Hash.to_raw h) in
   let off = Wire.Exact.varint b off n in
-  ignore (List.fold_left (fun off c -> Wire.Exact.raw b off (Hash.to_raw c)) off children);
+  ignore (Array.fold_left (Wire.Exact.varint b) off child_offsets);
   let digest =
     Hash.of_concat_sub (Bytes.sub_string b 0 4) (Bytes.unsafe_to_string b)
       ~off:header_len ~len:head_len
@@ -55,8 +66,8 @@ let record_head h ~bytes_len children =
   Bytes.blit_string (Hash.to_raw digest) 0 b 4 Hash.size;
   Bytes.unsafe_to_string b
 
-let encode_record h bytes children =
-  record_head h ~bytes_len:(String.length bytes) children ^ bytes
+let encode_record h bytes child_offsets =
+  record_head h ~bytes_len:(String.length bytes) child_offsets ^ bytes
 
 type record = {
   hash_off : int;
@@ -86,8 +97,9 @@ let step ?limit blob ~pos =
     else begin
       let body = pos + header_len in
       let stop = body + len in
-      (* Locate the end of the head.  Nothing here is trusted yet: a bad
-         varint or a child count overrunning the record is corruption. *)
+      (* Locate the end of the head, noting the largest child offset.
+         Nothing here is trusted yet: a bad varint, or a child count or
+         offsets overrunning the record, is corruption. *)
       let head_end =
         match
           let r =
@@ -95,13 +107,21 @@ let step ?limit blob ~pos =
               ~len:(len - Hash.size)
           in
           let n = Wire.Reader.varint r in
-          (n, Wire.Reader.pos r)
+          if n > Wire.Reader.remaining r then raise Wire.Reader.Truncated;
+          let offs = Wire.Reader.pos r in
+          let top = ref (-1) in
+          for _ = 1 to n do
+            let off = Wire.Reader.varint r in
+            if off > !top then top := off
+          done;
+          (n, offs, Wire.Reader.pos r, !top)
         with
         | exception (Wire.Reader.Truncated | Invalid_argument _) -> None
-        | n, vlen ->
-            let after = body + Hash.size + vlen in
-            if n > (stop - after) / Hash.size then None
-            else Some (n, after, after + (n * Hash.size))
+        | n, offs, vlen, top ->
+            let head_end = body + Hash.size + vlen in
+            (* Every child hash must lie inside the node bytes. *)
+            if n > 0 && top > stop - head_end - Hash.size then None
+            else Some (n, body + Hash.size + offs, head_end)
       in
       match head_end with
       | None -> Corrupt
@@ -135,9 +155,16 @@ let step ?limit blob ~pos =
 
 let hash blob r = Hash.of_raw (String.sub blob r.hash_off Hash.size)
 
+(* The offsets were range-checked by [step]; each child hash is copied
+   out of the verified node bytes. *)
 let children blob r =
-  List.init r.n_children (fun i ->
-      Hash.of_raw (String.sub blob (r.children_off + (i * Hash.size)) Hash.size))
+  let rd =
+    Wire.Reader.of_substring blob ~off:r.children_off
+      ~len:(r.bytes_off - r.children_off)
+  in
+  List.init r.n_children (fun _ ->
+      let off = r.bytes_off + Wire.Reader.varint rd in
+      Hash.of_raw (String.sub blob off Hash.size))
 
 type scanned = {
   records : (Hash.t * int * int) list;

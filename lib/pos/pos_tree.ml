@@ -119,7 +119,7 @@ type stream = {
 
 type rebuilder = {
   rstore : Store.t;
-  rstage : children:Hash.t list -> string -> Hash.t;
+  rstage : child_offsets:int array -> string -> Hash.t;
       (* the node install of [Store.put_deferred]: digest now, put when
          the rebuild returns *)
   rcfg : config;
@@ -166,16 +166,12 @@ let make_node r lvl s =
   let last_key =
     match s.pending with item :: _ -> Split_key.item_key item | [] -> assert false
   in
-  let bytes =
+  let bytes, child_offsets =
     Split_key.write_rev ~salt:(Some r.rsalt) ~level:lvl ~count:s.pending_count
       ~size:s.pending_size s.pending
   in
   r.spliced <- r.spliced + s.pending_raw;
-  let children =
-    if lvl = 0 then []
-    else List.fold_left (fun acc item -> Split_key.item_child item :: acc) [] s.pending
-  in
-  let h = r.rstage ~children bytes in
+  let h = r.rstage ~child_offsets bytes in
   Ref (last_key, h)
 
 (* The [By_child_hash] rule, reading a spliced ref's hash in place. *)

@@ -239,15 +239,24 @@ let commit_branch_group t branch (items : pending list) =
       let detail = "commit path: tampered node " ^ Hash.to_hex h in
       List.iter (fun p -> reply p (err Proto.Tampered detail)) items;
       Error `Stop_group
-  | Error ((`Missing _ | `Malformed _) as e) ->
+  | Error (`Missing _ as e) ->
       (* Unknown branches are refused at dispatch against the snapshot, so
          a missing hash here — even a bare Not_found surfacing as
          [`Missing Hash.null] from deep inside the index build — means
-         the store lost or mangled a node the head still references.
-         That is an integrity failure, not a client error. *)
+         the store lost a node the head still references.  That is an
+         integrity failure, not a client error. *)
       enter_read_only t;
       let detail = "commit path: " ^ Fault.error_to_string e in
       List.iter (fun p -> reply p (err Proto.Tampered detail)) items;
+      Error `Stop_group
+  | Error (`Malformed msg) ->
+      (* Every node on the commit path passed its content-hash check
+         before it was decoded, so a [Failure] or [Invalid_argument]
+         here is a bug in this build, not damaged storage: refused as
+         read-only, not reported to clients as tampering. *)
+      enter_read_only t;
+      let detail = "commit path: internal error: " ^ msg in
+      List.iter (fun p -> reply p (err Proto.Read_only detail)) items;
       Error `Stop_group
   | Error (`Io detail) ->
       (* The journal or the pack could not be written or made durable.

@@ -10,7 +10,9 @@ exception Missing of Hash.t
 exception Transient of Hash.t
 exception Tampered of Hash.t
 
-type node = { mutable bytes : string; children : Hash.t list }
+(* A node names its children by the offsets of their hashes in its own
+   bytes: each child hash is stored once, in the node. *)
+type node = { mutable bytes : string; child_offsets : int array }
 
 (* The storage a store delegates its nodes to.  The store never names a
    concrete backend (the pack-file implementation lives in [lib/pack] and
@@ -23,7 +25,7 @@ type backend = {
   backend_children : Hash.t -> Hash.t list option;
       (** Read of the child hashes; raises like [backend_read]. *)
   backend_mem : Hash.t -> bool;
-  backend_write : (Hash.t * string * Hash.t list) list -> unit;
+  backend_write : (Hash.t * string * int array) list -> unit;
       (** Append of fresh nodes, readable when the call returns. *)
   backend_flush : sync:bool -> unit;  (** Group fsync of buffered appends. *)
   backend_corrupt : unit -> Hash.t list;
@@ -148,7 +150,9 @@ let set_backend t backend =
     (fun b ->
       let nodes =
         locked t (fun () ->
-            Hash.Table.fold (fun h n acc -> (h, n.bytes, n.children) :: acc) t.tbl [])
+            Hash.Table.fold
+              (fun h n acc -> (h, n.bytes, n.child_offsets) :: acc)
+              t.tbl [])
       in
       if nodes <> [] then b.backend_write (List.rev nodes))
     backend;
@@ -177,26 +181,46 @@ let root_filter t root = find_locked t t.filters root
 let remove_root_filter t root =
   locked t (fun () -> Hash.Table.remove t.filters root)
 
+(* Every child hash must lie inside the node bytes. *)
+let check_offsets bytes child_offsets =
+  let top = String.length bytes - Hash.size in
+  for i = 0 to Array.length child_offsets - 1 do
+    let off = child_offsets.(i) in
+    if off < 0 || off > top then invalid_arg "Store.put: child offset out of range"
+  done
+
+(* The child hashes a node's offsets name, in order.  A put checked the
+   offsets against the bytes; only a tamper primitive ([truncate_node])
+   can shorten the bytes since, and a hash cut off by it is skipped. *)
+let child_hashes bytes child_offsets =
+  let top = String.length bytes - Hash.size in
+  Array.fold_right
+    (fun off acc ->
+      if off <= top then Hash.of_raw (String.sub bytes off Hash.size) :: acc
+      else acc)
+    child_offsets []
+
 (* Store a node in its one place unless it is there already — the table,
    or the backend, which serves it once [backend_write] returns; true if
    it was stored. *)
-let install t h bytes children =
+let install t h bytes child_offsets =
   match t.backend with
   | None ->
-      let fresh = add_if_absent t h { bytes; children } in
+      let fresh = add_if_absent t h { bytes; child_offsets } in
       if fresh then add_counter t.stored_bytes (String.length bytes);
       fresh
   | Some b ->
       let fresh = not (b.backend_mem h) in
-      if fresh then b.backend_write [ (h, bytes, children) ];
+      if fresh then b.backend_write [ (h, bytes, child_offsets) ];
       fresh
 
-let put t ?(children = []) bytes =
+let put t ?(child_offsets = [||]) bytes =
+  check_offsets bytes child_offsets;
   let h = Hash.of_string bytes in
   let len = String.length bytes in
   add_counter t.puts 1;
   add_counter t.put_bytes len;
-  let fresh = install t h bytes children in
+  let fresh = install t h bytes child_offsets in
   if Telemetry.enabled t.sink then begin
     Telemetry.incr t.sink "store.put";
     Telemetry.incr t.sink ~by:len "store.put_bytes";
@@ -216,15 +240,17 @@ let put t ?(children = []) bytes =
    replays the notifications in deterministic order ([note_staged]) and
    installs the nodes ([put_staged]), so the observable effects of a
    parallel commit are byte-for-byte those of the sequential one. *)
-type staged = { digest : Hash.t; node_bytes : string; node_children : Hash.t list }
+type staged = { digest : Hash.t; node_bytes : string; node_offsets : int array }
 
-let stage ?(children = []) bytes =
-  { digest = Hash.of_string bytes; node_bytes = bytes; node_children = children }
+let stage ?(child_offsets = [||]) bytes =
+  check_offsets bytes child_offsets;
+  { digest = Hash.of_string bytes; node_bytes = bytes; node_offsets = child_offsets }
 
-let stage_quiet ?(children = []) bytes =
+let stage_quiet ?(child_offsets = [||]) bytes =
+  check_offsets bytes child_offsets;
   { digest = Hash.of_string_quiet bytes;
     node_bytes = bytes;
-    node_children = children }
+    node_offsets = child_offsets }
 
 let note_staged staged =
   List.iter (fun s -> Hash.note_digest (String.length s.node_bytes)) staged
@@ -243,7 +269,7 @@ let put_staged t staged =
                 (fun s ->
                   (not (Hash.Table.mem t.tbl s.digest))
                   && (Hash.Table.add t.tbl s.digest
-                        { bytes = s.node_bytes; children = s.node_children };
+                        { bytes = s.node_bytes; child_offsets = s.node_offsets };
                       true))
                 staged)
         in
@@ -261,7 +287,7 @@ let put_staged t staged =
         in
         if fresh <> [] then
           b.backend_write
-            (List.map (fun s -> (s.digest, s.node_bytes, s.node_children)) fresh);
+            (List.map (fun s -> (s.digest, s.node_bytes, s.node_offsets)) fresh);
         fresh
   in
   (match t.put_observer with
@@ -311,8 +337,8 @@ let put_parallel t ~map task inputs =
    nodes above it are on most builds' paths. *)
 let put_deferred t build =
   let staged = ref [] in
-  let stage_node ~children bytes =
-    let s = stage ~children bytes in
+  let stage_node ~child_offsets bytes =
+    let s = stage ~child_offsets bytes in
     staged := s :: !staged;
     s.digest
   in
@@ -322,14 +348,16 @@ let put_deferred t build =
   if Option.is_some t.backend then
     List.iter
       (fun s ->
-        if s.node_children <> [] then
+        if Array.length s.node_offsets > 0 then
           Written.insert t.written s.digest ~cost:(String.length s.node_bytes)
             s.node_bytes)
       staged;
   result
 
 let put_batch t items =
-  let staged = List.map (fun (bytes, children) -> stage ~children bytes) items in
+  let staged =
+    List.map (fun (bytes, child_offsets) -> stage ~child_offsets bytes) items
+  in
   put_staged t staged;
   List.map (fun s -> s.digest) staged
 
@@ -425,7 +453,9 @@ let mem t h =
 let children t h =
   match t.backend with
   | None -> (
-      match find_node t h with Some node -> node.children | None -> raise Not_found)
+      match find_node t h with
+      | Some node -> child_hashes node.bytes node.child_offsets
+      | None -> raise Not_found)
   | Some b -> cold t b.backend_children h
 
 let size_of t h =
@@ -441,7 +471,7 @@ let iter_nodes t f =
   let nodes =
     locked t (fun () -> Hash.Table.fold (fun _ node acc -> node :: acc) t.tbl [])
   in
-  List.iter (fun node -> f node.bytes node.children) (List.rev nodes)
+  List.iter (fun node -> f node.bytes node.child_offsets) (List.rev nodes)
 
 let stats t =
   let unique_nodes, stored_bytes =
@@ -516,13 +546,17 @@ let gc t ~roots =
 
 (* --- persistence ---------------------------------------------------------- *)
 
-let magic = "SIRISTORE2"
+let magic = "SIRISTORE3"
+
+(* The previous layout, which copied every child hash next to its node:
+   refused by name — there is no second reader. *)
+let retired_magic = "SIRISTORE2"
 
 (* Insert a node under an explicit key without re-hashing — the load path
    needs this so that a node whose recorded digest no longer matches its
    bytes keeps its original identity (and can then be found by [scrub]). *)
-let add_raw t h bytes children =
-  if add_if_absent t h { bytes; children } then
+let add_raw t h bytes child_offsets =
+  if add_if_absent t h { bytes; child_offsets } then
     add_counter t.stored_bytes (String.length bytes)
 
 let save ?(sync = true) t path =
@@ -548,8 +582,8 @@ let save ?(sync = true) t path =
           output_string oc (Hash.to_raw h);
           write_varint (String.length node.bytes);
           output_string oc node.bytes;
-          write_varint (List.length node.children);
-          List.iter (fun c -> output_string oc (Hash.to_raw c)) node.children)
+          write_varint (Array.length node.child_offsets);
+          Array.iter write_varint node.child_offsets)
         t.tbl)
 
 let load ?(verify = true) path =
@@ -562,10 +596,16 @@ let load ?(verify = true) path =
         try really_input_string ic n
         with End_of_file -> failwith "Store.load: truncated"
       in
-      if (try really_input_string ic (String.length magic)
-          with End_of_file -> "")
-         <> magic
-      then failwith "Store.load: bad magic";
+      (match
+         try really_input_string ic (String.length magic) with End_of_file -> ""
+       with
+      | m when m = magic -> ()
+      | m when m = retired_magic ->
+          failwith
+            (Printf.sprintf
+               "Store.load: unsupported snapshot format %s (this build reads %s)" m
+               magic)
+      | _ -> failwith "Store.load: bad magic");
       let read_varint () =
         let rec go shift acc =
           if shift > 56 then failwith "Store.load: malformed length";
@@ -583,14 +623,19 @@ let load ?(verify = true) path =
         let len = read_varint () in
         let bytes = really len in
         let nchildren = read_varint () in
-        let children =
-          List.init nchildren (fun _ -> Hash.of_raw (really Hash.size))
-        in
-        if verify && not (Hash.equal (Hash.of_string bytes) h) then
-          failwith
-            (Printf.sprintf "Store.load: corrupt node %s (hash mismatch)"
-               (Hash.short h));
-        add_raw t h bytes children
+        if nchildren > len then failwith "Store.load: malformed child count";
+        let child_offsets = Array.init nchildren (fun _ -> read_varint ()) in
+        if verify then begin
+          if not (Hash.equal (Hash.of_string bytes) h) then
+            failwith
+              (Printf.sprintf "Store.load: corrupt node %s (hash mismatch)"
+                 (Hash.short h));
+          if Array.exists (fun off -> off > len - Hash.size) child_offsets then
+            failwith
+              (Printf.sprintf "Store.load: node %s: child offset out of range"
+                 (Hash.short h))
+        end;
+        add_raw t h bytes child_offsets
       done;
       (* A damaged node count would leave bytes unread (or hit EOF above):
          anything after the declared nodes means the count lies. *)
@@ -688,7 +733,7 @@ let scrub ?roots t =
             (fun c ->
               if (not (Hash.is_null c)) && not (Hash.Table.mem t.tbl c) then
                 dangling := (h, c) :: !dangling)
-            node.children)
+            (child_hashes node.bytes node.child_offsets))
         t.tbl);
   (* A backed store's table is empty: its nodes are audited by the
      backend's own scan (head digests plus content hashes). *)
@@ -736,6 +781,6 @@ let repair t ~replica =
      below restore the authentic payload under the same key. *)
   List.iter (fun h -> ignore (remove_node t h)) report.corrupt;
   let grafted = ref 0 in
-  iter_nodes replica (fun bytes children ->
-      if install t (Hash.of_string bytes) bytes children then incr grafted);
+  iter_nodes replica (fun bytes child_offsets ->
+      if install t (Hash.of_string bytes) bytes child_offsets then incr grafted);
   !grafted

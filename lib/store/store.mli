@@ -3,9 +3,12 @@
     Every index node is serialized and stored under the SHA-256 of its bytes.
     Writing the same bytes twice stores one copy — this is the page-sharing
     substrate that all SIRI deduplication rests on.  The store additionally
-    remembers each node's children hashes, so the reachable page set [P(I)]
-    of any index instance (identified by its root hash) can be traversed
-    generically, independent of the index type.
+    knows each node's children, so the reachable page set [P(I)] of any
+    index instance (identified by its root hash) can be traversed
+    generically, independent of the index type.  A writer names the
+    children by the offsets of their 32-byte hashes inside the node's own
+    bytes ([~child_offsets]), so each child hash is stored once, in the
+    node; {!children} reads the hashes back from there.
 
     Counters distinguish logical writes ([puts]) from physically new nodes
     ([unique_nodes]); benchmarks snapshot them with {!stats}. *)
@@ -56,10 +59,12 @@ val create : ?cache_bytes:int -> ?proof_cache_bytes:int -> unit -> t
     multiproof cache ({!proof_cache}), with [SIRI_PROOF_CACHE] as its
     environment fallback. *)
 
-val put : t -> ?children:Hash.t list -> string -> Hash.t
-(** Store a serialized node; returns its content hash.  [children] lists the
-    hashes of the node's direct children (for reachability); they need not be
-    present yet. *)
+val put : t -> ?child_offsets:int array -> string -> Hash.t
+(** Store a serialized node; returns its content hash.  [child_offsets]
+    (default none) gives, in order, the offset in the node bytes of each
+    direct child's 32-byte hash (for reachability); the children need not
+    be present yet.  An offset with [off < 0] or [off + 32] past the
+    bytes raises [Invalid_argument]. *)
 
 (** {2 Staged (batched) writes}
 
@@ -77,14 +82,15 @@ val put : t -> ?children:Hash.t list -> string -> Hash.t
 type staged = {
   digest : Hash.t;
   node_bytes : string;
-  node_children : Hash.t list;
+  node_offsets : int array;  (** the child hash offsets, as {!put} takes *)
 }
 (** A node whose digest has been computed but which is not yet installed. *)
 
-val stage : ?children:Hash.t list -> string -> staged
-(** Digest now (notifying the observer), install later. *)
+val stage : ?child_offsets:int array -> string -> staged
+(** Digest now (notifying the observer), install later.  Checks the
+    offsets as {!put} does. *)
 
-val stage_quiet : ?children:Hash.t list -> string -> staged
+val stage_quiet : ?child_offsets:int array -> string -> staged
 (** {!stage} without notifying the digest observer — the only store entry
     point safe to call from pool worker domains. *)
 
@@ -111,9 +117,10 @@ val count_parallel : t -> tasks:int -> nodes:int -> unit
     calls it once per map it counts, which may span several
     {!put_parallel} steps. *)
 
-val put_deferred : t -> (stage:(children:Hash.t list -> string -> Hash.t) -> 'a) -> 'a
+val put_deferred :
+  t -> (stage:(child_offsets:int array -> string -> Hash.t) -> 'a) -> 'a
 (** [put_deferred t build] is the install step of a sequential build:
-    [build ~stage] makes its nodes with [stage ~children bytes], which
+    [build ~stage] makes its nodes with [stage ~child_offsets bytes], which
     digests a node (notifying the digest observer) and returns its hash
     without installing it; when [build] returns, the staged nodes are
     installed in stage order by one {!put_staged} — one backend append for
@@ -122,11 +129,11 @@ val put_deferred : t -> (stage:(children:Hash.t list -> string -> Hash.t) -> 'a)
     installed.  The build must not read the nodes it stages: they are not
     stored until it returns. *)
 
-val put_batch : t -> (string * Hash.t list) list -> Hash.t list
-(** [put_batch t [(bytes, children); …]] stages and installs a batch in
-    one call, returning the content hashes in order.  Equivalent to
-    [List.map (fun (b, c) -> put t ~children:c b)] with a single stats
-    update. *)
+val put_batch : t -> (string * int array) list -> Hash.t list
+(** [put_batch t [(bytes, child_offsets); …]] stages and installs a batch
+    in one call, returning the content hashes in order.  Equivalent to
+    [List.map (fun (b, o) -> put t ~child_offsets:o b)] with a single
+    stats update. *)
 
 val get : t -> Hash.t -> string
 (** Raises [Not_found] if the hash is unknown. *)
@@ -135,13 +142,15 @@ val find : t -> Hash.t -> string option
 val mem : t -> Hash.t -> bool
 
 val children : t -> Hash.t -> Hash.t list
-(** Direct children as declared at {!put} time.  Raises [Not_found]. *)
+(** Direct children as declared at {!put} time: the hashes at the node's
+    child offsets, read from its bytes, in offset order.  Raises
+    [Not_found]. *)
 
 val size_of : t -> Hash.t -> int
 (** Byte size of a stored node.  Raises [Not_found]. *)
 
-val iter_nodes : t -> (string -> Hash.t list -> unit) -> unit
-(** Apply a function to every stored node's bytes and children list (in
+val iter_nodes : t -> (string -> int array -> unit) -> unit
+(** Apply a function to every stored node's bytes and child offsets (in
     unspecified order) — used to graft one store into another. *)
 
 val stats : t -> stats
@@ -292,9 +301,10 @@ type backend = {
           reachability walks of {!gc} and {!scrub}; raises like
           [backend_read].  Both reads verify the whole record. *)
   backend_mem : Hash.t -> bool;
-  backend_write : (Hash.t * string * Hash.t list) list -> unit;
-      (** Append freshly stored nodes, readable when the call returns
-          (durable after [backend_flush ~sync:true]). *)
+  backend_write : (Hash.t * string * int array) list -> unit;
+      (** Append freshly stored nodes with their child offsets, readable
+          when the call returns (durable after
+          [backend_flush ~sync:true]). *)
   backend_flush : sync:bool -> unit;
   backend_corrupt : unit -> Hash.t list;
       (** Integrity scan: records failing verification. *)
@@ -335,10 +345,13 @@ val gc : t -> roots:Hash.t list -> int
 (** {2 Persistence}
 
     A store can be serialized to a file and reloaded — the on-disk format
-    ([SIRISTORE2]) records each node's digest next to its payload and
-    children list; every node is re-hashed against the recorded digest on
-    load, so a flipped or truncated byte anywhere in the file is detected
-    and the file rejected with a typed error. *)
+    ([SIRISTORE3]) records each node's digest next to its payload and its
+    child offsets (one varint each; the child hashes are in the payload);
+    every node is re-hashed against the recorded digest on load, and each
+    child offset checked against the payload, so a flipped or truncated
+    byte anywhere in the file is detected and the file rejected with a
+    typed error.  A snapshot in the retired [SIRISTORE2] format, which
+    copied each child hash beside its node, is refused by name. *)
 
 val save : ?sync:bool -> t -> string -> unit
 (** Write all nodes to [path] with {!Siri_io.Io.replace}: a crash
@@ -350,9 +363,11 @@ val load : ?verify:bool -> string -> t
 (** Read a store back, first sweeping the temp files an interrupted
     {!save} to [path] left.  Raises [Failure] on a malformed, truncated or
     damaged file (any payload whose re-hash disagrees with its recorded
-    digest).  With [~verify:false] damaged payloads are kept under their
-    recorded key instead of rejected — best-effort loading for forensics:
-    a subsequent {!scrub} reports exactly the damaged nodes. *)
+    digest, or a child offset past its payload).  With [~verify:false]
+    damaged payloads are kept under their recorded key instead of
+    rejected — best-effort loading for forensics: a subsequent {!scrub}
+    reports exactly the damaged nodes, and {!children} skips an offset
+    past its payload. *)
 
 val load_checked : ?verify:bool -> string -> (t, [ `Malformed of string ]) result
 (** {!load} with the untyped exceptions ([Failure], [Sys_error],

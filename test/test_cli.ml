@@ -208,19 +208,30 @@ let test_scrub_exit_codes () =
   output_string oc "not a store file";
   close_out oc;
   check_exit "malformed store file" 2 [ "scrub"; junk ];
-  (* a pack segment in the retired SIRIPACKSEG1 format -> 2 *)
-  let pdir = Filename.concat dir "pack" in
-  (match Siri_pack.Pack.open_ pdir with
-  | Ok (p, _) ->
-      Siri_pack.Pack.append p [ (Hash.of_string "x", "x", []) ];
-      Siri_pack.Pack.close p
-  | Error _ -> Alcotest.fail "pack open");
-  check_exit "intact pack" 0 [ "scrub"; pdir ];
-  let seg = Filename.concat pdir (Siri_pack.Segment.filename 0) in
-  let fd = Unix.openfile seg [ Unix.O_WRONLY ] 0 in
-  ignore (Unix.write_substring fd "SIRIPACKSEG1" 0 12 : int);
-  Unix.close fd;
-  check_exit "retired pack format" 2 [ "scrub"; pdir ]
+  (* overwrite the first bytes of [path] with [magic] *)
+  let stamp path magic =
+    let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+    ignore (Unix.write_substring fd magic 0 (String.length magic) : int);
+    Unix.close fd
+  in
+  (* a snapshot in the retired SIRISTORE2 format -> 2 *)
+  let snap2 = Filename.concat dir "store2" in
+  Store.save ~sync:false store snap2;
+  stamp snap2 "SIRISTORE2";
+  check_exit "retired snapshot format" 2 [ "scrub"; snap2 ];
+  (* a pack segment in a retired format (SIRIPACKSEG1, SIRIPACKSEG2) -> 2 *)
+  List.iter
+    (fun magic ->
+      let pdir = Filename.concat dir ("pack-" ^ magic) in
+      (match Siri_pack.Pack.open_ pdir with
+      | Ok (p, _) ->
+          Siri_pack.Pack.append p [ (Hash.of_string "x", "x", [||]) ];
+          Siri_pack.Pack.close p
+      | Error _ -> Alcotest.fail "pack open");
+      check_exit "intact pack" 0 [ "scrub"; pdir ];
+      stamp (Filename.concat pdir (Siri_pack.Segment.filename 0)) magic;
+      check_exit ("retired pack format " ^ magic) 2 [ "scrub"; pdir ])
+    [ "SIRIPACKSEG1"; "SIRIPACKSEG2" ]
 
 (* Every entry under [dir] with its bytes. *)
 let tree dir =
@@ -363,7 +374,7 @@ let test_compact_exit_codes () =
   in
   let live = Hash.Set.cardinal (Store.reachable store v.Generic.root) in
   let orphan = Hash.of_string "orphan" in
-  Pack.append p [ (orphan, "orphan", []) ];
+  Pack.append p [ (orphan, "orphan", [||]) ];
   Pack.close p;
   let root = Hash.to_hex v.Generic.root in
   check_exit "malformed root" 2 [ "compact"; "--root"; "zz"; pdir ];

@@ -259,22 +259,29 @@ let qcheck_views =
     (fun (salt, node) ->
       let salted = Option.is_some salt in
       let bytes = old_encode ~salt node in
-      let written =
+      let written, offsets =
         match node with
-        | Old_leaf entries -> Split_key.write_leaf ~salt entries
+        | Old_leaf entries -> (Split_key.write_leaf ~salt entries, [||])
         | Old_internal (level, refs) -> Split_key.write_internal ~salt level refs
       in
       if written <> bytes then QCheck.Test.fail_reportf "writer bytes differ";
       let v = Split_key.parse ~salted bytes in
       if materialize v <> node then QCheck.Test.fail_reportf "view materializes other items";
+      (* The writers' child offsets are where the view finds each ref's
+         child hash. *)
+      let child_offs v =
+        if Split_key.is_leaf v then [||]
+        else Array.init (Split_key.count v) (Split_key.child_off v)
+      in
+      if offsets <> child_offs v then QCheck.Test.fail_reportf "child offsets differ";
       (* Every item's byte range tiles the body, and re-writing the items
          spliced from the view gives the node back. *)
       let n = Split_key.count v in
       let items = List.init n (fun i -> Split_key.Raw (v, i)) in
       let size = List.fold_left (fun acc it -> acc + Split_key.item_size it) 0 items in
       let level = match node with Old_leaf _ -> 0 | Old_internal (l, _) -> l in
-      if Split_key.write_rev ~salt ~level ~count:n ~size (List.rev items) <> bytes then
-        QCheck.Test.fail_reportf "spliced node differs";
+      if Split_key.write_rev ~salt ~level ~count:n ~size (List.rev items) <> (bytes, offsets)
+      then QCheck.Test.fail_reportf "spliced node differs";
       (* compare_key, child_for and find_entry against String.compare. *)
       let keys = match node with Old_leaf e -> Array.map fst e | Old_internal (_, r) -> Array.map fst r in
       let probes =

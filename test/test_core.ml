@@ -100,6 +100,12 @@ let test_rng_shuffle_permutes () =
 
 (* --- tree diff --------------------------------------------------------------- *)
 
+(* A parent node's bytes: a tag, then its children's hashes, with the
+   offsets they sit at. *)
+let parent_node tag children =
+  ( tag ^ String.concat "" (List.map Hash.to_raw children),
+    Array.of_list (List.mapi (fun i _ -> String.length tag + (i * Hash.size)) children) )
+
 (* A synthetic two-level tree in a store, using the decode adapter shape. *)
 let synth_tree store leaves =
   (* leaves : (key * value) list list; returns (root, decode). *)
@@ -113,8 +119,8 @@ let synth_tree store leaves =
         (fst (List.nth entries (List.length entries - 1)), h))
       leaves
   in
-  let root_bytes = Marshal.to_string (`Root (List.map snd leaf_refs)) [] in
-  let root = Store.put store ~children:(List.map snd leaf_refs) root_bytes in
+  let root_bytes, child_offsets = parent_node "root:" (List.map snd leaf_refs) in
+  let root = Store.put store ~child_offsets root_bytes in
   Hash.Table.replace tbl root (Tree_diff.Children (1, leaf_refs));
   (root, Hash.Table.find tbl)
 
@@ -164,15 +170,20 @@ let test_tree_diff_entries () =
 
 let test_dedup_ratio_hand_built () =
   let s = Store.create () in
-  (* Two instances sharing one 10-byte node; each has a private 10-byte
-     node: union = 30 bytes, sum = 40 → η = 1/4. *)
-  let shared = Store.put s "shared-10b" in
-  let a = Store.put s ~children:[ shared ] "private-a!" in
-  let b = Store.put s ~children:[ shared ] "private-b!" in
+  (* Two instances sharing one 42-byte node; each has a private 42-byte
+     node (a 10-byte tag and the shared node's hash): union = 3 * 42
+     bytes, sum = 4 * 42 → η = 1/4. *)
+  let shared = Store.put s ("shared-10b" ^ String.make Hash.size 's') in
+  let private_node tag =
+    let bytes, child_offsets = parent_node tag [ shared ] in
+    Store.put s ~child_offsets bytes
+  in
+  let a = private_node "private-a!" in
+  let b = private_node "private-b!" in
   Alcotest.(check (float 1e-9)) "eta" 0.25 (Dedup.dedup_ratio s [ a; b ]);
   Alcotest.(check (float 1e-9)) "sharing" 0.25 (Dedup.node_sharing_ratio s [ a; b ]);
-  Alcotest.(check int) "union bytes" 30 (Dedup.union_bytes s [ a; b ]);
-  Alcotest.(check int) "sum bytes" 40 (Dedup.sum_bytes s [ a; b ])
+  Alcotest.(check int) "union bytes" (3 * 42) (Dedup.union_bytes s [ a; b ]);
+  Alcotest.(check int) "sum bytes" (4 * 42) (Dedup.sum_bytes s [ a; b ])
 
 let test_dedup_degenerate () =
   let s = Store.create () in

@@ -164,6 +164,155 @@ let qcheck_garbage_range_proofs_rejected =
       let genuine = Pos.prove_range t ~lo:None ~hi:None in
       proof = genuine || not (Pos.verify_range_proof ~root:(Pos.root t) proof))
 
+(* --- child offsets --------------------------------------------------------------- *)
+
+module Wire = Siri_codec.Wire
+module Hash = Siri_crypto.Hash
+module Engine = Siri_forkbase.Engine
+module Pack = Siri_pack.Pack
+
+(* The children a node names, read from its bytes by the kind's own node
+   layout: the split-key parser for POS-Tree, Prolly and MVMB+-Tree, and
+   the MPT, MBT and commit-object layouts decoded here.  Null hashes are
+   dropped, as the store's walks skip them. *)
+let decoded_children kind bytes =
+  let r = Wire.Reader.of_string bytes in
+  let hashes =
+    match kind with
+    | "commit" ->
+        assert (Wire.Reader.u8 r = 0xC0);
+        let parent = Wire.Reader.hash r in
+        let index_root = Wire.Reader.hash r in
+        [ index_root; parent ]
+    | "mpt" -> (
+        match Wire.Reader.u8 r with
+        | 0 -> []
+        | 1 ->
+            ignore (Wire.Reader.str r : string);
+            [ Wire.Reader.hash r ]
+        | _ ->
+            let bitmap = Wire.Reader.u16 r in
+            List.filter_map
+              (fun i -> if bitmap land (1 lsl i) <> 0 then Some (Wire.Reader.hash r) else None)
+              (List.init 16 Fun.id))
+    | "mbt" -> (
+        match Wire.Reader.u8 r with
+        | 0 -> []
+        | _ -> List.init (Wire.Reader.varint r) (fun _ -> Wire.Reader.hash r))
+    | _ ->
+        let v = Split_key.parse ~salted:(kind <> "mvmb+-tree") bytes in
+        if Split_key.is_leaf v then []
+        else List.init (Split_key.count v) (Split_key.child v)
+  in
+  List.filter (fun h -> not (Hash.is_null h)) hashes
+
+(* [Store.children] of node [h] must be exactly the children its layout
+   names; returns those. *)
+let check_node kind store h =
+  let expected = decoded_children kind (Store.get store h) in
+  let got = List.filter (fun h -> not (Hash.is_null h)) (Store.children store h) in
+  if not (List.equal Hash.equal expected got) then
+    QCheck.Test.fail_reportf "%s node %s: Store.children names %d children, the layout %d"
+      kind (Hash.short h) (List.length got) (List.length expected);
+  expected
+
+(* [check_node] over every node reachable from an index root by the
+   layout's own children. *)
+let check_tree kind store root =
+  let seen = ref Hash.Set.empty in
+  let rec go h =
+    if not (Hash.is_null h || Hash.Set.mem h !seen) then begin
+      seen := Hash.Set.add h !seen;
+      List.iter go (check_node kind store h)
+    end
+  in
+  go root
+
+let kinds_in store =
+  [ Mpt.generic (Mpt.empty store);
+    Mbt.generic (Mbt.empty store (Mbt.config ~capacity:32 ~fanout:4 ()));
+    Pos.generic (Pos.empty store (Pos.config ~leaf_target:256 ()));
+    Mvbt.generic (Mvbt.empty store (Mvbt.config ~leaf_capacity:4 ~internal_capacity:5 ()));
+    Prolly.generic (Prolly.empty store) ]
+
+(* An engine per kind takes a bulk commit and then the op stream in
+   incremental commits; every commit object and every index node of every
+   version must name, through [Store.children], the children its layout
+   names. *)
+let children_agree ~new_store ops =
+  List.for_all
+    (fun i ->
+      let store = new_store () in
+      let empty = List.nth (kinds_in store) i in
+      let kind = empty.Generic.name in
+      let engine = Engine.create ~empty_index:empty in
+      let entries =
+        List.filter_map (function Kv.Put (k, v) -> Some (k, v) | Kv.Del _ -> None) ops
+      in
+      ignore (Engine.commit_bulk engine ~branch:"master" ~message:"bulk" entries);
+      let rec chunks = function
+        | [] -> []
+        | ops ->
+            let n = min 7 (List.length ops) in
+            List.filteri (fun j _ -> j < n) ops :: chunks (List.filteri (fun j _ -> j >= n) ops)
+      in
+      List.iter
+        (fun c -> ignore (Engine.commit engine ~branch:"master" ~message:"inc" c))
+        (chunks ops);
+      List.iter
+        (fun (c : Engine.commit) ->
+          ignore (check_node "commit" store c.id : Hash.t list);
+          check_tree kind store c.index_root)
+        (Engine.history engine "master");
+      true)
+    (List.init (List.length (kinds_in (Store.create ()))) Fun.id)
+
+let qcheck_children_from_offsets =
+  QCheck.Test.make ~name:"Store.children = the layout's children, every kind" ~count:40
+    (QCheck.make op_gen) (children_agree ~new_store:Store.create)
+
+let rec rm_rf path =
+  match Sys.is_directory path with
+  | true ->
+      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+      Sys.rmdir path
+  | false -> Sys.remove path
+  | exception Sys_error _ -> ()
+
+(* The same on a pack-backed store, where the children come back from
+   the record heads' offsets, over a larger op stream. *)
+let test_children_from_pack () =
+  let rng = Rng.create 77 in
+  let ops =
+    List.init 600 (fun i ->
+        let k = Printf.sprintf "k%04d" (Rng.int rng 400) in
+        if i mod 5 = 4 then Kv.Del k else Kv.Put (k, Rng.string_alnum rng 12))
+  in
+  let dirs = ref [] in
+  let packs = ref [] in
+  let new_store () =
+    let dir =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "siri-children-%d-%d" (Unix.getpid ()) (List.length !dirs))
+    in
+    rm_rf dir;
+    dirs := dir :: !dirs;
+    match Pack.open_ dir with
+    | Ok (p, _) ->
+        packs := p :: !packs;
+        let store = Store.create () in
+        Pack.attach p store;
+        store
+    | Error (`Tampered msg) -> Alcotest.failf "Pack.open_: %s" msg
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Pack.close !packs;
+      List.iter rm_rf !dirs)
+    (fun () ->
+      Alcotest.(check bool) "children agree on the pack" true
+        (children_agree ~new_store ops))
+
 let () =
   Alcotest.run "differential"
     [ ( "cross-structure",
@@ -176,4 +325,8 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_proofs_everywhere ] );
       ( "adversarial",
         [ QCheck_alcotest.to_alcotest qcheck_garbage_proofs_rejected;
-          QCheck_alcotest.to_alcotest qcheck_garbage_range_proofs_rejected ] ) ]
+          QCheck_alcotest.to_alcotest qcheck_garbage_range_proofs_rejected ] );
+      ( "child offsets",
+        [ QCheck_alcotest.to_alcotest qcheck_children_from_offsets;
+          Alcotest.test_case "children from a pack's record heads" `Quick
+            test_children_from_pack ] ) ]

@@ -36,8 +36,8 @@ let () = List.iter (fun (k, v) -> Hashtbl.replace oracle k v) entries
 (* Copy every node of [store] into a fresh pristine store (for repair). *)
 let replicate store =
   let replica = Store.create () in
-  Store.iter_nodes store (fun bytes children ->
-      ignore (Store.put replica ~children bytes));
+  Store.iter_nodes store (fun bytes child_offsets ->
+      ignore (Store.put replica ~child_offsets bytes));
   replica
 
 let typed_or_fail name k = function
@@ -149,9 +149,11 @@ let test_checked_accessors () =
   let s = Store.create () in
   let a = Store.put s "leaf-a" in
   let b = Store.put s "leaf-b" in
-  let p = Store.put s ~children:[ a; b ] "parent" in
+  (* "parent", then the hashes of [a] and [b] *)
+  let parent = "parent" ^ Hash.to_raw a ^ Hash.to_raw b in
+  let p = Store.put s ~child_offsets:[| 6; 6 + Hash.size |] parent in
   (match Fault.get_checked s p with
-  | Ok bytes -> Alcotest.(check string) "verified payload" "parent" bytes
+  | Ok bytes -> Alcotest.(check string) "verified payload" parent bytes
   | Error e -> Alcotest.failf "unexpected: %s" (Fault.error_to_string e));
   Store.corrupt s a;
   (match Fault.get_checked s a with

@@ -56,7 +56,19 @@ let open_exn ?segment_target ?retry_attempts ?sink dir =
 (* Distinct nodes with a deterministic payload per index. *)
 let node i =
   let bytes = Printf.sprintf "pack-node-%04d:%s" i (String.make (16 + (i mod 23)) (Char.chr (65 + (i mod 26)))) in
-  (Hash.of_string bytes, bytes, [])
+  (Hash.of_string bytes, bytes, [||])
+
+(* A node whose bytes are [tag], its children's hashes and [pad]:
+   (hash, bytes, the offsets of the child hashes). *)
+let parent ?(pad = "") tag children =
+  let bytes = tag ^ String.concat "" (List.map Hash.to_raw children) ^ pad in
+  ( Hash.of_string bytes,
+    bytes,
+    Array.of_list (List.mapi (fun i _ -> String.length tag + (i * Hash.size)) children) )
+
+(* The child hashes a node's offsets name, as [Pack.children] reads them. *)
+let children_of (_, bytes, offsets) =
+  Array.to_list (Array.map (fun off -> Hash.of_raw (String.sub bytes off Hash.size)) offsets)
 
 let nodes n = List.init n node
 
@@ -69,12 +81,12 @@ let index_path dir = Filename.concat dir "index"
 let check_reads ?expected p written =
   let readable = ref [] in
   List.iter
-    (fun (h, bytes, children) ->
+    (fun (h, bytes, offsets) ->
       match Pack.get p h with
       | Some b ->
           Alcotest.(check string) "payload survives verbatim" bytes b;
           Alcotest.(check (option int)) "children survive"
-            (Some (List.length children))
+            (Some (Array.length offsets))
             (Option.map List.length (Pack.children p h));
           readable := h :: !readable
       | None -> ()
@@ -416,7 +428,7 @@ let test_short_segment_verdict () =
   Pack.close p;
   let big i =
     let bytes = Printf.sprintf "short-seg-%d:%s" i (String.make 200 'x') in
-    (Hash.of_string bytes, bytes, [])
+    (Hash.of_string bytes, bytes, [||])
   in
   let extra = List.init 6 big in
   let p, _ = open_exn ~segment_target:1024 dir in
@@ -543,21 +555,20 @@ let test_flip_storms () =
    shape a record can take, in a segment small enough to flip bit by bit. *)
 let format_records () =
   let leaf = node 1 in
-  let mk bytes children = (Hash.of_string bytes, bytes, children) in
   let (h1, _, _) = leaf in
-  let one = mk "inner-node-one" [ h1 ] in
+  let one = parent "inner-node-one" [ h1 ] in
   let (h2, _, _) = one in
-  [ leaf; one; mk "inner-node-three" [ h1; h2; Hash.null ] ]
+  [ leaf; one; parent "inner-node-three" [ h1; h2; Hash.null ] ]
 
 let check_exact_reads p written =
   List.iter
-    (fun (h, bytes, children) ->
+    (fun ((h, bytes, _) as node) ->
       match Pack.get p h with
       | Some b ->
           Alcotest.(check string) "bytes read back verbatim" bytes b;
           Alcotest.(check (option (list string)))
             "children read back verbatim"
-            (Some (List.map Hash.to_hex children))
+            (Some (List.map Hash.to_hex (children_of node)))
             (Option.map (List.map Hash.to_hex) (Pack.children p h))
       | None -> ()
       | exception Store.Tampered _ -> ())
@@ -616,14 +627,18 @@ let test_hash_once () =
   in
   List.iter
     (fun c ->
-      let bytes = Printf.sprintf "hash-once-%d:%s" c (String.make 1000 'x') in
-      let h = Hash.of_string bytes in
       let children =
         List.init c (fun i -> Hash.of_string (Printf.sprintf "child-%d" i))
       in
-      let varint = if c < 128 then 1 else 2 in
-      let head = 4 + Hash.size + varint + (c * Hash.size) in
-      observe (fun () -> Pack.append p [ (h, bytes, children) ]);
+      let h, bytes, offsets =
+        parent ~pad:(String.make 1000 'x') (Printf.sprintf "hash-once-%d:" c) children
+      in
+      let varint = Siri_codec.Wire.Writer.varint_size in
+      let head =
+        4 + Hash.size + varint c
+        + Array.fold_left (fun acc off -> acc + varint off) 0 offsets
+      in
+      observe (fun () -> Pack.append p [ (h, bytes, offsets) ]);
       Alcotest.(check (pair int int))
         (Printf.sprintf "append with %d children hashes the head only" c)
         (1, head) (!calls, !hashed);
@@ -642,55 +657,77 @@ let test_hash_once () =
 (* A segment in the retired SIRIPACKSEG1 layout — one frame per record,
    the digest over the whole payload — as the previous format wrote it. *)
 let seg1_segment written =
-  let record (h, bytes, children) =
+  let record ((h, bytes, _) as node) =
     let w = Siri_codec.Wire.Writer.create () in
     Siri_codec.Wire.Writer.hash w h;
     Siri_codec.Wire.Writer.str w bytes;
+    let children = children_of node in
     Siri_codec.Wire.Writer.varint w (List.length children);
     List.iter (Siri_codec.Wire.Writer.hash w) children;
     Siri_codec.Frame.encode (Siri_codec.Wire.Writer.contents w)
   in
   String.concat "" ("SIRIPACKSEG1" :: List.map record written)
 
-let test_retired_format_refused () =
-  with_dir "seg1" @@ fun dir ->
-  let written = format_records () in
-  let p, _ = open_exn dir in
-  Pack.append p written;
-  Pack.close p;
-  write_file (seg_path dir 0) (seg1_segment written);
-  let expect_refused what =
-    match Pack.open_ dir with
-    | Ok _ -> Alcotest.failf "%s: a SIRIPACKSEG1 segment was opened" what
-    | Error (`Tampered msg) ->
-        Alcotest.(check bool)
-          (what ^ ": the error names the format: " ^ msg)
-          true
-          (Astring.String.is_infix ~affix:"SIRIPACKSEG1" msg)
+(* A segment in the retired SIRIPACKSEG2 layout — each child hash copied
+   into the head, [len | digest | hash | varint n | child-hash * n |
+   bytes] — as the previous format wrote it. *)
+let seg2_segment written =
+  let record ((h, bytes, _) as node) =
+    let w = Siri_codec.Wire.Writer.create () in
+    Siri_codec.Wire.Writer.hash w h;
+    let children = children_of node in
+    Siri_codec.Wire.Writer.varint w (List.length children);
+    List.iter (Siri_codec.Wire.Writer.hash w) children;
+    let head = Siri_codec.Wire.Writer.contents w in
+    let len = Bytes.create 4 in
+    Bytes.set_int32_be len 0 (Int32.of_int (String.length head + String.length bytes));
+    let len = Bytes.to_string len in
+    len ^ Hash.to_raw (Hash.of_string (len ^ head)) ^ head ^ bytes
   in
-  expect_refused "with an index";
-  Sys.remove (index_path dir);
-  expect_refused "without an index"
+  String.concat "" ("SIRIPACKSEG2" :: List.map record written)
+
+let test_retired_format_refused () =
+  List.iter
+    (fun (magic, segment) ->
+      with_dir magic @@ fun dir ->
+      let written = format_records () in
+      let p, _ = open_exn dir in
+      Pack.append p written;
+      Pack.close p;
+      write_file (seg_path dir 0) (segment written);
+      let expect_refused what =
+        match Pack.open_ dir with
+        | Ok _ -> Alcotest.failf "%s: a %s segment was opened" what magic
+        | Error (`Tampered msg) ->
+            Alcotest.(check bool)
+              (what ^ ": the error names the format: " ^ msg)
+              true
+              (Astring.String.is_infix ~affix:magic msg)
+      in
+      expect_refused "with an index";
+      Sys.remove (index_path dir);
+      expect_refused "without an index")
+    [ ("SIRIPACKSEG1", seg1_segment); ("SIRIPACKSEG2", seg2_segment) ]
 
 (* A fixed, seeded append sequence must produce a byte-identical segment
    file: records with 0 children, with a few, and with >= 128 (a two-byte
    child-count varint), small and large payloads, and a duplicate that the
    append-time dedup drops.  The digest pins the on-disk format. *)
 let pinned_segment_sha256 =
-  "527409187d7343ad3cc62510bfd9af11a5040d29f240bcfd782fe998c50d7c0d"
+  "289bba806726fbebb54645e5f4229a2f225b48964d070abc8ca7098326ff5365"
 
 let test_segment_bytes_pinned () =
   with_dir "pinned" @@ fun dir ->
   let rng = Rng.create 1729 in
   let record i =
-    let bytes = Rng.bytes_random rng (Rng.int_in rng 0 600) ^ string_of_int i in
+    let tag = Rng.bytes_random rng (Rng.int_in rng 0 600) ^ string_of_int i in
     let n =
       match i mod 5 with 0 -> 0 | 1 -> 128 | 2 -> 200 | _ -> Rng.int rng 40
     in
     let children =
       List.init n (fun _ -> Hash.of_string (Rng.bytes_random rng 8))
     in
-    (Hash.of_string bytes, bytes, children)
+    parent tag children
   in
   let written = List.init 60 record in
   let p, _ = open_exn dir in
@@ -710,12 +747,12 @@ let qcheck_record_roundtrip =
       pair (string_of_size Gen.(0 -- 300)) (oneofl [ 0; 1; 5; 127; 128; 200 ]))
   in
   QCheck.Test.make ~name:"record_head ^ bytes is a verified record" ~count:60 gen
-    (fun (bytes, n) ->
-      let h = Hash.of_string bytes in
-      let children = List.init n (fun i -> Hash.of_string (bytes ^ string_of_int i)) in
-      let record = Segment.encode_record h bytes children in
+    (fun (tag, n) ->
+      let children = List.init n (fun i -> Hash.of_string (tag ^ string_of_int i)) in
+      let h, bytes, offsets = parent ~pad:tag tag children in
+      let record = Segment.encode_record h bytes offsets in
       String.length record
-      = String.length (Segment.record_head h ~bytes_len:(String.length bytes) children)
+      = String.length (Segment.record_head h ~bytes_len:(String.length bytes) offsets)
         + String.length bytes
       &&
       (* In a longer buffer too, as a cold read verifies it: [limit]
@@ -732,6 +769,47 @@ let qcheck_record_roundtrip =
           | _ -> false)
         [ (record, None); (padded, Some (String.length record)) ])
 
+(* A child offset must leave the whole child hash inside the node bytes:
+   [record_head] refuses one that does not, and [Segment.step] refuses a
+   head naming one as [Corrupt] even when its digest is valid — a forger
+   who can rewrite the digest still cannot point a child past the bytes. *)
+let test_offset_out_of_range () =
+  let bytes = "tag:" ^ Hash.to_raw (Hash.of_string "child") in
+  let h = Hash.of_string bytes in
+  let last = String.length bytes - Hash.size in
+  List.iter
+    (fun off ->
+      match Segment.record_head h ~bytes_len:(String.length bytes) [| off |] with
+      | _ -> Alcotest.failf "record_head took offset %d" off
+      | exception Invalid_argument _ -> ())
+    [ -1; last + 1; String.length bytes ];
+  (* A valid record, then its one offset rewritten and the head digest
+     recomputed over the forged head. *)
+  let forge off =
+    let record = Bytes.of_string (Segment.encode_record h bytes [| last |]) in
+    let off_pos = Segment.header_len + Hash.size + 1 in
+    Alcotest.(check int) "the offset is one varint byte" last
+      (Char.code (Bytes.get record off_pos));
+    Bytes.set record off_pos (Char.chr off);
+    let head_len = Hash.size + 2 in
+    let digest =
+      Hash.of_string
+        (Bytes.sub_string record 0 4 ^ Bytes.sub_string record Segment.header_len head_len)
+    in
+    Bytes.blit_string (Hash.to_raw digest) 0 record 4 Hash.size;
+    Bytes.to_string record
+  in
+  (match Segment.step (forge (last - 1)) ~pos:0 with
+  | Segment.Record r ->
+      Alcotest.(check int) "an in-range forged offset verifies" 1 r.Segment.n_children
+  | _ -> Alcotest.fail "the re-digested in-range record must verify");
+  List.iter
+    (fun off ->
+      match Segment.step (forge off) ~pos:0 with
+      | Segment.Corrupt -> ()
+      | _ -> Alcotest.failf "offset %d past the node bytes was accepted" off)
+    [ last + 1; last + 30; 127 ]
+
 (* --- rebuilt index is byte-identical (qcheck) -------------------------------- *)
 
 let qcheck_rebuild_identity =
@@ -746,7 +824,7 @@ let qcheck_rebuild_identity =
       let written =
         List.init n (fun i ->
             let bytes = Printf.sprintf "q-%d-%d-%s" salt i (String.make (i mod 37) 'z') in
-            (Hash.of_string bytes, bytes, []))
+            (Hash.of_string bytes, bytes, [||]))
       in
       let p, _ = open_exn ~segment_target:1024 dir in
       Pack.append p written;
@@ -1003,8 +1081,8 @@ let test_store_write_through () =
         let bytes = Printf.sprintf "leaf-%02d" i in
         (Store.put store bytes, bytes))
   in
-  let root_bytes = "root-node" in
-  let root = Store.put store ~children:(List.map fst leaves) root_bytes in
+  let _, root_bytes, child_offsets = parent "root-node" (List.map fst leaves) in
+  let root = Store.put store ~child_offsets root_bytes in
   (* the pack is the nodes' one place: nothing stays in memory *)
   Alcotest.(check int) "no node in the table" 0 (table_size store);
   List.iter
@@ -1023,7 +1101,8 @@ let test_store_gc_compacts_backend () =
   Pack.attach p store;
   let keep = List.init 10 (fun i -> Store.put store (Printf.sprintf "keep-%d" i)) in
   let drop = List.init 10 (fun i -> Store.put store (Printf.sprintf "drop-%d" i)) in
-  let root = Store.put store ~children:keep "gc-root" in
+  let _, root_bytes, child_offsets = parent "gc-root" keep in
+  let root = Store.put store ~child_offsets root_bytes in
   let reclaimed = Store.gc store ~roots:[ root ] in
   Alcotest.(check int) "dead nodes reclaimed" 10 reclaimed;
   List.iter
@@ -1034,7 +1113,7 @@ let test_store_gc_compacts_backend () =
     (fun h -> Alcotest.(check bool) "live survives in pack" true (Pack.mem p h))
     (root :: keep);
   (* reads of the live set still verify after compaction *)
-  Alcotest.(check string) "root readable cold" "gc-root" (Store.get store root);
+  Alcotest.(check string) "root readable cold" root_bytes (Store.get store root);
   Pack.close p
 
 (* --- the store's writer cache ------------------------------------------------------ *)
@@ -1221,7 +1300,7 @@ let test_readers_beside_appender () =
   let appender () =
     for i = 1 to 100_000 do
       let bytes = Printf.sprintf "appended-%d" i in
-      Pack.append p [ (Hash.of_string bytes, bytes, []) ]
+      Pack.append p [ (Hash.of_string bytes, bytes, [||]) ]
     done;
     Atomic.set writing false
   in
@@ -1268,7 +1347,7 @@ let test_pread_large_and_torn () =
     String.init ((200 * 1024) + 7) (fun i -> Char.chr (i * 31 land 0xff))
   in
   let h = Hash.of_string big in
-  Pack.append p [ (h, big, []) ];
+  Pack.append p [ (h, big, [||]) ];
   (match Pack.get p h with
   | Some b ->
       Alcotest.(check bool) "200 KiB record reads back whole" true (b = big)
@@ -1335,10 +1414,12 @@ let test_cold_read_allocation () =
   with_dir "alloc" @@ fun dir ->
   let p, _ = open_exn dir in
   let leaf_bytes = "leaf:" ^ String.make 2000 'l' in
-  let inner_bytes = "inner:" ^ String.make 1200 'i' in
   let kids = List.init 40 (fun i -> Hash.of_string (Printf.sprintf "kid-%d" i)) in
-  let leaf = Hash.of_string leaf_bytes and inner = Hash.of_string inner_bytes in
-  Pack.append p [ (leaf, leaf_bytes, []); (inner, inner_bytes, kids) ];
+  let inner, inner_bytes, inner_offsets =
+    parent ~pad:(String.make 1200 'i') "inner:" kids
+  in
+  let leaf = Hash.of_string leaf_bytes in
+  Pack.append p [ (leaf, leaf_bytes, [||]); (inner, inner_bytes, inner_offsets) ];
   List.iter
     (fun (what, h, bytes) ->
       ignore (Pack.get p h : string option);
@@ -1371,8 +1452,8 @@ let test_shared_read_buffer () =
       (List.init 4 (fun i ->
            let big = large i in
            let h, small, _ = node i in
-           [ (Hash.of_string big, big, []);
-             (Hash.of_string (small ^ "!"), small ^ "!", [ h; Hash.of_string big ]) ]))
+           [ (Hash.of_string big, big, [||]);
+             parent (small ^ "!") [ h; Hash.of_string big ] ]))
   in
   Pack.append p records;
   let records = Array.of_list records in
@@ -1380,12 +1461,12 @@ let test_shared_read_buffer () =
   let reader id () =
     for round = 0 to 24 do
       for k = 0 to Array.length records - 1 do
-        let h, bytes, children =
+        let ((h, bytes, _) as record) =
           records.((k + (round * id)) mod Array.length records)
         in
         Atomic.incr reads;
         match (Pack.get p h, Pack.children p h) with
-        | Some b, Some c when String.equal b bytes && c = children -> ()
+        | Some b, Some c when String.equal b bytes && c = children_of record -> ()
         | _ | (exception _) -> Atomic.incr bad
       done
     done
@@ -1401,16 +1482,15 @@ let test_shared_read_buffer () =
 
 (* A cold read verifies the whole record even though it returns only the
    node bytes: flip, on disk, each byte of one record's head — length,
-   digest, hash, child count, every child hash — and a sample of its node
-   bytes, and both [get] and [children] refuse it as [`Tampered] naming
-   that hash. *)
+   digest, hash, child count, every child offset — and a sample of its
+   node bytes, and both [get] and [children] refuse it as [`Tampered]
+   naming that hash. *)
 let test_head_flips_on_bytes_path () =
   with_dir "head-flips" @@ fun dir ->
   let p, _ = open_exn dir in
   let kids = List.init 3 (fun i -> Hash.of_string (Printf.sprintf "kid-%d" i)) in
-  let bytes = "internal:" ^ String.make 300 'n' in
-  let h = Hash.of_string bytes in
-  Pack.append p [ node 1; (h, bytes, kids); node 2 ];
+  let h, bytes, offsets = parent ~pad:(String.make 300 'n') "internal:" kids in
+  Pack.append p [ node 1; (h, bytes, offsets); node 2 ];
   Pack.flush p;
   let path = seg_path dir 0 in
   let off, len =
@@ -1422,7 +1502,8 @@ let test_head_flips_on_bytes_path () =
         (off, len)
     | Error _ -> Alcotest.fail "pristine scan"
   in
-  let head = Segment.header_len + Hash.size + 1 + (List.length kids * Hash.size) in
+  (* the count and each offset (9, 41, 73) take one varint byte *)
+  let head = Segment.header_len + Hash.size + 1 + Array.length offsets in
   Alcotest.(check int) "record layout" (head + String.length bytes) len;
   let sampled = List.init ((len - head) / 16) (fun i -> head + (16 * i)) in
   let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
@@ -1883,7 +1964,9 @@ let () =
             test_every_bit_flip;
           Alcotest.test_case "node bytes hashed once per read, never on append"
             `Quick test_hash_once;
-          Alcotest.test_case "SIRIPACKSEG1 refused by name" `Quick
+          Alcotest.test_case "child offset past the node bytes is Corrupt" `Quick
+            test_offset_out_of_range;
+          Alcotest.test_case "SIRIPACKSEG1 and SIRIPACKSEG2 refused by name" `Quick
             test_retired_format_refused;
           Alcotest.test_case "seeded segment bytes pinned" `Quick
             test_segment_bytes_pinned ] );

@@ -135,7 +135,7 @@ let batch_equiv payloads =
   Store.set_sink a sa;
   Store.set_sink b sb;
   let seq = List.map (fun p -> Store.put a p) payloads in
-  let batched = Store.put_batch b (List.map (fun p -> (p, [])) payloads) in
+  let batched = Store.put_batch b (List.map (fun p -> (p, [||])) payloads) in
   List.for_all2 Hash.equal seq batched
   && stats_tuple (Store.stats a) = stats_tuple (Store.stats b)
   && put_counters sa = put_counters sb
@@ -155,7 +155,9 @@ let qcheck_put_batch =
 let test_staged_children () =
   let s = Store.create () in
   let leaf = Store.stage "leaf" in
-  let parent = Store.stage ~children:[ leaf.Store.digest ] "parent" in
+  let parent =
+    Store.stage ~child_offsets:[| 6 |] ("parent" ^ Hash.to_raw leaf.Store.digest)
+  in
   Store.put_staged s [ leaf; parent ];
   Alcotest.(check (list string))
     "children installed"

@@ -150,7 +150,8 @@ let test_truncation_all_lengths_rejected () =
   with_file "alltrunc" (fun path ->
       let store = Store.create () in
       let a = Store.put store "some-payload-bytes" in
-      ignore (Store.put store ~children:[ a ] "a-parent-node");
+      ignore
+        (Store.put store ~child_offsets:[| 13 |] ("a-parent-node" ^ Hash.to_raw a));
       Store.save store path;
       let pristine = In_channel.with_open_bin path In_channel.input_all in
       let len = String.length pristine in

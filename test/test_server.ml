@@ -776,11 +776,13 @@ let test_fsync_failure () =
   Dir.close reopened
 
 (* An exception on the commit path, raised by a store read gate on a
-   leaf read.  [Failure] is mapped by [Fault.protect]; [Gate_broke] is
-   named by no mapping, so only the writer's handler of last resort
-   answers it.  Either way the group gets an error reply (no session
-   hangs), the server turns read-only once, stays up, and [stop] joins
-   the writer.  On the pack backend, with stats on, so the writer cache's
+   leaf read.  [Failure] is mapped by [Fault.protect] to [`Malformed],
+   which on the commit path is a programming error, not tampering (every
+   node there passed its content-hash check before it was decoded);
+   [Gate_broke] is named by no mapping, so only the writer's handler of
+   last resort answers it.  Either way the group gets a read-only reply
+   (no session hangs), the server turns read-only once, stays up, and
+   [stop] joins the writer.  On the pack backend, with stats on, so the writer cache's
    [store.get.written] shows in the stats JSON. *)
 exception Gate_broke
 
@@ -825,7 +827,7 @@ let test_commit_path_exception () =
       | Ok (Some "w") -> ()
       | _ -> Alcotest.fail "reads must still be served");
       Client.close c)
-    [ ("failure", Failure "leaf read", "tampered"); ("unnamed", Gate_broke, "read-only") ]
+    [ ("failure", Failure "leaf read", "read-only"); ("unnamed", Gate_broke, "read-only") ]
 
 let test_session_cap () =
   let config = { Server.default_config with session_max = 2 } in

@@ -4,6 +4,16 @@
 module Store = Siri_store.Store
 module Hash = Siri_crypto.Hash
 
+(* A parent node's bytes: a tag, then its children's hashes, with the
+   offsets they sit at. *)
+let parent_node tag children =
+  ( tag ^ String.concat "" (List.map Hash.to_raw children),
+    Array.of_list (List.mapi (fun i _ -> String.length tag + (i * Hash.size)) children) )
+
+let put_parent s tag children =
+  let bytes, child_offsets = parent_node tag children in
+  Store.put s ~child_offsets bytes
+
 let test_put_get () =
   let s = Store.create () in
   let h = Store.put s "hello" in
@@ -28,16 +38,16 @@ let test_children_and_size () =
   let s = Store.create () in
   let a = Store.put s "leaf-a" in
   let b = Store.put s "leaf-b" in
-  let p = Store.put s ~children:[ a; b ] "parent" in
+  let p = put_parent s "parent" [ a; b ] in
   Alcotest.(check int) "children" 2 (List.length (Store.children s p));
   Alcotest.(check int) "size" 6 (Store.size_of s a)
 
 (* Build a little diamond: root -> {l, r}, l -> shared, r -> shared. *)
 let diamond s =
   let shared = Store.put s "shared" in
-  let l = Store.put s ~children:[ shared ] "left" in
-  let r = Store.put s ~children:[ shared ] "right" in
-  let root = Store.put s ~children:[ l; r ] "root" in
+  let l = put_parent s "left" [ shared ] in
+  let r = put_parent s "right" [ shared ] in
+  let root = put_parent s "root" [ l; r ] in
   (root, l, r, shared)
 
 let test_reachability () =
@@ -48,7 +58,8 @@ let test_reachability () =
   Alcotest.(check bool) "includes shared" true (Hash.Set.mem shared set);
   let sub = Store.reachable s l in
   Alcotest.(check int) "subtree" 2 (Hash.Set.cardinal sub);
-  Alcotest.(check int) "bytes" (String.length "root" + 4 + 5 + 6)
+  (* the four tags, and the four child hashes the parents hold *)
+  Alcotest.(check int) "bytes" (String.length "root" + 4 + 5 + 6 + (4 * Hash.size))
     (Store.bytes_of_set s set)
 
 let test_reachable_many_shares_walk () =
@@ -62,7 +73,7 @@ let test_reachable_many_shares_walk () =
 let test_null_and_missing_children () =
   let s = Store.create () in
   (* Children that are null or absent are skipped, not errors. *)
-  let p = Store.put s ~children:[ Hash.null; Hash.of_string "absent" ] "p" in
+  let p = put_parent s "p" [ Hash.null; Hash.of_string "absent" ] in
   Alcotest.(check int) "only self" 1 (Hash.Set.cardinal (Store.reachable s p))
 
 let test_gc () =
@@ -173,8 +184,8 @@ let test_repair_from_replica () =
   let root, l, r, shared = diamond s in
   (* Pristine replica taken before the damage. *)
   let replica = Store.create () in
-  Store.iter_nodes s (fun bytes children ->
-      ignore (Store.put replica ~children bytes));
+  Store.iter_nodes s (fun bytes child_offsets ->
+      ignore (Store.put replica ~child_offsets bytes));
   Store.corrupt s l;
   Store.truncate_node s r ~keep:1;
   ignore (Store.remove_node s shared);
@@ -182,7 +193,8 @@ let test_repair_from_replica () =
   let grafted = Store.repair s ~replica in
   Alcotest.(check int) "l, r and shared restored" 3 grafted;
   Alcotest.(check bool) "clean after repair" true (Store.scrub_clean (Store.scrub s));
-  Alcotest.(check string) "payload healed" "left" (Store.get s l);
+  Alcotest.(check string) "payload healed" (fst (parent_node "left" [ shared ]))
+    (Store.get s l);
   Alcotest.(check int) "reachable closure restored" 4
     (Hash.Set.cardinal (Store.reachable s root))
 
@@ -190,8 +202,8 @@ let test_repair_rejects_corrupt_replica () =
   let s = Store.create () in
   let h = Store.put s "precious" in
   let replica = Store.create () in
-  Store.iter_nodes s (fun bytes children ->
-      ignore (Store.put replica ~children bytes));
+  Store.iter_nodes s (fun bytes child_offsets ->
+      ignore (Store.put replica ~child_offsets bytes));
   (* Damage BOTH stores: the replica cannot supply authentic bytes for [h],
      so repair must quarantine without resurrecting bad data under [h]. *)
   Store.corrupt s h;
@@ -200,6 +212,60 @@ let test_repair_rejects_corrupt_replica () =
   Alcotest.(check bool) "corrupt node quarantined" false (Store.mem s h);
   let r = Store.scrub s in
   Alcotest.(check int) "no corrupt node survives" 0 (List.length r.Store.corrupt)
+
+(* Every entry point that takes child offsets refuses one that leaves
+   the child hash outside the node bytes, and stores nothing. *)
+let test_offset_out_of_range () =
+  let s = Store.create () in
+  let bytes, _ = parent_node "p" [ Hash.of_string "c" ] in
+  let last = String.length bytes - Hash.size in
+  let refuses what f =
+    List.iter
+      (fun off ->
+        match f [| off |] with
+        | _ -> Alcotest.failf "%s took offset %d" what off
+        | exception Invalid_argument _ -> ())
+      [ -1; last + 1; String.length bytes ]
+  in
+  refuses "put" (fun child_offsets -> ignore (Store.put s ~child_offsets bytes : Hash.t));
+  refuses "stage" (fun child_offsets -> ignore (Store.stage ~child_offsets bytes : Store.staged));
+  refuses "stage_quiet" (fun child_offsets ->
+      ignore (Store.stage_quiet ~child_offsets bytes : Store.staged));
+  refuses "put_deferred's stage" (fun child_offsets ->
+      Store.put_deferred s (fun ~stage -> ignore (stage ~child_offsets bytes : Hash.t)));
+  refuses "put_batch" (fun child_offsets ->
+      ignore (Store.put_batch s [ (bytes, child_offsets) ] : Hash.t list));
+  Alcotest.(check int) "nothing stored" 0 (Store.stats s).unique_nodes;
+  let p = Store.put s ~child_offsets:[| last |] bytes in
+  Alcotest.(check (list string)) "the last in-range offset names the child"
+    [ Hash.to_hex (Hash.of_string "c") ]
+    (List.map Hash.to_hex (Store.children s p))
+
+(* A snapshot keeps the child offsets: the children come back from the
+   loaded bytes.  A snapshot in the retired SIRISTORE2 format (child
+   hashes copied beside each node) is refused by name. *)
+let test_snapshot_formats () =
+  let path = Filename.temp_file "siri-store-format" ".snap" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let s = Store.create () in
+  let root, l, r, shared = diamond s in
+  Store.save ~sync:false s path;
+  let loaded = Store.load path in
+  List.iter
+    (fun h ->
+      Alcotest.(check (list string)) "children survive the snapshot"
+        (List.map Hash.to_hex (Store.children s h))
+        (List.map Hash.to_hex (Store.children loaded h)))
+    [ root; l; r; shared ];
+  let blob = In_channel.with_open_bin path In_channel.input_all in
+  Alcotest.(check string) "magic" "SIRISTORE3" (String.sub blob 0 10);
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc ("SIRISTORE2" ^ String.sub blob 10 (String.length blob - 10)));
+  match Store.load_checked path with
+  | Ok _ -> Alcotest.fail "a SIRISTORE2 snapshot was loaded"
+  | Error (`Malformed msg) ->
+      Alcotest.(check bool) ("the error names the format: " ^ msg) true
+        (Astring.String.is_infix ~affix:"SIRISTORE2" msg)
 
 let qcheck_content_addressing =
   QCheck.Test.make ~name:"hash equality = content equality" ~count:300
@@ -263,7 +329,13 @@ let table_backend () =
         (fun h ->
           incr reads;
           Option.map fst (Hash.Table.find_opt tbl h));
-      backend_children = (fun h -> Option.map snd (Hash.Table.find_opt tbl h));
+      backend_children =
+        (fun h ->
+          Option.map
+            (fun (b, offs) ->
+              Array.to_list
+                (Array.map (fun off -> Hash.of_raw (String.sub b off Hash.size)) offs))
+            (Hash.Table.find_opt tbl h));
       backend_mem = Hash.Table.mem tbl;
       backend_write =
         (fun nodes ->
@@ -288,7 +360,7 @@ let table_size s =
 let test_attach_moves_table () =
   let s = Store.create () in
   let a = Store.put s "leaf-a" in
-  let root = Store.put s ~children:[ a ] "root" in
+  let root = put_parent s "root" [ a ] in
   let b, writes, _ = table_backend () in
   Store.set_backend s (Some b);
   Alcotest.(check int) "table emptied" 0 (table_size s);
@@ -303,7 +375,7 @@ let test_attach_moves_table () =
   Alcotest.(check bool) "mem" true (Store.mem s c);
   let st = Store.stats s in
   Alcotest.(check int) "unique nodes are the backend's" 3 st.unique_nodes;
-  Alcotest.(check int) "stored bytes are the backend's" 16 st.stored_bytes
+  Alcotest.(check int) "stored bytes are the backend's" (16 + Hash.size) st.stored_bytes
 
 (* Replacing one backend with another on an empty table moves nothing:
    a wrapper over the same storage sees every later read. *)
@@ -332,6 +404,8 @@ let () =
         [ Alcotest.test_case "put/get" `Quick test_put_get;
           Alcotest.test_case "dedup on put" `Quick test_dedup_on_put;
           Alcotest.test_case "children/size" `Quick test_children_and_size;
+          Alcotest.test_case "child offset out of range" `Quick test_offset_out_of_range;
+          Alcotest.test_case "snapshot format" `Quick test_snapshot_formats;
           QCheck_alcotest.to_alcotest qcheck_content_addressing ] );
       ( "reachability",
         [ Alcotest.test_case "page sets" `Quick test_reachability;
