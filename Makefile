@@ -136,6 +136,9 @@
 #                  the window, include the shutdown Pack.sync_index, which
 #                  serializes the whole offset index: that spike is not the
 #                  steady state.
+#   make loc     — print the line counts the simplicity rule of ROADMAP.md
+#                  tracks: lib/ OCaml (.ml and .mli), lib/ C, bin/ and
+#                  test/, with lib/ + bin/ as the headline total.
 #   make quick   — tier-1 without the slow cases: everything alcotest marks
 #                  `Slow (the SIGKILL storms, the every-offset truncation
 #                  sweeps and the qcheck property tests) is skipped via
@@ -148,7 +151,7 @@ SIDECARS = BENCH_proof.json BENCH_pack.json BENCH_parallel.json \
            BENCH_readpath.json BENCH_server.json BENCH_shard.json \
            BENCH_scan.json
 
-.PHONY: all build test quick smoke crash par read pack proof serve shard scan pos lint bench-sidecars check bench rss clean
+.PHONY: all build test quick smoke crash par read pack proof serve shard scan pos lint loc bench-sidecars check bench rss clean
 
 all: build
 
@@ -267,6 +270,15 @@ lint:
 	  exit 1; \
 	fi; \
 	echo "lint: OK"
+
+loc:
+	@count() { find $$@ -type f | xargs cat | wc -l; }; \
+	lib_ml=$$(count lib \( -name '*.ml' -o -name '*.mli' \)); \
+	lib_c=$$(count lib -name '*.c'); \
+	bin=$$(count bin \( -name '*.ml' -o -name '*.mli' \)); \
+	test=$$(count test \( -name '*.ml' -o -name '*.mli' \)); \
+	printf 'lib/ .ml/.mli  %6d\nlib/ C         %6d\nbin/           %6d\ntest/          %6d\nlib/ + bin/    %6d\n' \
+	  $$lib_ml $$lib_c $$bin $$test $$((lib_ml + lib_c + bin))
 
 bench-sidecars:
 	@missing=0; for f in $(SIDECARS); do \

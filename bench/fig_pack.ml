@@ -9,7 +9,7 @@
    latencies, the pack's worst case (index deleted, rebuilt by scanning
    every segment — the bound crash recovery pays), cold read throughput
    from one domain and from two, and the bytes each layout keeps on
-   disk.
+   disk, where every eighth record has children.
 
    A second table times appends into the default 8 MiB segments across
    several rolls: each append carries ~120 KB, the pack bytes of one
@@ -57,13 +57,28 @@ let median_time f =
   let times = List.init read_passes (fun _ -> Clock.time_unit f) in
   List.nth (List.sort compare times) (read_passes / 2)
 
-(* Deterministic leaf-like records, ~the record size the YCSB experiments
-   use, so bytes-on-disk are comparable across the suite. *)
-let node i =
-  let bytes =
-    Printf.sprintf "pack-bench-%08d:%s" i (String.make (128 + (i mod 64)) 'x')
-  in
-  (Hash.of_string bytes, bytes, [||])
+(* Deterministic records, ~the record size the YCSB experiments use, so
+   bytes-on-disk are comparable across the suite.  Seven in eight are
+   leaves; every eighth is an internal node whose bytes hold the hashes of
+   the seven leaves before it, named by their offsets as an index node
+   names its children, so the record heads carry child offsets too. *)
+let fanout = 7
+
+let rec node i =
+  let prefix = Printf.sprintf "pack-bench-%08d:" i in
+  if i mod (fanout + 1) <> fanout then
+    let bytes = prefix ^ String.make (128 + (i mod 64)) 'x' in
+    (Hash.of_string bytes, bytes, [||])
+  else
+    let children =
+      List.init fanout (fun j ->
+          let h, _, _ = node (i - fanout + j) in
+          Hash.to_raw h)
+    in
+    let bytes = String.concat "" (prefix :: children) in
+    ( Hash.of_string bytes,
+      bytes,
+      Array.init fanout (fun j -> String.length prefix + (j * Hash.size)) )
 
 let nodes n = List.init n node
 

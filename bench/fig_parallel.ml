@@ -45,7 +45,7 @@ let rows ~n entries =
       build =
         (fun pool ->
           let inst = Common.make ~record_bytes:266 ~pool kind (Store.create ()) in
-          (Generic.load_sorted inst entries).Generic.root) }
+          (inst.Generic.bulk_load entries).Generic.root) }
   in
   let updates =
     List.filteri (fun i _ -> i mod 10 = 0) entries

@@ -5,8 +5,7 @@
       MPT and POS-Tree is recorded in BENCH_readpath.json);
    2. batched multi-get vs one-at-a-time lookups at batch sizes 1/16/256;
    3. cache hit-rate sweep across byte budgets;
-   4. uniform vs zipfian key skew under a deliberately small budget;
-   5. negative lookups with and without the per-root Bloom filter. *)
+   4. uniform vs zipfian key skew under a deliberately small budget. *)
 
 open Siri_core
 module Store = Siri_store.Store
@@ -20,13 +19,10 @@ let kinds = Common.all
 let n () = Params.pick ~quick:20_000 ~full:100_000
 let lookup_count () = Params.pick ~quick:30_000 ~full:100_000
 
-(* A fresh instance over its own store with the given cache budget.
-   [Generic.load_sorted] also registers the root's negative-lookup
-   filter, which section 5 exercises through [Generic.get]. *)
+(* A fresh instance over its own store with the given cache budget. *)
 let instance ?cache_bytes kind y =
   let store = Store.create ?cache_bytes () in
-  Generic.load_sorted
-    (Common.make ~record_bytes:266 kind store)
+  (Common.make ~record_bytes:266 kind store).Generic.bulk_load
     (Ycsb.dataset y)
 
 let uniform_keys y ~count =
@@ -159,21 +155,6 @@ let skew y ~budget uniform zipfian =
       (Common.name kind, u_kops, u_hit, z_kops, z_hit))
     kinds
 
-(* --- 5. negative lookups --------------------------------------------------- *)
-
-let negative y ~count =
-  let absent = List.init count (Printf.sprintf "zz-absent-%08d") in
-  List.map
-    (fun kind ->
-      let inst = instance ~cache_bytes:0 kind y in
-      let scan_kops = kops absent (time_lookups inst absent) in
-      let (), seconds =
-        Clock.time (fun () ->
-            List.iter (fun k -> ignore (Generic.get inst k)) absent)
-      in
-      (Common.name kind, scan_kops, kops absent seconds))
-    kinds
-
 (* --- driver ----------------------------------------------------------------- *)
 
 let run () =
@@ -235,15 +216,6 @@ let run () =
            Printf.sprintf "%.1f (%.0f%%)" zk (100. *. zh) ])
        sk);
 
-  let neg = negative y ~count:(lookup_count () / 3) in
-  Table.print
-    ~title:"Read path: negative lookups, kops/s — full descent vs Bloom filter"
-    ~headers:[ "index"; "tree descent"; "filtered" ]
-    (List.map
-       (fun (name, s, f) ->
-         [ name; Printf.sprintf "%.1f" s; Printf.sprintf "%.1f" f ])
-       neg);
-
   Metrics.write ~id:"readpath"
     (Json.obj
        [ ("experiment", Json.str "readpath");
@@ -302,13 +274,4 @@ let run () =
                             ("uniform_hit_ratio", Json.num uh);
                             ("zipf_kops", Json.num zk);
                             ("zipf_hit_ratio", Json.num zh) ])
-                      sk) ) ] );
-         ( "negative",
-           Json.arr
-             (List.map
-                (fun (name, s, f) ->
-                  Json.obj
-                    [ ("index", Json.str name);
-                      ("descent_kops", Json.num s);
-                      ("filtered_kops", Json.num f) ])
-                neg) ) ])
+                      sk) ) ] ) ])

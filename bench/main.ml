@@ -37,7 +37,7 @@ let experiments =
     ("wal", "extension: WAL commit & recovery throughput", Fig_wal.run);
     ("pack", "extension: pack-file backend vs snapshot (reopen & cold reads)", Fig_pack.run);
     ("parallel", "extension: domain sweep of the parallel commit pipeline", Fig_parallel.run);
-    ("readpath", "extension: decoded-node cache, batched get, Bloom filters", Fig_readpath.run);
+    ("readpath", "extension: decoded-node cache, batched get", Fig_readpath.run);
     ("server", "extension: multi-client server, group vs single commit", Fig_server.run);
     ("shard", "extension: sharded keyspace, concurrent commit + composite root", Fig_shard.run);
     ("scan", "extension: routed range scans + online reshard", Fig_scan.run);

@@ -193,9 +193,7 @@ let run_sample ?pool ?cache_bytes kind ~records ~ops =
   Store.set_sink store sink;
   Telemetry.attach_hash_counter sink;
   let y = Ycsb.create ~seed:1 ~n:records () in
-  let inst =
-    Generic.load_sorted (Kind.make ?pool kind store) (Ycsb.dataset y)
-  in
+  let inst = (Kind.make ?pool kind store).Generic.bulk_load (Ycsb.dataset y) in
   let rng = Rng.create 1 in
   let operations =
     Ycsb.operations y ~rng ~theta:0.5 ~mix:{ Ycsb.write_ratio = 0.5 } ~count:ops
@@ -208,8 +206,8 @@ let run_sample ?pool ?cache_bytes kind ~records ~ops =
       (fun (inst, pending) op ->
         match op with
         | Ycsb.Read k ->
-            (* Through the full read path (filter + tiered telemetry), not
-               the raw closure, so the hit/miss split below has data. *)
+            (* Through the tiered read path, not the raw closure, so the
+               hit/miss split below has data. *)
             ignore (Generic.get inst k);
             (inst, pending)
         | Ycsb.Write (k, v) ->
@@ -255,10 +253,9 @@ let stats_workload ?pool ?cache_bytes ~records ~ops ~json () =
            Table.fmt_bytes (c "hash.bytes") ])
        results);
   Table.print
-    ~title:"Read path — decoded-node cache and negative-lookup filter"
+    ~title:"Read path — decoded-node cache"
     ~headers:
-      [ "index"; "cache hits"; "cache misses"; "hit ratio"; "evictions";
-        "filter skips" ]
+      [ "index"; "cache hits"; "cache misses"; "hit ratio"; "evictions" ]
     (List.map
        (fun (name, _, sink) ->
          let c = Telemetry.counter sink in
@@ -270,8 +267,7 @@ let stats_workload ?pool ?cache_bytes ~records ~ops ~json () =
                (100. *. float_of_int hits /. float_of_int (hits + misses))
          in
          [ name; string_of_int hits; string_of_int misses; ratio;
-           string_of_int (c "cache.node.evict");
-           string_of_int (c "read.filter.skip") ])
+           string_of_int (c "cache.node.evict") ])
        results);
   let latency_rows =
     List.concat_map
@@ -321,9 +317,7 @@ let stats_workload ?pool ?cache_bytes ~records ~ops ~json () =
 let stats_cmd =
   let run ~pool kind path =
     let store = Store.create () in
-    let inst =
-      Generic.load_sorted (Kind.make ~pool kind store) (read_tsv path)
-    in
+    let inst = (Kind.make ~pool kind store).Generic.bulk_load (read_tsv path) in
     let st = Store.stats store in
     let pages = Generic.page_set inst in
     Printf.printf "index      : %s\n" inst.Generic.name;

@@ -1,7 +1,6 @@
 open Siri_crypto
 module Store = Siri_store.Store
 module Node_cache = Siri_readpath.Node_cache
-module Bloom = Siri_readpath.Bloom
 module Telemetry = Siri_telemetry.Telemetry
 
 exception Unsupported of string
@@ -211,26 +210,16 @@ let insert t k v = t.batch [ Kv.Put (k, v) ]
 let remove t k = t.batch [ Kv.Del k ]
 let of_entries t entries = t.batch (List.map (fun (k, v) -> Kv.Put (k, v)) entries)
 
-let register_filter t entries =
-  if not (Hash.is_null t.root) then
-    Store.set_root_filter t.store t.root
-      (Bloom.of_keys (List.map fst entries))
+(* --- tiered reads --------------------------------------------------------------
 
-let load_sorted t entries =
-  let loaded = t.bulk_load entries in
-  register_filter loaded entries;
-  loaded
+   [get] is the read front door: it classifies each walk's latency by
+   whether the decoded-node cache served it ([read.lookup.hit]: the cache
+   is on and saw no miss during the walk) or it had to decode
+   ([read.lookup.miss]; with the cache off every walk decodes).  The raw
+   [t.lookup] closure stays available for callers that want the untiered
+   path. *)
 
-(* --- filtered, tiered reads -------------------------------------------------
-
-   [get]/[get_many] are the read front door: they consult the version's
-   negative-lookup filter before any traversal, and classify each
-   traversal's latency by whether it was served from the decoded-node
-   cache ([read.lookup.hit]: no cache miss during the walk) or had to
-   decode ([read.lookup.miss]).  The raw [t.lookup]/[t.get_many] closures
-   stay available for callers that want the untiered path. *)
-
-let lookup_tiered t k =
+let get t k =
   let sink = Store.sink t.store in
   if not (Telemetry.enabled sink) then t.lookup k
   else begin
@@ -240,45 +229,14 @@ let lookup_tiered t k =
     let r = t.lookup k in
     let stop = Telemetry.now sink in
     let tier =
-      if Node_cache.misses cache = misses_before then "read.lookup.hit"
+      if Node_cache.enabled cache && Node_cache.misses cache = misses_before
+      then "read.lookup.hit"
       else "read.lookup.miss"
     in
     Telemetry.incr sink tier;
     Telemetry.observe sink tier (stop -. start);
     r
   end
-
-let filter_blocks t k =
-  match Store.root_filter t.store t.root with
-  | Some f -> not (Bloom.mem f k)
-  | None -> false
-
-let get t k =
-  if filter_blocks t k then begin
-    Telemetry.incr (Store.sink t.store) "read.filter.skip";
-    None
-  end
-  else lookup_tiered t k
-
-let get_many t ks =
-  match Store.root_filter t.store t.root with
-  | None -> t.get_many ks
-  | Some f ->
-      (* Answer definite misses from the filter alone; batch-walk the rest
-         and re-interleave in input order. *)
-      let sink = Store.sink t.store in
-      let walked =
-        List.filter (Bloom.mem f) ks |> t.get_many |> List.to_seq
-        |> Hashtbl.of_seq
-      in
-      List.map
-        (fun k ->
-          match Hashtbl.find_opt walked k with
-          | Some v -> (k, v)
-          | None ->
-              Telemetry.incr sink "read.filter.skip";
-              (k, None))
-        ks
 
 (* --- ordered streaming reads ------------------------------------------------
 
@@ -309,9 +267,7 @@ let range_count ?lo ?hi ?limit t =
    path node.  Multiproofs are immutable values over immutable versions,
    so the only coherence hazard is the store mutating bytes under a hash —
    the same tamper/gc primitives that invalidate the decoded-node cache
-   clear the proof cache too.  Note the Bloom filter is deliberately NOT
-   consulted here: a filter miss answers [None] fast but unprovably, while
-   an absence claim in a multiproof must carry its witnessing nodes. *)
+   clear the proof cache too. *)
 
 module Proof_cache = Siri_readpath.Proof_cache
 

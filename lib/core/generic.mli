@@ -157,32 +157,16 @@ val remove : t -> Kv.key -> t
 val of_entries : t -> (Kv.key * Kv.value) list -> t
 (** Bulk-load into (a fresh version of) the given instance via [batch]. *)
 
-val load_sorted : t -> (Kv.key * Kv.value) list -> t
-(** [load_sorted t entries] is [t.bulk_load entries] — the batched (and,
-    when the instance was constructed with a pool, parallel) bulk-load
-    path.  Entries need not actually be sorted; the indexes sort and
-    dedup internally.  Additionally registers a negative-lookup filter
-    for the loaded version ({!Siri_store.Store.set_root_filter}), so
-    {!get}/{!get_many} on it short-circuit definite misses. *)
-
-(** {2 Filtered, tiered reads}
-
-    The preferred read entry points.  Both consult the version's
-    negative-lookup filter (when one is registered for [t.root]) before
-    touching the tree — a filter miss answers [None] with zero node reads
-    and counts [read.filter.skip].  Lookups that do traverse are timed
-    into [read.lookup.hit] (no decoded-node-cache miss during the walk —
-    every node came from cache) or [read.lookup.miss] histograms, with
-    matching counters, so [siri-cli stats] can report hit ratio and
-    per-tier latency.  With telemetry off ({!Siri_telemetry.Telemetry.null})
-    they add one closed-over branch to the raw closures. *)
+(** {2 Tiered reads} *)
 
 val get : t -> Kv.key -> Kv.value option
-(** Filter-aware, tiered [t.lookup]. *)
-
-val get_many : t -> Kv.key list -> (Kv.key * Kv.value option) list
-(** Filter-aware [t.get_many]: keys rejected by the filter never enter the
-    batch traversal; results stay in input order. *)
+(** [t.lookup], timed into the [read.lookup.hit] histogram (the store's
+    decoded-node cache is on and saw no miss during the walk: every node
+    came from cache) or [read.lookup.miss] (the walk decoded a node; with
+    the cache off, every walk), with matching counters, so [siri-cli
+    stats] can report hit ratio and per-tier latency.  With telemetry off
+    ({!Siri_telemetry.Telemetry.null}) it adds one closed-over branch to
+    [t.lookup]. *)
 
 (** {2 Ordered streaming reads} *)
 
@@ -206,9 +190,7 @@ val prove_many : t -> Kv.key list -> Multiproof.t
     ({!Siri_store.Store.proof_cache}): a repeated request for the same
     [(root, sorted key set)] returns the memoized multiproof without
     touching the tree, metered as [proof.cache.hit]/[miss]/[evict].  With
-    the cache disabled (the default) this is exactly [t.prove_many].
-    Unlike {!get}/{!get_many}, never consults the Bloom filter — absence
-    answers must carry witness nodes, not filter bits. *)
+    the cache disabled (the default) this is exactly [t.prove_many]. *)
 
 val verify_many : t -> root:Hash.t -> Multiproof.t -> bool
 (** [t.verify_many], for symmetry with {!prove_many}. *)

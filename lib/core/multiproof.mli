@@ -15,8 +15,8 @@
     with every claim.  Absence
     claims are covered by the same discipline — the node where the lookup
     path diverges (or the bucket that omits the key) is part of the node
-    set, so [None] answers are as tamper-evident as hits: unlike the
-    per-root Bloom filters, a multiproof's "not present" is {e provable}.
+    set, so [None] answers are as tamper-evident as hits: a multiproof's
+    "not present" is {e provable}.
 
     This module holds the shared shape, the traversal adapters
     ({!recorder} for proving, {!consumer} for verifying), tamper helpers

@@ -4,7 +4,6 @@ module Store = Siri_store.Store
 module Wire = Siri_codec.Wire
 module Fault = Siri_fault.Fault
 module Telemetry = Siri_telemetry.Telemetry
-module Bloom = Siri_readpath.Bloom
 module Io = Siri_io.Io
 
 type commit = {
@@ -100,67 +99,26 @@ let checkout t id =
   Telemetry.with_span (Store.sink t.store) "engine.checkout" (fun () ->
       t.reopen (decode_commit id (Store.get t.store id)).index_root)
 
-(* Extend the parent version's negative-lookup filter to the committed
-   version: copy it and add the written keys ([advance] then retires the
-   parent's).  Deleted keys stay set in the copy, costing only false
-   positives — a filter must never produce a false negative.  A parent
-   without a filter whose key set is non-empty (only possible for
-   pre-existing histories) gets none either: building one from the ops
-   alone would miss the parent's keys. *)
-let propagate_filter t ~parent ~parent_known_empty ~root keys =
-  if not (Hash.is_null root) then begin
-    let base =
-      match Store.root_filter t.store parent with
-      | Some f -> Some (Bloom.copy f)
-      | None ->
-          if parent_known_empty then
-            Some (Bloom.create ~expected:(max 16 (List.length keys)) ())
-          else None
-    in
-    match base with
-    | None -> ()
-    | Some f ->
-        Bloom.add_all f keys;
-        Store.set_root_filter t.store root f
-  end
-
-(* Only branch heads keep a filter.  Once [c] replaces [branch]'s head,
-   the old head's index root loses its filter unless a head still has
-   that root (a fork, or a commit that left the root unchanged).  A
-   version off every head reads without a filter, which only skips the
-   short-circuit. *)
-let advance t branch c =
-  let old = (head t branch).index_root in
-  Hashtbl.replace t.heads branch c;
-  let shared = Hashtbl.fold (fun _ h acc -> acc || Hash.equal h.index_root old) in
-  if not (shared t.heads false) then Store.remove_root_filter t.store old
-
-let put_keys ops =
-  List.filter_map (function Kv.Put (k, _) -> Some k | Kv.Del _ -> None) ops
-
 (* One commit on [branch]: [build] makes the next version from the head
-   and its index; the filter moves forward with [keys] and the head
-   advances.  The span encloses the build, so per-index [<index>.batch]
-   probes nest inside [engine.commit] in the trace. *)
-let commit_with t ~branch ~message ~keys build =
+   and its index, and the head advances.  The span encloses the build, so
+   per-index [<index>.batch] probes nest inside [engine.commit] in the
+   trace. *)
+let commit_with t ~branch ~message build =
   Telemetry.with_span (Store.sink t.store) "engine.commit" (fun () ->
       let h = head t branch in
       let inst' = build h (t.reopen h.index_root) in
-      propagate_filter t ~parent:h.index_root
-        ~parent_known_empty:(h.version = 0) ~root:inst'.Generic.root keys;
       let c =
         store_commit t ~parent:(Some h.id) ~index_root:inst'.Generic.root
           ~message ~version:(h.version + 1)
       in
-      advance t branch c;
+      Hashtbl.replace t.heads branch c;
       c)
 
 let commit t ~branch ~message ops =
-  commit_with t ~branch ~message ~keys:(put_keys ops) (fun _ inst ->
-      inst.Generic.batch ops)
+  commit_with t ~branch ~message (fun _ inst -> inst.Generic.batch ops)
 
 let commit_bulk t ~branch ~message entries =
-  commit_with t ~branch ~message ~keys:(List.map fst entries) (fun h inst ->
+  commit_with t ~branch ~message (fun h inst ->
       (* A bulk load replaces the version's content wholesale; only the
          initial (empty) version can take the fast canonical-build path
          without discarding existing records. *)
@@ -168,7 +126,7 @@ let commit_bulk t ~branch ~message entries =
       else inst.Generic.batch (List.map (fun (k, v) -> Kv.Put (k, v)) entries))
 
 let get t ~branch key = Generic.get (index t branch) key
-let get_many t ~branch keys = Generic.get_many (index t branch) keys
+let get_many t ~branch keys = (index t branch).Generic.get_many keys
 let scan ?lo ?hi t ~branch = Generic.scan ?lo ?hi (index t branch)
 
 let range_count ?lo ?hi ?limit t ~branch =
@@ -253,9 +211,8 @@ let merge_ops t ~into ~from ~policy =
 
 let merge_message ~into ~from = Printf.sprintf "merge %s into %s" from into
 
-(* The resolved write batch, committed like any other: the merged head
-   keeps a filter, and a durable merge (journaled as its ops) replays to
-   the same commit. *)
+(* The resolved write batch, committed like any other: a durable merge
+   (journaled as its ops) replays to the same commit. *)
 let merge_branches t ~into ~from ~policy =
  Telemetry.with_span (Store.sink t.store) "engine.merge" @@ fun () ->
   Result.map

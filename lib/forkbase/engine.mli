@@ -46,10 +46,7 @@ val checkout : t -> Hash.t -> Generic.t
 (** The index instance of any past commit. *)
 
 val commit : t -> branch:string -> message:string -> Kv.op list -> commit
-(** Apply a write batch on a branch and advance its head.  The new head
-    root gets a copy of the old one's negative-lookup filter plus the
-    written keys; the old root's filter is unregistered unless another
-    head still has that root, so only branch heads keep a filter. *)
+(** Apply a write batch on a branch and advance its head. *)
 
 val commit_bulk :
   t -> branch:string -> message:string -> (Kv.key * Kv.value) list -> commit
@@ -59,17 +56,14 @@ val commit_bulk :
     it degrades to a plain put-batch so existing records are kept. *)
 
 val get : t -> branch:string -> Kv.key -> Kv.value option
-(** Point lookup at a branch head, through the full read path: the
-    version's negative-lookup filter (when one is registered) short-
-    circuits definite misses, and the lookup is timed into the tiered
+(** Point lookup at a branch head, through {!Generic.get}: one
+    root-to-leaf walk, timed into the tiered
     [read.lookup.hit]/[read.lookup.miss] telemetry. *)
 
 val get_many : t -> branch:string -> Kv.key list -> (Kv.key * Kv.value option) list
-(** Batched point lookups at a branch head: filter-rejected keys are
-    answered [None] without touching the index, the survivors walk the
-    tree once sharing decoded prefix nodes.  One result pair per input
-    key, in input order; equivalent to [List.map (fun k -> (k, get t
-    ~branch k))]. *)
+(** Batched point lookups at a branch head: the keys walk the tree once,
+    sharing decoded prefix nodes.  One result pair per input key, in input
+    order; equivalent to [List.map (fun k -> (k, get t ~branch k))]. *)
 
 val scan :
   ?lo:Kv.key -> ?hi:Kv.key -> t -> branch:string -> (Kv.key * Kv.value) Seq.t

@@ -3,9 +3,9 @@
    thread per connection on a serving domain (or on the main domain at
    width 1).  Sessions never mutate the engine — they read off the
    atomically-published snapshot — so every shared structure on the read
-   path has a single writer and many readers: the store's node table and
-   filter registry sit behind the store lock, the pack's offset index
-   behind its own lock, its read descriptors in an [Atomic] map read with
+   path has a single writer and many readers: the store's node table sits
+   behind the store lock (a pack-backed store's table is empty and its
+   reads take no store lock), the pack's offset index behind its own lock, its read descriptors in an [Atomic] map read with
    a positioned [pread], and the telemetry sink behind its mutex.  The
    store's writer cache is the writer thread's alone: its commits fill
    it and read it back, and sessions never touch it.  The writer answers

@@ -20,9 +20,10 @@
       serving domain serve [Get]/[Get_many]/[Prove_many]/[Head] straight
       off that snapshot without a server lock — old roots stay valid
       forever, which is the SIRI property doing the concurrency work.
-      Below the snapshot, the store's node table and filter registry
-      and the pack's offset index take short table locks, and cold pack
-      reads take none (a positioned read on a shared descriptor).  The
+      Below the snapshot, the store's node table (snapshot backend) and
+      the pack's offset index take short table locks; a pack-backed
+      store's get takes no store lock, and its cold reads take none (a
+      positioned read on a shared descriptor).  The
       engine's store must be created with its decoded-node and proof
       caches off: those are not guarded.
 

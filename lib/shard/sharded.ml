@@ -180,14 +180,14 @@ let get_many t ~branch keys =
   let vs = shard_views t ~branch in
   match Partition.split_keys t.spec keys with
   | [] -> []
-  | [ (i, _) ] -> Generic.get_many vs.(i) keys
+  | [ (i, _) ] -> vs.(i).Generic.get_many keys
   | groups ->
       let groups = Array.of_list groups in
       let results = Array.make (Array.length groups) [] in
       run_tasks t
         (List.init (Array.length groups) (fun gi () ->
              let i, ks = groups.(gi) in
-             results.(gi) <- Generic.get_many vs.(i) ks));
+             results.(gi) <- vs.(i).Generic.get_many ks));
       Telemetry.incr (sink t) ~by:(Array.length groups) "shard.get_many.parts";
       let found = Hashtbl.create (List.length keys) in
       Array.iter

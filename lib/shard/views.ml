@@ -23,11 +23,11 @@ let get t key =
 
 let get_many t keys =
   match t with
-  | Flat v -> Generic.get_many v keys
+  | Flat v -> v.Generic.get_many keys
   | Sharded (spec, vs) -> (
       match Partition.split_keys spec keys with
       | [] -> []
-      | [ (i, _) ] -> Generic.get_many vs.(i) keys
+      | [ (i, _) ] -> vs.(i).Generic.get_many keys
       | groups ->
           (* One single-walk batch per touched shard, then reassemble in
              input order.  Duplicate keys are answered from the same
@@ -37,7 +37,7 @@ let get_many t keys =
             (fun (i, ks) ->
               List.iter
                 (fun (k, v) -> Hashtbl.replace found k v)
-                (Generic.get_many vs.(i) ks))
+                (vs.(i).Generic.get_many ks))
             groups;
           List.map (fun k -> (k, Option.join (Hashtbl.find_opt found k))) keys)
 

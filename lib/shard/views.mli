@@ -4,7 +4,7 @@
     is one per shard, in shard order, under a {!Partition.t}.  Old roots
     stay valid forever (the SIRI property), so a view taken at any head
     keeps answering while newer heads are published.  Pure routing and
-    delegation: all filter/cache tiering comes from the underlying
+    delegation: all cache tiering comes from the underlying
     {!Siri_core.Generic} entry points. *)
 
 module Kv = Siri_core.Kv

@@ -3,7 +3,6 @@ module Io = Siri_io.Io
 module Telemetry = Siri_telemetry.Telemetry
 module Node_cache = Siri_readpath.Node_cache
 module Proof_cache = Siri_readpath.Proof_cache
-module Bloom = Siri_readpath.Bloom
 module Written = Siri_readpath.Lru_cache.Make (Hash)
 
 exception Missing of Hash.t
@@ -46,10 +45,10 @@ type stats = {
 
 (* A node lives in exactly one place: the node table when no backend is
    attached, the backend otherwise — a backed store's table stays empty.
-   The table and the filter registry are guarded by [lock]: the wire
-   server reads them from session threads on several domains while the
-   writer inserts, and an insert that resizes a table moves every binding
-   — an unguarded read in that window can miss an entry that is present.
+   The table is guarded by [lock]: the wire server reads it from session
+   threads on several domains while the writer inserts, and an insert
+   that resizes a table moves every binding — an unguarded read in that
+   window can miss an entry that is present.
    Critical sections are single table operations (or one pass that never
    calls out of the store); backend reads and writes stay outside, since
    the backend guards its own state.  Stat counters are [Atomic]s,
@@ -69,10 +68,6 @@ type t = {
   (* Memoized multiproofs keyed by (root, key set); cleared wholesale by
      the tamper primitives and gc, since a proof may embed any node. *)
   proof_cache : Proof_cache.t;
-  (* Per-version negative-lookup filters, keyed by the exact root hash the
-     filter was built for.  A version without a registered filter simply
-     skips the short-circuit. *)
-  filters : Bloom.t Hash.Table.t;
   mutable backend : backend option;
   (* The writer cache: bytes of the internal nodes the writer's last
      builds installed, so its next build reads them back without a
@@ -99,7 +94,6 @@ let create ?cache_bytes ?proof_cache_bytes () =
     sink = Telemetry.null;
     cache = Node_cache.create ?budget:cache_bytes ();
     proof_cache = Proof_cache.create ?budget:proof_cache_bytes ();
-    filters = Hash.Table.create 16;
     backend = None;
     written = Written.create ~budget:written_budget }
 
@@ -107,15 +101,13 @@ let add_counter c by = ignore (Atomic.fetch_and_add c by : int)
 
 let locked t f = Mutex.protect t.lock f
 
-(* Hot-path lookups lock by hand: they cannot raise, and this keeps them
+(* The hot-path lookup locks by hand: it cannot raise, and this keeps it
    free of the closure [Mutex.protect] would allocate. *)
-let find_locked t tbl h =
+let find_node t h =
   Mutex.lock t.lock;
-  let v = Hash.Table.find_opt tbl h in
+  let v = Hash.Table.find_opt t.tbl h in
   Mutex.unlock t.lock;
   v
-
-let find_node t h = find_locked t t.tbl h
 
 (* Install [node] under [h] unless a node is already there; true if it
    was installed. *)
@@ -172,14 +164,6 @@ let backend_name t = Option.map (fun b -> b.backend_name) t.backend
    bytes under [h] changed — which only the tamper primitives below and
    [gc]/[repair] can do.  Each of those invalidates the affected entries,
    so for every other operation the cache is coherent by construction. *)
-
-let set_root_filter t root filter =
-  locked t (fun () -> Hash.Table.replace t.filters root filter)
-
-let root_filter t root = find_locked t t.filters root
-
-let remove_root_filter t root =
-  locked t (fun () -> Hash.Table.remove t.filters root)
 
 (* Every child hash must lie inside the node bytes. *)
 let check_offsets bytes child_offsets =
@@ -532,14 +516,6 @@ let gc t ~roots =
   in
   Node_cache.remove_many t.cache dead;
   List.iter (fun h -> ignore (Written.remove t.written h : bool)) dead;
-  (* Filters for roots that were collected describe versions that no longer
-     exist; drop them so the registry cannot outgrow the store. *)
-  let roots =
-    locked t (fun () ->
-        Hash.Table.fold (fun root _ acc -> root :: acc) t.filters [])
-  in
-  let stale = List.filter (fun root -> not (mem t root)) roots in
-  locked t (fun () -> List.iter (Hash.Table.remove t.filters) stale);
   (* Any collected node may sit inside a memoized multiproof. *)
   Proof_cache.clear t.proof_cache;
   List.length dead

@@ -35,9 +35,9 @@ exception Tampered of Hash.t
 
 type t
 (** A store is safe to read from several threads, on any domain, while
-    one writer inserts: the node table and the filter registry are
-    guarded by a mutex, held for single table operations only.  A store
-    with a {!backend} reads its nodes outside it.  The decoded-node and
+    one writer inserts: the node table is guarded by a mutex, held for
+    single table operations only.  A store with a {!backend} reads its
+    nodes without taking it.  The decoded-node and
     proof caches are not guarded: a store read concurrently must be
     created with both off. *)
 
@@ -182,9 +182,9 @@ val sink : t -> Siri_telemetry.Telemetry.sink
 
 (** {2 Read-path sidecars}
 
-    The decoded-node cache and the per-version negative-lookup filters live
-    on the store because they describe its contents, but they sit {e beside}
-    the node table: a cache hit never calls {!get}, so gated faults,
+    The decoded-node cache and the multiproof cache live on the store
+    because they describe its contents, but they sit {e beside} the node
+    table: a cache hit never calls {!get}, so gated faults,
     deployment observers and [store.get] telemetry meter only the reads that
     actually reach storage.
 
@@ -251,18 +251,6 @@ val proof_cache : t -> Siri_readpath.Proof_cache.t
     tamper primitives and {!gc} clear this cache wholesale instead of
     invalidating per hash.  {!set_sink} propagates the sink, metering
     [proof.cache.hit]/[miss]/[evict]. *)
-
-val set_root_filter : t -> Hash.t -> Siri_readpath.Bloom.t -> unit
-(** Register the negative-lookup filter for the version rooted at the
-    given hash (replacing any previous filter for that exact root).  Built
-    by [Engine] commits and [Generic.load_sorted]; consulted by
-    [Generic.get]/[get_many] to short-circuit definite misses. *)
-
-val root_filter : t -> Hash.t -> Siri_readpath.Bloom.t option
-
-val remove_root_filter : t -> Hash.t -> unit
-(** Unregister the filter of that exact root, if any.  A reader holding
-    the filter keeps using it: filters are never mutated. *)
 
 val set_read_gate : t -> (Hash.t -> string -> unit) option -> unit
 (** Install a gate consulted on every {!get} {e before} the bytes are

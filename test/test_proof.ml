@@ -78,7 +78,7 @@ let qcheck_oracle =
           (* 2. claims are exactly what the model holds, and get_many
                 answers the same *)
           && mp.Multiproof.claims = expected distinct
-          && Generic.get_many inst distinct = expected distinct
+          && inst.Generic.get_many distinct = expected distinct
           (* 3. every key's single proof verifies and claims the model's
                 value *)
           && List.for_all
