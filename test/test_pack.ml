@@ -1725,6 +1725,42 @@ let test_bounded_by_count () =
     (Durable.get t ~branch:"side" (Printf.sprintf "k%04d" (201 * 37 mod 1000)));
   Durable.close t
 
+(* The state a served directory starts from: a bulk load and small
+   commits, checkpointed, closed and reopened.  The reopened head answers
+   absent keys [None] and present keys their latest value, before and
+   after one more commit on top of it. *)
+let test_reopened_head_reads () =
+  with_dir "reopened" @@ fun dir ->
+  let model = Hashtbl.create 1024 in
+  let commit t c =
+    let ops = puts c 16 in
+    List.iter
+      (function
+        | Kv.Put (k, v) -> Hashtbl.replace model k v
+        | Kv.Del k -> Hashtbl.remove model k)
+      ops;
+    ignore (Durable.commit t ~branch:"master" ~message:"c" ops : Engine.commit)
+  in
+  let t = open_pack_durable ~dir (mk_pos (Store.create ())) in
+  let entries = List.init 1000 (fun i -> (Printf.sprintf "k%04d" (2 * i), "v0")) in
+  List.iter (fun (k, v) -> Hashtbl.replace model k v) entries;
+  ignore (Durable.commit_bulk t ~branch:"master" ~message:"load" entries : Engine.commit);
+  for c = 1 to 20 do commit t c done;
+  Durable.checkpoint t;
+  Durable.close t;
+  let t = open_pack_durable ~dir (mk_pos (Store.create ())) in
+  let check what =
+    for i = 0 to 2099 do
+      let k = Printf.sprintf "k%04d" i in
+      Alcotest.(check (option string)) (what ^ " " ^ k) (Hashtbl.find_opt model k)
+        (Durable.get t ~branch:"master" k)
+    done
+  in
+  check "reopened";
+  commit t 21;
+  check "after a commit";
+  Durable.close t
+
 (* A backed store's stats are the pack's, and its put accounting matches
    an in-memory store fed the same script — including an MBT, whose empty
    tree is stored before the pack is attached and whose bulk build repeats
@@ -2008,6 +2044,8 @@ let () =
             `Quick test_durable_roll_fsyncs;
           Alcotest.test_case "bounded by count: empty table" `Quick
             test_bounded_by_count;
+          Alcotest.test_case "a reopened head answers absent and present keys"
+            `Quick test_reopened_head_reads;
           Alcotest.test_case "stats are the pack's, put accounting unchanged"
             `Quick test_stats_are_the_packs;
           Alcotest.test_case "sealed segment cut: replay regenerates" `Slow

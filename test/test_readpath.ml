@@ -78,19 +78,19 @@ let qcheck_cache_thrashing =
 
 module Smap = Map.Make (String)
 
-let model_of ops =
+let apply model ops =
   List.fold_left
     (fun m -> function
       | Kv.Put (k, v) -> Smap.add k v m
       | Kv.Del k -> Smap.remove k m)
-    Smap.empty ops
+    model ops
 
 let qcheck_get_many =
   QCheck.Test.make
     ~name:"get_many and lookup agree with the Map model, every kind" ~count:50
     (QCheck.make QCheck.Gen.(pair op_gen keys_gen))
     (fun (ops, queries) ->
-      let model = model_of ops in
+      let model = apply Smap.empty ops in
       let expected = List.map (fun k -> (k, Smap.find_opt k model)) queries in
       List.for_all
         (fun inst ->
@@ -100,6 +100,25 @@ let qcheck_get_many =
           && List.map (fun k -> (k, Generic.get t k)) queries = expected)
         (makers ~cache_bytes:Node_cache.default_budget ()
         @ makers ~cache_bytes:0 ()))
+
+(* A bulk-built tree is the one a checkpointed load serves; its reads go
+   the same way as a batched tree's, present and absent keys alike. *)
+let qcheck_bulk_load_get =
+  QCheck.Test.make
+    ~name:"bulk-loaded Generic.get/get_many agree with the sorted-assoc model"
+    ~count:50
+    (QCheck.make QCheck.Gen.(pair keys_gen keys_gen))
+    (fun (put_keys, queries) ->
+      let entries =
+        List.map (fun k -> (k, "v" ^ k)) (List.sort_uniq compare put_keys)
+      in
+      let expected = List.map (fun k -> (k, List.assoc_opt k entries)) queries in
+      List.for_all
+        (fun inst ->
+          let t = inst.Generic.bulk_load entries in
+          t.Generic.get_many queries = expected
+          && List.map (fun k -> (k, Generic.get t k)) queries = expected)
+        (makers ~cache_bytes:0 () @ makers ~cache_bytes:Node_cache.default_budget ()))
 
 (* --- Lru_cache (cost-budget functor) --------------------------------------- *)
 
@@ -245,37 +264,63 @@ let test_engine_reads () =
     (Engine.get_many eng ~branch:"master" queries
     = List.map (fun k -> (k, Engine.get eng ~branch:"master" k)) queries)
 
+(* A head reached by many small commits answers every absent key [None]
+   and every present key its latest value, on every kind, cached or not. *)
+let test_engine_absent_after_small_commits () =
+  List.iter
+    (fun inst ->
+      let eng = Engine.create ~empty_index:inst in
+      let model = ref Smap.empty in
+      for c = 1 to 60 do
+        let ops =
+          List.init 16 (fun j ->
+              let k = Printf.sprintf "k%03d" (((c * 37) + (j * 11)) mod 400) in
+              if j mod 5 = 4 then Kv.Del k
+              else Kv.Put (k, Printf.sprintf "v%d.%d" c j))
+        in
+        model := apply !model ops;
+        ignore (Engine.commit eng ~branch:"master" ~message:"c" ops : Engine.commit)
+      done;
+      let absent = List.init 500 (Printf.sprintf "absent-%d") in
+      let present = List.init 400 (Printf.sprintf "k%03d") in
+      let queries = absent @ present in
+      let expected = List.map (fun k -> (k, Smap.find_opt k !model)) queries in
+      let name = inst.Generic.name in
+      Alcotest.(check bool) (name ^ ": get answers the model") true
+        (List.map (fun k -> (k, Engine.get eng ~branch:"master" k)) queries
+        = expected);
+      Alcotest.(check bool) (name ^ ": get_many answers the model") true
+        (Engine.get_many eng ~branch:"master" queries = expected))
+    (makers ~cache_bytes:0 () @ makers ~cache_bytes:Node_cache.default_budget ())
+
 (* A walk is a hit only when the decoded-node cache is on and served
    every node; with the cache off every walk decodes, so every walk is a
    miss. *)
-let test_hit_miss_telemetry () =
-  List.iter
-    (fun (cache_bytes, hits, misses) ->
-      let store = Store.create ~cache_bytes () in
-      let inst =
-        (Mpt.generic (Mpt.empty store)).Generic.bulk_load
-          (List.init 60 (fun i -> (Printf.sprintf "k%03d" i, "v")))
-      in
-      let sink = Telemetry.create () in
-      Store.set_sink store sink;
-      ignore (Generic.get inst "k010") (* cold: decodes at least one node *);
-      ignore (Generic.get inst "k010") (* warm: cache hits, if cached *);
-      Store.set_sink store Telemetry.null;
-      let label what = Printf.sprintf "cache %d: %s" cache_bytes what in
-      Alcotest.(check int) (label "miss-tier lookups") misses
-        (Telemetry.counter sink "read.lookup.miss");
-      Alcotest.(check int) (label "hit-tier lookups") hits
-        (Telemetry.counter sink "read.lookup.hit");
-      Alcotest.(check bool) (label "node hits recorded") (hits > 0)
-        (Telemetry.counter sink "cache.node.hit" > 0))
-    [ (Node_cache.default_budget, 1, 1); (0, 0, 2) ]
+let hit_miss_telemetry ~cache_bytes ~hits ~misses () =
+  let store = Store.create ~cache_bytes () in
+  let inst =
+    (Mpt.generic (Mpt.empty store)).Generic.bulk_load
+      (List.init 60 (fun i -> (Printf.sprintf "k%03d" i, "v")))
+  in
+  let sink = Telemetry.create () in
+  Store.set_sink store sink;
+  ignore (Generic.get inst "k010") (* cold: decodes at least one node *);
+  ignore (Generic.get inst "k010") (* warm: cache hits, if cached *);
+  Store.set_sink store Telemetry.null;
+  Alcotest.(check int) "miss-tier lookups" misses
+    (Telemetry.counter sink "read.lookup.miss");
+  Alcotest.(check int) "hit-tier lookups" hits
+    (Telemetry.counter sink "read.lookup.hit");
+  Alcotest.(check bool) "node hits recorded" (hits > 0)
+    (Telemetry.counter sink "cache.node.hit" > 0)
 
 let () =
   Alcotest.run "readpath"
     [ ( "equivalence",
         [ QCheck_alcotest.to_alcotest qcheck_cache_transparent;
           QCheck_alcotest.to_alcotest qcheck_cache_thrashing;
-          QCheck_alcotest.to_alcotest qcheck_get_many ] );
+          QCheck_alcotest.to_alcotest qcheck_get_many;
+          QCheck_alcotest.to_alcotest qcheck_bulk_load_get ] );
       ( "lru cache",
         [ Alcotest.test_case "byte budget" `Quick test_lru_cache_budget;
           Alcotest.test_case "recency" `Quick test_lru_cache_recency;
@@ -288,5 +333,10 @@ let () =
           Alcotest.test_case "tamper invalidation" `Quick
             test_tamper_invalidates_cache;
           Alcotest.test_case "engine reads" `Quick test_engine_reads;
+          Alcotest.test_case "engine reads after many small commits" `Quick
+            test_engine_absent_after_small_commits;
           Alcotest.test_case "hit/miss telemetry" `Quick
-            test_hit_miss_telemetry ] ) ]
+            (hit_miss_telemetry ~cache_bytes:Node_cache.default_budget ~hits:1
+               ~misses:1);
+          Alcotest.test_case "hit/miss telemetry: cache off" `Quick
+            (hit_miss_telemetry ~cache_bytes:0 ~hits:0 ~misses:2) ] ) ]
